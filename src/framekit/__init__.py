@@ -39,7 +39,6 @@ from .errors import (
     NotUnitVector,
     ParseError,
     SequenceDoesNotSpan,
-    Singular,
     SpaceMismatch,
     UnknownAtom,
 )
@@ -62,9 +61,7 @@ from .linalg import (
     hermitian_eigen,
     hermitize,
     inner,
-    invert,
     psd_sqrt,
-    singular_extremes,
 )
 from .povm import (
     FramedReport,
@@ -112,7 +109,6 @@ __all__ = [
     "ReconstructionConfig",
     "ReferenceMeasureRule",
     "SequenceDoesNotSpan",
-    "Singular",
     "SpaceMismatch",
     "TRACE_RULE",
     "UniquenessReport",
@@ -131,7 +127,6 @@ __all__ = [
     "hermitian_eigen",
     "hermitize",
     "inner",
-    "invert",
     "is_framed",
     "measure_probabilities",
     "ovf_to_povm",
@@ -139,7 +134,6 @@ __all__ = [
     "reconstruct_direct",
     "reference_measure",
     "reintegration_residuals",
-    "singular_extremes",
     "synthesis",
     "trace_to_csv",
     "validate",

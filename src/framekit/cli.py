@@ -58,7 +58,7 @@ _ARITY = {
     "roundtrip": 1,
 }
 
-MAX_GENERATE_DIM = 64
+MAX_GENERATE_DIM = 128
 MAX_GENERATE_ATOMS = 256
 _GENERATE_ATTEMPTS = 100
 

@@ -21,10 +21,6 @@ class NotPsd(FramekitError):
     """Matrix has an eigenvalue below the PSD tolerance."""
 
 
-class Singular(FramekitError):
-    """Matrix is numerically singular."""
-
-
 class EmptyFrame(FramekitError):
     """A frame needs at least one vector."""
 

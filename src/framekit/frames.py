@@ -114,6 +114,7 @@ class OperatorValuedFrame:
     dim_h: int
     blocks: tuple[np.ndarray, ...]
     _operator: np.ndarray = field(repr=False, compare=False)
+    _eigen: linalg.EigenDecomposition = field(repr=False, compare=False)
     _bounds: FrameBounds = field(repr=False, compare=False)
 
     def __init__(self, space: AtomicMeasureSpace, dim_h: int, blocks):
@@ -140,8 +141,12 @@ class OperatorValuedFrame:
             s += w * (linalg.adjoint(b) @ b)
         s = linalg.hermitize(s)
         s.flags.writeable = False
+        eig = linalg.hermitian_eigen(s)
+        for arr in (eig.eigenvalues, eig.eigenvectors):
+            arr.flags.writeable = False
         object.__setattr__(self, "_operator", s)
-        object.__setattr__(self, "_bounds", _bounds_of(s))
+        object.__setattr__(self, "_eigen", eig)
+        object.__setattr__(self, "_bounds", _bounds_of(eig.eigenvalues))
 
     def block(self, label: str) -> np.ndarray:
         return self.blocks[self.space.index(label)]
@@ -192,8 +197,8 @@ class CoefficientField:
         )
 
 
-def _bounds_of(s: np.ndarray) -> FrameBounds:
-    vals = linalg.hermitian_eigen(s).eigenvalues
+def _bounds_of(vals: np.ndarray) -> FrameBounds:
+    """Frame bounds from the ascending eigenvalues of S; NotAFrame unless S > 0."""
     lo, hi = float(vals[0]), float(vals[-1])
     if lo <= TOL_FRAME_REL * hi or hi <= 0.0:
         raise NotAFrame(

@@ -2,9 +2,12 @@
 
 Everything operates on numpy complex128 arrays and is written so that
 repeated calls on identical inputs return bit-identical outputs: the
-eigensolver is a cyclic Jacobi iteration with a fixed row-major rotation
-order, and inversion is Gauss-Jordan with partial pivoting.  All functions
-are pure; no hidden state.
+eigensolver is a cyclic Jacobi iteration whose rotation order is a fixed
+function of the matrix size (row-major single rotations for small n,
+round-robin steps of disjoint rotations from n = 16 on).  There is no
+general inverse; the frame operator is inverted through its kept
+eigendecomposition (see ``reconstruction.reconstruct_direct``).  All
+functions are pure; no hidden state.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -16,16 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPsd, ParseError, Singular
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPsd, ParseError
 
 # Tolerances (relative unless stated otherwise).
 TOL_HERM = 1e-10
-TOL_EIG = 1e-10
 TOL_PSD_REL = 1e-10     # scaled by (1 + ||A||_F)
-TOL_INV_REL = 1e-12     # scaled by ||A||_F
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A||_F
+# From this size on a sweep is made of vectorized round-robin steps.  Each
+# step pays a fixed numpy overhead, so single rotations are as fast or faster
+# up to n = 8, and the batched steps gain under 2x below n = 16.
+JACOBI_ROUND_ROBIN_MIN_N = 16
 
 
 def as_matrix(a) -> np.ndarray:
@@ -93,13 +98,117 @@ class EigenDecomposition:
         return (u * self.eigenvalues) @ adjoint(u)
 
 
+def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The steps of a round-robin sweep, each a set of disjoint pairs (p < q).
+
+    Circle method: index 0 stays put while the others rotate one place per
+    step, so every pair meets exactly once in n-1 steps.  Odd n gets a
+    dummy index n, which makes n steps; the pair holding the dummy is the
+    idle slot and is dropped.
+    """
+    m = n + (n % 2)
+    ring = np.arange(1, m)
+    steps = []
+    for r in range(m - 1):
+        order = np.concatenate(([0], np.roll(ring, -r)))
+        top, bot = order[: m // 2], order[m - 1 : m // 2 - 1 : -1]
+        keep = (top < n) & (bot < n)
+        p, q = np.minimum(top, bot)[keep], np.maximum(top, bot)[keep]
+        steps.append((p, q))
+    return steps
+
+
+def _row_major_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
+    """One sweep of single rotations in row-major order (p < q), in place."""
+    n = a.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[p, q]
+            absa = abs(apq)
+            if absa <= skip:
+                continue
+            phase = apq / absa
+            tau = (a[q, q].real - a[p, p].real) / (2.0 * absa)
+            if tau >= 0.0:
+                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+            else:
+                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            cp = c * phase
+            sp = s * phase
+            colp = a[:, p].copy()
+            colq = a[:, q].copy()
+            a[:, p] = colp * cp - colq * s
+            a[:, q] = colp * sp + colq * c
+            rowp = a[p, :].copy()
+            rowq = a[q, :].copy()
+            a[p, :] = rowp * np.conj(cp) - rowq * s
+            a[q, :] = rowp * np.conj(sp) + rowq * c
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
+            vp = v[:, p].copy()
+            vq = v[:, q].copy()
+            v[:, p] = vp * cp - vq * s
+            v[:, q] = vp * sp + vq * c
+
+
+def _round_robin_sweep(a: np.ndarray, v: np.ndarray, skip: float, schedule) -> None:
+    """One sweep in round-robin order, in place.
+
+    The rotations of one step touch disjoint rows and columns, so each is
+    computed from the step's starting matrix and all of them are applied
+    together: columns, then rows, then eigenvector columns.  Pairs at or
+    below ``skip`` are dropped before any division.  Integer-array indexing
+    copies, so ``colp`` and the like are snapshots taken before the writes.
+    """
+    for p, q in schedule:
+        apq = a[p, q]
+        absa = np.abs(apq)
+        live = absa > skip
+        if not live.any():
+            continue
+        if not live.all():
+            p, q, apq, absa = p[live], q[live], apq[live], absa[live]
+        phase = apq / absa
+        tau = (a[q, q].real - a[p, p].real) / (2.0 * absa)
+        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = t * c
+        cp = c * phase
+        sp = s * phase
+        colp = a[:, p]
+        colq = a[:, q]
+        a[:, p] = colp * cp - colq * s
+        a[:, q] = colp * sp + colq * c
+        rowp = a[p, :]
+        rowq = a[q, :]
+        a[p, :] = rowp * np.conj(cp)[:, None] - rowq * s[:, None]
+        a[q, :] = rowp * np.conj(sp)[:, None] + rowq * c[:, None]
+        a[p, q] = 0.0
+        a[q, p] = 0.0
+        a[p, p] = a[p, p].real
+        a[q, q] = a[q, q].real
+        vp = v[:, p]
+        vq = v[:, q]
+        v[:, p] = vp * cp - vq * s
+        v[:, q] = vp * sp + vq * c
+
+
 def _jacobi_sweeps(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize an exactly Hermitian matrix by cyclic Jacobi rotations.
 
-    Rotations run in fixed row-major order (p < q).  Each rotation first
-    twists the pivot phase so the 2x2 subproblem is real symmetric, then
-    applies the classic symmetric Schur rotation with |t| <= 1, which
-    guarantees convergence of the cyclic sweep.
+    Each rotation first twists the pivot phase so the 2x2 subproblem is
+    real symmetric, then applies the classic symmetric Schur rotation with
+    |t| <= 1, which guarantees convergence of the cyclic sweep.  Below
+    n = JACOBI_ROUND_ROBIN_MIN_N a sweep applies single rotations in fixed
+    row-major order (p < q).  From that size on it uses the round-robin
+    ordering of Brent & Luk (1985): n-1 steps of n/2 disjoint rotations,
+    applied as vectorized updates; odd n takes n steps with one idle slot
+    each.  Both orderings are fixed functions of n, so identical
+    inputs give bit-identical outputs.
     """
     n = h.shape[0]
     a = h.copy()
@@ -110,43 +219,16 @@ def _jacobi_sweeps(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     stop = JACOBI_OFF_THRESHOLD * norm_f
     skip = stop / (2.0 * n)  # elements below this cannot push off(A) past stop
+    schedule = _round_robin_schedule(n) if n >= JACOBI_ROUND_ROBIN_MIN_N else None
 
     for _ in range(JACOBI_MAX_SWEEPS):
         off = frobenius(a - np.diag(np.diag(a)))
         if off <= stop:
             return np.diag(a).real.copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                absa = abs(apq)
-                if absa <= skip:
-                    continue
-                phase = apq / absa
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * absa)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = c * phase
-                sp = s * phase
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = colp * cp - colq * s
-                a[:, q] = colp * sp + colq * c
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = rowp * np.conj(cp) - rowq * s
-                a[q, :] = rowp * np.conj(sp) + rowq * c
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = vp * cp - vq * s
-                v[:, q] = vp * sp + vq * c
+        if schedule is None:
+            _row_major_sweep(a, v, skip)
+        else:
+            _round_robin_sweep(a, v, skip, schedule)
 
     off = frobenius(a - np.diag(np.diag(a)))
     if off <= stop:
@@ -194,39 +276,6 @@ def psd_sqrt(a) -> np.ndarray:
     u = eig.eigenvectors
     root = (u * np.sqrt(vals)) @ adjoint(u)
     return hermitize(root)
-
-
-def singular_extremes(a: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest singular values, via the eigenvalues of A*A."""
-    m = as_matrix(a)
-    gram = hermitize(adjoint(m) @ m)
-    vals = hermitian_eigen(gram).eigenvalues
-    return float(np.sqrt(max(vals[0], 0.0))), float(np.sqrt(max(vals[-1], 0.0)))
-
-
-def invert(a) -> np.ndarray:
-    """Inverse of a square matrix by Gauss-Jordan with partial pivoting.
-
-    Raises Singular when the smallest singular value is at or below
-    1e-12 * ||A||_F.
-    """
-    m = as_matrix(a)
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"cannot invert a {m.shape[0]}x{m.shape[1]} matrix")
-    sigma_min, _ = singular_extremes(m)
-    if sigma_min <= TOL_INV_REL * frobenius(m):
-        raise Singular(f"smallest singular value {sigma_min:.3e} is within the singular tolerance")
-    aug = np.concatenate([m.copy(), np.eye(n, dtype=np.complex128)], axis=1)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(aug[k:, k])))
-        if piv != k:
-            aug[[k, piv], :] = aug[[piv, k], :]
-        aug[k, :] = aug[k, :] / aug[k, k]
-        col = aug[:, k].copy()
-        col[k] = 0.0
-        aug -= np.outer(col, aug[k, :])
-    return aug[:, n:].copy()
 
 
 # --- JSON encoding -----------------------------------------------------------

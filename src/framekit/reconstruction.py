@@ -1,7 +1,8 @@
 """Recover a vector from its analysis coefficients.
 
-Two routes: direct inversion of the frame operator (S^{-1} T* c), and the
-relaxation iteration
+Two routes: direct inversion of the frame operator, S^{-1} T* c with S^{-1}
+applied through the eigendecomposition of S that the frame kept when it
+was built, and the relaxation iteration
 
     x(n) = x(n-1) + 2/(A+B) * (T*c - S x(n-1)),   x(0) = 0,
 
@@ -80,8 +81,22 @@ class IterationTrace:
 
 
 def reconstruct_direct(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:
-    """S^{-1} T* c.  Exact up to the conditioning of the frame operator."""
-    return linalg.invert(frame_operator(ovf)) @ synthesis(ovf, c)
+    """S^{-1} T* c through the eigendecomposition S = U diag(lambda) U* the frame kept.
+
+    x0 = U ((U* T*c) / lambda) is followed by one step of iterative
+    refinement, x0 + U ((U* (T*c - S x0)) / lambda).  The eigensolver stops
+    on an absolute off-diagonal threshold, so the small eigenpairs of an
+    ill-conditioned S carry errors near eps ||S||, and x0 alone can be far
+    less accurate than a backward-stable solve; the refinement step brings
+    it back to that accuracy.  Frame construction already checked
+    lambda > 0, so no singularity test is needed here.
+    """
+    eig = ovf._eigen
+    u, lam = eig.eigenvectors, eig.eigenvalues
+    uh = linalg.adjoint(u)
+    b = synthesis(ovf, c)
+    x = u @ ((uh @ b) / lam)
+    return x + u @ ((uh @ (b - frame_operator(ovf) @ x)) / lam)
 
 
 def frame_algorithm(

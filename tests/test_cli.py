@@ -179,7 +179,7 @@ def test_generate_povm_is_deterministic_and_valid(tmp_path):
 
 def test_generate_rejects_out_of_range(tmp_path):
     with pytest.raises(LimitExceeded):
-        generate_random("frame", 65, 70, 0, str(tmp_path / "x.json"))
+        generate_random("frame", 129, 130, 0, str(tmp_path / "x.json"))
     with pytest.raises(LimitExceeded):
         generate_random("povm", 2, 257, 0, str(tmp_path / "x.json"))
     with pytest.raises(CommandError):

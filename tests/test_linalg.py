@@ -18,7 +18,6 @@ from framekit.errors import (
     NotHermitian,
     NotPsd,
     ParseError,
-    Singular,
 )
 
 from conftest import complex_box, random_hermitian, random_psd, rng_for
@@ -97,7 +96,7 @@ def test_eigen_sorted_ascending_and_unitary():
     assert np.allclose(linalg.adjoint(v) @ v, np.eye(6), atol=1e-13)
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 21])
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 13, 15, 16, 17, 21, 33, 64, 128])
 def test_eigen_matches_numpy(dim):
     a = random_hermitian(dim, seed=dim)
     dec = linalg.hermitian_eigen(a)
@@ -115,6 +114,20 @@ def test_eigen_reconstructs(dim):
 def test_eigen_handles_degenerate_spectrum():
     dec = linalg.hermitian_eigen(np.eye(4, dtype=complex) * 2.5)
     assert dec.eigenvalues == pytest.approx([2.5] * 4)
+    # Round-robin path: a zero matrix (norm-zero exit), a diagonal one
+    # (converged before any rotation), one with a single live pair, and a
+    # rotated two-level spectrum.
+    assert np.array_equal(linalg.hermitian_eigen(np.zeros((16, 16))).eigenvalues, np.zeros(16))
+    diag = np.diag(np.arange(17.0)[::-1]).astype(complex)
+    assert np.array_equal(linalg.hermitian_eigen(diag).eigenvalues, np.arange(17.0))
+    diag[3, 9], diag[9, 3] = 0.5j, -0.5j  # one live pair: every other step is skipped
+    dec = linalg.hermitian_eigen(diag)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(diag), rtol=0, atol=1e-13)
+    u = np.linalg.qr(complex_box(rng_for(7), (20, 20)))[0]
+    levels = np.repeat([-1.0, 3.0], 10)
+    dec = linalg.hermitian_eigen(linalg.hermitize((u * levels) @ linalg.adjoint(u)))
+    assert np.allclose(dec.eigenvalues, levels, rtol=0, atol=1e-13)
+    assert np.allclose(dec.reconstruct(), (u * levels) @ linalg.adjoint(u), rtol=0, atol=1e-13)
 
 
 def test_eigen_rejects_non_hermitian():
@@ -123,11 +136,12 @@ def test_eigen_rejects_non_hermitian():
 
 
 def test_eigen_is_bit_deterministic():
-    a = random_hermitian(10, seed=77)
-    d1 = linalg.hermitian_eigen(a.copy())
-    d2 = linalg.hermitian_eigen(a.copy())
-    assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-    assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+    for dim in (10, 17, 64):  # row-major path, then round-robin with odd and even n
+        a = random_hermitian(dim, seed=77)
+        d1 = linalg.hermitian_eigen(a.copy())
+        d2 = linalg.hermitian_eigen(a.copy())
+        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
+        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
 
 
 # -- psd sqrt ------------------------------------------------------------
@@ -160,30 +174,6 @@ def test_psd_sqrt_clamps_rounding_noise():
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPsd):
         linalg.psd_sqrt(np.diag([1.0, -1e-3]).astype(complex))
-
-
-# -- inversion -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("dim", [1, 2, 5, 11])
-def test_invert_matches_numpy(dim):
-    a = complex_box(rng_for(50 + dim), (dim, dim)) + 2 * np.eye(dim)
-    inv = linalg.invert(a)
-    assert np.allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-10)
-    assert np.allclose(a @ inv, np.eye(dim), atol=1e-10)
-
-
-def test_invert_rejects_singular():
-    with pytest.raises(Singular):
-        linalg.invert(np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex))
-
-
-def test_singular_extremes_match_numpy():
-    a = complex_box(rng_for(9), (4, 4))
-    lo, hi = linalg.singular_extremes(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    assert lo == pytest.approx(s[-1], rel=1e-10)
-    assert hi == pytest.approx(s[0], rel=1e-10)
 
 
 # -- coercion and serialization -------------------------------------------

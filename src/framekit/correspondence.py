@@ -19,7 +19,7 @@ which verify_uniqueness checks residually.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
@@ -30,13 +30,14 @@ from .errors import (
     AtomMismatch,
     DimensionMismatch,
     InvalidPovm,
+    NotAFrame,
     NotFramed,
     NotHermitian,
     NotPsd,
     ParseError,
     SequenceDoesNotSpan,
 )
-from .frames import TOL_FRAME_REL, AtomicMeasureSpace, OperatorValuedFrame
+from .frames import AtomicMeasureSpace, OperatorValuedFrame, frame_operator
 from .povm import Povm, validate
 
 TOL_DECOMP_REL = 1e-10  # scaled by 1 + ||M(Omega)||_F
@@ -49,11 +50,16 @@ RANDOM_EVENT_SAMPLES = 1_000
 
 @dataclass(frozen=True, eq=False)
 class Decomposition:
-    """Reference measure mu plus one Hermitian PSD density Q(t) per atom."""
+    """Reference measure mu plus one Hermitian PSD density Q(t) per atom.
+
+    The PSD check diagonalizes each density once; the eigendecompositions
+    are kept (``_eigen``, read-only) for the roots in decomposition_to_ovf.
+    """
 
     measure: AtomicMeasureSpace
     densities: tuple[np.ndarray, ...]
     dim_h: int
+    _eigen: tuple[linalg.EigenDecomposition, ...] = field(repr=False, compare=False)
 
     def __init__(self, measure: AtomicMeasureSpace, densities, dim_h: Optional[int] = None):
         densities = tuple(linalg.as_matrix(q) for q in densities)
@@ -63,6 +69,7 @@ class Decomposition:
             if not densities:
                 raise DimensionMismatch("empty decomposition needs an explicit dim_h")
             dim_h = densities[0].shape[0]
+        eigen = []
         for label, q in zip(measure.atoms, densities):
             if q.shape != (dim_h, dim_h):
                 raise DimensionMismatch(
@@ -70,13 +77,15 @@ class Decomposition:
                 )
             if linalg.hermitian_residual(q) > linalg.TOL_HERM:
                 raise NotHermitian(f"density at atom {label!r} is not Hermitian")
-            tol_psd = linalg.TOL_PSD_REL * (1.0 + linalg.frobenius(q))
-            if float(linalg.hermitian_eigen(linalg.hermitize(q)).eigenvalues[0]) < -tol_psd:
+            eig = linalg.hermitian_eigen(linalg.hermitize(q))
+            if float(eig.eigenvalues[0]) < -linalg._psd_tolerance(q):
                 raise NotPsd(f"density at atom {label!r} is not PSD")
             q.flags.writeable = False
+            eigen.append(eig)
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "dim_h", int(dim_h))
+        object.__setattr__(self, "_eigen", tuple(eigen))
 
     def density(self, label: str) -> np.ndarray:
         return self.densities[self.measure.index(label)]
@@ -204,8 +213,7 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     kept_atoms, kept_weights, densities = [], [], []
     for label, w, elem in zip(m.atoms, weights, m.elements):
         if w <= 0.0:
-            tol_psd = linalg.TOL_PSD_REL * (1.0 + linalg.frobenius(elem))
-            if linalg.frobenius(elem) > tol_psd:
+            if linalg.frobenius(elem) > linalg._psd_tolerance(elem):
                 raise InvalidPovm(
                     f"atom {label!r} has zero reference weight but a nonzero element"
                 )
@@ -221,18 +229,15 @@ def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
     """Operator-valued frame with blocks T(t) = Q(t)^{1/2} over the
     decomposition's measure.
 
-    The frame operator of the result is the reintegrated M(Omega), which
-    must be positive definite (framed source), otherwise NotFramed.
+    The roots come from the kept eigendecompositions, equal to psd_sqrt(Q(t))
+    bit for bit.  The frame operator is the reintegrated M(Omega); the
+    frame's construction tests it, and its NotAFrame is raised as NotFramed.
     """
-    total = linalg.hermitize(d.reintegrate())
-    vals = linalg.hermitian_eigen(total).eigenvalues
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo <= TOL_FRAME_REL * hi or hi <= 0.0:
-        raise NotFramed(
-            f"reintegrated total is not positive definite: lambda_min={lo:.3e}"
-        )
-    blocks = [linalg.psd_sqrt(q) for q in d.densities]
-    return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=blocks)
+    blocks = [eig.sqrt() for eig in d._eigen]
+    try:
+        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=blocks)
+    except NotAFrame as exc:
+        raise NotFramed(f"decomposition does not reintegrate to a framed POVM: {exc}") from exc
 
 
 def _aligned_atoms(
@@ -244,24 +249,28 @@ def _aligned_atoms(
     return tuple(atoms1) + tuple(extra)
 
 
+def _per_atom(space: AtomicMeasureSpace, densities) -> dict:
+    """{label: (weight, density)}, the lookup table of one side of a uniqueness check."""
+    return {a: (float(w), q) for a, w, q in zip(space.atoms, space.weights, densities)}
+
+
 def _uniqueness_over(
     atoms: tuple[str, ...],
-    lookup1,
-    lookup2,
+    table1: dict,
+    table2: dict,
     dim_h: int,
     scale: float,
 ) -> UniquenessReport:
     residuals = []
     ratios = []
+    absent = (0.0, np.zeros((dim_h, dim_h), dtype=np.complex128))  # atom missing on one side
     for label in atoms:
-        w1, q1 = lookup1(label)
-        w2, q2 = lookup2(label)
+        w1, q1 = table1.get(label, absent)
+        w2, q2 = table2.get(label, absent)
         total = w1 + w2
         r1 = w1 / total if total > 0.0 else 0.0
         r2 = w2 / total if total > 0.0 else 0.0
-        left = r1 * q1 if q1 is not None else np.zeros((dim_h, dim_h), dtype=np.complex128)
-        right = r2 * q2 if q2 is not None else np.zeros((dim_h, dim_h), dtype=np.complex128)
-        residuals.append(linalg.frobenius(left - right))
+        residuals.append(linalg.frobenius(r1 * q1 - r2 * q2))
         ratios.append((r1, r2))
     return UniquenessReport(
         atoms=atoms,
@@ -284,20 +293,9 @@ def verify_uniqueness(d1: Decomposition, d2: Decomposition) -> UniquenessReport:
     if not set(d1.measure.atoms) & set(d2.measure.atoms):
         raise AtomMismatch("decompositions share no atom labels")
     atoms = _aligned_atoms(d1.measure.atoms, d2.measure.atoms)
-
-    def lookup(d: Decomposition):
-        index = {a: i for i, a in enumerate(d.measure.atoms)}
-
-        def get(label):
-            i = index.get(label)
-            if i is None:
-                return 0.0, None
-            return float(d.measure.weights[i]), d.densities[i]
-
-        return get
-
     scale = max(linalg.frobenius(d1.reintegrate()), linalg.frobenius(d2.reintegrate()))
-    return _uniqueness_over(atoms, lookup(d1), lookup(d2), d1.dim_h, scale)
+    t1, t2 = _per_atom(d1.measure, d1.densities), _per_atom(d2.measure, d2.densities)
+    return _uniqueness_over(atoms, t1, t2, d1.dim_h, scale)
 
 
 def verify_ovf_equivalence(
@@ -309,25 +307,14 @@ def verify_ovf_equivalence(
     if not set(f1.space.atoms) & set(f2.space.atoms):
         raise AtomMismatch("frames share no atom labels")
     atoms = _aligned_atoms(f1.space.atoms, f2.space.atoms)
-
-    def lookup(f: OperatorValuedFrame):
-        index = {a: i for i, a in enumerate(f.space.atoms)}
-
-        def get(label):
-            i = index.get(label)
-            if i is None:
-                return 0.0, None
-            b = f.blocks[i]
-            return float(f.space.weights[i]), linalg.hermitize(linalg.adjoint(b) @ b)
-
-        return get
-
-    from .frames import frame_operator
-
+    tables = [
+        _per_atom(f.space, [linalg.hermitize(linalg.adjoint(b) @ b) for b in f.blocks])
+        for f in (f1, f2)
+    ]
     scale = max(
         linalg.frobenius(frame_operator(f1)), linalg.frobenius(frame_operator(f2))
     )
-    return _uniqueness_over(atoms, lookup(f1), lookup(f2), f1.dim_h, scale)
+    return _uniqueness_over(atoms, *tables, f1.dim_h, scale)
 
 
 def all_events(atoms: Sequence[str]) -> list[tuple[str, ...]]:
@@ -397,5 +384,5 @@ def decomposition_from_json(obj) -> Decomposition:
     try:
         measure = AtomicMeasureSpace(atoms=obj["atoms"], weights=obj["weights"])
         return Decomposition(measure=measure, densities=mats, dim_h=int(obj["dim_h"]))
-    except (ValueError, TypeError, DimensionMismatch, NotHermitian, NotPsd) as exc:
+    except (ValueError, TypeError, OverflowError, DimensionMismatch, NotHermitian, NotPsd) as exc:
         raise ParseError(f"bad decomposition: {exc}") from exc

@@ -142,8 +142,6 @@ class OperatorValuedFrame:
         s = linalg.hermitize(s)
         s.flags.writeable = False
         eig = linalg.hermitian_eigen(s)
-        for arr in (eig.eigenvalues, eig.eigenvectors):
-            arr.flags.writeable = False
         object.__setattr__(self, "_operator", s)
         object.__setattr__(self, "_eigen", eig)
         object.__setattr__(self, "_bounds", _bounds_of(eig.eigenvalues))
@@ -197,10 +195,15 @@ class CoefficientField:
         )
 
 
+def _positive_definite(lo: float, hi: float) -> bool:
+    """Whether extreme eigenvalues lo <= hi pass the frame test lo > TOL_FRAME_REL * hi > 0."""
+    return lo > TOL_FRAME_REL * hi and hi > 0.0
+
+
 def _bounds_of(vals: np.ndarray) -> FrameBounds:
     """Frame bounds from the ascending eigenvalues of S; NotAFrame unless S > 0."""
     lo, hi = float(vals[0]), float(vals[-1])
-    if lo <= TOL_FRAME_REL * hi or hi <= 0.0:
+    if not _positive_definite(lo, hi):
         raise NotAFrame(
             f"frame operator is not positive definite: lambda_min={lo:.3e}, lambda_max={hi:.3e}"
         )
@@ -215,12 +218,7 @@ def from_vector_frame(f: VectorFrame) -> OperatorValuedFrame:
     """
     if len(f.vectors) == 0:
         raise EmptyFrame("vector frame has no vectors")
-    space = AtomicMeasureSpace(
-        atoms=[str(i) for i in range(len(f.vectors))],
-        weights=np.ones(len(f.vectors)),
-    )
-    blocks = [np.conj(v).reshape(1, f.dim_h) for v in f.vectors]
-    return OperatorValuedFrame(space=space, dim_h=f.dim_h, blocks=blocks)
+    return discretize_continuous(f.vectors, np.ones(len(f.vectors)))
 
 
 def discretize_continuous(samples, weights) -> OperatorValuedFrame:
@@ -306,19 +304,19 @@ def ovf_from_json(obj) -> OperatorValuedFrame:
         raise ParseError("OVF blocks must be a list of matrix objects")
     try:
         space = AtomicMeasureSpace(atoms=atoms, weights=weights)
-    except (ValueError, DimensionMismatch, TypeError) as exc:
+    except (ValueError, DimensionMismatch, TypeError, OverflowError) as exc:
         raise ParseError(f"bad OVF measure space: {exc}") from exc
     mats = [linalg.matrix_from_json(b) for b in blocks]
     try:
         return OperatorValuedFrame(space=space, dim_h=int(dim_h), blocks=mats)
-    except DimensionMismatch as exc:
-        raise ParseError(f"bad OVF blocks: {exc}") from exc
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
+        raise ParseError(f"bad OVF dim_h or blocks: {exc}") from exc
 
 
 def vector_frame_to_json(f: VectorFrame) -> dict:
     return {
         "dim_h": f.dim_h,
-        "vectors": [[[float(z.real), float(z.imag)] for z in v] for v in f.vectors],
+        "vectors": [linalg._pairs(v) for v in f.vectors],
     }
 
 
@@ -327,10 +325,10 @@ def vector_frame_from_json(obj) -> VectorFrame:
     vectors = _require(obj, "vectors", "vector frame")
     if not isinstance(vectors, list):
         raise ParseError("vector frame vectors must be a list")
+    vecs = [linalg._from_pairs(v, "vector frame vector") for v in vectors]
     try:
-        vecs = [np.array([complex(re, im) for re, im in v], dtype=np.complex128) for v in vectors]
         return VectorFrame(dim_h=int(dim_h), vectors=vecs)
-    except (TypeError, ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad vector frame: {exc}") from exc
 
 
@@ -338,7 +336,7 @@ def coefficients_to_json(c: CoefficientField) -> dict:
     return {
         "atoms": list(c.space.atoms),
         "weights": [float(w) for w in c.space.weights],
-        "segments": [[[float(z.real), float(z.imag)] for z in seg] for seg in c.segments],
+        "segments": [linalg._pairs(seg) for seg in c.segments],
     }
 
 
@@ -348,9 +346,9 @@ def coefficients_from_json(obj) -> CoefficientField:
     segments = _require(obj, "segments", "coefficient field")
     if not isinstance(segments, list):
         raise ParseError("coefficient segments must be a list")
+    segs = [linalg._from_pairs(s, "coefficient segment") for s in segments]
     try:
         space = AtomicMeasureSpace(atoms=atoms, weights=weights)
-        segs = [np.array([complex(re, im) for re, im in s], dtype=np.complex128) for s in segments]
         return CoefficientField(space=space, segments=segs)
-    except (TypeError, ValueError, DimensionMismatch) as exc:
+    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad coefficient field: {exc}") from exc

@@ -97,6 +97,13 @@ class EigenDecomposition:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ adjoint(u)
 
+    def sqrt(self) -> np.ndarray:
+        """U diag(sqrt(lambda)) U*, hermitized, with negative eigenvalues (rounding
+        noise of a matrix already accepted as PSD) taken as zero."""
+        vals = np.where(self.eigenvalues < 0.0, 0.0, self.eigenvalues)
+        u = self.eigenvectors
+        return hermitize((u * np.sqrt(vals)) @ adjoint(u))
+
 
 def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The steps of a round-robin sweep, each a set of disjoint pairs (p < q).
@@ -243,7 +250,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
 
     Eigenvalues come back sorted ascending, eigenvector columns permuted in
     lockstep; ties keep the Jacobi output order, so identical inputs give
-    bit-identical results.
+    bit-identical results.  Both arrays are read-only, so objects may keep them.
 
     Raises NotHermitian if the input fails the Hermiticity check and
     NoConvergence if the sweep budget is exhausted.
@@ -255,9 +262,10 @@ def hermitian_eigen(a) -> EigenDecomposition:
         raise NotHermitian(f"Hermiticity residual {hermitian_residual(m):.3e} exceeds {TOL_HERM}")
     vals, vecs = _jacobi_sweeps(hermitize(m))
     order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(
-        eigenvalues=vals[order].copy(), eigenvectors=vecs[:, order].copy()
-    )
+    vals, vecs = vals[order].copy(), vecs[:, order].copy()
+    for arr in (vals, vecs):
+        arr.flags.writeable = False
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def psd_sqrt(a) -> np.ndarray:
@@ -265,17 +273,20 @@ def psd_sqrt(a) -> np.ndarray:
 
     Eigenvalues in [-tol_psd, 0) are clamped to zero before the root, where
     tol_psd = 1e-10 * (1 + ||A||_F); anything below -tol_psd raises NotPsd.
+    Callers that already hold the eigendecomposition call its ``sqrt`` instead.
     """
     m = as_matrix(a)
     eig = hermitian_eigen(m)
-    tol_psd = TOL_PSD_REL * (1.0 + frobenius(m))
+    tol_psd = _psd_tolerance(m)
     lo = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
     if lo < -tol_psd:
         raise NotPsd(f"minimum eigenvalue {lo:.3e} is below -{tol_psd:.3e}")
-    vals = np.where(eig.eigenvalues < 0.0, 0.0, eig.eigenvalues)
-    u = eig.eigenvectors
-    root = (u * np.sqrt(vals)) @ adjoint(u)
-    return hermitize(root)
+    return eig.sqrt()
+
+
+def _psd_tolerance(a: np.ndarray) -> float:
+    """How far below zero an eigenvalue or probability of a PSD A may round."""
+    return TOL_PSD_REL * (1.0 + frobenius(a))
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -284,10 +295,28 @@ def psd_sqrt(a) -> np.ndarray:
 # Vector: {"dim": n, "entries": [[re, im], ...]}.
 
 
+def _pairs(a: np.ndarray) -> list:
+    """Entries of a complex array in row-major order as [re, im] float pairs."""
+    return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
+
+
+def _from_pairs(pairs, what: str) -> np.ndarray:
+    """1-D complex128 array from a JSON list of [re, im] pairs of finite doubles;
+    ParseError for anything else, a number too large for a double included."""
+    if not isinstance(pairs, list):
+        raise ParseError(f"{what} must be a list of [re, im] pairs")
+    try:
+        v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} entries must be [re, im] pairs of numbers: {exc}") from exc
+    if not np.all(np.isfinite(v.view(np.float64))):
+        raise ParseError(f"{what} hold NaN or Inf")
+    return v
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
-    data = [[float(z.real), float(z.imag)] for z in m.ravel()]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -295,25 +324,19 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError("matrix JSON must be an object")
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix JSON missing or malformed field: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    if not isinstance(data, list) or len(data) != rows * cols:
-        raise ParseError(f"matrix data length {len(data) if isinstance(data, list) else '?'} "
-                         f"does not match {rows}x{cols}")
-    try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"matrix data entries must be [re, im] pairs: {exc}") from exc
-    if not np.all(np.isfinite(flat.view(np.float64))):
-        raise ParseError("matrix data contains NaN or Inf")
+    flat = _from_pairs(data, "matrix data")
+    if flat.shape[0] != rows * cols:
+        raise ParseError(f"matrix data length {flat.shape[0]} does not match {rows}x{cols}")
     return flat.reshape(rows, cols)
 
 
 def vector_to_json(x: np.ndarray) -> dict:
     v = as_vector(x)
-    return {"dim": int(v.shape[0]), "entries": [[float(z.real), float(z.imag)] for z in v]}
+    return {"dim": int(v.shape[0]), "entries": _pairs(v)}
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -321,14 +344,9 @@ def vector_from_json(obj) -> np.ndarray:
         raise ParseError("vector JSON must be an object")
     try:
         dim, entries = int(obj["dim"]), obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"vector JSON missing or malformed field: {exc}") from exc
-    if not isinstance(entries, list) or len(entries) != dim:
+    v = _from_pairs(entries, "vector entries")
+    if v.shape[0] != dim:
         raise ParseError("vector entries length does not match dim")
-    try:
-        v = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"vector entries must be [re, im] pairs: {exc}") from exc
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise ParseError("vector entries contain NaN or Inf")
     return v

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPsd, NotUnitVector, ParseError, UnknownAtom
-from .frames import TOL_FRAME_REL
+from .frames import _positive_definite
 
 # Event = any collection of atom labels.
 Event = Collection[str]
@@ -149,9 +149,8 @@ def validate(m: Povm, seed: int = 0) -> ValidationReport:
     for label, elem in zip(m.atoms, m.elements):
         herm_res = linalg.hermitian_residual(elem)
         herm_ok = herm_res <= linalg.TOL_HERM
-        tol_psd = linalg.TOL_PSD_REL * (1.0 + linalg.frobenius(elem))
         min_eig = float(linalg.hermitian_eigen(linalg.hermitize(elem)).eigenvalues[0])
-        psd_ok = min_eig >= -tol_psd
+        psd_ok = min_eig >= -linalg._psd_tolerance(elem)
         if not herm_ok and FAIL_NOT_HERMITIAN not in failures:
             failures.append(FAIL_NOT_HERMITIAN)
         if not psd_ok and FAIL_NOT_PSD not in failures:
@@ -201,7 +200,7 @@ def is_framed(m: Povm) -> FramedReport:
     total = linalg.hermitize(m.total())
     vals = linalg.hermitian_eigen(total).eigenvalues
     lo, hi = float(vals[0]), float(vals[-1])
-    return FramedReport(framed=lo > TOL_FRAME_REL * hi and hi > 0.0, lower=lo, upper=hi)
+    return FramedReport(framed=_positive_definite(lo, hi), lower=lo, upper=hi)
 
 
 def measure_probabilities(m: Povm, x) -> list[float]:
@@ -220,8 +219,7 @@ def measure_probabilities(m: Povm, x) -> list[float]:
     probs = []
     for label, elem in zip(m.atoms, m.elements):
         p = linalg.inner(elem @ v, v).real
-        tol_psd = linalg.TOL_PSD_REL * (1.0 + linalg.frobenius(elem))
-        if p < -tol_psd:
+        if p < -linalg._psd_tolerance(elem):
             raise NotPsd(f"element at atom {label!r} gives probability {p:.3e}")
         probs.append(max(p, 0.0))
     return probs
@@ -252,5 +250,5 @@ def povm_from_json(obj) -> Povm:
     mats = [linalg.matrix_from_json(e) for e in elements]
     try:
         return Povm(atoms=obj["atoms"], dim_h=int(obj["dim_h"]), elements=mats)
-    except (ValueError, TypeError, DimensionMismatch) as exc:
+    except (ValueError, TypeError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad POVM: {exc}") from exc

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line against temp files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +52,9 @@ def test_roundtrip_on_overcomplete_pair(pair_path, tmp_path):
     report = read_report(out)
     assert report["summary"]["max_residual"] <= 1e-10
     assert all(c["passed"] for c in report["checks"])
+    # POVM validity is decompose's precondition (InvalidPovm, exit 2), not a check
+    assert [c["name"] for c in report["checks"]] == [
+        "reintegration", "equivalence", "operator_preserved", "bounds_preserved"]
 
 
 def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
@@ -63,9 +67,9 @@ def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
                  "--out", str(tmp_path / "r.json"), "--target-error", "1e-11"]) == 0
     report = read_report(tmp_path / "r.json")
     recovered = linalg.vector_from_json(
-        json.loads(open(report["artifacts"]["vector"]).read()))
+        json.loads(Path(report["artifacts"]["vector"]).read_text()))
     assert np.linalg.norm(recovered - x) <= 1e-10
-    trace_lines = open(report["artifacts"]["trace"]).read().splitlines()
+    trace_lines = Path(report["artifacts"]["trace"]).read_text().splitlines()
     assert trace_lines[0] == "iter,certified_bound,actual_error,elapsed_ns"
     assert len(trace_lines) == report["summary"]["iterations"] + 2
 
@@ -127,6 +131,12 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert main(["bounds", "--in", str(bad), "--out", str(tmp_path / "o.json")]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err and "line 1" in err
+    # 1e400 parses to inf, which no size conversion may let through
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"atoms": ["a"], "weights": [1], "dim_h": 1e400, '
+                    '"blocks": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}')
+    assert main(["bounds", "--in", str(huge), "--out", str(tmp_path / "o.json")]) == 2
+    assert "ParseError" in capsys.readouterr().err
 
 
 def test_unrecognized_payload_exits_two(tmp_path, capsys):

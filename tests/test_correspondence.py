@@ -22,6 +22,7 @@ from framekit import (
     Decomposition,
     DimensionMismatch,
     InvalidPovm,
+    NotAFrame,
     NotFramed,
     NotPsd,
     Povm,
@@ -40,12 +41,14 @@ from framekit import (
     verify_ovf_equivalence,
     verify_uniqueness,
 )
+from framekit import linalg
 from framekit.correspondence import (
     all_events,
     decomposition_from_json,
     decomposition_to_json,
     sample_events,
 )
+from framekit.linalg import psd_sqrt
 
 from conftest import complex_box, random_ovf, random_povm, rng_for
 
@@ -188,6 +191,39 @@ def test_recovered_blocks_are_density_square_roots():
     ovf = decomposition_to_ovf(d)
     for block, q in zip(ovf.blocks, d.densities):
         assert np.allclose(block @ block, q, atol=1e-12)
+    # The blocks come from the decomposition's kept eigenpairs and must be
+    # psd_sqrt's roots bit for bit: trace and dyadic rules, below and from
+    # n = 16 (the round-robin Jacobi path), and a density read back from
+    # JSON that is Hermitian only to within TOL_HERM.
+    cases = []
+    for dim, atoms in ((3, 5), (17, 3)):
+        m = random_povm(dim=dim, atoms=atoms, seed=dim)
+        cases += [decompose(m), decompose(m, standard_basis_rule(dim))]
+    blob = decomposition_to_json(cases[0])
+    q = linalg.matrix_from_json(blob["densities"][1])
+    q[0, 1] += 1e-12 * linalg.frobenius(q)
+    assert 0.0 < linalg.hermitian_residual(q) <= linalg.TOL_HERM
+    blob["densities"][1] = linalg.matrix_to_json(q)
+    cases.append(decomposition_from_json(blob))
+    for d in cases:
+        ovf = decomposition_to_ovf(d)
+        for block, q in zip(ovf.blocks, d.densities):
+            assert np.array_equal(block, psd_sqrt(q))
+
+
+def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
+    d = decompose(random_povm(dim=4, atoms=6, seed=3))
+    calls = {"hermitian_eigen": 0, "psd_sqrt": 0}
+    for name in calls:
+        original = getattr(linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    decomposition_to_ovf(d)
+    assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0}
 
 
 def test_round_trip_preserves_operator_and_bounds():
@@ -206,8 +242,10 @@ def test_round_trip_preserves_operator_and_bounds():
 def test_unframed_decomposition_is_rejected():
     m = Povm(atoms=["a", "b"], dim_h=2,
              elements=[np.diag([1.0, 0.0]).astype(complex)] * 2)
-    with pytest.raises(NotFramed):
+    with pytest.raises(NotFramed) as info:
         decomposition_to_ovf(decompose(m))
+    # the frame's own construction made the test
+    assert isinstance(info.value.__cause__, NotAFrame)
 
 
 # -- uniqueness ---------------------------------------------------------------

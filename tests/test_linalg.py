@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from framekit import linalg
+from framekit.correspondence import decomposition_from_json
 from framekit.errors import (
     DimensionMismatch,
     NotHermitian,
     NotPsd,
     ParseError,
 )
+from framekit.frames import coefficients_from_json, ovf_from_json, vector_frame_from_json
+from framekit.povm import povm_from_json
 
 from conftest import complex_box, random_hermitian, random_psd, rng_for
 
@@ -202,15 +205,40 @@ def test_vector_json_round_trip_is_exact():
     assert np.array_equal(linalg.vector_from_json(json.loads(blob)), v)
 
 
+BIG = 10 ** 400  # a JSON integer too large for a double
+INF = float("inf")  # what json.loads makes of 1e400
+ONE = {"rows": 1, "cols": 1, "data": [[1, 0]]}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
-        {"rows": 2, "cols": 2},
-        {"rows": 2, "cols": 2, "data": [[1, 0]]},
-        {"rows": "2", "cols": 2, "data": []},
-        [1, 2, 3],
+        (linalg.matrix_from_json, {"rows": 2, "cols": 2}),
+        (linalg.matrix_from_json, {"rows": 2, "cols": 2, "data": [[1, 0]]}),
+        (linalg.matrix_from_json, {"rows": "2", "cols": 2, "data": []}),
+        (linalg.matrix_from_json, [1, 2, 3]),
+        (linalg.matrix_from_json, {"rows": 1, "cols": 1, "data": [[BIG, 0]]}),
+        (linalg.matrix_from_json, {"rows": 1, "cols": 1, "data": [[0, -BIG]]}),
+        (linalg.matrix_from_json, {"rows": INF, "cols": 1, "data": [[1, 0]]}),
+        (linalg.matrix_from_json, {"rows": 1, "cols": 1, "data": [["1", 0]]}),
+        (linalg.matrix_from_json, {"rows": 1, "cols": 1, "data": [[None, 0]]}),
+        (linalg.matrix_from_json, {"rows": 1, "cols": 1, "data": [[1, 0, 0]]}),
+        (linalg.vector_from_json, {"dim": 1, "entries": [[BIG, 0]]}),
+        (linalg.vector_from_json, {"dim": INF, "entries": [[1, 0]]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": [BIG], "dim_h": 1, "blocks": [ONE]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": [1], "dim_h": INF, "blocks": [ONE]}),
+        (vector_frame_from_json, {"dim_h": 1, "vectors": [[[BIG, 0]]]}),
+        (vector_frame_from_json, {"dim_h": INF, "vectors": [[[1, 0]]]}),
+        (coefficients_from_json, {"atoms": ["a"], "weights": [BIG], "segments": [[[1, 0]]]}),
+        (povm_from_json, {"atoms": ["a"], "dim_h": INF, "elements": [ONE]}),
+        (decomposition_from_json, {"atoms": ["a"], "weights": [BIG], "dim_h": 1,
+                                   "densities": [ONE]}),
+        (decomposition_from_json, {"atoms": ["a"], "weights": [1], "dim_h": INF,
+                                   "densities": [ONE]}),
     ],
 )
 def test_matrix_from_json_rejects_malformed(payload):
+    """matrix_from_json and the loaders that share its entry parsing."""
+    parse, obj = payload
     with pytest.raises(ParseError):
-        linalg.matrix_from_json(payload)
+        parse(obj)

@@ -213,7 +213,7 @@ def _check(name: str, passed: bool, **detail) -> dict:
 
 
 def _dyadic_rule(dim_h: int) -> cr.ReferenceMeasureRule:
-    basis = [np.eye(dim_h, dtype=np.complex128)[:, j] for j in range(dim_h)]
+    basis = np.eye(dim_h, dtype=np.complex128)  # one basis vector per row
     return cr.ReferenceMeasureRule(kind="dyadic-sequence", sequence=basis)
 
 
@@ -318,7 +318,7 @@ def _cmd_decompose(cfg: ExperimentConfig):
     max_res, mean_res = cr.reintegration_residuals(m, d, seed=cfg.seed)
     tol = cfg.tolerance_overrides.get("decomp")
     if tol is None:
-        tol = cr.TOL_DECOMP_REL * (1.0 + linalg.frobenius(m.total()))
+        tol = cr._reintegration_tolerance(m)
     data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
     _write_json(data_path, cr.decomposition_to_json(d))
     checks = [_check("reintegration", max_res <= tol, max_residual=max_res, tolerance=tol)]
@@ -381,7 +381,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
         tol_equiv = equiv.tolerance
     tol_decomp = cfg.tolerance_overrides.get("decomp")
     if tol_decomp is None:
-        tol_decomp = cr.TOL_DECOMP_REL * (1.0 + linalg.frobenius(m.total()))
+        tol_decomp = cr._reintegration_tolerance(m)
 
     checks = [
         _check("reintegration", reint_max <= tol_decomp,
@@ -457,7 +457,7 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
         for _ in range(_GENERATE_ATTEMPTS):
             vecs = rng.uniform(-1.0, 1.0, (atoms, dim)) + 1j * rng.uniform(-1.0, 1.0, (atoms, dim))
             try:
-                f = frames.VectorFrame(dim_h=dim, vectors=list(vecs))
+                f = frames.VectorFrame(dim_h=dim, vectors=vecs)
                 frames.from_vector_frame(f)
             except FramekitError:
                 continue
@@ -466,16 +466,14 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
         raise CommandError(f"no frame found in {_GENERATE_ATTEMPTS} attempts")
 
     for _ in range(_GENERATE_ATTEMPTS):
-        elements = []
-        for _ in range(atoms):
-            g = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
-            elements.append(linalg.hermitize(linalg.adjoint(g) @ g))
-        total = linalg.hermitize(sum(elements))
+        g = np.array([rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+                      for _ in range(atoms)])  # atom by atom: the seeded draw order of the files
+        elements = linalg.hermitize(linalg.adjoint(g) @ g)
+        total = linalg.hermitize(linalg._running_sum(elements))
         top = float(linalg.hermitian_eigen(total).eigenvalues[-1])
         if top <= 0.0:
             continue
-        elements = [e / top for e in elements]
-        m = povm.Povm(atoms=[str(i) for i in range(atoms)], dim_h=dim, elements=elements)
+        m = povm.Povm(atoms=[str(i) for i in range(atoms)], dim_h=dim, elements=elements / top)
         if not povm.is_framed(m).framed:
             continue
         _write_json(output_path, povm.povm_to_json(m))

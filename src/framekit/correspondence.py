@@ -20,7 +20,7 @@ which verify_uniqueness checks residually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     ParseError,
     SequenceDoesNotSpan,
 )
-from .frames import AtomicMeasureSpace, OperatorValuedFrame, frame_operator
+from .frames import AtomicMeasureSpace, OperatorValuedFrame, _event_mask, _position, frame_operator
 from .povm import Povm, validate
 
 TOL_DECOMP_REL = 1e-10  # scaled by 1 + ||M(Omega)||_F
@@ -53,51 +53,45 @@ class Decomposition:
     """Reference measure mu plus one Hermitian PSD density Q(t) per atom.
 
     The PSD check diagonalizes each density once; the eigendecompositions
-    are kept (``_eigen``, read-only) for the roots in decomposition_to_ovf.
+    are kept stacked (``_eigen``, read-only) for the roots in decomposition_to_ovf.
     """
 
     measure: AtomicMeasureSpace
-    densities: tuple[np.ndarray, ...]
+    densities: np.ndarray  # complex128, shape (len(measure), dim_h, dim_h)
     dim_h: int
-    _eigen: tuple[linalg.EigenDecomposition, ...] = field(repr=False, compare=False)
+    _eigen: linalg.EigenDecomposition = field(repr=False, compare=False)
 
     def __init__(self, measure: AtomicMeasureSpace, densities, dim_h: Optional[int] = None):
-        densities = tuple(linalg.as_matrix(q) for q in densities)
-        if len(densities) != len(measure):
-            raise DimensionMismatch(f"{len(measure)} atoms but {len(densities)} densities")
-        if dim_h is None:
-            if not densities:
-                raise DimensionMismatch("empty decomposition needs an explicit dim_h")
-            dim_h = densities[0].shape[0]
-        eigen = []
-        for label, q in zip(measure.atoms, densities):
-            if q.shape != (dim_h, dim_h):
-                raise DimensionMismatch(
-                    f"density at atom {label!r} has shape {q.shape}, expected ({dim_h}, {dim_h})"
-                )
+        if dim_h is None:  # an empty decomposition needs an explicit one
+            dim_h = len(densities[0]) if len(densities) else 0
+        if dim_h <= 0:
+            raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
+        densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
+        eigenvalues = np.empty((len(measure), dim_h))
+        eigenvectors = np.empty_like(densities)
+        for t, (label, q) in enumerate(zip(measure.atoms, densities)):
             if linalg.hermitian_residual(q) > linalg.TOL_HERM:
                 raise NotHermitian(f"density at atom {label!r} is not Hermitian")
             eig = linalg.hermitian_eigen(linalg.hermitize(q))
             if float(eig.eigenvalues[0]) < -linalg._psd_tolerance(q):
                 raise NotPsd(f"density at atom {label!r} is not PSD")
-            q.flags.writeable = False
-            eigen.append(eig)
+            eigenvalues[t], eigenvectors[t] = eig.eigenvalues, eig.eigenvectors
+        eigenvalues.flags.writeable = eigenvectors.flags.writeable = False
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "dim_h", int(dim_h))
-        object.__setattr__(self, "_eigen", tuple(eigen))
+        object.__setattr__(self, "_eigen", linalg.EigenDecomposition(eigenvalues, eigenvectors))
 
     def density(self, label: str) -> np.ndarray:
         return self.densities[self.measure.index(label)]
 
     def reintegrate(self, event: Optional[Iterable[str]] = None) -> np.ndarray:
-        """sum over the event's atoms of mu({t}) Q(t); whole space by default."""
-        members = set(self.measure.atoms if event is None else event)
-        out = np.zeros((self.dim_h, self.dim_h), dtype=np.complex128)
-        for label, w, q in zip(self.measure.atoms, self.measure.weights, self.densities):
-            if label in members:
-                out += w * q
-        return out
+        """sum over the event's atoms of mu({t}) Q(t), in canonical atom order; whole
+        space by default.  UnknownAtom if the event names a label outside the measure."""
+        weighted = self.measure.weights[:, None, None] * self.densities
+        if event is not None:
+            weighted = weighted[_event_mask(self.measure._index, event)]
+        return linalg._running_sum(weighted)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,19 +100,19 @@ class ReferenceMeasureRule:
     series over a finite sequence of unit-ball vectors."""
 
     kind: str  # "trace" | "dyadic-sequence"
-    sequence: Optional[tuple[np.ndarray, ...]] = None
+    sequence: Optional[np.ndarray] = None  # complex128, read-only, one vector x_j per row
 
     def __init__(self, kind: str, sequence=None):
         if kind not in ("trace", "dyadic-sequence"):
             raise ValueError(f"unknown reference measure rule {kind!r}")
         if kind == "dyadic-sequence":
-            if not sequence:
+            if sequence is None or len(sequence) == 0:
                 raise ValueError("dyadic-sequence rule needs a vector sequence")
-            sequence = tuple(linalg.as_vector(v) for v in sequence)
-            for i, v in enumerate(sequence):
-                if float(np.linalg.norm(v)) > 1.0 + 1e-12:
-                    raise ValueError(f"sequence vector {i} has norm > 1")
-                v.flags.writeable = False
+            sequence = linalg.as_matrix(sequence)
+            too_long = np.linalg.norm(sequence, axis=1) > 1.0 + 1e-12
+            if too_long.any():
+                raise ValueError(f"sequence vector {int(np.argmax(too_long))} has norm > 1")
+            sequence.flags.writeable = False
         else:
             sequence = None
         object.__setattr__(self, "kind", kind)
@@ -159,10 +153,8 @@ def ovf_to_povm(ovf: OperatorValuedFrame) -> Povm:
     Its total M(Omega) equals the frame operator, so the result is always
     framed.
     """
-    elements = [
-        linalg.hermitize(w * (linalg.adjoint(b) @ b))
-        for w, b in zip(ovf.space.weights, ovf.blocks)
-    ]
+    grams = np.array([linalg.adjoint(b) @ b for b in ovf.blocks])  # ragged blocks: one product each
+    elements = linalg.hermitize(ovf.space.weights[:, None, None] * grams)
     return Povm(atoms=ovf.space.atoms, dim_h=ovf.dim_h, elements=elements)
 
 
@@ -175,29 +167,24 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     SequenceDoesNotSpan is raised).
     """
     if rule.kind == "trace":
-        return np.array([float(np.trace(e).real) for e in m.elements])
-    seq = rule.sequence
+        return np.trace(m.elements, axis1=1, axis2=2).real
+    seq = rule.sequence  # J x n
     if len(seq) < m.dim_h:
         raise SequenceDoesNotSpan(
             f"dyadic sequence has {len(seq)} vectors, need at least {m.dim_h}"
         )
-    for i, v in enumerate(seq):
-        if v.shape[0] != m.dim_h:
-            raise DimensionMismatch(f"sequence vector {i} has dim {v.shape[0]}, POVM expects {m.dim_h}")
-    basis = np.stack(seq, axis=1)  # n x J
-    gram = linalg.hermitize(linalg.adjoint(basis) @ basis)
+    if seq.shape[1] != m.dim_h:
+        raise DimensionMismatch(f"sequence vectors have dim {seq.shape[1]}, POVM expects {m.dim_h}")
+    gram = linalg.hermitize(np.conj(seq) @ seq.T)
     gvals = linalg.hermitian_eigen(gram).eigenvalues
     # rank(X) == n iff the Gram spectrum has n strictly positive values
     positive = int(np.sum(gvals > 1e-12 * max(float(gvals[-1]), 1.0)))
-    if basis.shape[0] > basis.shape[1] or positive < m.dim_h:
+    if positive < m.dim_h:
         raise SequenceDoesNotSpan("dyadic sequence does not span the space")
-    weights = []
-    for e in m.elements:
-        total = 0.0
-        for j, v in enumerate(seq, start=1):
-            total += (2.0 ** -j) * linalg.inner(e @ v, v).real
-        weights.append(total)
-    return np.array(weights)
+    # <M({t}) x_j, x_j> for every j (rows) and atom t (columns), summed over j in order
+    probs = np.einsum("tkj,jk->jt", m.elements @ seq.T, np.conj(seq))
+    scales = 2.0 ** -np.arange(1, len(seq) + 1)
+    return linalg._running_sum(scales[:, None] * probs).real
 
 
 def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition:
@@ -210,18 +197,13 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     if not report.passed:
         raise InvalidPovm(f"POVM failed validation: {', '.join(report.failures)}")
     weights = reference_measure(m, rule)
-    kept_atoms, kept_weights, densities = [], [], []
-    for label, w, elem in zip(m.atoms, weights, m.elements):
-        if w <= 0.0:
-            if linalg.frobenius(elem) > linalg._psd_tolerance(elem):
-                raise InvalidPovm(
-                    f"atom {label!r} has zero reference weight but a nonzero element"
-                )
-            continue
-        kept_atoms.append(label)
-        kept_weights.append(float(w))
-        densities.append(linalg.hermitize(elem / w))
-    measure = AtomicMeasureSpace(atoms=kept_atoms, weights=kept_weights)
+    keep = weights > 0.0
+    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > linalg._psd_tolerance(m.elements)
+    if (nonzero & ~keep).any():
+        label = m.atoms[int(np.argmax(nonzero & ~keep))]
+        raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
+    measure = AtomicMeasureSpace(atoms=list(compress(m.atoms, keep)), weights=weights[keep])
+    densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
     return Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
 
 
@@ -233,50 +215,37 @@ def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
     bit for bit.  The frame operator is the reintegrated M(Omega); the
     frame's construction tests it, and its NotAFrame is raised as NotFramed.
     """
-    blocks = [eig.sqrt() for eig in d._eigen]
     try:
-        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=blocks)
+        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=d._eigen.sqrt())
     except NotAFrame as exc:
         raise NotFramed(f"decomposition does not reintegrate to a framed POVM: {exc}") from exc
 
 
-def _aligned_atoms(
-    atoms1: Sequence[str], atoms2: Sequence[str]
-) -> tuple[str, ...]:
-    """Union of the label sets: first list's order, then second-only labels."""
-    seen = set(atoms1)
-    extra = [a for a in atoms2 if a not in seen]
-    return tuple(atoms1) + tuple(extra)
-
-
-def _per_atom(space: AtomicMeasureSpace, densities) -> dict:
-    """{label: (weight, density)}, the lookup table of one side of a uniqueness check."""
-    return {a: (float(w), q) for a, w, q in zip(space.atoms, space.weights, densities)}
-
-
 def _uniqueness_over(
-    atoms: tuple[str, ...],
-    table1: dict,
-    table2: dict,
-    dim_h: int,
-    scale: float,
+    sides: tuple[tuple[AtomicMeasureSpace, np.ndarray], ...], scale: float
 ) -> UniquenessReport:
-    residuals = []
-    ratios = []
-    absent = (0.0, np.zeros((dim_h, dim_h), dtype=np.complex128))  # atom missing on one side
-    for label in atoms:
-        w1, q1 = table1.get(label, absent)
-        w2, q2 = table2.get(label, absent)
-        total = w1 + w2
-        r1 = w1 / total if total > 0.0 else 0.0
-        r2 = w2 / total if total > 0.0 else 0.0
-        residuals.append(linalg.frobenius(r1 * q1 - r2 * q2))
-        ratios.append((r1, r2))
+    """The report for two (measure, densities) sides over the union of their atoms
+    (first side's order, then the second's own); a side lacking an atom has
+    weight 0 and a zero density there, so every atom has a positive weight."""
+    (space1, q1), (space2, q2) = sides
+    if q1.shape[1:] != q2.shape[1:]:
+        raise DimensionMismatch(f"dim_h {q1.shape[-1]} vs {q2.shape[-1]}")
+    if not set(space1.atoms) & set(space2.atoms):
+        raise AtomMismatch("the two sides share no atom labels")
+    index = {a: i for i, a in enumerate(dict.fromkeys(space1.atoms + space2.atoms))}
+    w = np.zeros((2, len(index)))
+    q = np.zeros((2, len(index)) + q1.shape[1:], dtype=np.complex128)
+    for s, (space, densities) in enumerate(sides):
+        at = [index[a] for a in space.atoms]
+        w[s, at] = space.weights
+        q[s, at] = densities
+    r = w / (w[0] + w[1])
+    residuals = np.linalg.norm(r[0, :, None, None] * q[0] - r[1, :, None, None] * q[1], axis=(1, 2))
     return UniquenessReport(
-        atoms=atoms,
-        per_atom_residuals=tuple(residuals),
-        max_residual=max(residuals) if residuals else 0.0,
-        radon_nikodym_ratios=tuple(ratios),
+        atoms=tuple(index),
+        per_atom_residuals=tuple(residuals.tolist()),
+        max_residual=float(residuals.max()),
+        radon_nikodym_ratios=tuple(zip(r[0].tolist(), r[1].tolist())),
         tolerance=TOL_DECOMP_REL * (1.0 + scale),
     )
 
@@ -288,33 +257,22 @@ def verify_uniqueness(d1: Decomposition, d2: Decomposition) -> UniquenessReport:
     The residuals all vanish (up to rounding) exactly when the two
     decompositions reintegrate to the same POVM.
     """
-    if d1.dim_h != d2.dim_h:
-        raise DimensionMismatch(f"dim_h {d1.dim_h} vs {d2.dim_h}")
-    if not set(d1.measure.atoms) & set(d2.measure.atoms):
-        raise AtomMismatch("decompositions share no atom labels")
-    atoms = _aligned_atoms(d1.measure.atoms, d2.measure.atoms)
     scale = max(linalg.frobenius(d1.reintegrate()), linalg.frobenius(d2.reintegrate()))
-    t1, t2 = _per_atom(d1.measure, d1.densities), _per_atom(d2.measure, d2.densities)
-    return _uniqueness_over(atoms, t1, t2, d1.dim_h, scale)
+    return _uniqueness_over(((d1.measure, d1.densities), (d2.measure, d2.densities)), scale)
 
 
 def verify_ovf_equivalence(
     f1: OperatorValuedFrame, f2: OperatorValuedFrame
 ) -> UniquenessReport:
     """verify_uniqueness applied to the densities Q_i(t) = T_i(t)* T_i(t)."""
-    if f1.dim_h != f2.dim_h:
-        raise DimensionMismatch(f"dim_h {f1.dim_h} vs {f2.dim_h}")
-    if not set(f1.space.atoms) & set(f2.space.atoms):
-        raise AtomMismatch("frames share no atom labels")
-    atoms = _aligned_atoms(f1.space.atoms, f2.space.atoms)
-    tables = [
-        _per_atom(f.space, [linalg.hermitize(linalg.adjoint(b) @ b) for b in f.blocks])
+    sides = tuple(  # ragged blocks: one product each
+        (f.space, linalg.hermitize(np.array([linalg.adjoint(b) @ b for b in f.blocks])))
         for f in (f1, f2)
-    ]
+    )
     scale = max(
         linalg.frobenius(frame_operator(f1)), linalg.frobenius(frame_operator(f2))
     )
-    return _uniqueness_over(atoms, *tables, f1.dim_h, scale)
+    return _uniqueness_over(sides, scale)
 
 
 def all_events(atoms: Sequence[str]) -> list[tuple[str, ...]]:
@@ -337,6 +295,11 @@ def sample_events(
     return events
 
 
+def _reintegration_tolerance(m: Povm) -> float:
+    """Default bound on reintegration residuals, TOL_DECOMP_REL * (1 + ||M(Omega)||_F)."""
+    return TOL_DECOMP_REL * (1.0 + linalg.frobenius(m.total()))
+
+
 def reintegration_residuals(
     m: Povm, d: Decomposition, events: Optional[Sequence[Sequence[str]]] = None, seed: int = 0
 ) -> tuple[float, float]:
@@ -344,17 +307,23 @@ def reintegration_residuals(
 
     With no explicit events: all 2^|atoms| subsets when |atoms| <=
     EXHAUSTIVE_EVENT_ATOMS, else RANDOM_EVENT_SAMPLES seeded random events.
+    Both sums of an event are taken together, in canonical atom order over
+    the POVM's atoms: M({t}) beside mu({t}) Q(t), the latter zero at the
+    atoms the decomposition dropped, so the residuals have the bits of
+    per-atom loops over M(E) and d.reintegrate on the event's kept atoms.
     """
     if events is None:
         if len(m.atoms) <= EXHAUSTIVE_EVENT_ATOMS:
             events = all_events(m.atoms)
         else:
             events = sample_events(m.atoms, RANDOM_EVENT_SAMPLES, seed=seed)
-    dropped = set(m.atoms) - set(d.measure.atoms)
+    pairs = np.stack([m.elements, np.zeros_like(m.elements)], axis=1)
+    at = [_position(m._index, a) for a in d.measure.atoms]
+    pairs[at, 1] = d.measure.weights[:, None, None] * d.densities
     residuals = []
     for event in events:
-        kept = [a for a in event if a not in dropped]
-        residuals.append(linalg.frobenius(m.evaluate(event) - d.reintegrate(kept)))
+        sums = linalg._running_sum(pairs[_event_mask(m._index, event)])
+        residuals.append(linalg.frobenius(sums[0] - sums[1]))
     return (max(residuals) if residuals else 0.0, float(np.mean(residuals)) if residuals else 0.0)
 
 
@@ -380,6 +349,8 @@ def decomposition_from_json(obj) -> Decomposition:
             raise ParseError(f"decomposition JSON is missing field {key!r}")
     if not isinstance(obj["densities"], list):
         raise ParseError("decomposition densities must be a list of matrix objects")
+    if not obj["densities"]:
+        raise ParseError("decomposition has no atoms, so no density to check dim_h against")
     mats = [linalg.matrix_from_json(q) for q in obj["densities"]]
     try:
         measure = AtomicMeasureSpace(atoms=obj["atoms"], weights=obj["weights"])

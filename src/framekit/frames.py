@@ -5,8 +5,8 @@ C^{k_t}, together with the atom weights mu({t}).  Vector frames, g-frames,
 and quadrature-discretized continuous frames are all represented this way:
 a vector frame contributes 1 x n blocks with unit weights.
 
-Atom order is canonical: every per-atom list (blocks, weights, coefficient
-segments) lines up with ``space.atoms`` and is never reordered.
+Atom order is canonical: every per-atom family (blocks, weights, coefficient
+segments) is one array lined up with ``space.atoms``, never reordered.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ class AtomicMeasureSpace:
 
     atoms: tuple[str, ...]
     weights: np.ndarray  # float64, one strictly positive weight per atom
+    _index: dict = field(repr=False, compare=False)  # label -> position
 
     def __init__(self, atoms: Sequence[str], weights):
         object.__setattr__(self, "atoms", tuple(str(a) for a in atoms))
@@ -51,8 +52,7 @@ class AtomicMeasureSpace:
             )
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and strictly positive")
-        if len(set(self.atoms)) != len(self.atoms):
-            raise ValueError("atom labels must be unique")
+        object.__setattr__(self, "_index", _label_index(self.atoms))
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -67,17 +67,48 @@ class AtomicMeasureSpace:
         return len(self.atoms)
 
     def index(self, label: str) -> int:
-        try:
-            return self.atoms.index(label)
-        except ValueError:
-            raise UnknownAtom(f"no atom labeled {label!r}") from None
+        return _position(self._index, label)
 
     def weight(self, label: str) -> float:
         return float(self.weights[self.index(label)])
 
     def mu(self, labels: Sequence[str]) -> float:
         """Measure of an event given by its member atom labels."""
-        return float(sum(self.weight(a) for a in set(labels)))
+        return float(np.sum(self.weights[_event_mask(self._index, labels)]))
+
+
+def _label_index(atoms: tuple[str, ...]) -> dict:
+    """{label: position}; ValueError on a repeated label."""
+    index = {a: t for t, a in enumerate(atoms)}
+    if len(index) != len(atoms):
+        raise ValueError("atom labels must be unique")
+    return index
+
+
+def _position(index: dict, label: str) -> int:
+    try:
+        return index[label]
+    except KeyError:
+        raise UnknownAtom(f"no atom labeled {label!r}") from None
+
+
+def _event_mask(index: dict, event) -> np.ndarray:
+    """Boolean mask over the atoms, in canonical order, of the labels an event
+    names (repeats collapse); UnknownAtom if it names a label outside ``index``."""
+    members = set(event)
+    mask = np.zeros(len(index), dtype=bool)
+    try:
+        mask[[index[a] for a in members]] = True
+    except KeyError:
+        unknown = sorted(members.difference(index))
+        raise UnknownAtom(f"event references unknown atoms: {unknown}") from None
+    return mask
+
+
+def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Make ``flat`` read-only and cut it into the views flat[offsets[t]:offsets[t + 1]]."""
+    flat.flags.writeable = False
+    return tuple(flat[lo:hi] for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,14 +136,19 @@ class FrameBounds:
 class OperatorValuedFrame:
     """Measure space plus one block T(t): C^n -> C^{k_t} per atom.
 
+    The rows of all blocks form one read-only array B (``_rows``, atom t's from
+    ``_offsets[t]``, row weights ``_row_weights``); ``blocks`` are views into B.
     Construction checks the frame property: the frame operator
-    S = sum_t mu({t}) T(t)* T(t) must be positive definite, otherwise
-    NotAFrame is raised.
+    S = sum_t mu({t}) T(t)* T(t) = B* diag(w) B must be positive definite,
+    otherwise NotAFrame is raised.
     """
 
     space: AtomicMeasureSpace
     dim_h: int
     blocks: tuple[np.ndarray, ...]
+    _rows: np.ndarray = field(repr=False, compare=False)
+    _row_weights: np.ndarray = field(repr=False, compare=False)
+    _offsets: np.ndarray = field(repr=False, compare=False)
     _operator: np.ndarray = field(repr=False, compare=False)
     _eigen: linalg.EigenDecomposition = field(repr=False, compare=False)
     _bounds: FrameBounds = field(repr=False, compare=False)
@@ -120,26 +156,23 @@ class OperatorValuedFrame:
     def __init__(self, space: AtomicMeasureSpace, dim_h: int, blocks):
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        blocks = tuple(linalg.as_matrix(b) for b in blocks)
-        if len(blocks) != len(space):
-            raise DimensionMismatch(
-                f"{len(space)} atoms but {len(blocks)} blocks"
-            )
-        for label, b in zip(space.atoms, blocks):
-            if b.shape[1] != dim_h:
-                raise DimensionMismatch(
-                    f"block at atom {label!r} has {b.shape[1]} columns, expected {dim_h}"
-                )
-        for b in blocks:
-            b.flags.writeable = False
+        heights = [len(b) for b in blocks]
+        if len(heights) != len(space):
+            raise DimensionMismatch(f"{len(space)} atoms but {len(heights)} blocks")
+        rows = linalg.as_matrix(np.concatenate(blocks) if heights else np.zeros((0, dim_h)))
+        if rows.shape[1] != dim_h:
+            raise DimensionMismatch(f"blocks have {rows.shape[1]} columns, expected {dim_h}")
+        offsets = np.cumsum([0] + heights)
+        row_weights = np.repeat(space.weights, heights)
+        row_weights.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "dim_h", int(dim_h))
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _views(rows, offsets))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_weights", row_weights)
+        object.__setattr__(self, "_offsets", offsets)
 
-        s = np.zeros((dim_h, dim_h), dtype=np.complex128)
-        for w, b in zip(space.weights, blocks):
-            s += w * (linalg.adjoint(b) @ b)
-        s = linalg.hermitize(s)
+        s = linalg.hermitize(linalg.adjoint(rows) @ (row_weights[:, None] * rows))
         s.flags.writeable = False
         eig = linalg.hermitian_eigen(s)
         object.__setattr__(self, "_operator", s)
@@ -152,47 +185,44 @@ class OperatorValuedFrame:
 
 @dataclass(frozen=True, eq=False)
 class VectorFrame:
-    """Plain frame: a finite family of vectors in C^n."""
+    """Plain frame: a finite family of vectors in C^n, one per row of ``vectors``."""
 
     dim_h: int
-    vectors: tuple[np.ndarray, ...]
+    vectors: np.ndarray  # complex128, read-only, shape (count, dim_h)
 
     def __init__(self, dim_h: int, vectors):
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        vectors = tuple(linalg.as_vector(v) for v in vectors)
-        for i, v in enumerate(vectors):
-            if v.shape[0] != dim_h:
-                raise DimensionMismatch(f"vector {i} has dim {v.shape[0]}, expected {dim_h}")
-            v.flags.writeable = False
+        vectors = linalg._as_stack(vectors, (len(vectors), dim_h), "vectors")
         object.__setattr__(self, "dim_h", int(dim_h))
         object.__setattr__(self, "vectors", vectors)
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Per-atom coefficient segments, one vector of length k_t per atom."""
+    """Per-atom coefficient segments, one vector of length k_t per atom, as views
+    into one flat read-only vector (``_values``, atom t's from ``_offsets[t]``)."""
 
     space: AtomicMeasureSpace
     segments: tuple[np.ndarray, ...]
+    _values: np.ndarray = field(repr=False, compare=False)
+    _offsets: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space: AtomicMeasureSpace, segments):
-        segments = tuple(linalg.as_vector(c) for c in segments)
-        if len(segments) != len(space):
-            raise DimensionMismatch(f"{len(space)} atoms but {len(segments)} segments")
-        for c in segments:
-            c.flags.writeable = False
+        lengths = [len(c) for c in segments]
+        if len(lengths) != len(space):
+            raise DimensionMismatch(f"{len(space)} atoms but {len(lengths)} segments")
+        values = linalg.as_vector(np.concatenate(segments) if lengths else [])
+        offsets = np.cumsum([0] + lengths)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "segments", _views(values, offsets))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_offsets", offsets)
 
     def weighted_norm_sq(self) -> float:
         """sum_t mu({t}) ||c_t||^2."""
-        return float(
-            sum(
-                w * float(np.sum(np.abs(c) ** 2))
-                for w, c in zip(self.space.weights, self.segments)
-            )
-        )
+        row_weights = np.repeat(self.space.weights, np.diff(self._offsets))
+        return float(row_weights @ (np.abs(self._values) ** 2))
 
 
 def _positive_definite(lo: float, hi: float) -> bool:
@@ -227,40 +257,32 @@ def discretize_continuous(samples, weights) -> OperatorValuedFrame:
     Each sample x_t contributes the 1 x n block conj(x_t) with weight
     mu({t}) equal to the supplied quadrature weight.
     """
-    samples = [linalg.as_vector(x) for x in samples]
     if len(samples) == 0:
         raise EmptyFrame("no quadrature samples")
+    samples = linalg.as_matrix(samples)  # one sample per row
     if len(weights) != len(samples):
         raise DimensionMismatch(f"{len(samples)} samples but {len(weights)} weights")
-    dim = samples[0].shape[0]
-    for i, x in enumerate(samples):
-        if x.shape[0] != dim:
-            raise DimensionMismatch(f"sample {i} has dim {x.shape[0]}, expected {dim}")
-    space = AtomicMeasureSpace(atoms=[str(i) for i in range(len(samples))], weights=weights)
-    blocks = [np.conj(x).reshape(1, dim) for x in samples]
-    return OperatorValuedFrame(space=space, dim_h=dim, blocks=blocks)
+    count, dim = samples.shape
+    space = AtomicMeasureSpace(atoms=[str(i) for i in range(count)], weights=weights)
+    return OperatorValuedFrame(space=space, dim_h=dim, blocks=np.conj(samples)[:, None, :])
 
 
 def analysis(ovf: OperatorValuedFrame, x) -> CoefficientField:
-    """Apply every block: segment t = T(t) x."""
+    """Apply every block: segment t = T(t) x, all of them as the one product B x."""
     v = linalg.as_vector(x)
     if v.shape[0] != ovf.dim_h:
         raise DimensionMismatch(f"vector has dim {v.shape[0]}, frame expects {ovf.dim_h}")
-    return CoefficientField(space=ovf.space, segments=[b @ v for b in ovf.blocks])
+    return CoefficientField(space=ovf.space, segments=_views(ovf._rows @ v, ovf._offsets))
 
 
 def synthesis(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:
-    """Weighted adjoint sum: sum_t mu({t}) T(t)* c_t."""
+    """Weighted adjoint sum: sum_t mu({t}) T(t)* c_t = B* (w c)."""
     if c.space != ovf.space:
         raise SpaceMismatch("coefficient field lives over a different measure space")
-    out = np.zeros(ovf.dim_h, dtype=np.complex128)
-    for w, b, seg in zip(ovf.space.weights, ovf.blocks, c.segments):
-        if seg.shape[0] != b.shape[0]:
-            raise DimensionMismatch(
-                f"segment length {seg.shape[0]} does not match block rows {b.shape[0]}"
-            )
-        out += w * (linalg.adjoint(b) @ seg)
-    return out
+    if not np.array_equal(c._offsets, ovf._offsets):
+        raise DimensionMismatch("segment lengths do not match the block rows")
+    # B* y as conj(B^T conj(y)): no conjugated copy of B
+    return np.conj(ovf._rows.T @ np.conj(ovf._row_weights * c._values))
 
 
 def frame_operator(ovf: OperatorValuedFrame) -> np.ndarray:

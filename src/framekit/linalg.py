@@ -54,8 +54,8 @@ def as_vector(x) -> np.ndarray:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(np.asarray(a)).T.copy()
+    """Conjugate transpose (of every matrix in a stack: last two axes), C-ordered."""
+    return np.conjugate(np.swapaxes(np.asarray(a), -1, -2), order="C")
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -80,14 +80,15 @@ def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Nearest Hermitian matrix, (A + A*)/2."""
+    """Nearest Hermitian matrix, (A + A*)/2, of a matrix or of every matrix in a stack."""
     a = np.asarray(a)
     return (a + adjoint(a)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Eigenvalues ascending plus the matching orthonormal eigenvector columns."""
+    """Eigenvalues ascending plus the matching orthonormal eigenvector columns;
+    a stack of them has a leading axis on both arrays."""
 
     eigenvalues: np.ndarray   # float64, ascending
     eigenvectors: np.ndarray  # complex128, column k pairs with eigenvalues[k]
@@ -95,14 +96,14 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         """U diag(lambda) U*."""
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ adjoint(u)
+        return (u * self.eigenvalues[..., None, :]) @ adjoint(u)
 
     def sqrt(self) -> np.ndarray:
         """U diag(sqrt(lambda)) U*, hermitized, with negative eigenvalues (rounding
         noise of a matrix already accepted as PSD) taken as zero."""
         vals = np.where(self.eigenvalues < 0.0, 0.0, self.eigenvalues)
         u = self.eigenvectors
-        return hermitize((u * np.sqrt(vals)) @ adjoint(u))
+        return hermitize((u * np.sqrt(vals)[..., None, :]) @ adjoint(u))
 
 
 def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -284,9 +285,32 @@ def psd_sqrt(a) -> np.ndarray:
     return eig.sqrt()
 
 
-def _psd_tolerance(a: np.ndarray) -> float:
-    """How far below zero an eigenvalue or probability of a PSD A may round."""
-    return TOL_PSD_REL * (1.0 + frobenius(a))
+def _psd_tolerance(a: np.ndarray):
+    """How far below zero an eigenvalue or probability of a PSD A (of each in a stack) may round."""
+    return TOL_PSD_REL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+
+
+def _as_stack(items, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Read-only complex128 array of exactly ``shape`` from a sequence of equal-shaped
+    entries.  DimensionMismatch for any other shape (numpy's ValueError for
+    ragged entries), ValueError for NaN or Inf."""
+    a = np.array(items, dtype=np.complex128)
+    if a.size == 0 and shape[0] == 0:
+        a = a.reshape(shape)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} have shape {a.shape}, expected {shape}")
+    if not np.all(np.isfinite(a.view(np.float64))):
+        raise ValueError(f"{what} contain NaN or Inf entries")
+    a.flags.writeable = False
+    return a
+
+
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a complex stack over its first axis, bit for bit ``out = 0; for x in a:
+    out += x``.  numpy sums in order unless every other axis has length 1, when
+    it pairs terms up; the float64 view (re, im side by side) never has that."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return np.add.reduce(parts, axis=0, initial=0.0).view(a.dtype)
 
 
 # --- JSON encoding -----------------------------------------------------------

@@ -1,23 +1,24 @@
 """Positive operator-valued measures on finite atomic measurable spaces.
 
-A Povm stores one n x n element M({t}) per atom; events are subsets of the
-atom labels and evaluate to the sum of their members' elements, so finite
-additivity holds by construction and the validator asserts it numerically
-on random partitions.  Construction checks only structure (shapes, counts,
-finiteness): Hermiticity and positivity are the validator's job, so that
-deliberately corrupted measures can be built and classified.
+A Povm stores one n x n element M({t}) per atom, all in one (N, n, n) array;
+events are subsets of the atom labels and evaluate to the sum of their
+members' elements, so finite additivity holds by construction and the
+validator asserts it numerically on random partitions.  Construction checks
+only structure (shapes, counts, finiteness): Hermiticity and positivity are
+the validator's job, so that deliberately corrupted measures can be built
+and classified.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Sequence
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotPsd, NotUnitVector, ParseError, UnknownAtom
-from .frames import _positive_definite
+from .errors import DimensionMismatch, NotPsd, NotUnitVector, ParseError
+from .frames import _event_mask, _label_index, _position, _positive_definite
 
 # Event = any collection of atom labels.
 Event = Collection[str]
@@ -33,48 +34,30 @@ FAIL_NOT_ADDITIVE = "NotAdditive"
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """Per-atom PSD elements M({t}) on C^n; M(E) = sum over E's atoms."""
+    """Per-atom PSD elements M({t}) on C^n, read-only; M(E) = sum over E's atoms."""
 
     atoms: tuple[str, ...]
     dim_h: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray  # complex128, shape (len(atoms), dim_h, dim_h)
+    _index: dict = field(repr=False, compare=False)  # label -> position
 
     def __init__(self, atoms: Sequence[str], dim_h: int, elements):
         atoms = tuple(str(a) for a in atoms)
-        if len(set(atoms)) != len(atoms):
-            raise ValueError("atom labels must be unique")
+        index = _label_index(atoms)
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        elements = tuple(linalg.as_matrix(m) for m in elements)
-        if len(elements) != len(atoms):
-            raise DimensionMismatch(f"{len(atoms)} atoms but {len(elements)} elements")
-        for label, m in zip(atoms, elements):
-            if m.shape != (dim_h, dim_h):
-                raise DimensionMismatch(
-                    f"element at atom {label!r} has shape {m.shape}, expected ({dim_h}, {dim_h})"
-                )
-            m.flags.writeable = False
+        elements = linalg._as_stack(elements, (len(atoms), dim_h, dim_h), "elements")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "dim_h", int(dim_h))
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_index", index)
 
     def element(self, label: str) -> np.ndarray:
-        try:
-            return self.elements[self.atoms.index(label)]
-        except ValueError:
-            raise UnknownAtom(f"no atom labeled {label!r}") from None
+        return self.elements[_position(self._index, label)]
 
     def evaluate(self, event: Event) -> np.ndarray:
         """M(E): sum of member elements in canonical atom order; M({}) = 0."""
-        members = set(event)
-        unknown = members.difference(self.atoms)
-        if unknown:
-            raise UnknownAtom(f"event references unknown atoms: {sorted(unknown)}")
-        out = np.zeros((self.dim_h, self.dim_h), dtype=np.complex128)
-        for label, m in zip(self.atoms, self.elements):
-            if label in members:
-                out += m
-        return out
+        return linalg._running_sum(self.elements[_event_mask(self._index, event)])
 
     def total(self) -> np.ndarray:
         """M(Omega)."""
@@ -150,7 +133,7 @@ def validate(m: Povm, seed: int = 0) -> ValidationReport:
         herm_res = linalg.hermitian_residual(elem)
         herm_ok = herm_res <= linalg.TOL_HERM
         min_eig = float(linalg.hermitian_eigen(linalg.hermitize(elem)).eigenvalues[0])
-        psd_ok = min_eig >= -linalg._psd_tolerance(elem)
+        psd_ok = bool(min_eig >= -linalg._psd_tolerance(elem))
         if not herm_ok and FAIL_NOT_HERMITIAN not in failures:
             failures.append(FAIL_NOT_HERMITIAN)
         if not psd_ok and FAIL_NOT_PSD not in failures:
@@ -216,13 +199,12 @@ def measure_probabilities(m: Povm, x) -> list[float]:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise NotUnitVector(f"state norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
-    probs = []
-    for label, elem in zip(m.atoms, m.elements):
-        p = linalg.inner(elem @ v, v).real
-        if p < -linalg._psd_tolerance(elem):
-            raise NotPsd(f"element at atom {label!r} gives probability {p:.3e}")
-        probs.append(max(p, 0.0))
-    return probs
+    probs = ((m.elements @ v) @ np.conj(v)).real
+    low = probs < -linalg._psd_tolerance(m.elements)
+    if low.any():
+        t = int(np.argmax(low))
+        raise NotPsd(f"element at atom {m.atoms[t]!r} gives probability {probs[t]:.3e}")
+    return np.maximum(probs, 0.0).tolist()
 
 
 # --- JSON encoding -----------------------------------------------------------
@@ -247,6 +229,8 @@ def povm_from_json(obj) -> Povm:
     elements = obj["elements"]
     if not isinstance(elements, list):
         raise ParseError("POVM elements must be a list of matrix objects")
+    if not elements:
+        raise ParseError("POVM has no atoms, so no element to check dim_h against")
     mats = [linalg.matrix_from_json(e) for e in elements]
     try:
         return Povm(atoms=obj["atoms"], dim_h=int(obj["dim_h"]), elements=mats)

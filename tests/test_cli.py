@@ -137,6 +137,14 @@ def test_malformed_file_exits_two(tmp_path, capsys):
                     '"blocks": [{"rows": 1, "cols": 1, "data": [[1, 0]]}]}')
     assert main(["bounds", "--in", str(huge), "--out", str(tmp_path / "o.json")]) == 2
     assert "ParseError" in capsys.readouterr().err
+    # files with no atoms leave dim_h unchecked, so they are malformed too
+    for command, payload in (
+        ("validate-povm", {"atoms": [], "dim_h": 1e300, "elements": []}),
+        ("to-ovf", {"atoms": [], "weights": [], "dim_h": 1e300, "densities": []}),
+    ):
+        empty = write_json(tmp_path / "empty.json", payload)
+        assert main([command, "--in", empty, "--out", str(tmp_path / "o.json")]) == 2
+        assert "ParseError" in capsys.readouterr().err
 
 
 def test_unrecognized_payload_exits_two(tmp_path, capsys):

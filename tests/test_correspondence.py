@@ -28,6 +28,7 @@ from framekit import (
     Povm,
     ReferenceMeasureRule,
     SequenceDoesNotSpan,
+    UnknownAtom,
     VectorFrame,
     decompose,
     decomposition_to_ovf,
@@ -181,6 +182,20 @@ def test_densities_must_be_hermitian_psd():
     space = AtomicMeasureSpace(atoms=["a"], weights=[1.0])
     with pytest.raises(NotPsd):
         Decomposition(measure=space, densities=[np.diag([1.0, -1.0]).astype(complex)])
+
+
+def test_decomposition_needs_a_positive_dim_h():
+    empty = AtomicMeasureSpace(atoms=[], weights=[])
+    for dim_h in (0, -3, None):
+        with pytest.raises(DimensionMismatch):
+            Decomposition(measure=empty, densities=[], dim_h=dim_h)
+
+
+def test_reintegrate_rejects_unknown_atoms():
+    d = decompose(projective_qubit())
+    assert np.array_equal(d.reintegrate(["a", "a"]), d.reintegrate(["a"]))
+    with pytest.raises(UnknownAtom):
+        d.reintegrate(["a", "nope"])
 
 
 # -- decomposition back to a frame --------------------------------------------

@@ -29,6 +29,11 @@ from conftest import complex_box, random_hermitian, random_psd, rng_for
 def test_adjoint_conjugate_transposes():
     a = np.array([[1 + 2j, 3], [0, -1j]])
     assert np.array_equal(linalg.adjoint(a), np.array([[1 - 2j, 0], [3, 1j]]))
+    # a stack: every matrix on its own, as a C-ordered array
+    stack = complex_box(rng_for(4), (3, 2, 5))
+    adj = linalg.adjoint(stack)
+    assert adj.shape == (3, 5, 2) and adj.flags.c_contiguous
+    assert all(np.array_equal(adj[t], linalg.adjoint(stack[t])) for t in range(3))
 
 
 def test_inner_is_conjugate_linear_in_second_argument():
@@ -58,6 +63,9 @@ def test_hermitize_is_idempotent_and_projects():
     h = linalg.hermitize(a)
     assert np.array_equal(linalg.adjoint(h), h)
     assert np.array_equal(linalg.hermitize(h), h)
+    stack = complex_box(rng_for(5), (4, 3, 3))
+    hs = linalg.hermitize(stack)
+    assert all(np.array_equal(hs[t], linalg.hermitize(stack[t])) for t in range(4))
 
 
 complex_entries = st.complex_numbers(
@@ -235,6 +243,10 @@ ONE = {"rows": 1, "cols": 1, "data": [[1, 0]]}
                                    "densities": [ONE]}),
         (decomposition_from_json, {"atoms": ["a"], "weights": [1], "dim_h": INF,
                                    "densities": [ONE]}),
+        # no atoms: dim_h has no matrix to be checked against
+        (povm_from_json, {"atoms": [], "dim_h": 1e300, "elements": []}),
+        (decomposition_from_json, {"atoms": [], "weights": [], "dim_h": 1e300,
+                                   "densities": []}),
     ],
 )
 def test_matrix_from_json_rejects_malformed(payload):

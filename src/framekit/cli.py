@@ -277,17 +277,17 @@ def _cmd_to_povm(cfg: ExperimentConfig):
     ovf = _as_ovf(cfg.input_paths[0])
     m = cr.ovf_to_povm(ovf)
     report = povm.validate(m, seed=cfg.seed)
-    framed = povm.is_framed(m)
+    b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized once on loading
     data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
     _write_json(data_path, povm.povm_to_json(m))
     checks = [
         _check("povm_valid", report.passed, failures=list(report.failures)),
-        _check("framed", framed.framed, lower=framed.lower, upper=framed.upper),
+        _check("framed", frames._positive_definite(b.lower, b.upper), lower=b.lower, upper=b.upper),
     ]
     summary = {
         "max_additivity_residual": report.max_additivity_residual,
-        "lower": framed.lower,
-        "upper": framed.upper,
+        "lower": b.lower,
+        "upper": b.upper,
         "atoms": len(m.atoms),
     }
     return checks, summary, {"povm": data_path}
@@ -314,7 +314,7 @@ def _cmd_validate_povm(cfg: ExperimentConfig):
 def _cmd_decompose(cfg: ExperimentConfig):
     _, m = _expect(cfg.input_paths[0], ("povm",))
     rule = _measure_rule(cfg, m.dim_h)
-    d = cr.decompose(m, rule)
+    d = cr.decompose(m, rule, seed=cfg.seed)
     max_res, mean_res = cr.reintegration_residuals(m, d, seed=cfg.seed)
     tol = cfg.tolerance_overrides.get("decomp")
     if tol is None:
@@ -360,7 +360,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
     b0 = frames.frame_bounds(ovf)
     m = cr.ovf_to_povm(ovf)
     rule = _measure_rule(cfg, m.dim_h)
-    d = cr.decompose(m, rule)  # validates m; InvalidPovm (exit 2) if it fails
+    d = cr.decompose(m, rule, seed=cfg.seed)  # validates m; InvalidPovm (exit 2) if it fails
     reint_max, _ = cr.reintegration_residuals(m, d, seed=cfg.seed)
     ovf2 = cr.decomposition_to_ovf(d)
     b1 = frames.frame_bounds(ovf2)

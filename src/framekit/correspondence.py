@@ -52,8 +52,9 @@ RANDOM_EVENT_SAMPLES = 1_000
 class Decomposition:
     """Reference measure mu plus one Hermitian PSD density Q(t) per atom.
 
-    The PSD check diagonalizes each density once; the eigendecompositions
-    are kept stacked (``_eigen``, read-only) for the roots in decomposition_to_ovf.
+    The PSD check diagonalizes all densities in one stacked call; the
+    eigendecompositions are kept (``_eigen``, read-only) for the roots in
+    decomposition_to_ovf.
     """
 
     measure: AtomicMeasureSpace
@@ -67,20 +68,20 @@ class Decomposition:
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
-        eigenvalues = np.empty((len(measure), dim_h))
-        eigenvectors = np.empty_like(densities)
-        for t, (label, q) in enumerate(zip(measure.atoms, densities)):
-            if linalg.hermitian_residual(q) > linalg.TOL_HERM:
-                raise NotHermitian(f"density at atom {label!r} is not Hermitian")
-            eig = linalg.hermitian_eigen(linalg.hermitize(q))
-            if float(eig.eigenvalues[0]) < -linalg._psd_tolerance(q):
-                raise NotPsd(f"density at atom {label!r} is not PSD")
-            eigenvalues[t], eigenvectors[t] = eig.eigenvalues, eig.eigenvectors
-        eigenvalues.flags.writeable = eigenvectors.flags.writeable = False
+        herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
+        # hermitian_eigen takes the Hermitian part itself once its check passes
+        eigen = linalg.hermitian_eigen(densities if herm_ok.all() else linalg.hermitize(densities))
+        psd_ok = eigen.eigenvalues[:, 0] >= -linalg._psd_tolerance(densities)
+        bad = ~(herm_ok & psd_ok)
+        if bad.any():  # the first failing atom; its Hermiticity is checked first
+            t = int(np.argmax(bad))
+            if not herm_ok[t]:
+                raise NotHermitian(f"density at atom {measure.atoms[t]!r} is not Hermitian")
+            raise NotPsd(f"density at atom {measure.atoms[t]!r} is not PSD")
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "dim_h", int(dim_h))
-        object.__setattr__(self, "_eigen", linalg.EigenDecomposition(eigenvalues, eigenvectors))
+        object.__setattr__(self, "_eigen", eigen)
 
     def density(self, label: str) -> np.ndarray:
         return self.densities[self.measure.index(label)]
@@ -187,13 +188,14 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     return linalg._running_sum(scales[:, None] * probs).real
 
 
-def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition:
+def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -> Decomposition:
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
+    The POVM is validated first, its additivity samples drawn from ``seed``.
     Atoms of reference weight zero carry a zero element (domination) and
     are dropped from the decomposition's measure space.
     """
-    report = validate(m)
+    report = validate(m, seed=seed)
     if not report.passed:
         raise InvalidPovm(f"POVM failed validation: {', '.join(report.failures)}")
     weights = reference_measure(m, rule)

@@ -4,7 +4,20 @@ Everything operates on numpy complex128 arrays and is written so that
 repeated calls on identical inputs return bit-identical outputs: the
 eigensolver is a cyclic Jacobi iteration whose rotation order is a fixed
 function of the matrix size (row-major single rotations for small n,
-round-robin steps of disjoint rotations from n = 16 on).  There is no
+round-robin steps of disjoint rotations from n = 16 on).  It takes one
+matrix or a stack of equal-sized ones; a stack is diagonalized together,
+every matrix with its own thresholds and stopping test, and each matrix's
+eigenpairs are bit-identical to those of a lone call on it.
+
+From n = 16 on a lone matrix goes through the same stacked sweep, so that
+holds by construction.  Below 16 a single active matrix is rotated by a
+loop of numpy scalar arithmetic instead (about twice as fast there), and
+the two agree bit for bit only because numpy's scalar and element-wise
+array loops round complex abs, multiply and divide alike.  That was
+checked with numpy 2.4 on an x86-64 CPU with AVX-512 loops
+(test_eigen_stack_matches_lone_calls_bit_for_bit); another numpy build or
+CPU may differ in the last bit, which that test and
+test_recovered_blocks_are_density_square_roots would show.  There is no
 general inverse; the frame operator is inverted through its kept
 eigendecomposition (see ``reconstruction.reconstruct_direct``).  All
 functions are pure; no hidden state.
@@ -31,26 +44,32 @@ JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A|
 # step pays a fixed numpy overhead, so single rotations are as fast or faster
 # up to n = 8, and the batched steps gain under 2x below n = 16.
 JACOBI_ROUND_ROBIN_MIN_N = 16
+# hermitian_eigen works through a stack in slices of at most this many bytes
+# (64 matrices at n = 16, one at n = 128), so its working copies stay a small
+# part of a large stack; stacks of small matrices still go through in one slice.
+_EIGEN_CHUNK_BYTES = 1 << 18
+
+
+def _as_finite(a, ndims: tuple[int, ...], expected: str, what: str,
+               copy: bool = True) -> np.ndarray:
+    """A complex128 array whose ndim is one of ``ndims``, rejecting non-finite
+    entries; a copy unless ``copy`` is false and ``a`` already is a complex128 array."""
+    m = np.array(a, dtype=np.complex128, copy=copy or None)
+    if m.ndim not in ndims:
+        raise DimensionMismatch(f"expected {expected}, got ndim={m.ndim}")
+    if not np.all(np.isfinite(m.view(np.float64))):
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    return m
 
 
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.array(a, dtype=np.complex128)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise ValueError("matrix contains NaN or Inf entries")
-    return m
+    return _as_finite(a, (2,), "a 2-D matrix", "matrix")
 
 
 def as_vector(x) -> np.ndarray:
     """Coerce to a 1-D complex128 array, rejecting non-finite entries."""
-    v = np.array(x, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v.view(np.float64))):
-        raise ValueError("vector contains NaN or Inf entries")
-    return v
+    return _as_finite(x, (1,), "a 1-D vector", "vector")
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
@@ -68,15 +87,41 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def hermitian_residual(a: np.ndarray) -> float:
-    """Frobenius distance to the adjoint, scaled by 1 + ||A||_F."""
+def _chunks(count: int, n: int):
+    """Slices of a stack of ``count`` n x n matrices, each at most _EIGEN_CHUNK_BYTES
+    of complex128 (at least one matrix)."""
+    size = max(1, _EIGEN_CHUNK_BYTES // (16 * n * n)) if n else max(count, 1)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
+
+
+def _norms(a: np.ndarray):
+    """Frobenius norm of a matrix, or of every matrix in a stack (last two axes).
+
+    Taken on the float64 view, one matrix's norm has the same bits alone and
+    anywhere in a stack, which keeps the Jacobi stopping tests alike.  A
+    stack larger than one slice (see ``_chunks``) is squared a slice at a time.
+    """
+    f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+
+    def norms(x):
+        return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+
+    if f.ndim == 2 or f.nbytes <= _EIGEN_CHUNK_BYTES:
+        return norms(f)
+    return np.concatenate([norms(f[part]) for part in _chunks(f.shape[0], f.shape[1])])
+
+
+def hermitian_residual(a: np.ndarray):
+    """Frobenius distance to the adjoint, scaled by 1 + ||A||_F (of each matrix in a stack)."""
     a = np.asarray(a)
-    return frobenius(a - adjoint(a)) / (1.0 + frobenius(a))
+    d = adjoint(a)
+    d -= a  # A* - A in place: the same norm as A - A*, with one temporary
+    return _norms(d) / (1.0 + _norms(a))
 
 
 def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and hermitian_residual(a) <= tol
+    return a.shape[0] == a.shape[1] and bool(hermitian_residual(a) <= tol)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -132,7 +177,7 @@ def _row_major_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
     for p in range(n - 1):
         for q in range(p + 1, n):
             apq = a[p, q]
-            absa = abs(apq)
+            absa = np.abs(apq)  # not abs(): the stacked sweep's np.abs differs from it by an ulp
             if absa <= skip:
                 continue
             phase = apq / absa
@@ -163,50 +208,56 @@ def _row_major_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
             v[:, q] = vp * sp + vq * c
 
 
-def _round_robin_sweep(a: np.ndarray, v: np.ndarray, skip: float, schedule) -> None:
-    """One sweep in round-robin order, in place.
+def _stacked_sweep(a: np.ndarray, v: np.ndarray, skip: np.ndarray, active: np.ndarray,
+                   steps) -> None:
+    """One sweep over the ``active`` matrices of a stack, in place.
 
-    The rotations of one step touch disjoint rows and columns, so each is
-    computed from the step's starting matrix and all of them are applied
-    together: columns, then rows, then eigenvector columns.  Pairs at or
-    below ``skip`` are dropped before any division.  Integer-array indexing
-    copies, so ``colp`` and the like are snapshots taken before the writes.
+    A step is a pair of index arrays (p, q) of disjoint pairs.  The (matrix,
+    pair) entries whose pivot is above that matrix's ``skip`` are computed
+    from the step's starting matrices and rotated together: columns, then
+    rows, then eigenvector columns.  Integer-array indexing copies, so
+    ``colp`` and the like are snapshots taken before the writes.  Every
+    matrix meets the same steps in the same order whatever else is active,
+    with the same element-wise arithmetic per entry.
     """
-    for p, q in schedule:
-        apq = a[p, q]
+    mats = active[:, None]
+    for p, q in steps:
+        apq = a[mats, p, q]
         absa = np.abs(apq)
-        live = absa > skip
+        live = absa > skip[mats]
         if not live.any():
             continue
-        if not live.all():
-            p, q, apq, absa = p[live], q[live], apq[live], absa[live]
+        k, j = np.nonzero(live)
+        m = active[k]
+        p, q, apq, absa = p[j], q[j], apq[k, j], absa[k, j]
         phase = apq / absa
-        tau = (a[q, q].real - a[p, p].real) / (2.0 * absa)
+        tau = (a[m, q, q].real - a[m, p, p].real) / (2.0 * absa)
         t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = t * c
-        cp = c * phase
-        sp = s * phase
-        colp = a[:, p]
-        colq = a[:, q]
-        a[:, p] = colp * cp - colq * s
-        a[:, q] = colp * sp + colq * c
-        rowp = a[p, :]
-        rowq = a[q, :]
-        a[p, :] = rowp * np.conj(cp)[:, None] - rowq * s[:, None]
-        a[q, :] = rowp * np.conj(sp)[:, None] + rowq * c[:, None]
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-        a[p, p] = a[p, p].real
-        a[q, q] = a[q, q].real
-        vp = v[:, p]
-        vq = v[:, q]
-        v[:, p] = vp * cp - vq * s
-        v[:, q] = vp * sp + vq * c
+        cp = (c * phase)[:, None]
+        sp = (s * phase)[:, None]
+        c, s = c[:, None], s[:, None]
+        colp, colq = a[m, :, p], a[m, :, q]
+        a[m, :, p] = colp * cp - colq * s
+        a[m, :, q] = colp * sp + colq * c
+        rowp, rowq = a[m, p, :], a[m, q, :]
+        a[m, p, :] = rowp * np.conj(cp) - rowq * s
+        a[m, q, :] = rowp * np.conj(sp) + rowq * c
+        a[m, p, q] = 0.0
+        a[m, q, p] = 0.0
+        a[m, p, p] = a[m, p, p].real
+        a[m, q, q] = a[m, q, q].real
+        vp, vq = v[m, :, p], v[m, :, q]
+        v[m, :, p] = vp * cp - vq * s
+        v[m, :, q] = vp * sp + vq * c
 
 
-def _jacobi_sweeps(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize an exactly Hermitian matrix by cyclic Jacobi rotations.
+def _jacobi_sweeps(a: np.ndarray, first: int, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalize a stack (N, n, n) of exactly Hermitian matrices in place by
+    cyclic Jacobi rotations; returns the diagonals (N, n) and eigenvectors
+    (N, n, n).  The stack is matrices ``first`` to ``first + N`` of ``total``,
+    which only names the matrix in NoConvergence.
 
     Each rotation first twists the pivot phase so the 2x2 subproblem is
     real symmetric, then applies the classic symmetric Schur rotation with
@@ -215,55 +266,87 @@ def _jacobi_sweeps(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row-major order (p < q).  From that size on it uses the round-robin
     ordering of Brent & Luk (1985): n-1 steps of n/2 disjoint rotations,
     applied as vectorized updates; odd n takes n steps with one idle slot
-    each.  Both orderings are fixed functions of n, so identical
-    inputs give bit-identical outputs.
+    each.  Both orderings are fixed functions of n, so identical inputs
+    give bit-identical outputs.
+
+    Every matrix has its own ||A||_F, stopping threshold and skip threshold.
+    After each off-diagonal test, converged matrices leave the active set;
+    zero matrices and n = 1 leave at the first test.  A sweep is one
+    ``_stacked_sweep`` over the active matrices, except when a single matrix
+    below n = JACOBI_ROUND_ROBIN_MIN_N is active (a lone call, or the last
+    one left of a stack): ``_row_major_sweep`` on views of it is about twice
+    as fast there.  See the module docstring for what keeps the two alike.
     """
-    n = h.shape[0]
-    a = h.copy()
-    v = np.eye(n, dtype=np.complex128)
-    norm_f = frobenius(h)
-    if n == 1 or norm_f == 0.0:
-        return np.diag(a).real.copy(), v
+    count, n = a.shape[0], a.shape[-1]
+    v = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
+    stop = JACOBI_OFF_THRESHOLD * _norms(a)
+    skip = stop / (2.0 * max(n, 1))  # elements below this cannot push off(A) past stop
+    if n >= JACOBI_ROUND_ROBIN_MIN_N:
+        steps = _round_robin_schedule(n)
+    else:  # one pair per step, in row-major order
+        steps = [(np.array([p]), np.array([q])) for p in range(n - 1) for q in range(p + 1, n)]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    active = np.arange(count)
 
-    stop = JACOBI_OFF_THRESHOLD * norm_f
-    skip = stop / (2.0 * n)  # elements below this cannot push off(A) past stop
-    schedule = _round_robin_schedule(n) if n >= JACOBI_ROUND_ROBIN_MIN_N else None
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = frobenius(a - np.diag(np.diag(a)))
-        if off <= stop:
-            return np.diag(a).real.copy(), v
-        if schedule is None:
-            _row_major_sweep(a, v, skip)
+    for sweep in range(JACOBI_MAX_SWEEPS + 1):
+        off = _norms(np.where(off_diagonal, a[active], 0.0))
+        active = active[off > stop[active]]
+        if active.size == 0:
+            return np.diagonal(a, axis1=1, axis2=2).real.copy(), v
+        if sweep == JACOBI_MAX_SWEEPS:
+            break
+        if active.size == 1 and n < JACOBI_ROUND_ROBIN_MIN_N:
+            _row_major_sweep(a[active[0]], v[active[0]], skip[active[0]])
         else:
-            _round_robin_sweep(a, v, skip, schedule)
+            _stacked_sweep(a, v, skip, active, steps)
 
-    off = frobenius(a - np.diag(np.diag(a)))
-    if off <= stop:
-        return np.diag(a).real.copy(), v
+    k = int(active[0])
     raise NoConvergence(
-        f"Jacobi did not reach off-diagonal norm {stop:.3e} in {JACOBI_MAX_SWEEPS} sweeps"
+        f"Jacobi did not reach off-diagonal norm {stop[k]:.3e} in {JACOBI_MAX_SWEEPS} sweeps"
+        f" on matrix {first + k} of {total}"
     )
 
 
 def hermitian_eigen(a) -> EigenDecomposition:
-    """Full eigendecomposition of a Hermitian matrix.
+    """Full eigendecomposition of a Hermitian matrix, or of each matrix in a
+    stack (N, n, n).
 
     Eigenvalues come back sorted ascending, eigenvector columns permuted in
     lockstep; ties keep the Jacobi output order, so identical inputs give
-    bit-identical results.  Both arrays are read-only, so objects may keep them.
+    bit-identical results.  A stack gives eigenvalues (N, n) and eigenvectors
+    (N, n, n), each matrix's bit-identical to a lone call on it; an empty
+    stack gives empty arrays.  Both arrays are read-only, so objects may keep them.
+    A stack is checked and diagonalized in slices of at most _EIGEN_CHUNK_BYTES,
+    so the working copies stay small next to the input and the result.
 
-    Raises NotHermitian if the input fails the Hermiticity check and
-    NoConvergence if the sweep budget is exhausted.
+    Raises NotHermitian if the input (for a stack: the first failing matrix,
+    named by its index) fails the Hermiticity check and NoConvergence if the
+    sweep budget is exhausted.
     """
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise NotHermitian(f"matrix is not square: {m.shape[0]}x{m.shape[1]}")
-    if hermitian_residual(m) > TOL_HERM:
-        raise NotHermitian(f"Hermiticity residual {hermitian_residual(m):.3e} exceeds {TOL_HERM}")
-    vals, vecs = _jacobi_sweeps(hermitize(m))
-    order = np.argsort(vals, kind="stable")
-    vals, vecs = vals[order].copy(), vecs[:, order].copy()
+    m = _as_finite(a, (2, 3), "a matrix or a stack of matrices", "matrix", copy=False)
+    lone = m.ndim == 2
+    if lone:
+        m = m[None]
+    count, n = m.shape[0], m.shape[-1]
+    if m.shape[1] != n:
+        raise NotHermitian(f"matrix is not square: {m.shape[1]}x{n}")
+    chunks = _chunks(count, n)
+    for part in chunks:
+        residuals = hermitian_residual(m[part])
+        bad = residuals > TOL_HERM
+        if bad.any():
+            k = int(np.argmax(bad))
+            where = "" if lone else f" of matrix {part.start + k} in the stack"
+            raise NotHermitian(f"Hermiticity residual{where} {residuals[k]:.3e} exceeds {TOL_HERM}")
+    vals = np.empty((count, n))
+    vecs = np.empty((count, n, n), dtype=np.complex128)
+    for part in chunks:
+        diag, v = _jacobi_sweeps(hermitize(m[part]), part.start, count)
+        order = np.argsort(diag, axis=-1, kind="stable")
+        vals[part] = np.take_along_axis(diag, order, axis=-1)
+        vecs[part] = np.take_along_axis(v, order[:, None, :], axis=-1)
+    if lone:
+        vals, vecs = vals[0], vecs[0]
     for arr in (vals, vecs):
         arr.flags.writeable = False
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
@@ -287,7 +370,7 @@ def psd_sqrt(a) -> np.ndarray:
 
 def _psd_tolerance(a: np.ndarray):
     """How far below zero an eigenvalue or probability of a PSD A (of each in a stack) may round."""
-    return TOL_PSD_REL * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    return TOL_PSD_REL * (1.0 + _norms(a))
 
 
 def _as_stack(items, shape: tuple[int, ...], what: str) -> np.ndarray:

@@ -86,6 +86,20 @@ def random_povm(dim, atoms, seed):
             return m
 
 
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of ``module`` to count its calls; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return rng_for(0)

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import VectorFrame, linalg
+from framekit import VectorFrame, correspondence, linalg
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import vector_frame_to_json
 
-from conftest import random_unit
+from conftest import count_calls, random_unit
 
 
 def write_json(path, obj):
@@ -95,6 +95,34 @@ def test_full_correspondence_pipeline_via_files(pair_path, tmp_path):
     bounds = read_report(tmp_path / "b.json")["summary"]
     assert bounds["lower"] == pytest.approx(1.0, rel=1e-12)
     assert bounds["upper"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_to_povm_diagonalizes_the_frame_operator_and_one_stack(pair_path, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
+    assert calls == {"hermitian_eigen": 2}  # S on loading, then every element at once
+    report = read_report(tmp_path / "p.json")
+    assert [c["name"] for c in report["checks"]] == ["povm_valid", "framed"]
+    assert report["passed"] is True
+    assert (report["summary"]["lower"], report["summary"]["upper"]) == (1.0, 2.0)
+
+
+def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_path, monkeypatch):
+    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
+    povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
+    seeds = []
+    original = correspondence.validate
+
+    def recording(m, seed=0):
+        seeds.append(seed)
+        return original(m, seed=seed)
+
+    monkeypatch.setattr(correspondence, "validate", recording)
+    assert main(["decompose", "--in", povm_path, "--seed", "7",
+                 "--out", str(tmp_path / "d.json")]) == 0
+    assert main(["roundtrip", "--in", pair_path, "--seed", "9",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert seeds == [7, 9]
 
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):

@@ -24,6 +24,7 @@ from framekit import (
     InvalidPovm,
     NotAFrame,
     NotFramed,
+    NotHermitian,
     NotPsd,
     Povm,
     ReferenceMeasureRule,
@@ -51,7 +52,7 @@ from framekit.correspondence import (
 )
 from framekit.linalg import psd_sqrt
 
-from conftest import complex_box, random_ovf, random_povm, rng_for
+from conftest import complex_box, count_calls, random_ovf, random_povm, rng_for
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -184,6 +185,28 @@ def test_densities_must_be_hermitian_psd():
         Decomposition(measure=space, densities=[np.diag([1.0, -1.0]).astype(complex)])
 
 
+def test_decomposition_diagonalizes_every_density_in_one_call(monkeypatch):
+    d = decompose(random_povm(dim=4, atoms=9, seed=6))
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    again = Decomposition(measure=d.measure, densities=d.densities)
+    assert calls == {"hermitian_eigen": 1}
+    assert np.array_equal(again._eigen.eigenvectors, d._eigen.eigenvectors)
+
+
+def test_decomposition_rejects_the_first_failing_atom():
+    space = AtomicMeasureSpace(atoms=["a", "b"], weights=[1.0, 1.0])
+    eye = np.eye(2, dtype=complex)
+    not_psd = np.diag([1.0, -1.0]).astype(complex)
+    not_hermitian = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(NotPsd, match="'a'"):
+        Decomposition(measure=space, densities=[not_psd, not_hermitian])
+    with pytest.raises(NotHermitian, match="'a'"):
+        Decomposition(measure=space, densities=[not_hermitian, not_psd])
+    # neither Hermitian nor PSD: Hermiticity is checked first
+    with pytest.raises(NotHermitian, match="'b'"):
+        Decomposition(measure=space, densities=[eye, not_hermitian - 3.0 * eye])
+
+
 def test_decomposition_needs_a_positive_dim_h():
     empty = AtomicMeasureSpace(atoms=[], weights=[])
     for dim_h in (0, -3, None):
@@ -228,15 +251,7 @@ def test_recovered_blocks_are_density_square_roots():
 
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=6, seed=3))
-    calls = {"hermitian_eigen": 0, "psd_sqrt": 0}
-    for name in calls:
-        original = getattr(linalg, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, name, counted)
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt")
     decomposition_to_ovf(d)
     assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0}
 

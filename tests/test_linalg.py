@@ -16,6 +16,7 @@ from framekit import linalg
 from framekit.correspondence import decomposition_from_json
 from framekit.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     NotPsd,
     ParseError,
@@ -153,6 +154,95 @@ def test_eigen_is_bit_deterministic():
         d2 = linalg.hermitian_eigen(a.copy())
         assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        stack = np.array([a, random_psd(dim, seed=78), a / 3.0])
+        s1 = linalg.hermitian_eigen(stack.copy())
+        s2 = linalg.hermitian_eigen(stack.copy())
+        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
+        assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+def mixed_stack(dim, seed):
+    """A zero matrix, a diagonal one (converged before any rotation), one with a
+    single live pair, a low-rank PSD one and dense ones, in that order."""
+    diag = np.diag(np.arange(dim, 0.0, -1.0)).astype(complex)
+    one_pair = diag.copy()
+    if dim > 1:
+        one_pair[0, dim - 1], one_pair[dim - 1, 0] = 0.5j, -0.5j
+    g = complex_box(rng_for(seed), (dim, 1))
+    dense = [random_hermitian(dim, seed=seed + k) for k in range(3)]
+    return np.array([np.zeros((dim, dim)), diag, one_pair, g @ linalg.adjoint(g)] + dense)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 15, 16, 17])
+def test_eigen_stack_matches_lone_calls_bit_for_bit(dim):
+    stack = mixed_stack(dim, seed=dim)
+    # every position: the stack as built, reversed, and each matrix among dense ones
+    orders = [np.arange(len(stack)), np.arange(len(stack))[::-1]]
+    orders += [np.array([4, k, 5, 6]) for k in range(4)]
+    for order in orders:
+        dec = linalg.hermitian_eigen(stack[order])
+        for pos, k in enumerate(order):
+            lone = linalg.hermitian_eigen(stack[k])
+            assert np.array_equal(dec.eigenvalues[pos], lone.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[pos], lone.eigenvectors)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12, 16, 21])
+def test_eigen_stack_matches_numpy(dim):
+    stack = np.array([random_hermitian(dim, seed=200 + k) for k in range(4)])
+    dec = linalg.hermitian_eigen(stack)
+    assert dec.eigenvalues.shape == (4, dim) and dec.eigenvectors.shape == (4, dim, dim)
+    assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(stack), rtol=1e-12, atol=1e-12)
+    assert np.allclose(dec.reconstruct(), stack, rtol=0, atol=1e-12)
+
+
+def test_eigen_stack_is_read_only_and_may_be_empty():
+    dec = linalg.hermitian_eigen(mixed_stack(4, seed=1))
+    for arr in (dec.eigenvalues, dec.eigenvectors):
+        assert not arr.flags.writeable
+    empty = linalg.hermitian_eigen(np.zeros((0, 3, 3), dtype=complex))
+    assert empty.eigenvalues.shape == (0, 3) and empty.eigenvectors.shape == (0, 3, 3)
+    assert not empty.eigenvalues.flags.writeable and not empty.eigenvectors.flags.writeable
+
+
+def test_eigen_stack_names_its_non_hermitian_member():
+    stack = mixed_stack(3, seed=2)
+    stack[5, 0, 1] += 1.0
+    with pytest.raises(NotHermitian, match="matrix 5 "):
+        linalg.hermitian_eigen(stack)
+
+
+def test_eigen_stack_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    for dim in (6, 16):  # row-major and round-robin steps
+        stack = mixed_stack(dim, seed=dim)[[1, 4, 5]]  # diagonal, then two dense ones
+        with pytest.raises(NoConvergence, match="matrix 1 of 3"):
+            linalg.hermitian_eigen(stack)
+
+
+def test_eigen_stack_in_slices_matches_one_slice(monkeypatch):
+    stack = mixed_stack(8, seed=3)
+    whole = linalg.hermitian_eigen(stack)
+    residuals = linalg.hermitian_residual(stack)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence) as unsliced:
+        linalg.hermitian_eigen(stack)
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "_EIGEN_CHUNK_BYTES", 2 * 16 * 8 * 8)  # two matrices a slice
+    slices = [(s.start, s.stop) for s in linalg._chunks(len(stack), 8)]
+    assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    sliced = linalg.hermitian_eigen(stack)
+    assert np.array_equal(sliced.eigenvalues, whole.eigenvalues)
+    assert np.array_equal(sliced.eigenvectors, whole.eigenvectors)
+    assert np.array_equal(linalg.hermitian_residual(stack), residuals)
+    bad = stack.copy()
+    bad[5, 0, 1] += 1.0
+    with pytest.raises(NotHermitian, match="matrix 5 "):
+        linalg.hermitian_eigen(bad)
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence) as in_slices:
+        linalg.hermitian_eigen(stack)
+    assert str(in_slices.value) == str(unsliced.value)
 
 
 # -- psd sqrt ------------------------------------------------------------

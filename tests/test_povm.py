@@ -13,9 +13,10 @@ from framekit import (
     measure_probabilities,
     validate,
 )
+from framekit import linalg
 from framekit.povm import evaluate, povm_from_json, povm_to_json
 
-from conftest import random_povm, random_unit
+from conftest import count_calls, random_povm, random_unit
 
 D10 = np.diag([1.0, 0.0]).astype(complex)
 D01 = np.diag([0.0, 1.0]).astype(complex)
@@ -103,6 +104,27 @@ def test_validate_flags_broken_additivity():
     report = validate(m)
     assert report.failures == ("NotAdditive",)
     assert report.max_additivity_residual > report.additivity_tolerance
+
+
+def test_validate_diagonalizes_every_element_in_one_call(monkeypatch):
+    m = random_povm(dim=4, atoms=9, seed=5)
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    assert validate(m).passed
+    assert calls == {"hermitian_eigen": 1}
+
+
+def test_validate_min_eigenvalues_match_lone_calls_bit_for_bit():
+    skew = np.zeros((3, 3), dtype=complex)
+    skew[0, 2] = 1e-13j  # Hermitian only to within TOL_HERM: hermitize changes it
+    cases = [random_povm(dim=17, atoms=3, seed=2), projective_qubit()]
+    m = random_povm(dim=3, atoms=7, seed=1)
+    cases.append(Povm(atoms=m.atoms, dim_h=3, elements=m.elements + skew))
+    for m in cases:
+        report = validate(m)
+        for r, elem in zip(report.element_reports, m.elements):
+            lone = linalg.hermitian_eigen(linalg.hermitize(elem)).eigenvalues[0]
+            assert r.min_eigenvalue == lone
+            assert type(r.min_eigenvalue) is float and type(r.psd) is bool
 
 
 def test_validate_is_deterministic_per_seed():

@@ -212,6 +212,16 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return entry
 
 
+def _reintegration_check(cfg: ExperimentConfig, m: povm.Povm, d: cr.Decomposition) -> dict:
+    """Every event of m reintegrates from d: the O(N) bound against the tolerance."""
+    bound = cr.reintegration_bound(m, d)
+    tol = cfg.tolerance_overrides.get("decomp")
+    if tol is None:
+        tol = cr._reintegration_tolerance(m)
+    return _check("reintegration", bound <= tol, bound=bound, tolerance=tol,
+                  margin=bound / tol if tol > 0 else None)
+
+
 def _dyadic_rule(dim_h: int) -> cr.ReferenceMeasureRule:
     basis = np.eye(dim_h, dtype=np.complex128)  # one basis vector per row
     return cr.ReferenceMeasureRule(kind="dyadic-sequence", sequence=basis)
@@ -315,18 +325,14 @@ def _cmd_decompose(cfg: ExperimentConfig):
     _, m = _expect(cfg.input_paths[0], ("povm",))
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)
-    max_res, mean_res = cr.reintegration_residuals(m, d, seed=cfg.seed)
-    tol = cfg.tolerance_overrides.get("decomp")
-    if tol is None:
-        tol = cr._reintegration_tolerance(m)
+    reintegration = _reintegration_check(cfg, m, d)
     data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
     _write_json(data_path, cr.decomposition_to_json(d))
-    checks = [_check("reintegration", max_res <= tol, max_residual=max_res, tolerance=tol)]
+    checks = [reintegration]
     summary = {
         "rule": cfg.rule,
         "atoms_kept": len(d.measure),
-        "max_reintegration_residual": max_res,
-        "mean_reintegration_residual": mean_res,
+        "reintegration_bound": reintegration["bound"],
     }
     return checks, summary, {"decomposition": data_path}
 
@@ -361,7 +367,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
     m = cr.ovf_to_povm(ovf)
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)  # validates m; InvalidPovm (exit 2) if it fails
-    reint_max, _ = cr.reintegration_residuals(m, d, seed=cfg.seed)
+    reintegration = _reintegration_check(cfg, m, d)
     ovf2 = cr.decomposition_to_ovf(d)
     b1 = frames.frame_bounds(ovf2)
     equiv = cr.verify_ovf_equivalence(ovf, ovf2)
@@ -379,13 +385,9 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
     tol_equiv = cfg.tolerance_overrides.get("equivalence")
     if tol_equiv is None:
         tol_equiv = equiv.tolerance
-    tol_decomp = cfg.tolerance_overrides.get("decomp")
-    if tol_decomp is None:
-        tol_decomp = cr._reintegration_tolerance(m)
 
     checks = [
-        _check("reintegration", reint_max <= tol_decomp,
-               max_residual=reint_max, tolerance=tol_decomp),
+        reintegration,
         _check("equivalence", equiv.max_residual <= tol_equiv,
                max_residual=equiv.max_residual, tolerance=tol_equiv),
         _check("operator_preserved", operator_residual <= tol_bounds,
@@ -395,7 +397,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
     ]
     summary = {
         "rule": cfg.rule,
-        "max_residual": max(reint_max, equiv.max_residual, operator_residual),
+        "max_residual": max(reintegration["bound"], equiv.max_residual, operator_residual),
         "lower": b0.lower,
         "upper": b0.upper,
         "recovered_lower": b1.lower,

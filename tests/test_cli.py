@@ -57,6 +57,34 @@ def test_roundtrip_on_overcomplete_pair(pair_path, tmp_path):
         "reintegration", "equivalence", "operator_preserved", "bounds_preserved"]
 
 
+@pytest.mark.parametrize("dim,atoms", [(8, 48), (4, 14)])
+def test_decompose_and_roundtrip_certify_without_events(dim, atoms, tmp_path, monkeypatch):
+    povm_path, frame_path = str(tmp_path / "povm.json"), str(tmp_path / "frame.json")
+    generate_random("povm", dim, atoms, seed=atoms, output_path=povm_path)
+    generate_random("frame", dim, atoms, seed=atoms, output_path=frame_path)
+    calls = count_calls(monkeypatch, correspondence, "all_events", "sample_events")
+    for rule in ("trace", "dyadic"):
+        assert main(["decompose", "--in", povm_path, "--rule", rule,
+                     "--out", str(tmp_path / f"d-{rule}.json")]) == 0
+        assert main(["roundtrip", "--in", frame_path, "--rule", rule,
+                     "--out", str(tmp_path / f"r-{rule}.json")]) == 0
+    assert calls == {"all_events": 0, "sample_events": 0}
+    for name in ("d-trace", "d-dyadic", "r-trace", "r-dyadic"):
+        check = read_report(tmp_path / f"{name}.json")["checks"][0]
+        assert check["name"] == "reintegration"
+        assert check["margin"] == check["bound"] / check["tolerance"] < 1e-2
+
+
+def test_decomp_tolerance_override_sets_the_reintegration_check(pair_path, tmp_path):
+    out = tmp_path / "r.json"
+    for tol, code in ((1e-3, 0), (1e-30, 1), (0.0, 1)):
+        assert main(["roundtrip", "--in", pair_path, "--out", str(out),
+                     "--tol", f"decomp={tol!r}"]) == code
+        check = read_report(out)["checks"][0]
+        assert check["tolerance"] == tol
+        assert check["margin"] == (check["bound"] / tol if tol else None)
+
+
 def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
     x = random_unit(2, seed=3)
     xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))

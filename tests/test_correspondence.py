@@ -11,6 +11,7 @@ Hand oracles used below, all checkable by hand:
   residual at exactly zero.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -39,12 +40,16 @@ from framekit import (
     inner,
     ovf_to_povm,
     reference_measure,
+    reintegration_bound,
     reintegration_residuals,
     verify_ovf_equivalence,
     verify_uniqueness,
 )
 from framekit import linalg
 from framekit.correspondence import (
+    EXHAUSTIVE_EVENT_ATOMS,
+    _aligned_products,
+    _reintegration_tolerance,
     all_events,
     decomposition_from_json,
     decomposition_to_json,
@@ -52,7 +57,7 @@ from framekit.correspondence import (
 )
 from framekit.linalg import psd_sqrt
 
-from conftest import complex_box, count_calls, random_ovf, random_povm, rng_for
+from conftest import complex_box, count_calls, random_ovf, random_povm, random_psd, rng_for
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -219,6 +224,103 @@ def test_reintegrate_rejects_unknown_atoms():
     assert np.array_equal(d.reintegrate(["a", "a"]), d.reintegrate(["a"]))
     with pytest.raises(UnknownAtom):
         d.reintegrate(["a", "nope"])
+
+
+# -- the reintegration bound --------------------------------------------------
+
+
+def enumerated_max(m, d):
+    """reintegration_residuals(m, d)[0] over every event, by subset sums.
+
+    An event's two running sums extend those of the event without its last
+    atom by that atom's terms, so a table of them has the oracle's bits.
+    The table holds the first 12 atoms' events; each subset of the rest is
+    added on top in atom order.  Events whose squared residual is within
+    1e-9 of the largest are measured again with the oracle's norm.
+    """
+    terms = np.stack([m.elements, _aligned_products(m, d)], axis=1).view(np.float64)
+    low = min(len(terms), 12)
+    sums = np.zeros((1 << low,) + terms.shape[1:])
+    for k, t in enumerate(terms[:low]):
+        np.add(sums[:1 << k], t, out=sums[1 << k:2 << k])
+    worst = 0.0
+    for high in itertools.product((False, True), repeat=len(terms) - low):
+        s = sums
+        for t in terms[low:][list(high)]:
+            s = s + t
+        diff = (s[:, 0] - s[:, 1]).reshape(len(s), -1)
+        squares = np.einsum("ij,ij->i", diff, diff)
+        for x in diff[squares >= squares.max() * (1.0 - 1e-9)]:
+            worst = max(worst, linalg.frobenius(x.view(np.complex128)))
+    return worst
+
+
+def rounding_term(m, d):
+    """gamma_{N+2} (sum_t ||M({t})|| + sum_t ||mu({t}) Q(t)||), the bound's share
+    for the enumeration's own rounding."""
+    k, u = len(m.atoms) + 2, np.finfo(np.float64).eps / 2.0
+    norms = np.linalg.norm(np.stack([m.elements, _aligned_products(m, d)]), axis=(2, 3))
+    return k * u / (1.0 - k * u) * float(norms.sum())
+
+
+def povm_with_a_zero_atom(dim, atoms, seed):
+    m = random_povm(dim=dim, atoms=atoms, seed=seed)
+    elements = np.array(m.elements)
+    elements[1] = 0.0
+    return Povm(atoms=m.atoms, dim_h=dim, elements=elements)
+
+
+def criterion_5_povms():
+    for seed in range(100):
+        yield random_povm(dim=2 + seed % 7, atoms=3 + seed % 14, seed=seed)
+
+
+def test_enumerated_max_has_the_oracles_bits():
+    for m in (random_povm(dim=4, atoms=10, seed=41), povm_with_a_zero_atom(3, 8, seed=5)):
+        for d in (decompose(m), decompose(m, standard_basis_rule(m.dim_h))):
+            assert enumerated_max(m, d) == reintegration_residuals(m, d)[0]
+
+
+def test_bound_dominates_every_event():
+    povms = [random_povm(dim=4, atoms=10, seed=41), povm_with_a_zero_atom(4, 12, seed=3)]
+    assert len(decompose(povms[1]).measure) == 11
+    for m in itertools.chain(povms, criterion_5_povms()):
+        for d in (decompose(m), decompose(m, standard_basis_rule(m.dim_h))):
+            assert enumerated_max(m, d) <= reintegration_bound(m, d)
+
+
+def test_bound_fails_a_perturbed_density_where_the_enumeration_does():
+    m = random_povm(dim=4, atoms=10, seed=41)
+    d = decompose(m)
+    h = random_psd(4, seed=7)
+    h /= linalg.frobenius(h)
+    tol = _reintegration_tolerance(m)
+    verdicts = []
+    for delta in np.logspace(-16, -6, 21):
+        densities = np.array(d.densities)
+        densities[3] += delta * h
+        bumped = Decomposition(measure=d.measure, densities=densities)
+        enumerated, bound = enumerated_max(m, bumped), reintegration_bound(m, bumped)
+        # the gap is the rounding term plus the unperturbed atoms' differences,
+        # which are rounding-sized as well
+        assert enumerated <= bound <= enumerated + 2.0 * rounding_term(m, bumped)
+        verdicts.append((enumerated > tol, bound > tol))
+    assert all(e == b for e, b in verdicts)
+    assert verdicts[0] == (False, False) and verdicts[-1] == (True, True)
+
+
+def test_bound_rejects_an_atom_the_povm_lacks():
+    m = projective_qubit()
+    d = Decomposition(measure=AtomicMeasureSpace(atoms=["a", "z"], weights=[1.0, 1.0]),
+                      densities=list(m.elements))
+    with pytest.raises(UnknownAtom):
+        reintegration_bound(m, d)
+
+
+def test_residuals_refuse_to_enumerate_a_large_space():
+    big = random_povm(dim=2, atoms=EXHAUSTIVE_EVENT_ATOMS + 1, seed=9)
+    with pytest.raises(ValueError):
+        reintegration_residuals(big, decompose(big))
 
 
 # -- decomposition back to a frame --------------------------------------------

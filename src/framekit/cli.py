@@ -198,7 +198,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
 def _derived(output_path: str, suffix: str) -> str:

@@ -213,7 +213,11 @@ class CoefficientField:
         if len(lengths) != len(space):
             raise DimensionMismatch(f"{len(space)} atoms but {len(lengths)} segments")
         values = linalg.as_vector(np.concatenate(segments) if lengths else [])
-        offsets = np.cumsum([0] + lengths)
+        self._fill(space, values, np.cumsum([0] + lengths))
+
+    def _fill(self, space: AtomicMeasureSpace, values: np.ndarray, offsets: np.ndarray) -> None:
+        """Set the fields from a checked flat complex128 vector, cut at ``offsets``
+        without a copy; ``analysis`` builds a field through this directly."""
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "segments", _views(values, offsets))
         object.__setattr__(self, "_values", values)
@@ -272,7 +276,9 @@ def analysis(ovf: OperatorValuedFrame, x) -> CoefficientField:
     v = linalg.as_vector(x)
     if v.shape[0] != ovf.dim_h:
         raise DimensionMismatch(f"vector has dim {v.shape[0]}, frame expects {ovf.dim_h}")
-    return CoefficientField(space=ovf.space, segments=_views(ovf._rows @ v, ovf._offsets))
+    c = object.__new__(CoefficientField)
+    c._fill(ovf.space, ovf._rows @ v, ovf._offsets)
+    return c
 
 
 def synthesis(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:

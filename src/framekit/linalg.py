@@ -3,24 +3,15 @@
 Everything operates on numpy complex128 arrays and is written so that
 repeated calls on identical inputs return bit-identical outputs: the
 eigensolver is a cyclic Jacobi iteration whose rotation order is a fixed
-function of the matrix size (row-major single rotations for small n,
-round-robin steps of disjoint rotations from n = 16 on).  It takes one
-matrix or a stack of equal-sized ones; a stack is diagonalized together,
-every matrix with its own thresholds and stopping test, and each matrix's
-eigenpairs are bit-identical to those of a lone call on it.
-
-From n = 16 on a lone matrix goes through the same stacked sweep, so that
-holds by construction.  Below 16 a single active matrix is rotated by a
-loop of numpy scalar arithmetic instead (about twice as fast there), and
-the two agree bit for bit only because numpy's scalar and element-wise
-array loops round complex abs, multiply and divide alike.  That was
-checked with numpy 2.4 on an x86-64 CPU with AVX-512 loops
-(test_eigen_stack_matches_lone_calls_bit_for_bit); another numpy build or
-CPU may differ in the last bit, which that test and
-test_recovered_blocks_are_density_square_roots would show.  There is no
-general inverse; the frame operator is inverted through its kept
-eigendecomposition (see ``reconstruction.reconstruct_direct``).  All
-functions are pure; no hidden state.
+function of the matrix size (round-robin steps of disjoint rotations at
+every n).  It takes one matrix or a stack of equal-sized ones; a stack is
+diagonalized together, every matrix with its own thresholds and stopping
+test.  A lone matrix is a stack of one and takes the same stacked sweep, so
+each matrix's eigenpairs are bit-identical alone and anywhere in any stack
+by construction.  There is no general inverse; the frame operator is
+inverted through its kept eigendecomposition (see
+``reconstruction.reconstruct_direct``).  All functions are pure; no hidden
+state.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -40,10 +31,6 @@ TOL_PSD_REL = 1e-10     # scaled by (1 + ||A||_F)
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A||_F
-# From this size on a sweep is made of vectorized round-robin steps.  Each
-# step pays a fixed numpy overhead, so single rotations are as fast or faster
-# up to n = 8, and the batched steps gain under 2x below n = 16.
-JACOBI_ROUND_ROBIN_MIN_N = 16
 # hermitian_eigen works through a stack in slices of at most this many bytes
 # (64 matrices at n = 16, one at n = 128), so its working copies stay a small
 # part of a large stack; stacks of small matrices still go through in one slice.
@@ -171,43 +158,6 @@ def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return steps
 
 
-def _row_major_sweep(a: np.ndarray, v: np.ndarray, skip: float) -> None:
-    """One sweep of single rotations in row-major order (p < q), in place."""
-    n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            absa = np.abs(apq)  # not abs(): the stacked sweep's np.abs differs from it by an ulp
-            if absa <= skip:
-                continue
-            phase = apq / absa
-            tau = (a[q, q].real - a[p, p].real) / (2.0 * absa)
-            if tau >= 0.0:
-                t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-            else:
-                t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cp = c * phase
-            sp = s * phase
-            colp = a[:, p].copy()
-            colq = a[:, q].copy()
-            a[:, p] = colp * cp - colq * s
-            a[:, q] = colp * sp + colq * c
-            rowp = a[p, :].copy()
-            rowq = a[q, :].copy()
-            a[p, :] = rowp * np.conj(cp) - rowq * s
-            a[q, :] = rowp * np.conj(sp) + rowq * c
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
-            vp = v[:, p].copy()
-            vq = v[:, q].copy()
-            v[:, p] = vp * cp - vq * s
-            v[:, q] = vp * sp + vq * c
-
-
 def _stacked_sweep(a: np.ndarray, v: np.ndarray, skip: np.ndarray, active: np.ndarray,
                    steps) -> None:
     """One sweep over the ``active`` matrices of a stack, in place.
@@ -261,30 +211,23 @@ def _jacobi_sweeps(a: np.ndarray, first: int, total: int) -> tuple[np.ndarray, n
 
     Each rotation first twists the pivot phase so the 2x2 subproblem is
     real symmetric, then applies the classic symmetric Schur rotation with
-    |t| <= 1, which guarantees convergence of the cyclic sweep.  Below
-    n = JACOBI_ROUND_ROBIN_MIN_N a sweep applies single rotations in fixed
-    row-major order (p < q).  From that size on it uses the round-robin
-    ordering of Brent & Luk (1985): n-1 steps of n/2 disjoint rotations,
-    applied as vectorized updates; odd n takes n steps with one idle slot
-    each.  Both orderings are fixed functions of n, so identical inputs
-    give bit-identical outputs.
+    |t| <= 1, which guarantees convergence of the cyclic sweep.  A sweep
+    follows the round-robin ordering of Brent & Luk (1985) at every n:
+    n-1 steps of n/2 disjoint rotations, applied as vectorized updates; odd
+    n takes n steps with one idle slot each.  The ordering is a fixed
+    function of n, so identical inputs give bit-identical outputs.
 
     Every matrix has its own ||A||_F, stopping threshold and skip threshold.
     After each off-diagonal test, converged matrices leave the active set;
     zero matrices and n = 1 leave at the first test.  A sweep is one
-    ``_stacked_sweep`` over the active matrices, except when a single matrix
-    below n = JACOBI_ROUND_ROBIN_MIN_N is active (a lone call, or the last
-    one left of a stack): ``_row_major_sweep`` on views of it is about twice
-    as fast there.  See the module docstring for what keeps the two alike.
+    ``_stacked_sweep`` over the active matrices; a lone matrix is a stack of
+    one, so it meets the same steps with the same arithmetic as in a stack.
     """
     count, n = a.shape[0], a.shape[-1]
     v = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     stop = JACOBI_OFF_THRESHOLD * _norms(a)
     skip = stop / (2.0 * max(n, 1))  # elements below this cannot push off(A) past stop
-    if n >= JACOBI_ROUND_ROBIN_MIN_N:
-        steps = _round_robin_schedule(n)
-    else:  # one pair per step, in row-major order
-        steps = [(np.array([p]), np.array([q])) for p in range(n - 1) for q in range(p + 1, n)]
+    steps = _round_robin_schedule(n)
     off_diagonal = ~np.eye(n, dtype=bool)
     active = np.arange(count)
 
@@ -295,10 +238,7 @@ def _jacobi_sweeps(a: np.ndarray, first: int, total: int) -> tuple[np.ndarray, n
             return np.diagonal(a, axis1=1, axis2=2).real.copy(), v
         if sweep == JACOBI_MAX_SWEEPS:
             break
-        if active.size == 1 and n < JACOBI_ROUND_ROBIN_MIN_N:
-            _row_major_sweep(a[active[0]], v[active[0]], skip[active[0]])
-        else:
-            _stacked_sweep(a, v, skip, active, steps)
+        _stacked_sweep(a, v, skip, active, steps)
 
     k = int(active[0])
     raise NoConvergence(

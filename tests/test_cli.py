@@ -9,7 +9,8 @@ import pytest
 from framekit import VectorFrame, correspondence, linalg
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
-from framekit.frames import vector_frame_to_json
+from framekit.frames import from_vector_frame, vector_frame_from_json, vector_frame_to_json
+from framekit.povm import povm_from_json, povm_to_json
 
 from conftest import count_calls, random_unit
 
@@ -123,6 +124,18 @@ def test_full_correspondence_pipeline_via_files(pair_path, tmp_path):
     bounds = read_report(tmp_path / "b.json")["summary"]
     assert bounds["lower"] == pytest.approx(1.0, rel=1e-12)
     assert bounds["upper"] == pytest.approx(2.0, rel=1e-12)
+
+
+def test_data_files_are_compact_sorted_json(pair_path, tmp_path):
+    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
+    text = Path(read_report(tmp_path / "p.json")["artifacts"]["povm"]).read_text()
+    f = vector_frame_from_json(json.loads(Path(pair_path).read_text()))
+    m = correspondence.ovf_to_povm(from_vector_frame(f))
+    payload = povm_to_json(m)
+    assert text == json.dumps(payload, sort_keys=True) + "\n"
+    back = povm_from_json(json.loads(text))
+    assert back.atoms == m.atoms and back.dim_h == m.dim_h
+    assert np.array_equal(back.elements, m.elements)
 
 
 def test_to_povm_diagonalizes_the_frame_operator_and_one_stack(pair_path, tmp_path, monkeypatch):

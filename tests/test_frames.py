@@ -152,6 +152,25 @@ def test_analysis_segments_are_weighted_functionals():
     assert c.segments[2][0] == pytest.approx(-1j)
 
 
+def test_analysis_cuts_the_one_product_without_a_copy(monkeypatch):
+    f = random_ovf(dim=5, atoms=7, seed=11)
+    x = complex_box(rng_for(12), 5)
+    with monkeypatch.context() as m:
+        m.setattr(np, "concatenate", None)  # the segments are not joined again
+        c = analysis(f, x)
+    assert np.array_equal(c._values, f._rows @ x)
+    assert not c._values.flags.writeable
+    assert [len(seg) for seg in c.segments] == [len(b) for b in f.blocks]
+    for seg, lo in zip(c.segments, f._offsets[:-1]):
+        assert np.shares_memory(seg, c._values)
+        assert np.array_equal(seg, c._values[lo:lo + len(seg)])
+    # the same field as the public constructor builds from those segments
+    built = CoefficientField(f.space, [np.array(seg) for seg in c.segments])
+    assert np.array_equal(built._values, c._values)
+    assert np.array_equal(built._offsets, c._offsets)
+    assert np.array_equal(synthesis(f, built), synthesis(f, c))
+
+
 def test_analysis_synthesis_adjointness():
     """<analysis(x), c>_mu == <x, synthesis(c)> for random frames."""
     for seed in range(5):

@@ -148,7 +148,7 @@ def test_eigen_rejects_non_hermitian():
 
 
 def test_eigen_is_bit_deterministic():
-    for dim in (10, 17, 64):  # row-major path, then round-robin with odd and even n
+    for dim in (10, 17, 64):  # round-robin steps at even, odd and large n
         a = random_hermitian(dim, seed=77)
         d1 = linalg.hermitian_eigen(a.copy())
         d2 = linalg.hermitian_eigen(a.copy())
@@ -159,6 +159,19 @@ def test_eigen_is_bit_deterministic():
         s2 = linalg.hermitian_eigen(stack.copy())
         assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
         assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+def test_round_robin_schedule_meets_every_pair_once(n):
+    steps = linalg._round_robin_schedule(n)
+    assert len(steps) == (n - 1 if n % 2 == 0 else n)
+    met = []
+    for p, q in steps:
+        assert np.all(p < q)
+        step = np.concatenate((p, q)).tolist()
+        assert len(set(step)) == len(step)  # the pairs of a step are disjoint
+        met += list(zip(p.tolist(), q.tolist()))
+    assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 def mixed_stack(dim, seed):
@@ -173,7 +186,7 @@ def mixed_stack(dim, seed):
     return np.array([np.zeros((dim, dim)), diag, one_pair, g @ linalg.adjoint(g)] + dense)
 
 
-@pytest.mark.parametrize("dim", [1, 3, 8, 15, 16, 17])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 8, 15, 16, 17])
 def test_eigen_stack_matches_lone_calls_bit_for_bit(dim):
     stack = mixed_stack(dim, seed=dim)
     # every position: the stack as built, reversed, and each matrix among dense ones
@@ -214,7 +227,7 @@ def test_eigen_stack_names_its_non_hermitian_member():
 
 def test_eigen_stack_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-    for dim in (6, 16):  # row-major and round-robin steps
+    for dim in (6, 16):  # a small and a larger round-robin schedule
         stack = mixed_stack(dim, seed=dim)[[1, 4, 5]]  # diagonal, then two dense ones
         with pytest.raises(NoConvergence, match="matrix 1 of 3"):
             linalg.hermitian_eigen(stack)

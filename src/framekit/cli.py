@@ -4,7 +4,14 @@ Loads frames, POVMs, coefficient fields, and decompositions from JSON
 files, runs one named pipeline over them, and writes a RunReport (plus
 any data artifacts) back to disk.  Exit status 0 means every check in
 the report passed, 1 means at least one failed, 2 means the run errored
-before producing a verdict (bad file, wrong arity, module error).
+before producing a verdict (bad file, wrong arity, unknown --tol name,
+module error).
+
+One table, _COMMANDS, lists the pipeline commands: each entry's handler,
+the kind of each --in file (so its arity) and its help text.  Dispatch,
+the arity check and the argparse tree are all derived from it, and the
+tree is built once, at import.  DEFAULT_CHECK_TOLERANCES is the one list
+of --tol names and their defaults.
 
 File formats are the per-module JSON schemas; the loader sniffs the type
 from the top-level keys ("blocks" = operator frame, "vectors" = vector
@@ -26,7 +33,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -34,39 +41,17 @@ from . import correspondence as cr
 from . import frames, linalg, povm, reconstruction
 from .errors import CommandError, FramekitError, LimitExceeded, ParseError
 
-COMMANDS = (
-    "bounds",
-    "analyze",
-    "reconstruct",
-    "to-povm",
-    "validate-povm",
-    "decompose",
-    "to-ovf",
-    "verify-uniqueness",
-    "roundtrip",
-)
-
-_ARITY = {
-    "bounds": 1,
-    "analyze": 2,
-    "reconstruct": 2,
-    "to-povm": 1,
-    "validate-povm": 1,
-    "decompose": 1,
-    "to-ovf": 1,
-    "verify-uniqueness": 2,
-    "roundtrip": 1,
-}
-
 MAX_GENERATE_DIM = 128
 MAX_GENERATE_ATOMS = 256
 _GENERATE_ATTEMPTS = 100
 
-# Default tolerances for the report checks; override per run with --tol.
+_RULES = ("trace", "dyadic")
+
+# The --tol names and their defaults; None = the tolerance the check scales to its inputs.
 DEFAULT_CHECK_TOLERANCES = {
-    "bounds_rel": 1e-9,       # roundtrip: relative drift of the frame bounds
-    "equivalence": None,      # verify-uniqueness/roundtrip: None = report's own scaled tolerance
-    "decomp": None,           # decompose: None = reintegration tolerance from the modules
+    "bounds_rel": 1e-9,   # roundtrip: relative drift of the frame operator and bounds
+    "equivalence": None,  # verify-uniqueness/roundtrip: the uniqueness report's own tolerance
+    "decomp": None,       # decompose/roundtrip: TOL_DECOMP_REL * (1 + ||M(Omega)||_F)
 }
 
 
@@ -86,15 +71,19 @@ class ExperimentConfig:
     trace_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise CommandError(f"unknown command {self.command!r}")
-        want = _ARITY[self.command]
+        want = len(_COMMANDS[self.command].inputs)
         if len(self.input_paths) != want:
             raise CommandError(
                 f"{self.command} takes {want} input file(s), got {len(self.input_paths)}"
             )
-        if self.rule not in ("trace", "dyadic"):
+        if self.rule not in _RULES:
             raise CommandError(f"unknown rule {self.rule!r}")
+        unknown = sorted(set(self.tolerance_overrides) - set(DEFAULT_CHECK_TOLERANCES))
+        if unknown:
+            raise CommandError(f"unknown --tol name {', '.join(unknown)}; "
+                               f"known: {', '.join(DEFAULT_CHECK_TOLERANCES)}")
 
 
 @dataclass
@@ -206,6 +195,18 @@ def _derived(output_path: str, suffix: str) -> str:
     return stem + suffix
 
 
+def _write_data(cfg: ExperimentConfig, payload) -> str:
+    """Write the command's data artifact to --data-out or <out>.data.json; return the path."""
+    path = cfg.data_path or _derived(cfg.output_path, ".data.json")
+    _write_json(path, payload)
+    return path
+
+
+def _tolerance(cfg: ExperimentConfig, name: str, default: float) -> float:
+    """Tolerance of check `name` (a DEFAULT_CHECK_TOLERANCES key): its --tol, else `default`."""
+    return cfg.tolerance_overrides.get(name, default)
+
+
 def _check(name: str, passed: bool, **detail) -> dict:
     entry = {"name": name, "passed": bool(passed)}
     entry.update(detail)
@@ -215,9 +216,7 @@ def _check(name: str, passed: bool, **detail) -> dict:
 def _reintegration_check(cfg: ExperimentConfig, m: povm.Povm, d: cr.Decomposition) -> dict:
     """Every event of m reintegrates from d: the O(N) bound against the tolerance."""
     bound = cr.reintegration_bound(m, d)
-    tol = cfg.tolerance_overrides.get("decomp")
-    if tol is None:
-        tol = cr._reintegration_tolerance(m)
+    tol = _tolerance(cfg, "decomp", cr._reintegration_tolerance(m))
     return _check("reintegration", bound <= tol, bound=bound, tolerance=tol,
                   margin=bound / tol if tol > 0 else None)
 
@@ -250,8 +249,7 @@ def _cmd_analyze(cfg: ExperimentConfig):
     ovf = _as_ovf(cfg.input_paths[0])
     _, x = _expect(cfg.input_paths[1], ("vector",))
     c = frames.analysis(ovf, x)
-    data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
-    _write_json(data_path, frames.coefficients_to_json(c))
+    data_path = _write_data(cfg, frames.coefficients_to_json(c))
     checks = [_check("analysis", True)]
     summary = {"weighted_norm_sq": c.weighted_norm_sq(), "atoms": len(c.space)}
     return checks, summary, {"coefficients": data_path}
@@ -264,9 +262,8 @@ def _cmd_reconstruct(cfg: ExperimentConfig):
         max_iters=cfg.max_iters, target_error=cfg.target_error
     )
     trace = reconstruction.frame_algorithm(ovf, c, rc)
-    data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
+    data_path = _write_data(cfg, linalg.vector_to_json(trace.final))
     trace_path = cfg.trace_path or _derived(cfg.output_path, ".trace.csv")
-    _write_json(data_path, linalg.vector_to_json(trace.final))
     _atomic_write(trace_path, reconstruction.trace_to_csv(trace))
     checks = [
         _check("converged", trace.stopped_by == "target_error",
@@ -288,8 +285,7 @@ def _cmd_to_povm(cfg: ExperimentConfig):
     m = cr.ovf_to_povm(ovf)
     report = povm.validate(m, seed=cfg.seed)
     b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized once on loading
-    data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
-    _write_json(data_path, povm.povm_to_json(m))
+    data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
         _check("povm_valid", report.passed, failures=list(report.failures)),
         _check("framed", frames._positive_definite(b.lower, b.upper), lower=b.lower, upper=b.upper),
@@ -326,8 +322,7 @@ def _cmd_decompose(cfg: ExperimentConfig):
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)
     reintegration = _reintegration_check(cfg, m, d)
-    data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
-    _write_json(data_path, cr.decomposition_to_json(d))
+    data_path = _write_data(cfg, cr.decomposition_to_json(d))
     checks = [reintegration]
     summary = {
         "rule": cfg.rule,
@@ -341,8 +336,7 @@ def _cmd_to_ovf(cfg: ExperimentConfig):
     _, d = _expect(cfg.input_paths[0], ("decomposition",))
     ovf = cr.decomposition_to_ovf(d)
     b = frames.frame_bounds(ovf)
-    data_path = cfg.data_path or _derived(cfg.output_path, ".data.json")
-    _write_json(data_path, frames.ovf_to_json(ovf))
+    data_path = _write_data(cfg, frames.ovf_to_json(ovf))
     checks = [_check("framed", True, lower=b.lower, upper=b.upper)]
     summary = {"lower": b.lower, "upper": b.upper, "dim_h": ovf.dim_h}
     return checks, summary, {"ovf": data_path}
@@ -352,9 +346,7 @@ def _cmd_verify_uniqueness(cfg: ExperimentConfig):
     _, d1 = _expect(cfg.input_paths[0], ("decomposition",))
     _, d2 = _expect(cfg.input_paths[1], ("decomposition",))
     report = cr.verify_uniqueness(d1, d2)
-    tol = cfg.tolerance_overrides.get("equivalence")
-    if tol is None:
-        tol = report.tolerance
+    tol = _tolerance(cfg, "equivalence", report.tolerance)
     checks = [_check("uniqueness", report.max_residual <= tol,
                      max_residual=report.max_residual, tolerance=tol)]
     summary = report.to_json()
@@ -381,10 +373,8 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
         abs(b1.lower - b0.lower) / b0.lower, abs(b1.upper - b0.upper) / b0.upper
     )
 
-    tol_bounds = cfg.tolerance_overrides.get("bounds_rel", DEFAULT_CHECK_TOLERANCES["bounds_rel"])
-    tol_equiv = cfg.tolerance_overrides.get("equivalence")
-    if tol_equiv is None:
-        tol_equiv = equiv.tolerance
+    tol_bounds = _tolerance(cfg, "bounds_rel", DEFAULT_CHECK_TOLERANCES["bounds_rel"])
+    tol_equiv = _tolerance(cfg, "equivalence", equiv.tolerance)
 
     checks = [
         reintegration,
@@ -406,24 +396,38 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
     return checks, summary, {}
 
 
-_HANDLERS = {
-    "bounds": _cmd_bounds,
-    "analyze": _cmd_analyze,
-    "reconstruct": _cmd_reconstruct,
-    "to-povm": _cmd_to_povm,
-    "validate-povm": _cmd_validate_povm,
-    "decompose": _cmd_decompose,
-    "to-ovf": _cmd_to_ovf,
-    "verify-uniqueness": _cmd_verify_uniqueness,
-    "roundtrip": _cmd_roundtrip,
+class _Command(NamedTuple):
+    handler: Callable[[ExperimentConfig], tuple]
+    inputs: tuple[str, ...]  # the kind of each --in, in order
+    help: str
+
+
+# The one list of pipeline commands: dispatch, arity and the parser all read it.
+_COMMANDS = {
+    "bounds": _Command(_cmd_bounds, ("frame",), "frame bounds of a frame file"),
+    "analyze": _Command(_cmd_analyze, ("frame", "vector"),
+                        "coefficients of a vector under a frame"),
+    "reconstruct": _Command(_cmd_reconstruct, ("frame", "coefficients"),
+                            "iterative reconstruction from coefficients"),
+    "to-povm": _Command(_cmd_to_povm, ("frame",), "POVM a frame gives rise to"),
+    "validate-povm": _Command(_cmd_validate_povm, ("povm",), "POVM axioms and framedness"),
+    "decompose": _Command(_cmd_decompose, ("povm",),
+                          "reference measure and densities of a POVM"),
+    "to-ovf": _Command(_cmd_to_ovf, ("decomposition",),
+                       "frame with blocks Q^{1/2} from a decomposition"),
+    "verify-uniqueness": _Command(_cmd_verify_uniqueness, ("decomposition", "decomposition"),
+                                  "weighted density identity of two decompositions"),
+    "roundtrip": _Command(_cmd_roundtrip, ("frame",),
+                          "frame -> POVM -> decomposition -> frame closure"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one command, write its report and artifacts, return the report."""
     start = time.perf_counter_ns()
     inputs = [{"path": p, "sha256": _sha256(p)} for p in cfg.input_paths]
-    checks, summary, artifacts = _HANDLERS[cfg.command](cfg)
+    checks, summary, artifacts = _COMMANDS[cfg.command].handler(cfg)
     report = RunReport(
         command=cfg.command,
         inputs=inputs,
@@ -472,12 +476,12 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
                       for _ in range(atoms)])  # atom by atom: the seeded draw order of the files
         elements = linalg.hermitize(linalg.adjoint(g) @ g)
         total = linalg.hermitize(linalg._running_sum(elements))
-        top = float(linalg.hermitian_eigen(total).eigenvalues[-1])
-        if top <= 0.0:
+        vals = linalg.hermitian_eigen(total).eigenvalues
+        top = float(vals[-1])
+        # The frame test is scale-invariant, so this is also the verdict on total / top.
+        if not frames._positive_definite(float(vals[0]), top):
             continue
         m = povm.Povm(atoms=[str(i) for i in range(atoms)], dim_h=dim, elements=elements / top)
-        if not povm.is_framed(m).framed:
-            continue
         _write_json(output_path, povm.povm_to_json(m))
         return
     raise CommandError(f"no framed POVM found in {_GENERATE_ATTEMPTS} attempts")
@@ -505,42 +509,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Frame and POVM pipelines over JSON files.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, inputs):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--in", dest="inputs", action="append", required=True,
-                       metavar="FILE", help=f"input file ({inputs})")
+                       metavar="FILE", help=f"input file ({', '.join(command.inputs)})")
         p.add_argument("--out", dest="out", required=True, metavar="FILE",
                        help="run report JSON")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
-                       help="tolerance override, repeatable")
-        p.add_argument("--data-out", dest="data_out", metavar="FILE",
+                       help=f"tolerance override, repeatable; NAME is one of "
+                            f"{', '.join(DEFAULT_CHECK_TOLERANCES)}")
+        p.add_argument("--data-out", dest="data_path", metavar="FILE",
                        help="data artifact path (default: derived from --out)")
 
-    p = sub.add_parser("bounds", help="frame bounds of a frame file")
-    add_common(p, "frame")
-    p = sub.add_parser("analyze", help="coefficients of a vector under a frame")
-    add_common(p, "frame, vector")
-    p = sub.add_parser("reconstruct", help="iterative reconstruction from coefficients")
-    add_common(p, "frame, coefficients")
+    p = sub.choices["reconstruct"]
     p.add_argument("--target-error", type=float, default=reconstruction.DEFAULT_TARGET_ERROR)
     p.add_argument("--max-iters", type=int, default=reconstruction.DEFAULT_MAX_ITERS)
-    p.add_argument("--trace-out", dest="trace_out", metavar="FILE",
+    p.add_argument("--trace-out", dest="trace_path", metavar="FILE",
                    help="iteration trace CSV (default: derived from --out)")
-    p = sub.add_parser("to-povm", help="POVM a frame gives rise to")
-    add_common(p, "frame")
-    p = sub.add_parser("validate-povm", help="POVM axioms and framedness")
-    add_common(p, "povm")
-    p = sub.add_parser("decompose", help="reference measure and densities of a POVM")
-    add_common(p, "povm")
-    p.add_argument("--rule", choices=("trace", "dyadic"), default="trace")
-    p = sub.add_parser("to-ovf", help="frame with blocks Q^{1/2} from a decomposition")
-    add_common(p, "decomposition")
-    p = sub.add_parser("verify-uniqueness", help="weighted density identity of two decompositions")
-    add_common(p, "decomposition x2")
-    p = sub.add_parser("roundtrip", help="frame -> POVM -> decomposition -> frame closure")
-    add_common(p, "frame")
-    p.add_argument("--rule", choices=("trace", "dyadic"), default="trace")
+    for name in ("decompose", "roundtrip"):
+        sub.choices[name].add_argument("--rule", choices=_RULES, default="trace")
 
     p = sub.add_parser("generate", help="write a random frame or POVM file")
     p.add_argument("--kind", choices=("frame", "povm"), required=True)
@@ -551,8 +539,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # once per process; each parse_args starts from a fresh namespace
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "generate":
             generate_random(args.kind, args.dim, args.atoms, args.seed, args.out)
@@ -564,11 +555,10 @@ def main(argv=None) -> int:
             output_path=args.out,
             seed=args.seed,
             tolerance_overrides=_parse_tol(args.tol),
-            rule=getattr(args, "rule", "trace"),
-            target_error=getattr(args, "target_error", reconstruction.DEFAULT_TARGET_ERROR),
-            max_iters=getattr(args, "max_iters", reconstruction.DEFAULT_MAX_ITERS),
-            data_path=getattr(args, "data_out", None),
-            trace_path=getattr(args, "trace_out", None),
+            data_path=args.data_path,
+            # the options only some commands have; their defaults live in argparse
+            **{k: v for k, v in vars(args).items()
+               if k in ("rule", "target_error", "max_iters", "trace_path")},
         )
         report = run(cfg)
     except FramekitError as exc:

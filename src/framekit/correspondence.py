@@ -153,14 +153,18 @@ class UniquenessReport:
         }
 
 
+def _grams(ovf: OperatorValuedFrame) -> np.ndarray:
+    """Stack of T(t)* T(t); the blocks are ragged, so one product each."""
+    return np.array([linalg.adjoint(b) @ b for b in ovf.blocks])
+
+
 def ovf_to_povm(ovf: OperatorValuedFrame) -> Povm:
     """POVM the frame gives rise to: element t = mu({t}) T(t)* T(t).
 
     Its total M(Omega) equals the frame operator, so the result is always
     framed.
     """
-    grams = np.array([linalg.adjoint(b) @ b for b in ovf.blocks])  # ragged blocks: one product each
-    elements = linalg.hermitize(ovf.space.weights[:, None, None] * grams)
+    elements = linalg.hermitize(ovf.space.weights[:, None, None] * _grams(ovf))
     return Povm(atoms=ovf.space.atoms, dim_h=ovf.dim_h, elements=elements)
 
 
@@ -272,10 +276,7 @@ def verify_ovf_equivalence(
     f1: OperatorValuedFrame, f2: OperatorValuedFrame
 ) -> UniquenessReport:
     """verify_uniqueness applied to the densities Q_i(t) = T_i(t)* T_i(t)."""
-    sides = tuple(  # ragged blocks: one product each
-        (f.space, linalg.hermitize(np.array([linalg.adjoint(b) @ b for b in f.blocks])))
-        for f in (f1, f2)
-    )
+    sides = tuple((f.space, linalg.hermitize(_grams(f))) for f in (f1, f2))
     scale = max(
         linalg.frobenius(frame_operator(f1)), linalg.frobenius(frame_operator(f2))
     )

@@ -1,12 +1,15 @@
 """End-to-end runs of the command line against temp files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from framekit import VectorFrame, correspondence, linalg
+from framekit import VectorFrame, cli, correspondence, linalg
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import from_vector_frame, vector_frame_from_json, vector_frame_to_json
@@ -281,6 +284,82 @@ def test_config_enforces_arity_and_rule():
                          rule="median")
     with pytest.raises(CommandError):
         ExperimentConfig(command="nonsense", input_paths=(), output_path="o")
+    with pytest.raises(CommandError, match="bounds_rel, equivalence, decomp"):
+        ExperimentConfig(command="roundtrip", input_paths=("a",), output_path="o",
+                         tolerance_overrides={"equivalnce": -1.0})
+
+
+def test_unknown_tol_name_exits_two(pair_path, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code = main(["roundtrip", "--in", pair_path, "--out", str(out),
+                 "--tol", "equivalnce=-1"])
+    assert code == 2
+    assert "CommandError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_generate_povm_diagonalizes_once_per_attempt(tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    generate_random("povm", 3, 6, 7, str(tmp_path / "m.json"))  # seed 7 succeeds first time
+    assert calls["hermitian_eigen"] == 1
+
+
+def test_parses_carry_no_state_between_main_calls(onb_path, pair_path, tmp_path):
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    assert main(["bounds", "--in", onb_path, "--out", str(out1), "--tol", "decomp=1"]) == 0
+    assert main(["bounds", "--in", pair_path, "--out", str(out2)]) == 0
+    first, second = read_report(out1), read_report(out2)
+    assert [i["path"] for i in first["inputs"]] == [onb_path]
+    assert [i["path"] for i in second["inputs"]] == [pair_path]
+    assert second["tolerance_overrides"] == {}
+
+
+def test_main_reuses_the_parser_built_at_import(pair_path, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main() built a parser")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    assert main(["bounds", "--in", pair_path, "--out", str(tmp_path / "o.json")]) == 0
+    assert main(["generate", "--kind", "frame", "--dim", "2", "--atoms", "3",
+                 "--out", str(tmp_path / "f.json")]) == 0
+
+
+_COMMON_OPTIONS = {"-h", "--help", "--in", "--out", "--seed", "--tol", "--data-out"}
+_OPTION_STRINGS = {
+    "bounds": _COMMON_OPTIONS,
+    "analyze": _COMMON_OPTIONS,
+    "reconstruct": _COMMON_OPTIONS | {"--target-error", "--max-iters", "--trace-out"},
+    "to-povm": _COMMON_OPTIONS,
+    "validate-povm": _COMMON_OPTIONS,
+    "decompose": _COMMON_OPTIONS | {"--rule"},
+    "to-ovf": _COMMON_OPTIONS,
+    "verify-uniqueness": _COMMON_OPTIONS,
+    "roundtrip": _COMMON_OPTIONS | {"--rule"},
+    "generate": {"-h", "--help", "--kind", "--dim", "--atoms", "--seed", "--out"},
+}
+
+
+def test_every_subcommand_keeps_its_option_strings():
+    subparsers = cli._PARSER._subparsers._group_actions[0].choices
+    assert list(subparsers) == list(cli.COMMANDS) + ["generate"]
+    for name, parser in subparsers.items():
+        options = {s for action in parser._actions for s in action.option_strings}
+        assert options == _OPTION_STRINGS[name], name
+
+
+def test_module_entry_point_runs_and_rejects_unknown_tol(tmp_path):
+    frame = tmp_path / "frame.json"
+    generate_random("frame", 3, 5, 1, str(frame))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "framekit.cli", "bounds", "--in", str(frame),
+            "--out", str(tmp_path / "b.json")]
+    ok = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert ok.returncode == 0, ok.stderr
+    bad = subprocess.run(argv + ["--tol", "nosuch=1"], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert bad.returncode == 2
+    assert "CommandError" in bad.stderr
 
 
 def test_run_reports_input_hashes(pair_path, tmp_path):

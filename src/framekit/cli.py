@@ -4,23 +4,24 @@ Loads frames, POVMs, coefficient fields, and decompositions from JSON
 files, runs one named pipeline over them, and writes a RunReport (plus
 any data artifacts) back to disk.  Exit status 0 means every check in
 the report passed, 1 means at least one failed, 2 means the run errored
-before producing a verdict (bad file, wrong arity, unknown --tol name,
-module error).
+before producing a verdict (bad or wrong-kind file, wrong arity, negative
+seed, unknown --tol name or non-finite value, module error).
 
 One table, _COMMANDS, lists the pipeline commands: each entry's handler,
 the kind of each --in file (so its arity) and its help text.  Dispatch,
-the arity check and the argparse tree are all derived from it, and the
-tree is built once, at import.  DEFAULT_CHECK_TOLERANCES is the one list
-of --tol names and their defaults.
+the arity check, input loading and the argparse tree are all derived
+from it; the tree is built once, at import.  DEFAULT_CHECK_TOLERANCES is
+the one list of --tol names and their defaults.
 
-File formats are the per-module JSON schemas; the loader sniffs the type
-from the top-level keys ("blocks" = operator frame, "vectors" = vector
-frame, "segments" = coefficients, "elements" = POVM, "densities" =
-decomposition, "entries" = vector).  All numeric output goes through
-Python's shortest round-trip float repr, so files parse back to the
-exact same doubles.  Generated inputs come from numpy's PCG64 stream,
-which is stable across platforms for a fixed seed.  All writes are
-atomic (temp file then rename).
+run() reads each --in once, hashes its bytes for the report, and passes
+the handler the object they hold.  A file's kind comes from its top-level
+keys ("blocks" = operator frame, "vectors" = vector frame, both kind
+frame; "segments" = coefficients, "elements" = povm, "densities" =
+decomposition, "entries" = vector) and is checked before parsing.  All
+numeric output goes through Python's shortest round-trip float repr, so
+files parse back to the exact same doubles.  Generated inputs come from
+numpy's PCG64 stream, which is stable across platforms for a fixed seed.
+All writes are atomic (temp file then rename).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -55,6 +57,11 @@ DEFAULT_CHECK_TOLERANCES = {
 }
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # PCG64 takes non-negative seeds only
+        raise CommandError(f"--seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One CLI invocation, resolved."""
@@ -80,6 +87,7 @@ class ExperimentConfig:
             )
         if self.rule not in _RULES:
             raise CommandError(f"unknown rule {self.rule!r}")
+        _check_seed(self.seed)
         unknown = sorted(set(self.tolerance_overrides) - set(DEFAULT_CHECK_TOLERANCES))
         if unknown:
             raise CommandError(f"unknown --tol name {', '.join(unknown)}; "
@@ -117,27 +125,9 @@ class RunReport:
         }
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise CommandError(f"cannot read {path}: {exc}") from exc
-
-
-_SNIFF = (
-    ("blocks", "ovf", frames.ovf_from_json),
-    ("vectors", "vector-frame", frames.vector_frame_from_json),
+_SNIFF = (  # (identifying key, table kind, parser); looked up at call time
+    ("blocks", "frame", frames.ovf_from_json),
+    ("vectors", "frame", frames.vector_frame_from_json),
     ("segments", "coefficients", frames.coefficients_from_json),
     ("elements", "povm", povm.povm_from_json),
     ("densities", "decomposition", cr.decomposition_from_json),
@@ -145,32 +135,42 @@ _SNIFF = (
 )
 
 
-def _load_typed(path: str):
-    """(kind, object) for a data file, chosen by its top-level keys."""
-    obj = _load_json(path)
+def _read(path: str):
+    """(sha256 of the file's bytes, the JSON they hold); the file is read once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+        del data  # hold one copy of the file while it is parsed
+        return digest, json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
+
+
+def _load(path: str, kind: str):
+    """(sha256, object of table kind `kind`) of a file; its kind is checked before parsing."""
+    digest, obj = _read(path)
     if not isinstance(obj, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    for key, kind, parse in _SNIFF:
+    for key, found, parse in _SNIFF:
         if key in obj:
-            try:
-                return kind, parse(obj)
-            except ParseError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
-    raise ParseError(f"{path}: unrecognized file (no known type field)")
-
-
-def _expect(path: str, kinds: tuple[str, ...]):
-    kind, obj = _load_typed(path)
-    if kind not in kinds:
-        raise CommandError(f"{path}: expected {' or '.join(kinds)}, found {kind}")
-    return kind, obj
-
-
-def _as_ovf(path: str) -> frames.OperatorValuedFrame:
-    kind, obj = _expect(path, ("ovf", "vector-frame"))
-    if kind == "vector-frame":
-        return frames.from_vector_frame(obj)
-    return obj
+            break
+    else:
+        raise ParseError(f"{path}: unrecognized file (no known type field)")
+    if found != kind:
+        raise CommandError(f"{path}: expected {kind}, found {found}")
+    try:
+        obj = parse(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if isinstance(obj, frames.VectorFrame):
+        obj = frames.from_vector_frame(obj)
+    return digest, obj
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -233,11 +233,11 @@ def _measure_rule(cfg: ExperimentConfig, dim_h: int) -> cr.ReferenceMeasureRule:
 
 
 # --- command handlers --------------------------------------------------------
-# Each returns (checks, summary, artifacts); run() assembles the report.
+# Each takes the loaded --in objects, in table order, and returns
+# (checks, summary, artifacts); run() assembles the report.
 
 
-def _cmd_bounds(cfg: ExperimentConfig):
-    ovf = _as_ovf(cfg.input_paths[0])
+def _cmd_bounds(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     b = frames.frame_bounds(ovf)
     checks = [_check("frame", True, lower=b.lower, upper=b.upper)]
     summary = {"lower": b.lower, "upper": b.upper, "tight": b.is_tight, "dim_h": ovf.dim_h,
@@ -245,9 +245,7 @@ def _cmd_bounds(cfg: ExperimentConfig):
     return checks, summary, {}
 
 
-def _cmd_analyze(cfg: ExperimentConfig):
-    ovf = _as_ovf(cfg.input_paths[0])
-    _, x = _expect(cfg.input_paths[1], ("vector",))
+def _cmd_analyze(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame, x: np.ndarray):
     c = frames.analysis(ovf, x)
     data_path = _write_data(cfg, frames.coefficients_to_json(c))
     checks = [_check("analysis", True)]
@@ -255,9 +253,8 @@ def _cmd_analyze(cfg: ExperimentConfig):
     return checks, summary, {"coefficients": data_path}
 
 
-def _cmd_reconstruct(cfg: ExperimentConfig):
-    ovf = _as_ovf(cfg.input_paths[0])
-    _, c = _expect(cfg.input_paths[1], ("coefficients",))
+def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
+                     c: frames.CoefficientField):
     rc = reconstruction.ReconstructionConfig(
         max_iters=cfg.max_iters, target_error=cfg.target_error
     )
@@ -280,8 +277,7 @@ def _cmd_reconstruct(cfg: ExperimentConfig):
     return checks, summary, {"vector": data_path, "trace": trace_path}
 
 
-def _cmd_to_povm(cfg: ExperimentConfig):
-    ovf = _as_ovf(cfg.input_paths[0])
+def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     m = cr.ovf_to_povm(ovf)
     report = povm.validate(m, seed=cfg.seed)
     b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized once on loading
@@ -299,8 +295,7 @@ def _cmd_to_povm(cfg: ExperimentConfig):
     return checks, summary, {"povm": data_path}
 
 
-def _cmd_validate_povm(cfg: ExperimentConfig):
-    _, m = _expect(cfg.input_paths[0], ("povm",))
+def _cmd_validate_povm(cfg: ExperimentConfig, m: povm.Povm):
     report = povm.validate(m, seed=cfg.seed)
     framed = povm.is_framed(m)
     checks = [
@@ -317,8 +312,7 @@ def _cmd_validate_povm(cfg: ExperimentConfig):
     return checks, summary, {}
 
 
-def _cmd_decompose(cfg: ExperimentConfig):
-    _, m = _expect(cfg.input_paths[0], ("povm",))
+def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)
     reintegration = _reintegration_check(cfg, m, d)
@@ -332,8 +326,7 @@ def _cmd_decompose(cfg: ExperimentConfig):
     return checks, summary, {"decomposition": data_path}
 
 
-def _cmd_to_ovf(cfg: ExperimentConfig):
-    _, d = _expect(cfg.input_paths[0], ("decomposition",))
+def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
     ovf = cr.decomposition_to_ovf(d)
     b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
@@ -342,9 +335,7 @@ def _cmd_to_ovf(cfg: ExperimentConfig):
     return checks, summary, {"ovf": data_path}
 
 
-def _cmd_verify_uniqueness(cfg: ExperimentConfig):
-    _, d1 = _expect(cfg.input_paths[0], ("decomposition",))
-    _, d2 = _expect(cfg.input_paths[1], ("decomposition",))
+def _cmd_verify_uniqueness(cfg: ExperimentConfig, d1: cr.Decomposition, d2: cr.Decomposition):
     report = cr.verify_uniqueness(d1, d2)
     tol = _tolerance(cfg, "equivalence", report.tolerance)
     checks = [_check("uniqueness", report.max_residual <= tol,
@@ -353,8 +344,7 @@ def _cmd_verify_uniqueness(cfg: ExperimentConfig):
     return checks, summary, {}
 
 
-def _cmd_roundtrip(cfg: ExperimentConfig):
-    ovf = _as_ovf(cfg.input_paths[0])
+def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     b0 = frames.frame_bounds(ovf)
     m = cr.ovf_to_povm(ovf)
     rule = _measure_rule(cfg, m.dim_h)
@@ -397,12 +387,12 @@ def _cmd_roundtrip(cfg: ExperimentConfig):
 
 
 class _Command(NamedTuple):
-    handler: Callable[[ExperimentConfig], tuple]
-    inputs: tuple[str, ...]  # the kind of each --in, in order
+    handler: Callable[..., tuple]  # handler(cfg, *loaded inputs)
+    inputs: tuple[str, ...]  # the table kind of each --in, in order
     help: str
 
 
-# The one list of pipeline commands: dispatch, arity and the parser all read it.
+# The one list of pipeline commands: dispatch, arity, loading and the parser all read it.
 _COMMANDS = {
     "bounds": _Command(_cmd_bounds, ("frame",), "frame bounds of a frame file"),
     "analyze": _Command(_cmd_analyze, ("frame", "vector"),
@@ -426,8 +416,11 @@ COMMANDS = tuple(_COMMANDS)
 def run(cfg: ExperimentConfig) -> RunReport:
     """Execute one command, write its report and artifacts, return the report."""
     start = time.perf_counter_ns()
-    inputs = [{"path": p, "sha256": _sha256(p)} for p in cfg.input_paths]
-    checks, summary, artifacts = _COMMANDS[cfg.command].handler(cfg)
+    command = _COMMANDS[cfg.command]
+    loaded = [_load(path, kind) for path, kind in zip(cfg.input_paths, command.inputs)]
+    inputs = [{"path": path, "sha256": digest}  # the hash is of the bytes parsed
+              for path, (digest, _) in zip(cfg.input_paths, loaded)]
+    checks, summary, artifacts = command.handler(cfg, *(obj for _, obj in loaded))
     report = RunReport(
         command=cfg.command,
         inputs=inputs,
@@ -451,6 +444,7 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
         raise CommandError(f"unknown kind {kind!r}")
     if dim < 1 or atoms < 1:
         raise CommandError("dim and atoms must be positive")
+    _check_seed(seed)
     if dim > MAX_GENERATE_DIM:
         raise LimitExceeded(f"dim {dim} exceeds {MAX_GENERATE_DIM}")
     if atoms > MAX_GENERATE_ATOMS:
@@ -500,6 +494,8 @@ def _parse_tol(pairs) -> dict:
             out[name] = float(value)
         except ValueError as exc:
             raise CommandError(f"--tol {name}: {value!r} is not a number") from exc
+        if not math.isfinite(out[name]):
+            raise CommandError(f"--tol {name}: {value!r} is not finite")
     return out
 
 

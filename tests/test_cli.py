@@ -1,5 +1,7 @@
 """End-to-end runs of the command line against temp files."""
 
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -287,15 +289,18 @@ def test_config_enforces_arity_and_rule():
     with pytest.raises(CommandError, match="bounds_rel, equivalence, decomp"):
         ExperimentConfig(command="roundtrip", input_paths=("a",), output_path="o",
                          tolerance_overrides={"equivalnce": -1.0})
+    with pytest.raises(CommandError, match="non-negative"):
+        ExperimentConfig(command="decompose", input_paths=("a",), output_path="o", seed=-1)
 
 
 def test_unknown_tol_name_exits_two(pair_path, tmp_path, capsys):
     out = tmp_path / "r.json"
-    code = main(["roundtrip", "--in", pair_path, "--out", str(out),
-                 "--tol", "equivalnce=-1"])
-    assert code == 2
-    assert "CommandError" in capsys.readouterr().err
-    assert not out.exists()
+    # an unknown name, and known names with values no check can compare against
+    for tol in ("equivalnce=-1", "bounds_rel=nan", "decomp=inf", "equivalence=-inf"):
+        code = main(["roundtrip", "--in", pair_path, "--out", str(out), "--tol", tol])
+        assert code == 2, tol
+        assert "CommandError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_generate_povm_diagonalizes_once_per_attempt(tmp_path, monkeypatch):
@@ -368,3 +373,75 @@ def test_run_reports_input_hashes(pair_path, tmp_path):
     report = run(cfg)
     assert len(report.inputs) == 1
     assert len(report.inputs[0]["sha256"]) == 64
+    assert report.inputs[0]["sha256"] == hashlib.sha256(Path(pair_path).read_bytes()).hexdigest()
+
+
+def test_undecodable_or_too_deep_input_exits_two(tmp_path, capsys):
+    for name, data in (("bytes.json", b"\xff\xfe\x00{"),
+                       ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["bounds", "--in", str(path), "--out", str(tmp_path / "o.json")]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and str(path) in err
+
+
+def test_negative_seed_exits_two(tmp_path, capsys):
+    povm_path = str(tmp_path / "m.json")
+    generate_random("povm", 2, 3, 0, povm_path)
+    assert main(["decompose", "--in", povm_path, "--seed", "-1",
+                 "--out", str(tmp_path / "d.json")]) == 2
+    assert "CommandError" in capsys.readouterr().err
+    assert main(["generate", "--kind", "povm", "--dim", "2", "--atoms", "3", "--seed", "-1",
+                 "--out", str(tmp_path / "g.json")]) == 2
+    assert "CommandError" in capsys.readouterr().err
+    assert not (tmp_path / "d.json").exists() and not (tmp_path / "g.json").exists()
+
+
+@pytest.fixture
+def kind_paths(pair_path, tmp_path):
+    """One valid file of every table kind, made by the pipeline itself."""
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
+    for argv in (["to-povm", "--in", pair_path], ["analyze", "--in", pair_path, "--in", xpath]):
+        assert main(argv + ["--out", str(tmp_path / f"{argv[0]}.json")]) == 0
+    povm_path = str(tmp_path / "to-povm.data.json")
+    assert main(["decompose", "--in", povm_path, "--out", str(tmp_path / "d.json")]) == 0
+    return {"frame": pair_path, "vector": xpath, "povm": povm_path,
+            "coefficients": str(tmp_path / "analyze.data.json"),
+            "decomposition": str(tmp_path / "d.data.json")}
+
+
+def test_every_input_is_opened_once(kind_paths, tmp_path, monkeypatch):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for command in ("roundtrip", "analyze", "verify-uniqueness"):
+        paths = [kind_paths[kind] for kind in cli._COMMANDS[command].inputs]
+        opened.clear()
+        assert main([command, *(a for p in paths for a in ("--in", p)),
+                     "--out", str(tmp_path / "o.json")]) == 0
+        for path in paths:
+            assert opened.count(path) == paths.count(path), (command, path)
+
+
+def test_wrong_kind_input_exits_two_naming_the_table_kind(kind_paths, tmp_path, capsys):
+    # each wrong file holds only its identifying key, so parsing it would fail
+    wrong = {}
+    for key, kind, _ in cli._SNIFF:
+        wrong.setdefault(kind, write_json(tmp_path / f"only-{key}.json", {key: None}))
+    for command, spec in cli._COMMANDS.items():
+        for slot, want in enumerate(spec.inputs):
+            for found, path in wrong.items():
+                if found == want:
+                    continue
+                paths = [kind_paths[kind] for kind in spec.inputs]
+                paths[slot] = path
+                assert main([command, *(a for p in paths for a in ("--in", p)),
+                             "--out", str(tmp_path / "o.json")]) == 2, (command, slot, found)
+                err = capsys.readouterr().err
+                assert f"CommandError: {path}: expected {want}, found {found}" in err, err

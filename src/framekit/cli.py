@@ -465,17 +465,15 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
             return
         raise CommandError(f"no frame found in {_GENERATE_ATTEMPTS} attempts")
 
+    labels = [str(i) for i in range(atoms)]
     for _ in range(_GENERATE_ATTEMPTS):
         g = np.array([rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
                       for _ in range(atoms)])  # atom by atom: the seeded draw order of the files
-        elements = linalg.hermitize(linalg.adjoint(g) @ g)
-        total = linalg.hermitize(linalg._running_sum(elements))
-        vals = linalg.hermitian_eigen(total).eigenvalues
-        top = float(vals[-1])
-        # The frame test is scale-invariant, so this is also the verdict on total / top.
-        if not frames._positive_definite(float(vals[0]), top):
+        m = povm.Povm(atoms=labels, dim_h=dim, elements=linalg.hermitize(linalg.adjoint(g) @ g))
+        framed = povm.is_framed(m)  # scale-invariant, so also the verdict on m / upper
+        if not framed.framed:
             continue
-        m = povm.Povm(atoms=[str(i) for i in range(atoms)], dim_h=dim, elements=elements / top)
+        m = povm.Povm(atoms=labels, dim_h=dim, elements=m.elements / framed.upper)
         _write_json(output_path, povm.povm_to_json(m))
         return
     raise CommandError(f"no framed POVM found in {_GENERATE_ATTEMPTS} attempts")

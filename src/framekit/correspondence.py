@@ -44,8 +44,16 @@ from .errors import (
     ParseError,
     SequenceDoesNotSpan,
 )
-from .frames import AtomicMeasureSpace, OperatorValuedFrame, _event_mask, _position, frame_operator
-from .povm import Povm, validate
+from .frames import (
+    AtomicMeasureSpace,
+    OperatorValuedFrame,
+    _event_mask,
+    _position,
+    _require,
+    frame_operator,
+)
+# validate is not called here; it stays importable from this module, as before
+from .povm import FAIL_NOT_ADDITIVE, FAIL_NOT_HERMITIAN, Povm, _additivity, validate  # noqa: F401
 
 TOL_DECOMP_REL = 1e-10  # scaled by 1 + ||M(Omega)||_F
 
@@ -73,10 +81,8 @@ class Decomposition:
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
-        herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
-        # hermitian_eigen takes the Hermitian part itself once its check passes
-        eigen = linalg.hermitian_eigen(densities if herm_ok.all() else linalg.hermitize(densities))
-        psd_ok = eigen.eigenvalues[:, 0] >= -linalg._psd_tolerance(densities)
+        residuals, eigen, psd_ok = linalg._spectral_check(densities)
+        herm_ok = residuals <= linalg.TOL_HERM
         bad = ~(herm_ok & psd_ok)
         if bad.any():  # the first failing atom; its Hermiticity is checked first
             t = int(np.argmax(bad))
@@ -200,22 +206,35 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
 def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -> Decomposition:
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
-    The POVM is validated first, its additivity samples drawn from ``seed``.
-    Atoms of reference weight zero carry a zero element (domination) and
-    are dropped from the decomposition's measure space.
+    The POVM must pass validate's checks (additivity samples drawn from
+    ``seed``) and its densities Decomposition's, from one stacked eigen call,
+    the densities': with mu({t}) > 0, M({t}) = mu({t}) Q(t) fails the PSD test
+    when mu({t}) lambda_min(Q(t)) < -tol_psd(M({t})).  Any failure raises
+    InvalidPovm.  Atoms of reference weight zero carry a zero element
+    (domination) and are dropped from the decomposition's measure space.
     """
-    report = validate(m, seed=seed)
-    if not report.passed:
-        raise InvalidPovm(f"POVM failed validation: {', '.join(report.failures)}")
+    if (linalg.hermitian_residual(m.elements) > linalg.TOL_HERM).any():
+        raise InvalidPovm(f"POVM failed validation: {FAIL_NOT_HERMITIAN}")
+    residuals, tol_add = _additivity(m, seed)
+    if max(residuals) > tol_add:
+        raise InvalidPovm(f"POVM failed validation: {FAIL_NOT_ADDITIVE}")
     weights = reference_measure(m, rule)
     keep = weights > 0.0
-    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > linalg._psd_tolerance(m.elements)
+    tol_psd = linalg._psd_tolerance(m.elements)
+    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > tol_psd
     if (nonzero & ~keep).any():
         label = m.atoms[int(np.argmax(nonzero & ~keep))]
         raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
     measure = AtomicMeasureSpace(atoms=list(compress(m.atoms, keep)), weights=weights[keep])
     densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
-    return Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
+    try:
+        d = Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
+        low = d._eigen.eigenvalues[:, 0] * measure.weights < -tol_psd[keep]
+        if low.any():
+            raise NotPsd(f"element at atom {measure.atoms[int(np.argmax(low))]!r} is not PSD")
+    except NotPsd as exc:
+        raise InvalidPovm(f"POVM failed validation: {exc}") from exc
+    return d
 
 
 def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
@@ -397,18 +416,17 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj) -> Decomposition:
-    if not isinstance(obj, dict):
-        raise ParseError("decomposition JSON must be an object")
-    for key in ("atoms", "weights", "dim_h", "densities"):
-        if key not in obj:
-            raise ParseError(f"decomposition JSON is missing field {key!r}")
-    if not isinstance(obj["densities"], list):
+    atoms = _require(obj, "atoms", "decomposition")
+    weights = _require(obj, "weights", "decomposition")
+    dim_h = _require(obj, "dim_h", "decomposition")
+    densities = _require(obj, "densities", "decomposition")
+    if not isinstance(densities, list):
         raise ParseError("decomposition densities must be a list of matrix objects")
-    if not obj["densities"]:
+    if not densities:
         raise ParseError("decomposition has no atoms, so no density to check dim_h against")
-    mats = [linalg.matrix_from_json(q) for q in obj["densities"]]
+    mats = [linalg.matrix_from_json(q) for q in densities]
     try:
-        measure = AtomicMeasureSpace(atoms=obj["atoms"], weights=obj["weights"])
-        return Decomposition(measure=measure, densities=mats, dim_h=int(obj["dim_h"]))
+        measure = AtomicMeasureSpace(atoms=atoms, weights=weights)
+        return Decomposition(measure=measure, densities=mats, dim_h=dim_h)
     except (ValueError, TypeError, OverflowError, DimensionMismatch, NotHermitian, NotPsd) as exc:
         raise ParseError(f"bad decomposition: {exc}") from exc

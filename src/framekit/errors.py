@@ -50,7 +50,7 @@ class SequenceDoesNotSpan(FramekitError):
 
 
 class InvalidPovm(FramekitError):
-    """POVM failed validation and cannot be decomposed."""
+    """POVM cannot be decomposed: it fails an axiom, a density's PSD test or domination."""
 
 
 class AtomMismatch(FramekitError):

@@ -309,9 +309,16 @@ def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
 
 
 def _require(obj: dict, key: str, kind: str):
+    """Field ``key`` of a ``kind`` file; every loader reads its atoms, a list of
+    strings, and its dim_h, an integer and not a bool, through here."""
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{kind} JSON is missing field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if key == "atoms" and not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
+        raise ParseError(f"{kind} atoms must be a list of strings")
+    if key == "dim_h" and type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"{kind} dim_h must be an integer, got {value!r}")
+    return value
 
 
 def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
@@ -336,7 +343,7 @@ def ovf_from_json(obj) -> OperatorValuedFrame:
         raise ParseError(f"bad OVF measure space: {exc}") from exc
     mats = [linalg.matrix_from_json(b) for b in blocks]
     try:
-        return OperatorValuedFrame(space=space, dim_h=int(dim_h), blocks=mats)
+        return OperatorValuedFrame(space=space, dim_h=dim_h, blocks=mats)
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad OVF dim_h or blocks: {exc}") from exc
 
@@ -355,7 +362,7 @@ def vector_frame_from_json(obj) -> VectorFrame:
         raise ParseError("vector frame vectors must be a list")
     vecs = [linalg._from_pairs(v, "vector frame vector") for v in vectors]
     try:
-        return VectorFrame(dim_h=int(dim_h), vectors=vecs)
+        return VectorFrame(dim_h=dim_h, vectors=vecs)
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad vector frame: {exc}") from exc
 

@@ -11,14 +11,14 @@ and classified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Collection, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPsd, NotUnitVector, ParseError
-from .frames import _event_mask, _label_index, _position, _positive_definite
+from .frames import _event_mask, _label_index, _position, _positive_definite, _require
 
 # Event = any collection of atom labels.
 Event = Collection[str]
@@ -95,16 +95,7 @@ class ValidationReport:
             "passed": self.passed,
             "failures": list(self.failures),
             "seed": self.seed,
-            "elements": [
-                {
-                    "atom": r.atom,
-                    "hermiticity_residual": r.hermiticity_residual,
-                    "min_eigenvalue": r.min_eigenvalue,
-                    "hermitian": r.hermitian,
-                    "psd": r.psd,
-                }
-                for r in self.element_reports
-            ],
+            "elements": [asdict(r) for r in self.element_reports],
             "max_additivity_residual": self.max_additivity_residual,
             "additivity_tolerance": self.additivity_tolerance,
         }
@@ -118,6 +109,16 @@ def _random_disjoint_pair(rng: np.random.Generator, atoms: tuple[str, ...]) -> t
     return e, f
 
 
+def _additivity(m: Povm, seed: int) -> tuple[list[float], float]:
+    """||M(E) + M(F) - M(E u F)||_F over ADDITIVITY_SAMPLES random disjoint pairs
+    drawn from ``seed``, and their tolerance, scaled by ||M(Omega)||_F."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pairs = [_random_disjoint_pair(rng, m.atoms) for _ in range(ADDITIVITY_SAMPLES)]
+    residuals = [linalg.frobenius(m.evaluate(e) + m.evaluate(f) - m.evaluate(e + f))
+                 for e, f in pairs]
+    return residuals, ADDITIVITY_TOL_REL * (1.0 + linalg.frobenius(m.total()))
+
+
 def validate(m: Povm, seed: int = 0) -> ValidationReport:
     """Check the POVM axioms numerically; the report carries any failures.
 
@@ -128,45 +129,23 @@ def validate(m: Povm, seed: int = 0) -> ValidationReport:
     the given seed (recorded in the report), against a tolerance scaled by
     ||M(Omega)||_F.
     """
+    herm_res, eigen, psd = linalg._spectral_check(m.elements)
+    reports = tuple(map(ElementReport, m.atoms, herm_res.tolist(), eigen.eigenvalues[:, 0].tolist(),
+                        (herm_res <= linalg.TOL_HERM).tolist(), psd.tolist()))
     failures = []
-    reports = []
-    herm_res = linalg.hermitian_residual(m.elements)
-    herm = herm_res <= linalg.TOL_HERM
-    # hermitian_eigen diagonalizes the Hermitian part of what passes its own check
-    # (this one), so a hermitized copy is only needed when an element fails it.
-    parts = m.elements if herm.all() else linalg.hermitize(m.elements)
-    min_eigs = linalg.hermitian_eigen(parts).eigenvalues[:, 0]
-    psd = (min_eigs >= -linalg._psd_tolerance(m.elements)).tolist()
-    for label, res, herm_ok, min_eig, psd_ok in zip(
-        m.atoms, herm_res.tolist(), herm.tolist(), min_eigs.tolist(), psd
-    ):
-        if not herm_ok and FAIL_NOT_HERMITIAN not in failures:
+    for r in reports:  # in order of the first atom to fail each check
+        if not r.hermitian and FAIL_NOT_HERMITIAN not in failures:
             failures.append(FAIL_NOT_HERMITIAN)
-        if not psd_ok and FAIL_NOT_PSD not in failures:
+        if not r.psd and FAIL_NOT_PSD not in failures:
             failures.append(FAIL_NOT_PSD)
-        reports.append(
-            ElementReport(
-                atom=label,
-                hermiticity_residual=res,
-                min_eigenvalue=min_eig,
-                hermitian=herm_ok,
-                psd=psd_ok,
-            )
-        )
 
-    tol_add = ADDITIVITY_TOL_REL * (1.0 + linalg.frobenius(m.total()))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    residuals = []
-    for _ in range(ADDITIVITY_SAMPLES):
-        e, f = _random_disjoint_pair(rng, m.atoms)
-        res = linalg.frobenius(m.evaluate(e) + m.evaluate(f) - m.evaluate(list(e) + list(f)))
-        residuals.append(res)
-    max_add = max(residuals) if residuals else 0.0
+    residuals, tol_add = _additivity(m, seed)
+    max_add = max(residuals)
     if max_add > tol_add:
         failures.append(FAIL_NOT_ADDITIVE)
 
     return ValidationReport(
-        element_reports=tuple(reports),
+        element_reports=reports,
         additivity_residuals=tuple(residuals),
         max_additivity_residual=max_add,
         additivity_tolerance=tol_add,
@@ -227,18 +206,15 @@ def povm_to_json(m: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    if not isinstance(obj, dict):
-        raise ParseError("POVM JSON must be an object")
-    for key in ("atoms", "dim_h", "elements"):
-        if key not in obj:
-            raise ParseError(f"POVM JSON is missing field {key!r}")
-    elements = obj["elements"]
+    atoms = _require(obj, "atoms", "POVM")
+    dim_h = _require(obj, "dim_h", "POVM")
+    elements = _require(obj, "elements", "POVM")
     if not isinstance(elements, list):
         raise ParseError("POVM elements must be a list of matrix objects")
     if not elements:
         raise ParseError("POVM has no atoms, so no element to check dim_h against")
     mats = [linalg.matrix_from_json(e) for e in elements]
     try:
-        return Povm(atoms=obj["atoms"], dim_h=int(obj["dim_h"]), elements=mats)
+        return Povm(atoms=atoms, dim_h=dim_h, elements=mats)
     except (ValueError, TypeError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad POVM: {exc}") from exc

@@ -157,18 +157,24 @@ def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_pat
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
     povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
     seeds = []
-    original = correspondence.validate
+    original = correspondence._additivity  # decompose's additivity sampler
 
-    def recording(m, seed=0):
+    def recording(m, seed):
         seeds.append(seed)
-        return original(m, seed=seed)
+        return original(m, seed)
 
-    monkeypatch.setattr(correspondence, "validate", recording)
+    monkeypatch.setattr(correspondence, "_additivity", recording)
     assert main(["decompose", "--in", povm_path, "--seed", "7",
                  "--out", str(tmp_path / "d.json")]) == 0
     assert main(["roundtrip", "--in", pair_path, "--seed", "9",
                  "--out", str(tmp_path / "r.json")]) == 0
     assert seeds == [7, 9]
+
+
+def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == {"hermitian_eigen": 3}  # S on loading, the densities, the recovered S
 
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):

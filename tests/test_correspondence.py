@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from framekit import (
+    TRACE_RULE,
     AtomicMeasureSpace,
     AtomMismatch,
     Decomposition,
@@ -37,11 +38,13 @@ from framekit import (
     frame_bounds,
     frame_operator,
     from_vector_frame,
+    hermitize,
     inner,
     ovf_to_povm,
     reference_measure,
     reintegration_bound,
     reintegration_residuals,
+    validate,
     verify_ovf_equivalence,
     verify_uniqueness,
 )
@@ -182,6 +185,70 @@ def test_decompose_rejects_invalid_povm():
              elements=[np.diag([1.0, 0.0]).astype(complex), bad])
     with pytest.raises(InvalidPovm):
         decompose(m)
+
+
+def test_decompose_refuses_a_zero_weight_atom_with_a_nonzero_element():
+    m = Povm(atoms=["a", "b", "z"], dim_h=2,
+             elements=[np.diag([1.0, 0.0]).astype(complex),
+                       np.diag([0.0, 1.0]).astype(complex),
+                       np.diag([1e-3, -1e-3]).astype(complex)])  # trace 0, not diagonalized
+    with pytest.raises(InvalidPovm, match="'z' has zero reference weight"):
+        decompose(m)
+
+
+@pytest.mark.parametrize("rule,eigen_calls", [("trace", 1), ("dyadic", 2)])
+def test_decompose_diagonalizes_each_povm_once(rule, eigen_calls, monkeypatch):
+    """The densities' stack gives the elements' PSD verdicts too; the dyadic
+    rule adds its Gram spanning check."""
+    m = random_povm(dim=4, atoms=9, seed=6)
+    rule = TRACE_RULE if rule == "trace" else standard_basis_rule(4)
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    decompose(m, rule)
+    assert calls == {"hermitian_eigen": eigen_calls}
+
+
+def boundary_povm(a, ratio):
+    """{diag(a, lam), I} with lam = ratio * tol_psd(diag(a, lam))."""
+    lam = 0.0
+    for _ in range(3):  # lam moves tol_psd only through ||M||_F, by far below 1e-3
+        lam = ratio * float(linalg._psd_tolerance(np.diag([a, lam])))
+    return Povm(atoms=["m", "i"], dim_h=2,
+                elements=[np.diag([a, lam]).astype(complex), np.eye(2, dtype=complex)])
+
+
+@pytest.mark.parametrize("rule", ["trace", "dyadic"])
+@pytest.mark.parametrize(
+    "a,ratio,element_psd,density_psd",
+    [
+        (1e-3, -(1 - 1e-3), True, False),   # mu < 1: the element passes, its density fails
+        (50.0, -(1 + 1e-3), False, True),   # mu > 1: the element fails, its density passes
+        (1e-3, -(1 + 1e-3), False, False),
+        (50.0, -(1 - 1e-3), True, True),
+        (1e-3, 1 + 1e-3, True, True),
+        (50.0, 1 - 1e-3, True, True),
+    ],
+)
+def test_decompose_raises_every_psd_failure_as_invalid_povm(
+    a, ratio, element_psd, density_psd, rule
+):
+    """One element's lambda_min at +-(1 +- 1e-3) times its PSD tolerance:
+    decompose accepts it only when both the element and its density pass."""
+    m = boundary_povm(a, ratio)
+    rule = TRACE_RULE if rule == "trace" else standard_basis_rule(2)
+    assert validate(m).passed is element_psd
+    weights = reference_measure(m, rule)
+    space = AtomicMeasureSpace(atoms=m.atoms, weights=weights)
+    densities = hermitize(m.elements / weights[:, None, None])
+    if density_psd:
+        Decomposition(measure=space, densities=densities)
+    else:
+        with pytest.raises(NotPsd):
+            Decomposition(measure=space, densities=densities)
+    if element_psd and density_psd:
+        assert decompose(m, rule).measure.atoms == ("m", "i")
+    else:
+        with pytest.raises(InvalidPovm, match="'m'"):
+            decompose(m, rule)
 
 
 def test_densities_must_be_hermitian_psd():

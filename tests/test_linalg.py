@@ -319,6 +319,7 @@ def test_vector_json_round_trip_is_exact():
 BIG = 10 ** 400  # a JSON integer too large for a double
 INF = float("inf")  # what json.loads makes of 1e400
 ONE = {"rows": 1, "cols": 1, "data": [[1, 0]]}
+EYE2 = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -346,6 +347,25 @@ ONE = {"rows": 1, "cols": 1, "data": [[1, 0]]}
                                    "densities": [ONE]}),
         (decomposition_from_json, {"atoms": ["a"], "weights": [1], "dim_h": INF,
                                    "densities": [ONE]}),
+        # atoms must be a list of strings, dim_h an integer (not a bool)
+        (povm_from_json, {"atoms": [1.5, None], "dim_h": 1, "elements": [ONE, ONE]}),
+        (povm_from_json, {"atoms": "ab", "dim_h": 1, "elements": [ONE, ONE]}),
+        (povm_from_json, {"atoms": ["a"], "dim_h": 2.9, "elements": [EYE2]}),
+        (povm_from_json, {"atoms": ["a"], "dim_h": "2", "elements": [EYE2]}),
+        (povm_from_json, {"atoms": ["a"], "dim_h": True, "elements": [ONE]}),
+        (decomposition_from_json, {"atoms": [1], "weights": [1], "dim_h": 1,
+                                   "densities": [ONE]}),
+        (decomposition_from_json, {"atoms": "a", "weights": [1], "dim_h": 1,
+                                   "densities": [ONE]}),
+        (decomposition_from_json, {"atoms": ["a"], "weights": [1], "dim_h": 2.9,
+                                   "densities": [EYE2]}),
+        (ovf_from_json, {"atoms": "ab", "weights": [1, 1], "dim_h": 1, "blocks": [ONE, ONE]}),
+        (ovf_from_json, {"atoms": [None], "weights": [1], "dim_h": 1, "blocks": [ONE]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": [1], "dim_h": "1", "blocks": [ONE]}),
+        (vector_frame_from_json, {"dim_h": 1.5, "vectors": [[[1, 0]]]}),
+        (vector_frame_from_json, {"dim_h": "1", "vectors": [[[1, 0]]]}),
+        (coefficients_from_json, {"atoms": "a", "weights": [1], "segments": [[[1, 0]]]}),
+        (coefficients_from_json, {"atoms": [1], "weights": [1], "segments": [[[1, 0]]]}),
         # no atoms: dim_h has no matrix to be checked against
         (povm_from_json, {"atoms": [], "dim_h": 1e300, "elements": []}),
         (decomposition_from_json, {"atoms": [], "weights": [], "dim_h": 1e300,

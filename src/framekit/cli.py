@@ -187,7 +187,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, sort_keys=True) + "\n")
+    """Write standard JSON only: a NaN or an infinity is an error (LimitExceeded), not a token."""
+    try:
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise LimitExceeded(f"{path}: {exc}") from exc
+    _atomic_write(path, text + "\n")
 
 
 def _derived(output_path: str, suffix: str) -> str:
@@ -208,7 +213,10 @@ def _tolerance(cfg: ExperimentConfig, name: str, default: float) -> float:
 
 
 def _check(name: str, passed: bool, **detail) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
+    """A check entry; it fails when any number in ``detail`` (value, bound, tolerance)
+    is not finite, since no comparison with inf or NaN certifies anything."""
+    finite = all(math.isfinite(v) for v in detail.values() if isinstance(v, float))
+    entry = {"name": name, "passed": bool(passed) and finite}
     entry.update(detail)
     return entry
 

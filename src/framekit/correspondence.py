@@ -26,7 +26,8 @@ oracle for explicit events or for every event of a small space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress
 from typing import Iterable, Optional, Sequence
 
@@ -49,7 +50,6 @@ from .frames import (
     OperatorValuedFrame,
     _event_mask,
     _position,
-    _require,
     frame_operator,
 )
 # validate is not called here; it stays importable from this module, as before
@@ -65,15 +65,16 @@ EXHAUSTIVE_EVENT_ATOMS = 16
 class Decomposition:
     """Reference measure mu plus one Hermitian PSD density Q(t) per atom.
 
-    The PSD check diagonalizes all densities in one stacked call; the
-    eigendecompositions are kept (``_eigen``, read-only) for the roots in
-    decomposition_to_ovf.
+    Construction checks every density's Hermiticity residual and takes all
+    the PSD verdicts from one stacked Cholesky factorization of
+    Q(t) + tol_psd(Q(t)) I; it diagonalizes nothing.  The eigendecompositions
+    (``_eigen``, read-only) are computed on first read, in one stacked call,
+    for the roots in decomposition_to_ovf.
     """
 
     measure: AtomicMeasureSpace
     densities: np.ndarray  # complex128, shape (len(measure), dim_h, dim_h)
     dim_h: int
-    _eigen: linalg.EigenDecomposition = field(repr=False, compare=False)
 
     def __init__(self, measure: AtomicMeasureSpace, densities, dim_h: Optional[int] = None):
         if dim_h is None:  # an empty decomposition needs an explicit one
@@ -81,8 +82,9 @@ class Decomposition:
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
-        residuals, eigen, psd_ok = linalg._spectral_check(densities)
-        herm_ok = residuals <= linalg.TOL_HERM
+        linalg._check_magnitude(densities, "densities")
+        herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
+        psd_ok = linalg._shifted_positive_definite(densities, linalg._psd_tolerance(densities))
         bad = ~(herm_ok & psd_ok)
         if bad.any():  # the first failing atom; its Hermiticity is checked first
             t = int(np.argmax(bad))
@@ -92,7 +94,11 @@ class Decomposition:
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "dim_h", int(dim_h))
-        object.__setattr__(self, "_eigen", eigen)
+
+    @cached_property
+    def _eigen(self) -> linalg.EigenDecomposition:
+        """Eigendecompositions of all densities, from one stacked call on first read."""
+        return linalg.hermitian_eigen(self.densities)
 
     def density(self, label: str) -> np.ndarray:
         return self.densities[self.measure.index(label)]
@@ -207,11 +213,13 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
     The POVM must pass validate's checks (additivity samples drawn from
-    ``seed``) and its densities Decomposition's, from one stacked eigen call,
-    the densities': with mu({t}) > 0, M({t}) = mu({t}) Q(t) fails the PSD test
-    when mu({t}) lambda_min(Q(t)) < -tol_psd(M({t})).  Any failure raises
-    InvalidPovm.  Atoms of reference weight zero carry a zero element
-    (domination) and are dropped from the decomposition's measure space.
+    ``seed``) and its densities Decomposition's.  Both PSD verdicts come from
+    stacked Cholesky factorizations, not eigenvalues: each kept element's,
+    M({t}) + tol_psd(M({t})) I positive definite, and each density's in
+    Decomposition; nothing is diagonalized but the dyadic rule's Gram matrix.
+    Any failure raises InvalidPovm.  Atoms of reference weight zero carry a
+    zero element (domination) and are dropped from the decomposition's
+    measure space.
     """
     if (linalg.hermitian_residual(m.elements) > linalg.TOL_HERM).any():
         raise InvalidPovm(f"POVM failed validation: {FAIL_NOT_HERMITIAN}")
@@ -229,7 +237,7 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -
     densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
     try:
         d = Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
-        low = d._eigen.eigenvalues[:, 0] * measure.weights < -tol_psd[keep]
+        low = ~linalg._shifted_positive_definite(m.elements[keep], tol_psd[keep])
         if low.any():
             raise NotPsd(f"element at atom {measure.atoms[int(np.argmax(low))]!r} is not PSD")
     except NotPsd as exc:
@@ -241,9 +249,10 @@ def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
     """Operator-valued frame with blocks T(t) = Q(t)^{1/2} over the
     decomposition's measure.
 
-    The roots come from the kept eigendecompositions, equal to psd_sqrt(Q(t))
-    bit for bit.  The frame operator is the reintegrated M(Omega); the
-    frame's construction tests it, and its NotAFrame is raised as NotFramed.
+    The roots come from the decomposition's eigendecompositions (computed
+    here on first use), equal to psd_sqrt(Q(t)) bit for bit.  The frame
+    operator is the reintegrated M(Omega); the frame's construction tests
+    it, and its NotAFrame is raised as NotFramed.
     """
     try:
         return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=d._eigen.sqrt())
@@ -416,10 +425,10 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj) -> Decomposition:
-    atoms = _require(obj, "atoms", "decomposition")
-    weights = _require(obj, "weights", "decomposition")
-    dim_h = _require(obj, "dim_h", "decomposition")
-    densities = _require(obj, "densities", "decomposition")
+    atoms = linalg._require(obj, "atoms", "decomposition")
+    weights = linalg._require(obj, "weights", "decomposition")
+    dim_h = linalg._require(obj, "dim_h", "decomposition")
+    densities = linalg._require(obj, "densities", "decomposition")
     if not isinstance(densities, list):
         raise ParseError("decomposition densities must be a list of matrix objects")
     if not densities:

@@ -62,7 +62,9 @@ class NotFramed(FramekitError):
 
 
 class LimitExceeded(FramekitError):
-    """Requested size exceeds the generator limits."""
+    """Requested size exceeds the generator limits, or a value exceeds what a check
+    can compare: an operand whose norm bound does not square to a finite double,
+    or a non-finite number bound for a JSON file."""
 
 
 class ParseError(FramekitError):

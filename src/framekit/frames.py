@@ -164,6 +164,7 @@ class OperatorValuedFrame:
             raise DimensionMismatch(f"blocks have {rows.shape[1]} columns, expected {dim_h}")
         offsets = np.cumsum([0] + heights)
         row_weights = np.repeat(space.weights, heights)
+        linalg._check_magnitude(rows, "frame blocks", row_weights)
         row_weights.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "dim_h", int(dim_h))
@@ -308,19 +309,6 @@ def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
 # Coefficients:{"atoms": [...], "weights": [...], "segments": [[[re, im], ...], ...]}
 
 
-def _require(obj: dict, key: str, kind: str):
-    """Field ``key`` of a ``kind`` file; every loader reads its atoms, a list of
-    strings, and its dim_h, an integer and not a bool, through here."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{kind} JSON is missing field {key!r}")
-    value = obj[key]
-    if key == "atoms" and not (isinstance(value, list) and all(isinstance(a, str) for a in value)):
-        raise ParseError(f"{kind} atoms must be a list of strings")
-    if key == "dim_h" and type(value) is not int:  # bool is a subclass of int
-        raise ParseError(f"{kind} dim_h must be an integer, got {value!r}")
-    return value
-
-
 def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
     return {
         "atoms": list(ovf.space.atoms),
@@ -331,10 +319,10 @@ def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
 
 
 def ovf_from_json(obj) -> OperatorValuedFrame:
-    atoms = _require(obj, "atoms", "OVF")
-    weights = _require(obj, "weights", "OVF")
-    dim_h = _require(obj, "dim_h", "OVF")
-    blocks = _require(obj, "blocks", "OVF")
+    atoms = linalg._require(obj, "atoms", "OVF")
+    weights = linalg._require(obj, "weights", "OVF")
+    dim_h = linalg._require(obj, "dim_h", "OVF")
+    blocks = linalg._require(obj, "blocks", "OVF")
     if not isinstance(blocks, list):
         raise ParseError("OVF blocks must be a list of matrix objects")
     try:
@@ -356,8 +344,8 @@ def vector_frame_to_json(f: VectorFrame) -> dict:
 
 
 def vector_frame_from_json(obj) -> VectorFrame:
-    dim_h = _require(obj, "dim_h", "vector frame")
-    vectors = _require(obj, "vectors", "vector frame")
+    dim_h = linalg._require(obj, "dim_h", "vector frame")
+    vectors = linalg._require(obj, "vectors", "vector frame")
     if not isinstance(vectors, list):
         raise ParseError("vector frame vectors must be a list")
     vecs = [linalg._from_pairs(v, "vector frame vector") for v in vectors]
@@ -376,9 +364,9 @@ def coefficients_to_json(c: CoefficientField) -> dict:
 
 
 def coefficients_from_json(obj) -> CoefficientField:
-    atoms = _require(obj, "atoms", "coefficient field")
-    weights = _require(obj, "weights", "coefficient field")
-    segments = _require(obj, "segments", "coefficient field")
+    atoms = linalg._require(obj, "atoms", "coefficient field")
+    weights = linalg._require(obj, "weights", "coefficient field")
+    segments = linalg._require(obj, "segments", "coefficient field")
     if not isinstance(segments, list):
         raise ParseError("coefficient segments must be a list")
     segs = [linalg._from_pairs(s, "coefficient segment") for s in segments]

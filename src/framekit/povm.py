@@ -4,21 +4,22 @@ A Povm stores one n x n element M({t}) per atom, all in one (N, n, n) array;
 events are subsets of the atom labels and evaluate to the sum of their
 members' elements, so finite additivity holds by construction and the
 validator asserts it numerically on random partitions.  Construction checks
-only structure (shapes, counts, finiteness): Hermiticity and positivity are
-the validator's job, so that deliberately corrupted measures can be built
-and classified.
+only structure (shapes, counts, finite entries and norms): Hermiticity and
+positivity are the validator's job, so that deliberately corrupted measures
+can be built and classified.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import compress
 from typing import Collection, Sequence
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPsd, NotUnitVector, ParseError
-from .frames import _event_mask, _label_index, _position, _positive_definite, _require
+from .frames import _event_mask, _label_index, _position, _positive_definite
 
 # Event = any collection of atom labels.
 Event = Collection[str]
@@ -47,6 +48,7 @@ class Povm:
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         elements = linalg._as_stack(elements, (len(atoms), dim_h, dim_h), "elements")
+        linalg._check_magnitude(elements, "elements")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "dim_h", int(dim_h))
         object.__setattr__(self, "elements", elements)
@@ -101,21 +103,20 @@ class ValidationReport:
         }
 
 
-def _random_disjoint_pair(rng: np.random.Generator, atoms: tuple[str, ...]) -> tuple[list, list]:
-    # Assign each atom to E, F, or neither; degenerate (both empty) is fine.
-    sides = rng.integers(0, 3, size=len(atoms))
-    e = [a for a, s in zip(atoms, sides) if s == 0]
-    f = [a for a, s in zip(atoms, sides) if s == 1]
-    return e, f
-
-
 def _additivity(m: Povm, seed: int) -> tuple[list[float], float]:
     """||M(E) + M(F) - M(E u F)||_F over ADDITIVITY_SAMPLES random disjoint pairs
-    drawn from ``seed``, and their tolerance, scaled by ||M(Omega)||_F."""
+    drawn from ``seed``, and their tolerance, scaled by ||M(Omega)||_F.
+
+    One draw assigns every atom of every sample to E (0), F (1) or neither (2),
+    the same PCG64 stream as one draw per sample; both empty is fine.  The
+    events go through ``m.evaluate``, as labels in canonical atom order."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    pairs = [_random_disjoint_pair(rng, m.atoms) for _ in range(ADDITIVITY_SAMPLES)]
-    residuals = [linalg.frobenius(m.evaluate(e) + m.evaluate(f) - m.evaluate(e + f))
-                 for e, f in pairs]
+    sides = rng.integers(0, 3, size=(ADDITIVITY_SAMPLES, len(m.atoms)))
+
+    def total(mask):
+        return m.evaluate(list(compress(m.atoms, mask)))
+
+    residuals = [linalg.frobenius(total(s == 0) + total(s == 1) - total(s < 2)) for s in sides]
     return residuals, ADDITIVITY_TOL_REL * (1.0 + linalg.frobenius(m.total()))
 
 
@@ -206,9 +207,9 @@ def povm_to_json(m: Povm) -> dict:
 
 
 def povm_from_json(obj) -> Povm:
-    atoms = _require(obj, "atoms", "POVM")
-    dim_h = _require(obj, "dim_h", "POVM")
-    elements = _require(obj, "elements", "POVM")
+    atoms = linalg._require(obj, "atoms", "POVM")
+    dim_h = linalg._require(obj, "dim_h", "POVM")
+    elements = linalg._require(obj, "elements", "POVM")
     if not isinstance(elements, list):
         raise ParseError("POVM elements must be a list of matrix objects")
     if not elements:

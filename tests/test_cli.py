@@ -451,3 +451,51 @@ def test_wrong_kind_input_exits_two_naming_the_table_kind(kind_paths, tmp_path, 
                              "--out", str(tmp_path / "o.json")]) == 2, (command, slot, found)
                 err = capsys.readouterr().err
                 assert f"CommandError: {path}: expected {want}, found {found}" in err, err
+
+
+def test_verify_uniqueness_diagonalizes_nothing(pair_path, tmp_path, monkeypatch):
+    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
+    povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
+    paths = []
+    for rule in ("trace", "dyadic"):
+        assert main(["decompose", "--in", povm_path, "--rule", rule,
+                     "--out", str(tmp_path / f"d-{rule}.json")]) == 0
+        paths += ["--in", read_report(tmp_path / f"d-{rule}.json")["artifacts"]["decomposition"]]
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    assert main(["verify-uniqueness", *paths, "--out", str(tmp_path / "u.json")]) == 0
+    assert calls == {"hermitian_eigen": 0}  # two loaded decompositions, their PSD checks only
+
+
+def test_no_check_passes_on_an_operand_whose_norm_squares_to_inf(tmp_path, capsys):
+    """{1e200, 1} is a 1-dim POVM with finite entries whose norms do not square to
+    a finite double; a frame's row 1e308 likewise makes S overflow."""
+    m = write_json(tmp_path / "m.json", {
+        "atoms": ["a", "b"], "dim_h": 1,
+        "elements": [linalg.matrix_to_json([[1e200]]), linalg.matrix_to_json([[1.0]])]})
+    for command in ("decompose", "validate-povm"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--in", m, "--out", str(out)]) == 2, command
+        assert "LimitExceeded" in capsys.readouterr().err
+        assert not out.exists()
+    f = write_json(tmp_path / "f.json", {"dim_h": 2, "vectors": [[[1e308, 0], [0, 0]],
+                                                                 [[0, 0], [1, 0]]]})
+    assert main(["bounds", "--in", f, "--out", str(tmp_path / "b.json")]) == 2
+    assert "LimitExceeded" in capsys.readouterr().err
+
+
+def test_a_check_with_a_non_finite_number_fails():
+    assert cli._check("c", True, bound=1.0, tolerance=2.0)["passed"] is True
+    for detail in ({"bound": float("inf"), "tolerance": 1.0},
+                   {"bound": 0.0, "tolerance": float("inf")},
+                   {"value": np.float64("nan")}):
+        assert cli._check("c", True, **detail)["passed"] is False
+    # strings, lists, integers and None are no numbers to compare
+    assert cli._check("c", True, stopped_by="target_error", failures=[], n=3, margin=None)["passed"]
+
+
+def test_json_writes_refuse_nan_and_inf(tmp_path):
+    for value in (float("nan"), float("inf"), -float("inf")):
+        out = tmp_path / "o.json"
+        with pytest.raises(LimitExceeded):
+            cli._write_json(str(out), {"x": value})
+        assert not out.exists()

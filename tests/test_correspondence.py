@@ -24,6 +24,7 @@ from framekit import (
     Decomposition,
     DimensionMismatch,
     InvalidPovm,
+    LimitExceeded,
     NotAFrame,
     NotFramed,
     NotHermitian,
@@ -196,10 +197,10 @@ def test_decompose_refuses_a_zero_weight_atom_with_a_nonzero_element():
         decompose(m)
 
 
-@pytest.mark.parametrize("rule,eigen_calls", [("trace", 1), ("dyadic", 2)])
+@pytest.mark.parametrize("rule,eigen_calls", [("trace", 0), ("dyadic", 1)])
 def test_decompose_diagonalizes_each_povm_once(rule, eigen_calls, monkeypatch):
-    """The densities' stack gives the elements' PSD verdicts too; the dyadic
-    rule adds its Gram spanning check."""
+    """The elements' and the densities' PSD verdicts come from Cholesky stacks;
+    only the dyadic rule's Gram spanning check diagonalizes."""
     m = random_povm(dim=4, atoms=9, seed=6)
     rule = TRACE_RULE if rule == "trace" else standard_basis_rule(4)
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
@@ -261,7 +262,11 @@ def test_decomposition_diagonalizes_every_density_in_one_call(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=9, seed=6))
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
     again = Decomposition(measure=d.measure, densities=d.densities)
-    assert calls == {"hermitian_eigen": 1}
+    assert calls == {"hermitian_eigen": 0}  # construction diagonalizes nothing
+    first = again._eigen
+    assert calls == {"hermitian_eigen": 1}  # the first read, one stacked call
+    assert again._eigen is first
+    assert calls == {"hermitian_eigen": 1}  # a second read reuses it
     assert np.array_equal(again._eigen.eigenvectors, d._eigen.eigenvectors)
 
 
@@ -421,8 +426,8 @@ def test_recovered_blocks_are_density_square_roots():
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=6, seed=3))
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt")
-    decomposition_to_ovf(d)
-    assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0}
+    decomposition_to_ovf(d)  # a cold decomposition: its densities' stack, then S
+    assert calls == {"hermitian_eigen": 2, "psd_sqrt": 0}
 
 
 def test_round_trip_preserves_operator_and_bounds():
@@ -539,3 +544,20 @@ def test_decomposition_from_json_rejects_malformed():
     with pytest.raises(Exception) as info:
         decomposition_from_json({"atoms": ["a"], "weights": [1.0], "dim_h": 2})
     assert "densities" in str(info.value)
+
+
+def test_decomposition_refuses_densities_whose_norm_squares_to_inf():
+    space = AtomicMeasureSpace(atoms=["a"], weights=[1.0])
+    with pytest.raises(LimitExceeded):
+        Decomposition(measure=space, densities=[np.diag([1e200, 1.0]).astype(complex)])
+
+
+def test_decompose_reads_no_eigenpairs_until_the_roots(monkeypatch):
+    """decompose leaves the densities undiagonalized; decomposition_to_ovf's first
+    read diagonalizes them in one stack, the same bits as a fresh decomposition's."""
+    d = decompose(random_povm(dim=3, atoms=7, seed=2))
+    assert "_eigen" not in vars(d)
+    blocks = decomposition_to_ovf(d).blocks
+    assert "_eigen" in vars(d)
+    fresh = Decomposition(measure=d.measure, densities=d.densities)
+    assert np.array_equal(np.array(blocks), fresh._eigen.sqrt())

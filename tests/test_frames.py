@@ -10,6 +10,7 @@ from framekit import (
     EmptyFrame,
     FrameBounds,
     InvalidBounds,
+    LimitExceeded,
     NotAFrame,
     OperatorValuedFrame,
     ParseError,
@@ -263,3 +264,38 @@ def test_ovf_from_json_rejects_missing_fields():
         ovf_from_json({"atoms": ["a"], "weights": [1.0]})
     with pytest.raises(ParseError):
         vector_frame_from_json({"vectors": []})
+
+
+def test_fortran_and_transposed_inputs_give_the_same_bits():
+    rng = rng_for(12)
+    vectors = complex_box(rng, (5, 3))
+    strided = VectorFrame(dim_h=3, vectors=np.asfortranarray(vectors))
+    plain = VectorFrame(dim_h=3, vectors=vectors.copy())
+    assert np.array_equal(strided.vectors, plain.vectors)
+    assert strided.vectors.flags.c_contiguous
+    blocks = [complex_box(rng, (3, 2)).T for _ in range(3)]  # 2 x 3 transposed views
+    space = AtomicMeasureSpace(atoms=["a", "b", "c"], weights=[1.0, 0.5, 2.0])
+    f = OperatorValuedFrame(space=space, dim_h=3, blocks=blocks)
+    g = OperatorValuedFrame(space=space, dim_h=3, blocks=[np.ascontiguousarray(b) for b in blocks])
+    assert np.array_equal(frame_operator(f), frame_operator(g))
+    assert np.array_equal(f._eigen.eigenvectors, g._eigen.eigenvectors)
+    assert (frame_bounds(f).lower, frame_bounds(f).upper) == (
+        frame_bounds(g).lower, frame_bounds(g).upper)
+    lone = OperatorValuedFrame(space=AtomicMeasureSpace(atoms=["a"], weights=[1.0]), dim_h=2,
+                               blocks=[np.asfortranarray(complex_box(rng, (3, 2)))])
+    assert lone._rows.flags.c_contiguous
+
+
+def test_frame_refuses_rows_whose_operator_bound_squares_to_inf():
+    """sum_t mu({t}) ||T(t)||_F^2 bounds ||S||_F; past sqrt(max double) S's norm
+    cannot be squared, so the frame is refused before S is formed."""
+    huge = VectorFrame(dim_h=2, vectors=[[1e308, 0.0], [0.0, 1.0]])  # entries are finite
+    with pytest.raises(LimitExceeded):
+        from_vector_frame(huge)
+    with pytest.raises(LimitExceeded):  # S entries of 1e200: finite, but not their squares
+        from_vector_frame(VectorFrame(dim_h=2, vectors=[[1e100, 0.0], [0.0, 1.0]]))
+    space = AtomicMeasureSpace(atoms=["a"], weights=[1e300])
+    with pytest.raises(LimitExceeded):  # the weights count too
+        OperatorValuedFrame(space=space, dim_h=1, blocks=[np.ones((1, 1))])
+    b = frame_bounds(from_vector_frame(VectorFrame(dim_h=2, vectors=[[1e60, 0.0], [0.0, 1e59]])))
+    assert (b.lower, b.upper) == pytest.approx((1e118, 1e120), rel=1e-15)

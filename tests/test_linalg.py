@@ -377,3 +377,118 @@ def test_matrix_from_json_rejects_malformed(payload):
     parse, obj = payload
     with pytest.raises(ParseError):
         parse(obj)
+
+
+def boundary_hermitian(n, scale, ratio, seed):
+    """Hermitian H with lambda_min = ratio * _psd_tolerance(H), the rest in [0.1, 1] * scale."""
+    rng = rng_for(seed)
+    q, _ = np.linalg.qr(complex_box(rng, (n, n)))
+    rest = scale * rng.uniform(0.1, 1.0, n - 1)
+    lam = 0.0
+    for _ in range(4):  # lam moves the tolerance only through ||H||_F, by far below 1e-4
+        h = linalg.hermitize((q * np.concatenate(([lam], rest))) @ linalg.adjoint(q))
+        lam = ratio * float(linalg._psd_tolerance(h))
+    return linalg.hermitize((q * np.concatenate(([lam], rest))) @ linalg.adjoint(q))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+def test_cholesky_verdict_matches_eigenvalues_at_the_boundary(n):
+    """lambda_min at -tol (1 +- delta): the Cholesky verdict, the Jacobi verdict and
+    numpy's eigvalsh all read the side of the boundary the matrix was built on."""
+    cases = [(scale, delta, sign) for scale in (1e-3, 1.0, 50.0)
+             for delta in (1e-2, 1e-3, 1e-4) for sign in (1, -1)]
+    stack = np.array([boundary_hermitian(n, scale, -(1 + sign * delta), seed=k)
+                      for k, (scale, delta, sign) in enumerate(cases)])
+    tol = linalg._psd_tolerance(stack)
+    expected = np.array([sign < 0 for _, _, sign in cases])
+    cholesky = linalg._shifted_positive_definite(stack, tol)
+    jacobi = linalg.hermitian_eigen(stack).eigenvalues[:, 0] >= -tol
+    oracle = np.linalg.eigvalsh(stack)[:, 0] >= -tol
+    assert np.array_equal(oracle, expected)
+    assert np.array_equal(jacobi, expected)
+    assert np.array_equal(cholesky, expected)
+    # one matrix alone gets the verdict it gets in the stack
+    assert [bool(linalg._shifted_positive_definite(h[None], t[None])[0])
+            for h, t in zip(stack, tol)] == cholesky.tolist()
+
+
+def test_cholesky_verdict_on_extreme_entries_raises_no_warning():
+    """Tiny or zero pivots beside entries near sqrt(max double), as large as the
+    magnitude check at intake lets through: no division by zero, no overflow
+    (RuntimeWarnings are errors in this suite)."""
+    big = 1e153
+    stack = np.array([
+        [[1e-300, big], [big, 0.0]],
+        [[5e-324, big], [big, -big]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[-big, 0.0], [0.0, big]],
+        [[big, big * 1j], [-big * 1j, big]],  # rank one: lambda_min = 0
+        [[2.0, 1.0], [1.0, 2.0]],
+    ], dtype=complex)
+    assert linalg._shifted_positive_definite(stack, np.zeros(6)).tolist() == [
+        False, False, False, False, False, True]
+    assert linalg._shifted_positive_definite(stack, linalg._psd_tolerance(stack)).tolist() == [
+        False, False, True, False, True, True]
+    assert linalg._shifted_positive_definite(np.zeros((0, 3, 3), complex), np.zeros(0)).size == 0
+
+
+def test_cholesky_verdict_reads_the_hermitian_part():
+    skew = np.array([[1.0, 5.0], [-5.0, 1.0]], dtype=complex)  # Hermitian part I
+    assert linalg._shifted_positive_definite(skew[None], np.zeros(1)).tolist() == [True]
+
+
+def test_transposed_and_fortran_inputs_give_the_same_bits():
+    h = random_hermitian(6, seed=8)
+    p = random_psd(5, seed=9)
+    for strided, copy in ((h.T, np.ascontiguousarray(h.T)),
+                          (np.asfortranarray(h), h.copy())):
+        a, b = linalg.hermitian_eigen(strided), linalg.hermitian_eigen(copy)
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    stack = np.array([random_hermitian(4, seed=s) for s in range(3)])
+    swapped = np.swapaxes(stack, -1, -2)
+    assert np.array_equal(linalg.hermitian_eigen(swapped).eigenvectors,
+                          linalg.hermitian_eigen(np.ascontiguousarray(swapped)).eigenvectors)
+    assert np.array_equal(linalg.psd_sqrt(np.asfortranarray(p)), linalg.psd_sqrt(p))
+    assert np.array_equal(linalg.psd_sqrt(p.T), linalg.psd_sqrt(np.ascontiguousarray(p.T)))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        linalg.hermitian_eigen(np.asfortranarray(np.array([[1.0, np.inf], [np.inf, 1.0]])))
+
+
+ONE_JSON = {"rows": 1, "cols": 1, "data": [[1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        (linalg.matrix_from_json, {"rows": 1.5, "cols": 1, "data": [[1, 0]]}),
+        (linalg.matrix_from_json, {"rows": 1, "cols": True, "data": [[1, 0]]}),
+        (linalg.matrix_from_json, {"rows": "1", "cols": 1, "data": [[1, 0]]}),
+        (linalg.vector_from_json, {"dim": "1", "entries": [[1, 0]]}),
+        (linalg.vector_from_json, {"dim": 1.0, "entries": [[1, 0]]}),
+        (linalg.vector_from_json, {"dim": True, "entries": [[1, 0]]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": [True], "dim_h": 1, "blocks": [ONE_JSON]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": ["2"], "dim_h": 1, "blocks": [ONE_JSON]}),
+        (coefficients_from_json, {"atoms": ["a"], "weights": [True], "segments": [[[1, 0]]]}),
+        (coefficients_from_json, {"atoms": ["a"], "weights": ["2"], "segments": [[[1, 0]]]}),
+        (decomposition_from_json, {"atoms": ["a"], "weights": [True], "dim_h": 1,
+                                   "densities": [ONE_JSON]}),
+        (decomposition_from_json, {"atoms": ["a"], "weights": ["2"], "dim_h": 1,
+                                   "densities": [ONE_JSON]}),
+        (ovf_from_json, {"atoms": ["a"], "weights": [1],
+                         "dim_h": 1, "blocks": [{"rows": 1, "cols": True, "data": [[1, 0]]}]}),
+    ],
+)
+def test_loaders_coerce_no_field_type(payload):
+    """Sizes are JSON integers and weights JSON numbers: a float, a bool or a
+    string in their place is a ParseError, not a number."""
+    parse, obj = payload
+    with pytest.raises(ParseError):
+        parse(obj)
+
+
+def test_loaders_take_integer_and_float_weights():
+    ovf = ovf_from_json({"atoms": ["a", "b"], "weights": [2, 0.5], "dim_h": 1,
+                         "blocks": [ONE_JSON, ONE_JSON]})
+    assert ovf.space.weights.tolist() == [2.0, 0.5]
+    assert linalg.vector_from_json({"dim": 1, "entries": [[1, 0]]}).tolist() == [1 + 0j]

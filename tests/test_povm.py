@@ -5,6 +5,7 @@ import pytest
 
 from framekit import (
     DimensionMismatch,
+    LimitExceeded,
     NotPsd,
     NotUnitVector,
     Povm,
@@ -183,3 +184,36 @@ def test_validation_report_json_shape():
     assert blob["passed"] is True
     assert blob["seed"] == 3
     assert {e["atom"] for e in blob["elements"]} == {"up", "down"}
+
+
+def loop_additivity(m, seed):
+    """The per-pair loop: one draw per sample, E and F as label lists, E u F as E + F."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    residuals = []
+    for _ in range(50):
+        sides = rng.integers(0, 3, size=len(m.atoms))
+        e = [a for a, s in zip(m.atoms, sides) if s == 0]
+        f = [a for a, s in zip(m.atoms, sides) if s == 1]
+        residuals.append(linalg.frobenius(m.evaluate(e) + m.evaluate(f) - m.evaluate(e + f)))
+    return residuals
+
+
+@pytest.mark.parametrize("dim,atoms", [(2, 1), (3, 7), (2, 33), (1, 64)])
+def test_additivity_draws_the_per_pair_stream_bit_for_bit(dim, atoms):
+    from framekit.povm import _additivity
+
+    m = random_povm(dim=dim, atoms=atoms, seed=atoms)
+    for seed in (0, 7, 101):
+        residuals, _ = _additivity(m, seed)
+        assert residuals == loop_additivity(m, seed)
+        assert validate(m, seed=seed).additivity_residuals == tuple(residuals)
+
+
+def test_construction_refuses_elements_whose_norm_squares_to_inf():
+    """{1e200, 1}: ||M||_F^2 overflows, so no check on it could mean anything."""
+    with pytest.raises(LimitExceeded):
+        Povm(atoms=["a", "b"], dim_h=1, elements=[[[1e200]], [[1.0]]])
+    # every element fine alone, their sum's norm bound is not
+    with pytest.raises(LimitExceeded):
+        Povm(atoms=["a", "b"], dim_h=1, elements=[[[1e154]], [[1e154]]])
+    Povm(atoms=["a", "b"], dim_h=1, elements=[[[1e150]], [[1.0]]])

@@ -82,7 +82,7 @@ class Decomposition:
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
-        linalg._check_magnitude(densities, "densities")
+        linalg._check_magnitude(densities, "densities", measure.weights)
         herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
         psd_ok = linalg._shifted_positive_definite(densities, linalg._psd_tolerance(densities))
         bad = ~(herm_ok & psd_ok)

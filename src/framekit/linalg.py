@@ -271,9 +271,11 @@ def hermitian_eigen(a) -> EigenDecomposition:
     A stack is checked and diagonalized in slices of at most _EIGEN_CHUNK_BYTES,
     so the working copies stay small next to the input and the result.
 
-    Raises NotHermitian if the input (for a stack: the first failing matrix,
-    named by its index) fails the Hermiticity check and NoConvergence if the
-    sweep budget is exhausted.
+    Raises LimitExceeded if a matrix's squared Frobenius norm is not a finite
+    double (the stopping threshold would be inf and no rotation would run),
+    NotHermitian if the input (for a stack: the first failing matrix, named by
+    its index) fails the Hermiticity check and NoConvergence if the sweep
+    budget is exhausted.
     """
     m = _as_finite(a, (2, 3), "a matrix or a stack of matrices", "matrix", copy=False)
     lone = m.ndim == 2
@@ -284,6 +286,11 @@ def hermitian_eigen(a) -> EigenDecomposition:
         raise NotHermitian(f"matrix is not square: {m.shape[1]}x{n}")
     chunks = _chunks(count, n)
     for part in chunks:
+        with np.errstate(over="ignore"):  # an overflow here is what the check looks for
+            big = ~np.isfinite(_norms(m[part]))
+        if big.any():
+            where = "" if lone else f" of matrix {part.start + int(np.argmax(big))} in the stack"
+            raise LimitExceeded(f"the Frobenius norm{where} does not square to a finite double")
         residuals = hermitian_residual(m[part])
         bad = residuals > TOL_HERM
         if bad.any():
@@ -371,21 +378,26 @@ def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _check_magnitude(a: np.ndarray, what: str, row_weights=None) -> None:
+def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:
     """LimitExceeded unless a bound on the Frobenius norm of every matrix the
     operand forms squares to a finite double: the eigen and PSD tests square
     such norms, and past sqrt(max double) they would pass on inf.
 
     For a stack (N, n, n) the bound is sum_t ||a[t]||_F, over every sum of its
-    matrices; for a frame's rows B (R, n) with ``row_weights`` w it is
-    sum_r w_r ||B[r]||^2, over S = B* diag(w) B.  One stacked reduction each.
+    matrices, and with ``weights`` mu also sum_t mu_t ||a[t]||_F, over every
+    weighted sum (a decomposition's reintegration); for a frame's rows B (R, n)
+    with ``weights`` w it is sum_r w_r ||B[r]||^2, over S = B* diag(w) B.  One
+    stacked reduction each.
     """
     with np.errstate(over="ignore"):  # an overflow here is what the check looks for
-        if row_weights is None:
-            bound = float(_norms(a).sum())
+        if a.ndim == 3:
+            norms = _norms(a)
+            bound = float(norms.sum())
+            if weights is not None:
+                bound = max(bound, float(weights @ norms))
         else:
             f = a.view(np.float64)
-            bound = float(row_weights @ np.add.reduce(f * f, axis=-1))
+            bound = float(weights @ np.add.reduce(f * f, axis=-1))
     if not np.isfinite(bound * bound):
         raise LimitExceeded(f"{what} are too large: their Frobenius norm bound {bound:.3e} "
                             f"does not square to a finite double")

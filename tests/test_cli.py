@@ -483,6 +483,19 @@ def test_no_check_passes_on_an_operand_whose_norm_squares_to_inf(tmp_path, capsy
     assert "LimitExceeded" in capsys.readouterr().err
 
 
+def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_path, capsys):
+    """Weights 1e300 on densities [[1e10]]: each number is finite, their products
+    are not, so the file is refused when it is read, before any report is formed."""
+    d = write_json(tmp_path / "d.json", {
+        "atoms": ["a", "b"], "weights": [1e300, 1e300], "dim_h": 1,
+        "densities": [linalg.matrix_to_json([[1e10]])] * 2})
+    out = tmp_path / "u.json"
+    assert main(["verify-uniqueness", "--in", d, "--in", d, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "LimitExceeded" in err and "densities are too large" in err
+    assert not out.exists()
+
+
 def test_a_check_with_a_non_finite_number_fails():
     assert cli._check("c", True, bound=1.0, tolerance=2.0)["passed"] is True
     for detail in ({"bound": float("inf"), "tolerance": 1.0},

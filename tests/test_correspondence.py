@@ -552,6 +552,17 @@ def test_decomposition_refuses_densities_whose_norm_squares_to_inf():
         Decomposition(measure=space, densities=[np.diag([1e200, 1.0]).astype(complex)])
 
 
+def test_decomposition_refuses_weighted_densities_whose_sum_overflows():
+    """Each density [[1e10]] and weight 1e300 is finite, but mu({t}) Q(t) is not:
+    reintegrate() and verify_uniqueness's tolerance would read inf."""
+    space = AtomicMeasureSpace(atoms=["a", "b"], weights=[1e300, 1e300])
+    with pytest.raises(LimitExceeded):
+        Decomposition(measure=space, densities=[[[1e10]], [[1e10]]])
+    small = AtomicMeasureSpace(atoms=["a", "b"], weights=[1e-300, 1e-300])
+    with pytest.raises(LimitExceeded):  # the unweighted bound still holds
+        Decomposition(measure=small, densities=[[[1e200]], [[1.0]]])
+
+
 def test_decompose_reads_no_eigenpairs_until_the_roots(monkeypatch):
     """decompose leaves the densities undiagonalized; decomposition_to_ovf's first
     read diagonalizes them in one stack, the same bits as a fresh decomposition's."""

@@ -16,6 +16,7 @@ from framekit import linalg
 from framekit.correspondence import decomposition_from_json
 from framekit.errors import (
     DimensionMismatch,
+    LimitExceeded,
     NoConvergence,
     NotHermitian,
     NotPsd,
@@ -145,6 +146,19 @@ def test_eigen_handles_degenerate_spectrum():
 def test_eigen_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         linalg.hermitian_eigen(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_eigen_refuses_a_matrix_whose_norm_squares_to_inf():
+    """The eigenvalues of [[1e200, 1e200], [1e200, 1e200]] are 0 and 2e200, but its
+    squared norm overflows, so the stopping threshold would be inf and no rotation
+    would run; a stack names its member."""
+    big = np.full((2, 2), 1e200)
+    with pytest.raises(LimitExceeded):
+        linalg.hermitian_eigen(big)
+    with pytest.raises(LimitExceeded, match="matrix 1 in the stack"):
+        linalg.hermitian_eigen(np.array([np.eye(2), big]))
+    ok = linalg.hermitian_eigen(big * 1e-50)  # inside the limit: the true spectrum
+    assert np.allclose(ok.eigenvalues, [0.0, 2e150], rtol=1e-14, atol=1e136)
 
 
 def test_eigen_is_bit_deterministic():

@@ -221,6 +221,14 @@ def _check(name: str, passed: bool, **detail) -> dict:
     return entry
 
 
+def _frame_check(name: str, b: frames.FrameBounds) -> dict:
+    """The frame operator is positive definite beyond the frame tolerance,
+    lower > TOL_FRAME_REL * upper; margin TOL_FRAME_REL * upper / lower is below 1
+    when it is."""
+    return _check(name, frames._positive_definite(b.lower, b.upper), lower=b.lower,
+                  upper=b.upper, margin=frames.TOL_FRAME_REL * b.upper / b.lower)
+
+
 def _reintegration_check(cfg: ExperimentConfig, m: povm.Povm, d: cr.Decomposition) -> dict:
     """Every event of m reintegrates from d: the O(N) bound against the tolerance."""
     bound = cr.reintegration_bound(m, d)
@@ -247,7 +255,7 @@ def _measure_rule(cfg: ExperimentConfig, dim_h: int) -> cr.ReferenceMeasureRule:
 
 def _cmd_bounds(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     b = frames.frame_bounds(ovf)
-    checks = [_check("frame", True, lower=b.lower, upper=b.upper)]
+    checks = [_frame_check("frame", b)]
     summary = {"lower": b.lower, "upper": b.upper, "tight": b.is_tight, "dim_h": ovf.dim_h,
                "atoms": len(ovf.space)}
     return checks, summary, {}
@@ -292,7 +300,7 @@ def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
         _check("povm_valid", report.passed, failures=list(report.failures)),
-        _check("framed", frames._positive_definite(b.lower, b.upper), lower=b.lower, upper=b.upper),
+        _frame_check("framed", b),
     ]
     summary = {
         "max_additivity_residual": report.max_additivity_residual,
@@ -338,7 +346,7 @@ def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
     ovf = cr.decomposition_to_ovf(d)
     b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
-    checks = [_check("framed", True, lower=b.lower, upper=b.upper)]
+    checks = [_frame_check("framed", b)]
     summary = {"lower": b.lower, "upper": b.upper, "dim_h": ovf.dim_h}
     return checks, summary, {"ovf": data_path}
 

@@ -140,7 +140,10 @@ class OperatorValuedFrame:
     ``_offsets[t]``, row weights ``_row_weights``); ``blocks`` are views into B.
     Construction checks the frame property: the frame operator
     S = sum_t mu({t}) T(t)* T(t) = B* diag(w) B must be positive definite,
-    otherwise NotAFrame is raised.
+    otherwise NotAFrame is raised.  S is formed (``_operator``) for its products,
+    but its eigenpairs (``_eigen``, and with them the bounds A and B) come from
+    the weighted rows G = diag(sqrt(w)) B through ``linalg._gram_eigen``, which
+    never forms G* G: A keeps its relative accuracy when cond(S) is large.
     """
 
     space: AtomicMeasureSpace
@@ -175,7 +178,7 @@ class OperatorValuedFrame:
 
         s = linalg.hermitize(linalg.adjoint(rows) @ (row_weights[:, None] * rows))
         s.flags.writeable = False
-        eig = linalg.hermitian_eigen(s)
+        eig = linalg._gram_eigen(np.sqrt(row_weights)[:, None] * rows)
         object.__setattr__(self, "_operator", s)
         object.__setattr__(self, "_eigen", eig)
         object.__setattr__(self, "_bounds", _bounds_of(eig.eigenvalues))

@@ -1,15 +1,25 @@
 """Deterministic dense complex linear algebra kernels.
 
 Everything operates on numpy complex128 arrays and is written so that
-repeated calls on identical inputs return bit-identical outputs: the
-eigensolver is a cyclic Jacobi iteration whose rotation order is a fixed
-function of the matrix size (round-robin steps of disjoint rotations at
-every n).  It takes one matrix or a stack of equal-sized ones; a stack is
-diagonalized together, every matrix with its own thresholds and stopping
-test.  A lone matrix is a stack of one and takes the same stacked sweep, so
-each matrix's eigenpairs are bit-identical alone and anywhere in any stack
-by construction.  A PSD verdict that needs no eigenpairs comes from a
-stacked Cholesky factorization of the shifted matrices instead
+repeated calls on identical inputs return bit-identical outputs.  There are
+two Jacobi eigensolvers, and both rotate in one order, a fixed function of
+the size n: the round-robin steps of disjoint pairs of
+``_round_robin_schedule``.
+
+* ``hermitian_eigen`` diagonalizes a Hermitian matrix, or a stack of
+  equal-sized ones, by two-sided cyclic Jacobi; a stack is diagonalized
+  together, every matrix with its own thresholds and stopping test.  A lone
+  matrix is a stack of one and takes the same stacked sweep, so each
+  matrix's eigenpairs are bit-identical alone and anywhere in any stack by
+  construction.  It serves matrices that come with no factor: POVM
+  elements, densities, M(Omega) and Gram matrices.
+* ``_gram_eigen`` diagonalizes G* G from the factor G alone: a Householder
+  QR, then one-sided Jacobi on R*.  It never forms G* G, so the small
+  eigenvalues keep their relative accuracy; a frame's operator
+  S = B* diag(w) B takes its eigenpairs from it, with G = diag(sqrt(w)) B.
+
+A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
+factorization of the shifted matrices instead
 (``_shifted_positive_definite``), a fraction of the cost of the sweeps;
 eigenpairs are computed only where they are read.  There is no general
 inverse; the frame operator is inverted through its kept eigendecomposition
@@ -41,6 +51,8 @@ TOL_PSD_REL = 1e-10     # scaled by (1 + ||A||_F)
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A||_F
+# one-sided Jacobi: a pair of columns counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
+JACOBI_ORTHOGONALITY_TOL = 1e-15
 # hermitian_eigen works through a stack in slices of at most this many bytes
 # (64 matrices at n = 16, one at n = 128), so its working copies stay a small
 # part of a large stack; stacks of small matrices still go through in one slice.
@@ -159,15 +171,12 @@ def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     idle slot and is dropped.
     """
     m = n + (n % 2)
-    ring = np.arange(1, m)
-    steps = []
-    for r in range(m - 1):
-        order = np.concatenate(([0], np.roll(ring, -r)))
-        top, bot = order[: m // 2], order[m - 1 : m // 2 - 1 : -1]
-        keep = (top < n) & (bot < n)
-        p, q = np.minimum(top, bot)[keep], np.maximum(top, bot)[keep]
-        steps.append((p, q))
-    return steps
+    shift = np.arange(m - 1)
+    order = np.zeros((m - 1, m), dtype=np.int64)  # row r: 0, then 1..m-1 rotated left by r
+    order[:, 1:] = 1 + (shift[None, :] + shift[:, None]) % (m - 1)
+    top, bot = order[:, : m // 2], order[:, m - 1 : m // 2 - 1 : -1]
+    p, q = np.minimum(top, bot), np.maximum(top, bot)
+    return [(ps[keep], qs[keep]) for ps, qs, keep in zip(p, q, q < n)]
 
 
 def _stacked_sweep(a: np.ndarray, v: np.ndarray, skip: np.ndarray, active: np.ndarray,
@@ -311,6 +320,160 @@ def hermitian_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _reflect_columns(a: np.ndarray, vs: np.ndarray, ts: np.ndarray, lo: int, hi: int) -> None:
+    """Householder QR of the block a[lo:, lo:hi], in place, recursively.
+
+    A leaf (one column x) takes the reflector H = I - tau v v* of LAPACK's
+    zlarfg, with the phase of x_0 in place of the sign of its real part:
+    H x = beta e_0 for beta = -phase(x_0) ||x||, v = (x - beta e_0) / (x_0 - beta)
+    (so v_0 = 1) and tau = (||x|| + |x_0|) / ||x||, with no cancellation; a zero
+    column takes H = I.  A node factors its left half, applies that half's
+    Q* = I - V T* V* to its right half, factors the right half and joins the
+    two compact-WY factors with T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson,
+    IBM J. Res. Dev. 44(4), 2000), so all but the leaves are matrix products.
+    ``vs`` (m, n) receives each v in its column from row lo on and ``ts`` (n, n)
+    the upper-triangular T; R is left in the upper triangle of ``a``.
+    """
+    if hi - lo == 1:
+        x = a[lo:, lo]
+        norm = np.sqrt(np.vdot(x, x).real)
+        if norm == 0.0:
+            return
+        head = abs(x[0])
+        phase = x[0] / head if head > 0.0 else 1.0
+        vs[lo:, lo] = x / (phase * (head + norm))
+        vs[lo, lo] = 1.0
+        ts[lo, lo] = (head + norm) / norm
+        a[lo, lo] = -phase * norm
+        return
+    mid = (lo + hi) // 2
+    _reflect_columns(a, vs, ts, lo, mid)
+    v1, t1 = vs[lo:, lo:mid], ts[lo:mid, lo:mid]
+    v1h = adjoint(v1)
+    right = a[lo:, mid:hi]
+    right -= v1 @ (adjoint(t1) @ (v1h @ right))
+    _reflect_columns(a, vs, ts, mid, hi)
+    ts[lo:mid, mid:hi] = -(t1 @ ((v1h[:, mid - lo:] @ vs[mid:, mid:hi]) @ ts[mid:hi, mid:hi]))
+
+
+def _householder_r(g: np.ndarray) -> np.ndarray:
+    """The n x n upper-triangular R of a Householder QR G = Q R of an (m, n) matrix,
+    so R* R = G* G; fewer rows than columns are padded with zero rows."""
+    m, n = g.shape
+    a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
+    a[:m] = g
+    _reflect_columns(a, np.zeros_like(a), np.zeros((n, n), dtype=np.complex128), 0, n)
+    return np.triu(a[:n])
+
+
+def _pair_gathers(n: int) -> list[np.ndarray]:
+    """Row gathers that put the pairs of each round-robin step side by side.
+
+    Before step k the rows sit in the order p_0, q_0, p_1, q_1, ... of step
+    k - 1 (the idle row of odd n last), and gather k moves them into that
+    order for step k.  The rows start out labeled as if the last step had just
+    run, so every sweep takes the same gathers; the labels only fix which
+    rows meet, and every pair of labels meets once a sweep."""
+    steps = _round_robin_schedule(n)
+    orders = np.empty((len(steps), n), dtype=np.intp)
+    for order, (p, q) in zip(orders, steps):
+        h = len(p)
+        order[0:2 * h:2], order[1:2 * h:2] = p, q
+        order[2 * h:] = n * (n - 1) // 2 - p.sum() - q.sum()  # the idle row of odd n
+    places = np.argsort(orders, axis=1)  # places[k][label]: the label's row in step k
+    return list(np.take_along_axis(np.roll(places, 1, axis=0), orders, axis=1))
+
+
+def _one_sided_sweep(z: np.ndarray, gathers, floor: float) -> tuple[np.ndarray, bool]:
+    """One round-robin sweep of one-sided Jacobi over the rows of z: the rows in
+    their new order, and whether any pair was rotated.
+
+    A pair of rows y_p, y_q with |y_p* y_q| > JACOBI_ORTHOGONALITY_TOL ||y_p|| ||y_q||,
+    both of norm above ``floor``, is rotated so that its 2x2 Gram matrix
+    becomes diagonal, by the phase twist and |t| <= 1 Schur rotation of
+    ``_stacked_sweep``: y_p takes the phase of y_p* y_q, then
+    [y_p; y_q] <- [[c, -s], [s, c]] [y_p; y_q], one real 2x2 product per pair
+    on the float64 view.  The other pairs take the identity (phase 1, c = 1,
+    s = 0), which leaves them exact.
+    """
+    n = z.shape[1]
+    rotated = False
+    for gather in gathers:
+        z = z[gather]
+        h = len(gather) // 2
+        pairs = z[:2 * h].reshape(h, 2, n)
+        zp, zq = pairs[:, 0], pairs[:, 1]
+        sq = np.vecdot(pairs, pairs).real
+        norms = np.sqrt(sq)
+        apq = np.vecdot(zp, zq)
+        absa = np.abs(apq)
+        live = ((absa > JACOBI_ORTHOGONALITY_TOL * (norms[:, 0] * norms[:, 1]))
+                & (norms.min(axis=1) > floor))
+        if not live.any():
+            continue
+        rotated = True
+        absa = np.where(live, absa, np.inf)  # tau = 0 and phase 0 off the live pairs
+        tau = (sq[:, 1] - sq[:, 0]) / (2.0 * absa)
+        t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+        c = 1.0 / np.hypot(1.0, t)
+        s = t * c
+        zp *= np.where(live, apq / absa, 1.0)[:, None]
+        f = pairs.view(np.float64)
+        f[...] = np.stack((c, -s, s, c), axis=-1).reshape(h, 2, 2) @ f
+    return z, rotated
+
+
+def _gram_eigen(g) -> EigenDecomposition:
+    """Eigendecomposition of G* G for an (m, n) matrix G, without forming G* G.
+
+    Householder QR gives the n x n R with R* R = G* G; one-sided (Hestenes)
+    Jacobi then orthogonalizes the columns y_j of Y = R*, held as the rows of
+    conj(R), over the round-robin schedule of the two-sided sweep, until a
+    whole sweep rotates no pair: every pair then has
+    |y_p* y_q| <= tol ||y_p|| ||y_q||, tol = JACOBI_ORTHOGONALITY_TOL, unless
+    one of the two has norm at most tol ||G||_F.  Such a y_j is zero to working
+    precision (the QR's own rounding is larger) and is never rotated: pairing
+    it with a parallel y_q would only shrink it by eps a sweep, never below
+    the relative test.  Since Y = U Sigma W*,
+    G* G = Y Y* = U Sigma^2 U*, so lambda_j = ||y_j||^2 and u_j = y_j / ||y_j||
+    with no rotation accumulated.  The test is relative to each pair, so small
+    eigenvalues come out to relative accuracy set by G, not by cond(G* G)
+    (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992); the QR first
+    makes the sweeps act on n x n, and R* converges in fewer sweeps than G
+    (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).
+
+    Eigenvalues come back ascending, eigenvector columns in lockstep (ties in
+    Jacobi order), both read-only; any layout of G gives the same bits.  G of
+    rank below n leaves y_j that are zero or at most tol ||G||_F, so lambda_j
+    at most tol^2 ||G||_F^2; a zero y_j gives a zero column of U, left
+    unnormalized.  NoConvergence if a sweep still rotates after
+    JACOBI_MAX_SWEEPS sweeps.
+    """
+    f = _as_finite(g, (2,), "a 2-D matrix", "matrix", copy=False).view(np.float64)
+    # G / 2^e with its largest entry in [1/2, 1): exact, and every square and
+    # ratio below stays in range; each step commutes with the scaling
+    e = int(np.frexp(np.max(np.abs(f), initial=0.0))[1])
+    z = np.conj(_householder_r(np.ldexp(f, -e).view(np.complex128)))
+    n = z.shape[0]
+    gathers = _pair_gathers(n)
+    floor = JACOBI_ORTHOGONALITY_TOL * float(_norms(z))
+    for _ in range(JACOBI_MAX_SWEEPS + 1):
+        z, rotated = _one_sided_sweep(z, gathers, floor)
+        if not rotated:
+            break
+    else:
+        raise NoConvergence(f"one-sided Jacobi still rotated after {JACOBI_MAX_SWEEPS} sweeps"
+                            f" at n = {n}")
+    lam = np.vecdot(z, z).real
+    order = np.argsort(lam, kind="stable")
+    sigma = np.sqrt(lam[order])
+    vals = np.ldexp(lam[order], 2 * e)
+    vecs = np.ascontiguousarray((z[order] / np.where(sigma > 0.0, sigma, 1.0)[:, None]).T)
+    for arr in (vals, vecs):
+        arr.flags.writeable = False
+    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+
+
 def psd_sqrt(a) -> np.ndarray:
     """Unique positive semidefinite square root of a Hermitian PSD matrix.
 
@@ -433,6 +596,20 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     it pairs terms up; the float64 view (re, im side by side) never has that."""
     parts = np.ascontiguousarray(a).view(np.float64)
     return np.add.reduce(parts, axis=0, initial=0.0).view(a.dtype)
+
+
+def _masked_running_sums(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``_running_sum(a[mask])`` for every row of the boolean ``masks`` (K, N) over
+    a complex stack ``a`` (N, ...), bit for bit: one reduction over the stack's
+    first axis with ``where=mask``, which leaves a sum untouched at a masked-out
+    entry and adds the others in order, as ``_running_sum`` does.  The masks go
+    N at a time, so no result slice is larger than the stack."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    step = max(1, len(parts))
+    sums = [np.add.reduce(np.broadcast_to(parts, (len(m),) + parts.shape), axis=1,
+                          where=m.reshape(m.shape + (1,) * (parts.ndim - 1)), initial=0.0)
+            for m in (masks[lo:lo + step] for lo in range(0, len(masks), step))]
+    return np.concatenate(sums).view(a.dtype)
 
 
 # --- JSON encoding -----------------------------------------------------------

@@ -97,12 +97,14 @@ def reconstruct_direct(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndar
     """S^{-1} T* c through the eigendecomposition S = U diag(lambda) U* the frame kept.
 
     x0 = U ((U* T*c) / lambda) is followed by one step of iterative
-    refinement, x0 + U ((U* (T*c - S x0)) / lambda).  The eigensolver stops
-    on an absolute off-diagonal threshold, so the small eigenpairs of an
-    ill-conditioned S carry errors near eps ||S||, and x0 alone can be far
-    less accurate than a backward-stable solve; the refinement step brings
-    it back to that accuracy.  Frame construction already checked
-    lambda > 0, so no singularity test is needed here.
+    refinement, x0 + U ((U* (T*c - S x0)) / lambda).  The eigenpairs are
+    those of G* G for the weighted rows G (``linalg._gram_eigen``), while the
+    residual is taken against the formed S, the operator that
+    ``frame_algorithm`` and the checks use.  Either way the error is of order
+    cond(S) eps; the refinement step lowers it (from 1.7e-8 to 6.5e-9 on a
+    cond(S) = 3.2e8 frame), and a solve on G itself would need the QR's Q
+    and the Jacobi rotations, which are not kept.  Frame construction
+    already checked lambda > 0, so no singularity test is needed here.
     """
     eig = ovf._eigen
     u, lam = eig.eigenvectors, eig.eigenvalues

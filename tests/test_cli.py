@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import VectorFrame, cli, correspondence, linalg
+from framekit import VectorFrame, cli, correspondence, frames, linalg
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
-from framekit.frames import from_vector_frame, vector_frame_from_json, vector_frame_to_json
+from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
 from framekit.povm import povm_from_json, povm_to_json
 
 from conftest import count_calls, random_unit
@@ -144,13 +144,16 @@ def test_data_files_are_compact_sorted_json(pair_path, tmp_path):
 
 
 def test_to_povm_diagonalizes_the_frame_operator_and_one_stack(pair_path, tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
-    assert calls == {"hermitian_eigen": 2}  # S on loading, then every element at once
+    # S's eigenpairs from the rows on loading, then every element at once
+    assert calls == {"hermitian_eigen": 1, "_gram_eigen": 1}
     report = read_report(tmp_path / "p.json")
     assert [c["name"] for c in report["checks"]] == ["povm_valid", "framed"]
     assert report["passed"] is True
-    assert (report["summary"]["lower"], report["summary"]["upper"]) == (1.0, 2.0)
+    # the QR rounds ||(1, 1, 0)|| = sqrt(2), whose square reads 2 + 4u
+    bounds = (report["summary"]["lower"], report["summary"]["upper"])
+    assert bounds == pytest.approx((1.0, 2.0), rel=1e-15)
 
 
 def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_path, monkeypatch):
@@ -172,9 +175,10 @@ def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_pat
 
 
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
     assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
-    assert calls == {"hermitian_eigen": 3}  # S on loading, the densities, the recovered S
+    # the densities; each frame's S, on loading and recovered, from its rows
+    assert calls == {"hermitian_eigen": 1, "_gram_eigen": 2}
 
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):
@@ -494,6 +498,34 @@ def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_pa
     err = capsys.readouterr().err
     assert "LimitExceeded" in err and "densities are too large" in err
     assert not out.exists()
+
+
+def test_bounds_and_to_ovf_compute_their_frame_checks(kind_paths, tmp_path, monkeypatch):
+    verdicts = []
+    original = frames._positive_definite
+
+    def recording(lo, hi):
+        verdicts.append((lo, hi))
+        return original(lo, hi)
+
+    monkeypatch.setattr(frames, "_positive_definite", recording)
+    for command, name in (("bounds", "frame"), ("to-ovf", "framed")):
+        kind = cli._COMMANDS[command].inputs[0]
+        out = tmp_path / f"{command}.json"
+        verdicts.clear()
+        assert main([command, "--in", kind_paths[kind], "--out", str(out)]) == 0
+        (check,) = read_report(out)["checks"]
+        assert check["name"] == name and check["passed"] is True
+        assert (check["lower"], check["upper"]) in verdicts  # the report's bounds, tested
+        assert check["margin"] == frames.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
+
+
+def test_frame_check_fails_below_the_frame_tolerance():
+    ok = cli._frame_check("frame", FrameBounds(lower=1.0, upper=2.0))
+    assert ok["passed"] is True and ok["margin"] == 2.0 * frames.TOL_FRAME_REL
+    # valid bounds, but lambda_min is below TOL_FRAME_REL * lambda_max
+    bad = cli._frame_check("framed", FrameBounds(lower=1e-12, upper=1.0))
+    assert bad["passed"] is False and bad["margin"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_a_check_with_a_non_finite_number_fails():

@@ -23,6 +23,7 @@ from framekit import (
     frame_operator,
     from_vector_frame,
     inner,
+    linalg,
     synthesis,
 )
 from framekit.frames import (
@@ -34,7 +35,7 @@ from framekit.frames import (
     vector_frame_to_json,
 )
 
-from conftest import complex_box, random_ovf, random_vector_frame, rng_for
+from conftest import complex_box, count_calls, random_ovf, random_vector_frame, rng_for
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -112,6 +113,51 @@ def test_equiangular_triple_is_tight():
 def test_deficient_family_is_not_a_frame():
     with pytest.raises(NotAFrame):
         from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E1]))
+
+
+@pytest.mark.parametrize("blocks", [
+    [complex_box(rng_for(1), (2, 3))],  # fewer rows than dim_h
+    [np.array([[1.0, 0.0, 2.0]]), np.array([[3.0, 0.0, 1j]]), np.array([[1.0, 0.0, 1.0]])],
+    [],  # no atoms
+], ids=["few-rows", "zero-column", "no-atoms"])
+def test_rank_deficient_families_are_not_frames_without_warnings(blocks):
+    space = AtomicMeasureSpace(atoms=[str(t) for t in range(len(blocks))], weights=np.ones(len(blocks)))
+    with pytest.raises(NotAFrame):  # pytest turns RuntimeWarnings into errors
+        OperatorValuedFrame(space=space, dim_h=3, blocks=blocks)
+
+
+def test_each_frame_takes_its_eigenpairs_from_one_gram_eigen_call(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
+    for seed in range(3):
+        random_ovf(dim=4, atoms=5, seed=seed)
+        assert calls == {"hermitian_eigen": 0, "_gram_eigen": seed + 1}
+    f = random_ovf(dim=4, atoms=5, seed=0)
+    w = np.sqrt(f._row_weights)[:, None] * f._rows
+    again = linalg._gram_eigen(w)
+    assert np.array_equal(f._eigen.eigenvalues, again.eigenvalues)
+    assert np.array_equal(f._eigen.eigenvectors, again.eigenvectors)
+
+
+def test_bounds_of_an_ill_conditioned_frame_match_a_50_digit_svd():
+    """A 16-dim vector frame of 48 rows with singular values graded over 4.25
+    decades, between random unitaries: cond(S) = 3.2e8.  The bounds are the
+    squared extreme singular values of the stored rows, which mpmath computes
+    to 50 digits; forming S and diagonalizing it loses about cond(S) * eps."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = rng_for(3)
+
+    def unitary(rows, cols):
+        q, r = np.linalg.qr(complex_box(rng, (rows, cols)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    vectors = (unitary(48, 16) * np.logspace(0.0, -4.25, 16)) @ unitary(16, 16).conj().T
+    b = frame_bounds(from_vector_frame(VectorFrame(dim_h=16, vectors=vectors)))
+    with mpmath.workdps(50):
+        sv = sorted(mpmath.svd_c(mpmath.matrix(vectors.tolist()), compute_uv=False))
+        lower, upper = sv[0] ** 2, sv[-1] ** 2
+        assert float(upper / lower) == pytest.approx(3.16e8, rel=1e-2)
+        assert float(abs(b.lower - lower) / lower) <= 1e-12
+        assert float(abs(b.upper - upper) / upper) <= 1e-12
 
 
 def test_empty_vector_frame_rejected():

@@ -506,3 +506,62 @@ def test_loaders_take_integer_and_float_weights():
                          "blocks": [ONE_JSON, ONE_JSON]})
     assert ovf.space.weights.tolist() == [2.0, 0.5]
     assert linalg.vector_from_json({"dim": 1, "entries": [[1, 0]]}).tolist() == [1 + 0j]
+
+
+@pytest.mark.parametrize("count,dim", [(1, 1), (1, 3), (7, 2), (33, 4)])
+def test_masked_running_sums_match_each_running_sum_bit_for_bit(count, dim):
+    rng = rng_for(count + dim)
+    stack = complex_box(rng, (count, dim, dim)) * 10.0 ** rng.integers(-8, 8, (count, 1, 1))
+    masks = rng.integers(0, 2, size=(3 * count + 2, count)).astype(bool)
+    masks[0] = False  # the empty event: exact zeros
+    masks[1] = True
+    sums = linalg._masked_running_sums(stack, masks)  # 3N + 2 masks: more than one slice
+    assert sums.shape == (len(masks), dim, dim) and sums.dtype == np.complex128
+    for mask, total in zip(masks, sums):
+        assert np.array_equal(total, linalg._running_sum(stack[mask]))
+        assert np.array_equal(np.signbit(total.view(np.float64)),
+                              np.signbit(linalg._running_sum(stack[mask]).view(np.float64)))
+
+
+def gram_case(rows, dim, seed):
+    return complex_box(rng_for(seed), (rows, dim))
+
+
+@pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64)])
+def test_gram_eigen_is_an_orthonormal_eigenbasis_of_g_star_g(rows, dim):
+    g = gram_case(rows, dim, seed=rows + dim)
+    dec = linalg._gram_eigen(g)
+    s = linalg.adjoint(g) @ g
+    u, lam = dec.eigenvectors, dec.eigenvalues
+    eps = np.finfo(float).eps
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.linalg.norm(linalg.adjoint(u) @ u - np.eye(dim)) <= 4 * dim * eps
+    assert np.linalg.norm(s @ u - u * lam) / np.linalg.norm(s) <= 4 * dim * eps
+    assert np.allclose(lam, np.linalg.eigvalsh(s), rtol=1e-12, atol=0.0)
+    assert not dec.eigenvalues.flags.writeable and not dec.eigenvectors.flags.writeable
+
+
+def test_gram_eigen_is_bit_deterministic_in_any_layout():
+    g = gram_case(30, 12, seed=5)
+    first = linalg._gram_eigen(g)
+    for again in (g.copy(), np.asfortranarray(g), np.ascontiguousarray(g.T).T):
+        dec = linalg._gram_eigen(again)
+        assert np.array_equal(dec.eigenvalues, first.eigenvalues)
+        assert np.array_equal(dec.eigenvectors, first.eigenvectors)
+
+
+def test_gram_eigen_of_a_rank_deficient_g_raises_no_warning():
+    # fewer rows than columns, a zero column, no rows: lambda_min is zero to working precision
+    g = gram_case(40, 9, seed=6)
+    g[:, 4] = 0.0
+    for case in (gram_case(5, 9, seed=7), g, np.zeros((0, 9))):
+        lam = linalg._gram_eigen(case).eigenvalues  # pytest turns RuntimeWarnings into errors
+        assert lam[0] <= 1e-28 * max(lam[-1], 1.0)
+    assert np.array_equal(linalg._gram_eigen(np.zeros((0, 3))).eigenvectors, np.zeros((3, 3)))
+
+
+def test_gram_eigen_raises_no_convergence(monkeypatch):
+    monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
+    assert np.array_equal(linalg._gram_eigen(np.diag([3.0, 1.0, 2.0])).eigenvalues, [1.0, 4.0, 9.0])
+    with pytest.raises(NoConvergence):
+        linalg._gram_eigen(gram_case(6, 4, seed=8))

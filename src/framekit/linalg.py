@@ -466,8 +466,8 @@ def _gram_eigen(g) -> EigenDecomposition:
                             f" at n = {n}")
     lam = np.vecdot(z, z).real
     order = np.argsort(lam, kind="stable")
-    sigma = np.sqrt(lam[order])
-    vals = np.ldexp(lam[order], 2 * e)
+    lam, sigma = lam[order], np.sqrt(lam[order])
+    vals = np.ldexp(lam, 2 * e)
     vecs = np.ascontiguousarray((z[order] / np.where(sigma > 0.0, sigma, 1.0)[:, None]).T)
     for arr in (vals, vecs):
         arr.flags.writeable = False
@@ -605,10 +605,11 @@ def _masked_running_sums(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
     entry and adds the others in order, as ``_running_sum`` does.  The masks go
     N at a time, so no result slice is larger than the stack."""
     parts = np.ascontiguousarray(a).view(np.float64)
+    where = masks.reshape(masks.shape + (1,) * (parts.ndim - 1))
     step = max(1, len(parts))
-    sums = [np.add.reduce(np.broadcast_to(parts, (len(m),) + parts.shape), axis=1,
-                          where=m.reshape(m.shape + (1,) * (parts.ndim - 1)), initial=0.0)
-            for m in (masks[lo:lo + step] for lo in range(0, len(masks), step))]
+    sums = [np.add.reduce(np.broadcast_to(parts, (len(w),) + parts.shape), axis=1, where=w,
+                          initial=0.0)
+            for w in (where[lo:lo + step] for lo in range(0, len(where), step))]
     return np.concatenate(sums).view(a.dtype)
 
 

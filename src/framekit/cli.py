@@ -264,7 +264,9 @@ def _cmd_bounds(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
 def _cmd_analyze(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame, x: np.ndarray):
     c = frames.analysis(ovf, x)
     data_path = _write_data(cfg, frames.coefficients_to_json(c))
-    checks = [_check("analysis", True)]
+    # the energy identity sum_t mu_t ||c_t||^2 = ||R x||^2, on the frame's kept factor
+    value, tol = frames._energy_residual(ovf, x, c), frames.TOL_ENERGY_REL
+    checks = [_check("analysis", value <= tol, value=value, tolerance=tol, margin=value / tol)]
     summary = {"weighted_norm_sq": c.weighted_norm_sq(), "atoms": len(c.space)}
     return checks, summary, {"coefficients": data_path}
 
@@ -296,7 +298,7 @@ def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
 def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     m = cr.ovf_to_povm(ovf)
     report = povm.validate(m, seed=cfg.seed)
-    b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized once on loading
+    b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized on this first read
     data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
         _check("povm_valid", report.passed, failures=list(report.failures)),

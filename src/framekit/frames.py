@@ -12,6 +12,7 @@ segments) is one array lined up with ``space.atoms``, never reordered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,15 @@ from .errors import (
 
 # Below this fraction of lambda_max(S), the family is reported as not a frame.
 TOL_FRAME_REL = 1e-10
+# A family is accepted as a frame without its eigenvalues when its condition
+# bound ||R||_F^2 ||R^-1||_F^2 times this factor stays below 1 / TOL_FRAME_REL.
+# The factor covers the rounding of R^-1 and of the eigenvalues the sweeps
+# would compute from the same R: each is about n eps cond(R) relative, and
+# cond(R) < 1e5 on any family the test accepts, so 3e-9 at n = 128.
+_CERTIFICATE_MARGIN = 2.0
+# analyze's energy identity sum_t mu_t ||c_t||^2 = ||R x||^2 holds to this
+# fraction of ||R||_F^2 ||x||^2; its rounding is about (rows + n) eps.
+TOL_ENERGY_REL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,12 +148,22 @@ class OperatorValuedFrame:
 
     The rows of all blocks form one read-only array B (``_rows``, atom t's from
     ``_offsets[t]``, row weights ``_row_weights``); ``blocks`` are views into B.
-    Construction checks the frame property: the frame operator
-    S = sum_t mu({t}) T(t)* T(t) = B* diag(w) B must be positive definite,
-    otherwise NotAFrame is raised.  S is formed (``_operator``) for its products,
-    but its eigenpairs (``_eigen``, and with them the bounds A and B) come from
-    the weighted rows G = diag(sqrt(w)) B through ``linalg._gram_eigen``, which
-    never forms G* G: A keeps its relative accuracy when cond(S) is large.
+    S = sum_t mu({t}) T(t)* T(t) = B* diag(w) B is formed (``_operator``) for
+    its products.  Construction also keeps the n x n upper-triangular R of a
+    Householder QR of the weighted rows G = diag(sqrt(w)) B, so R* R = S,
+    scaled by 2^-e (``_factor``, with ``_factor_exponent`` e; see
+    ``linalg._scaled_r``), and its inverse (``_factor_inverse``).
+
+    It checks the frame property, S positive definite beyond TOL_FRAME_REL,
+    from the factor: lambda_max / lambda_min = cond(R)^2 <= ||R||_F^2 ||R^-1||_F^2,
+    a scale-invariant bound taken on the scaled R.  When it clears
+    1 / TOL_FRAME_REL by _CERTIFICATE_MARGIN the family is a frame and nothing
+    is diagonalized.  Otherwise (a singular R and a non-finite R^-1 included)
+    the eigenvalues decide at once, and NotAFrame is raised unless they pass.
+    The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached
+    properties: one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``)
+    runs on their first read and never again.  They never form G* G, so A keeps
+    its relative accuracy when cond(S) is large.
     """
 
     space: AtomicMeasureSpace
@@ -153,8 +173,9 @@ class OperatorValuedFrame:
     _row_weights: np.ndarray = field(repr=False, compare=False)
     _offsets: np.ndarray = field(repr=False, compare=False)
     _operator: np.ndarray = field(repr=False, compare=False)
-    _eigen: linalg.EigenDecomposition = field(repr=False, compare=False)
-    _bounds: FrameBounds = field(repr=False, compare=False)
+    _factor: np.ndarray = field(repr=False, compare=False)
+    _factor_exponent: int = field(repr=False, compare=False)
+    _factor_inverse: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space: AtomicMeasureSpace, dim_h: int, blocks):
         if dim_h <= 0:
@@ -178,10 +199,26 @@ class OperatorValuedFrame:
 
         s = linalg.hermitize(linalg.adjoint(rows) @ (row_weights[:, None] * rows))
         s.flags.writeable = False
-        eig = linalg._gram_eigen(np.sqrt(row_weights)[:, None] * rows)
+        r, e = linalg._scaled_r(rows, np.sqrt(row_weights))
+        r_inv = linalg._triangular_inverse(r)
         object.__setattr__(self, "_operator", s)
-        object.__setattr__(self, "_eigen", eig)
-        object.__setattr__(self, "_bounds", _bounds_of(eig.eigenvalues))
+        object.__setattr__(self, "_factor", r)
+        object.__setattr__(self, "_factor_exponent", e)
+        object.__setattr__(self, "_factor_inverse", r_inv)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails the test
+            bound = float(linalg._norms(r)) ** 2 * float(linalg._norms(r_inv)) ** 2
+        if not bound * _CERTIFICATE_MARGIN < 1.0 / TOL_FRAME_REL:
+            frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
+
+    @cached_property
+    def _eigen(self) -> linalg.EigenDecomposition:
+        """Eigenpairs of S, from one-sided Jacobi on the kept R on first read."""
+        return linalg._one_sided_jacobi(self._factor, self._factor_exponent)
+
+    @cached_property
+    def _bounds(self) -> FrameBounds:
+        """Frame bounds from the eigenvalues of S; NotAFrame unless S > 0."""
+        return _bounds_of(self._eigen.eigenvalues)
 
     def block(self, label: str) -> np.ndarray:
         return self.blocks[self.space.index(label)]
@@ -291,8 +328,39 @@ def synthesis(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:
         raise SpaceMismatch("coefficient field lives over a different measure space")
     if not np.array_equal(c._offsets, ovf._offsets):
         raise DimensionMismatch("segment lengths do not match the block rows")
+    return _weighted_adjoint(ovf, c._values)
+
+
+def _weighted_adjoint(ovf: OperatorValuedFrame, values: np.ndarray) -> np.ndarray:
+    """B* (w y) for a flat coefficient vector y lined up with the rows."""
     # B* y as conj(B^T conj(y)): no conjugated copy of B
-    return np.conj(ovf._rows.T @ np.conj(ovf._row_weights * c._values))
+    return np.conj(ovf._rows.T @ np.conj(ovf._row_weights * values))
+
+
+def _normal_solve(ovf: OperatorValuedFrame, b: np.ndarray) -> np.ndarray:
+    """S^-1 b = R^-1 R^-* b through the kept inverse factor; the two powers 2^-e
+    of the scaling are applied one after each product, so the intermediate keeps
+    the scale of R^-* b."""
+    inv, e = ovf._factor_inverse, ovf._factor_exponent
+
+    def scaled(v):
+        return np.ldexp(v.view(np.float64), -e).view(np.complex128)
+
+    return scaled(inv @ scaled(np.conj(inv.T @ np.conj(b))))
+
+
+def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientField) -> float:
+    """|sum_t mu_t ||c_t||^2 - ||R x||^2| / (||R||_F^2 ||x||^2) for coefficients c
+    claimed to be the analysis of x: the energy identity ||G x||^2 = ||R x||^2,
+    read on the kept factor, so with no eigenpairs.  Both sides and the scale
+    are taken on R / 2^e; 0 when the two sides agree exactly (x = 0 included)."""
+    r, e = ovf._factor, ovf._factor_exponent
+    energy = float(np.ldexp(c.weighted_norm_sq(), -2 * e))
+    rx = r @ x
+    diff = abs(energy - float(np.vdot(rx, rx).real))
+    if diff == 0.0:
+        return 0.0
+    return diff / (float(linalg._norms(r)) ** 2 * float(np.vdot(x, x).real))
 
 
 def frame_operator(ovf: OperatorValuedFrame) -> np.ndarray:
@@ -301,7 +369,7 @@ def frame_operator(ovf: OperatorValuedFrame) -> np.ndarray:
 
 
 def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
-    """Extreme eigenvalues of the frame operator."""
+    """Extreme eigenvalues of the frame operator, diagonalized on the first read."""
     return ovf._bounds
 
 

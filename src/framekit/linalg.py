@@ -13,18 +13,20 @@ the size n: the round-robin steps of disjoint pairs of
   matrix's eigenpairs are bit-identical alone and anywhere in any stack by
   construction.  It serves matrices that come with no factor: POVM
   elements, densities, M(Omega) and Gram matrices.
-* ``_gram_eigen`` diagonalizes G* G from the factor G alone: a Householder
-  QR, then one-sided Jacobi on R*.  It never forms G* G, so the small
-  eigenvalues keep their relative accuracy; a frame's operator
-  S = B* diag(w) B takes its eigenpairs from it, with G = diag(sqrt(w)) B.
+* ``_one_sided_jacobi`` diagonalizes G* G from the triangular factor R of
+  G alone (``_scaled_r``, a Householder QR): one-sided Jacobi on R*.  It
+  never forms G* G, so the small eigenvalues keep their relative accuracy; a
+  frame's operator S = B* diag(w) B takes its eigenpairs from it, with
+  G = diag(sqrt(w)) B, on the first read of its bounds.
 
 A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
 factorization of the shifted matrices instead
 (``_shifted_positive_definite``), a fraction of the cost of the sweeps;
 eigenpairs are computed only where they are read.  There is no general
-inverse; the frame operator is inverted through its kept eigendecomposition
-(see ``reconstruction.reconstruct_direct``).  All functions are pure; no
-hidden state.
+inverse: a frame inverts its triangular R (``_triangular_inverse``), which
+both certifies the frame without eigenvalues and solves S x = b as the
+least-squares problem on G (see ``reconstruction.reconstruct_direct``).
+All functions are pure; no hidden state.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -320,50 +322,98 @@ def hermitian_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _reflect_columns(a: np.ndarray, vs: np.ndarray, ts: np.ndarray, lo: int, hi: int) -> None:
+def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: int) -> None:
     """Householder QR of the block a[lo:, lo:hi], in place, recursively.
 
     A leaf (one column x) takes the reflector H = I - tau v v* of LAPACK's
     zlarfg, with the phase of x_0 in place of the sign of its real part:
     H x = beta e_0 for beta = -phase(x_0) ||x||, v = (x - beta e_0) / (x_0 - beta)
     (so v_0 = 1) and tau = (||x|| + |x_0|) / ||x||, with no cancellation; a zero
-    column takes H = I.  A node factors its left half, applies that half's
-    Q* = I - V T* V* to its right half, factors the right half and joins the
-    two compact-WY factors with T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson,
+    column takes H = I and v = 0.  A node factors its left half, applies that
+    half's Q* = I - V T* V* to its right half, factors the right half and joins
+    the two compact-WY factors with T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson,
     IBM J. Res. Dev. 44(4), 2000), so all but the leaves are matrix products.
-    ``vs`` (m, n) receives each v in its column from row lo on and ``ts`` (n, n)
-    the upper-triangular T; R is left in the upper triangle of ``a``.
+
+    The leaf of column j moves R's column j (rows 0..j, final by then) into the
+    n x n ``r`` and overwrites column j of ``a`` with v: zero above row j, v_0
+    on it and the rest below.  So each V of a node is a view of ``a``, the one
+    tall array of the QR; ``ts`` (n, n) receives the upper-triangular T.
     """
     if hi - lo == 1:
+        r[:lo, lo] = a[:lo, lo]
+        a[:lo, lo] = 0.0
         x = a[lo:, lo]
         norm = np.sqrt(np.vdot(x, x).real)
         if norm == 0.0:
+            r[lo, lo] = x[0]
+            x[:] = 0.0
             return
         head = abs(x[0])
         phase = x[0] / head if head > 0.0 else 1.0
-        vs[lo:, lo] = x / (phase * (head + norm))
-        vs[lo, lo] = 1.0
+        r[lo, lo] = -phase * norm
+        x /= phase * (head + norm)
+        x[0] = 1.0
         ts[lo, lo] = (head + norm) / norm
-        a[lo, lo] = -phase * norm
         return
     mid = (lo + hi) // 2
-    _reflect_columns(a, vs, ts, lo, mid)
-    v1, t1 = vs[lo:, lo:mid], ts[lo:mid, lo:mid]
+    _reflect_columns(a, r, ts, lo, mid)
+    v1, t1 = a[lo:, lo:mid], ts[lo:mid, lo:mid]
     v1h = adjoint(v1)
     right = a[lo:, mid:hi]
     right -= v1 @ (adjoint(t1) @ (v1h @ right))
-    _reflect_columns(a, vs, ts, mid, hi)
-    ts[lo:mid, mid:hi] = -(t1 @ ((v1h[:, mid - lo:] @ vs[mid:, mid:hi]) @ ts[mid:hi, mid:hi]))
+    _reflect_columns(a, r, ts, mid, hi)
+    ts[lo:mid, mid:hi] = -(t1 @ ((v1h[:, mid - lo:] @ a[mid:, mid:hi]) @ ts[mid:hi, mid:hi]))
 
 
-def _householder_r(g: np.ndarray) -> np.ndarray:
-    """The n x n upper-triangular R of a Householder QR G = Q R of an (m, n) matrix,
-    so R* R = G* G; fewer rows than columns are padded with zero rows."""
+def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
+    """(R / 2^e, e) for the n x n upper-triangular R of a Householder QR of the
+    (m, n) matrix G = diag(row_scale) g, so R* R = G* G; fewer rows than columns
+    are padded with zero rows.  Any layout of g gives the same bits.
+
+    2^e puts G's largest real or imaginary part in [1/2, 1): exact, every square
+    and ratio of the sweeps stays in range, and each step of the QR and of the
+    sweeps commutes with the scaling.  G is written once, into the F-ordered work
+    array of the QR, and scaled there in place; the reflectors then overwrite
+    it, so nothing else as tall is held but one node's V* and product.
+    """
     m, n = g.shape
     a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
-    a[:m] = g
-    _reflect_columns(a, np.zeros_like(a), np.zeros((n, n), dtype=np.complex128), 0, n)
-    return np.triu(a[:n])
+    np.multiply(row_scale[:, None], g, out=a[:m])
+    f = a.T.view(np.float64)  # a.T is C-ordered
+    e = int(np.frexp(max(np.max(f, initial=0.0), -np.min(f, initial=0.0)))[1])
+    np.ldexp(f, -e, out=f)
+    r = np.zeros((n, n), dtype=np.complex128)
+    _reflect_columns(a, r, np.zeros((n, n), dtype=np.complex128), 0, n)
+    r.flags.writeable = False
+    return r, e
+
+
+def _invert_upper(r: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
+    """Fill the block inv[lo:hi, lo:hi] above its diagonal, which already holds
+    the reciprocals of R's, by R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]]."""
+    if hi - lo == 1:
+        return
+    mid = (lo + hi) // 2
+    _invert_upper(r, inv, lo, mid)
+    _invert_upper(r, inv, mid, hi)
+    inv[lo:mid, mid:hi] = -(inv[lo:mid, lo:mid] @ (r[lo:mid, mid:hi] @ inv[mid:hi, mid:hi]))
+
+
+def _triangular_inverse(r: np.ndarray) -> np.ndarray:
+    """Inverse of an upper-triangular n x n R, read-only, by the block rule
+    R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]] applied recursively
+    (``_invert_upper``), so all but the 1 x 1 leaves, whose reciprocals are
+    taken together, are matrix products.  A singular or nearly singular R gives
+    inf or NaN entries, with no RuntimeWarning; callers test the result for
+    finiteness."""
+    n = r.shape[0]
+    inv = np.zeros_like(r)
+    diag = np.arange(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv[diag, diag] = 1.0 / r[diag, diag]
+        _invert_upper(r, inv, 0, n)
+    inv.flags.writeable = False
+    return inv
 
 
 def _pair_gathers(n: int) -> list[np.ndarray]:
@@ -423,15 +473,15 @@ def _one_sided_sweep(z: np.ndarray, gathers, floor: float) -> tuple[np.ndarray, 
     return z, rotated
 
 
-def _gram_eigen(g) -> EigenDecomposition:
-    """Eigendecomposition of G* G for an (m, n) matrix G, without forming G* G.
+def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
+    """Eigendecomposition of G* G from the scaled factor (R / 2^e, e) of
+    ``_scaled_r``, without forming G* G.
 
-    Householder QR gives the n x n R with R* R = G* G; one-sided (Hestenes)
-    Jacobi then orthogonalizes the columns y_j of Y = R*, held as the rows of
-    conj(R), over the round-robin schedule of the two-sided sweep, until a
-    whole sweep rotates no pair: every pair then has
+    One-sided (Hestenes) Jacobi orthogonalizes the columns y_j of Y = R*, held
+    as the rows of conj(R), over the round-robin schedule of the two-sided
+    sweep, until a whole sweep rotates no pair: every pair then has
     |y_p* y_q| <= tol ||y_p|| ||y_q||, tol = JACOBI_ORTHOGONALITY_TOL, unless
-    one of the two has norm at most tol ||G||_F.  Such a y_j is zero to working
+    one of the two has norm at most tol ||R||_F.  Such a y_j is zero to working
     precision (the QR's own rounding is larger) and is never rotated: pairing
     it with a parallel y_q would only shrink it by eps a sweep, never below
     the relative test.  Since Y = U Sigma W*,
@@ -443,17 +493,12 @@ def _gram_eigen(g) -> EigenDecomposition:
     (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).
 
     Eigenvalues come back ascending, eigenvector columns in lockstep (ties in
-    Jacobi order), both read-only; any layout of G gives the same bits.  G of
-    rank below n leaves y_j that are zero or at most tol ||G||_F, so lambda_j
-    at most tol^2 ||G||_F^2; a zero y_j gives a zero column of U, left
-    unnormalized.  NoConvergence if a sweep still rotates after
-    JACOBI_MAX_SWEEPS sweeps.
+    Jacobi order), both read-only.  G of rank below n leaves y_j that are zero
+    or at most tol ||G||_F, so lambda_j at most tol^2 ||G||_F^2; a zero y_j
+    gives a zero column of U, left unnormalized.  NoConvergence if a sweep
+    still rotates after JACOBI_MAX_SWEEPS sweeps.
     """
-    f = _as_finite(g, (2,), "a 2-D matrix", "matrix", copy=False).view(np.float64)
-    # G / 2^e with its largest entry in [1/2, 1): exact, and every square and
-    # ratio below stays in range; each step commutes with the scaling
-    e = int(np.frexp(np.max(np.abs(f), initial=0.0))[1])
-    z = np.conj(_householder_r(np.ldexp(f, -e).view(np.complex128)))
+    z = np.conj(r)
     n = z.shape[0]
     gathers = _pair_gathers(n)
     floor = JACOBI_ORTHOGONALITY_TOL * float(_norms(z))

@@ -144,10 +144,10 @@ def test_data_files_are_compact_sorted_json(pair_path, tmp_path):
 
 
 def test_to_povm_diagonalizes_the_frame_operator_and_one_stack(pair_path, tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
-    # S's eigenpairs from the rows on loading, then every element at once
-    assert calls == {"hermitian_eigen": 1, "_gram_eigen": 1}
+    # every element at once, then S's eigenpairs from the kept R when the bounds are read
+    assert calls == {"hermitian_eigen": 1, "_one_sided_jacobi": 1}
     report = read_report(tmp_path / "p.json")
     assert [c["name"] for c in report["checks"]] == ["povm_valid", "framed"]
     assert report["passed"] is True
@@ -175,10 +175,64 @@ def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_pat
 
 
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
-    # the densities; each frame's S, on loading and recovered, from its rows
-    assert calls == {"hermitian_eigen": 1, "_gram_eigen": 2}
+    # the densities; each frame's S, loaded and recovered, from its kept R for its bounds
+    assert calls == {"hermitian_eigen": 1, "_one_sided_jacobi": 2}
+
+
+def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
+        pair_path, tmp_path, monkeypatch):
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
+    assert main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
+    povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
+    assert main(["decompose", "--in", povm_path, "--out", str(tmp_path / "d.json")]) == 0
+    runs = {
+        "analyze": ["--in", pair_path, "--in", xpath],
+        "bounds": ["--in", pair_path],
+        "reconstruct": ["--in", pair_path, "--in", str(tmp_path / "a.data.json")],
+        "to-ovf": ["--in", str(tmp_path / "d.data.json")],
+    }
+    sweeps = {}
+    for command, args in runs.items():
+        calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
+        assert main([command] + args + ["--out", str(tmp_path / f"{command}.json")]) == 0
+        sweeps[command] = calls["_one_sided_jacobi"]
+        assert calls["hermitian_eigen"] == (1 if command == "to-ovf" else 0)  # the densities
+        monkeypatch.undo()
+    assert sweeps == {"analyze": 0, "bounds": 1, "reconstruct": 1, "to-ovf": 1}
+
+
+def _analysis_check(pair_path, tmp_path, x):
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))
+    code = main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")])
+    (check,) = read_report(tmp_path / "a.json")["checks"]
+    assert check["name"] == "analysis" and check["tolerance"] == frames.TOL_ENERGY_REL
+    assert check["margin"] == check["value"] / check["tolerance"]
+    return code, check
+
+
+def test_analyze_checks_the_energy_identity_on_the_factor(pair_path, tmp_path):
+    for x in (random_unit(2, seed=3), np.zeros(2), np.array([1e150, -1e-150j])):
+        code, check = _analysis_check(pair_path, tmp_path, x)
+        assert code == 0 and check["passed"] is True
+        assert check["value"] <= 1e-15
+
+
+def test_analyze_fails_on_coefficients_that_are_not_the_analysis(pair_path, tmp_path, monkeypatch):
+    original = frames.analysis
+
+    def corrupted(ovf, x):
+        c = original(ovf, x)
+        segments = [np.array(seg) for seg in c.segments]
+        segments[1][0] *= 1.0 + 1e-6
+        return frames.CoefficientField(c.space, segments)
+
+    monkeypatch.setattr(frames, "analysis", corrupted)
+    code, check = _analysis_check(pair_path, tmp_path, random_unit(2, seed=3))
+    assert code == 1 and check["passed"] is False
+    assert check["value"] > frames.TOL_ENERGY_REL
 
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):

@@ -425,9 +425,9 @@ def test_recovered_blocks_are_density_square_roots():
 
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=6, seed=3))
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt", "_gram_eigen")
-    decomposition_to_ovf(d)  # a cold decomposition: its densities' stack, then S from the rows
-    assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0, "_gram_eigen": 1}
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt", "_one_sided_jacobi")
+    decomposition_to_ovf(d)  # a cold decomposition: its densities' stack; S is certified from R
+    assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0, "_one_sided_jacobi": 0}
 
 
 def test_round_trip_preserves_operator_and_bounds():

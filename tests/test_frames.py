@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,14 +20,18 @@ from framekit import (
     VectorFrame,
     analysis,
     discretize_continuous,
+    frame_algorithm,
     frame_bounds,
     frame_operator,
     from_vector_frame,
     inner,
+    frames,
     linalg,
+    reconstruct_direct,
     synthesis,
 )
 from framekit.frames import (
+    TOL_FRAME_REL,
     coefficients_from_json,
     coefficients_to_json,
     ovf_from_json,
@@ -115,27 +120,126 @@ def test_deficient_family_is_not_a_frame():
         from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E1]))
 
 
-@pytest.mark.parametrize("blocks", [
-    [complex_box(rng_for(1), (2, 3))],  # fewer rows than dim_h
-    [np.array([[1.0, 0.0, 2.0]]), np.array([[3.0, 0.0, 1j]]), np.array([[1.0, 0.0, 1.0]])],
-    [],  # no atoms
-], ids=["few-rows", "zero-column", "no-atoms"])
-def test_rank_deficient_families_are_not_frames_without_warnings(blocks):
+# A 2 x 2 frame whose R has r_22 = 1e-310: 1 / r_22 overflows.
+_TINY = np.array([[1.0, 0.0], [0.0, 1e-310]])
+
+
+@pytest.mark.parametrize("blocks,dim", [
+    ([complex_box(rng_for(1), (2, 3))], 3),  # fewer rows than dim_h
+    ([np.array([[1.0, 0.0, 2.0]]), np.array([[3.0, 0.0, 1j]]), np.array([[1.0, 0.0, 1.0]])], 3),
+    ([], 3),  # no atoms
+    ([_TINY[:1], _TINY[1:]], 2),
+], ids=["few-rows", "zero-column", "no-atoms", "overflowing-inverse"])
+def test_rank_deficient_families_are_not_frames_without_warnings(blocks, dim, monkeypatch):
     space = AtomicMeasureSpace(atoms=[str(t) for t in range(len(blocks))], weights=np.ones(len(blocks)))
+    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi")
     with pytest.raises(NotAFrame):  # pytest turns RuntimeWarnings into errors
-        OperatorValuedFrame(space=space, dim_h=3, blocks=blocks)
+        OperatorValuedFrame(space=space, dim_h=dim, blocks=blocks)
+    assert calls == {"_one_sided_jacobi": 1}  # the certificate declined; the eigenvalues decided
 
 
 def test_each_frame_takes_its_eigenpairs_from_one_gram_eigen_call(monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_gram_eigen")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_scaled_r", "_one_sided_jacobi")
     for seed in range(3):
-        random_ovf(dim=4, atoms=5, seed=seed)
-        assert calls == {"hermitian_eigen": 0, "_gram_eigen": seed + 1}
+        random_ovf(dim=4, atoms=5, seed=seed)  # one QR each, certified without sweeps
+        assert calls == {"hermitian_eigen": 0, "_scaled_r": seed + 1, "_one_sided_jacobi": 0}
     f = random_ovf(dim=4, atoms=5, seed=0)
     w = np.sqrt(f._row_weights)[:, None] * f._rows
-    again = linalg._gram_eigen(w)
+    again = linalg._one_sided_jacobi(*linalg._scaled_r(w, np.ones(len(w))))  # on G itself
     assert np.array_equal(f._eigen.eigenvalues, again.eigenvalues)
     assert np.array_equal(f._eigen.eigenvectors, again.eigenvectors)
+    assert calls == {"hermitian_eigen": 0, "_scaled_r": 5, "_one_sided_jacobi": 2}
+
+
+def test_a_certified_frame_diagonalizes_once_on_the_first_read_of_its_bounds(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi", "hermitian_eigen")
+    f = random_ovf(dim=6, atoms=9, seed=4)
+    reconstruct_direct(f, analysis(f, complex_box(rng_for(5), 6)))
+    assert calls == {"_one_sided_jacobi": 0, "hermitian_eigen": 0}
+    first = frame_bounds(f)
+    assert calls == {"_one_sided_jacobi": 1, "hermitian_eigen": 0}
+    assert frame_bounds(f) is first and f._eigen is f._eigen
+    frame_algorithm(f, analysis(f, complex_box(rng_for(6), 6)))
+    assert calls == {"_one_sided_jacobi": 1, "hermitian_eigen": 0}
+
+
+def _rotated_rows(rng, rows, d):
+    """rows x len(d) rows Q diag(d) U* between random unitaries: singular values d,
+    so cond(S) = (max d / min d)^2."""
+
+    def unitary(m, n):
+        q, r = np.linalg.qr(complex_box(rng, (m, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return (unitary(rows, len(d)) * d) @ unitary(len(d), len(d)).conj().T
+
+
+def _graded(dim, cond_s):
+    """dim log-spaced singular values from 1 down, with (max / min)^2 = cond_s."""
+    return np.logspace(0.0, -0.5 * np.log10(cond_s), dim)
+
+
+def test_the_verdict_near_the_threshold_is_the_eager_one(monkeypatch):
+    """Frames with cond(S) = (1 +- delta) / TOL_FRAME_REL fail the certificate, so
+    each takes the eigenvalue verdict at construction: the same verdict, from
+    the same sweeps on the same R, as when every frame was diagonalized."""
+    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi")
+    rng = rng_for(21)
+    verdicts = []
+    for k in range(200):
+        delta = 10.0 ** -(2 + k % 5) * (1 if k % 2 else -1)  # +-1e-2 ... +-1e-6
+        dim = 3 + k % 4
+        rows = _rotated_rows(rng, 2 * dim, _graded(dim, (1.0 + delta) / TOL_FRAME_REL))
+        lam = linalg._one_sided_jacobi(*linalg._scaled_r(rows, np.ones(len(rows)))).eigenvalues
+        eager = frames._positive_definite(float(lam[0]), float(lam[-1]))
+        before = calls["_one_sided_jacobi"]
+        try:
+            discretize_continuous(np.conj(rows), np.ones(len(rows)))
+            verdicts.append(True)
+        except NotAFrame:
+            verdicts.append(False)
+        assert verdicts[-1] == eager
+        assert calls["_one_sided_jacobi"] == before + 1  # the fallback ran the sweeps
+    assert 50 < sum(verdicts) < 150  # both verdicts occur
+
+
+def test_the_certificate_accepts_only_frames():
+    """Across cond(S) from 1e2 to the threshold, every family the certificate
+    accepts without sweeps passes the eigenvalue test too."""
+    rng = rng_for(22)
+    accepted = 0
+    for k in range(120):
+        dim = 2 + k % 7
+        rows = _rotated_rows(rng, 3 * dim, _graded(dim, 10.0 ** (2 + 8 * k / 120)))
+        f = discretize_continuous(np.conj(rows), np.ones(len(rows)))
+        if "_bounds" not in vars(f):  # no sweep ran at construction
+            accepted += 1
+            assert frames._positive_definite(frame_bounds(f).lower, frame_bounds(f).upper)
+    assert 60 < accepted < 120
+
+
+def test_building_a_frame_holds_one_tall_copy_besides_its_rows():
+    """Peak traced memory of building a frame from a 4096 x 64 stack, against the
+    stack's bytes: the rows plus about two tall temporaries at a time (B* and
+    w B while S is formed; the QR's one work array, then a node's V* and
+    product)."""
+    rng = rng_for(23)
+    blocks = [complex_box(rng, (64, 64)) for _ in range(64)]
+    space = AtomicMeasureSpace(atoms=[str(t) for t in range(64)], weights=rng.uniform(0.5, 2.0, 64))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        OperatorValuedFrame(space=space, dim_h=64, blocks=blocks)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (4096 * 64 * 16) <= 3.45  # 3.13 measured, plus 10%
+
+
+def ill_conditioned_vectors():
+    """48 rows in 16 dims with singular values graded over 4.25 decades, between
+    random unitaries: cond(S) = 3.2e8."""
+    return _rotated_rows(rng_for(3), 48, np.logspace(0.0, -4.25, 16))
 
 
 def test_bounds_of_an_ill_conditioned_frame_match_a_50_digit_svd():
@@ -144,13 +248,7 @@ def test_bounds_of_an_ill_conditioned_frame_match_a_50_digit_svd():
     squared extreme singular values of the stored rows, which mpmath computes
     to 50 digits; forming S and diagonalizing it loses about cond(S) * eps."""
     mpmath = pytest.importorskip("mpmath")
-    rng = rng_for(3)
-
-    def unitary(rows, cols):
-        q, r = np.linalg.qr(complex_box(rng, (rows, cols)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    vectors = (unitary(48, 16) * np.logspace(0.0, -4.25, 16)) @ unitary(16, 16).conj().T
+    vectors = ill_conditioned_vectors()
     b = frame_bounds(from_vector_frame(VectorFrame(dim_h=16, vectors=vectors)))
     with mpmath.workdps(50):
         sv = sorted(mpmath.svd_c(mpmath.matrix(vectors.tolist()), compute_uv=False))
@@ -158,6 +256,18 @@ def test_bounds_of_an_ill_conditioned_frame_match_a_50_digit_svd():
         assert float(upper / lower) == pytest.approx(3.16e8, rel=1e-2)
         assert float(abs(b.lower - lower) / lower) <= 1e-12
         assert float(abs(b.upper - upper) / upper) <= 1e-12
+
+
+def test_direct_reconstruction_of_an_ill_conditioned_frame_is_accurate():
+    """On the cond(S) = 3.2e8 frame the least-squares solve recovers analysed
+    vectors to about cond(G) eps, where a solve through S loses about
+    cond(S) eps = 3.5e-8."""
+    f = from_vector_frame(VectorFrame(dim_h=16, vectors=ill_conditioned_vectors()))
+    rng = rng_for(31)
+    for _ in range(5):
+        x = complex_box(rng, 16)
+        x_hat = reconstruct_direct(f, analysis(f, x))
+        assert np.linalg.norm(x_hat - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_empty_vector_frame_rejected():

@@ -527,10 +527,15 @@ def gram_case(rows, dim, seed):
     return complex_box(rng_for(seed), (rows, dim))
 
 
+def gram_eigen(g):
+    """Eigenpairs of G* G the way a frame takes them: the scaled QR factor, then the sweeps."""
+    return linalg._one_sided_jacobi(*linalg._scaled_r(g, np.ones(len(g))))
+
+
 @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64)])
 def test_gram_eigen_is_an_orthonormal_eigenbasis_of_g_star_g(rows, dim):
     g = gram_case(rows, dim, seed=rows + dim)
-    dec = linalg._gram_eigen(g)
+    dec = gram_eigen(g)
     s = linalg.adjoint(g) @ g
     u, lam = dec.eigenvectors, dec.eigenvalues
     eps = np.finfo(float).eps
@@ -543,9 +548,9 @@ def test_gram_eigen_is_an_orthonormal_eigenbasis_of_g_star_g(rows, dim):
 
 def test_gram_eigen_is_bit_deterministic_in_any_layout():
     g = gram_case(30, 12, seed=5)
-    first = linalg._gram_eigen(g)
+    first = gram_eigen(g)
     for again in (g.copy(), np.asfortranarray(g), np.ascontiguousarray(g.T).T):
-        dec = linalg._gram_eigen(again)
+        dec = gram_eigen(again)
         assert np.array_equal(dec.eigenvalues, first.eigenvalues)
         assert np.array_equal(dec.eigenvectors, first.eigenvectors)
 
@@ -555,13 +560,48 @@ def test_gram_eigen_of_a_rank_deficient_g_raises_no_warning():
     g = gram_case(40, 9, seed=6)
     g[:, 4] = 0.0
     for case in (gram_case(5, 9, seed=7), g, np.zeros((0, 9))):
-        lam = linalg._gram_eigen(case).eigenvalues  # pytest turns RuntimeWarnings into errors
+        lam = gram_eigen(case).eigenvalues  # pytest turns RuntimeWarnings into errors
         assert lam[0] <= 1e-28 * max(lam[-1], 1.0)
-    assert np.array_equal(linalg._gram_eigen(np.zeros((0, 3))).eigenvectors, np.zeros((3, 3)))
+    assert np.array_equal(gram_eigen(np.zeros((0, 3))).eigenvectors, np.zeros((3, 3)))
 
 
 def test_gram_eigen_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 0)
-    assert np.array_equal(linalg._gram_eigen(np.diag([3.0, 1.0, 2.0])).eigenvalues, [1.0, 4.0, 9.0])
+    assert np.array_equal(gram_eigen(np.diag([3.0, 1.0, 2.0])).eigenvalues, [1.0, 4.0, 9.0])
     with pytest.raises(NoConvergence):
-        linalg._gram_eigen(gram_case(6, 4, seed=8))
+        gram_eigen(gram_case(6, 4, seed=8))
+
+
+@pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64)])
+def test_scaled_r_is_the_triangular_factor_of_the_scaled_rows(rows, dim):
+    rng = rng_for(rows * dim)
+    g = gram_case(rows, dim, seed=rows + dim) * 1e-3
+    scale = rng.uniform(0.5, 2.0, rows)
+    r, e = linalg._scaled_r(g, scale)
+    weighted = scale[:, None] * g
+    f = np.ldexp(weighted.view(np.float64), -e)
+    assert 0.5 <= np.max(np.abs(f)) < 1.0
+    assert np.array_equal(r, np.triu(r)) and not r.flags.writeable
+    gram = linalg.adjoint(f.view(np.complex128)) @ f.view(np.complex128)
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(linalg.adjoint(r) @ r - gram) <= 4 * rows * eps * np.linalg.norm(gram)
+    again, e_again = linalg._scaled_r(weighted, np.ones(rows))  # the same G, weighted beforehand
+    assert np.array_equal(r, again) and e == e_again
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 64])
+def test_triangular_inverse_inverts_the_factor(dim):
+    r, _ = linalg._scaled_r(gram_case(3 * dim, dim, seed=dim), np.ones(3 * dim))
+    inv = linalg._triangular_inverse(r)
+    eps = np.finfo(float).eps
+    assert np.array_equal(inv, np.triu(inv)) and not inv.flags.writeable
+    cond = np.linalg.cond(r)
+    assert np.linalg.norm(inv @ r - np.eye(dim)) <= 4 * dim * eps * cond
+    assert np.linalg.norm(r @ inv - np.eye(dim)) <= 4 * dim * eps * cond
+
+
+def test_triangular_inverse_of_a_singular_factor_is_not_finite_without_warnings():
+    for diagonal in ([1.0, 0.0, 2.0], [1.0, 1e-310, 1.0], [0.0, 0.0]):
+        r = np.triu(np.ones((len(diagonal),) * 2, dtype=np.complex128), 1) + np.diag(diagonal)
+        inv = linalg._triangular_inverse(r)  # pytest turns RuntimeWarnings into errors
+        assert not np.all(np.isfinite(inv))

@@ -317,9 +317,9 @@ def _cmd_validate_povm(cfg: ExperimentConfig, m: povm.Povm):
     report = povm.validate(m, seed=cfg.seed)
     framed = povm.is_framed(m)
     checks = [
-        _check("hermitian", "NotHermitian" not in report.failures),
-        _check("psd", "NotPsd" not in report.failures),
-        _check("additive", "NotAdditive" not in report.failures,
+        _check("hermitian", povm.FAIL_NOT_HERMITIAN not in report.failures),
+        _check("psd", povm.FAIL_NOT_PSD not in report.failures),
+        _check("additive", povm.FAIL_NOT_ADDITIVE not in report.failures,
                max_residual=report.max_additivity_residual,
                tolerance=report.additivity_tolerance),
     ]

@@ -52,8 +52,7 @@ from .frames import (
     _position,
     frame_operator,
 )
-# validate is not called here; it stays importable from this module, as before
-from .povm import FAIL_NOT_ADDITIVE, FAIL_NOT_HERMITIAN, Povm, _additivity, validate  # noqa: F401
+from .povm import Povm, validate
 
 TOL_DECOMP_REL = 1e-10  # scaled by 1 + ||M(Omega)||_F
 
@@ -212,37 +211,28 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
 def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -> Decomposition:
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
-    The POVM must pass validate's checks (additivity samples drawn from
-    ``seed``) and its densities Decomposition's.  Both PSD verdicts come from
-    stacked Cholesky factorizations, not eigenvalues: each kept element's,
-    M({t}) + tol_psd(M({t})) I positive definite, and each density's in
-    Decomposition; nothing is diagonalized but the dyadic rule's Gram matrix.
-    Any failure raises InvalidPovm.  Atoms of reference weight zero carry a
-    zero element (domination) and are dropped from the decomposition's
-    measure space.
+    The POVM must pass ``validate`` (additivity samples drawn from ``seed``),
+    then atoms of reference weight zero must carry a zero element (domination;
+    they are dropped), then the densities must pass Decomposition's checks; any
+    failure raises InvalidPovm, naming the first failing atom.
     """
-    if (linalg.hermitian_residual(m.elements) > linalg.TOL_HERM).any():
-        raise InvalidPovm(f"POVM failed validation: {FAIL_NOT_HERMITIAN}")
-    residuals, tol_add = _additivity(m, seed)
-    if max(residuals) > tol_add:
-        raise InvalidPovm(f"POVM failed validation: {FAIL_NOT_ADDITIVE}")
+    report = validate(m, seed)
+    if not report.passed:
+        ok = [h and p for h, p in zip(report.hermitian, report.psd)]
+        where = "" if all(ok) else f" at atom {m.atoms[ok.index(False)]!r}"
+        raise InvalidPovm(f"POVM failed validation: {report.failures[0]}{where}")
     weights = reference_measure(m, rule)
     keep = weights > 0.0
-    tol_psd = linalg._psd_tolerance(m.elements)
-    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > tol_psd
+    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > linalg._psd_tolerance(m.elements)
     if (nonzero & ~keep).any():
         label = m.atoms[int(np.argmax(nonzero & ~keep))]
         raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
     measure = AtomicMeasureSpace(atoms=list(compress(m.atoms, keep)), weights=weights[keep])
     densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
     try:
-        d = Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
-        low = ~linalg._shifted_positive_definite(m.elements[keep], tol_psd[keep])
-        if low.any():
-            raise NotPsd(f"element at atom {measure.atoms[int(np.argmax(low))]!r} is not PSD")
+        return Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
     except NotPsd as exc:
         raise InvalidPovm(f"POVM failed validation: {exc}") from exc
-    return d
 
 
 def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:

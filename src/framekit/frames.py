@@ -148,11 +148,11 @@ class OperatorValuedFrame:
 
     The rows of all blocks form one read-only array B (``_rows``, atom t's from
     ``_offsets[t]``, row weights ``_row_weights``); ``blocks`` are views into B.
-    S = sum_t mu({t}) T(t)* T(t) = B* diag(w) B is formed (``_operator``) for
-    its products.  Construction also keeps the n x n upper-triangular R of a
-    Householder QR of the weighted rows G = diag(sqrt(w)) B, so R* R = S,
+    Construction keeps the n x n upper-triangular R of a Householder QR of the
+    weighted rows G = diag(sqrt(w)) B, so R* R = S = sum_t mu({t}) T(t)* T(t),
     scaled by 2^-e (``_factor``, with ``_factor_exponent`` e; see
-    ``linalg._scaled_r``), and its inverse (``_factor_inverse``).
+    ``linalg._scaled_r``), and its inverse (``_factor_inverse``).  S = B* diag(w) B
+    itself is formed only for its products, on first read (``_operator``).
 
     It checks the frame property, S positive definite beyond TOL_FRAME_REL,
     from the factor: lambda_max / lambda_min = cond(R)^2 <= ||R||_F^2 ||R^-1||_F^2,
@@ -172,7 +172,6 @@ class OperatorValuedFrame:
     _rows: np.ndarray = field(repr=False, compare=False)
     _row_weights: np.ndarray = field(repr=False, compare=False)
     _offsets: np.ndarray = field(repr=False, compare=False)
-    _operator: np.ndarray = field(repr=False, compare=False)
     _factor: np.ndarray = field(repr=False, compare=False)
     _factor_exponent: int = field(repr=False, compare=False)
     _factor_inverse: np.ndarray = field(repr=False, compare=False)
@@ -183,7 +182,8 @@ class OperatorValuedFrame:
         heights = [len(b) for b in blocks]
         if len(heights) != len(space):
             raise DimensionMismatch(f"{len(space)} atoms but {len(heights)} blocks")
-        rows = linalg.as_matrix(np.concatenate(blocks) if heights else np.zeros((0, dim_h)))
+        rows = linalg._as_finite(np.concatenate(blocks) if heights else np.zeros((0, dim_h)),
+                                 (2,), "a 2-D matrix", "matrix", copy=False)
         if rows.shape[1] != dim_h:
             raise DimensionMismatch(f"blocks have {rows.shape[1]} columns, expected {dim_h}")
         offsets = np.cumsum([0] + heights)
@@ -197,11 +197,8 @@ class OperatorValuedFrame:
         object.__setattr__(self, "_row_weights", row_weights)
         object.__setattr__(self, "_offsets", offsets)
 
-        s = linalg.hermitize(linalg.adjoint(rows) @ (row_weights[:, None] * rows))
-        s.flags.writeable = False
         r, e = linalg._scaled_r(rows, np.sqrt(row_weights))
         r_inv = linalg._triangular_inverse(r)
-        object.__setattr__(self, "_operator", s)
         object.__setattr__(self, "_factor", r)
         object.__setattr__(self, "_factor_exponent", e)
         object.__setattr__(self, "_factor_inverse", r_inv)
@@ -209,6 +206,13 @@ class OperatorValuedFrame:
             bound = float(linalg._norms(r)) ** 2 * float(linalg._norms(r_inv)) ** 2
         if not bound * _CERTIFICATE_MARGIN < 1.0 / TOL_FRAME_REL:
             frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
+
+    @cached_property
+    def _operator(self) -> np.ndarray:
+        """S = B* diag(w) B, hermitized and read-only, formed on first read."""
+        s = linalg.hermitize(linalg.adjoint(self._rows) @ (self._row_weights[:, None] * self._rows))
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def _eigen(self) -> linalg.EigenDecomposition:
@@ -364,7 +368,7 @@ def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientFiel
 
 
 def frame_operator(ovf: OperatorValuedFrame) -> np.ndarray:
-    """S = sum_t mu({t}) T(t)* T(t); Hermitian positive definite."""
+    """S = sum_t mu({t}) T(t)* T(t); Hermitian positive definite, formed on the first read."""
     return ovf._operator
 
 

@@ -611,15 +611,6 @@ def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:
                             f"does not square to a finite double")
 
 
-def _spectral_check(a: np.ndarray) -> tuple[np.ndarray, EigenDecomposition, np.ndarray]:
-    """(Hermiticity residuals, eigendecomposition of the Hermitian parts, PSD verdicts
-    lambda_min >= -_psd_tolerance) of a stack, from one hermitian_eigen call, which
-    hermitizes what passes its own check: a hermitized copy only if a matrix fails."""
-    residuals = hermitian_residual(a)
-    eigen = hermitian_eigen(a if (residuals <= TOL_HERM).all() else hermitize(a))
-    return residuals, eigen, eigen.eigenvalues[:, 0] >= -_psd_tolerance(a)
-
-
 def _as_stack(items, shape: tuple[int, ...], what: str) -> np.ndarray:
     """Read-only complex128 array of exactly ``shape`` from a sequence of equal-shaped
     entries.  DimensionMismatch for any other shape (numpy's ValueError for

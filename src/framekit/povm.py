@@ -6,12 +6,13 @@ members' elements, so finite additivity holds by construction and the
 validator asserts it numerically on random partitions.  Construction checks
 only structure (shapes, counts, finite entries and norms): Hermiticity and
 positivity are the validator's job, so that deliberately corrupted measures
-can be built and classified.
+can be built and classified.  ``decompose`` calls the same validator.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Collection, Sequence
 
@@ -72,6 +73,8 @@ def evaluate(m: Povm, event: Event) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ElementReport:
+    """``psd`` is the Cholesky verdict: ``min_eigenvalue >= -tol_psd`` up to its stated margin."""
+
     atom: str
     hermiticity_residual: float  # ||M - M*||_F / (1 + ||M||_F)
     min_eigenvalue: float        # of the Hermitian part
@@ -81,7 +84,12 @@ class ElementReport:
 
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    element_reports: tuple[ElementReport, ...]
+    """validate's verdicts; the per-element ones are in atom order."""
+
+    povm: Povm = field(repr=False)
+    hermiticity_residuals: tuple[float, ...]
+    hermitian: tuple[bool, ...]  # residual <= TOL_HERM
+    psd: tuple[bool, ...]        # the Cholesky verdicts
     additivity_residuals: tuple[float, ...]
     max_additivity_residual: float
     additivity_tolerance: float
@@ -91,6 +99,14 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @cached_property
+    def element_reports(self) -> tuple[ElementReport, ...]:
+        """Per-atom reports, from one stacked hermitian_eigen call on first read."""
+        a = self.povm.elements
+        eigen = linalg.hermitian_eigen(a if all(self.hermitian) else linalg.hermitize(a))
+        return tuple(map(ElementReport, self.povm.atoms, self.hermiticity_residuals,
+                         eigen.eigenvalues[:, 0].tolist(), self.hermitian, self.psd))
 
     def to_json(self) -> dict:
         return {
@@ -128,22 +144,17 @@ def _additivity(m: Povm, seed: int) -> tuple[list[float], float]:
 def validate(m: Povm, seed: int = 0) -> ValidationReport:
     """Check the POVM axioms numerically; the report carries any failures.
 
-    Per element: Hermiticity residual against tol_herm and the minimum
-    eigenvalue of the Hermitian part against -tol_psd, all elements'
-    Hermitian parts diagonalized in one stacked call.  Additivity:
-    ||M(E) + M(F) - M(E u F)||_F over 50 random disjoint pairs drawn from
-    the given seed (recorded in the report), against a tolerance scaled by
-    ||M(Omega)||_F.
+    Per element: Hermiticity residual against tol_herm, and a PSD verdict from
+    one stacked Cholesky factorization of H + tol_psd I (H the Hermitian part).
+    Additivity: ||M(E) + M(F) - M(E u F)||_F over 50 random disjoint pairs drawn
+    from the seed (recorded in the report), against a tolerance scaled by ||M(Omega)||_F.
     """
-    herm_res, eigen, psd = linalg._spectral_check(m.elements)
-    reports = tuple(map(ElementReport, m.atoms, herm_res.tolist(), eigen.eigenvalues[:, 0].tolist(),
-                        (herm_res <= linalg.TOL_HERM).tolist(), psd.tolist()))
-    failures = []
-    for r in reports:  # in order of the first atom to fail each check
-        if not r.hermitian and FAIL_NOT_HERMITIAN not in failures:
-            failures.append(FAIL_NOT_HERMITIAN)
-        if not r.psd and FAIL_NOT_PSD not in failures:
-            failures.append(FAIL_NOT_PSD)
+    herm_res = linalg.hermitian_residual(m.elements)
+    hermitian = herm_res <= linalg.TOL_HERM
+    psd = linalg._shifted_positive_definite(m.elements, linalg._psd_tolerance(m.elements))
+    failing = {FAIL_NOT_HERMITIAN: ~hermitian, FAIL_NOT_PSD: ~psd}
+    first = {f: int(np.argmax(bad)) for f, bad in failing.items() if bad.any()}
+    failures = sorted(first, key=first.get)  # Hermiticity first when one atom fails both
 
     residuals, tol_add = _additivity(m, seed)
     max_add = max(residuals)
@@ -151,7 +162,10 @@ def validate(m: Povm, seed: int = 0) -> ValidationReport:
         failures.append(FAIL_NOT_ADDITIVE)
 
     return ValidationReport(
-        element_reports=reports,
+        povm=m,
+        hermiticity_residuals=tuple(herm_res.tolist()),
+        hermitian=tuple(hermitian.tolist()),
+        psd=tuple(psd.tolist()),
         additivity_residuals=tuple(residuals),
         max_additivity_residual=max_add,
         additivity_tolerance=tol_add,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import VectorFrame, cli, correspondence, frames, linalg
+from framekit import VectorFrame, cli, correspondence, frames, linalg, povm
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
@@ -143,11 +143,12 @@ def test_data_files_are_compact_sorted_json(pair_path, tmp_path):
     assert np.array_equal(back.elements, m.elements)
 
 
-def test_to_povm_diagonalizes_the_frame_operator_and_one_stack(pair_path, tmp_path, monkeypatch):
+def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
-    # every element at once, then S's eigenpairs from the kept R when the bounds are read
-    assert calls == {"hermitian_eigen": 1, "_one_sided_jacobi": 1}
+    # no element (their PSD verdicts are Cholesky's), S's eigenpairs from the kept R
+    # when the bounds are read
+    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 1}
     report = read_report(tmp_path / "p.json")
     assert [c["name"] for c in report["checks"]] == ["povm_valid", "framed"]
     assert report["passed"] is True
@@ -160,13 +161,13 @@ def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_pat
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
     povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
     seeds = []
-    original = correspondence._additivity  # decompose's additivity sampler
+    original = povm._additivity  # the sampler of validate, which decompose calls
 
     def recording(m, seed):
         seeds.append(seed)
         return original(m, seed)
 
-    monkeypatch.setattr(correspondence, "_additivity", recording)
+    monkeypatch.setattr(povm, "_additivity", recording)
     assert main(["decompose", "--in", povm_path, "--seed", "7",
                  "--out", str(tmp_path / "d.json")]) == 0
     assert main(["roundtrip", "--in", pair_path, "--seed", "9",

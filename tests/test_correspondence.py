@@ -189,12 +189,19 @@ def test_decompose_rejects_invalid_povm():
 
 
 def test_decompose_refuses_a_zero_weight_atom_with_a_nonzero_element():
-    m = Povm(atoms=["a", "b", "z"], dim_h=2,
-             elements=[np.diag([1.0, 0.0]).astype(complex),
-                       np.diag([0.0, 1.0]).astype(complex),
-                       np.diag([1e-3, -1e-3]).astype(complex)])  # trace 0, not diagonalized
-    with pytest.raises(InvalidPovm, match="'z' has zero reference weight"):
-        decompose(m)
+    cases = [
+        # trace 0, norm 1.2e-10 > tol_psd, lambda_min > -tol_psd: valid, so the weight check trips
+        (np.diag([8.5e-11, -8.5e-11]), "'z' has zero reference weight"),
+        # trace 0 but lambda_min far below -tol_psd: validation fails first
+        (np.diag([1e-3, -1e-3]), "NotPsd at atom 'z'"),
+    ]
+    for z, match in cases:
+        m = Povm(atoms=["a", "b", "z"], dim_h=2,
+                 elements=[np.diag([1.0, 0.0]).astype(complex),
+                           np.diag([0.0, 1.0]).astype(complex),
+                           z.astype(complex)])
+        with pytest.raises(InvalidPovm, match=match):
+            decompose(m)
 
 
 @pytest.mark.parametrize("rule,eigen_calls", [("trace", 0), ("dyadic", 1)])

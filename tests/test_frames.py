@@ -236,6 +236,23 @@ def test_building_a_frame_holds_one_tall_copy_besides_its_rows():
     assert peak / (4096 * 64 * 16) <= 3.45  # 3.13 measured, plus 10%
 
 
+def test_the_frame_operator_is_formed_only_when_read():
+    """Building a frame, diagonalizing it, analysis and direct reconstruction never
+    form S; frame_operator forms it once, read-only, with the bits of B* diag(w) B."""
+    well = random_ovf(dim=5, atoms=7, seed=24)
+    ill = from_vector_frame(VectorFrame(dim_h=16, vectors=ill_conditioned_vectors()))
+    for f in (well, ill):
+        x = complex_box(rng_for(25), f.dim_h)
+        reconstruct_direct(f, analysis(f, x))
+        frame_bounds(f)
+        assert "_operator" not in vars(f)
+        s = frame_operator(f)
+        assert frame_operator(f) is s
+        assert not s.flags.writeable
+        b, w = f._rows, f._row_weights
+        assert np.array_equal(s, linalg.hermitize(linalg.adjoint(b) @ (w[:, None] * b)))
+
+
 def ill_conditioned_vectors():
     """48 rows in 16 dims with singular values graded over 4.25 decades, between
     random unitaries: cond(S) = 3.2e8."""

@@ -5,19 +5,22 @@ import pytest
 
 from framekit import (
     DimensionMismatch,
+    InvalidPovm,
     LimitExceeded,
     NotPsd,
     NotUnitVector,
     Povm,
     UnknownAtom,
+    decompose,
     is_framed,
     measure_probabilities,
     validate,
 )
 from framekit import linalg
-from framekit.povm import evaluate, povm_from_json, povm_to_json
+from framekit.povm import _additivity, evaluate, povm_from_json, povm_to_json
 
 from conftest import count_calls, random_povm, random_unit
+from test_linalg import boundary_hermitian
 
 D10 = np.diag([1.0, 0.0]).astype(complex)
 D01 = np.diag([0.0, 1.0]).astype(complex)
@@ -110,8 +113,13 @@ def test_validate_flags_broken_additivity():
 def test_validate_diagonalizes_every_element_in_one_call(monkeypatch):
     m = random_povm(dim=4, atoms=9, seed=5)
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
-    assert validate(m).passed
-    assert calls == {"hermitian_eigen": 1}
+    report = validate(m)
+    assert report.passed
+    assert calls == {"hermitian_eigen": 0}  # the verdicts diagonalize nothing
+    first = report.element_reports
+    assert calls == {"hermitian_eigen": 1}  # the first read, one stacked call
+    assert report.element_reports is first
+    assert calls == {"hermitian_eigen": 1}  # a second read reuses it
 
 
 def test_validate_min_eigenvalues_match_lone_calls_bit_for_bit():
@@ -133,6 +141,72 @@ def test_validate_is_deterministic_per_seed():
     r1, r2 = validate(m, seed=12), validate(m, seed=12)
     assert r1.additivity_residuals == r2.additivity_residuals
     assert r1.to_json() == r2.to_json()
+
+
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_validate_psd_verdicts_follow_the_eigenvalue_rule_at_the_boundary(n):
+    """Elements with lambda_min at -+(1 +- 0.05) tol_psd, outside the 2% margin of
+    the Cholesky verdict: validate's verdicts are lambda_min(H) >= -tol_psd, read
+    from lone hermitian_eigen calls."""
+    ratios = [-1.05, -0.95, 0.95, 1.05]
+    elements = [boundary_hermitian(n, 1.0, ratio, seed=k) for k, ratio in enumerate(ratios)]
+    m = Povm(atoms=[str(r) for r in ratios], dim_h=n, elements=elements)
+    rule = [bool(linalg.hermitian_eigen(h).eigenvalues[0] >= -linalg._psd_tolerance(h))
+            for h in elements]
+    assert rule == [False, True, True, True]
+    assert list(validate(m).psd) == rule
+
+
+def corrupted(not_hermitian=(), not_psd=(), additive=True):
+    """A valid 3 x 6 POVM with a skew (anti-Hermitian) term added at the atoms in
+    ``not_hermitian``, leaving the Hermitian part alone, and its trace times I
+    taken off at those in ``not_psd``; with ``additive`` false, unions are off."""
+    m = random_povm(dim=3, atoms=6, seed=8)
+    elements = m.elements.copy()
+    skew = 1e-3j * np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for t in not_hermitian:
+        elements[t] += skew
+    for t in not_psd:
+        elements[t] -= np.trace(elements[t]).real * np.eye(3)
+    return (Povm if additive else BrokenAdditivity)(atoms=m.atoms, dim_h=3, elements=elements)
+
+
+def loop_failures(m, seed=0):
+    """The per-atom classification loop with eigenvalue verdicts from lone calls."""
+    failures = []
+    for e in m.elements:
+        hermitian = linalg.hermitian_residual(e) <= linalg.TOL_HERM
+        lam = linalg.hermitian_eigen(linalg.hermitize(e)).eigenvalues[0]
+        if not hermitian and "NotHermitian" not in failures:
+            failures.append("NotHermitian")
+        if not lam >= -linalg._psd_tolerance(e) and "NotPsd" not in failures:
+            failures.append("NotPsd")
+    residuals, tolerance = _additivity(m, seed)
+    if max(residuals) > tolerance:
+        failures.append("NotAdditive")
+    return tuple(failures)
+
+
+CORRUPTIONS = {
+    "hermitian-before-psd": (dict(not_hermitian=[1], not_psd=[4]), "NotHermitian at atom '1'"),
+    "psd-before-hermitian": (dict(not_hermitian=[4], not_psd=[1]), "NotPsd at atom '1'"),
+    "both-at-one-atom": (dict(not_hermitian=[2], not_psd=[2]), "NotHermitian at atom '2'"),
+    "hermitian-only": (dict(not_hermitian=[3, 5]), "NotHermitian at atom '3'"),
+    "psd-only": (dict(not_psd=[0]), "NotPsd at atom '0'"),
+    "additivity": (dict(additive=False), "NotAdditive"),
+    "psd-and-additivity": (dict(not_psd=[5], additive=False), "NotPsd at atom '5'"),
+}
+
+
+@pytest.mark.parametrize("name", CORRUPTIONS)
+def test_validate_failures_match_the_per_atom_loop(name):
+    corruption, message = CORRUPTIONS[name]
+    m = corrupted(**corruption)
+    report = validate(m)
+    assert report.failures == loop_failures(m)
+    assert report.failures and message.startswith(report.failures[0])
+    with pytest.raises(InvalidPovm, match=f"failed validation: {message}$"):
+        decompose(m)
 
 
 def test_is_framed_projective_and_deficient():

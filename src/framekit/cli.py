@@ -10,8 +10,9 @@ seed, unknown --tol name or non-finite value, module error).
 One table, _COMMANDS, lists the pipeline commands: each entry's handler,
 the kind of each --in file (so its arity) and its help text.  Dispatch,
 the arity check, input loading and the argparse tree are all derived
-from it; the tree is built once, at import.  DEFAULT_CHECK_TOLERANCES is
-the one list of --tol names and their defaults.
+from it; the tree is built once, at import.  DEFAULT_CHECK_TOLERANCES maps
+the --tol names to entries of linalg's tolerance table.  Every numeric
+check is decided by _check; certified, povm_valid and psd are flags.
 
 run() reads each --in once, hashes its bytes for the report, and passes
 the handler the object they hold.  A file's kind comes from its top-level
@@ -51,7 +52,7 @@ _RULES = ("trace", "dyadic")
 
 # The --tol names and their defaults; None = the tolerance the check scales to its inputs.
 DEFAULT_CHECK_TOLERANCES = {
-    "bounds_rel": 1e-9,   # roundtrip: relative drift of the frame operator and bounds
+    "bounds_rel": linalg.TOL_BOUNDS_REL,  # roundtrip: drift of the frame operator and bounds
     "equivalence": None,  # verify-uniqueness/roundtrip: the uniqueness report's own tolerance
     "decomp": None,       # decompose/roundtrip: TOL_DECOMP_REL * (1 + ||M(Omega)||_F)
 }
@@ -207,34 +208,27 @@ def _write_data(cfg: ExperimentConfig, payload) -> str:
     return path
 
 
-def _tolerance(cfg: ExperimentConfig, name: str, default: float) -> float:
-    """Tolerance of check `name` (a DEFAULT_CHECK_TOLERANCES key): its --tol, else `default`."""
-    return cfg.tolerance_overrides.get(name, default)
-
-
-def _check(name: str, passed: bool, **detail) -> dict:
-    """A check entry; it fails when any number in ``detail`` (value, bound, tolerance)
-    is not finite, since no comparison with inf or NaN certifies anything."""
-    finite = all(math.isfinite(v) for v in detail.values() if isinstance(v, float))
-    entry = {"name": name, "passed": bool(passed) and finite}
-    entry.update(detail)
-    return entry
+def _check(name: str, value: float, tolerance: float, **context) -> dict:
+    """A numeric check: it passes iff value and tolerance are both finite and
+    value <= tolerance, since no comparison with inf or NaN certifies anything.
+    Its margin is value / tolerance, None for a zero tolerance."""
+    passed = bool(math.isfinite(value) and math.isfinite(tolerance) and value <= tolerance)
+    return {"name": name, "passed": passed, "value": value, "tolerance": tolerance,
+            "margin": value / tolerance if tolerance else None, **context}
 
 
 def _frame_check(name: str, b: frames.FrameBounds) -> dict:
     """The frame operator is positive definite beyond the frame tolerance,
-    lower > TOL_FRAME_REL * upper; margin TOL_FRAME_REL * upper / lower is below 1
-    when it is."""
-    return _check(name, frames._positive_definite(b.lower, b.upper), lower=b.lower,
-                  upper=b.upper, margin=frames.TOL_FRAME_REL * b.upper / b.lower)
+    lower > TOL_FRAME_REL * upper: value TOL_FRAME_REL * upper / lower against 1,
+    below it for any bounds frame_bounds returns."""
+    return _check(name, linalg.TOL_FRAME_REL * b.upper / b.lower, 1.0,
+                  lower=b.lower, upper=b.upper)
 
 
 def _reintegration_check(cfg: ExperimentConfig, m: povm.Povm, d: cr.Decomposition) -> dict:
     """Every event of m reintegrates from d: the O(N) bound against the tolerance."""
-    bound = cr.reintegration_bound(m, d)
-    tol = _tolerance(cfg, "decomp", cr._reintegration_tolerance(m))
-    return _check("reintegration", bound <= tol, bound=bound, tolerance=tol,
-                  margin=bound / tol if tol > 0 else None)
+    tol = cfg.tolerance_overrides.get("decomp", cr._reintegration_tolerance(m))
+    return _check("reintegration", cr.reintegration_bound(m, d), tol)
 
 
 def _dyadic_rule(dim_h: int) -> cr.ReferenceMeasureRule:
@@ -265,8 +259,7 @@ def _cmd_analyze(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame, x: np.n
     c = frames.analysis(ovf, x)
     data_path = _write_data(cfg, frames.coefficients_to_json(c))
     # the energy identity sum_t mu_t ||c_t||^2 = ||R x||^2, on the frame's kept factor
-    value, tol = frames._energy_residual(ovf, x, c), frames.TOL_ENERGY_REL
-    checks = [_check("analysis", value <= tol, value=value, tolerance=tol, margin=value / tol)]
+    checks = [_check("analysis", frames._energy_residual(ovf, x, c), linalg.TOL_ENERGY_REL)]
     summary = {"weighted_norm_sq": c.weighted_norm_sq(), "atoms": len(c.space)}
     return checks, summary, {"coefficients": data_path}
 
@@ -281,9 +274,10 @@ def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
     trace_path = cfg.trace_path or _derived(cfg.output_path, ".trace.csv")
     _atomic_write(trace_path, reconstruction.trace_to_csv(trace))
     checks = [
-        _check("converged", trace.stopped_by == "target_error",
-               stopped_by=trace.stopped_by, target_error=cfg.target_error),
-        _check("certified", trace.certified),
+        # passes iff stopped_by == "target_error": the bounds stop at the first <= it
+        _check("converged", trace.certified_bounds[-1], cfg.target_error,
+               stopped_by=trace.stopped_by),
+        {"name": "certified", "passed": trace.certified},
     ]
     summary = {
         "iterations": trace.iterations,
@@ -301,7 +295,7 @@ def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized on this first read
     data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
-        _check("povm_valid", report.passed, failures=list(report.failures)),
+        {"name": "povm_valid", "passed": report.passed, "failures": list(report.failures)},
         _frame_check("framed", b),
     ]
     summary = {
@@ -317,11 +311,9 @@ def _cmd_validate_povm(cfg: ExperimentConfig, m: povm.Povm):
     report = povm.validate(m, seed=cfg.seed)
     framed = povm.is_framed(m)
     checks = [
-        _check("hermitian", povm.FAIL_NOT_HERMITIAN not in report.failures),
-        _check("psd", povm.FAIL_NOT_PSD not in report.failures),
-        _check("additive", povm.FAIL_NOT_ADDITIVE not in report.failures,
-               max_residual=report.max_additivity_residual,
-               tolerance=report.additivity_tolerance),
+        _check("hermitian", max(report.hermiticity_residuals), linalg.TOL_HERM),
+        {"name": "psd", "passed": povm.FAIL_NOT_PSD not in report.failures},
+        _check("additive", report.max_additivity_residual, report.additivity_tolerance),
     ]
     summary = report.to_json()
     summary["framed"] = framed.framed
@@ -339,7 +331,7 @@ def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
     summary = {
         "rule": cfg.rule,
         "atoms_kept": len(d.measure),
-        "reintegration_bound": reintegration["bound"],
+        "reintegration_bound": reintegration["value"],
     }
     return checks, summary, {"decomposition": data_path}
 
@@ -355,9 +347,8 @@ def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
 
 def _cmd_verify_uniqueness(cfg: ExperimentConfig, d1: cr.Decomposition, d2: cr.Decomposition):
     report = cr.verify_uniqueness(d1, d2)
-    tol = _tolerance(cfg, "equivalence", report.tolerance)
-    checks = [_check("uniqueness", report.max_residual <= tol,
-                     max_residual=report.max_residual, tolerance=tol)]
+    tol = cfg.tolerance_overrides.get("equivalence", report.tolerance)
+    checks = [_check("uniqueness", report.max_residual, tol)]
     summary = report.to_json()
     return checks, summary, {}
 
@@ -381,21 +372,18 @@ def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
         abs(b1.lower - b0.lower) / b0.lower, abs(b1.upper - b0.upper) / b0.upper
     )
 
-    tol_bounds = _tolerance(cfg, "bounds_rel", DEFAULT_CHECK_TOLERANCES["bounds_rel"])
-    tol_equiv = _tolerance(cfg, "equivalence", equiv.tolerance)
+    tol_bounds = cfg.tolerance_overrides.get("bounds_rel", linalg.TOL_BOUNDS_REL)
+    tol_equiv = cfg.tolerance_overrides.get("equivalence", equiv.tolerance)
 
     checks = [
         reintegration,
-        _check("equivalence", equiv.max_residual <= tol_equiv,
-               max_residual=equiv.max_residual, tolerance=tol_equiv),
-        _check("operator_preserved", operator_residual <= tol_bounds,
-               residual=operator_residual, tolerance=tol_bounds),
-        _check("bounds_preserved", bounds_drift <= tol_bounds,
-               drift=bounds_drift, tolerance=tol_bounds),
+        _check("equivalence", equiv.max_residual, tol_equiv),
+        _check("operator_preserved", operator_residual, tol_bounds),
+        _check("bounds_preserved", bounds_drift, tol_bounds),
     ]
     summary = {
         "rule": cfg.rule,
-        "max_residual": max(reintegration["bound"], equiv.max_residual, operator_residual),
+        "max_residual": max(reintegration["value"], equiv.max_residual, operator_residual),
         "lower": b0.lower,
         "upper": b0.upper,
         "recovered_lower": b1.lower,

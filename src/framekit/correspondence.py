@@ -54,8 +54,6 @@ from .frames import (
 )
 from .povm import Povm, validate
 
-TOL_DECOMP_REL = 1e-10  # scaled by 1 + ||M(Omega)||_F
-
 # reintegration_residuals enumerates every event only up to this many atoms.
 EXHAUSTIVE_EVENT_ATOMS = 16
 
@@ -126,7 +124,7 @@ class ReferenceMeasureRule:
             if sequence is None or len(sequence) == 0:
                 raise ValueError("dyadic-sequence rule needs a vector sequence")
             sequence = linalg.as_matrix(sequence)
-            too_long = np.linalg.norm(sequence, axis=1) > 1.0 + 1e-12
+            too_long = np.linalg.norm(sequence, axis=1) > 1.0 + linalg.TOL_UNIT_BALL
             if too_long.any():
                 raise ValueError(f"sequence vector {int(np.argmax(too_long))} has norm > 1")
             sequence.flags.writeable = False
@@ -147,7 +145,7 @@ class UniquenessReport:
     per_atom_residuals: tuple[float, ...]
     max_residual: float
     radon_nikodym_ratios: tuple[tuple[float, float], ...]  # (w1, w2)/(w1+w2) per atom
-    tolerance: float
+    tolerance: float  # linalg.TOL_DECOMP_REL scaled by 1 + the larger side's norm
 
     @property
     def within_tolerance(self) -> bool:
@@ -199,7 +197,7 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     gram = linalg.hermitize(np.conj(seq) @ seq.T)
     gvals = linalg.hermitian_eigen(gram).eigenvalues
     # rank(X) == n iff the Gram spectrum has n strictly positive values
-    positive = int(np.sum(gvals > 1e-12 * max(float(gvals[-1]), 1.0)))
+    positive = int(np.sum(gvals > linalg.TOL_SPAN_REL * max(float(gvals[-1]), 1.0)))
     if positive < m.dim_h:
         raise SequenceDoesNotSpan("dyadic sequence does not span the space")
     # <M({t}) x_j, x_j> for every j (rows) and atom t (columns), summed over j in order
@@ -275,7 +273,7 @@ def _uniqueness_over(
         per_atom_residuals=tuple(residuals.tolist()),
         max_residual=float(residuals.max()),
         radon_nikodym_ratios=tuple(zip(r[0].tolist(), r[1].tolist())),
-        tolerance=TOL_DECOMP_REL * (1.0 + scale),
+        tolerance=linalg._scaled_tolerance(linalg.TOL_DECOMP_REL, scale),
     )
 
 
@@ -322,8 +320,8 @@ def sample_events(
 
 
 def _reintegration_tolerance(m: Povm) -> float:
-    """Default bound on reintegration residuals, TOL_DECOMP_REL * (1 + ||M(Omega)||_F)."""
-    return TOL_DECOMP_REL * (1.0 + linalg.frobenius(m.total()))
+    """Default bound on reintegration residuals, linalg.TOL_DECOMP_REL * (1 + ||M(Omega)||_F)."""
+    return linalg._scaled_tolerance(linalg.TOL_DECOMP_REL, linalg.frobenius(m.total()))
 
 
 def _aligned_products(m: Povm, d: Decomposition) -> np.ndarray:
@@ -356,8 +354,8 @@ def reintegration_bound(m: Povm, d: Decomposition) -> float:
     of sum_t ||D_t||.  Taking k = N + 2 in place of N - 1 leaves 3u of
     gamma on the magnitudes to absorb those factors, which it does while
     sum_t ||D_t|| is below about 3 / (2 n^2 + N) of the magnitudes.  A
-    passing check has sum_t ||D_t|| <= 1e-10 (1 + ||M(Omega)||_F), well
-    inside that for any n <= 128 and ||M(Omega)||_F >= 1e-5.  So
+    passing check has sum_t ||D_t|| <= 1e-10 (1 + ||M(Omega)||_F) (TOL_DECOMP_REL),
+    well inside that for any n <= 128 and ||M(Omega)||_F >= 1e-5.  So
 
         max_E residual <= sum_t ||D_t|| + gamma_{N+2} (sum_t ||M({t})|| + sum_t ||P_t||).
 

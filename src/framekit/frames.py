@@ -28,18 +28,6 @@ from .errors import (
     UnknownAtom,
 )
 
-# Below this fraction of lambda_max(S), the family is reported as not a frame.
-TOL_FRAME_REL = 1e-10
-# A family is accepted as a frame without its eigenvalues when its condition
-# bound ||R||_F^2 ||R^-1||_F^2 times this factor stays below 1 / TOL_FRAME_REL.
-# The factor covers the rounding of R^-1 and of the eigenvalues the sweeps
-# would compute from the same R: each is about n eps cond(R) relative, and
-# cond(R) < 1e5 on any family the test accepts, so 3e-9 at n = 128.
-_CERTIFICATE_MARGIN = 2.0
-# analyze's energy identity sum_t mu_t ||c_t||^2 = ||R x||^2 holds to this
-# fraction of ||R||_F^2 ||x||^2; its rounding is about (rows + n) eps.
-TOL_ENERGY_REL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class AtomicMeasureSpace:
@@ -137,9 +125,9 @@ class FrameBounds:
         """True when the bounds agree to near machine precision.
 
         Computed spectra never collide bitwise, so tightness is a relative
-        gap below 1e-12.
+        gap of at most linalg.TOL_TIGHT_REL.
         """
-        return self.upper - self.lower <= 1e-12 * self.upper
+        return self.upper - self.lower <= linalg.TOL_TIGHT_REL * self.upper
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,10 +142,10 @@ class OperatorValuedFrame:
     ``linalg._scaled_r``), and its inverse (``_factor_inverse``).  S = B* diag(w) B
     itself is formed only for its products, on first read (``_operator``).
 
-    It checks the frame property, S positive definite beyond TOL_FRAME_REL,
+    It checks the frame property, S positive definite beyond linalg.TOL_FRAME_REL,
     from the factor: lambda_max / lambda_min = cond(R)^2 <= ||R||_F^2 ||R^-1||_F^2,
     a scale-invariant bound taken on the scaled R.  When it clears
-    1 / TOL_FRAME_REL by _CERTIFICATE_MARGIN the family is a frame and nothing
+    1 / TOL_FRAME_REL by linalg._CERTIFICATE_MARGIN the family is a frame and nothing
     is diagonalized.  Otherwise (a singular R and a non-finite R^-1 included)
     the eigenvalues decide at once, and NotAFrame is raised unless they pass.
     The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached
@@ -204,7 +192,7 @@ class OperatorValuedFrame:
         object.__setattr__(self, "_factor_inverse", r_inv)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails the test
             bound = float(linalg._norms(r)) ** 2 * float(linalg._norms(r_inv)) ** 2
-        if not bound * _CERTIFICATE_MARGIN < 1.0 / TOL_FRAME_REL:
+        if not bound * linalg._CERTIFICATE_MARGIN < 1.0 / linalg.TOL_FRAME_REL:
             frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
 
     @cached_property
@@ -276,7 +264,7 @@ class CoefficientField:
 
 def _positive_definite(lo: float, hi: float) -> bool:
     """Whether extreme eigenvalues lo <= hi pass the frame test lo > TOL_FRAME_REL * hi > 0."""
-    return lo > TOL_FRAME_REL * hi and hi > 0.0
+    return lo > linalg.TOL_FRAME_REL * hi and hi > 0.0
 
 
 def _bounds_of(vals: np.ndarray) -> FrameBounds:
@@ -357,7 +345,8 @@ def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientFiel
     """|sum_t mu_t ||c_t||^2 - ||R x||^2| / (||R||_F^2 ||x||^2) for coefficients c
     claimed to be the analysis of x: the energy identity ||G x||^2 = ||R x||^2,
     read on the kept factor, so with no eigenpairs.  Both sides and the scale
-    are taken on R / 2^e; 0 when the two sides agree exactly (x = 0 included)."""
+    are taken on R / 2^e; 0 when the two sides agree exactly (x = 0 included).
+    The CLI's analyze check holds it to linalg.TOL_ENERGY_REL."""
     r, e = ovf._factor, ovf._factor_exponent
     energy = float(np.ldexp(c.weighted_norm_sq(), -2 * e))
     rx = r @ x

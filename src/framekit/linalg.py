@@ -26,7 +26,8 @@ eigenpairs are computed only where they are read.  There is no general
 inverse: a frame inverts its triangular R (``_triangular_inverse``), which
 both certifies the frame without eigenvalues and solves S x = b as the
 least-squares problem on G (see ``reconstruction.reconstruct_direct``).
-All functions are pure; no hidden state.
+All functions are pure; no hidden state.  The tolerance table (TOL_HERM
+to TOL_BOUNDS_REL) holds every tolerance the package tests against.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -47,9 +48,29 @@ from .errors import (
     ParseError,
 )
 
-# Tolerances (relative unless stated otherwise).
-TOL_HERM = 1e-10
-TOL_PSD_REL = 1e-10     # scaled by (1 + ||A||_F)
+# The tolerance table, the only binding of each name; other modules read it
+# qualified (linalg.TOL_FRAME_REL).  Relative unless stated otherwise;
+# "scaled by 1 + ||X||_F" is _scaled_tolerance(rel, ||X||_F).
+TOL_HERM = 1e-10            # Hermiticity residual ||A - A*||_F / (1 + ||A||_F)
+TOL_PSD_REL = 1e-10         # PSD shift and eigenvalue clamp, scaled by 1 + ||A||_F
+TOL_FRAME_REL = 1e-10       # not a frame below this fraction of lambda_max(S)
+# A family is accepted as a frame without its eigenvalues when its condition
+# bound ||R||_F^2 ||R^-1||_F^2 times this factor stays below 1 / TOL_FRAME_REL.
+# The factor covers the rounding of R^-1 and of the eigenvalues the sweeps
+# would compute from the same R: each is about n eps cond(R) relative, and
+# cond(R) < 1e5 on any family the test accepts, so 3e-9 at n = 128.
+_CERTIFICATE_MARGIN = 2.0
+# analyze's energy identity sum_t mu_t ||c_t||^2 = ||R x||^2 holds to this
+# fraction of ||R||_F^2 ||x||^2; its rounding is about (rows + n) eps.
+TOL_ENERGY_REL = 1e-10
+TOL_TIGHT_REL = 1e-12       # frame bounds are tight when upper - lower is at most this * upper
+TOL_ADDITIVITY_REL = 1e-12  # POVM additivity residuals, scaled by 1 + ||M(Omega)||_F
+TOL_UNIT_NORM = 1e-10       # absolute: how far a state's norm may be from 1
+TOL_DECOMP_REL = 1e-10      # reintegration and uniqueness, scaled by 1 + ||M(Omega)||_F
+TOL_UNIT_BALL = 1e-12       # absolute: how far past norm 1 a dyadic-rule vector may round
+TOL_SPAN_REL = 1e-12        # dyadic Gram eigenvalues above this * max(lambda_max, 1) span
+TOL_OVERRIDE_SLACK = 1e-12  # a bounds override certifies if within this of lambda_min, lambda_max
+TOL_BOUNDS_REL = 1e-9       # roundtrip: drift of the frame operator and of the bounds
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A||_F
@@ -130,11 +151,6 @@ def hermitian_residual(a: np.ndarray):
     d = adjoint(a)
     d -= a  # A* - A in place: the same norm as A - A*, with one temporary
     return _norms(d) / (1.0 + _norms(a))
-
-
-def is_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> bool:
-    a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and bool(hermitian_residual(a) <= tol)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -523,7 +539,7 @@ def psd_sqrt(a) -> np.ndarray:
     """Unique positive semidefinite square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-tol_psd, 0) are clamped to zero before the root, where
-    tol_psd = 1e-10 * (1 + ||A||_F); anything below -tol_psd raises NotPsd.
+    tol_psd = TOL_PSD_REL * (1 + ||A||_F); anything below -tol_psd raises NotPsd.
     Callers that already hold the eigendecomposition call its ``sqrt`` instead.
     """
     m = as_matrix(a)
@@ -535,9 +551,14 @@ def psd_sqrt(a) -> np.ndarray:
     return eig.sqrt()
 
 
+def _scaled_tolerance(rel, norm):
+    """A tolerance relative to a norm, rel * (1 + norm): absolute near zero."""
+    return rel * (1.0 + norm)
+
+
 def _psd_tolerance(a: np.ndarray):
     """How far below zero an eigenvalue or probability of a PSD A (of each in a stack) may round."""
-    return TOL_PSD_REL * (1.0 + _norms(a))
+    return _scaled_tolerance(TOL_PSD_REL, _norms(a))
 
 
 def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -25,9 +25,7 @@ from .frames import _event_mask, _label_index, _position, _positive_definite
 # Event = any collection of atom labels.
 Event = Collection[str]
 
-ADDITIVITY_TOL_REL = 1e-12   # scaled by 1 + ||M(Omega)||_F
 ADDITIVITY_SAMPLES = 50
-UNIT_NORM_TOL = 1e-10
 
 FAIL_NOT_HERMITIAN = "NotHermitian"
 FAIL_NOT_PSD = "NotPsd"
@@ -88,7 +86,7 @@ class ValidationReport:
 
     povm: Povm = field(repr=False)
     hermiticity_residuals: tuple[float, ...]
-    hermitian: tuple[bool, ...]  # residual <= TOL_HERM
+    hermitian: tuple[bool, ...]  # residual <= linalg.TOL_HERM
     psd: tuple[bool, ...]        # the Cholesky verdicts
     additivity_residuals: tuple[float, ...]
     max_additivity_residual: float
@@ -121,7 +119,8 @@ class ValidationReport:
 
 def _additivity(m: Povm, seed: int) -> tuple[list[float], float]:
     """||M(E) + M(F) - M(E u F)||_F over ADDITIVITY_SAMPLES random disjoint pairs
-    drawn from ``seed``, and their tolerance, scaled by ||M(Omega)||_F.
+    drawn from ``seed``, and their tolerance, linalg.TOL_ADDITIVITY_REL scaled
+    by 1 + ||M(Omega)||_F.
 
     One draw assigns every atom of every sample to E (0), F (1) or neither (2),
     the same PCG64 stream as one draw per sample; both empty is fine.  The
@@ -138,16 +137,19 @@ def _additivity(m: Povm, seed: int) -> tuple[list[float], float]:
         sums = np.array([m.evaluate(list(compress(m.atoms, mask))) for mask in masks])
     sums = sums.reshape(ADDITIVITY_SAMPLES, 3, m.dim_h, m.dim_h)
     residuals = [linalg.frobenius(e + f - union) for e, f, union in sums]
-    return residuals, ADDITIVITY_TOL_REL * (1.0 + linalg.frobenius(m.total()))
+    return residuals, linalg._scaled_tolerance(linalg.TOL_ADDITIVITY_REL,
+                                               linalg.frobenius(m.total()))
 
 
 def validate(m: Povm, seed: int = 0) -> ValidationReport:
     """Check the POVM axioms numerically; the report carries any failures.
 
-    Per element: Hermiticity residual against tol_herm, and a PSD verdict from
-    one stacked Cholesky factorization of H + tol_psd I (H the Hermitian part).
+    Per element: Hermiticity residual against linalg.TOL_HERM, and a PSD verdict
+    from one stacked Cholesky factorization of H + tol_psd I (H the Hermitian
+    part, tol_psd = linalg._psd_tolerance(H)).
     Additivity: ||M(E) + M(F) - M(E u F)||_F over 50 random disjoint pairs drawn
-    from the seed (recorded in the report), against a tolerance scaled by ||M(Omega)||_F.
+    from the seed (recorded in the report), against linalg.TOL_ADDITIVITY_REL
+    scaled by 1 + ||M(Omega)||_F.
     """
     herm_res = linalg.hermitian_residual(m.elements)
     hermitian = herm_res <= linalg.TOL_HERM
@@ -202,8 +204,8 @@ def measure_probabilities(m: Povm, x) -> list[float]:
     if v.shape[0] != m.dim_h:
         raise DimensionMismatch(f"state has dim {v.shape[0]}, POVM expects {m.dim_h}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
-        raise NotUnitVector(f"state norm {norm!r} is not 1 within {UNIT_NORM_TOL}")
+    if abs(norm - 1.0) > linalg.TOL_UNIT_NORM:
+        raise NotUnitVector(f"state norm {norm!r} is not 1 within {linalg.TOL_UNIT_NORM}")
     probs = ((m.elements @ v) @ np.conj(v)).real
     low = probs < -linalg._psd_tolerance(m.elements)
     if low.any():

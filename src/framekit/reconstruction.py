@@ -48,10 +48,6 @@ from .frames import (
 DEFAULT_MAX_ITERS = 10_000
 DEFAULT_TARGET_ERROR = 1e-9
 
-# Margin for flagging a bounds override as uncertified: the certificate is
-# only valid when lower <= lambda_min(S) and upper >= lambda_max(S).
-_OVERRIDE_SLACK = 1e-12
-
 # The stacked powers of one block take at most this many bytes, which sets the
 # block length K = 256 at dim 8, 64 at 16, 4 at 64 and 1 from 128 on.
 _BLOCK_BYTES = 1 << 18
@@ -149,8 +145,9 @@ def frame_algorithm(
     Stops when the certified bound drops to cfg.target_error or after
     cfg.max_iters iterations, whichever comes first; the trace records
     which one fired.  A bounds override wider than the actual spectrum
-    (lower' <= A, upper' >= B) keeps the certificate valid; a narrower one
-    is accepted but the trace is flagged uncertified.
+    (lower' <= A, upper' >= B, each up to linalg.TOL_OVERRIDE_SLACK relative)
+    keeps the certificate valid; a narrower one is accepted but the trace is
+    flagged uncertified.
 
     The certified bounds, and with them the stopping index n, come first.
     The iterates follow in blocks of K = min(n, max(1, _BLOCK_BYTES //
@@ -178,8 +175,8 @@ def frame_algorithm(
     if cfg.bounds_override is not None:
         used = cfg.bounds_override
         certified = (
-            used.lower <= actual.lower * (1.0 + _OVERRIDE_SLACK)
-            and used.upper >= actual.upper * (1.0 - _OVERRIDE_SLACK)
+            used.lower <= actual.lower * (1.0 + linalg.TOL_OVERRIDE_SLACK)
+            and used.upper >= actual.upper * (1.0 - linalg.TOL_OVERRIDE_SLACK)
         )
     else:
         used = actual

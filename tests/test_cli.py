@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framekit import VectorFrame, cli, correspondence, frames, linalg, povm
+from framekit import VectorFrame, cli, correspondence, frames, linalg, povm, reconstruction
 from framekit.cli import ExperimentConfig, generate_random, main, run
 from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
@@ -78,7 +78,7 @@ def test_decompose_and_roundtrip_certify_without_events(dim, atoms, tmp_path, mo
     for name in ("d-trace", "d-dyadic", "r-trace", "r-dyadic"):
         check = read_report(tmp_path / f"{name}.json")["checks"][0]
         assert check["name"] == "reintegration"
-        assert check["margin"] == check["bound"] / check["tolerance"] < 1e-2
+        assert check["margin"] == check["value"] / check["tolerance"] < 1e-2
 
 
 def test_decomp_tolerance_override_sets_the_reintegration_check(pair_path, tmp_path):
@@ -88,7 +88,7 @@ def test_decomp_tolerance_override_sets_the_reintegration_check(pair_path, tmp_p
                      "--tol", f"decomp={tol!r}"]) == code
         check = read_report(out)["checks"][0]
         assert check["tolerance"] == tol
-        assert check["margin"] == (check["bound"] / tol if tol else None)
+        assert check["margin"] == (check["value"] / tol if tol else None)
 
 
 def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
@@ -209,7 +209,7 @@ def _analysis_check(pair_path, tmp_path, x):
     xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))
     code = main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")])
     (check,) = read_report(tmp_path / "a.json")["checks"]
-    assert check["name"] == "analysis" and check["tolerance"] == frames.TOL_ENERGY_REL
+    assert check["name"] == "analysis" and check["tolerance"] == linalg.TOL_ENERGY_REL
     assert check["margin"] == check["value"] / check["tolerance"]
     return code, check
 
@@ -233,7 +233,7 @@ def test_analyze_fails_on_coefficients_that_are_not_the_analysis(pair_path, tmp_
     monkeypatch.setattr(frames, "analysis", corrupted)
     code, check = _analysis_check(pair_path, tmp_path, random_unit(2, seed=3))
     assert code == 1 and check["passed"] is False
-    assert check["value"] > frames.TOL_ENERGY_REL
+    assert check["value"] > linalg.TOL_ENERGY_REL
 
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):
@@ -572,26 +572,114 @@ def test_bounds_and_to_ovf_compute_their_frame_checks(kind_paths, tmp_path, monk
         (check,) = read_report(out)["checks"]
         assert check["name"] == name and check["passed"] is True
         assert (check["lower"], check["upper"]) in verdicts  # the report's bounds, tested
-        assert check["margin"] == frames.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
+        assert check["margin"] == linalg.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
 
 
 def test_frame_check_fails_below_the_frame_tolerance():
     ok = cli._frame_check("frame", FrameBounds(lower=1.0, upper=2.0))
-    assert ok["passed"] is True and ok["margin"] == 2.0 * frames.TOL_FRAME_REL
+    assert ok["passed"] is True and ok["margin"] == 2.0 * linalg.TOL_FRAME_REL
     # valid bounds, but lambda_min is below TOL_FRAME_REL * lambda_max
     bad = cli._frame_check("framed", FrameBounds(lower=1e-12, upper=1.0))
     assert bad["passed"] is False and bad["margin"] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_a_check_with_a_non_finite_number_fails():
-    assert cli._check("c", True, bound=1.0, tolerance=2.0)["passed"] is True
-    for detail in ({"bound": float("inf"), "tolerance": 1.0},
-                   {"bound": 0.0, "tolerance": float("inf")},
-                   {"value": np.float64("nan")}):
-        assert cli._check("c", True, **detail)["passed"] is False
-    # strings, lists, integers and None are no numbers to compare
-    assert cli._check("c", True, stopped_by="target_error", failures=[], n=3, margin=None)["passed"]
+    assert cli._check("c", 1.0, 2.0)["passed"] is True
+    for value, tolerance in ((float("inf"), 1.0), (0.0, float("inf")), (np.float64("nan"), 1.0)):
+        assert cli._check("c", value, tolerance)["passed"] is False
+    # strings, lists, integers and None in the context are no numbers to compare
+    assert cli._check("c", 1.0, 2.0, stopped_by="target_error", failures=[], n=3, x=None)["passed"]
 
+
+def test_a_check_passes_up_to_and_at_its_tolerance():
+    at = cli._check("c", 2.0, 2.0, lower=1.0)
+    assert at == {"name": "c", "passed": True, "value": 2.0, "tolerance": 2.0, "margin": 1.0,
+                  "lower": 1.0}
+    assert cli._check("c", np.nextafter(2.0, 3.0), 2.0)["passed"] is False
+    assert cli._check("c", 0.0, 0.0) == {"name": "c", "passed": True, "value": 0.0,
+                                         "tolerance": 0.0, "margin": None}
+    assert cli._check("c", 1e-300, 0.0)["passed"] is False
+
+
+# The checks no number decides, with their exact keys.
+FLAGS = {"certified": {"name", "passed"}, "psd": {"name", "passed"},
+         "povm_valid": {"name", "passed", "failures"}}
+
+
+def test_every_check_is_a_flag_or_a_value_against_a_tolerance(kind_paths, tmp_path):
+    frame, povm_path, trace = kind_paths["frame"], kind_paths["povm"], kind_paths["decomposition"]
+    dyadic = str(tmp_path / "dyadic.data.json")
+    zero = [a for name in cli.DEFAULT_CHECK_TOLERANCES for a in ("--tol", f"{name}=0")]
+    runs = [
+        ["bounds", "--in", frame],
+        ["analyze", "--in", frame, "--in", kind_paths["vector"]],
+        ["reconstruct", "--in", frame, "--in", kind_paths["coefficients"]],
+        ["to-povm", "--in", frame],
+        ["validate-povm", "--in", povm_path],
+        ["decompose", "--in", povm_path, "--rule", "trace"],
+        ["decompose", "--in", povm_path, "--rule", "dyadic", "--data-out", dyadic],
+        ["to-ovf", "--in", trace],
+        ["verify-uniqueness", "--in", trace, "--in", dyadic],
+        ["roundtrip", "--in", frame],
+        ["roundtrip", "--in", frame, "--rule", "dyadic"] + zero,  # zero tolerances
+    ]
+    assert {argv[0] for argv in runs} == set(cli.COMMANDS)
+    numeric = set()
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}.json"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        for check in read_report(out)["checks"]:
+            if check["name"] in FLAGS:
+                assert set(check) == FLAGS[check["name"]], argv
+                continue
+            numeric.add(check["name"])
+            value, tol = check["value"], check["tolerance"]
+            assert check["margin"] == (value / tol if tol else None), argv
+            assert check["passed"] == (value <= tol), argv
+            assert not set(check) & {"bound", "max_residual", "residual", "drift", "target_error"}
+    assert numeric == {"frame", "analysis", "converged", "framed", "hermitian", "additive",
+                       "reintegration", "uniqueness", "equivalence", "operator_preserved",
+                       "bounds_preserved"}
+
+
+def test_converged_passes_from_the_crossing_index_on(pair_path, tmp_path):
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
+    assert main(["analyze", "--in", pair_path, "--in", xpath,
+                 "--out", str(tmp_path / "a.json")]) == 0
+    argv = ["reconstruct", "--in", pair_path, "--in", str(tmp_path / "a.data.json"),
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 0
+    crossing = read_report(tmp_path / "r.json")["summary"]["iterations"]
+    assert crossing >= 2
+    for iters, code, stopped_by in ((crossing, 0, "target_error"), (crossing - 1, 1, "max_iters")):
+        assert main(argv + ["--max-iters", str(iters)]) == code
+        report = read_report(tmp_path / "r.json")
+        converged, certified = report["checks"]
+        assert converged["name"] == "converged" and converged["stopped_by"] == stopped_by
+        assert converged["passed"] is (code == 0) and certified["passed"] is True
+        assert converged["value"] == report["summary"]["final_certified_bound"]
+        assert converged["tolerance"] == reconstruction.DEFAULT_TARGET_ERROR
+
+
+def test_hermitian_check_reads_the_largest_residual_against_tol_herm(tmp_path):
+    half = np.eye(2) / 2
+    scale = 1.0 + np.linalg.norm(half)  # the skew part moves ||A||_F by about 1e-20
+    for ratio, code in ((0.95, 0), (1.05, 1)):
+        skew = np.zeros((2, 2), dtype=complex)
+        skew[0, 1] = ratio * linalg.TOL_HERM * scale / np.sqrt(2.0)  # ||A* - A||_F = sqrt(2) |e|
+        elements = np.array([half + skew, half])
+        residual = linalg.hermitian_residual(elements[0])
+        assert residual == pytest.approx(ratio * linalg.TOL_HERM, rel=1e-6)
+        path = write_json(tmp_path / "m.json", povm_to_json(
+            povm.Povm(atoms=["a", "b"], dim_h=2, elements=elements)))
+        assert main(["validate-povm", "--in", path, "--out", str(tmp_path / "v.json")]) == code
+        report = read_report(tmp_path / "v.json")
+        hermitian, psd, additive = report["checks"]
+        assert hermitian["name"] == "hermitian" and hermitian["tolerance"] == linalg.TOL_HERM
+        assert hermitian["value"] == residual
+        assert hermitian["passed"] is (code == 0)
+        assert hermitian["passed"] is ("NotHermitian" not in report["summary"]["failures"])
+        assert psd["passed"] is True and additive["passed"] is True
 
 def test_json_writes_refuse_nan_and_inf(tmp_path):
     for value in (float("nan"), float("inf"), -float("inf")):

@@ -3,15 +3,23 @@
 ``numpy.linalg`` is the test suite's independent oracle, so the package
 itself may take nothing from it but ``norm``; every factorization and
 eigensolver it runs is its own.
+
+Every tolerance the package tests against lives in one table in
+``linalg``; no other module defines one, under a tolerance's name or as a
+small float literal.
 """
 
 import ast
+import fnmatch
 from pathlib import Path
 
 import framekit
 
 ALLOWED = {"norm"}
 SOURCES = sorted(Path(framekit.__file__).parent.glob("*.py"))
+TABLE = "linalg.py"
+TOLERANCE_NAMES = ("TOL_*", "*_TOL", "*_TOL_REL", "*_SLACK", "*_MARGIN")
+SMALL = 1e-6  # a nonzero float literal below this is a tolerance
 
 
 def numpy_linalg_uses(tree):
@@ -55,3 +63,48 @@ def test_the_package_takes_only_norm_from_numpy_linalg():
             seen.append(name)
             assert name in ALLOWED, f"{path.name}:{line} uses numpy.linalg.{name}"
     assert seen  # the norms are found, so the walk reads the sources
+
+
+def tolerance_definitions(tree):
+    """(line, what) for every tolerance a module defines: a module-level name
+    matching TOLERANCE_NAMES (leading underscores aside), bound by assignment or
+    import, and every nonzero float literal below SMALL that is not the whole
+    value of a module-level DEFAULT_* assignment (the default of an option)."""
+    found, defaults = [], set()
+    for node in tree.body:
+        names = []
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            default = all(n.startswith("DEFAULT_") for n in names)
+            if default and isinstance(node.value, ast.Constant):
+                defaults.add(node.value)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+        found += [(node.lineno, name) for name in names
+                  if any(fnmatch.fnmatchcase(name.lstrip("_"), p) for p in TOLERANCE_NAMES)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and type(node.value) is float
+                and 0.0 < node.value < SMALL and node not in defaults):
+            found.append((node.lineno, repr(node.value)))
+    return found
+
+
+def test_the_guard_sees_every_kind_of_tolerance():
+    tree = ast.parse("TOL_X = 1e-10\nfrom .linalg import TOL_HERM\nok = x <= 1e-12 * y\n"
+                     "TABLE = {'a': 1e-9}\n_X_SLACK: float = 0.5\nimport m as CERT_MARGIN\n")
+    assert sorted(tolerance_definitions(tree)) == [
+        (1, "1e-10"), (1, "TOL_X"), (2, "TOL_HERM"), (3, "1e-12"), (4, "1e-09"),
+        (5, "_X_SLACK"), (6, "CERT_MARGIN")]
+    clean = ast.parse("from . import linalg\nDEFAULT_TARGET_ERROR = 1e-9\n"
+                      "ok = x <= linalg.TOL_HERM * y\nSCALE = 0.5\nTOLERANCES = {'a': None}\n")
+    assert tolerance_definitions(clean) == []
+
+
+def test_every_tolerance_lives_in_the_linalg_table():
+    for path in SOURCES:
+        found = tolerance_definitions(ast.parse(path.read_text(), str(path)))
+        if path.name == TABLE:
+            assert found  # the table is found, so the walk reads the sources
+        else:
+            assert not found, f"{path.name} defines tolerances: {found}"

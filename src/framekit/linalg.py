@@ -1,23 +1,23 @@
 """Deterministic dense complex linear algebra kernels.
 
 Everything operates on numpy complex128 arrays and is written so that
-repeated calls on identical inputs return bit-identical outputs.  There are
-two Jacobi eigensolvers, and both rotate in one order, a fixed function of
-the size n: the round-robin steps of disjoint pairs of
-``_round_robin_schedule``.
+repeated calls on identical inputs return bit-identical outputs.  There is
+one Jacobi kernel: one-sided (Hestenes) Jacobi on the rows of a stack of
+matrices (``_orthogonalize_rows``), every matrix with its own stopping test,
+rotating in one order, a fixed function of the size n: the round-robin steps
+of disjoint pairs of ``_round_robin_schedule``.  A lone matrix is a stack of
+one, so each matrix's result is bit-identical alone and anywhere in any stack
+by construction.  It serves two entry points.
 
 * ``hermitian_eigen`` diagonalizes a Hermitian matrix, or a stack of
-  equal-sized ones, by two-sided cyclic Jacobi; a stack is diagonalized
-  together, every matrix with its own thresholds and stopping test.  A lone
-  matrix is a stack of one and takes the same stacked sweep, so each
-  matrix's eigenpairs are bit-identical alone and anywhere in any stack by
-  construction.  It serves matrices that come with no factor: POVM
-  elements, densities, M(Omega) and Gram matrices.
+  equal-sized ones, from the shifted matrix H + 2 ||H||_F I, to absolute
+  accuracy (about eps ||A||_F).  It serves matrices that come with no
+  factor: POVM elements, densities, M(Omega) and Gram matrices.
 * ``_one_sided_jacobi`` diagonalizes G* G from the triangular factor R of
-  G alone (``_scaled_r``, a Householder QR): one-sided Jacobi on R*.  It
-  never forms G* G, so the small eigenvalues keep their relative accuracy; a
-  frame's operator S = B* diag(w) B takes its eigenpairs from it, with
-  G = diag(sqrt(w)) B, on the first read of its bounds.
+  G alone (``_scaled_r``, a Householder QR), on R*.  It never forms G* G,
+  so the small eigenvalues keep their relative accuracy; a frame's operator
+  S = B* diag(w) B takes its eigenpairs from it, with G = diag(sqrt(w)) B,
+  on the first read of its bounds.
 
 A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
 factorization of the shifted matrices instead
@@ -73,8 +73,7 @@ TOL_OVERRIDE_SLACK = 1e-12  # a bounds override certifies if within this of lamb
 TOL_BOUNDS_REL = 1e-9       # roundtrip: drift of the frame operator and of the bounds
 
 JACOBI_MAX_SWEEPS = 100
-JACOBI_OFF_THRESHOLD = 1e-14  # off-diagonal Frobenius threshold, scaled by ||A||_F
-# one-sided Jacobi: a pair of columns counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
+# a pair of rows counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
 JACOBI_ORTHOGONALITY_TOL = 1e-15
 # hermitian_eigen works through a stack in slices of at most this many bytes
 # (64 matrices at n = 16, one at n = 128), so its working copies stay a small
@@ -197,98 +196,28 @@ def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return [(ps[keep], qs[keep]) for ps, qs, keep in zip(p, q, q < n)]
 
 
-def _stacked_sweep(a: np.ndarray, v: np.ndarray, skip: np.ndarray, active: np.ndarray,
-                   steps) -> None:
-    """One sweep over the ``active`` matrices of a stack, in place.
-
-    A step is a pair of index arrays (p, q) of disjoint pairs.  The (matrix,
-    pair) entries whose pivot is above that matrix's ``skip`` are computed
-    from the step's starting matrices and rotated together: columns, then
-    rows, then eigenvector columns.  Integer-array indexing copies, so
-    ``colp`` and the like are snapshots taken before the writes.  Every
-    matrix meets the same steps in the same order whatever else is active,
-    with the same element-wise arithmetic per entry.
-    """
-    mats = active[:, None]
-    for p, q in steps:
-        apq = a[mats, p, q]
-        absa = np.abs(apq)
-        live = absa > skip[mats]
-        if not live.any():
-            continue
-        k, j = np.nonzero(live)
-        m = active[k]
-        p, q, apq, absa = p[j], q[j], apq[k, j], absa[k, j]
-        phase = apq / absa
-        tau = (a[m, q, q].real - a[m, p, p].real) / (2.0 * absa)
-        t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = t * c
-        cp = (c * phase)[:, None]
-        sp = (s * phase)[:, None]
-        c, s = c[:, None], s[:, None]
-        colp, colq = a[m, :, p], a[m, :, q]
-        a[m, :, p] = colp * cp - colq * s
-        a[m, :, q] = colp * sp + colq * c
-        rowp, rowq = a[m, p, :], a[m, q, :]
-        a[m, p, :] = rowp * np.conj(cp) - rowq * s
-        a[m, q, :] = rowp * np.conj(sp) + rowq * c
-        a[m, p, q] = 0.0
-        a[m, q, p] = 0.0
-        a[m, p, p] = a[m, p, p].real
-        a[m, q, q] = a[m, q, q].real
-        vp, vq = v[m, :, p], v[m, :, q]
-        v[m, :, p] = vp * cp - vq * s
-        v[m, :, q] = vp * sp + vq * c
-
-
-def _jacobi_sweeps(a: np.ndarray, first: int, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a stack (N, n, n) of exactly Hermitian matrices in place by
-    cyclic Jacobi rotations; returns the diagonals (N, n) and eigenvectors
-    (N, n, n).  The stack is matrices ``first`` to ``first + N`` of ``total``,
-    which only names the matrix in NoConvergence.
-
-    Each rotation first twists the pivot phase so the 2x2 subproblem is
-    real symmetric, then applies the classic symmetric Schur rotation with
-    |t| <= 1, which guarantees convergence of the cyclic sweep.  A sweep
-    follows the round-robin ordering of Brent & Luk (1985) at every n:
-    n-1 steps of n/2 disjoint rotations, applied as vectorized updates; odd
-    n takes n steps with one idle slot each.  The ordering is a fixed
-    function of n, so identical inputs give bit-identical outputs.
-
-    Every matrix has its own ||A||_F, stopping threshold and skip threshold.
-    After each off-diagonal test, converged matrices leave the active set;
-    zero matrices and n = 1 leave at the first test.  A sweep is one
-    ``_stacked_sweep`` over the active matrices; a lone matrix is a stack of
-    one, so it meets the same steps with the same arithmetic as in a stack.
-    """
-    count, n = a.shape[0], a.shape[-1]
-    v = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
-    stop = JACOBI_OFF_THRESHOLD * _norms(a)
-    skip = stop / (2.0 * max(n, 1))  # elements below this cannot push off(A) past stop
-    steps = _round_robin_schedule(n)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    active = np.arange(count)
-
-    for sweep in range(JACOBI_MAX_SWEEPS + 1):
-        off = _norms(np.where(off_diagonal, a[active], 0.0))
-        active = active[off > stop[active]]
-        if active.size == 0:
-            return np.diagonal(a, axis1=1, axis2=2).real.copy(), v
-        if sweep == JACOBI_MAX_SWEEPS:
-            break
-        _stacked_sweep(a, v, skip, active, steps)
-
-    k = int(active[0])
-    raise NoConvergence(
-        f"Jacobi did not reach off-diagonal norm {stop[k]:.3e} in {JACOBI_MAX_SWEEPS} sweeps"
-        f" on matrix {first + k} of {total}"
-    )
+def _scale_exponent(f: np.ndarray):
+    """The e that puts the largest |entry| of a float64 matrix (of each in a stack:
+    last two axes) in [1/2, 1) once scaled by 2^-e, exactly; 0 for a zero matrix."""
+    peak = np.maximum(np.max(f, axis=(-2, -1), initial=0.0), -np.min(f, axis=(-2, -1), initial=0.0))
+    return np.frexp(peak)[1]
 
 
 def hermitian_eigen(a) -> EigenDecomposition:
     """Full eigendecomposition of a Hermitian matrix, or of each matrix in a
-    stack (N, n, n).
+    stack (N, n, n), by one-sided Jacobi on a shifted copy.
+
+    Each matrix is hermitized, H = (A + A*)/2, and scaled exactly by 2^-e so
+    that its largest real or imaginary part lies in [1/2, 1).  The sweeps
+    (``_orthogonalize_rows``) run on the rows of conj(B), B = H + c I with
+    c = 2 ||H||_F (1 for a zero matrix), which hold the columns y_j of B* = B.
+    Rotated until orthogonal, they are eigenvectors of B B* = B^2, whose
+    eigenvalues (lambda + c)^2 are as distinct as H's lambda: B is positive
+    definite with cond(B) <= 3, so no pair +-lambda of H can mix.  Then
+    u_j = y_j / ||y_j|| and lambda_j = Re(u_j* H u_j) 2^e; a diagonal input
+    comes back exactly.  The accuracy is absolute: eigenvalues to about
+    eps ||A||_F, so the small eigenvalues of a PSD matrix carry no relative
+    accuracy (a frame takes its eigenpairs from its factor, ``_one_sided_jacobi``).
 
     Eigenvalues come back sorted ascending, eigenvector columns permuted in
     lockstep; ties keep the Jacobi output order, so identical inputs give
@@ -299,7 +228,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
     so the working copies stay small next to the input and the result.
 
     Raises LimitExceeded if a matrix's squared Frobenius norm is not a finite
-    double (the stopping threshold would be inf and no rotation would run),
+    double (the limit every operand meets, see ``_check_magnitude``),
     NotHermitian if the input (for a stack: the first failing matrix, named by
     its index) fails the Hermiticity check and NoConvergence if the sweep
     budget is exhausted.
@@ -326,11 +255,23 @@ def hermitian_eigen(a) -> EigenDecomposition:
             raise NotHermitian(f"Hermiticity residual{where} {residuals[k]:.3e} exceeds {TOL_HERM}")
     vals = np.empty((count, n))
     vecs = np.empty((count, n, n), dtype=np.complex128)
+    diag = np.arange(n)
     for part in chunks:
-        diag, v = _jacobi_sweeps(hermitize(m[part]), part.start, count)
-        order = np.argsort(diag, axis=-1, kind="stable")
-        vals[part] = np.take_along_axis(diag, order, axis=-1)
-        vecs[part] = np.take_along_axis(v, order[:, None, :], axis=-1)
+        h = hermitize(m[part])
+        f = h.view(np.float64)
+        e = _scale_exponent(f)
+        np.ldexp(f, -e[:, None, None], out=f)
+        norm = _norms(h)
+        b = np.conj(h)
+        b[:, diag, diag] += np.where(norm > 0.0, 2.0 * norm, 1.0)[:, None]
+        u = _orthogonalize_rows(b, part.start, count)
+        uf = u.view(np.float64)
+        uf /= np.sqrt(np.vecdot(u, u).real)[..., None]
+        # row j of u conj(H) is H u_j, as H^T = conj(H)
+        lam = np.ldexp(np.vecdot(u, u @ np.conj(h)).real, e[:, None])
+        order = np.argsort(lam, axis=-1, kind="stable")
+        vals[part] = np.take_along_axis(lam, order, axis=-1)
+        vecs[part] = np.swapaxes(np.take_along_axis(u, order[..., None], axis=1), 1, 2)
     if lone:
         vals, vecs = vals[0], vecs[0]
     for arr in (vals, vecs):
@@ -396,7 +337,7 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
     np.multiply(row_scale[:, None], g, out=a[:m])
     f = a.T.view(np.float64)  # a.T is C-ordered
-    e = int(np.frexp(max(np.max(f, initial=0.0), -np.min(f, initial=0.0)))[1])
+    e = int(_scale_exponent(f))
     np.ldexp(f, -e, out=f)
     r = np.zeros((n, n), dtype=np.complex128)
     _reflect_columns(a, r, np.zeros((n, n), dtype=np.complex128), 0, n)
@@ -438,8 +379,9 @@ def _pair_gathers(n: int) -> list[np.ndarray]:
     Before step k the rows sit in the order p_0, q_0, p_1, q_1, ... of step
     k - 1 (the idle row of odd n last), and gather k moves them into that
     order for step k.  The rows start out labeled as if the last step had just
-    run, so every sweep takes the same gathers; the labels only fix which
-    rows meet, and every pair of labels meets once a sweep."""
+    run, so every sweep takes the same gathers and ends with each row back in
+    its place; the labels only fix which rows meet, and every pair of labels
+    meets once a sweep."""
     steps = _round_robin_schedule(n)
     orders = np.empty((len(steps), n), dtype=np.intp)
     for order, (p, q) in zip(orders, steps):
@@ -450,52 +392,86 @@ def _pair_gathers(n: int) -> list[np.ndarray]:
     return list(np.take_along_axis(np.roll(places, 1, axis=0), orders, axis=1))
 
 
-def _one_sided_sweep(z: np.ndarray, gathers, floor: float) -> tuple[np.ndarray, bool]:
-    """One round-robin sweep of one-sided Jacobi over the rows of z: the rows in
-    their new order, and whether any pair was rotated.
+def _one_sided_sweep(z: np.ndarray, gathers, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round-robin sweep of one-sided Jacobi over the rows of each matrix of
+    a stack z (N, n, n): the rows, back in their places, and per matrix whether
+    any of its pairs was rotated.
 
     A pair of rows y_p, y_q with |y_p* y_q| > JACOBI_ORTHOGONALITY_TOL ||y_p|| ||y_q||,
-    both of norm above ``floor``, is rotated so that its 2x2 Gram matrix
-    becomes diagonal, by the phase twist and |t| <= 1 Schur rotation of
-    ``_stacked_sweep``: y_p takes the phase of y_p* y_q, then
+    both of norm above their matrix's ``floor``, is rotated so that its 2x2
+    Gram matrix becomes diagonal: y_p takes the phase of y_p* y_q, which makes
+    that Gram matrix real symmetric, then the classic Schur rotation with
+    |t| <= 1, which guarantees convergence of the cyclic sweep,
     [y_p; y_q] <- [[c, -s], [s, c]] [y_p; y_q], one real 2x2 product per pair
-    on the float64 view.  The other pairs take the identity (phase 1, c = 1,
-    s = 0), which leaves them exact.
+    on the float64 view.  The other pairs of a matrix take the identity
+    (phase 1, c = 1, s = 0), which keeps their values.  A matrix with no live
+    pair in a step is left alone, since the identity would turn its -0.0
+    entries into +0.0, so its rows get the same bits whatever else is in the
+    stack.
     """
-    n = z.shape[1]
-    rotated = False
+    count, n = z.shape[0], z.shape[-1]
+    rotated = np.zeros(count, dtype=bool)
     for gather in gathers:
-        z = z[gather]
+        z = z[:, gather]
         h = len(gather) // 2
-        pairs = z[:2 * h].reshape(h, 2, n)
-        zp, zq = pairs[:, 0], pairs[:, 1]
+        pairs = z[:, :2 * h].reshape(count, h, 2, n)
+        zp, zq = pairs[:, :, 0], pairs[:, :, 1]
         sq = np.vecdot(pairs, pairs).real
         norms = np.sqrt(sq)
         apq = np.vecdot(zp, zq)
         absa = np.abs(apq)
-        live = ((absa > JACOBI_ORTHOGONALITY_TOL * (norms[:, 0] * norms[:, 1]))
-                & (norms.min(axis=1) > floor))
-        if not live.any():
+        live = ((absa > JACOBI_ORTHOGONALITY_TOL * (norms[..., 0] * norms[..., 1]))
+                & (norms.min(axis=-1) > floor[:, None]))
+        hit = live.any(axis=1)
+        if not hit.any():
             continue
-        rotated = True
+        rotated |= hit
         absa = np.where(live, absa, np.inf)  # tau = 0 and phase 0 off the live pairs
-        tau = (sq[:, 1] - sq[:, 0]) / (2.0 * absa)
+        tau = (sq[..., 1] - sq[..., 0]) / (2.0 * absa)
         t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
         c = 1.0 / np.hypot(1.0, t)
         s = t * c
-        zp *= np.where(live, apq / absa, 1.0)[:, None]
+        np.multiply(zp, np.where(live, apq / absa, 1.0)[..., None], out=zp, where=hit[:, None, None])
         f = pairs.view(np.float64)
-        f[...] = np.stack((c, -s, s, c), axis=-1).reshape(h, 2, 2) @ f
+        rot = np.stack((c, -s, s, c), axis=-1).reshape(count, h, 2, 2)
+        if hit.all():
+            f[...] = rot @ f
+        else:
+            f[hit] = rot[hit] @ f[hit]
     return z, rotated
+
+
+def _orthogonalize_rows(z: np.ndarray, first: int, total: int) -> np.ndarray:
+    """One-sided Jacobi on the rows of each matrix of a stack z (N, n, n): sweeps
+    until a whole sweep rotates no pair of a matrix, which then leaves the
+    active set.  Returns z with each row rotated in its place; a matrix whose
+    rows are orthogonal from the start comes back unchanged.
+
+    Each matrix has its own floor, JACOBI_ORTHOGONALITY_TOL ||z_k||_F, and
+    meets the same steps with the same arithmetic alone and anywhere in any
+    stack, so its rows are bit-identical either way.  The stack is matrices
+    ``first`` to ``first + N`` of ``total``, which only names the matrix in
+    NoConvergence, raised if it still rotates after JACOBI_MAX_SWEEPS sweeps.
+    """
+    gathers = _pair_gathers(z.shape[-1])
+    floor = JACOBI_ORTHOGONALITY_TOL * _norms(z)
+    active = np.arange(z.shape[0])
+    for _ in range(JACOBI_MAX_SWEEPS + 1):
+        z[active], rotated = _one_sided_sweep(z[active], gathers, floor[active])
+        active = active[rotated]
+        if active.size == 0:
+            return z
+    raise NoConvergence(f"one-sided Jacobi still rotated after {JACOBI_MAX_SWEEPS} sweeps"
+                        f" on matrix {first + int(active[0])} of {total}")
 
 
 def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
     """Eigendecomposition of G* G from the scaled factor (R / 2^e, e) of
     ``_scaled_r``, without forming G* G.
 
-    One-sided (Hestenes) Jacobi orthogonalizes the columns y_j of Y = R*, held
-    as the rows of conj(R), over the round-robin schedule of the two-sided
-    sweep, until a whole sweep rotates no pair: every pair then has
+    One-sided (Hestenes) Jacobi (``_orthogonalize_rows`` on a stack of one)
+    orthogonalizes the columns y_j of Y = R*, held as the rows of conj(R),
+    until a whole sweep rotates no pair: every pair then has
     |y_p* y_q| <= tol ||y_p|| ||y_q||, tol = JACOBI_ORTHOGONALITY_TOL, unless
     one of the two has norm at most tol ||R||_F.  Such a y_j is zero to working
     precision (the QR's own rounding is larger) and is never rotated: pairing
@@ -514,17 +490,7 @@ def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
     gives a zero column of U, left unnormalized.  NoConvergence if a sweep
     still rotates after JACOBI_MAX_SWEEPS sweeps.
     """
-    z = np.conj(r)
-    n = z.shape[0]
-    gathers = _pair_gathers(n)
-    floor = JACOBI_ORTHOGONALITY_TOL * float(_norms(z))
-    for _ in range(JACOBI_MAX_SWEEPS + 1):
-        z, rotated = _one_sided_sweep(z, gathers, floor)
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"one-sided Jacobi still rotated after {JACOBI_MAX_SWEEPS} sweeps"
-                            f" at n = {n}")
+    z = _orthogonalize_rows(np.conj(r)[None], 0, 1)[0]
     lam = np.vecdot(z, z).real
     order = np.argsort(lam, kind="stable")
     lam, sigma = lam[order], np.sqrt(lam[order])

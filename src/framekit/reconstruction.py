@@ -62,8 +62,8 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidBounds(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.target_error > 0.0):
-            raise InvalidBounds(f"target_error must be positive, got {self.target_error}")
+        if not (0.0 < self.target_error < np.inf):
+            raise InvalidBounds(f"target_error must be positive and finite, got {self.target_error}")
 
 
 @dataclass(frozen=True, eq=False)

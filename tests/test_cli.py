@@ -258,6 +258,20 @@ def test_failing_check_exits_one(pair_path, tmp_path):
     assert read_report(tmp_path / "r.json")["passed"] is False
 
 
+def test_non_finite_target_error_exits_two_before_any_artifact(pair_path, tmp_path, capsys):
+    x = random_unit(2, seed=4)
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))
+    main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")])
+    coeff = json.loads((tmp_path / "a.json").read_text())["artifacts"]["coefficients"]
+    for target in ("inf", "nan"):
+        out = tmp_path / f"r-{target}.json"
+        code = main(["reconstruct", "--in", pair_path, "--in", coeff, "--out", str(out),
+                     "--target-error", target])
+        assert code == 2
+        assert "InvalidBounds" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("r-*")) == []  # no report, data or trace
+
+
 def test_wrong_arity_exits_two(pair_path, tmp_path, capsys):
     code = main(["verify-uniqueness", "--in", pair_path, "--out", str(tmp_path / "o.json")])
     assert code == 2

@@ -411,9 +411,9 @@ def test_recovered_blocks_are_density_square_roots():
     for block, q in zip(ovf.blocks, d.densities):
         assert np.allclose(block @ block, q, atol=1e-12)
     # The blocks come from the decomposition's kept eigenpairs and must be
-    # psd_sqrt's roots bit for bit: trace and dyadic rules, below and from
-    # n = 16 (the round-robin Jacobi path), and a density read back from
-    # JSON that is Hermitian only to within TOL_HERM.
+    # psd_sqrt's roots bit for bit: trace and dyadic rules at n = 3 and 17,
+    # and a density read back from JSON that is Hermitian only to within
+    # TOL_HERM.
     cases = []
     for dim, atoms in ((3, 5), (17, 3)):
         m = random_povm(dim=dim, atoms=atoms, seed=dim)

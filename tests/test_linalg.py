@@ -126,9 +126,9 @@ def test_eigen_reconstructs(dim):
 def test_eigen_handles_degenerate_spectrum():
     dec = linalg.hermitian_eigen(np.eye(4, dtype=complex) * 2.5)
     assert dec.eigenvalues == pytest.approx([2.5] * 4)
-    # Round-robin path: a zero matrix (norm-zero exit), a diagonal one
-    # (converged before any rotation), one with a single live pair, and a
-    # rotated two-level spectrum.
+    # A zero matrix (shifted to I, no rotation), a diagonal one (converged
+    # before any rotation), one with a single live pair, and a rotated
+    # two-level spectrum.
     assert np.array_equal(linalg.hermitian_eigen(np.zeros((16, 16))).eigenvalues, np.zeros(16))
     diag = np.diag(np.arange(17.0)[::-1]).astype(complex)
     assert np.array_equal(linalg.hermitian_eigen(diag).eigenvalues, np.arange(17.0))
@@ -149,8 +149,8 @@ def test_eigen_rejects_non_hermitian():
 
 def test_eigen_refuses_a_matrix_whose_norm_squares_to_inf():
     """The eigenvalues of [[1e200, 1e200], [1e200, 1e200]] are 0 and 2e200, but its
-    squared norm overflows, so the stopping threshold would be inf and no rotation
-    would run; a stack names its member."""
+    squared norm overflows, past the limit every operand meets; a stack names
+    its member."""
     big = np.full((2, 2), 1e200)
     with pytest.raises(LimitExceeded):
         linalg.hermitian_eigen(big)
@@ -189,14 +189,16 @@ def test_round_robin_schedule_meets_every_pair_once(n):
 
 def mixed_stack(dim, seed):
     """A zero matrix, a diagonal one (converged before any rotation), one with a
-    single live pair, a low-rank PSD one and dense ones, in that order."""
+    single live pair, a low-rank PSD one, dense ones, then dense ones at scales
+    1e-150 and 1e150, in that order."""
     diag = np.diag(np.arange(dim, 0.0, -1.0)).astype(complex)
     one_pair = diag.copy()
     if dim > 1:
         one_pair[0, dim - 1], one_pair[dim - 1, 0] = 0.5j, -0.5j
     g = complex_box(rng_for(seed), (dim, 1))
     dense = [random_hermitian(dim, seed=seed + k) for k in range(3)]
-    return np.array([np.zeros((dim, dim)), diag, one_pair, g @ linalg.adjoint(g)] + dense)
+    scaled = [dense[0] * 1e-150, dense[1] * 1e150]
+    return np.array([np.zeros((dim, dim)), diag, one_pair, g @ linalg.adjoint(g)] + dense + scaled)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 6, 8, 15, 16, 17])
@@ -256,7 +258,7 @@ def test_eigen_stack_in_slices_matches_one_slice(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(linalg, "_EIGEN_CHUNK_BYTES", 2 * 16 * 8 * 8)  # two matrices a slice
     slices = [(s.start, s.stop) for s in linalg._chunks(len(stack), 8)]
-    assert slices == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    assert slices == [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
     sliced = linalg.hermitian_eigen(stack)
     assert np.array_equal(sliced.eigenvalues, whole.eigenvalues)
     assert np.array_equal(sliced.eigenvectors, whole.eigenvectors)
@@ -269,6 +271,55 @@ def test_eigen_stack_in_slices_matches_one_slice(monkeypatch):
     with pytest.raises(NoConvergence) as in_slices:
         linalg.hermitian_eigen(stack)
     assert str(in_slices.value) == str(unsliced.value)
+
+
+def test_eigen_keeps_plus_minus_pairs_apart():
+    """H and -H share |lambda|: the sweeps run on H + 2 ||H||_F I, whose spectrum
+    lies in [||H||_F, 3 ||H||_F], so a +-lambda pair cannot mix its eigenvectors."""
+    u = np.linalg.qr(complex_box(rng_for(12), (6, 6)))[0]
+    levels = np.array([-2.0, -1.0, -1.0, 1.0, 1.0, 2.0])
+    for a in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+              linalg.hermitize((u * levels[::-1]) @ linalg.adjoint(u))):
+        dec = linalg.hermitian_eigen(a)
+        v = dec.eigenvectors
+        assert np.linalg.norm(dec.reconstruct() - a) <= 1e-14 * linalg.frobenius(a)
+        assert np.linalg.norm(linalg.adjoint(v) @ v - np.eye(len(a))) <= 1e-14
+    assert np.allclose(dec.eigenvalues, levels, rtol=0, atol=1e-14)
+
+
+def test_eigen_scales_entries_near_the_limits_exactly():
+    """Unscaled, the squared row norms of the shifted matrix overflow at 3x this
+    matrix (its own squared norm is still finite) and lose their bits to
+    subnormals at 1e-313x."""
+    a = np.array([[1e153, 2e153j], [-2e153j, -3e153]])
+    for scale in (1.0, 3.0, 1e-313):
+        lam = linalg.hermitian_eigen(a * scale).eigenvalues
+        expected = np.linalg.eigvalsh(a * scale)
+        assert np.all(np.abs(lam - expected) <= 1e-14 * np.abs(expected))
+
+
+def test_one_sided_jacobi_takes_the_driver_rows_of_its_factor_anywhere_in_a_stack(monkeypatch):
+    """A frame's eigenpairs come from the rows the shared driver gives conj(R) in a
+    stack of one; the same R anywhere in a stack of other factors gets the same bits."""
+    dim = 7
+    factors = [linalg._scaled_r(gram_case(rows, dim, seed=rows), np.ones(rows))
+               for rows in (7, 12, 30)]
+    low_rank = gram_case(9, dim, seed=4)
+    low_rank[:, 2] = low_rank[:, 5]  # rank 6: one row shrinks under the floor and stops rotating
+    factors.append(linalg._scaled_r(low_rank, np.ones(9)))
+    factors.append(linalg._scaled_r(np.diag(np.arange(1.0, dim + 1.0)), np.ones(dim)))
+    stack = np.array([r for r, _ in factors])
+    lone = [linalg._one_sided_jacobi(r, e) for r, e in factors]
+    orders = [np.arange(len(stack)), np.arange(len(stack))[::-1], np.roll(np.arange(len(stack)), 2)]
+    for order in orders:
+        rows = linalg._orthogonalize_rows(np.conj(stack[order]), 0, len(stack))
+        for pos, k in enumerate(order):
+            monkeypatch.setattr(linalg, "_orthogonalize_rows",
+                                lambda z, first, total, pos=pos: rows[pos][None].copy())
+            dec = linalg._one_sided_jacobi(*factors[k])
+            monkeypatch.undo()
+            assert dec.eigenvalues.tobytes() == lone[k].eigenvalues.tobytes()
+            assert dec.eigenvectors.tobytes() == lone[k].eigenvectors.tobytes()
 
 
 # -- psd sqrt ------------------------------------------------------------
@@ -295,7 +346,10 @@ def test_psd_sqrt_clamps_rounding_noise():
     vals[0] = -1e-13 * (1 + linalg.frobenius(a))  # just inside the clamp window
     noisy = linalg.hermitize(v @ np.diag(vals) @ linalg.adjoint(v))
     r = linalg.psd_sqrt(noisy)
-    assert float(linalg.hermitian_eigen(r).eigenvalues[0]) >= 0.0
+    assert np.all(np.isfinite(r)) and np.array_equal(linalg.adjoint(r), r)
+    # the clamped direction is in the root's null space; a root of |lambda| would
+    # leave about sqrt(1e-13 (1 + ||a||)) there
+    assert np.linalg.norm(r @ v[:, 0]) <= 1e-12 * linalg.frobenius(r)
 
 
 def test_psd_sqrt_rejects_indefinite():

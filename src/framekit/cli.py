@@ -54,7 +54,7 @@ _RULES = ("trace", "dyadic")
 DEFAULT_CHECK_TOLERANCES = {
     "bounds_rel": linalg.TOL_BOUNDS_REL,  # roundtrip: drift of the frame operator and bounds
     "equivalence": None,  # verify-uniqueness/roundtrip: the uniqueness report's own tolerance
-    "decomp": None,       # decompose/roundtrip: TOL_DECOMP_REL * (1 + ||M(Omega)||_F)
+    "decomp": None,       # decompose/to-ovf/roundtrip: TOL_DECOMP_REL * (1 + ||M(Omega)||_F)
 }
 
 
@@ -337,10 +337,13 @@ def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
 
 
 def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
-    ovf = cr.decomposition_to_ovf(d)
+    ovf = cr.decomposition_to_ovf(d, minimal=True)
     b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
-    checks = [_frame_check("framed", b)]
+    # the minimal blocks miss the densities by at most cut_bound: the decomp tolerance
+    tol = cfg.tolerance_overrides.get("decomp", linalg._scaled_tolerance(
+        linalg.TOL_DECOMP_REL, linalg.frobenius(d.reintegrate())))
+    checks = [_frame_check("framed", b), _check("cut", cr.cut_bound(d), tol)]
     summary = {"lower": b.lower, "upper": b.upper, "dim_h": ovf.dim_h}
     return checks, summary, {"ovf": data_path}
 
@@ -359,7 +362,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)  # validates m; InvalidPovm (exit 2) if it fails
     reintegration = _reintegration_check(cfg, m, d)
-    ovf2 = cr.decomposition_to_ovf(d)
+    ovf2 = cr.decomposition_to_ovf(d, minimal=True)
     b1 = frames.frame_bounds(ovf2)
     equiv = cr.verify_ovf_equivalence(ovf, ovf2)
 
@@ -377,6 +380,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
 
     checks = [
         reintegration,
+        _check("cut", cr.cut_bound(d), reintegration["tolerance"]),
         _check("equivalence", equiv.max_residual, tol_equiv),
         _check("operator_preserved", operator_residual, tol_bounds),
         _check("bounds_preserved", bounds_drift, tol_bounds),
@@ -410,7 +414,8 @@ _COMMANDS = {
     "decompose": _Command(_cmd_decompose, ("povm",),
                           "reference measure and densities of a POVM"),
     "to-ovf": _Command(_cmd_to_ovf, ("decomposition",),
-                       "frame with blocks Q^{1/2} from a decomposition"),
+                       "frame with minimal blocks T*T = Q (pivoted Cholesky) "
+                       "from a decomposition"),
     "verify-uniqueness": _Command(_cmd_verify_uniqueness, ("decomposition", "decomposition"),
                                   "weighted density identity of two decompositions"),
     "roundtrip": _Command(_cmd_roundtrip, ("frame",),

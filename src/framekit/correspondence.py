@@ -3,8 +3,9 @@
 Forward: an OVF gives rise to the POVM with per-atom elements
 mu({t}) T(t)* T(t).  Backward: a framed POVM decomposes into a reference
 measure mu and a density map t -> Q(t) with M(E) = sum_{t in E} mu({t}) Q(t),
-and the operator-valued frame with blocks T(t) = Q(t)^{1/2} over mu gives
-rise to the original POVM again.
+and any operator-valued frame with blocks T(t)* T(t) = Q(t) over mu gives
+rise to the original POVM again: the roots Q(t)^{1/2}, or the rank(Q(t))
+rows of a pivoted Cholesky factor (decomposition_to_ovf).
 
 Two reference-measure rules are available: the trace of each element
 (dominating because a PSD matrix with zero trace is zero), and a dyadic
@@ -64,9 +65,11 @@ class Decomposition:
 
     Construction checks every density's Hermiticity residual and takes all
     the PSD verdicts from one stacked Cholesky factorization of
-    Q(t) + tol_psd(Q(t)) I; it diagonalizes nothing.  The eigendecompositions
-    (``_eigen``, read-only) are computed on first read, in one stacked call,
-    for the roots in decomposition_to_ovf.
+    Q(t) + tol_psd(Q(t)) I; it diagonalizes nothing.  decomposition_to_ovf
+    reads one of two cached properties, each computed on first read in one
+    stacked call: the eigendecompositions (``_eigen``, read-only) for the roots
+    Q(t)^{1/2}, or the pivoted Cholesky rows (``_minimal_rows``) for the
+    minimal blocks.
     """
 
     measure: AtomicMeasureSpace
@@ -96,6 +99,12 @@ class Decomposition:
     def _eigen(self) -> linalg.EigenDecomposition:
         """Eigendecompositions of all densities, from one stacked call on first read."""
         return linalg.hermitian_eigen(self.densities)
+
+    @cached_property
+    def _minimal_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """(rows T(t) with T(t)* T(t) = Q(t), traces of the Schur complements they
+        drop), from one stacked pivoted Cholesky on first read; no eigen work."""
+        return linalg._pivoted_cholesky_rows(self.densities)
 
     def density(self, label: str) -> np.ndarray:
         return self.densities[self.measure.index(label)]
@@ -233,19 +242,47 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -
         raise InvalidPovm(f"POVM failed validation: {exc}") from exc
 
 
-def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
-    """Operator-valued frame with blocks T(t) = Q(t)^{1/2} over the
-    decomposition's measure.
+def decomposition_to_ovf(d: Decomposition, minimal: bool = False) -> OperatorValuedFrame:
+    """Operator-valued frame with one block T(t), T(t)* T(t) = Q(t), per atom of
+    the decomposition's measure.
 
-    The roots come from the decomposition's eigendecompositions (computed
-    here on first use), equal to psd_sqrt(Q(t)) bit for bit.  The frame
-    operator is the reintegrated M(Omega); the frame's construction tests
-    it, and its NotAFrame is raised as NotFramed.
+    By default T(t) = Q(t)^{1/2}, the positive root, n x n, from the
+    decomposition's eigendecompositions (computed here on first use), equal to
+    psd_sqrt(Q(t)) bit for bit.  With ``minimal`` T(t) has rank(Q(t)) rows,
+    the fewest any such block can have (Kaftal, Larson & Zhang, Operator-valued
+    frames, Trans. AMS 361, 2009): the pivoted Cholesky rows (P L)* of Q(t),
+    which take no eigen work and drop no more than cut_bound(d) states.  Either
+    way the frame operator is the reintegrated M(Omega); the frame's
+    construction tests it, and its NotAFrame is raised as NotFramed.
     """
+    blocks = d._minimal_rows[0] if minimal else d._eigen.sqrt()
     try:
-        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=d._eigen.sqrt())
+        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=blocks)
     except NotAFrame as exc:
         raise NotFramed(f"decomposition does not reintegrate to a framed POVM: {exc}") from exc
+
+
+def cut_bound(d: Decomposition) -> float:
+    """Upper bound on sum_t mu({t}) ||Q(t) - T(t)* T(t)||_F for the minimal
+    blocks of decomposition_to_ovf(d, minimal=True), so on the Frobenius
+    distance between any event's reintegrated sum and the recovered frame's.
+
+    Q(t) - T(t)* T(t) is the Schur complement the pivoted Cholesky drops plus
+    its rounding.  The complement is PSD in exact arithmetic, so its Frobenius
+    norm is at most its trace, taken as 0 when rounding makes it negative.  The
+    rounding dQ satisfies |dQ| <= gamma_{n+1} |T*| |T| entrywise, with
+    gamma_k = k u / (1 - k u) and u = eps / 2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 10), and || |T*| |T| ||_F <= ||T||_F^2,
+    about tr Q <= sqrt(n) ||Q||_F, so ||dQ||_F <= n gamma_{n+1} ||Q||_F with
+    room for the complex arithmetic.  So the bound is
+    sum_t mu({t}) (max(trace, 0) + n gamma_{n+1} ||Q(t)||_F).
+    """
+    _, dropped = d._minimal_rows
+    k = d.dim_h + 1
+    u = np.finfo(np.float64).eps / 2.0
+    gamma = k * u / (1.0 - k * u)
+    per_atom = np.maximum(dropped, 0.0) + d.dim_h * gamma * linalg._norms(d.densities)
+    return float(d.measure.weights @ per_atom)
 
 
 def _uniqueness_over(

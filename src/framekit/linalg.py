@@ -22,12 +22,14 @@ by construction.  It serves two entry points.
 A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
 factorization of the shifted matrices instead
 (``_shifted_positive_definite``), a fraction of the cost of the sweeps;
-eigenpairs are computed only where they are read.  There is no general
+eigenpairs are computed only where they are read, and the minimal factors
+T* T = Q of PSD densities come from a stacked pivoted Cholesky
+(``_pivoted_cholesky_rows``), with no eigen work.  There is no general
 inverse: a frame inverts its triangular R (``_triangular_inverse``), which
 both certifies the frame without eigenvalues and solves S x = b as the
 least-squares problem on G (see ``reconstruction.reconstruct_direct``).
 All functions are pure; no hidden state.  The tolerance table (TOL_HERM
-to TOL_BOUNDS_REL) holds every tolerance the package tests against.
+to PIVOT_FLOOR_N) holds every tolerance the package tests against.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -71,6 +73,15 @@ TOL_UNIT_BALL = 1e-12       # absolute: how far past norm 1 a dyadic-rule vector
 TOL_SPAN_REL = 1e-12        # dyadic Gram eigenvalues above this * max(lambda_max, 1) span
 TOL_OVERRIDE_SLACK = 1e-12  # a bounds override certifies if within this of lambda_min, lambda_max
 TOL_BOUNDS_REL = 1e-9       # roundtrip: drift of the frame operator and of the bounds
+# Pivoted Cholesky (_pivoted_cholesky_rows) stops a matrix once its largest
+# remaining diagonal is at most TOL_PIVOT_REL max(n, PIVOT_FLOOR_N) max_i Q_ii.
+# n eps max_i Q_ii is LAPACK xPSTRF's default, n u max_i Q_ii, at twice its size
+# (LAPACK's "epsilon" is u = eps / 2).  The floor covers the rounding a density
+# brings from the products that formed it: up to 4 eps max_i Q_ii is left after
+# the last true pivot of rank-k densities at n = 2..16, which n eps alone does
+# not clear below n = 5.
+TOL_PIVOT_REL = float(np.finfo(np.float64).eps)
+PIVOT_FLOOR_N = 8
 
 JACOBI_MAX_SWEEPS = 100
 # a pair of rows counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
@@ -185,8 +196,10 @@ def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     Circle method: index 0 stays put while the others rotate one place per
     step, so every pair meets exactly once in n-1 steps.  Odd n gets a
     dummy index n, which makes n steps; the pair holding the dummy is the
-    idle slot and is dropped.
+    idle slot and is dropped.  n = 0 has no steps.
     """
+    if n == 0:
+        return []
     m = n + (n % 2)
     shift = np.arange(m - 1)
     order = np.zeros((m - 1, m), dtype=np.int64)  # row r: 0, then 1..m-1 rotated left by r
@@ -573,6 +586,55 @@ def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Minimal factors of a stack (N, n, n) of Hermitian PSD matrices Q: for each,
+    rows T (k, n), read-only, with T* T = Q up to the dropped Schur complement,
+    and that complement's trace.  No eigen work.
+
+    Outer-product Cholesky with diagonal pivoting (LAPACK xPSTRF; Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990),
+    vectorized over the stack as ``_shifted_positive_definite`` is.  Step j takes
+    the largest remaining diagonal entry d_p of each matrix's Schur complement
+    S (S = H, the Hermitian part of Q, at the start), its column
+    v = S[:, p] / sqrt(d_p) as row j of T, conj(v), and the update S -= v v*,
+    after which row and column p of S are set to zero, as they are in exact
+    arithmetic.  So T = (P L)* for the pivoted factor P^T Q P = L L*.  A matrix
+    stops at its first step whose largest remaining diagonal is at most
+    TOL_PIVOT_REL max(n, PIVOT_FLOOR_N) max_i H_ii, and keeps k, its numerical
+    rank, rows; a zero matrix keeps none.  In exact arithmetic the complement
+    left then is PSD, so its trace bounds its Frobenius norm; the trace
+    returned is the computed one, negative only by rounding.  Each matrix has
+    the same bits alone and anywhere in a stack.
+    """
+    h = hermitize(a)
+    count, n = h.shape[0], h.shape[-1]
+    diag = np.arange(n)
+    d = h[:, diag, diag].real
+    stop = TOL_PIVOT_REL * max(n, PIVOT_FLOOR_N) * np.max(d, axis=1, initial=0.0)
+    rows = np.zeros((count, n, n), dtype=np.complex128)
+    ranks = np.full(count, n)
+    dropped = np.zeros(count)
+    live = np.arange(count)  # the matrices still factoring, h holds theirs
+    for j in range(n):
+        p, top = np.argmax(d, axis=1), np.max(d, axis=1)
+        going = top > stop[live]
+        if not going.all():
+            done = live[~going]
+            ranks[done], dropped[done] = j, np.sum(d[~going], axis=1)
+            live, h, p, top = live[going], h[going], p[going], top[going]
+            if live.size == 0:
+                break
+        at = np.arange(len(live))
+        v = h[at, :, p] / np.sqrt(top)[:, None]
+        rows[live, j] = np.conj(v)
+        h -= v[:, :, None] * np.conj(v[:, None, :])
+        h[at, p, :] = 0.0
+        h[at, :, p] = 0.0
+        d = h[:, diag, diag].real
+    rows.flags.writeable = False
+    return tuple(r[:k] for r, k in zip(rows, ranks.tolist())), dropped
+
+
 def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:
     """LimitExceeded unless a bound on the Frobenius norm of every matrix the
     operand forms squares to a finite double: the eigen and PSD tests square
@@ -638,7 +700,8 @@ def _masked_running_sums(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 # --- JSON encoding -----------------------------------------------------------
 #
-# Matrix: {"rows": n, "cols": m, "data": [[re, im], ...]} with data row-major.
+# Matrix: {"rows": n, "cols": m, "data": [[re, im], ...]} with data row-major;
+# n may be 0 (a frame block of a zero density has no rows), m may not.
 # Vector: {"dim": n, "entries": [[re, im], ...]}.
 
 
@@ -690,8 +753,8 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols, data = (_require(obj, key, "matrix") for key in ("rows", "cols", "data"))
-    if rows <= 0 or cols <= 0:
-        raise ParseError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    if rows < 0 or cols <= 0:
+        raise ParseError(f"matrix needs rows >= 0 and cols > 0, got {rows}x{cols}")
     flat = _from_pairs(data, "matrix data")
     if flat.shape[0] != rows * cols:
         raise ParseError(f"matrix data length {flat.shape[0]} does not match {rows}x{cols}")

@@ -60,7 +60,7 @@ def test_roundtrip_on_overcomplete_pair(pair_path, tmp_path):
     assert all(c["passed"] for c in report["checks"])
     # POVM validity is decompose's precondition (InvalidPovm, exit 2), not a check
     assert [c["name"] for c in report["checks"]] == [
-        "reintegration", "equivalence", "operator_preserved", "bounds_preserved"]
+        "reintegration", "cut", "equivalence", "operator_preserved", "bounds_preserved"]
 
 
 @pytest.mark.parametrize("dim,atoms", [(8, 48), (4, 14)])
@@ -178,8 +178,9 @@ def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_pat
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
-    # the densities; each frame's S, loaded and recovered, from its kept R for its bounds
-    assert calls == {"hermitian_eigen": 1, "_one_sided_jacobi": 2}
+    # no density (the minimal blocks are pivoted Cholesky rows); each frame's S,
+    # loaded and recovered, from its kept R for its bounds
+    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 2}
 
 
 def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
@@ -200,7 +201,7 @@ def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
         calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
         assert main([command] + args + ["--out", str(tmp_path / f"{command}.json")]) == 0
         sweeps[command] = calls["_one_sided_jacobi"]
-        assert calls["hermitian_eigen"] == (1 if command == "to-ovf" else 0)  # the densities
+        assert calls["hermitian_eigen"] == 0  # to-ovf's minimal blocks take no eigen work
         monkeypatch.undo()
     assert sweeps == {"analyze": 0, "bounds": 1, "reconstruct": 1, "to-ovf": 1}
 
@@ -583,7 +584,7 @@ def test_bounds_and_to_ovf_compute_their_frame_checks(kind_paths, tmp_path, monk
         out = tmp_path / f"{command}.json"
         verdicts.clear()
         assert main([command, "--in", kind_paths[kind], "--out", str(out)]) == 0
-        (check,) = read_report(out)["checks"]
+        check = read_report(out)["checks"][0]  # to-ovf's cut check follows
         assert check["name"] == name and check["passed"] is True
         assert (check["lower"], check["upper"]) in verdicts  # the report's bounds, tested
         assert check["margin"] == linalg.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
@@ -652,8 +653,59 @@ def test_every_check_is_a_flag_or_a_value_against_a_tolerance(kind_paths, tmp_pa
             assert check["passed"] == (value <= tol), argv
             assert not set(check) & {"bound", "max_residual", "residual", "drift", "target_error"}
     assert numeric == {"frame", "analysis", "converged", "framed", "hermitian", "additive",
-                       "reintegration", "uniqueness", "equivalence", "operator_preserved",
+                       "reintegration", "cut", "uniqueness", "equivalence", "operator_preserved",
                        "bounds_preserved"}
+
+
+def test_a_frame_block_with_no_rows_is_written_and_read_back(tmp_path, capsys):
+    """A block of no rows, as the minimal block of a zero density is, is written
+    as rows 0 and read back; its columns are still checked against dim_h."""
+    space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 2.0, 1.0])
+    ovf = frames.OperatorValuedFrame(space, 2, [np.eye(2), np.zeros((0, 2)), np.ones((1, 2))])
+    blob = frames.ovf_to_json(ovf)
+    assert blob["blocks"][1] == {"rows": 0, "cols": 2, "data": []}
+    path = write_json(tmp_path / "f.json", blob)
+    assert main(["bounds", "--in", path, "--out", str(tmp_path / "b.json")]) == 0
+    _, back = cli._load(path, "frame")
+    assert [b.shape for b in back.blocks] == [(2, 2), (0, 2), (1, 2)]
+    assert all(np.array_equal(b, c) for b, c in zip(back.blocks, ovf.blocks))
+    for cols in (1, 3):
+        blob["blocks"][1]["cols"] = cols
+        bad = write_json(tmp_path / "bad.json", blob)
+        assert main(["bounds", "--in", bad, "--out", str(tmp_path / "b.json")]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+
+def test_every_data_file_a_command_writes_loads_back_as_its_kind(pair_path, tmp_path):
+    """The data file of to-povm, decompose, to-ovf, analyze and reconstruct reads
+    back through cli._load as the kind it holds, from a decomposition with a
+    zero density too, whose minimal block has no rows."""
+    space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0])
+    d = correspondence.Decomposition(space, [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0])])
+    zero = write_json(tmp_path / "zero.json", correspondence.decomposition_to_json(d))
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
+    kinds = {"povm": "povm", "decomposition": "decomposition", "ovf": "frame",
+             "coefficients": "coefficients", "vector": "vector"}
+    runs = [
+        ("to-povm", [pair_path], "p"),
+        ("decompose", [str(tmp_path / "p.data.json")], "d"),
+        ("to-ovf", [str(tmp_path / "d.data.json")], "o"),
+        ("to-ovf", [zero], "z"),
+        ("analyze", [str(tmp_path / "z.data.json"), xpath], "a"),
+        ("reconstruct", [str(tmp_path / "z.data.json"), str(tmp_path / "a.data.json")], "r"),
+    ]
+    loaded = {}
+    for command, inputs, stem in runs:
+        out = tmp_path / f"{stem}.json"
+        assert main([command, *(a for p in inputs for a in ("--in", p)), "--out", str(out)]) == 0
+        for key, path in read_report(out)["artifacts"].items():
+            if path.endswith(".json"):
+                loaded[stem] = cli._load(path, kinds[key])[1]
+    assert sorted(loaded) == ["a", "d", "o", "p", "r", "z"]
+    assert [b.shape for b in loaded["z"].blocks] == [(2, 2), (0, 2), (2, 2)]
+    assert [len(s) for s in loaded["a"].segments] == [2, 0, 2]
+    bound = read_report(tmp_path / "r.json")["summary"]["final_certified_bound"]
+    assert np.linalg.norm(loaded["r"] - random_unit(2, seed=3)) <= bound
 
 
 def test_converged_passes_from_the_crossing_index_on(pair_path, tmp_path):

@@ -25,7 +25,7 @@ from framekit.errors import (
 from framekit.frames import coefficients_from_json, ovf_from_json, vector_frame_from_json
 from framekit.povm import povm_from_json
 
-from conftest import complex_box, random_hermitian, random_psd, rng_for
+from conftest import complex_box, count_calls, random_hermitian, random_psd, rng_for
 
 
 def test_adjoint_conjugate_transposes():
@@ -502,6 +502,65 @@ def test_cholesky_verdict_on_extreme_entries_raises_no_warning():
 def test_cholesky_verdict_reads_the_hermitian_part():
     skew = np.array([[1.0, 5.0], [-5.0, 1.0]], dtype=complex)  # Hermitian part I
     assert linalg._shifted_positive_definite(skew[None], np.zeros(1)).tolist() == [True]
+
+
+def low_rank_psd(n, rank, seed):
+    """G* G for a rank x n complex G, scaled to unit trace; zero for rank 0."""
+    g = complex_box(rng_for(seed), (rank, n))
+    q = linalg.hermitize(linalg.adjoint(g) @ g)
+    return q / max(np.trace(q).real, 1.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 17])
+def test_pivoted_cholesky_rows_factor_each_density_at_its_rank(n, monkeypatch):
+    """T* T = Q to rounding with rank(Q) rows, with no eigen work, and each matrix
+    gets the same bits alone as anywhere in a stack."""
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    ranks = list(range(n + 1)) * 2
+    stack = np.array([low_rank_psd(n, k, seed=10 * n + i) for i, k in enumerate(ranks)])
+    rows, dropped = linalg._pivoted_cholesky_rows(stack)
+    assert calls == {"hermitian_eigen": 0}
+    assert [len(t) for t in rows] == ranks
+    assert dropped.shape == (len(ranks),)
+    assert np.all(np.abs(dropped) <= 1e-15)
+    for t, q in zip(rows, stack):
+        assert t.shape[1] == n and not t.flags.writeable
+        assert np.linalg.norm(linalg.adjoint(t) @ t - q) <= 1e-15 * max(np.linalg.norm(q), 1.0)
+    for order in (np.arange(len(stack))[::-1], np.arange(len(stack))):
+        again, again_dropped = linalg._pivoted_cholesky_rows(stack[order])
+        for pos, k in enumerate(order):
+            lone, lone_dropped = linalg._pivoted_cholesky_rows(stack[k][None])
+            assert np.array_equal(again[pos], lone[0]) and np.array_equal(again[pos], rows[k])
+            assert again_dropped[pos] == lone_dropped[0] == dropped[k]
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 17])
+def test_pivoted_cholesky_rank_at_the_stopping_boundary(n):
+    """A full-rank (n-1) x (n-1) block beside one diagonal entry r * stop, stop =
+    TOL_PIVOT_REL max(n, PIVOT_FLOOR_N) max_i Q_ii, placed first so that only
+    the pivoting leaves it last: r = 0.95 drops it, r = 1.05 keeps it."""
+    block = low_rank_psd(n - 1, n - 1, seed=n) + 0.1 * np.eye(n - 1)
+    stop = linalg.TOL_PIVOT_REL * max(n, linalg.PIVOT_FLOOR_N) * np.max(np.diag(block).real)
+    table = []
+    for ratio in (0.95, 1.05):
+        q = np.zeros((n, n), dtype=complex)
+        q[0, 0] = ratio * stop
+        q[1:, 1:] = block
+        (t,), dropped = linalg._pivoted_cholesky_rows(q[None])
+        table.append((ratio, len(t), float(dropped[0])))
+    assert table == [(0.95, n - 1, 0.95 * stop), (1.05, n, 0.0)]
+
+
+def test_size_zero_inputs_give_empty_results():
+    for a, shape in ((np.zeros((0, 0)), (0,)), (np.zeros((3, 0, 0)), (3, 0)),
+                     (np.zeros((0, 4, 4)), (0, 4))):
+        dec = linalg.hermitian_eigen(a)
+        assert dec.eigenvalues.shape == shape and dec.eigenvectors.shape == a.shape
+    assert linalg.psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
+    rows, dropped = linalg._pivoted_cholesky_rows(np.zeros((0, 4, 4)))
+    assert rows == () and dropped.shape == (0,)
+    rows, dropped = linalg._pivoted_cholesky_rows(np.zeros((3, 0, 0)))
+    assert [t.shape for t in rows] == [(0, 0)] * 3 and dropped.tolist() == [0.0] * 3
 
 
 def test_transposed_and_fortran_inputs_give_the_same_bits():

@@ -225,10 +225,14 @@ def _frame_check(name: str, b: frames.FrameBounds) -> dict:
                   lower=b.lower, upper=b.upper)
 
 
+def _decomp_tolerance(cfg: ExperimentConfig, total: np.ndarray) -> float:
+    """The decomp tolerance for M(Omega) = total, or its --tol override."""
+    return cfg.tolerance_overrides.get("decomp", cr._reintegration_tolerance(total))
+
+
 def _reintegration_check(cfg: ExperimentConfig, m: povm.Povm, d: cr.Decomposition) -> dict:
     """Every event of m reintegrates from d: the O(N) bound against the tolerance."""
-    tol = cfg.tolerance_overrides.get("decomp", cr._reintegration_tolerance(m))
-    return _check("reintegration", cr.reintegration_bound(m, d), tol)
+    return _check("reintegration", cr.reintegration_bound(m, d), _decomp_tolerance(cfg, m.total()))
 
 
 def _dyadic_rule(dim_h: int) -> cr.ReferenceMeasureRule:
@@ -340,10 +344,9 @@ def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
     ovf = cr.decomposition_to_ovf(d, minimal=True)
     b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
-    # the minimal blocks miss the densities by at most cut_bound: the decomp tolerance
-    tol = cfg.tolerance_overrides.get("decomp", linalg._scaled_tolerance(
-        linalg.TOL_DECOMP_REL, linalg.frobenius(d.reintegrate())))
-    checks = [_frame_check("framed", b), _check("cut", cr.cut_bound(d), tol)]
+    # the minimal blocks miss the densities by at most cut_bound
+    cut = _check("cut", cr.cut_bound(d), _decomp_tolerance(cfg, d.reintegrate()))
+    checks = [_frame_check("framed", b), cut]
     summary = {"lower": b.lower, "upper": b.upper, "dim_h": ovf.dim_h}
     return checks, summary, {"ovf": data_path}
 

@@ -102,8 +102,8 @@ class Decomposition:
 
     @cached_property
     def _minimal_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(rows T(t) with T(t)* T(t) = Q(t), traces of the Schur complements they
-        drop), from one stacked pivoted Cholesky on first read; no eigen work."""
+        """(rows T(t) with T(t)* T(t) = Q(t), Frobenius norms of the Schur complements
+        they drop), from one stacked pivoted Cholesky on first read; no eigen work."""
         return linalg._pivoted_cholesky_rows(self.densities)
 
     def density(self, label: str) -> np.ndarray:
@@ -267,22 +267,25 @@ def cut_bound(d: Decomposition) -> float:
     blocks of decomposition_to_ovf(d, minimal=True), so on the Frobenius
     distance between any event's reintegrated sum and the recovered frame's.
 
-    Q(t) - T(t)* T(t) is the Schur complement the pivoted Cholesky drops plus
-    its rounding.  The complement is PSD in exact arithmetic, so its Frobenius
-    norm is at most its trace, taken as 0 when rounding makes it negative.  The
-    rounding dQ satisfies |dQ| <= gamma_{n+1} |T*| |T| entrywise, with
-    gamma_k = k u / (1 - k u) and u = eps / 2 (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 10), and || |T*| |T| ||_F <= ||T||_F^2,
-    about tr Q <= sqrt(n) ||Q||_F, so ||dQ||_F <= n gamma_{n+1} ||Q||_F with
-    room for the complex arithmetic.  So the bound is
-    sum_t mu({t}) (max(trace, 0) + n gamma_{n+1} ||Q(t)||_F).
+    Q(t) - T(t)* T(t) is three parts.  Q - H, with H = hermitize(Q): a density
+    is admitted Hermitian only to within TOL_HERM.  The Schur complement S the
+    pivoted Cholesky drops: its computed Frobenius norm, which holds for the
+    indefinite complements a density admitted at lambda_min >= -tol_psd can
+    leave.  The rounding dH, with |dH| <= gamma_{n+1} |T*| |T| entrywise,
+    gamma_k = k u / (1 - k u) and u = eps / 2 (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 10); || |T*| |T| ||_F <= ||T||_F^2,
+    about tr T* T = tr H - tr S <= sqrt(n) (||Q||_F + ||S||_F), so
+    ||dH||_F <= n gamma_{n+1} (||Q||_F + ||S||_F) with room for the complex
+    arithmetic.  So the bound is
+    sum_t mu({t}) (||Q - H||_F + ||S||_F + n gamma_{n+1} (||Q||_F + ||S||_F)).
     """
     _, dropped = d._minimal_rows
-    k = d.dim_h + 1
+    n = d.dim_h
     u = np.finfo(np.float64).eps / 2.0
-    gamma = k * u / (1.0 - k * u)
-    per_atom = np.maximum(dropped, 0.0) + d.dim_h * gamma * linalg._norms(d.densities)
-    return float(d.measure.weights @ per_atom)
+    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
+    skew = linalg._norms(d.densities - linalg.hermitize(d.densities))
+    rounding = n * gamma * (linalg._norms(d.densities) + dropped)
+    return float(d.measure.weights @ (skew + dropped + rounding))
 
 
 def _uniqueness_over(
@@ -356,9 +359,10 @@ def sample_events(
     return events
 
 
-def _reintegration_tolerance(m: Povm) -> float:
-    """Default bound on reintegration residuals, linalg.TOL_DECOMP_REL * (1 + ||M(Omega)||_F)."""
-    return linalg._scaled_tolerance(linalg.TOL_DECOMP_REL, linalg.frobenius(m.total()))
+def _reintegration_tolerance(total: np.ndarray) -> float:
+    """Default bound on reintegration residuals and on cut_bound, from M(Omega)
+    (Povm.total or Decomposition.reintegrate): linalg.TOL_DECOMP_REL * (1 + ||M(Omega)||_F)."""
+    return linalg._scaled_tolerance(linalg.TOL_DECOMP_REL, linalg.frobenius(total))
 
 
 def _aligned_products(m: Povm, d: Decomposition) -> np.ndarray:

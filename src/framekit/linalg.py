@@ -589,7 +589,7 @@ def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Minimal factors of a stack (N, n, n) of Hermitian PSD matrices Q: for each,
     rows T (k, n), read-only, with T* T = Q up to the dropped Schur complement,
-    and that complement's trace.  No eigen work.
+    and that complement's Frobenius norm.  No eigen work.
 
     Outer-product Cholesky with diagonal pivoting (LAPACK xPSTRF; Higham,
     "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990),
@@ -601,10 +601,11 @@ def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     arithmetic.  So T = (P L)* for the pivoted factor P^T Q P = L L*.  A matrix
     stops at its first step whose largest remaining diagonal is at most
     TOL_PIVOT_REL max(n, PIVOT_FLOOR_N) max_i H_ii, and keeps k, its numerical
-    rank, rows; a zero matrix keeps none.  In exact arithmetic the complement
-    left then is PSD, so its trace bounds its Frobenius norm; the trace
-    returned is the computed one, negative only by rounding.  Each matrix has
-    the same bits alone and anywhere in a stack.
+    rank, rows; a zero matrix keeps none.  The norm returned is that of the
+    computed complement left then, which needs no PSD argument: a density
+    admitted at lambda_min >= -tol_psd may leave an indefinite complement with
+    small diagonal.  Each matrix has the same bits alone and anywhere in a
+    stack.
     """
     h = hermitize(a)
     count, n = h.shape[0], h.shape[-1]
@@ -620,7 +621,7 @@ def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         going = top > stop[live]
         if not going.all():
             done = live[~going]
-            ranks[done], dropped[done] = j, np.sum(d[~going], axis=1)
+            ranks[done], dropped[done] = j, _norms(h[~going])
             live, h, p, top = live[going], h[going], p[going], top[going]
             if live.size == 0:
                 break

@@ -382,7 +382,7 @@ def test_bound_fails_a_perturbed_density_where_the_enumeration_does():
     d = decompose(m)
     h = random_psd(4, seed=7)
     h /= linalg.frobenius(h)
-    tol = _reintegration_tolerance(m)
+    tol = _reintegration_tolerance(m.total())
     verdicts = []
     for delta in np.logspace(-16, -6, 21):
         densities = np.array(d.densities)
@@ -479,8 +479,32 @@ def test_minimal_blocks_drop_no_more_than_the_cut_bound(monkeypatch):
         assert np.linalg.norm(linalg.adjoint(block) @ block - q) <= 1e-15 * (1 + np.linalg.norm(q))
     missed = sum(w * np.linalg.norm(q - linalg.adjoint(b) @ b)
                  for w, q, b in zip(d.measure.weights, d.densities, ovf.blocks))
-    assert missed <= cut_bound(d) <= 1e-3 * _reintegration_tolerance(ovf_to_povm(ovf))
+    assert missed <= cut_bound(d) <= 1e-3 * _reintegration_tolerance(d.reintegrate())
     assert "_eigen" not in vars(d)
+
+
+def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
+    """Densities read from JSON as Decomposition admits them: one with lambda_min
+    at -tol_psd / 2, whose dropped Schur complement is indefinite, and one
+    Hermitian only to within TOL_HERM / 2.  T* T is Hermitian PSD, so each
+    misses its density by about that much; cut_bound still bounds the miss."""
+    n = 4
+    u = np.linalg.qr(complex_box(rng_for(8), (n, n)))[0]
+    lam = np.array([1.0, 0.5, 0.25, 0.0])
+    for _ in range(3):  # lam[-1] moves tol_psd only through ||Q||_F
+        lam[-1] = -0.5 * float(linalg._psd_tolerance(np.diag(lam)))
+    negative = (u * lam) @ linalg.adjoint(u)
+    skewed = (u * [0.0, 0.0, 0.5, 1.0]) @ linalg.adjoint(u)  # with negative, spans C^n
+    skewed[0, 1] += 0.5 * linalg.TOL_HERM * (1 + linalg.frobenius(skewed)) / np.sqrt(2.0)
+    assert 0.4 * linalg.TOL_HERM < linalg.hermitian_residual(skewed) <= linalg.TOL_HERM
+    blob = {"atoms": ["neg", "skew"], "weights": [2.0, 3.0], "dim_h": n,
+            "densities": [linalg.matrix_to_json(q) for q in (negative, skewed)]}
+    d = decomposition_from_json(json.loads(json.dumps(blob)))
+    ovf = decomposition_to_ovf(d, minimal=True)
+    misses = [np.linalg.norm(q - linalg.adjoint(b) @ b) for q, b in zip(d.densities, ovf.blocks)]
+    assert misses[0] >= 0.4 * float(linalg._psd_tolerance(negative))
+    assert misses[1] >= 0.4 * linalg.TOL_HERM
+    assert d.measure.weights @ misses <= cut_bound(d)
 
 
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):

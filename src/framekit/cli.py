@@ -178,6 +178,10 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framekit-", suffix=".tmp")
     try:
+        if hasattr(os, "fchmod"):  # mkstemp makes the file 0600; give it the mode open() would
+            umask = os.umask(0o077)  # reading the umask sets it, so it is set straight back
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -261,9 +265,9 @@ def _cmd_bounds(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
 
 def _cmd_analyze(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame, x: np.ndarray):
     c = frames.analysis(ovf, x)
-    data_path = _write_data(cfg, frames.coefficients_to_json(c))
-    # the energy identity sum_t mu_t ||c_t||^2 = ||R x||^2, on the frame's kept factor
+    # the energy identity sum_t mu_t ||c_t||^2 = ||R x||^2 on the kept factor, before any write
     checks = [_check("analysis", frames._energy_residual(ovf, x, c), linalg.TOL_ENERGY_REL)]
+    data_path = _write_data(cfg, frames.coefficients_to_json(c))
     summary = {"weighted_norm_sq": c.weighted_norm_sq(), "atoms": len(c.space)}
     return checks, summary, {"coefficients": data_path}
 
@@ -341,7 +345,7 @@ def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
 
 
 def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
-    ovf = cr.decomposition_to_ovf(d, minimal=True)
+    ovf = cr.decomposition_to_ovf(d)
     b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
     # the minimal blocks miss the densities by at most cut_bound
@@ -365,7 +369,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule, seed=cfg.seed)  # validates m; InvalidPovm (exit 2) if it fails
     reintegration = _reintegration_check(cfg, m, d)
-    ovf2 = cr.decomposition_to_ovf(d, minimal=True)
+    ovf2 = cr.decomposition_to_ovf(d)
     b1 = frames.frame_bounds(ovf2)
     equiv = cr.verify_ovf_equivalence(ovf, ovf2)
 

@@ -4,8 +4,8 @@ Forward: an OVF gives rise to the POVM with per-atom elements
 mu({t}) T(t)* T(t).  Backward: a framed POVM decomposes into a reference
 measure mu and a density map t -> Q(t) with M(E) = sum_{t in E} mu({t}) Q(t),
 and any operator-valued frame with blocks T(t)* T(t) = Q(t) over mu gives
-rise to the original POVM again: the roots Q(t)^{1/2}, or the rank(Q(t))
-rows of a pivoted Cholesky factor (decomposition_to_ovf).
+rise to the original POVM again; decomposition_to_ovf builds the smallest,
+the rank(Q(t)) rows of a pivoted Cholesky factor.
 
 Two reference-measure rules are available: the trace of each element
 (dominating because a PSD matrix with zero trace is zero), and a dyadic
@@ -65,11 +65,9 @@ class Decomposition:
 
     Construction checks every density's Hermiticity residual and takes all
     the PSD verdicts from one stacked Cholesky factorization of
-    Q(t) + tol_psd(Q(t)) I; it diagonalizes nothing.  decomposition_to_ovf
-    reads one of two cached properties, each computed on first read in one
-    stacked call: the eigendecompositions (``_eigen``, read-only) for the roots
-    Q(t)^{1/2}, or the pivoted Cholesky rows (``_minimal_rows``) for the
-    minimal blocks.
+    Q(t) + tol_psd(Q(t)) I.  A decomposition does no eigen work: its one cache,
+    ``_minimal_rows``, holds the pivoted Cholesky rows that decomposition_to_ovf
+    and cut_bound read, from one stacked call on first read.
     """
 
     measure: AtomicMeasureSpace
@@ -94,11 +92,6 @@ class Decomposition:
         object.__setattr__(self, "measure", measure)
         object.__setattr__(self, "densities", densities)
         object.__setattr__(self, "dim_h", int(dim_h))
-
-    @cached_property
-    def _eigen(self) -> linalg.EigenDecomposition:
-        """Eigendecompositions of all densities, from one stacked call on first read."""
-        return linalg.hermitian_eigen(self.densities)
 
     @cached_property
     def _minimal_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -242,30 +235,25 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -
         raise InvalidPovm(f"POVM failed validation: {exc}") from exc
 
 
-def decomposition_to_ovf(d: Decomposition, minimal: bool = False) -> OperatorValuedFrame:
+def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
     """Operator-valued frame with one block T(t), T(t)* T(t) = Q(t), per atom of
-    the decomposition's measure.
-
-    By default T(t) = Q(t)^{1/2}, the positive root, n x n, from the
-    decomposition's eigendecompositions (computed here on first use), equal to
-    psd_sqrt(Q(t)) bit for bit.  With ``minimal`` T(t) has rank(Q(t)) rows,
-    the fewest any such block can have (Kaftal, Larson & Zhang, Operator-valued
-    frames, Trans. AMS 361, 2009): the pivoted Cholesky rows (P L)* of Q(t),
-    which take no eigen work and drop no more than cut_bound(d) states.  Either
-    way the frame operator is the reintegrated M(Omega); the frame's
-    construction tests it, and its NotAFrame is raised as NotFramed.
+    the decomposition's measure: the pivoted Cholesky rows (P L)* of Q(t), with
+    no eigen work.  There are rank(Q(t)) of them, none for a zero density, the
+    fewest any such block can have (Kaftal, Larson & Zhang, Operator-valued
+    frames, Trans. AMS 361, 2009), and they drop no more than cut_bound(d).  The
+    roots Q(t)^{1/2} are psd_sqrt(Q(t)).  The frame operator is the reintegrated
+    M(Omega); the frame's construction tests it, and NotAFrame is raised as NotFramed.
     """
-    blocks = d._minimal_rows[0] if minimal else d._eigen.sqrt()
     try:
-        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=blocks)
+        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=d._minimal_rows[0])
     except NotAFrame as exc:
         raise NotFramed(f"decomposition does not reintegrate to a framed POVM: {exc}") from exc
 
 
 def cut_bound(d: Decomposition) -> float:
-    """Upper bound on sum_t mu({t}) ||Q(t) - T(t)* T(t)||_F for the minimal
-    blocks of decomposition_to_ovf(d, minimal=True), so on the Frobenius
-    distance between any event's reintegrated sum and the recovered frame's.
+    """Upper bound on sum_t mu({t}) ||Q(t) - T(t)* T(t)||_F for the blocks of
+    decomposition_to_ovf(d), so on the Frobenius distance between any event's
+    reintegrated sum and the recovered frame's.
 
     Q(t) - T(t)* T(t) is three parts.  Q - H, with H = hermitize(Q): a density
     is admitted Hermitian only to within TOL_HERM.  The Schur complement S the

@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFrame,
     InvalidBounds,
+    LimitExceeded,
     NotAFrame,
     ParseError,
     SpaceMismatch,
@@ -346,14 +347,17 @@ def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientFiel
     claimed to be the analysis of x: the energy identity ||G x||^2 = ||R x||^2,
     read on the kept factor, so with no eigenpairs.  Both sides and the scale
     are taken on R / 2^e; 0 when the two sides agree exactly (x = 0 included).
-    The CLI's analyze check holds it to linalg.TOL_ENERGY_REL."""
+    The CLI's analyze check holds it to linalg.TOL_ENERGY_REL; LimitExceeded
+    if a side or the scale is not a finite double."""
     r, e = ovf._factor, ovf._factor_exponent
-    energy = float(np.ldexp(c.weighted_norm_sq(), -2 * e))
-    rx = r @ x
-    diff = abs(energy - float(np.vdot(rx, rx).real))
-    if diff == 0.0:
-        return 0.0
-    return diff / (float(linalg._norms(r)) ** 2 * float(np.vdot(x, x).real))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        energy = float(np.ldexp(c.weighted_norm_sq(), -2 * e))
+        rx = r @ x
+        diff = abs(energy - float(np.vdot(rx, rx).real))
+        scale = float(linalg._norms(r)) ** 2 * float(np.vdot(x, x).real)
+    if not (np.isfinite(diff) and np.isfinite(scale)):
+        raise LimitExceeded("the energy identity's sides do not square to finite doubles")
+    return diff / scale if diff else 0.0
 
 
 def frame_operator(ovf: OperatorValuedFrame) -> np.ndarray:

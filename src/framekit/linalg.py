@@ -11,8 +11,9 @@ by construction.  It serves two entry points.
 
 * ``hermitian_eigen`` diagonalizes a Hermitian matrix, or a stack of
   equal-sized ones, from the shifted matrix H + 2 ||H||_F I, to absolute
-  accuracy (about eps ||A||_F).  It serves matrices that come with no
-  factor: POVM elements, densities, M(Omega) and Gram matrices.
+  accuracy (about eps ||A||_F).  It serves code that reads a spectrum of a
+  matrix that comes with no factor: the POVM elements' reports, M(Omega) in
+  the framedness test, the dyadic rule's Gram matrix and ``psd_sqrt``.
 * ``_one_sided_jacobi`` diagonalizes G* G from the triangular factor R of
   G alone (``_scaled_r``, a Householder QR), on R*.  It never forms G* G,
   so the small eigenvalues keep their relative accuracy; a frame's operator
@@ -22,8 +23,8 @@ by construction.  It serves two entry points.
 A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
 factorization of the shifted matrices instead
 (``_shifted_positive_definite``), a fraction of the cost of the sweeps;
-eigenpairs are computed only where they are read, and the minimal factors
-T* T = Q of PSD densities come from a stacked pivoted Cholesky
+eigenpairs are computed only where a spectrum is read, and the minimal
+factors T* T = Q of PSD densities come from a stacked pivoted Cholesky
 (``_pivoted_cholesky_rows``), with no eigen work.  There is no general
 inverse: a frame inverts its triangular R (``_triangular_inverse``), which
 both certifies the frame without eigenvalues and solves S x = b as the
@@ -181,13 +182,6 @@ class EigenDecomposition:
         """U diag(lambda) U*."""
         u = self.eigenvectors
         return (u * self.eigenvalues[..., None, :]) @ adjoint(u)
-
-    def sqrt(self) -> np.ndarray:
-        """U diag(sqrt(lambda)) U*, hermitized, with negative eigenvalues (rounding
-        noise of a matrix already accepted as PSD) taken as zero."""
-        vals = np.where(self.eigenvalues < 0.0, 0.0, self.eigenvalues)
-        u = self.eigenvectors
-        return hermitize((u * np.sqrt(vals)[..., None, :]) @ adjoint(u))
 
 
 def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -515,11 +509,11 @@ def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
 
 
 def psd_sqrt(a) -> np.ndarray:
-    """Unique positive semidefinite square root of a Hermitian PSD matrix.
+    """Unique positive semidefinite square root of a Hermitian PSD matrix,
+    U diag(sqrt(lambda)) U*, hermitized.
 
     Eigenvalues in [-tol_psd, 0) are clamped to zero before the root, where
     tol_psd = TOL_PSD_REL * (1 + ||A||_F); anything below -tol_psd raises NotPsd.
-    Callers that already hold the eigendecomposition call its ``sqrt`` instead.
     """
     m = as_matrix(a)
     eig = hermitian_eigen(m)
@@ -527,7 +521,8 @@ def psd_sqrt(a) -> np.ndarray:
     lo = float(eig.eigenvalues[0]) if eig.eigenvalues.size else 0.0
     if lo < -tol_psd:
         raise NotPsd(f"minimum eigenvalue {lo:.3e} is below -{tol_psd:.3e}")
-    return eig.sqrt()
+    vals, u = eig.eigenvalues, eig.eigenvectors
+    return hermitize((u * np.sqrt(np.where(vals < 0.0, 0.0, vals))) @ adjoint(u))
 
 
 def _scaled_tolerance(rel, norm):

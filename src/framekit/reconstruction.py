@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidBounds
+from .errors import DimensionMismatch, InvalidBounds, LimitExceeded
 from .frames import (
     CoefficientField,
     FrameBounds,
@@ -110,10 +110,14 @@ def reconstruct_direct(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndar
     (Bjorck, Linear Algebra Appl. 88/89, 1987): on a cond(S) = 3.2e8 frame it
     is about 1e-13, where a solve through S loses about 1e-8.  No eigenpairs
     are used.  Frame construction already checked S > 0, so R^-1 is finite.
+    LimitExceeded if T*c overflows, or the solution does: either leaves x non-finite.
     """
-    b = synthesis(ovf, c)
-    x = _normal_solve(ovf, b)
-    return x + _normal_solve(ovf, _weighted_adjoint(ovf, c._values - ovf._rows @ x))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        x = _normal_solve(ovf, synthesis(ovf, c))
+        x = x + _normal_solve(ovf, _weighted_adjoint(ovf, c._values - ovf._rows @ x))
+    if not np.isfinite(x).all():
+        raise LimitExceeded("S^-1 T*c is not finite: the coefficients are too large")
+    return x
 
 
 def _powers(m: np.ndarray, r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +146,8 @@ def frame_algorithm(
 ) -> IterationTrace:
     """Run the relaxation iteration until the certificate meets the target.
 
-    Stops when the certified bound drops to cfg.target_error or after
+    LimitExceeded, before any iterate, if T*c or the proxy ||T*c|| / A is not
+    finite.  Stops when the certified bound drops to cfg.target_error or after
     cfg.max_iters iterations, whichever comes first; the trace records
     which one fired.  A bounds override wider than the actual spectrum
     (lower' <= A, upper' >= B, each up to linalg.TOL_OVERRIDE_SLACK relative)
@@ -190,10 +195,13 @@ def frame_algorithm(
             )
 
     s = frame_operator(ovf)
-    b = synthesis(ovf, c)
     relax = 2.0 / (used.lower + used.upper)
     rate = (used.upper - used.lower) / (used.upper + used.lower)
-    proxy = float(np.linalg.norm(b)) / used.lower
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c or proxy is refused below
+        b = synthesis(ovf, c)
+        proxy = float(np.linalg.norm(b)) / used.lower
+    if not np.isfinite(proxy):
+        raise LimitExceeded("the proxy ||T*c|| / A is not finite: the coefficients are too large")
 
     start = time.perf_counter_ns()
     bounds_seq, stopped_by = [proxy], "max_iters"

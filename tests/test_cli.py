@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -557,6 +558,78 @@ def test_no_check_passes_on_an_operand_whose_norm_squares_to_inf(tmp_path, capsy
     assert "LimitExceeded" in capsys.readouterr().err
 
 
+HUGE = 1.7e308  # just below the largest finite double, 1.797e308
+
+
+def huge_inputs(kind_paths, tmp_path):
+    """{name: (kind, path)}: one file for each kind of numeric input, a valid file
+    of kind_paths with one entry set to HUGE."""
+    def load(kind):
+        return json.loads(Path(kind_paths[kind]).read_text())
+
+    ovf = frames.ovf_to_json(from_vector_frame(vector_frame_from_json(load("frame"))))
+    vector, coefficients, elements = load("vector"), load("coefficients"), load("povm")
+    densities, weights = load("decomposition"), load("decomposition")
+    ovf["blocks"][0]["data"][0][0] = HUGE
+    vector["entries"][0][0] = HUGE
+    coefficients["segments"][0][0][0] = HUGE
+    elements["elements"][0]["data"][0][0] = HUGE
+    densities["densities"][0]["data"][0][0] = HUGE
+    weights["weights"][0] = HUGE
+    blobs = {"blocks": ("frame", ovf), "vector": ("vector", vector),
+             "coefficients": ("coefficients", coefficients), "elements": ("povm", elements),
+             "densities": ("decomposition", densities), "weights": ("decomposition", weights)}
+    return {name: (kind, write_json(tmp_path / f"huge-{name}.json", blob))
+            for name, (kind, blob) in blobs.items()}
+
+
+def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_path, capsys):
+    """Every command that reads an input kind, given a file of that kind with one
+    entry of HUGE, exits 1 (a failed check) or 2 (an error) with no uncaught
+    exception or RuntimeWarning; an exit 2 leaves no report, data or trace file."""
+    runs = 0
+    for name, (kind, path) in huge_inputs(kind_paths, tmp_path).items():
+        for command, spec in cli._COMMANDS.items():
+            for slot, want in enumerate(spec.inputs):
+                if want != kind:
+                    continue
+                paths = [kind_paths[k] for k in spec.inputs]
+                paths[slot] = path
+                stem = f"run-{name}-{command}-{slot}"
+                code = main([command, *(a for p in paths for a in ("--in", p)),
+                             "--out", str(tmp_path / f"{stem}.json")])
+                assert code in (1, 2), (name, command, slot, code)
+                if code == 2:
+                    assert list(tmp_path.glob(f"{stem}.*")) == [], (name, command, slot)
+                    assert "Traceback" not in capsys.readouterr().err
+                runs += 1
+    assert runs == 15  # blocks 5 commands, vector 1, coefficients 1, elements 2, decompositions 2 * 3
+
+
+def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_path, capsys):
+    """A coefficient entry of 1e308, which intake accepts, makes ||T*c|| overflow:
+    the frame algorithm raises LimitExceeded before any iterate, and reconstruct
+    exits 2 with no report, data or trace file.  The direct route still solves
+    that one, with x finite, and raises LimitExceeded at HUGE, where x is not."""
+    coefficients = {}
+    for value in (1e308, HUGE):
+        blob = json.loads(Path(kind_paths["coefficients"]).read_text())
+        blob["segments"][0][0][0] = value
+        coefficients[value] = write_json(tmp_path / f"c-{value!r}.json", blob)
+    _, f = cli._load(kind_paths["frame"], "frame")
+    _, c = cli._load(coefficients[1e308], "coefficients")
+    with pytest.raises(LimitExceeded, match="proxy"):
+        reconstruction.frame_algorithm(f, c)
+    x = reconstruction.reconstruct_direct(f, c)
+    assert np.isfinite(x).all() and abs(x[0]) > 1e307
+    with pytest.raises(LimitExceeded):
+        reconstruction.reconstruct_direct(f, cli._load(coefficients[HUGE], "coefficients")[1])
+    assert main(["reconstruct", "--in", kind_paths["frame"], "--in", coefficients[1e308],
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "LimitExceeded" in capsys.readouterr().err
+    assert list(tmp_path.glob("r.*")) == []
+
+
 def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_path, capsys):
     """Weights 1e300 on densities [[1e10]]: each number is finite, their products
     are not, so the file is refused when it is read, before any report is formed."""
@@ -748,6 +821,24 @@ def test_hermitian_check_reads_the_largest_residual_against_tol_herm(tmp_path):
         assert hermitian["passed"] is (code == 0)
         assert hermitian["passed"] is ("NotHermitian" not in report["summary"]["failures"])
         assert psd["passed"] is True and additive["passed"] is True
+
+@pytest.mark.skipif(not hasattr(os, "fchmod"), reason="os.fchmod is missing here")
+def test_written_files_take_the_mode_the_umask_leaves(onb_path, tmp_path):
+    """Reports and generated files get 0666 less the umask, as open() would give
+    them, and an overwritten file takes the umask of the run that overwrites it."""
+    out, generated = tmp_path / "report.json", tmp_path / "g.json"
+    old = os.umask(0o022)
+    try:
+        assert main(["bounds", "--in", onb_path, "--out", str(out)]) == 0
+        assert main(["generate", "--kind", "frame", "--dim", "2", "--atoms", "3",
+                     "--out", str(generated)]) == 0
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (out, generated)] == [0o644, 0o644]
+        os.umask(0o027)
+        assert main(["bounds", "--in", onb_path, "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    finally:
+        os.umask(old)
+
 
 def test_json_writes_refuse_nan_and_inf(tmp_path):
     for value in (float("nan"), float("inf"), -float("inf")):

@@ -29,6 +29,7 @@ from framekit import (
     NotFramed,
     NotHermitian,
     NotPsd,
+    OperatorValuedFrame,
     Povm,
     ReferenceMeasureRule,
     SequenceDoesNotSpan,
@@ -274,18 +275,6 @@ def test_densities_must_be_hermitian_psd():
         Decomposition(measure=space, densities=[np.diag([1.0, -1.0]).astype(complex)])
 
 
-def test_decomposition_diagonalizes_every_density_in_one_call(monkeypatch):
-    d = decompose(random_povm(dim=4, atoms=9, seed=6))
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
-    again = Decomposition(measure=d.measure, densities=d.densities)
-    assert calls == {"hermitian_eigen": 0}  # construction diagonalizes nothing
-    first = again._eigen
-    assert calls == {"hermitian_eigen": 1}  # the first read, one stacked call
-    assert again._eigen is first
-    assert calls == {"hermitian_eigen": 1}  # a second read reuses it
-    assert np.array_equal(again._eigen.eigenvectors, d._eigen.eigenvectors)
-
-
 def test_decomposition_rejects_the_first_failing_atom():
     space = AtomicMeasureSpace(atoms=["a", "b"], weights=[1.0, 1.0])
     eye = np.eye(2, dtype=complex)
@@ -414,31 +403,6 @@ def test_residuals_refuse_to_enumerate_a_large_space():
 # -- decomposition back to a frame --------------------------------------------
 
 
-def test_recovered_blocks_are_density_square_roots():
-    d = decompose(projective_qubit(), standard_basis_rule(2))
-    ovf = decomposition_to_ovf(d)
-    for block, q in zip(ovf.blocks, d.densities):
-        assert np.allclose(block @ block, q, atol=1e-12)
-    # The blocks come from the decomposition's kept eigenpairs and must be
-    # psd_sqrt's roots bit for bit: trace and dyadic rules at n = 3 and 17,
-    # and a density read back from JSON that is Hermitian only to within
-    # TOL_HERM.
-    cases = []
-    for dim, atoms in ((3, 5), (17, 3)):
-        m = random_povm(dim=dim, atoms=atoms, seed=dim)
-        cases += [decompose(m), decompose(m, standard_basis_rule(dim))]
-    blob = decomposition_to_json(cases[0])
-    q = linalg.matrix_from_json(blob["densities"][1])
-    q[0, 1] += 1e-12 * linalg.frobenius(q)
-    assert 0.0 < linalg.hermitian_residual(q) <= linalg.TOL_HERM
-    blob["densities"][1] = linalg.matrix_to_json(q)
-    cases.append(decomposition_from_json(blob))
-    for d in cases:
-        ovf = decomposition_to_ovf(d)
-        for block, q in zip(ovf.blocks, d.densities):
-            assert np.array_equal(block, psd_sqrt(q))
-
-
 @pytest.mark.parametrize("dim,atoms", [(2, 3), (3, 7), (5, 9), (12, 16)])
 def test_minimal_blocks_close_the_correspondence_on_vector_frames(dim, atoms):
     """A vector frame's POVM has rank-one densities x x* / ||x||^2: the minimal
@@ -447,15 +411,15 @@ def test_minimal_blocks_close_the_correspondence_on_vector_frames(dim, atoms):
     the square roots' (over 240 measured frames the ratio stays below 0.97)."""
     f = from_vector_frame(random_vector_frame(dim, atoms, seed=dim))
     d = decompose(ovf_to_povm(f))
-    minimal = decomposition_to_ovf(d, minimal=True)
+    minimal = decomposition_to_ovf(d)
     assert [len(b) for b in minimal.blocks] == [1] * atoms
     for block, w, row in zip(minimal.blocks, d.measure.weights, f.blocks):
         recovered = np.sqrt(w) * block[0]
         phase = np.vdot(recovered, row[0])
         unit = phase / abs(phase)
         assert np.linalg.norm(unit * recovered - row[0]) <= 1e-14 * np.linalg.norm(row[0])
-    roots = decomposition_to_ovf(d)
-    assert [len(b) for b in roots.blocks] == [dim] * atoms
+    roots = OperatorValuedFrame(space=d.measure, dim_h=dim,
+                                blocks=[psd_sqrt(q) for q in d.densities])
     assert (verify_ovf_equivalence(f, minimal).max_residual
             <= verify_ovf_equivalence(f, roots).max_residual)
 
@@ -472,7 +436,7 @@ def test_minimal_blocks_drop_no_more_than_the_cut_bound(monkeypatch):
     space = AtomicMeasureSpace(atoms=list("abcde"), weights=rng.uniform(0.5, 2.0, 5))
     d = Decomposition(measure=space, densities=densities)
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
-    ovf = decomposition_to_ovf(d, minimal=True)
+    ovf = decomposition_to_ovf(d)
     assert calls == {"hermitian_eigen": 0}
     assert [len(b) for b in ovf.blocks] == [1, 2, 4, 5, 0]
     for block, q in zip(ovf.blocks, d.densities):
@@ -480,7 +444,6 @@ def test_minimal_blocks_drop_no_more_than_the_cut_bound(monkeypatch):
     missed = sum(w * np.linalg.norm(q - linalg.adjoint(b) @ b)
                  for w, q, b in zip(d.measure.weights, d.densities, ovf.blocks))
     assert missed <= cut_bound(d) <= 1e-3 * _reintegration_tolerance(d.reintegrate())
-    assert "_eigen" not in vars(d)
 
 
 def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
@@ -500,7 +463,7 @@ def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
     blob = {"atoms": ["neg", "skew"], "weights": [2.0, 3.0], "dim_h": n,
             "densities": [linalg.matrix_to_json(q) for q in (negative, skewed)]}
     d = decomposition_from_json(json.loads(json.dumps(blob)))
-    ovf = decomposition_to_ovf(d, minimal=True)
+    ovf = decomposition_to_ovf(d)
     misses = [np.linalg.norm(q - linalg.adjoint(b) @ b) for q, b in zip(d.densities, ovf.blocks)]
     assert misses[0] >= 0.4 * float(linalg._psd_tolerance(negative))
     assert misses[1] >= 0.4 * linalg.TOL_HERM
@@ -510,8 +473,8 @@ def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=6, seed=3))
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt", "_one_sided_jacobi")
-    decomposition_to_ovf(d)  # a cold decomposition: its densities' stack; S is certified from R
-    assert calls == {"hermitian_eigen": 1, "psd_sqrt": 0, "_one_sided_jacobi": 0}
+    decomposition_to_ovf(d)  # a cold decomposition: pivoted Cholesky rows; S is certified from R
+    assert calls == {"hermitian_eigen": 0, "psd_sqrt": 0, "_one_sided_jacobi": 0}
 
 
 def test_round_trip_preserves_operator_and_bounds():
@@ -647,12 +610,21 @@ def test_decomposition_refuses_weighted_densities_whose_sum_overflows():
         Decomposition(measure=small, densities=[[[1e200]], [[1.0]]])
 
 
-def test_decompose_reads_no_eigenpairs_until_the_roots(monkeypatch):
-    """decompose leaves the densities undiagonalized; decomposition_to_ovf's first
-    read diagonalizes them in one stack, the same bits as a fresh decomposition's."""
+def test_decomposition_factors_its_densities_once_on_the_first_recovery(monkeypatch):
+    """decompose leaves the densities unfactored; decomposition_to_ovf's first call
+    fills the one cache, _minimal_rows, from one stacked pivoted Cholesky, and a
+    second call reuses it; a fresh decomposition of the same densities gives the
+    same bits, and no step diagonalizes anything."""
     d = decompose(random_povm(dim=3, atoms=7, seed=2))
-    assert "_eigen" not in vars(d)
+    assert "_minimal_rows" not in vars(d)
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_pivoted_cholesky_rows")
     blocks = decomposition_to_ovf(d).blocks
-    assert "_eigen" in vars(d)
+    assert "_minimal_rows" in vars(d)
+    cached = d._minimal_rows
+    decomposition_to_ovf(d)
+    assert d._minimal_rows is cached
+    assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
     fresh = Decomposition(measure=d.measure, densities=d.densities)
-    assert np.array_equal(np.array(blocks), fresh._eigen.sqrt())
+    again = decomposition_to_ovf(fresh).blocks
+    assert len(again) == len(blocks)
+    assert all(np.array_equal(a, b) for a, b in zip(again, blocks))

@@ -105,8 +105,7 @@ def test_stacks_and_views_are_read_only():
     d = decompose(m)
     v = VectorFrame(dim_h=2, vectors=[[1, 0], [0, 1], [1, 1]])
     stacks = [f._rows, f._row_weights, c._values, m.elements, d.densities,
-              d._eigen.eigenvalues, d._eigen.eigenvectors, v.vectors,
-              decomposition_to_ovf(d)._rows]
+              *d._minimal_rows[0], v.vectors, decomposition_to_ovf(d)._rows]
     views = [(b, f._rows) for b in f.blocks] + [(seg, c._values) for seg in c.segments]
     for a in stacks + [view for view, _ in views]:
         assert not a.flags.writeable

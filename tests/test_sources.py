@@ -7,6 +7,9 @@ eigensolver it runs is its own.
 Every tolerance the package tests against lives in one table in
 ``linalg``; no other module defines one, under a tolerance's name or as a
 small float literal.
+
+Eigenpairs are computed only where a spectrum is read: ``hermitian_eigen``
+has exactly four call sites, and ``_one_sided_jacobi`` serves frames alone.
 """
 
 import ast
@@ -108,3 +111,55 @@ def test_every_tolerance_lives_in_the_linalg_table():
             assert found  # the table is found, so the walk reads the sources
         else:
             assert not found, f"{path.name} defines tolerances: {found}"
+
+
+# The code that reads a spectrum of a matrix with no factor: the POVM elements'
+# reports, M(Omega) in the framedness test, the dyadic rule's Gram matrix and the
+# square root.
+EIGEN_SITES = [
+    "correspondence.reference_measure",
+    "linalg.psd_sqrt",
+    "povm.ValidationReport.element_reports",
+    "povm.is_framed",
+]
+
+
+def reference_sites(tree, module, name):
+    """module.qualname of the function or class body around every reference to
+    ``name``, read as a bare name or as an attribute: its calls, and any place it
+    is passed on or bound, as such a reference can be called later."""
+    sites = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + [node.name]
+        if ((isinstance(node, ast.Name) and node.id == name)
+                or (isinstance(node, ast.Attribute) and node.attr == name)):
+            sites.append(".".join([module] + scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return sites
+
+
+def package_sites(name):
+    return sorted(site for path in SOURCES
+                  for site in reference_sites(ast.parse(path.read_text(), str(path)),
+                                              path.stem, name))
+
+
+def test_the_site_walker_sees_calls_and_bare_references():
+    tree = ast.parse("def f(a):\n    return linalg.g(a)\n"
+                     "class C:\n    def m(self):\n        return g(1), map(linalg.g, [])\n"
+                     "h = g\ndef g(a):\n    return a\n")
+    assert reference_sites(tree, "mod", "g") == ["mod.f", "mod.C.m", "mod.C.m", "mod"]
+
+
+def test_hermitian_eigen_serves_only_the_code_that_reads_a_spectrum():
+    assert package_sites("hermitian_eigen") == EIGEN_SITES
+
+
+def test_one_sided_jacobi_serves_only_frames():
+    sites = package_sites("_one_sided_jacobi")
+    assert sites and {site.split(".")[0] for site in sites} == {"frames"}, sites

@@ -275,6 +275,24 @@ def test_densities_must_be_hermitian_psd():
         Decomposition(measure=space, densities=[np.diag([1.0, -1.0]).astype(complex)])
 
 
+def test_decomposition_diagonalizes_every_density_in_one_call(monkeypatch):
+    """A decomposition diagonalizes no density: the first read of _minimal_rows
+    factors every density in one stacked pivoted Cholesky, and a second reuses it."""
+    d = decompose(random_povm(dim=4, atoms=9, seed=6))
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_pivoted_cholesky_rows")
+    again = Decomposition(measure=d.measure, densities=d.densities)
+    assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 0}
+    first = again._minimal_rows
+    assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
+    assert again._minimal_rows is first
+    assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
+    rows, dropped = first
+    expected_rows, expected_dropped = d._minimal_rows
+    assert len(rows) == len(expected_rows)
+    assert all(np.array_equal(a, b) for a, b in zip(rows, expected_rows))
+    assert np.array_equal(dropped, expected_dropped)
+
+
 def test_decomposition_rejects_the_first_failing_atom():
     space = AtomicMeasureSpace(atoms=["a", "b"], weights=[1.0, 1.0])
     eye = np.eye(2, dtype=complex)
@@ -610,21 +628,17 @@ def test_decomposition_refuses_weighted_densities_whose_sum_overflows():
         Decomposition(measure=small, densities=[[[1e200]], [[1.0]]])
 
 
-def test_decomposition_factors_its_densities_once_on_the_first_recovery(monkeypatch):
+def test_decompose_reads_no_eigenpairs_until_the_roots(monkeypatch):
     """decompose leaves the densities unfactored; decomposition_to_ovf's first call
-    fills the one cache, _minimal_rows, from one stacked pivoted Cholesky, and a
-    second call reuses it; a fresh decomposition of the same densities gives the
-    same bits, and no step diagonalizes anything."""
+    fills the one cache, _minimal_rows, and its blocks are the same bits as a fresh
+    decomposition's. No step reads an eigenpair, the recovery included."""
     d = decompose(random_povm(dim=3, atoms=7, seed=2))
     assert "_minimal_rows" not in vars(d)
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_pivoted_cholesky_rows")
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
     blocks = decomposition_to_ovf(d).blocks
     assert "_minimal_rows" in vars(d)
-    cached = d._minimal_rows
-    decomposition_to_ovf(d)
-    assert d._minimal_rows is cached
-    assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
     fresh = Decomposition(measure=d.measure, densities=d.densities)
     again = decomposition_to_ovf(fresh).blocks
     assert len(again) == len(blocks)
     assert all(np.array_equal(a, b) for a, b in zip(again, blocks))
+    assert calls == {"hermitian_eigen": 0}

@@ -18,10 +18,13 @@ run() reads each --in once, hashes its bytes for the report, and passes
 the handler the object they hold.  A file's kind comes from its top-level
 keys ("blocks" = operator frame, "vectors" = vector frame, both kind
 frame; "segments" = coefficients, "elements" = povm, "densities" =
-decomposition, "entries" = vector) and is checked before parsing.  All
-numeric output goes through Python's shortest round-trip float repr, so
-files parse back to the exact same doubles.  Generated inputs come from
-numpy's PCG64 stream, which is stable across platforms for a fixed seed.
+decomposition, "entries" = vector) and is checked before parsing.  Every
+complex array in a data file is one base64 string of its little-endian
+float64 (re, im) bytes, and every other number goes through Python's
+shortest round-trip float repr, so files parse back to the exact same
+doubles; inputs may also hold arrays as lists of [re, im] pairs.  Generated
+inputs come from numpy's PCG64 stream, which is stable across platforms
+for a fixed seed.
 All writes are atomic (temp file then rename).
 """
 

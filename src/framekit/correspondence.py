@@ -430,6 +430,7 @@ def reintegration_residuals(
 # --- JSON encoding -----------------------------------------------------------
 #
 # Decomposition: {"atoms": [...], "weights": [...], "dim_h": n, "densities": [matrix, ...]}
+# A matrix is linalg's, its data the base64 string of little-endian complex128.
 
 
 def decomposition_to_json(d: Decomposition) -> dict:

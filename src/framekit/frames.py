@@ -373,8 +373,10 @@ def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
 # --- JSON encoding -----------------------------------------------------------
 #
 # OVF:         {"atoms": [...], "weights": [...], "dim_h": n, "blocks": [matrix, ...]}
-# VectorFrame: {"dim_h": n, "vectors": [[[re, im], ...], ...]}
-# Coefficients:{"atoms": [...], "weights": [...], "segments": [[[re, im], ...], ...]}
+# VectorFrame: {"dim_h": n, "vectors": [array, ...]}
+# Coefficients:{"atoms": [...], "weights": [...], "segments": [array, ...]}
+# A matrix and an array are linalg's: an array is written as the base64 string
+# of its little-endian complex128 entries and read from that or [[re, im], ...].
 
 
 def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
@@ -407,7 +409,7 @@ def ovf_from_json(obj) -> OperatorValuedFrame:
 def vector_frame_to_json(f: VectorFrame) -> dict:
     return {
         "dim_h": f.dim_h,
-        "vectors": [linalg._pairs(v) for v in f.vectors],
+        "vectors": [linalg._encode_array(v) for v in f.vectors],
     }
 
 
@@ -416,7 +418,7 @@ def vector_frame_from_json(obj) -> VectorFrame:
     vectors = linalg._require(obj, "vectors", "vector frame")
     if not isinstance(vectors, list):
         raise ParseError("vector frame vectors must be a list")
-    vecs = [linalg._from_pairs(v, "vector frame vector") for v in vectors]
+    vecs = [linalg._decode_array(v, "vector frame vector") for v in vectors]
     try:
         return VectorFrame(dim_h=dim_h, vectors=vecs)
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
@@ -427,7 +429,7 @@ def coefficients_to_json(c: CoefficientField) -> dict:
     return {
         "atoms": list(c.space.atoms),
         "weights": [float(w) for w in c.space.weights],
-        "segments": [linalg._pairs(seg) for seg in c.segments],
+        "segments": [linalg._encode_array(seg) for seg in c.segments],
     }
 
 
@@ -437,7 +439,7 @@ def coefficients_from_json(obj) -> CoefficientField:
     segments = linalg._require(obj, "segments", "coefficient field")
     if not isinstance(segments, list):
         raise ParseError("coefficient segments must be a list")
-    segs = [linalg._from_pairs(s, "coefficient segment") for s in segments]
+    segs = [linalg._decode_array(s, "coefficient segment") for s in segments]
     try:
         space = AtomicMeasureSpace(atoms=atoms, weights=weights)
         return CoefficientField(space=space, segments=segs)

@@ -38,6 +38,7 @@ second argument: ``inner(x, y) == sum(x * conj(y))``.
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
 
 import numpy as np
@@ -696,26 +697,47 @@ def _masked_running_sums(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
 
 # --- JSON encoding -----------------------------------------------------------
 #
-# Matrix: {"rows": n, "cols": m, "data": [[re, im], ...]} with data row-major;
+# An array is one JSON string: the RFC 4648 base64 (standard alphabet, padded,
+# no line breaks) of its row-major entries as little-endian IEEE-754 float64,
+# real part then imaginary part, i.e. the bytes of np.ascontiguousarray(a,
+# dtype="<c16").  The byte order is fixed, so a seed gives the same file on any
+# platform.  Readers also take the older layout, a list of [re, im] pairs; the
+# JSON type of the value (string or list) picks the path, never its length.
+# Matrix: {"rows": n, "cols": m, "data": array} with data row-major;
 # n may be 0 (a frame block of a zero density has no rows), m may not.
-# Vector: {"dim": n, "entries": [[re, im], ...]}.
+# Vector: {"dim": n, "entries": array}.
 
 
-def _pairs(a: np.ndarray) -> list:
-    """Entries of a complex array in row-major order as [re, im] float pairs."""
-    return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
+def _encode_array(a: np.ndarray) -> str:
+    """Base64 of a complex array's row-major entries as little-endian complex128;
+    LimitExceeded for a NaN or an infinity, which no JSON data file holds."""
+    le = np.ascontiguousarray(a, dtype="<c16")
+    if not np.isfinite(le).all():
+        raise LimitExceeded("a NaN or Inf entry cannot be written to a data file")
+    return base64.b64encode(le).decode("ascii")
 
 
-def _from_pairs(pairs, what: str) -> np.ndarray:
-    """1-D complex128 array from a JSON list of [re, im] pairs of finite doubles;
-    ParseError for anything else, a number too large for a double included."""
-    if not isinstance(pairs, list):
-        raise ParseError(f"{what} must be a list of [re, im] pairs")
-    try:
-        v = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{what} entries must be [re, im] pairs of numbers: {exc}") from exc
-    if not np.all(np.isfinite(v.view(np.float64))):
+def _decode_array(value, what: str) -> np.ndarray:
+    """1-D complex128 array of finite entries from a base64 string (see above) or
+    a list of [re, im] pairs of numbers; ParseError for anything else, a number
+    too large for a double included."""
+    if isinstance(value, str):
+        try:
+            raw = base64.b64decode(value, validate=True)
+        except ValueError as exc:  # binascii.Error, or a non-ASCII character
+            raise ParseError(f"{what} is not padded standard base64: {exc}") from exc
+        if len(raw) % 16:
+            raise ParseError(f"{what} hold {len(raw)} bytes, not a whole number of "
+                             "16-byte complex entries")
+        v = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    elif isinstance(value, list):
+        try:
+            v = np.array([complex(re, im) for re, im in value], dtype=np.complex128)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{what} entries must be [re, im] pairs of numbers: {exc}") from exc
+    else:
+        raise ParseError(f"{what} must be a base64 string or a list of [re, im] pairs")
+    if not np.isfinite(v).all():
         raise ParseError(f"{what} hold NaN or Inf")
     return v
 
@@ -744,14 +766,14 @@ def _require(obj: dict, key: str, kind: str):
 
 def matrix_to_json(a: np.ndarray) -> dict:
     m = as_matrix(a)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _pairs(m)}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _encode_array(m)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols, data = (_require(obj, key, "matrix") for key in ("rows", "cols", "data"))
     if rows < 0 or cols <= 0:
         raise ParseError(f"matrix needs rows >= 0 and cols > 0, got {rows}x{cols}")
-    flat = _from_pairs(data, "matrix data")
+    flat = _decode_array(data, "matrix data")
     if flat.shape[0] != rows * cols:
         raise ParseError(f"matrix data length {flat.shape[0]} does not match {rows}x{cols}")
     return flat.reshape(rows, cols)
@@ -759,12 +781,12 @@ def matrix_from_json(obj) -> np.ndarray:
 
 def vector_to_json(x: np.ndarray) -> dict:
     v = as_vector(x)
-    return {"dim": int(v.shape[0]), "entries": _pairs(v)}
+    return {"dim": int(v.shape[0]), "entries": _encode_array(v)}
 
 
 def vector_from_json(obj) -> np.ndarray:
     dim, entries = _require(obj, "dim", "vector"), _require(obj, "entries", "vector")
-    v = _from_pairs(entries, "vector entries")
+    v = _decode_array(entries, "vector entries")
     if v.shape[0] != dim:
         raise ParseError("vector entries length does not match dim")
     return v

@@ -217,6 +217,7 @@ def measure_probabilities(m: Povm, x) -> list[float]:
 # --- JSON encoding -----------------------------------------------------------
 #
 # POVM: {"atoms": [...], "dim_h": n, "elements": [matrix, ...]}
+# A matrix is linalg's, its data the base64 string of little-endian complex128.
 
 
 def povm_to_json(m: Povm) -> dict:

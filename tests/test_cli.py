@@ -1,5 +1,6 @@
 """End-to-end runs of the command line against temp files."""
 
+import base64
 import builtins
 import hashlib
 import json
@@ -40,6 +41,41 @@ def pair_path(tmp_path):
 
 def read_report(path):
     return json.loads(path.read_text())
+
+
+def pairs_of(text):
+    """The [re, im] pairs of an array written as base64 of little-endian float64."""
+    return np.frombuffer(base64.b64decode(text), "<f8").reshape(-1, 2).tolist()
+
+
+def with_first_entry(text, value):
+    """A base64 array string with the real part of its first entry set to value."""
+    parts = np.frombuffer(base64.b64decode(text), "<f8").copy()
+    parts[0] = value
+    return base64.b64encode(parts.tobytes()).decode("ascii")
+
+
+def map_arrays(blob, convert):
+    """A copy of a data file's JSON with convert applied to every array in it:
+    data, entries and each vector or segment."""
+    if isinstance(blob, list):
+        return [map_arrays(b, convert) for b in blob]
+    if not isinstance(blob, dict):
+        return blob
+    out = {}
+    for key, value in blob.items():
+        if key in ("data", "entries"):
+            out[key] = convert(value)
+        elif key in ("vectors", "segments"):
+            out[key] = [convert(v) for v in value]
+        else:
+            out[key] = map_arrays(value, convert)
+    return out
+
+
+def to_pairs(blob):
+    """A copy of a data file's JSON with every array in the [re, im] pairs layout."""
+    return map_arrays(blob, pairs_of)
 
 
 def test_bounds_on_orthonormal_basis(onb_path, tmp_path, capsys):
@@ -563,30 +599,35 @@ HUGE = 1.7e308  # just below the largest finite double, 1.797e308
 
 def huge_inputs(kind_paths, tmp_path):
     """{name: (kind, path)}: one file for each kind of numeric input, a valid file
-    of kind_paths with one entry set to HUGE."""
+    of kind_paths with one entry set to HUGE, once as written (arrays in base64)
+    and once as a copy with every array in [re, im] pairs."""
     def load(kind):
         return json.loads(Path(kind_paths[kind]).read_text())
 
     ovf = frames.ovf_to_json(from_vector_frame(vector_frame_from_json(load("frame"))))
     vector, coefficients, elements = load("vector"), load("coefficients"), load("povm")
     densities, weights = load("decomposition"), load("decomposition")
-    ovf["blocks"][0]["data"][0][0] = HUGE
-    vector["entries"][0][0] = HUGE
-    coefficients["segments"][0][0][0] = HUGE
-    elements["elements"][0]["data"][0][0] = HUGE
-    densities["densities"][0]["data"][0][0] = HUGE
+    block, element, density = ovf["blocks"][0], elements["elements"][0], densities["densities"][0]
+    block["data"] = with_first_entry(block["data"], HUGE)
+    vector["entries"] = with_first_entry(vector["entries"], HUGE)
+    coefficients["segments"][0] = with_first_entry(coefficients["segments"][0], HUGE)
+    element["data"] = with_first_entry(element["data"], HUGE)
+    density["data"] = with_first_entry(density["data"], HUGE)
     weights["weights"][0] = HUGE
     blobs = {"blocks": ("frame", ovf), "vector": ("vector", vector),
              "coefficients": ("coefficients", coefficients), "elements": ("povm", elements),
              "densities": ("decomposition", densities), "weights": ("decomposition", weights)}
-    return {name: (kind, write_json(tmp_path / f"huge-{name}.json", blob))
-            for name, (kind, blob) in blobs.items()}
+    return {f"{name}-{layout}": (kind, write_json(tmp_path / f"huge-{name}-{layout}.json",
+                                                  convert(blob)))
+            for name, (kind, blob) in blobs.items()
+            for layout, convert in (("base64", lambda b: b), ("pairs", to_pairs))}
 
 
 def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_path, capsys):
     """Every command that reads an input kind, given a file of that kind with one
-    entry of HUGE, exits 1 (a failed check) or 2 (an error) with no uncaught
-    exception or RuntimeWarning; an exit 2 leaves no report, data or trace file."""
+    entry of HUGE, in either array layout, exits 1 (a failed check) or 2 (an
+    error) with no uncaught exception or RuntimeWarning; an exit 2 leaves no
+    report, data or trace file."""
     runs = 0
     for name, (kind, path) in huge_inputs(kind_paths, tmp_path).items():
         for command, spec in cli._COMMANDS.items():
@@ -603,7 +644,8 @@ def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_pa
                     assert list(tmp_path.glob(f"{stem}.*")) == [], (name, command, slot)
                     assert "Traceback" not in capsys.readouterr().err
                 runs += 1
-    assert runs == 15  # blocks 5 commands, vector 1, coefficients 1, elements 2, decompositions 2 * 3
+    # per layout: blocks 5 commands, vector 1, coefficients 1, elements 2, decompositions 2 * 3
+    assert runs == 30
 
 
 def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_path, capsys):
@@ -614,7 +656,7 @@ def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_
     coefficients = {}
     for value in (1e308, HUGE):
         blob = json.loads(Path(kind_paths["coefficients"]).read_text())
-        blob["segments"][0][0][0] = value
+        blob["segments"][0] = with_first_entry(blob["segments"][0], value)
         coefficients[value] = write_json(tmp_path / f"c-{value!r}.json", blob)
     _, f = cli._load(kind_paths["frame"], "frame")
     _, c = cli._load(coefficients[1e308], "coefficients")
@@ -738,7 +780,7 @@ def test_a_frame_block_with_no_rows_is_written_and_read_back(tmp_path, capsys):
     space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 2.0, 1.0])
     ovf = frames.OperatorValuedFrame(space, 2, [np.eye(2), np.zeros((0, 2)), np.ones((1, 2))])
     blob = frames.ovf_to_json(ovf)
-    assert blob["blocks"][1] == {"rows": 0, "cols": 2, "data": []}
+    assert blob["blocks"][1] == {"rows": 0, "cols": 2, "data": ""}
     path = write_json(tmp_path / "f.json", blob)
     assert main(["bounds", "--in", path, "--out", str(tmp_path / "b.json")]) == 0
     _, back = cli._load(path, "frame")
@@ -751,10 +793,29 @@ def test_a_frame_block_with_no_rows_is_written_and_read_back(tmp_path, capsys):
         assert "ParseError" in capsys.readouterr().err
 
 
+def arrays_of(obj):
+    """The complex arrays a loaded object holds, in order."""
+    if isinstance(obj, povm.Povm):
+        return list(obj.elements)
+    if isinstance(obj, correspondence.Decomposition):
+        return list(obj.densities)
+    if isinstance(obj, frames.OperatorValuedFrame):
+        return list(obj.blocks)
+    if isinstance(obj, frames.CoefficientField):
+        return list(obj.segments)
+    return [obj]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_every_data_file_a_command_writes_loads_back_as_its_kind(pair_path, tmp_path):
     """The data file of to-povm, decompose, to-ovf, analyze and reconstruct reads
     back through cli._load as the kind it holds, from a decomposition with a
-    zero density too, whose minimal block has no rows."""
+    zero density too, whose minimal block has no rows.  Every array in it is a
+    base64 string; a copy with the arrays as [re, im] pairs loads to the same
+    bits, and the command run on pairs copies of its inputs writes the same bytes."""
     space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0])
     d = correspondence.Decomposition(space, [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0])])
     zero = write_json(tmp_path / "zero.json", correspondence.decomposition_to_json(d))
@@ -769,13 +830,31 @@ def test_every_data_file_a_command_writes_loads_back_as_its_kind(pair_path, tmp_
         ("analyze", [str(tmp_path / "z.data.json"), xpath], "a"),
         ("reconstruct", [str(tmp_path / "z.data.json"), str(tmp_path / "a.data.json")], "r"),
     ]
+
+    def pairs_copy(path):
+        return write_json(tmp_path / ("pairs-" + Path(path).name),
+                          to_pairs(json.loads(Path(path).read_text())))
+
     loaded = {}
     for command, inputs, stem in runs:
         out = tmp_path / f"{stem}.json"
         assert main([command, *(a for p in inputs for a in ("--in", p)), "--out", str(out)]) == 0
+        copies = [pairs_copy(p) for p in inputs]
+        again = tmp_path / f"{stem}-from-pairs.json"
+        assert main([command, *(a for p in copies for a in ("--in", p)),
+                     "--out", str(again)]) == 0
         for key, path in read_report(out)["artifacts"].items():
             if path.endswith(".json"):
+                fields = []
+                map_arrays(json.loads(Path(path).read_text()), fields.append)
+                assert fields and all(isinstance(f, str) for f in fields), (stem, key)
                 loaded[stem] = cli._load(path, kinds[key])[1]
+                from_pairs = cli._load(pairs_copy(path), kinds[key])[1]
+                arrays, pair_arrays = arrays_of(loaded[stem]), arrays_of(from_pairs)
+                assert len(arrays) == len(pair_arrays), (stem, key)
+                assert all(same_bits(a, b) for a, b in zip(arrays, pair_arrays)), (stem, key)
+                written = read_report(again)["artifacts"][key]
+                assert Path(written).read_bytes() == Path(path).read_bytes(), (stem, key)
     assert sorted(loaded) == ["a", "d", "o", "p", "r", "z"]
     assert [b.shape for b in loaded["z"].blocks] == [(2, 2), (0, 2), (2, 2)]
     assert [len(s) for s in loaded["a"].segments] == [2, 0, 2]
@@ -846,3 +925,10 @@ def test_json_writes_refuse_nan_and_inf(tmp_path):
         with pytest.raises(LimitExceeded):
             cli._write_json(str(out), {"x": value})
         assert not out.exists()
+    # an array is written as base64, which json.dumps does not read: the codec refuses it
+    f = from_vector_frame(VectorFrame(dim_h=2, vectors=[[1, 1], [1, 0], [0, 1]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = frames.analysis(f, [HUGE, HUGE])  # 2 * HUGE overflows to inf
+    assert not np.isfinite(c.segments[0]).all()
+    with pytest.raises(LimitExceeded):
+        frames.coefficients_to_json(c)

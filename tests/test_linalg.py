@@ -4,6 +4,7 @@ numpy.linalg appears here as an independent cross-check only; the
 library itself never calls it.
 """
 
+import base64
 import json
 
 import numpy as np
@@ -22,7 +23,16 @@ from framekit.errors import (
     NotPsd,
     ParseError,
 )
-from framekit.frames import coefficients_from_json, ovf_from_json, vector_frame_from_json
+from framekit.frames import (
+    AtomicMeasureSpace,
+    CoefficientField,
+    VectorFrame,
+    coefficients_from_json,
+    coefficients_to_json,
+    ovf_from_json,
+    vector_frame_from_json,
+    vector_frame_to_json,
+)
 from framekit.povm import povm_from_json
 
 from conftest import complex_box, count_calls, random_hermitian, random_psd, rng_for
@@ -444,6 +454,127 @@ def test_matrix_from_json_rejects_malformed(payload):
     parse, obj = payload
     with pytest.raises(ParseError):
         parse(obj)
+
+
+def b64(*doubles):
+    """The binary array layout of the given doubles: base64 of little-endian float64."""
+    return base64.b64encode(np.array(doubles, "<f8").tobytes()).decode("ascii")
+
+
+def b64_bits(*words):
+    """The binary array layout of the given IEEE-754 bit patterns."""
+    return base64.b64encode(np.array(words, "<u8").tobytes()).decode("ascii")
+
+
+ONE_B64 = b64(1.0, 0.0)
+QNAN, NEG_QNAN, SNAN = 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001
+POS_INF, NEG_INF, ZERO = 0x7FF0000000000000, 0xFFF0000000000000, 0
+
+
+def matrix_b64(data, rows=1, cols=1):
+    return {"rows": rows, "cols": cols, "data": data}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        # characters outside the standard alphabet: url-safe, punctuation, non-ASCII
+        (linalg.matrix_from_json, matrix_b64(ONE_B64.replace("8", "-", 1))),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64.replace("8", "_", 1))),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64.replace("A", "!", 1))),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64.replace("A", "\u00e9", 1))),
+        (linalg.vector_from_json, {"dim": 1, "entries": ONE_B64.replace("8", "-", 1)}),
+        # embedded whitespace
+        (linalg.matrix_from_json, matrix_b64(ONE_B64[:8] + "\n" + ONE_B64[8:])),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64 + "\n")),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64[:8] + " " + ONE_B64[8:])),
+        (vector_frame_from_json, {"dim_h": 1, "vectors": [ONE_B64[:4] + "\r\n" + ONE_B64[4:]]}),
+        # bad padding: missing, short, in the middle
+        (linalg.matrix_from_json, matrix_b64(ONE_B64.rstrip("="))),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64[:-1])),
+        (linalg.matrix_from_json, matrix_b64(ONE_B64 + "AA==", cols=2)),
+        (coefficients_from_json, {"atoms": ["a"], "weights": [1], "segments": [ONE_B64[:-1]]}),
+        # 8 bytes: half a complex128
+        (linalg.matrix_from_json, matrix_b64(b64(1.0))),
+        (linalg.vector_from_json, {"dim": 1, "entries": b64(1.0)}),
+        (vector_frame_from_json, {"dim_h": 1, "vectors": [b64(1.0)]}),
+        (coefficients_from_json, {"atoms": ["a"], "weights": [1], "segments": [b64(1.0)]}),
+        # decoded length is not rows * cols, dim or dim_h
+        (linalg.matrix_from_json, matrix_b64(ONE_B64, rows=2)),
+        (linalg.matrix_from_json, matrix_b64(b64(1, 0, 0, 0), rows=1, cols=1)),
+        (linalg.matrix_from_json, matrix_b64("", rows=1, cols=1)),
+        (linalg.vector_from_json, {"dim": 2, "entries": ONE_B64}),
+        (linalg.vector_from_json, {"dim": 1, "entries": b64(1, 0, 0, 0)}),
+        (vector_frame_from_json, {"dim_h": 2, "vectors": [ONE_B64]}),
+        # NaN, +Inf and -Inf bit patterns, in either part
+        *((linalg.matrix_from_json, matrix_b64(b64_bits(word, ZERO)))
+          for word in (QNAN, NEG_QNAN, SNAN, POS_INF, NEG_INF)),
+        *((linalg.matrix_from_json, matrix_b64(b64_bits(ZERO, word)))
+          for word in (QNAN, POS_INF, NEG_INF)),
+        *((linalg.vector_from_json, {"dim": 1, "entries": b64_bits(word, ZERO)})
+          for word in (QNAN, POS_INF, NEG_INF)),
+        *((vector_frame_from_json, {"dim_h": 1, "vectors": [b64_bits(ZERO, word)]})
+          for word in (QNAN, POS_INF, NEG_INF)),
+        *((coefficients_from_json, {"atoms": ["a"], "weights": [1],
+                                    "segments": [b64_bits(word, ZERO)]})
+          for word in (QNAN, POS_INF, NEG_INF)),
+        # neither a string nor a list
+        (linalg.matrix_from_json, matrix_b64(None)),
+        (linalg.matrix_from_json, matrix_b64(5)),
+        (linalg.matrix_from_json, matrix_b64({"re": 1, "im": 0})),
+        (linalg.vector_from_json, {"dim": 1, "entries": True}),
+    ],
+)
+def test_binary_arrays_reject_malformed(payload):
+    """The base64 array layout is refused at intake, as a ParseError, unless it is
+    padded standard base64 of whole finite complex128 entries of the right count."""
+    parse, obj = payload
+    with pytest.raises(ParseError):
+        parse(obj)
+
+
+def test_binary_arrays_accept_the_largest_finite_doubles():
+    m = linalg.matrix_from_json(matrix_b64(b64(1.7e308, -1.7e308)))
+    assert m.tolist() == [[complex(1.7e308, -1.7e308)]]
+    assert linalg.vector_from_json({"dim": 1, "entries": b64(-1.7e308, 0.0)}).tolist() == [
+        complex(-1.7e308, 0.0)]
+
+
+def test_arrays_are_written_as_base64_of_little_endian_complex128():
+    assert linalg.matrix_to_json([[1 + 2j]])["data"] == "AAAAAAAA8D8AAAAAAAAAQA=="
+    big_endian = np.array([[1 + 2j]], dtype=">c16")
+    assert linalg.matrix_to_json(big_endian)["data"] == "AAAAAAAA8D8AAAAAAAAAQA=="
+    assert linalg.vector_to_json(big_endian[0])["entries"] == "AAAAAAAA8D8AAAAAAAAAQA=="
+    assert linalg.matrix_to_json(np.zeros((0, 3)))["data"] == ""
+
+
+def test_every_array_round_trips_bit_for_bit():
+    """-0.0, the smallest subnormal, +-1.7e308 and random entries come back with
+    every bit, through the JSON text, in each kind of array a data file holds."""
+    special = (-0.0, 5e-324, 1.7e308, -1.7e308, 0.0)
+    entries = np.array([complex(re, im) for re in special for im in special]
+                       + list(complex_box(rng_for(62), 5)))  # 30 entries
+    assert np.signbit(entries.real).any() and (entries.real == 5e-324).any()
+
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    def through_text(blob):
+        return json.loads(json.dumps(blob))
+
+    m = entries.reshape(5, 6)
+    back = linalg.matrix_from_json(through_text(linalg.matrix_to_json(m)))
+    assert np.array_equal(bits(back), bits(m))
+    back = linalg.vector_from_json(through_text(linalg.vector_to_json(entries)))
+    assert np.array_equal(bits(back), bits(entries))
+    f = VectorFrame(dim_h=6, vectors=m)
+    back = vector_frame_from_json(through_text(vector_frame_to_json(f)))
+    assert np.array_equal(bits(back.vectors), bits(m))
+    c = CoefficientField(AtomicMeasureSpace(["a", "b", "c"], [1.0, 2.0, 0.5]),
+                         [entries[:7], entries[7:7], entries[7:]])
+    back = coefficients_from_json(through_text(coefficients_to_json(c)))
+    assert [len(s) for s in back.segments] == [7, 0, 23]
+    assert np.array_equal(bits(np.concatenate(back.segments)), bits(entries))
 
 
 def boundary_hermitian(n, scale, ratio, seed):

@@ -5,7 +5,7 @@ files, runs one named pipeline over them, and writes a RunReport (plus
 any data artifacts) back to disk.  Exit status 0 means every check in
 the report passed, 1 means at least one failed, 2 means the run errored
 before producing a verdict (bad or wrong-kind file, wrong arity, negative
-seed, unknown --tol name or non-finite value, module error).
+generate --seed, unknown --tol name or non-finite value, module error).
 
 One table, _COMMANDS, lists the pipeline commands: each entry's handler,
 the kind of each --in file (so its arity) and its help text.  Dispatch,
@@ -61,11 +61,6 @@ DEFAULT_CHECK_TOLERANCES = {
 }
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # PCG64 takes non-negative seeds only
-        raise CommandError(f"--seed must be non-negative, got {seed}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One CLI invocation, resolved."""
@@ -73,7 +68,6 @@ class ExperimentConfig:
     command: str
     input_paths: tuple[str, ...]
     output_path: str
-    seed: int = 0
     tolerance_overrides: dict = field(default_factory=dict)
     rule: str = "trace"
     target_error: float = reconstruction.DEFAULT_TARGET_ERROR
@@ -91,7 +85,6 @@ class ExperimentConfig:
             )
         if self.rule not in _RULES:
             raise CommandError(f"unknown rule {self.rule!r}")
-        _check_seed(self.seed)
         unknown = sorted(set(self.tolerance_overrides) - set(DEFAULT_CHECK_TOLERANCES))
         if unknown:
             raise CommandError(f"unknown --tol name {', '.join(unknown)}; "
@@ -104,7 +97,6 @@ class RunReport:
 
     command: str
     inputs: list
-    seed: int
     tolerance_overrides: dict
     checks: list
     summary: dict
@@ -119,7 +111,6 @@ class RunReport:
         return {
             "command": self.command,
             "inputs": self.inputs,
-            "seed": self.seed,
             "tolerance_overrides": self.tolerance_overrides,
             "checks": self.checks,
             "passed": self.passed,
@@ -302,7 +293,7 @@ def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
 
 def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     m = cr.ovf_to_povm(ovf)
-    report = povm.validate(m, seed=cfg.seed)
+    report = povm.validate(m)
     b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized on this first read
     data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
@@ -319,7 +310,7 @@ def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
 
 
 def _cmd_validate_povm(cfg: ExperimentConfig, m: povm.Povm):
-    report = povm.validate(m, seed=cfg.seed)
+    report = povm.validate(m)
     framed = povm.is_framed(m)
     checks = [
         _check("hermitian", max(report.hermiticity_residuals), linalg.TOL_HERM),
@@ -335,7 +326,7 @@ def _cmd_validate_povm(cfg: ExperimentConfig, m: povm.Povm):
 
 def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
     rule = _measure_rule(cfg, m.dim_h)
-    d = cr.decompose(m, rule, seed=cfg.seed)
+    d = cr.decompose(m, rule)
     reintegration = _reintegration_check(cfg, m, d)
     data_path = _write_data(cfg, cr.decomposition_to_json(d))
     checks = [reintegration]
@@ -370,7 +361,7 @@ def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     b0 = frames.frame_bounds(ovf)
     m = cr.ovf_to_povm(ovf)
     rule = _measure_rule(cfg, m.dim_h)
-    d = cr.decompose(m, rule, seed=cfg.seed)  # validates m; InvalidPovm (exit 2) if it fails
+    d = cr.decompose(m, rule)  # validates m; InvalidPovm (exit 2) if it fails
     reintegration = _reintegration_check(cfg, m, d)
     ovf2 = cr.decomposition_to_ovf(d)
     b1 = frames.frame_bounds(ovf2)
@@ -445,7 +436,6 @@ def run(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(
         command=cfg.command,
         inputs=inputs,
-        seed=cfg.seed,
         tolerance_overrides=dict(cfg.tolerance_overrides),
         checks=checks,
         summary=summary,
@@ -465,7 +455,8 @@ def generate_random(kind: str, dim: int, atoms: int, seed: int, output_path: str
         raise CommandError(f"unknown kind {kind!r}")
     if dim < 1 or atoms < 1:
         raise CommandError("dim and atoms must be positive")
-    _check_seed(seed)
+    if seed < 0:  # PCG64 takes non-negative seeds only
+        raise CommandError(f"--seed must be non-negative, got {seed}")
     if dim > MAX_GENERATE_DIM:
         raise LimitExceeded(f"dim {dim} exceeds {MAX_GENERATE_DIM}")
     if atoms > MAX_GENERATE_ATOMS:
@@ -530,7 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="FILE", help=f"input file ({', '.join(command.inputs)})")
         p.add_argument("--out", dest="out", required=True, metavar="FILE",
                        help="run report JSON")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help=f"tolerance override, repeatable; NAME is one of "
                             f"{', '.join(DEFAULT_CHECK_TOLERANCES)}")
@@ -568,7 +558,6 @@ def main(argv=None) -> int:
             command=args.command,
             input_paths=tuple(args.inputs),
             output_path=args.out,
-            seed=args.seed,
             tolerance_overrides=_parse_tol(args.tol),
             data_path=args.data_path,
             # the options only some commands have; their defaults live in argparse

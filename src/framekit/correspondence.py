@@ -208,15 +208,15 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     return linalg._running_sum(scales[:, None] * probs).real
 
 
-def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE, seed: int = 0) -> Decomposition:
+def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition:
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
-    The POVM must pass ``validate`` (additivity samples drawn from ``seed``),
+    The POVM must pass ``validate`` (Hermiticity, positivity and additivity),
     then atoms of reference weight zero must carry a zero element (domination;
     they are dropped), then the densities must pass Decomposition's checks; any
     failure raises InvalidPovm, naming the first failing atom.
     """
-    report = validate(m, seed)
+    report = validate(m)
     if not report.passed:
         ok = [h and p for h, p in zip(report.hermitian, report.psd)]
         where = "" if all(ok) else f" at atom {m.atoms[ok.index(False)]!r}"
@@ -269,10 +269,8 @@ def cut_bound(d: Decomposition) -> float:
     """
     _, dropped = d._minimal_rows
     n = d.dim_h
-    u = np.finfo(np.float64).eps / 2.0
-    gamma = (n + 1) * u / (1.0 - (n + 1) * u)
     skew = linalg._norms(d.densities - linalg.hermitize(d.densities))
-    rounding = n * gamma * (linalg._norms(d.densities) + dropped)
+    rounding = n * linalg._gamma(n + 1) * (linalg._norms(d.densities) + dropped)
     return float(d.measure.weights @ (skew + dropped + rounding))
 
 
@@ -392,11 +390,9 @@ def reintegration_bound(m: Povm, d: Decomposition) -> float:
     UnknownAtom if the decomposition has an atom the POVM lacks.
     """
     products = _aligned_products(m, d)
-    k = len(m.atoms) + 2
-    u = np.finfo(np.float64).eps / 2.0
-    gamma = k * u / (1.0 - k * u)
     magnitudes = linalg._norms(m.elements).sum() + linalg._norms(products).sum()
-    return float(linalg._norms(m.elements - products).sum() + gamma * magnitudes)
+    return float(linalg._norms(m.elements - products).sum()
+                 + linalg._gamma(len(m.atoms) + 2) * magnitudes)
 
 
 def reintegration_residuals(

@@ -531,6 +531,14 @@ def _scaled_tolerance(rel, norm):
     return rel * (1.0 + norm)
 
 
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2 the unit roundoff: the
+    relative error bound of k roundings (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1)."""
+    u = np.finfo(np.float64).eps / 2.0
+    return float(k * u / (1.0 - k * u))
+
+
 def _psd_tolerance(a: np.ndarray):
     """How far below zero an eigenvalue or probability of a PSD A (of each in a stack) may round."""
     return _scaled_tolerance(TOL_PSD_REL, _norms(a))
@@ -678,21 +686,6 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     it pairs terms up; the float64 view (re, im side by side) never has that."""
     parts = np.ascontiguousarray(a).view(np.float64)
     return np.add.reduce(parts, axis=0, initial=0.0).view(a.dtype)
-
-
-def _masked_running_sums(a: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """``_running_sum(a[mask])`` for every row of the boolean ``masks`` (K, N) over
-    a complex stack ``a`` (N, ...), bit for bit: one reduction over the stack's
-    first axis with ``where=mask``, which leaves a sum untouched at a masked-out
-    entry and adds the others in order, as ``_running_sum`` does.  The masks go
-    N at a time, so no result slice is larger than the stack."""
-    parts = np.ascontiguousarray(a).view(np.float64)
-    where = masks.reshape(masks.shape + (1,) * (parts.ndim - 1))
-    step = max(1, len(parts))
-    sums = [np.add.reduce(np.broadcast_to(parts, (len(w),) + parts.shape), axis=1, where=w,
-                          initial=0.0)
-            for w in (where[lo:lo + step] for lo in range(0, len(where), step))]
-    return np.concatenate(sums).view(a.dtype)
 
 
 # --- JSON encoding -----------------------------------------------------------

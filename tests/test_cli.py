@@ -194,24 +194,6 @@ def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monke
     assert bounds == pytest.approx((1.0, 2.0), rel=1e-15)
 
 
-def test_decompose_and_roundtrip_validate_with_the_given_seed(pair_path, tmp_path, monkeypatch):
-    assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
-    povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
-    seeds = []
-    original = povm._additivity  # the sampler of validate, which decompose calls
-
-    def recording(m, seed):
-        seeds.append(seed)
-        return original(m, seed)
-
-    monkeypatch.setattr(povm, "_additivity", recording)
-    assert main(["decompose", "--in", povm_path, "--seed", "7",
-                 "--out", str(tmp_path / "d.json")]) == 0
-    assert main(["roundtrip", "--in", pair_path, "--seed", "9",
-                 "--out", str(tmp_path / "r.json")]) == 0
-    assert seeds == [7, 9]
-
-
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
@@ -276,8 +258,8 @@ def test_analyze_fails_on_coefficients_that_are_not_the_analysis(pair_path, tmp_
 
 def test_reports_are_deterministic_apart_from_timing(pair_path, tmp_path):
     o1, o2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    main(["roundtrip", "--in", pair_path, "--out", str(o1), "--seed", "5"])
-    main(["roundtrip", "--in", pair_path, "--out", str(o2), "--seed", "5"])
+    main(["roundtrip", "--in", pair_path, "--out", str(o1)])
+    main(["roundtrip", "--in", pair_path, "--out", str(o2)])
     r1, r2 = read_report(o1), read_report(o2)
     for r in (r1, r2):
         del r["elapsed_ns"]
@@ -406,8 +388,6 @@ def test_config_enforces_arity_and_rule():
     with pytest.raises(CommandError, match="bounds_rel, equivalence, decomp"):
         ExperimentConfig(command="roundtrip", input_paths=("a",), output_path="o",
                          tolerance_overrides={"equivalnce": -1.0})
-    with pytest.raises(CommandError, match="non-negative"):
-        ExperimentConfig(command="decompose", input_paths=("a",), output_path="o", seed=-1)
 
 
 def test_unknown_tol_name_exits_two(pair_path, tmp_path, capsys):
@@ -446,7 +426,7 @@ def test_main_reuses_the_parser_built_at_import(pair_path, tmp_path, monkeypatch
                  "--out", str(tmp_path / "f.json")]) == 0
 
 
-_COMMON_OPTIONS = {"-h", "--help", "--in", "--out", "--seed", "--tol", "--data-out"}
+_COMMON_OPTIONS = {"-h", "--help", "--in", "--out", "--tol", "--data-out"}
 _OPTION_STRINGS = {
     "bounds": _COMMON_OPTIONS,
     "analyze": _COMMON_OPTIONS,
@@ -506,9 +486,11 @@ def test_undecodable_or_too_deep_input_exits_two(tmp_path, capsys):
 def test_negative_seed_exits_two(tmp_path, capsys):
     povm_path = str(tmp_path / "m.json")
     generate_random("povm", 2, 3, 0, povm_path)
-    assert main(["decompose", "--in", povm_path, "--seed", "-1",
-                 "--out", str(tmp_path / "d.json")]) == 2
-    assert "CommandError" in capsys.readouterr().err
+    # only generate takes a seed; a pipeline command refuses the option itself
+    with pytest.raises(SystemExit) as usage:
+        main(["decompose", "--in", povm_path, "--seed", "1", "--out", str(tmp_path / "d.json")])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
     assert main(["generate", "--kind", "povm", "--dim", "2", "--atoms", "3", "--seed", "-1",
                  "--out", str(tmp_path / "g.json")]) == 2
     assert "CommandError" in capsys.readouterr().err

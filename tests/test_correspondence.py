@@ -488,6 +488,29 @@ def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
     assert d.measure.weights @ misses <= cut_bound(d)
 
 
+def test_gamma_gives_the_bounds_of_the_inline_formulas_bit_for_bit():
+    """cut_bound and reintegration_bound through linalg._gamma against the inline
+    u = eps / 2; gamma = k u / (1 - k u) they used, over random decompositions."""
+    u = np.finfo(np.float64).eps / 2.0
+    for seed in range(12):
+        m = random_povm(dim=1 + seed % 6, atoms=2 + 3 * seed, seed=seed)
+        rule = TRACE_RULE if seed % 2 else ReferenceMeasureRule(
+            kind="dyadic-sequence", sequence=np.eye(m.dim_h, dtype=complex))
+        d = decompose(m, rule)
+        n, k = d.dim_h, len(m.atoms) + 2
+        gamma_cut = (n + 1) * u / (1.0 - (n + 1) * u)
+        gamma_reint = k * u / (1.0 - k * u)
+        assert linalg._gamma(n + 1) == gamma_cut and linalg._gamma(k) == gamma_reint
+        dropped = d._minimal_rows[1]
+        skew = linalg._norms(d.densities - linalg.hermitize(d.densities))
+        rounding = n * gamma_cut * (linalg._norms(d.densities) + dropped)
+        assert cut_bound(d) == float(d.measure.weights @ (skew + dropped + rounding))
+        products = _aligned_products(m, d)
+        magnitudes = linalg._norms(m.elements).sum() + linalg._norms(products).sum()
+        inline = float(linalg._norms(m.elements - products).sum() + gamma_reint * magnitudes)
+        assert reintegration_bound(m, d) == inline
+
+
 def test_recovered_frame_diagonalizes_only_its_frame_operator(monkeypatch):
     d = decompose(random_povm(dim=4, atoms=6, seed=3))
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "psd_sqrt", "_one_sided_jacobi")

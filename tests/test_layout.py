@@ -65,6 +65,7 @@ def test_event_sums_match_per_atom_loops_bit_for_bit(dim, atoms):
     assert len(d.measure) == atoms - 1
     for event in [(), m.atoms] + sample_events(m.atoms, 100, seed=1):
         assert same_bits(m.evaluate(event), loop_evaluate(m, event))
+    assert same_bits(m.total(), loop_evaluate(m, m.atoms))
     for event in [(), d.measure.atoms] + sample_events(d.measure.atoms, 100, seed=2):
         assert same_bits(d.reintegrate(event), loop_reintegrate(d, event))
     assert same_bits(d.reintegrate(), loop_reintegrate(d, d.measure.atoms))

@@ -751,21 +751,6 @@ def test_loaders_take_integer_and_float_weights():
     assert linalg.vector_from_json({"dim": 1, "entries": [[1, 0]]}).tolist() == [1 + 0j]
 
 
-@pytest.mark.parametrize("count,dim", [(1, 1), (1, 3), (7, 2), (33, 4)])
-def test_masked_running_sums_match_each_running_sum_bit_for_bit(count, dim):
-    rng = rng_for(count + dim)
-    stack = complex_box(rng, (count, dim, dim)) * 10.0 ** rng.integers(-8, 8, (count, 1, 1))
-    masks = rng.integers(0, 2, size=(3 * count + 2, count)).astype(bool)
-    masks[0] = False  # the empty event: exact zeros
-    masks[1] = True
-    sums = linalg._masked_running_sums(stack, masks)  # 3N + 2 masks: more than one slice
-    assert sums.shape == (len(masks), dim, dim) and sums.dtype == np.complex128
-    for mask, total in zip(masks, sums):
-        assert np.array_equal(total, linalg._running_sum(stack[mask]))
-        assert np.array_equal(np.signbit(total.view(np.float64)),
-                              np.signbit(linalg._running_sum(stack[mask]).view(np.float64)))
-
-
 def gram_case(rows, dim, seed):
     return complex_box(rng_for(seed), (rows, dim))
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +19,17 @@ from framekit import (
     validate,
 )
 from framekit import linalg
-from framekit.povm import _additivity, evaluate, povm_from_json, povm_to_json
+from framekit.povm import _additivity_bound, _sampled_residuals, povm_from_json, povm_to_json
 
-from conftest import count_calls, random_povm, random_unit
+from conftest import (
+    complex_box,
+    count_calls,
+    random_hermitian,
+    random_povm,
+    random_psd,
+    random_unit,
+    rng_for,
+)
 from test_linalg import boundary_hermitian
 
 D10 = np.diag([1.0, 0.0]).astype(complex)
@@ -64,7 +74,7 @@ def test_evaluate_sums_member_atoms():
     assert np.array_equal(m.evaluate(["up", "down"]), np.eye(2))
     # duplicates in the event collapse to set membership
     assert np.array_equal(m.evaluate(["up", "up"]), D10)
-    assert np.array_equal(evaluate(m, ["down"]), D01)
+    assert np.array_equal(m.evaluate(["down"]), D01)
     with pytest.raises(UnknownAtom):
         m.evaluate(["nope"])
 
@@ -77,7 +87,9 @@ def test_validate_passes_clean_povms():
     report = validate(projective_qubit())
     assert report.passed
     assert report.failures == ()
-    assert report.max_additivity_residual == 0.0
+    # the bound over every pair: 2 gamma_{N+2} sum_t ||M({t})||_F, two unit-norm elements
+    u = np.finfo(np.float64).eps / 2.0
+    assert report.max_additivity_residual == 2.0 * (4 * u / (1.0 - 4 * u)) * 2.0
     for seed in range(5):
         assert validate(random_povm(dim=3, atoms=6, seed=seed)).passed
 
@@ -137,10 +149,12 @@ def test_validate_min_eigenvalues_match_lone_calls_bit_for_bit():
 
 
 def test_validate_is_deterministic_per_seed():
+    """The bound draws nothing, and the sampled pairs come from one fixed stream."""
     m = random_povm(dim=3, atoms=5, seed=4)
-    r1, r2 = validate(m, seed=12), validate(m, seed=12)
-    assert r1.additivity_residuals == r2.additivity_residuals
-    assert r1.to_json() == r2.to_json()
+    for case in (m, BrokenAdditivity(atoms=m.atoms, dim_h=3, elements=m.elements)):
+        r1, r2 = validate(case), validate(case)
+        assert r1.max_additivity_residual == r2.max_additivity_residual
+        assert r1.to_json() == r2.to_json()
 
 
 @pytest.mark.parametrize("n", [2, 16, 128])
@@ -171,8 +185,9 @@ def corrupted(not_hermitian=(), not_psd=(), additive=True):
     return (Povm if additive else BrokenAdditivity)(atoms=m.atoms, dim_h=3, elements=elements)
 
 
-def loop_failures(m, seed=0):
-    """The per-atom classification loop with eigenvalue verdicts from lone calls."""
+def loop_failures(m):
+    """The per-atom classification loop with eigenvalue verdicts from lone calls,
+    and additivity from the per-pair loop."""
     failures = []
     for e in m.elements:
         hermitian = linalg.hermitian_residual(e) <= linalg.TOL_HERM
@@ -181,8 +196,8 @@ def loop_failures(m, seed=0):
             failures.append("NotHermitian")
         if not lam >= -linalg._psd_tolerance(e) and "NotPsd" not in failures:
             failures.append("NotPsd")
-    residuals, tolerance = _additivity(m, seed)
-    if max(residuals) > tolerance:
+    tolerance = linalg.TOL_ADDITIVITY_REL * (1.0 + linalg.frobenius(m.total()))
+    if max(loop_additivity(m, 0)) > tolerance:
         failures.append("NotAdditive")
     return tuple(failures)
 
@@ -254,9 +269,9 @@ def test_json_round_trip_is_exact():
 
 
 def test_validation_report_json_shape():
-    blob = validate(projective_qubit(), seed=3).to_json()
+    blob = validate(projective_qubit()).to_json()
     assert blob["passed"] is True
-    assert blob["seed"] == 3
+    assert "seed" not in blob
     assert {e["atom"] for e in blob["elements"]} == {"up", "down"}
 
 
@@ -274,13 +289,11 @@ def loop_additivity(m, seed):
 
 @pytest.mark.parametrize("dim,atoms", [(2, 1), (3, 7), (2, 33), (1, 64)])
 def test_additivity_draws_the_per_pair_stream_bit_for_bit(dim, atoms):
-    from framekit.povm import _additivity
-
     m = random_povm(dim=dim, atoms=atoms, seed=atoms)
-    for seed in (0, 7, 101):
-        residuals, _ = _additivity(m, seed)
-        assert residuals == loop_additivity(m, seed)
-        assert validate(m, seed=seed).additivity_residuals == tuple(residuals)
+    broken = BrokenAdditivity(atoms=m.atoms, dim_h=dim, elements=m.elements)
+    for case in (m, broken):
+        assert _sampled_residuals(case) == loop_additivity(case, 0)
+    assert validate(broken).max_additivity_residual == max(loop_additivity(broken, 0))
 
 
 def test_construction_refuses_elements_whose_norm_squares_to_inf():
@@ -291,3 +304,130 @@ def test_construction_refuses_elements_whose_norm_squares_to_inf():
     with pytest.raises(LimitExceeded):
         Povm(atoms=["a", "b"], dim_h=1, elements=[[[1e154]], [[1e154]]])
     Povm(atoms=["a", "b"], dim_h=1, elements=[[[1e150]], [[1.0]]])
+
+
+U = np.finfo(np.float64).eps / 2.0
+
+
+def gamma(k):
+    return k * U / (1.0 - k * U)
+
+
+def povm_of(elements):
+    elements = np.asarray(elements, dtype=complex)
+    return Povm(atoms=[str(t) for t in range(len(elements))], dim_h=elements.shape[-1],
+                elements=elements)
+
+
+def cancelling(scale, atoms=6, dim=3):
+    """Hermitian elements of alternating sign and size ``scale`` whose sum is the
+    identity: not PSD, and sum_t ||M({t})||_F far above ||M(Omega)||_F."""
+    h = [(-1) ** t * scale * random_hermitian(dim, seed=40 + t) for t in range(atoms - 1)]
+    return povm_of(h + [np.eye(dim) - sum(h)])
+
+
+def rank_one(dim, atoms, seed):
+    v = complex_box(rng_for(seed), (atoms, dim))
+    return povm_of(v[:, :, None] * np.conj(v[:, None, :]))
+
+
+# n = 1 rounding adversaries.  "residual": E = {0, 2, .., 6} sums on the grid of
+# [1, 2), where each 1.5u rounds up by u/2; E u F passes 2 after atom 1, where
+# each 1.5u rounds down by 1.5u: a residual of 8u against a bound of 36u.
+# "lost-ties": each u after the 1 is a tie that rounds to even, so lost, and an
+# event's sum errs by u for each of its u's after the 1: the three sums of
+# E = Omega, F = {} err by 12u in all against a bound of 18u.
+ADVERSARIES = {
+    "residual": [[[1.0]], [[1.0]]] + [[[1.5 * U]]] * 5,
+    "lost-ties": [[[1.0]]] + [[[U]]] * 6,
+}
+
+ADDITIVITY_CASES = {
+    "one-atom": lambda: povm_of([random_psd(3, seed=1)]),
+    "one-zero-atom": lambda: povm_of(np.zeros((1, 2, 2))),
+    "all-zero": lambda: povm_of(np.zeros((4, 3, 3))),
+    "some-zero": lambda: povm_of([random_psd(2, seed=t) * (t % 2) for t in range(6)]),
+    "mixed-magnitudes": lambda: povm_of(
+        [random_psd(3, seed=t) * 10.0 ** e for t, e in enumerate((-8, 8, -4, 0, 4, 8, -8))]),
+    "rank-one-n16": lambda: rank_one(16, 7, seed=3),
+    "cancelling": lambda: cancelling(1e4, atoms=7, dim=4),
+    "adversary-residual": lambda: povm_of(ADVERSARIES["residual"]),
+    "adversary-lost-ties": lambda: povm_of(ADVERSARIES["lost-ties"]),
+}
+
+
+def sum_errors(m):
+    """||M(X) - exact M(X)||_F of every event X, keyed by its membership mask: the
+    computed sum against the sum in rational arithmetic."""
+    parts = [[Fraction(x) for x in e.view(np.float64).ravel()] for e in m.elements]
+    errors = {}
+    for mask in itertools.product((False, True), repeat=len(m.atoms)):
+        members = [p for p, keep in zip(parts, mask) if keep]
+        exact = [sum(column, Fraction(0)) for column in zip(*members)] or itertools.repeat(0)
+        computed = m.evaluate([a for a, keep in zip(m.atoms, mask) if keep])
+        errors[mask] = float(np.sqrt(sum(float(Fraction(c) - x) ** 2 for c, x
+                                         in zip(computed.view(np.float64).ravel(), exact))))
+    return errors
+
+
+@pytest.mark.parametrize("name", ADDITIVITY_CASES)
+def test_additivity_bound_holds_on_every_disjoint_pair(name):
+    """All 3^N pairs (E, F) through Povm.evaluate, N <= 7.  Each residual, and the
+    errors of its three sums against exact sums added up, are within
+    2 gamma_{N+2} sum_t ||M({t})||_F; validate reports that bound whenever it
+    certifies the tolerance."""
+    m = ADDITIVITY_CASES[name]()
+    bound = _additivity_bound(m)
+    norms = sum(linalg.frobenius(e) for e in m.elements)
+    assert bound == pytest.approx(2.0 * gamma(len(m.atoms) + 2) * norms, rel=1e-14, abs=0.0)
+    errors = sum_errors(m)
+    worst = worst_errors = 0.0
+    for sides in itertools.product(range(3), repeat=len(m.atoms)):
+        e = [a for a, s in zip(m.atoms, sides) if s == 0]
+        f = [a for a, s in zip(m.atoms, sides) if s == 1]
+        residual = linalg.frobenius(m.evaluate(e) + m.evaluate(f) - m.evaluate(e + f))
+        masks = (tuple(s == 0 for s in sides), tuple(s == 1 for s in sides),
+                 tuple(s < 2 for s in sides))  # E, F, E u F
+        three = sum(errors[mask] for mask in masks)
+        assert residual <= bound and three <= bound, (sides, residual, three, bound)
+        worst, worst_errors = max(worst, residual), max(worst_errors, three)
+    if name == "adversary-residual":
+        assert worst == 8 * U and worst >= 0.2 * bound
+    if name == "adversary-lost-ties":
+        assert worst_errors == 12 * U and worst_errors >= 0.6 * bound
+    report = validate(m)
+    if bound <= report.additivity_tolerance:
+        assert report.max_additivity_residual == bound
+    else:
+        assert report.max_additivity_residual == max(loop_additivity(m, 0))
+
+
+# Where validate measures sampled pairs: plain Povms whose bound exceeds the
+# tolerance, and a subclass that evaluates events its own way.
+FALLBACKS = {
+    "cancelling": (lambda: cancelling(1e2), ("NotPsd",)),
+    "cancelling-past-the-tolerance": (lambda: cancelling(1e5), ("NotPsd", "NotAdditive")),
+    "broken-union": (lambda: corrupted(additive=False), ("NotAdditive",)),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACKS)
+def test_validate_measures_sampled_pairs_where_the_bound_cannot_certify(name, monkeypatch):
+    build, failures = FALLBACKS[name]
+    m = build()
+    calls = count_calls(monkeypatch, Povm, "evaluate")
+    report = validate(m)
+    assert calls == {"evaluate": 3 * 50}  # E, F and E u F of each sampled pair
+    if type(m) is Povm:
+        assert _additivity_bound(m) > report.additivity_tolerance
+    assert report.max_additivity_residual == max(loop_additivity(m, 0))
+    assert report.failures == loop_failures(m) == failures
+
+
+def test_validate_of_a_povm_sums_no_event_and_draws_nothing(monkeypatch):
+    m = random_povm(dim=8, atoms=48, seed=101)
+    calls = count_calls(monkeypatch, Povm, "evaluate")
+    draws = count_calls(monkeypatch, np.random, "PCG64")
+    report = validate(m)
+    assert report.passed and report.max_additivity_residual == _additivity_bound(m)
+    assert calls == {"evaluate": 0} and draws == {"PCG64": 0}

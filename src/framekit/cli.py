@@ -358,13 +358,13 @@ def _cmd_verify_uniqueness(cfg: ExperimentConfig, d1: cr.Decomposition, d2: cr.D
 
 
 def _cmd_roundtrip(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
-    b0 = frames.frame_bounds(ovf)
     m = cr.ovf_to_povm(ovf)
     rule = _measure_rule(cfg, m.dim_h)
     d = cr.decompose(m, rule)  # validates m; InvalidPovm (exit 2) if it fails
     reintegration = _reintegration_check(cfg, m, d)
     ovf2 = cr.decomposition_to_ovf(d)
-    b1 = frames.frame_bounds(ovf2)
+    frames._diagonalize(ovf, ovf2)  # both frames' S in one Jacobi call
+    b0, b1 = frames.frame_bounds(ovf), frames.frame_bounds(ovf2)
     equiv = cr.verify_ovf_equivalence(ovf, ovf2)
 
     s0 = frames.frame_operator(ovf)

@@ -149,10 +149,10 @@ class OperatorValuedFrame:
     1 / TOL_FRAME_REL by linalg._CERTIFICATE_MARGIN the family is a frame and nothing
     is diagonalized.  Otherwise (a singular R and a non-finite R^-1 included)
     the eigenvalues decide at once, and NotAFrame is raised unless they pass.
-    The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached
-    properties: one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``)
-    runs on their first read and never again.  They never form G* G, so A keeps
-    its relative accuracy when cond(S) is large.
+    The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached:
+    one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``) runs on their
+    first read and never again, for several frames at once in ``_diagonalize``.
+    They never form G* G, so A keeps its relative accuracy when cond(S) is large.
     """
 
     space: AtomicMeasureSpace
@@ -203,10 +203,10 @@ class OperatorValuedFrame:
         s.flags.writeable = False
         return s
 
-    @cached_property
+    @property
     def _eigen(self) -> linalg.EigenDecomposition:
-        """Eigenpairs of S, from one-sided Jacobi on the kept R on first read."""
-        return linalg._one_sided_jacobi(self._factor, self._factor_exponent)
+        """Eigenpairs of S, from one-sided Jacobi on the kept R on first read (``_diagonalize``)."""
+        return _diagonalize(self)[0]
 
     @cached_property
     def _bounds(self) -> FrameBounds:
@@ -261,6 +261,20 @@ class CoefficientField:
         """sum_t mu({t}) ||c_t||^2."""
         row_weights = np.repeat(self.space.weights, np.diff(self._offsets))
         return float(row_weights @ (np.abs(self._values) ** 2))
+
+
+def _diagonalize(*ovfs: OperatorValuedFrame) -> tuple[linalg.EigenDecomposition, ...]:
+    """The eigenpairs of each frame's S, cached on the frame (``_eigen``): the
+    frames of one dim_h with none cached yet take them from one
+    ``linalg._one_sided_jacobi`` call on the stack of their kept factors, which
+    gives each frame the bits of a lone call."""
+    todo = [f for f in ovfs if "_eigen" not in vars(f)]
+    if todo:
+        eig = linalg._one_sided_jacobi(np.array([f._factor for f in todo]),
+                                       np.array([f._factor_exponent for f in todo]))
+        for f, vals, vecs in zip(todo, eig.eigenvalues, eig.eigenvectors):
+            vars(f)["_eigen"] = linalg.EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return tuple(vars(f)["_eigen"] for f in ovfs)
 
 
 def _positive_definite(lo: float, hi: float) -> bool:

@@ -29,8 +29,9 @@ factors T* T = Q of PSD densities come from a stacked pivoted Cholesky
 inverse: a frame inverts its triangular R (``_triangular_inverse``), which
 both certifies the frame without eigenvalues and solves S x = b as the
 least-squares problem on G (see ``reconstruction.reconstruct_direct``).
-All functions are pure; no hidden state.  The tolerance table (TOL_HERM
-to PIVOT_FLOOR_N) holds every tolerance the package tests against.
+All functions are pure; the one state kept is ``_pair_gathers``'s read-only
+schedule per size n.  The tolerance table (TOL_HERM to PIVOT_FLOOR_N) holds
+every tolerance the package tests against.
 
 Inner products follow the convention of being conjugate-linear in the
 second argument: ``inner(x, y) == sum(x * conj(y))``.
@@ -39,6 +40,7 @@ second argument: ``inner(x, y) == sum(x * conj(y))``.
 from __future__ import annotations
 
 import base64
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,8 +383,11 @@ def _triangular_inverse(r: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _pair_gathers(n: int) -> list[np.ndarray]:
-    """Row gathers that put the pairs of each round-robin step side by side.
+@functools.lru_cache(maxsize=64)
+def _pair_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Row gathers that put the pairs of each round-robin step side by side,
+    built once per n and kept read-only (for the 64 sizes last used, so a
+    process that meets many sizes holds a bounded amount).
 
     Before step k the rows sit in the order p_0, q_0, p_1, q_1, ... of step
     k - 1 (the idle row of odd n last), and gather k moves them into that
@@ -397,7 +402,9 @@ def _pair_gathers(n: int) -> list[np.ndarray]:
         order[0:2 * h:2], order[1:2 * h:2] = p, q
         order[2 * h:] = n * (n - 1) // 2 - p.sum() - q.sum()  # the idle row of odd n
     places = np.argsort(orders, axis=1)  # places[k][label]: the label's row in step k
-    return list(np.take_along_axis(np.roll(places, 1, axis=0), orders, axis=1))
+    gathers = np.take_along_axis(np.roll(places, 1, axis=0), orders, axis=1)
+    gathers.flags.writeable = False
+    return tuple(gathers)
 
 
 def _one_sided_sweep(z: np.ndarray, gathers, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,36 +422,43 @@ def _one_sided_sweep(z: np.ndarray, gathers, floor: np.ndarray) -> tuple[np.ndar
     (phase 1, c = 1, s = 0), which keeps their values.  A matrix with no live
     pair in a step is left alone, since the identity would turn its -0.0
     entries into +0.0, so its rows get the same bits whatever else is in the
-    stack.
+    stack.  The rotations of a step are written into one array that every step
+    of the sweep reuses.
     """
     count, n = z.shape[0], z.shape[-1]
+    h = n // 2
     rotated = np.zeros(count, dtype=bool)
+    rot = np.empty((count, h, 2, 2))
+    floor = floor[:, None]
     for gather in gathers:
         z = z[:, gather]
-        h = len(gather) // 2
         pairs = z[:, :2 * h].reshape(count, h, 2, n)
         zp, zq = pairs[:, :, 0], pairs[:, :, 1]
         sq = np.vecdot(pairs, pairs).real
         norms = np.sqrt(sq)
         apq = np.vecdot(zp, zq)
         absa = np.abs(apq)
-        live = ((absa > JACOBI_ORTHOGONALITY_TOL * (norms[..., 0] * norms[..., 1]))
-                & (norms.min(axis=-1) > floor[:, None]))
+        n0, n1 = norms[..., 0], norms[..., 1]
+        live = (absa > JACOBI_ORTHOGONALITY_TOL * (n0 * n1)) & (np.minimum(n0, n1) > floor)
         hit = live.any(axis=1)
-        if not hit.any():
+        hits = np.count_nonzero(hit)
+        if not hits:
             continue
         rotated |= hit
         absa = np.where(live, absa, np.inf)  # tau = 0 and phase 0 off the live pairs
         tau = (sq[..., 1] - sq[..., 0]) / (2.0 * absa)
         t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
-        c = 1.0 / np.hypot(1.0, t)
-        s = t * c
-        np.multiply(zp, np.where(live, apq / absa, 1.0)[..., None], out=zp, where=hit[:, None, None])
+        c = np.divide(1.0, np.hypot(1.0, t), out=rot[..., 0, 0])
+        s = np.multiply(t, c, out=rot[..., 1, 0])
+        np.negative(s, out=rot[..., 0, 1])
+        rot[..., 1, 1] = c
+        phase = np.where(live, apq / absa, 1.0)[..., None]
         f = pairs.view(np.float64)
-        rot = np.stack((c, -s, s, c), axis=-1).reshape(count, h, 2, 2)
-        if hit.all():
+        if hits == count:
+            zp *= phase
             f[...] = rot @ f
         else:
+            np.multiply(zp, phase, out=zp, where=hit[:, None, None])
             f[hit] = rot[hit] @ f[hit]
     return z, rotated
 
@@ -473,13 +487,14 @@ def _orthogonalize_rows(z: np.ndarray, first: int, total: int) -> np.ndarray:
                         f" on matrix {first + int(active[0])} of {total}")
 
 
-def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
+def _one_sided_jacobi(r: np.ndarray, e) -> EigenDecomposition:
     """Eigendecomposition of G* G from the scaled factor (R / 2^e, e) of
-    ``_scaled_r``, without forming G* G.
+    ``_scaled_r``, without forming G* G; or of each G_k* G_k from a stack of
+    such factors (N, n, n) with their exponents (N,).
 
-    One-sided (Hestenes) Jacobi (``_orthogonalize_rows`` on a stack of one)
-    orthogonalizes the columns y_j of Y = R*, held as the rows of conj(R),
-    until a whole sweep rotates no pair: every pair then has
+    One-sided (Hestenes) Jacobi (``_orthogonalize_rows``, a lone factor as a
+    stack of one) orthogonalizes the columns y_j of Y = R*, held as the rows of
+    conj(R), until a whole sweep rotates no pair: every pair then has
     |y_p* y_q| <= tol ||y_p|| ||y_q||, tol = JACOBI_ORTHOGONALITY_TOL, unless
     one of the two has norm at most tol ||R||_F.  Such a y_j is zero to working
     precision (the QR's own rounding is larger) and is never rotated: pairing
@@ -493,17 +508,25 @@ def _one_sided_jacobi(r: np.ndarray, e: int) -> EigenDecomposition:
     (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).
 
     Eigenvalues come back ascending, eigenvector columns in lockstep (ties in
-    Jacobi order), both read-only.  G of rank below n leaves y_j that are zero
-    or at most tol ||G||_F, so lambda_j at most tol^2 ||G||_F^2; a zero y_j
-    gives a zero column of U, left unnormalized.  NoConvergence if a sweep
-    still rotates after JACOBI_MAX_SWEEPS sweeps.
+    Jacobi order), both read-only; a stack gives eigenvalues (N, n) and
+    eigenvectors (N, n, n), each factor's bit-identical to a lone call on it.
+    G of rank below n leaves y_j that are zero or at most tol ||G||_F, so
+    lambda_j at most tol^2 ||G||_F^2; a zero y_j gives a zero column of U, left
+    unnormalized.  NoConvergence if a sweep still rotates after
+    JACOBI_MAX_SWEEPS sweeps.
     """
-    z = _orthogonalize_rows(np.conj(r)[None], 0, 1)[0]
+    lone = r.ndim == 2
+    z = np.conj(r[None] if lone else r)
+    z = _orthogonalize_rows(z, 0, len(z))
     lam = np.vecdot(z, z).real
-    order = np.argsort(lam, kind="stable")
-    lam, sigma = lam[order], np.sqrt(lam[order])
-    vals = np.ldexp(lam, 2 * e)
-    vecs = np.ascontiguousarray((z[order] / np.where(sigma > 0.0, sigma, 1.0)[:, None]).T)
+    order = np.argsort(lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    sigma = np.sqrt(lam)
+    vals = np.ldexp(lam, 2 * np.asarray(e)[..., None])
+    u = np.take_along_axis(z, order[..., None], axis=1) / np.where(sigma > 0.0, sigma, 1.0)[..., None]
+    vecs = np.ascontiguousarray(np.swapaxes(u, 1, 2))
+    if lone:
+        vals, vecs = vals[0], vecs[0]
     for arr in (vals, vecs):
         arr.flags.writeable = False
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)

@@ -197,9 +197,9 @@ def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monke
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
-    # no density (the minimal blocks are pivoted Cholesky rows); each frame's S,
-    # loaded and recovered, from its kept R for its bounds
-    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 2}
+    # no density (the minimal blocks are pivoted Cholesky rows); both frames' S,
+    # loaded and recovered, from their kept R in one call on a stack of two
+    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 1}
 
 
 def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(

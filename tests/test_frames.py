@@ -163,6 +163,30 @@ def test_a_certified_frame_diagonalizes_once_on_the_first_read_of_its_bounds(mon
     assert calls == {"_one_sided_jacobi": 1, "hermitian_eigen": 0}
 
 
+def test_frames_diagonalized_together_get_the_bits_of_lone_calls(monkeypatch):
+    """_diagonalize takes every frame with no eigenpairs yet through one stacked
+    Jacobi call, each with its own exponent, and skips the frames that have them."""
+    def build():  # S of very different scales, so the exponents differ
+        return [random_ovf(dim=5, atoms=4 + k, seed=30 + k, weights=np.full(4 + k, 10.0 ** (6 * k)))
+                for k in range(3)]
+
+    lone = [f._eigen for f in build()]
+    together = build()
+    assert len({f._factor_exponent for f in together}) == 3
+    cached = together[1]._eigen
+    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi")
+    eigs = frames._diagonalize(*together)
+    assert calls == {"_one_sided_jacobi": 1}
+    assert eigs[1] is cached and frames._diagonalize(*together) == eigs
+    assert calls == {"_one_sided_jacobi": 1}
+    for f, eig, alone in zip(together, eigs, lone):
+        assert f._eigen is eig
+        assert eig.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert eig.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
+        assert not eig.eigenvalues.flags.writeable and not eig.eigenvectors.flags.writeable
+    assert frames._diagonalize() == ()
+
+
 def _rotated_rows(rng, rows, d):
     """rows x len(d) rows Q diag(d) U* between random unitaries: singular values d,
     so cond(S) = (max d / min d)^2."""

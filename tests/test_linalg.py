@@ -5,6 +5,7 @@ library itself never calls it.
 """
 
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -195,6 +196,108 @@ def test_round_robin_schedule_meets_every_pair_once(n):
         assert len(set(step)) == len(step)  # the pairs of a step are disjoint
         met += list(zip(p.tolist(), q.tolist()))
     assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+def test_pair_gathers_are_built_once_per_size_and_read_only():
+    for n in (1, 2, 3, 8, 17):
+        gathers = linalg._pair_gathers(n)
+        assert linalg._pair_gathers(n) is gathers
+        assert isinstance(gathers, tuple) and len(gathers) == len(linalg._round_robin_schedule(n))
+        for gather in gathers:
+            assert not gather.flags.writeable
+            with pytest.raises(ValueError):
+                gather[0] = 0
+
+
+def householder(n, seed):
+    """I - 2 v v* / (v* v): eigenvalues -1 and 1 (n - 1 times), built elementwise."""
+    v = complex_box(rng_for(seed), n)
+    return np.eye(n) - (2.0 / np.vdot(v, v).real) * np.multiply.outer(v, np.conj(v))
+
+
+def pinned_factor_cases():
+    """(group, stack of factors (N, n, n), exponents (N,)) for _one_sided_jacobi."""
+    for n in range(1, 17):
+        yield "lone", np.triu(complex_box(rng_for(900 + n), (n, n)))[None], np.array([n - 8])
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        for size in (1, 2, 7):
+            r = np.triu(complex_box(rng_for(1000 + 10 * n + size), (size, n, n)))
+            yield "stacks", r, np.arange(size) - 3
+    for n in (1, 5, 9):
+        for k in sorted({0, n // 2, n - 1}):
+            r = np.triu(complex_box(rng_for(1200 + n + k), (n, n)))
+            r[k] = 0.0
+            yield "zero row", r[None], np.array([1])
+    yield "zero row", np.zeros((1, 4, 4), dtype=complex), np.array([0])
+    for n in (1, 6, 11):
+        d = np.arange(n, 0.0, -1.0) * np.exp(1j * np.arange(n))
+        yield "diagonal", np.diag(d)[None], np.array([2])
+    for n, levels in ((4, [1.0, 1.0, 2.0, 2.0]), (6, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]), (9, [0.5] * 9)):
+        yield "repeated", (np.array(levels)[:, None] * householder(n, 1300 + n))[None], np.array([0])
+    yield "repeated", (0.75 * np.eye(5, dtype=complex))[None], np.array([-1])
+
+
+def pinned_hermitian_cases():
+    """(group, stack of Hermitian matrices (N, n, n)) for hermitian_eigen."""
+    def herm(shape, seed):
+        g = complex_box(rng_for(seed), shape)
+        return (g + np.conj(np.swapaxes(g, -1, -2))) / 2.0
+
+    for n in range(1, 17):
+        yield "lone", herm((1, n, n), 2000 + n)
+    for n in (1, 2, 3, 5, 8, 12, 16):
+        for size in (1, 2, 7):
+            yield "stacks", herm((size, n, n), 2100 + 10 * n + size)
+    for n in (1, 5, 9):
+        for k in sorted({0, n // 2, n - 1}):
+            h = herm((1, n, n), 2300 + n + k)
+            h[0, k, :] = 0.0
+            h[0, :, k] = 0.0
+            yield "zero row", h
+    yield "zero row", np.zeros((1, 4, 4), dtype=complex)
+    for d in ([3.0, -1.0, 2.0, 2.0, 0.0], [1.0], [-2.0, 5.0, 5.0, 5.0, 1e-3, -7.0, 0.0, 4.0]):
+        yield "diagonal", np.diag(np.array(d, dtype=complex))[None]
+    for n in (2, 5, 8):
+        h = householder(n, 2400 + n)
+        yield "repeated", h[None]
+        yield "repeated", (3.0 * h + 2.0 * np.eye(n))[None]
+    yield "repeated", (2.5 * np.eye(6, dtype=complex))[None]
+
+
+# sha256 of each matrix's eigenvalue bytes then eigenvector bytes, in case order,
+# from lone calls of the kernels as they were before the sweep took cached
+# gathers and one rotation array per sweep.  Computed with numpy 2.4.6 and its
+# bundled OpenBLAS on an x86-64 AVX-512 Xeon: hermitian_eigen's products go
+# through BLAS, so another BLAS or CPU may round differently.
+PINNED_DIGESTS = {
+    ("_one_sided_jacobi", "lone"): "ad954f011d28363f1b4b653d6f671ca2e4de950e879ec42807c4ed5ead66f774",
+    ("_one_sided_jacobi", "stacks"): "085ac3693afd3286c78d9dcdee764676cf94f69db754fac5ad48c199798c35df",
+    ("_one_sided_jacobi", "zero row"): "d97771ecccc1b87ab8030f07026b2d5c2c6d1981d0dd0e8d81e95340cb43780a",
+    ("_one_sided_jacobi", "diagonal"): "ce4246a03adba96c258fccd9c0ac0f51554e4dcd1d8792b757619096508de317",
+    ("_one_sided_jacobi", "repeated"): "a8004ae3f9d328d2ae957f88b7dd5f2ac4e67ca94ba4ec3ea28cd8dade781e39",
+    ("hermitian_eigen", "lone"): "a46df10ae633d7482ace91b41477e3bcaa8fbd5ca96ba13c7622e48a24e87d2a",
+    ("hermitian_eigen", "stacks"): "1de5ac1d91ca7a425dd69fcc1c0f1ffba16c58c65c431f76b840a3e7674d3af9",
+    ("hermitian_eigen", "zero row"): "28cf889a787ec64de5c5f4ecd678b4988df7286ec7628339f555f73360fd0bfb",
+    ("hermitian_eigen", "diagonal"): "a88ebb64be94505ea075593912b3a32c4acf218d273b6c7bb745f6d873610d0d",
+    ("hermitian_eigen", "repeated"): "e387093b84b8157ae6de9cd27f4722edfeb490820a00a2ab4556d531b0003272",
+}
+
+
+def test_jacobi_kernels_keep_their_pinned_bits():
+    """Every stack goes through the kernel in one call and each matrix's result
+    is hashed on its own, so a stacked result must also have each matrix's
+    lone bits."""
+    runs = [("_one_sided_jacobi", group, linalg._one_sided_jacobi(r, e))
+            for group, r, e in pinned_factor_cases()]
+    runs += [("hermitian_eigen", group, linalg.hermitian_eigen(a))
+             for group, a in pinned_hermitian_cases()]
+    digests = {}
+    for kernel, group, dec in runs:
+        h = digests.setdefault((kernel, group), hashlib.sha256())
+        for vals, vecs in zip(dec.eigenvalues, dec.eigenvectors):
+            h.update(vals.tobytes())
+            h.update(vecs.tobytes())
+    assert {key: h.hexdigest() for key, h in digests.items()} == PINNED_DIGESTS
 
 
 def mixed_stack(dim, seed):

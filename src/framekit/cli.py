@@ -20,11 +20,14 @@ keys ("blocks" = operator frame, "vectors" = vector frame, both kind
 frame; "segments" = coefficients, "elements" = povm, "densities" =
 decomposition, "entries" = vector) and is checked before parsing.  Every
 complex array in a data file is one base64 string of its little-endian
-float64 (re, im) bytes, and every other number goes through Python's
+float64 (re, im) bytes: a per-atom family (elements, densities, blocks with
+their "heights", segments with theirs, vectors) is one string for the whole
+stack, decoded in one call.  Every other number goes through Python's
 shortest round-trip float repr, so files parse back to the exact same
-doubles; inputs may also hold arrays as lists of [re, im] pairs.  Generated
-inputs come from numpy's PCG64 stream, which is stable across platforms
-for a fixed seed.
+doubles.  Inputs may also hold a family as a list of one matrix or array
+per atom, and arrays as lists of [re, im] pairs, as older files do; the
+JSON type of the field picks the reader.  Generated inputs come from numpy's
+PCG64 stream, which is stable across platforms for a fixed seed.
 All writes are atomic (temp file then rename).
 """
 
@@ -168,7 +171,13 @@ def _load(path: str, kind: str):
     return digest, obj
 
 
-def _atomic_write(path: str, text: str) -> None:
+# Characters per write: text encoded whole would be copied whole, and the data
+# file of a large stack is tens of MB.
+_WRITE_CHUNK = 1 << 20
+
+
+def _atomic_write(path: str, *texts: str) -> None:
+    """Write the texts, one after another, to a temporary file renamed to ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framekit-", suffix=".tmp")
     try:
@@ -177,7 +186,9 @@ def _atomic_write(path: str, text: str) -> None:
             os.umask(umask)
             os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for text in texts:
+                for lo in range(0, len(text), _WRITE_CHUNK):
+                    fh.write(text[lo:lo + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -191,7 +202,7 @@ def _write_json(path: str, obj) -> None:
         text = json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise LimitExceeded(f"{path}: {exc}") from exc
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, text, "\n")
 
 
 def _derived(output_path: str, suffix: str) -> str:

@@ -425,8 +425,9 @@ def reintegration_residuals(
 
 # --- JSON encoding -----------------------------------------------------------
 #
-# Decomposition: {"atoms": [...], "weights": [...], "dim_h": n, "densities": [matrix, ...]}
-# A matrix is linalg's, its data the base64 string of little-endian complex128.
+# Decomposition: {"atoms": [...], "weights": [...], "dim_h": n, "densities": stack}
+# The stack is linalg's array of all N n x n densities, one base64 string of
+# little-endian complex128; older files hold a list of linalg matrices instead.
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -434,7 +435,7 @@ def decomposition_to_json(d: Decomposition) -> dict:
         "atoms": list(d.measure.atoms),
         "weights": [float(w) for w in d.measure.weights],
         "dim_h": d.dim_h,
-        "densities": [linalg.matrix_to_json(q) for q in d.densities],
+        "densities": linalg._encode_array(d.densities),
     }
 
 
@@ -443,11 +444,16 @@ def decomposition_from_json(obj) -> Decomposition:
     weights = linalg._require(obj, "weights", "decomposition")
     dim_h = linalg._require(obj, "dim_h", "decomposition")
     densities = linalg._require(obj, "densities", "decomposition")
-    if not isinstance(densities, list):
-        raise ParseError("decomposition densities must be a list of matrix objects")
-    if not densities:
+    if not isinstance(densities, (str, list)):
+        raise ParseError("decomposition densities must be a base64 string or a list of "
+                         "matrix objects")
+    if not (atoms if isinstance(densities, str) else densities):
         raise ParseError("decomposition has no atoms, so no density to check dim_h against")
-    mats = [linalg.matrix_from_json(q) for q in densities]
+    if isinstance(densities, str):
+        mats = linalg._decode_stack(densities, (len(atoms), dim_h, dim_h),
+                                    "decomposition densities")
+    else:
+        mats = [linalg.matrix_from_json(q) for q in densities]
     try:
         measure = AtomicMeasureSpace(atoms=atoms, weights=weights)
         return Decomposition(measure=measure, densities=mats, dim_h=dim_h)

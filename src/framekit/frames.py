@@ -166,13 +166,19 @@ class OperatorValuedFrame:
     _factor_inverse: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, space: AtomicMeasureSpace, dim_h: int, blocks):
+        heights = [len(b) for b in blocks]
+        rows = np.concatenate(blocks) if heights else np.zeros((0, max(dim_h, 0)))
+        self._fill(space, dim_h, rows, heights)
+
+    def _fill(self, space: AtomicMeasureSpace, dim_h: int, rows, heights: list) -> None:
+        """Set the fields from the stacked rows of all blocks, atom t's ``heights[t]``
+        of them, then factor and certify; ``ovf_from_json`` builds a frame through
+        this directly, from the one array a file holds."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        heights = [len(b) for b in blocks]
         if len(heights) != len(space):
             raise DimensionMismatch(f"{len(space)} atoms but {len(heights)} blocks")
-        rows = linalg._as_finite(np.concatenate(blocks) if heights else np.zeros((0, dim_h)),
-                                 (2,), "a 2-D matrix", "matrix", copy=False)
+        rows = linalg._as_finite(rows, (2,), "a 2-D matrix", "matrix", copy=False)
         if rows.shape[1] != dim_h:
             raise DimensionMismatch(f"blocks have {rows.shape[1]} columns, expected {dim_h}")
         offsets = np.cumsum([0] + heights)
@@ -251,7 +257,8 @@ class CoefficientField:
 
     def _fill(self, space: AtomicMeasureSpace, values: np.ndarray, offsets: np.ndarray) -> None:
         """Set the fields from a checked flat complex128 vector, cut at ``offsets``
-        without a copy; ``analysis`` builds a field through this directly."""
+        without a copy; ``analysis`` and ``coefficients_from_json`` build a field
+        through this directly."""
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "segments", _views(values, offsets))
         object.__setattr__(self, "_values", values)
@@ -386,11 +393,15 @@ def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
 
 # --- JSON encoding -----------------------------------------------------------
 #
-# OVF:         {"atoms": [...], "weights": [...], "dim_h": n, "blocks": [matrix, ...]}
-# VectorFrame: {"dim_h": n, "vectors": [array, ...]}
-# Coefficients:{"atoms": [...], "weights": [...], "segments": [array, ...]}
-# A matrix and an array are linalg's: an array is written as the base64 string
-# of its little-endian complex128 entries and read from that or [[re, im], ...].
+# OVF:         {"atoms": [...], "weights": [...], "dim_h": n, "blocks": stack,
+#               "heights": [k_t, ...]}
+# VectorFrame: {"dim_h": n, "vectors": stack}
+# Coefficients:{"atoms": [...], "weights": [...], "segments": stack, "heights": [k_t, ...]}
+# A stack is linalg's array of a whole family, one base64 string of
+# little-endian complex128: the rows of all blocks ((sum k_t) x n, atom t's
+# k_t rows in atom order), the count x n vectors, or all segments end to end.
+# Older files hold a list instead: of linalg matrices for blocks, of arrays
+# for vectors and segments (and no heights).
 
 
 def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
@@ -398,7 +409,8 @@ def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
         "atoms": list(ovf.space.atoms),
         "weights": [float(w) for w in ovf.space.weights],
         "dim_h": ovf.dim_h,
-        "blocks": [linalg.matrix_to_json(b) for b in ovf.blocks],
+        "blocks": linalg._encode_array(ovf._rows),
+        "heights": np.diff(ovf._offsets).tolist(),
     }
 
 
@@ -407,33 +419,58 @@ def ovf_from_json(obj) -> OperatorValuedFrame:
     weights = linalg._require(obj, "weights", "OVF")
     dim_h = linalg._require(obj, "dim_h", "OVF")
     blocks = linalg._require(obj, "blocks", "OVF")
-    if not isinstance(blocks, list):
-        raise ParseError("OVF blocks must be a list of matrix objects")
+    if not isinstance(blocks, (str, list)):
+        raise ParseError("OVF blocks must be a base64 string or a list of matrix objects")
     try:
         space = AtomicMeasureSpace(atoms=atoms, weights=weights)
     except (ValueError, DimensionMismatch, TypeError, OverflowError) as exc:
         raise ParseError(f"bad OVF measure space: {exc}") from exc
-    mats = [linalg.matrix_from_json(b) for b in blocks]
+    if isinstance(blocks, str):
+        heights = _heights(obj, "OVF", len(atoms))
+        rows = linalg._decode_stack(blocks, (sum(heights), dim_h), "OVF blocks")
+    else:
+        blocks = [linalg.matrix_from_json(b) for b in blocks]
     try:
-        return OperatorValuedFrame(space=space, dim_h=dim_h, blocks=mats)
+        if isinstance(blocks, list):
+            return OperatorValuedFrame(space=space, dim_h=dim_h, blocks=blocks)
+        ovf = object.__new__(OperatorValuedFrame)
+        ovf._fill(space, dim_h, rows, heights)
+        return ovf
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad OVF dim_h or blocks: {exc}") from exc
+
+
+def _heights(obj, kind: str, atoms: int) -> list:
+    """The heights of a stacked OVF or coefficient file: k_t rows or entries of
+    the stack for each of its atoms."""
+    heights = linalg._require(obj, "heights", kind)
+    if len(heights) != atoms:
+        raise ParseError(f"{kind} has {atoms} atoms but {len(heights)} heights")
+    return heights
 
 
 def vector_frame_to_json(f: VectorFrame) -> dict:
     return {
         "dim_h": f.dim_h,
-        "vectors": [linalg._encode_array(v) for v in f.vectors],
+        "vectors": linalg._encode_array(f.vectors),
     }
 
 
 def vector_frame_from_json(obj) -> VectorFrame:
     dim_h = linalg._require(obj, "dim_h", "vector frame")
     vectors = linalg._require(obj, "vectors", "vector frame")
-    if not isinstance(vectors, list):
-        raise ParseError("vector frame vectors must be a list")
-    vecs = [linalg._decode_array(v, "vector frame vector") for v in vectors]
+    if isinstance(vectors, str):
+        vecs = linalg._decode_array(vectors, "vector frame vectors")
+        if dim_h <= 0 or len(vecs) % dim_h:
+            raise ParseError(f"vector frame vectors hold {len(vecs)} entries, not a "
+                             f"whole number of vectors of dim_h {dim_h}")
+    elif isinstance(vectors, list):
+        vecs = [linalg._decode_array(v, "vector frame vector") for v in vectors]
+    else:
+        raise ParseError("vector frame vectors must be a base64 string or a list")
     try:
+        if isinstance(vectors, str):
+            vecs = vecs.reshape(-1, dim_h)
         return VectorFrame(dim_h=dim_h, vectors=vecs)
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad vector frame: {exc}") from exc
@@ -443,7 +480,8 @@ def coefficients_to_json(c: CoefficientField) -> dict:
     return {
         "atoms": list(c.space.atoms),
         "weights": [float(w) for w in c.space.weights],
-        "segments": [linalg._encode_array(seg) for seg in c.segments],
+        "segments": linalg._encode_array(c._values),
+        "heights": np.diff(c._offsets).tolist(),
     }
 
 
@@ -451,11 +489,19 @@ def coefficients_from_json(obj) -> CoefficientField:
     atoms = linalg._require(obj, "atoms", "coefficient field")
     weights = linalg._require(obj, "weights", "coefficient field")
     segments = linalg._require(obj, "segments", "coefficient field")
-    if not isinstance(segments, list):
-        raise ParseError("coefficient segments must be a list")
-    segs = [linalg._decode_array(s, "coefficient segment") for s in segments]
+    if isinstance(segments, str):
+        heights = _heights(obj, "coefficient field", len(atoms))
+        values = linalg._decode_stack(segments, (sum(heights),), "coefficient segments")
+    elif isinstance(segments, list):
+        segs = [linalg._decode_array(s, "coefficient segment") for s in segments]
+    else:
+        raise ParseError("coefficient segments must be a base64 string or a list")
     try:
         space = AtomicMeasureSpace(atoms=atoms, weights=weights)
-        return CoefficientField(space=space, segments=segs)
+        if isinstance(segments, list):
+            return CoefficientField(space=space, segments=segs)
+        c = object.__new__(CoefficientField)
+        c._fill(space, values, np.cumsum([0] + heights))
+        return c
     except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad coefficient field: {exc}") from exc

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import base64
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -717,8 +718,13 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 # no line breaks) of its row-major entries as little-endian IEEE-754 float64,
 # real part then imaginary part, i.e. the bytes of np.ascontiguousarray(a,
 # dtype="<c16").  The byte order is fixed, so a seed gives the same file on any
-# platform.  Readers also take the older layout, a list of [re, im] pairs; the
-# JSON type of the value (string or list) picks the path, never its length.
+# platform.  A per-atom family (POVM elements, densities, frame blocks,
+# coefficient segments, the vectors of a vector frame) is written as one such
+# string of its whole stack; ``_decode_stack`` reads it back, checking the
+# entry count against the shape the file's other fields give before any
+# reshape.  Readers also take the older layouts, a list of one matrix or array
+# per atom and arrays as lists of [re, im] pairs; the JSON type of the value
+# (string or list) picks the path, never its length.
 # Matrix: {"rows": n, "cols": m, "data": array} with data row-major;
 # n may be 0 (a frame block of a zero density has no rows), m may not.
 # Vector: {"dim": n, "entries": array}.
@@ -758,15 +764,31 @@ def _decode_array(value, what: str) -> np.ndarray:
     return v
 
 
+def _decode_stack(value: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The array of ``shape`` that one base64 string holds, from one _decode_array
+    call; its entry count is checked against the shape before the reshape, so
+    nothing is allocated at a size the file merely claims."""
+    if min(shape) < 0:
+        raise ParseError(f"{what} cannot have the shape {shape}")
+    flat = _decode_array(value, what)
+    if flat.shape[0] != math.prod(shape):
+        raise ParseError(f"{what} hold {flat.shape[0]} entries, not the "
+                         f"{' x '.join(map(str, shape))} their fields give")
+    try:
+        return flat.reshape(shape)
+    except ValueError as exc:  # an empty stack with an extent numpy cannot index
+        raise ParseError(f"{what} cannot have the shape {shape}: {exc}") from exc
+
+
 # Fields whose JSON value must be an integer; bool is a subclass of int, so not isinstance.
 _INTEGER_FIELDS = ("dim_h", "rows", "cols", "dim")
 
 
 def _require(obj: dict, key: str, kind: str):
     """Field ``key`` of a ``kind`` JSON object; every loader reads its fields through
-    here.  atoms must be a list of strings, weights a list of JSON numbers, and
-    dim_h, rows, cols and dim integers: none is coerced, and a bool or a string
-    is no number."""
+    here.  atoms must be a list of strings, weights a list of JSON numbers,
+    heights a list of non-negative integers, and dim_h, rows, cols and dim
+    integers: none is coerced, and a bool or a string is no number."""
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{kind} JSON is missing field {key!r}")
     value = obj[key]
@@ -775,6 +797,9 @@ def _require(obj: dict, key: str, kind: str):
     if key == "weights" and not (isinstance(value, list)
                                  and all(type(w) in (int, float) for w in value)):
         raise ParseError(f"{kind} weights must be a list of numbers")
+    if key == "heights" and not (isinstance(value, list)
+                                 and all(type(k) is int and k >= 0 for k in value)):
+        raise ParseError(f"{kind} heights must be a list of non-negative integers")
     if key in _INTEGER_FIELDS and type(value) is not int:
         raise ParseError(f"{kind} {key} must be an integer, got {value!r}")
     return value

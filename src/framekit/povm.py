@@ -232,15 +232,16 @@ def measure_probabilities(m: Povm, x) -> list[float]:
 
 # --- JSON encoding -----------------------------------------------------------
 #
-# POVM: {"atoms": [...], "dim_h": n, "elements": [matrix, ...]}
-# A matrix is linalg's, its data the base64 string of little-endian complex128.
+# POVM: {"atoms": [...], "dim_h": n, "elements": stack}
+# The stack is linalg's array of all N n x n elements, one base64 string of
+# little-endian complex128; older files hold a list of linalg matrices instead.
 
 
 def povm_to_json(m: Povm) -> dict:
     return {
         "atoms": list(m.atoms),
         "dim_h": m.dim_h,
-        "elements": [linalg.matrix_to_json(e) for e in m.elements],
+        "elements": linalg._encode_array(m.elements),
     }
 
 
@@ -248,11 +249,14 @@ def povm_from_json(obj) -> Povm:
     atoms = linalg._require(obj, "atoms", "POVM")
     dim_h = linalg._require(obj, "dim_h", "POVM")
     elements = linalg._require(obj, "elements", "POVM")
-    if not isinstance(elements, list):
-        raise ParseError("POVM elements must be a list of matrix objects")
-    if not elements:
+    if not isinstance(elements, (str, list)):
+        raise ParseError("POVM elements must be a base64 string or a list of matrix objects")
+    if not (atoms if isinstance(elements, str) else elements):
         raise ParseError("POVM has no atoms, so no element to check dim_h against")
-    mats = [linalg.matrix_from_json(e) for e in elements]
+    if isinstance(elements, str):
+        mats = linalg._decode_stack(elements, (len(atoms), dim_h, dim_h), "POVM elements")
+    else:
+        mats = [linalg.matrix_from_json(e) for e in elements]
     try:
         return Povm(atoms=atoms, dim_h=dim_h, elements=mats)
     except (ValueError, TypeError, OverflowError, DimensionMismatch) as exc:

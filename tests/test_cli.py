@@ -55,16 +55,30 @@ def with_first_entry(text, value):
     return base64.b64encode(parts.tobytes()).decode("ascii")
 
 
+def b64_of(a):
+    """Base64 of an array's entries as little-endian complex128."""
+    return base64.b64encode(np.ascontiguousarray(a, "<c16").tobytes()).decode("ascii")
+
+
+def entries_of(text):
+    """The complex entries of a base64 array string."""
+    return np.frombuffer(base64.b64decode(text), "<c16")
+
+
+# The fields that hold one array string: a matrix's data, a vector's entries, a stack.
+ARRAY_FIELDS = ("data", "entries", "elements", "densities", "blocks", "vectors", "segments")
+
+
 def map_arrays(blob, convert):
     """A copy of a data file's JSON with convert applied to every array in it:
-    data, entries and each vector or segment."""
+    each stack, data and entries, and each vector or segment of a list."""
     if isinstance(blob, list):
         return [map_arrays(b, convert) for b in blob]
     if not isinstance(blob, dict):
         return blob
     out = {}
     for key, value in blob.items():
-        if key in ("data", "entries"):
+        if key in ARRAY_FIELDS and isinstance(value, str):
             out[key] = convert(value)
         elif key in ("vectors", "segments"):
             out[key] = [convert(v) for v in value]
@@ -73,9 +87,36 @@ def map_arrays(blob, convert):
     return out
 
 
+def to_per_matrix(blob):
+    """A copy of a data file's JSON in the per-matrix layout of older files: each
+    stack split into one base64 matrix (elements, densities, blocks) or array
+    (vectors, segments) per atom, with no heights."""
+    out = {key: value for key, value in blob.items() if key != "heights"}
+    n = blob.get("dim_h")
+    for key in ("elements", "densities", "blocks", "vectors", "segments"):
+        if not isinstance(blob.get(key), str):
+            continue
+        flat = entries_of(blob[key])
+        if key in ("elements", "densities"):
+            parts = flat.reshape(-1, n, n)
+        elif key == "vectors":
+            parts = flat.reshape(-1, n)
+        else:
+            cuts = np.cumsum(blob["heights"])[:-1]
+            parts = np.split(flat.reshape(-1, n) if key == "blocks" else flat, cuts)
+        out[key] = [{"rows": len(m), "cols": n, "data": b64_of(m)}
+                    if key in ("elements", "densities", "blocks") else b64_of(m) for m in parts]
+    return out
+
+
 def to_pairs(blob):
-    """A copy of a data file's JSON with every array in the [re, im] pairs layout."""
-    return map_arrays(blob, pairs_of)
+    """A copy of a data file's JSON in the per-matrix layout with every array in
+    the [re, im] pairs layout."""
+    return map_arrays(to_per_matrix(blob), pairs_of)
+
+
+# The layouts a reader takes, as converters of a data file's JSON.
+LAYOUTS = (("base64", lambda b: b), ("per-matrix", to_per_matrix), ("pairs", to_pairs))
 
 
 def test_bounds_on_orthonormal_basis(onb_path, tmp_path, capsys):
@@ -581,20 +622,20 @@ HUGE = 1.7e308  # just below the largest finite double, 1.797e308
 
 def huge_inputs(kind_paths, tmp_path):
     """{name: (kind, path)}: one file for each kind of numeric input, a valid file
-    of kind_paths with one entry set to HUGE, once as written (arrays in base64)
-    and once as a copy with every array in [re, im] pairs."""
+    of kind_paths with one entry set to HUGE, once as written (each stack one
+    base64 string), once as a copy with one base64 array per matrix or atom, and
+    once as a copy with every array in [re, im] pairs."""
     def load(kind):
         return json.loads(Path(kind_paths[kind]).read_text())
 
     ovf = frames.ovf_to_json(from_vector_frame(vector_frame_from_json(load("frame"))))
     vector, coefficients, elements = load("vector"), load("coefficients"), load("povm")
     densities, weights = load("decomposition"), load("decomposition")
-    block, element, density = ovf["blocks"][0], elements["elements"][0], densities["densities"][0]
-    block["data"] = with_first_entry(block["data"], HUGE)
+    ovf["blocks"] = with_first_entry(ovf["blocks"], HUGE)
     vector["entries"] = with_first_entry(vector["entries"], HUGE)
-    coefficients["segments"][0] = with_first_entry(coefficients["segments"][0], HUGE)
-    element["data"] = with_first_entry(element["data"], HUGE)
-    density["data"] = with_first_entry(density["data"], HUGE)
+    coefficients["segments"] = with_first_entry(coefficients["segments"], HUGE)
+    elements["elements"] = with_first_entry(elements["elements"], HUGE)
+    densities["densities"] = with_first_entry(densities["densities"], HUGE)
     weights["weights"][0] = HUGE
     blobs = {"blocks": ("frame", ovf), "vector": ("vector", vector),
              "coefficients": ("coefficients", coefficients), "elements": ("povm", elements),
@@ -602,12 +643,12 @@ def huge_inputs(kind_paths, tmp_path):
     return {f"{name}-{layout}": (kind, write_json(tmp_path / f"huge-{name}-{layout}.json",
                                                   convert(blob)))
             for name, (kind, blob) in blobs.items()
-            for layout, convert in (("base64", lambda b: b), ("pairs", to_pairs))}
+            for layout, convert in LAYOUTS}
 
 
 def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_path, capsys):
     """Every command that reads an input kind, given a file of that kind with one
-    entry of HUGE, in either array layout, exits 1 (a failed check) or 2 (an
+    entry of HUGE, in any of the three layouts, exits 1 (a failed check) or 2 (an
     error) with no uncaught exception or RuntimeWarning; an exit 2 leaves no
     report, data or trace file."""
     runs = 0
@@ -627,7 +668,7 @@ def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_pa
                     assert "Traceback" not in capsys.readouterr().err
                 runs += 1
     # per layout: blocks 5 commands, vector 1, coefficients 1, elements 2, decompositions 2 * 3
-    assert runs == 30
+    assert runs == 45
 
 
 def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_path, capsys):
@@ -638,7 +679,7 @@ def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_
     coefficients = {}
     for value in (1e308, HUGE):
         blob = json.loads(Path(kind_paths["coefficients"]).read_text())
-        blob["segments"][0] = with_first_entry(blob["segments"][0], value)
+        blob["segments"] = with_first_entry(blob["segments"], value)
         coefficients[value] = write_json(tmp_path / f"c-{value!r}.json", blob)
     _, f = cli._load(kind_paths["frame"], "frame")
     _, c = cli._load(coefficients[1e308], "coefficients")
@@ -758,21 +799,119 @@ def test_every_check_is_a_flag_or_a_value_against_a_tolerance(kind_paths, tmp_pa
 
 def test_a_frame_block_with_no_rows_is_written_and_read_back(tmp_path, capsys):
     """A block of no rows, as the minimal block of a zero density is, is written
-    as rows 0 and read back; its columns are still checked against dim_h."""
+    as a height of 0 and read back, from the stack and from a per-matrix copy,
+    where it is rows 0; its columns are still checked against dim_h."""
     space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 2.0, 1.0])
     ovf = frames.OperatorValuedFrame(space, 2, [np.eye(2), np.zeros((0, 2)), np.ones((1, 2))])
     blob = frames.ovf_to_json(ovf)
-    assert blob["blocks"][1] == {"rows": 0, "cols": 2, "data": ""}
-    path = write_json(tmp_path / "f.json", blob)
-    assert main(["bounds", "--in", path, "--out", str(tmp_path / "b.json")]) == 0
-    _, back = cli._load(path, "frame")
-    assert [b.shape for b in back.blocks] == [(2, 2), (0, 2), (1, 2)]
-    assert all(np.array_equal(b, c) for b, c in zip(back.blocks, ovf.blocks))
+    assert blob["heights"] == [2, 0, 1]
+    per_matrix = to_per_matrix(blob)
+    assert per_matrix["blocks"][1] == {"rows": 0, "cols": 2, "data": ""}
+    for layout in (blob, per_matrix):
+        path = write_json(tmp_path / "f.json", layout)
+        assert main(["bounds", "--in", path, "--out", str(tmp_path / "b.json")]) == 0
+        _, back = cli._load(path, "frame")
+        assert [b.shape for b in back.blocks] == [(2, 2), (0, 2), (1, 2)]
+        assert all(np.array_equal(b, c) for b, c in zip(back.blocks, ovf.blocks))
     for cols in (1, 3):
-        blob["blocks"][1]["cols"] = cols
-        bad = write_json(tmp_path / "bad.json", blob)
-        assert main(["bounds", "--in", bad, "--out", str(tmp_path / "b.json")]) == 2
-        assert "ParseError" in capsys.readouterr().err
+        per_matrix["blocks"][1]["cols"] = cols
+        stacked = {**blob, "dim_h": cols}  # the stack's entries no longer fill its rows
+        for layout in (per_matrix, stacked):
+            bad = write_json(tmp_path / "bad.json", layout)
+            assert main(["bounds", "--in", bad, "--out", str(tmp_path / "b.json")]) == 2
+            assert "ParseError" in capsys.readouterr().err
+
+
+def stacked_files(kind_paths):
+    """{file kind: (table kind, JSON)} for the five kinds whose family is one stack."""
+    def load(kind):
+        return json.loads(Path(kind_paths[kind]).read_text())
+
+    vector_frame = load("frame")
+    ovf = frames.ovf_to_json(from_vector_frame(vector_frame_from_json(vector_frame)))
+    return {"ovf": ("frame", ovf), "vector frame": ("frame", vector_frame),
+            "coefficients": ("coefficients", load("coefficients")),
+            "povm": ("povm", load("povm")), "decomposition": ("decomposition", load("decomposition"))}
+
+
+# The field of each stacked file that holds its stack.
+STACK_FIELDS = {"ovf": "blocks", "vector frame": "vectors", "coefficients": "segments",
+                "povm": "elements", "decomposition": "densities"}
+
+
+def with_heights(heights):
+    return lambda blob: {**blob, "heights": heights(blob["heights"])}
+
+
+def malformed_stacks():
+    """(case, file kind, change of its JSON, a word the error names): each change
+    leaves a file the stacked path must refuse with a ParseError."""
+    for name, key in STACK_FIELDS.items():
+        yield "one entry short", name, lambda b, k=key: {
+            **b, k: b64_of(entries_of(b[k])[:-1])}, "entries"
+        yield "a partial entry", name, lambda b, k=key: {
+            **b, k: base64.b64encode(base64.b64decode(b[k]) + bytes(8)).decode("ascii")}, "bytes"
+    for name in ("ovf", "coefficients"):
+        yield "heights missing", name, lambda b: {
+            k: v for k, v in b.items() if k != "heights"}, "heights"
+        yield "heights not a list", name, with_heights(sum), "heights"
+        for bad in (True, 1.0, -1, "1"):
+            yield f"a height of {bad!r}", name, with_heights(lambda h, x=bad: [x] + h[1:]), "heights"
+        yield "a height too many", name, with_heights(lambda h: h + [0]), "heights"
+        yield "a height too few", name, with_heights(lambda h: h[:-1]), "heights"
+        yield "heights that sum past the data", name, with_heights(
+            lambda h: [h[0] + 1] + h[1:]), "entries"
+    for name in ("ovf", "vector frame", "povm", "decomposition"):
+        key = STACK_FIELDS[name]
+        yield "dim_h 0", name, lambda b: {**b, "dim_h": 0}, "entries"
+        yield "dim_h 10^9 with a short string", name, lambda b, k=key: {
+            **b, "dim_h": 10**9, k: b64_of(entries_of(b[k])[:1])}, "entries"
+    for name, key in (("povm", "elements"), ("decomposition", "densities")):
+        yield "no atoms", name, lambda b, k=key: {**b, "atoms": [], "weights": [], k: ""}, "no atoms"
+        yield "no atoms, with data", name, lambda b: {**b, "atoms": [], "weights": []}, "no atoms"
+
+
+def test_the_stacked_layout_refuses_malformed_files(kind_paths, tmp_path, capsys):
+    """A stack whose bytes, heights, dim_h or atoms do not fit together is a
+    ParseError that names what is wrong, exit 2, with no report or data file,
+    from a command that reads that kind of file."""
+    files = stacked_files(kind_paths)
+    readers = {"frame": "bounds", "coefficients": "reconstruct", "povm": "decompose",
+               "decomposition": "to-ovf"}
+    cases = list(malformed_stacks())
+    for i, (case, name, change, word) in enumerate(cases):
+        kind, blob = files[name]
+        path = write_json(tmp_path / f"bad-{i}.json", change(blob))
+        command = readers[kind]
+        paths = [kind_paths[k] if k != kind else path for k in cli._COMMANDS[command].inputs]
+        stem = f"run-{i}"
+        code = main([command, *(a for p in paths for a in ("--in", p)),
+                     "--out", str(tmp_path / f"{stem}.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and "ParseError" in err and word in err, (case, name, code, err)
+        assert list(tmp_path.glob(f"{stem}.*")) == [], (case, name)
+    assert len(cases) == 10 + 2 * 9 + 4 * 2 + 2 * 2
+
+
+def test_each_stack_is_decoded_and_encoded_in_one_call(kind_paths, monkeypatch):
+    """Loading any of the five stacked kinds decodes its stack in one _decode_array
+    call, with no per-matrix parse, and writing it back encodes it in one
+    _encode_array call, to the same JSON."""
+    writers = {"ovf": frames.ovf_to_json, "vector frame": frames.vector_frame_to_json,
+               "coefficients": frames.coefficients_to_json, "povm": povm.povm_to_json,
+               "decomposition": correspondence.decomposition_to_json}
+    readers = {"ovf": frames.ovf_from_json, "vector frame": frames.vector_frame_from_json,
+               "coefficients": frames.coefficients_from_json, "povm": povm.povm_from_json,
+               "decomposition": correspondence.decomposition_from_json}
+    for name, (_, blob) in stacked_files(kind_paths).items():
+        assert len(entries_of(blob[STACK_FIELDS[name]])) > (blob.get("dim_h") or 1), name
+        calls = count_calls(monkeypatch, linalg, "_decode_array", "_encode_array",
+                            "matrix_from_json")
+        obj = readers[name](blob)
+        assert calls == {"_decode_array": 1, "_encode_array": 0, "matrix_from_json": 0}, name
+        assert writers[name](obj) == blob, name
+        assert calls == {"_decode_array": 1, "_encode_array": 1, "matrix_from_json": 0}, name
+        monkeypatch.undo()
 
 
 def arrays_of(obj):
@@ -796,8 +935,9 @@ def test_every_data_file_a_command_writes_loads_back_as_its_kind(pair_path, tmp_
     """The data file of to-povm, decompose, to-ovf, analyze and reconstruct reads
     back through cli._load as the kind it holds, from a decomposition with a
     zero density too, whose minimal block has no rows.  Every array in it is a
-    base64 string; a copy with the arrays as [re, im] pairs loads to the same
-    bits, and the command run on pairs copies of its inputs writes the same bytes."""
+    base64 string; a copy with one base64 array per matrix or atom, and one with
+    the arrays as [re, im] pairs, load to the same bits, and the command run on
+    such copies of its inputs writes the same bytes."""
     space = frames.AtomicMeasureSpace(["a", "b", "c"], [1.0, 0.5, 2.0])
     d = correspondence.Decomposition(space, [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 2.0])])
     zero = write_json(tmp_path / "zero.json", correspondence.decomposition_to_json(d))
@@ -813,30 +953,33 @@ def test_every_data_file_a_command_writes_loads_back_as_its_kind(pair_path, tmp_
         ("reconstruct", [str(tmp_path / "z.data.json"), str(tmp_path / "a.data.json")], "r"),
     ]
 
-    def pairs_copy(path):
-        return write_json(tmp_path / ("pairs-" + Path(path).name),
-                          to_pairs(json.loads(Path(path).read_text())))
+    def copy_of(path, layout, convert):
+        return write_json(tmp_path / f"{layout}-{Path(path).name}",
+                          convert(json.loads(Path(path).read_text())))
 
     loaded = {}
     for command, inputs, stem in runs:
         out = tmp_path / f"{stem}.json"
         assert main([command, *(a for p in inputs for a in ("--in", p)), "--out", str(out)]) == 0
-        copies = [pairs_copy(p) for p in inputs]
-        again = tmp_path / f"{stem}-from-pairs.json"
-        assert main([command, *(a for p in copies for a in ("--in", p)),
-                     "--out", str(again)]) == 0
-        for key, path in read_report(out)["artifacts"].items():
-            if path.endswith(".json"):
-                fields = []
-                map_arrays(json.loads(Path(path).read_text()), fields.append)
-                assert fields and all(isinstance(f, str) for f in fields), (stem, key)
-                loaded[stem] = cli._load(path, kinds[key])[1]
-                from_pairs = cli._load(pairs_copy(path), kinds[key])[1]
-                arrays, pair_arrays = arrays_of(loaded[stem]), arrays_of(from_pairs)
-                assert len(arrays) == len(pair_arrays), (stem, key)
-                assert all(same_bits(a, b) for a, b in zip(arrays, pair_arrays)), (stem, key)
-                written = read_report(again)["artifacts"][key]
-                assert Path(written).read_bytes() == Path(path).read_bytes(), (stem, key)
+        for layout, convert in LAYOUTS[1:]:
+            copies = [copy_of(p, layout, convert) for p in inputs]
+            again = tmp_path / f"{stem}-from-{layout}.json"
+            assert main([command, *(a for p in copies for a in ("--in", p)),
+                         "--out", str(again)]) == 0
+            for key, path in read_report(out)["artifacts"].items():
+                if path.endswith(".json"):
+                    fields = []
+                    map_arrays(json.loads(Path(path).read_text()), fields.append)
+                    assert fields and all(isinstance(f, str) for f in fields), (stem, key)
+                    loaded[stem] = cli._load(path, kinds[key])[1]
+                    from_copy = cli._load(copy_of(path, layout, convert), kinds[key])[1]
+                    arrays, copy_arrays = arrays_of(loaded[stem]), arrays_of(from_copy)
+                    assert len(arrays) == len(copy_arrays), (stem, key, layout)
+                    assert all(same_bits(a, b) for a, b in zip(arrays, copy_arrays)), (
+                        stem, key, layout)
+                    written = read_report(again)["artifacts"][key]
+                    assert Path(written).read_bytes() == Path(path).read_bytes(), (
+                        stem, key, layout)
     assert sorted(loaded) == ["a", "d", "o", "p", "r", "z"]
     assert [b.shape for b in loaded["z"].blocks] == [(2, 2), (0, 2), (2, 2)]
     assert [len(s) for s in loaded["a"].segments] == [2, 0, 2]

@@ -13,6 +13,9 @@ the arity check, input loading and the argparse tree are all derived
 from it; the tree is built once, at import.  DEFAULT_CHECK_TOLERANCES maps
 the --tol names to entries of linalg's tolerance table.  Every numeric
 check is decided by _check; certified, povm_valid and psd are flags.
+The frame checks (_frame_check) read a frame's bounds only in bounds; to-povm
+and to-ovf take the condition bound the frame was accepted with, so of the
+pipeline commands only bounds, reconstruct and roundtrip diagonalize a frame.
 
 run() reads each --in once, hashes its bytes for the report, and passes
 the handler the object they hold.  A file's kind comes from its top-level
@@ -226,12 +229,19 @@ def _check(name: str, value: float, tolerance: float, **context) -> dict:
             "margin": value / tolerance if tolerance else None, **context}
 
 
-def _frame_check(name: str, b: frames.FrameBounds) -> dict:
+def _frame_check(name: str, bound) -> dict:
     """The frame operator is positive definite beyond the frame tolerance,
-    lower > TOL_FRAME_REL * upper: value TOL_FRAME_REL * upper / lower against 1,
-    below it for any bounds frame_bounds returns."""
-    return _check(name, linalg.TOL_FRAME_REL * b.upper / b.lower, 1.0,
-                  lower=b.lower, upper=b.upper)
+    lambda_min > TOL_FRAME_REL * lambda_max: value TOL_FRAME_REL * condition
+    against 1, for a bound on lambda_max / lambda_min.  ``bound`` is either the
+    FrameBounds of ``bounds`` (condition upper / lower, value TOL_FRAME_REL *
+    upper / lower, reported beside them) or the bound a frame was accepted with,
+    ``OperatorValuedFrame._condition``, which ``to-povm`` and ``to-ovf`` pass so
+    that they diagonalize nothing.  Every frame passes: its constructor refuses
+    a family whose bound it cannot hold below 1 / TOL_FRAME_REL."""
+    if isinstance(bound, frames.FrameBounds):
+        return _check(name, linalg.TOL_FRAME_REL * bound.upper / bound.lower, 1.0,
+                      lower=bound.lower, upper=bound.upper)
+    return _check(name, linalg.TOL_FRAME_REL * bound, 1.0)
 
 
 def _decomp_tolerance(cfg: ExperimentConfig, total: np.ndarray) -> float:
@@ -305,16 +315,13 @@ def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
 def _cmd_to_povm(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame):
     m = cr.ovf_to_povm(ovf)
     report = povm.validate(m)
-    b = frames.frame_bounds(ovf)  # M(Omega) is the frame operator, diagonalized on this first read
     data_path = _write_data(cfg, povm.povm_to_json(m))
     checks = [
         {"name": "povm_valid", "passed": report.passed, "failures": list(report.failures)},
-        _frame_check("framed", b),
+        _frame_check("framed", ovf._condition),  # M(Omega) is the frame operator
     ]
     summary = {
         "max_additivity_residual": report.max_additivity_residual,
-        "lower": b.lower,
-        "upper": b.upper,
         "atoms": len(m.atoms),
     }
     return checks, summary, {"povm": data_path}
@@ -351,12 +358,11 @@ def _cmd_decompose(cfg: ExperimentConfig, m: povm.Povm):
 
 def _cmd_to_ovf(cfg: ExperimentConfig, d: cr.Decomposition):
     ovf = cr.decomposition_to_ovf(d)
-    b = frames.frame_bounds(ovf)
     data_path = _write_data(cfg, frames.ovf_to_json(ovf))
     # the minimal blocks miss the densities by at most cut_bound
     cut = _check("cut", cr.cut_bound(d), _decomp_tolerance(cfg, d.reintegrate()))
-    checks = [_frame_check("framed", b), cut]
-    summary = {"lower": b.lower, "upper": b.upper, "dim_h": ovf.dim_h}
+    checks = [_frame_check("framed", ovf._condition), cut]
+    summary = {"dim_h": ovf.dim_h}
     return checks, summary, {"ovf": data_path}
 
 

@@ -149,6 +149,10 @@ class OperatorValuedFrame:
     1 / TOL_FRAME_REL by linalg._CERTIFICATE_MARGIN the family is a frame and nothing
     is diagonalized.  Otherwise (a singular R and a non-finite R^-1 included)
     the eigenvalues decide at once, and NotAFrame is raised unless they pass.
+    A family with fewer rows than dim_h has an S of rank below n, and is refused
+    before any factor.  ``_condition`` keeps the bound on lambda_max / lambda_min
+    the verdict was taken with: _CERTIFICATE_MARGIN ||R||_F^2 ||R^-1||_F^2 when the
+    certificate cleared, else upper / lower, so TOL_FRAME_REL * _condition < 1.
     The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached:
     one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``) runs on their
     first read and never again, for several frames at once in ``_diagonalize``.
@@ -164,6 +168,7 @@ class OperatorValuedFrame:
     _factor: np.ndarray = field(repr=False, compare=False)
     _factor_exponent: int = field(repr=False, compare=False)
     _factor_inverse: np.ndarray = field(repr=False, compare=False)
+    _condition: float = field(repr=False, compare=False)
 
     def __init__(self, space: AtomicMeasureSpace, dim_h: int, blocks):
         heights = [len(b) for b in blocks]
@@ -181,6 +186,8 @@ class OperatorValuedFrame:
         rows = linalg._as_finite(rows, (2,), "a 2-D matrix", "matrix", copy=False)
         if rows.shape[1] != dim_h:
             raise DimensionMismatch(f"blocks have {rows.shape[1]} columns, expected {dim_h}")
+        if rows.shape[0] < dim_h:
+            raise NotAFrame(f"{rows.shape[0]} block rows cannot span C^{dim_h}")
         offsets = np.cumsum([0] + heights)
         row_weights = np.repeat(space.weights, heights)
         linalg._check_magnitude(rows, "frame blocks", row_weights)
@@ -199,8 +206,11 @@ class OperatorValuedFrame:
         object.__setattr__(self, "_factor_inverse", r_inv)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails the test
             bound = float(linalg._norms(r)) ** 2 * float(linalg._norms(r_inv)) ** 2
-        if not bound * linalg._CERTIFICATE_MARGIN < 1.0 / linalg.TOL_FRAME_REL:
-            frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
+            condition = bound * linalg._CERTIFICATE_MARGIN
+        if not condition < 1.0 / linalg.TOL_FRAME_REL:
+            b = frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
+            condition = b.upper / b.lower
+        object.__setattr__(self, "_condition", condition)
 
     @cached_property
     def _operator(self) -> np.ndarray:

@@ -40,6 +40,7 @@ second argument: ``inner(x, y) == sum(x * conj(y))``.
 from __future__ import annotations
 
 import base64
+import binascii
 import functools
 import math
 from dataclasses import dataclass
@@ -745,7 +746,7 @@ def _decode_array(value, what: str) -> np.ndarray:
     too large for a double included."""
     if isinstance(value, str):
         try:
-            raw = base64.b64decode(value, validate=True)
+            raw = binascii.a2b_base64(value, strict_mode=True)  # reads the str in place
         except ValueError as exc:  # binascii.Error, or a non-ASCII character
             raise ParseError(f"{what} is not padded standard base64: {exc}") from exc
         if len(raw) % 16:
@@ -817,7 +818,10 @@ def matrix_from_json(obj) -> np.ndarray:
     flat = _decode_array(data, "matrix data")
     if flat.shape[0] != rows * cols:
         raise ParseError(f"matrix data length {flat.shape[0]} does not match {rows}x{cols}")
-    return flat.reshape(rows, cols)
+    try:
+        return flat.reshape(rows, cols)
+    except ValueError as exc:  # an empty matrix with an extent numpy cannot index
+        raise ParseError(f"matrix cannot have the shape {rows}x{cols}: {exc}") from exc
 
 
 def vector_to_json(x: np.ndarray) -> dict:

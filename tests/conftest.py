@@ -45,6 +45,17 @@ def random_psd(dim, seed):
     return hermitize(adjoint(g) @ g)
 
 
+def rotated_rows(rng, rows, d):
+    """rows x len(d) rows Q diag(d) U* between random unitaries: singular values d,
+    so cond(S) = (max d / min d)^2."""
+
+    def unitary(m, n):
+        q, r = np.linalg.qr(complex_box(rng, (m, n)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    return (unitary(rows, len(d)) * d) @ unitary(len(d), len(d)).conj().T
+
+
 def random_vector_frame(dim, atoms, seed):
     """Random spanning family; retries the seed stream until it spans."""
     assert atoms >= dim

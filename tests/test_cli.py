@@ -224,15 +224,17 @@ def test_data_files_are_compact_sorted_json(pair_path, tmp_path):
 def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
-    # no element (their PSD verdicts are Cholesky's), S's eigenpairs from the kept R
-    # when the bounds are read
-    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 1}
+    # no element (their PSD verdicts are Cholesky's), and not S either: the framed
+    # check reads the bound the frame was certified with
+    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 0}
     report = read_report(tmp_path / "p.json")
     assert [c["name"] for c in report["checks"]] == ["povm_valid", "framed"]
     assert report["passed"] is True
-    # the QR rounds ||(1, 1, 0)|| = sqrt(2), whose square reads 2 + 4u
-    bounds = (report["summary"]["lower"], report["summary"]["upper"])
-    assert bounds == pytest.approx((1.0, 2.0), rel=1e-15)
+    assert "lower" not in report["summary"] and "upper" not in report["summary"]
+    framed = report["checks"][1]
+    assert "lower" not in framed and "upper" not in framed
+    # S = diag(2, 1): ||R||_F^2 ||R^-1||_F^2 = 3 * 1.5, times the margin 2, to rounding
+    assert framed["value"] == pytest.approx(9.0 * linalg.TOL_FRAME_REL, rel=1e-15)
 
 
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
@@ -245,17 +247,26 @@ def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, mo
 
 def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
         pair_path, tmp_path, monkeypatch):
+    """bounds and reconstruct read one frame's bounds, roundtrip two in one call on
+    a stack of two; no other pipeline command diagonalizes a frame, to-povm and
+    to-ovf included, and none calls hermitian_eigen."""
     xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
     assert main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")]) == 0
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
     povm_path = read_report(tmp_path / "p.json")["artifacts"]["povm"]
     assert main(["decompose", "--in", povm_path, "--out", str(tmp_path / "d.json")]) == 0
+    decomposition = str(tmp_path / "d.data.json")
     runs = {
         "analyze": ["--in", pair_path, "--in", xpath],
         "bounds": ["--in", pair_path],
         "reconstruct": ["--in", pair_path, "--in", str(tmp_path / "a.data.json")],
-        "to-ovf": ["--in", str(tmp_path / "d.data.json")],
+        "to-povm": ["--in", pair_path],
+        "decompose": ["--in", povm_path],
+        "to-ovf": ["--in", decomposition],
+        "verify-uniqueness": ["--in", decomposition, "--in", decomposition],
+        "roundtrip": ["--in", pair_path],
     }
+    assert set(runs) == set(cli.COMMANDS) - {"validate-povm"}  # every pipeline command
     sweeps = {}
     for command, args in runs.items():
         calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
@@ -263,7 +274,8 @@ def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
         sweeps[command] = calls["_one_sided_jacobi"]
         assert calls["hermitian_eigen"] == 0  # to-ovf's minimal blocks take no eigen work
         monkeypatch.undo()
-    assert sweeps == {"analyze": 0, "bounds": 1, "reconstruct": 1, "to-ovf": 1}
+    assert sweeps == {"analyze": 0, "bounds": 1, "reconstruct": 1, "to-povm": 0, "decompose": 0,
+                      "to-ovf": 0, "verify-uniqueness": 0, "roundtrip": 1}
 
 
 def _analysis_check(pair_path, tmp_path, x):
@@ -359,6 +371,26 @@ def test_malformed_file_exits_two(tmp_path, capsys):
         empty = write_json(tmp_path / "empty.json", payload)
         assert main([command, "--in", empty, "--out", str(tmp_path / "o.json")]) == 2
         assert "ParseError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim_h,error", [(2**62, "ParseError"), (10**9, "NotAFrame")])
+@pytest.mark.parametrize("layout", ["per-matrix", "base64"])
+def test_a_frame_file_with_no_rows_exits_two_before_any_work(dim_h, error, layout, tmp_path,
+                                                             capsys):
+    """One atom with a 0-row block and a huge dim_h: a few bytes of file that
+    claim an n x n frame operator.  An extent numpy cannot index is a ParseError;
+    a frame with fewer rows than dim_h is refused by its row count, with no
+    n x n allocation.  Exit 2, and no report or data file."""
+    blocks = ([{"rows": 0, "cols": dim_h, "data": ""}] if layout == "per-matrix" else "")
+    payload = {"atoms": ["a"], "weights": [1], "dim_h": dim_h, "blocks": blocks}
+    if layout == "base64":
+        payload["heights"] = [0]
+    path = write_json(tmp_path / "thin.json", payload)
+    for command in ("bounds", "to-povm", "roundtrip"):
+        code = main([command, "--in", path, "--out", str(tmp_path / f"{command}.json")])
+        assert code == 2
+        assert error in capsys.readouterr().err
+        assert list(tmp_path.glob(f"{command}*")) == []
 
 
 def test_unrecognized_payload_exits_two(tmp_path, capsys):
@@ -709,25 +741,41 @@ def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_pa
 
 
 def test_bounds_and_to_ovf_compute_their_frame_checks(kind_paths, tmp_path, monkeypatch):
-    verdicts = []
-    original = frames._positive_definite
+    """bounds checks the bounds it reports, with their verdict; to-ovf and to-povm
+    check the bound their frame was accepted with, and report no bounds."""
+    verdicts, built = [], []
+    original, fill = frames._positive_definite, frames.OperatorValuedFrame._fill
 
     def recording(lo, hi):
         verdicts.append((lo, hi))
         return original(lo, hi)
 
+    def keeping(self, *args):
+        fill(self, *args)
+        built.append(self)
+
     monkeypatch.setattr(frames, "_positive_definite", recording)
-    for command, name in (("bounds", "frame"), ("to-ovf", "framed")):
+    monkeypatch.setattr(frames.OperatorValuedFrame, "_fill", keeping)
+    for command, name in (("bounds", "frame"), ("to-ovf", "framed"), ("to-povm", "framed")):
         kind = cli._COMMANDS[command].inputs[0]
         out = tmp_path / f"{command}.json"
         verdicts.clear()
+        built.clear()
         assert main([command, "--in", kind_paths[kind], "--out", str(out)]) == 0
         checks = read_report(out)["checks"]
-        assert [c["name"] for c in checks] == [name] + (["cut"] if command == "to-ovf" else [])
-        check = checks[0]
+        expected = {"bounds": [name], "to-ovf": [name, "cut"], "to-povm": ["povm_valid", name]}
+        assert [c["name"] for c in checks] == expected[command]
+        check = next(c for c in checks if c["name"] == name)
         assert check["passed"] is True
-        assert (check["lower"], check["upper"]) in verdicts  # the report's bounds, tested
-        assert check["margin"] == linalg.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
+        if command == "bounds":
+            assert (check["lower"], check["upper"]) in verdicts  # the report's bounds, tested
+            assert check["margin"] == linalg.TOL_FRAME_REL * check["upper"] / check["lower"] < 1.0
+        else:
+            # the frame the command built (to-ovf) or loaded (to-povm), and its bound
+            (f,) = built
+            assert "lower" not in check and "upper" not in check
+            assert check["margin"] == linalg.TOL_FRAME_REL * f._condition < 1.0
+            assert "_eigen" not in vars(f)
 
 
 def test_frame_check_fails_below_the_frame_tolerance():

@@ -40,7 +40,8 @@ from framekit.frames import (
 )
 from framekit.linalg import TOL_FRAME_REL
 
-from conftest import complex_box, count_calls, random_ovf, random_vector_frame, rng_for
+from conftest import (complex_box, count_calls, random_ovf, random_vector_frame, rng_for,
+                      rotated_rows)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -124,18 +125,20 @@ def test_deficient_family_is_not_a_frame():
 _TINY = np.array([[1.0, 0.0], [0.0, 1e-310]])
 
 
-@pytest.mark.parametrize("blocks,dim", [
-    ([complex_box(rng_for(1), (2, 3))], 3),  # fewer rows than dim_h
-    ([np.array([[1.0, 0.0, 2.0]]), np.array([[3.0, 0.0, 1j]]), np.array([[1.0, 0.0, 1.0]])], 3),
-    ([], 3),  # no atoms
-    ([_TINY[:1], _TINY[1:]], 2),
+@pytest.mark.parametrize("blocks,dim,factored", [
+    ([complex_box(rng_for(1), (2, 3))], 3, 0),  # fewer rows than dim_h: refused before the QR
+    ([np.array([[1.0, 0.0, 2.0]]), np.array([[3.0, 0.0, 1j]]), np.array([[1.0, 0.0, 1.0]])], 3, 1),
+    ([], 3, 0),  # no atoms, so no rows
+    ([_TINY[:1], _TINY[1:]], 2, 1),
 ], ids=["few-rows", "zero-column", "no-atoms", "overflowing-inverse"])
-def test_rank_deficient_families_are_not_frames_without_warnings(blocks, dim, monkeypatch):
+def test_rank_deficient_families_are_not_frames_without_warnings(blocks, dim, factored, monkeypatch):
+    """A family with fewer rows than dim_h is refused by its row count, exactly,
+    with no factor; otherwise the certificate declines and the eigenvalues decide."""
     space = AtomicMeasureSpace(atoms=[str(t) for t in range(len(blocks))], weights=np.ones(len(blocks)))
-    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi")
+    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi", "_scaled_r")
     with pytest.raises(NotAFrame):  # pytest turns RuntimeWarnings into errors
         OperatorValuedFrame(space=space, dim_h=dim, blocks=blocks)
-    assert calls == {"_one_sided_jacobi": 1}  # the certificate declined; the eigenvalues decided
+    assert calls == {"_one_sided_jacobi": factored, "_scaled_r": factored}
 
 
 def test_each_frame_takes_its_eigenpairs_from_one_gram_eigen_call(monkeypatch):
@@ -187,17 +190,6 @@ def test_frames_diagonalized_together_get_the_bits_of_lone_calls(monkeypatch):
     assert frames._diagonalize() == ()
 
 
-def _rotated_rows(rng, rows, d):
-    """rows x len(d) rows Q diag(d) U* between random unitaries: singular values d,
-    so cond(S) = (max d / min d)^2."""
-
-    def unitary(m, n):
-        q, r = np.linalg.qr(complex_box(rng, (m, n)))
-        return q * (np.diag(r) / np.abs(np.diag(r)))
-
-    return (unitary(rows, len(d)) * d) @ unitary(len(d), len(d)).conj().T
-
-
 def _graded(dim, cond_s):
     """dim log-spaced singular values from 1 down, with (max / min)^2 = cond_s."""
     return np.logspace(0.0, -0.5 * np.log10(cond_s), dim)
@@ -213,7 +205,7 @@ def test_the_verdict_near_the_threshold_is_the_eager_one(monkeypatch):
     for k in range(200):
         delta = 10.0 ** -(2 + k % 5) * (1 if k % 2 else -1)  # +-1e-2 ... +-1e-6
         dim = 3 + k % 4
-        rows = _rotated_rows(rng, 2 * dim, _graded(dim, (1.0 + delta) / TOL_FRAME_REL))
+        rows = rotated_rows(rng, 2 * dim, _graded(dim, (1.0 + delta) / TOL_FRAME_REL))
         lam = linalg._one_sided_jacobi(*linalg._scaled_r(rows, np.ones(len(rows)))).eigenvalues
         eager = frames._positive_definite(float(lam[0]), float(lam[-1]))
         before = calls["_one_sided_jacobi"]
@@ -234,7 +226,7 @@ def test_the_certificate_accepts_only_frames():
     accepted = 0
     for k in range(120):
         dim = 2 + k % 7
-        rows = _rotated_rows(rng, 3 * dim, _graded(dim, 10.0 ** (2 + 8 * k / 120)))
+        rows = rotated_rows(rng, 3 * dim, _graded(dim, 10.0 ** (2 + 8 * k / 120)))
         f = discretize_continuous(np.conj(rows), np.ones(len(rows)))
         if "_bounds" not in vars(f):  # no sweep ran at construction
             accepted += 1
@@ -280,7 +272,7 @@ def test_the_frame_operator_is_formed_only_when_read():
 def ill_conditioned_vectors():
     """48 rows in 16 dims with singular values graded over 4.25 decades, between
     random unitaries: cond(S) = 3.2e8."""
-    return _rotated_rows(rng_for(3), 48, np.logspace(0.0, -4.25, 16))
+    return rotated_rows(rng_for(3), 48, np.logspace(0.0, -4.25, 16))
 
 
 def test_bounds_of_an_ill_conditioned_frame_match_a_50_digit_svd():

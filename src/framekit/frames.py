@@ -150,9 +150,11 @@ class OperatorValuedFrame:
     is diagonalized.  Otherwise (a singular R and a non-finite R^-1 included)
     the eigenvalues decide at once, and NotAFrame is raised unless they pass.
     A family with fewer rows than dim_h has an S of rank below n, and is refused
-    before any factor.  ``_condition`` keeps the bound on lambda_max / lambda_min
-    the verdict was taken with: _CERTIFICATE_MARGIN ||R||_F^2 ||R^-1||_F^2 when the
-    certificate cleared, else upper / lower, so TOL_FRAME_REL * _condition < 1.
+    before any factor.  ``_condition`` keeps a bound on lambda_max / lambda_min:
+    _CERTIFICATE_MARGIN ||R||_F^2 ||R^-1||_F^2 when the certificate cleared, else
+    upper / lower times the sweeps' derived allowance (``_swept_condition``).  So
+    TOL_FRAME_REL * _condition < 1 unless the eigenvalues accepted the family
+    within that allowance of the threshold.
     The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached:
     one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``) runs on their
     first read and never again, for several frames at once in ``_diagonalize``.
@@ -209,7 +211,7 @@ class OperatorValuedFrame:
             condition = bound * linalg._CERTIFICATE_MARGIN
         if not condition < 1.0 / linalg.TOL_FRAME_REL:
             b = frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
-            condition = b.upper / b.lower
+            condition = _swept_condition(b, len(rows), dim_h)
         object.__setattr__(self, "_condition", condition)
 
     @cached_property
@@ -292,6 +294,45 @@ def _diagonalize(*ovfs: OperatorValuedFrame) -> tuple[linalg.EigenDecomposition,
         for f, vals, vecs in zip(todo, eig.eigenvalues, eig.eigenvectors):
             vars(f)["_eigen"] = linalg.EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
     return tuple(vars(f)["_eigen"] for f in ovfs)
+
+
+def _swept_condition(b: FrameBounds, m: int, n: int) -> float:
+    """A bound on lambda_max / lambda_min of S = B* diag(w) B, exact for a frame's
+    double rows and weights, from the bounds b the sweeps gave on the kept R of
+    its m x n rows: (upper / lower) (1 + 8 eps) (1 + 3 nu), or inf where eps
+    exceeds 1/8.
+
+    The sweeps return the squared row norms of Y', one-sided Jacobi's last iterate
+    from Y = R*.  With G = diag(sqrt(w)) B and gamma_k = linalg._gamma(k), three
+    normwise perturbations, each up to a unitary factor that moves no singular
+    value, take G to Y':
+      * forming G: fl(sqrt(w)) and the product, gamma_2 ||G||_F;
+      * the Householder QR: gamma_{16 m n} ||G||_F (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2nd ed., Theorem 19.4, whose constant
+        is taken as 16 for complex arithmetic and the compact-WY products);
+      * the sweeps: each rotation moves its two rows by a few roundings of their
+        norm, and a row meets n - 1 rotations a sweep for at most
+        JACOBI_MAX_SWEEPS + 1 sweeps, gamma_{8 (JACOBI_MAX_SWEEPS + 1) n} ||G||_F
+        (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992, section 4).
+    By Weyl's inequality for singular values each sigma_i moves by at most
+    tau ||G||_F, tau their sum, so by at most eps = tau kappa relative to
+    sigma_min, with kappa^2 = ||G||_F^2 / lambda_min <= n lambda_max / lambda_min
+    <= 2 n upper / lower while eps <= 1/8.  At the end every pair of rows is
+    orthogonal to JACOBI_ORTHOGONALITY_TOL relative, so Y' Y'* = D (I + E) D with
+    ||E||_2 <= (n - 1) JACOBI_ORTHOGONALITY_TOL, whose eigenvalues lie within that
+    relative distance of the squared row norms D^2 (Demmel & Veselic), each summed
+    in 2 n + 1 roundings; nu adds those, and the 3 roundings of this product, as
+    gamma_{2n+4}.  So lambda_max / lambda_min <= (upper / lower)
+    ((1 + eps) / (1 - eps))^2 (1 + nu) / (1 - nu), and for eps <= 1/8 and
+    nu <= 1/3 the two factors are at most 1 + 8 eps and 1 + 3 nu."""
+    sweeps = linalg.JACOBI_MAX_SWEEPS + 1
+    tau = linalg._gamma(2) + linalg._gamma(16 * m * n) + linalg._gamma(8 * sweeps * n)
+    ratio = b.upper / b.lower
+    eps = tau * (2.0 * n * ratio) ** 0.5
+    if not eps <= 0.125:
+        return float("inf")
+    nu = (n - 1) * linalg.JACOBI_ORTHOGONALITY_TOL + linalg._gamma(2 * n + 4)
+    return ratio * (1.0 + 8.0 * eps) * (1.0 + 3.0 * nu)
 
 
 def _positive_definite(lo: float, hi: float) -> bool:

@@ -752,7 +752,8 @@ def _decode_array(value, what: str) -> np.ndarray:
         if len(raw) % 16:
             raise ParseError(f"{what} hold {len(raw)} bytes, not a whole number of "
                              "16-byte complex entries")
-        v = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+        # a read-only view of the decoded bytes where the host is little-endian
+        v = np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False)
     elif isinstance(value, list):
         try:
             v = np.array([complex(re, im) for re, im in value], dtype=np.complex128)

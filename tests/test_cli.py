@@ -19,7 +19,7 @@ from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
 from framekit.povm import povm_from_json, povm_to_json
 
-from conftest import count_calls, random_unit
+from conftest import count_calls, random_unit, rng_for, rotated_rows
 
 
 def write_json(path, obj):
@@ -238,18 +238,38 @@ def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monke
 
 
 def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
-    calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_one_sided_jacobi")
-    assert main(["roundtrip", "--in", pair_path, "--out", str(tmp_path / "r.json")]) == 0
-    # no density (the minimal blocks are pivoted Cholesky rows); both frames' S,
-    # loaded and recovered, from their kept R in one call on a stack of two
-    assert calls == {"hermitian_eigen": 0, "_one_sided_jacobi": 1}
+    """No density is diagonalized (the minimal blocks are pivoted Cholesky rows),
+    and no frame where the loaded frame's factor certifies bounds_preserved.  A
+    frame with cond(S) = 1e8 is past the certificate, and both frames' S, loaded
+    and recovered, take their bounds from their kept R in one call on a stack of
+    two.  Either way the summary carries no bounds (``bounds`` prints them)."""
+    stacks = []
+    original = linalg._one_sided_jacobi
+
+    def recording(r, e):
+        stacks.append(r.shape)
+        return original(r, e)
+
+    monkeypatch.setattr(linalg, "_one_sided_jacobi", recording)
+    calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
+    rows = rotated_rows(rng_for(27), 10, np.logspace(0.0, -4.0, 5))  # cond(S) = 1e8
+    ill = write_json(tmp_path / "ill.json", vector_frame_to_json(VectorFrame(5, np.conj(rows))))
+    for path, by, jacobi in ((pair_path, "certificate", []), (ill, "eigenvalues", [(2, 5, 5)])):
+        stacks.clear()
+        assert main(["roundtrip", "--in", path, "--out", str(tmp_path / "r.json")]) == 0
+        report = read_report(tmp_path / "r.json")
+        assert stacks == jacobi and calls == {"hermitian_eigen": 0}
+        assert report["checks"][-1]["name"] == "bounds_preserved"
+        assert report["checks"][-1]["by"] == by
+        assert set(report["summary"]) == {"rule", "max_residual"}
 
 
 def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
         pair_path, tmp_path, monkeypatch):
-    """bounds and reconstruct read one frame's bounds, roundtrip two in one call on
-    a stack of two; no other pipeline command diagonalizes a frame, to-povm and
-    to-ovf included, and none calls hermitian_eigen."""
+    """bounds and reconstruct read one frame's bounds; no other pipeline command
+    diagonalizes a frame: to-povm and to-ovf read the bound a frame was accepted
+    with, and roundtrip certifies bounds_preserved from the loaded frame's factor.
+    None calls hermitian_eigen."""
     xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=3)))
     assert main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")]) == 0
     assert main(["to-povm", "--in", pair_path, "--out", str(tmp_path / "p.json")]) == 0
@@ -275,7 +295,7 @@ def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
         assert calls["hermitian_eigen"] == 0  # to-ovf's minimal blocks take no eigen work
         monkeypatch.undo()
     assert sweeps == {"analyze": 0, "bounds": 1, "reconstruct": 1, "to-povm": 0, "decompose": 0,
-                      "to-ovf": 0, "verify-uniqueness": 0, "roundtrip": 1}
+                      "to-ovf": 0, "verify-uniqueness": 0, "roundtrip": 0}
 
 
 def _analysis_check(pair_path, tmp_path, x):

@@ -219,6 +219,19 @@ def test_the_verdict_near_the_threshold_is_the_eager_one(monkeypatch):
     assert 50 < sum(verdicts) < 150  # both verdicts occur
 
 
+def test_a_frame_the_sweeps_accept_at_the_threshold_keeps_a_bound_past_it():
+    """cond(S) = (1 - 1e-8) / TOL_FRAME_REL passes the eigenvalue test, but the
+    bound the frame keeps, upper / lower times the sweeps' rounding allowance
+    (6e-7 here), does not clear 1 / TOL_FRAME_REL, so to-povm's and
+    to-ovf's framed check fails there rather than pass on a verdict the
+    rounding could reverse."""
+    rows = rotated_rows(rng_for(28), 6, _graded(3, (1.0 - 1e-8) / TOL_FRAME_REL))
+    f = discretize_continuous(np.conj(rows), np.ones(len(rows)))
+    b = frame_bounds(f)
+    assert TOL_FRAME_REL * b.upper / b.lower < 1.0
+    assert 1.0 < TOL_FRAME_REL * f._condition < 1.0 + 1e-5
+
+
 def test_the_certificate_accepts_only_frames():
     """Across cond(S) from 1e2 to the threshold, every family the certificate
     accepts without sweeps passes the eigenvalue test too."""

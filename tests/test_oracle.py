@@ -9,7 +9,8 @@ test, so it is no oracle here.
 import numpy as np
 import pytest
 
-from framekit import cli, discretize_continuous, linalg
+from framekit import cli, discretize_continuous, frames, linalg
+from framekit import correspondence as cr
 
 from conftest import random_ovf, rng_for, rotated_rows
 
@@ -65,9 +66,9 @@ def test_the_framed_value_bounds_the_true_condition():
     was accepted with, is at least TOL_FRAME_REL lambda_max / lambda_min of the
     true S, and below 1.  A certified frame's value is the certificate with its
     margin, so at least MARGIN times that.  A frame the certificate declines
-    keeps upper / lower from the sweeps on R, each eigenvalue within about
-    n eps cond(R) relative (the rounding the margin covers), so the value is
-    the true one to twice that."""
+    keeps upper / lower from the sweeps on R times its derived allowance
+    (frames._swept_condition), so its value is at least the truth and at most
+    the truth times that allowance and the sweeps' own n eps cond(R)."""
     paths = {"random": set(), 0.95: set(), 1.05: set()}
     for case, f in frame_table():
         certified = "_eigen" not in vars(f)
@@ -78,9 +79,123 @@ def test_the_framed_value_bounds_the_true_condition():
         if certified:
             assert value >= linalg._CERTIFICATE_MARGIN * truth, (case, f.dim_h, value, truth)
         else:
+            assert value >= truth, (case, f.dim_h, value, truth)
+            b = frames.frame_bounds(f)
+            allowance = f._condition / (b.upper / b.lower)
             rounding = 2 * f.dim_h * EPS * mpmath.sqrt(truth / linalg.TOL_FRAME_REL)
-            assert value >= truth * (1 - rounding), (case, f.dim_h, value, truth)
-            assert value <= truth * (1 + rounding), (case, f.dim_h, value, truth)
+            assert value <= truth * allowance * (1 + rounding), (case, f.dim_h, value, truth)
     # both paths are exercised: the certificate takes the random frames and
     # those below its threshold, the eigenvalues those above it
     assert paths == {"random": {True}, 0.95: {True}, 1.05: {False}}
+
+
+# --- roundtrip's bounds_preserved certificate ---------------------------------
+
+
+def extremes(s):
+    """(lambda_min, lambda_max) of a double Hermitian matrix, at 50 digits."""
+    m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in s.tolist()])
+    lam = mpmath.eigh(m, eigvals_only=True)
+    return min(lam), max(lam)
+
+
+def true_drift(s0, s1):
+    """max(|A1 - A0| / A0, |B1 - B0| / B0) of two formed operators, at 50 digits."""
+    with mpmath.workdps(50):
+        (a0, b0), (a1, b1) = extremes(s0), extremes(s1)
+        return max(abs(a1 - a0) / a0, abs(b1 - b0) / b0)
+
+
+def recovered_operator(f):
+    """The recovered frame's S, as roundtrip forms it (trace rule)."""
+    m = cr.ovf_to_povm(f)
+    return frames.frame_operator(cr.decomposition_to_ovf(cr.decompose(m, cr.TRACE_RULE)))
+
+
+def graded_frame(rng, dim, d, scale=1.0):
+    rows = rotated_rows(rng, 2 * dim, d) * scale
+    return discretize_continuous(np.conj(rows), np.ones(len(rows)))
+
+
+def drift_table():
+    """(case, frame, S1): the recovered operator of random frames and of frames
+    with graded spectra up to cond(S) = 1e9, at n = 2..8, some scaled by 2^-40
+    or 2^40 (so the factor's exponent is far from 0); and S0 moved by a multiple
+    of the projector on its lowest eigenvector, where Weyl's inequality is tight,
+    on frames whose singular values are (1, ..., 1, cond^-1/2), where
+    ||R^-1||_F^2 exceeds ||R^-1||_2^2 by only (n - 1) / cond relative."""
+    rng = rng_for(80)
+    for dim in range(2, 9):
+        f = random_ovf(dim=dim, atoms=dim + 2, seed=80 + dim)
+        yield "random", f, recovered_operator(f)
+        for cond, scale in ((1e3, 2.0 ** -40), (1e6, 1.0), (1e9, 2.0 ** 40)):
+            f = graded_frame(rng, dim, np.logspace(0.0, -0.5 * np.log10(cond), dim), scale)
+            yield "graded", f, recovered_operator(f)
+    for dim in range(2, 9):
+        for cond in (1e8, 1e9):
+            d = np.ones(dim)
+            d[-1] = cond ** -0.5
+            f = graded_frame(rng, dim, d, 2.0 ** -20)
+            s0 = frames.frame_operator(f)
+            u = f._eigen.eigenvectors[:, :1]
+            step = 8.0 * float(f._eigen.eigenvalues[0])
+            yield "aligned", f, linalg.hermitize(s0 + step * (u @ linalg.adjoint(u)))
+
+
+def test_the_drift_certificate_bounds_the_true_drift():
+    """roundtrip's certificate is finite on every frame of the table, and at
+    least the true drift of the extreme eigenvalues between the two formed
+    operators, whether or not it would clear the tolerance."""
+    for case, f, s1 in drift_table():
+        s0 = frames.frame_operator(f)
+        value = cli._drift_certificate(f, linalg.frobenius(s0 - s1))
+        assert np.isfinite(value), (case, f.dim_h)
+        truth = true_drift(s0, s1)
+        assert value >= truth, (case, f.dim_h, value, truth)
+        if case == "aligned":  # Weyl's inequality is tight there, and so is the bound
+            assert value <= 1.001 * truth, (case, f.dim_h, value, truth)
+
+
+def roundtrip_drift(f):
+    """roundtrip's bounds_preserved check on a loaded frame f."""
+    cfg = cli.ExperimentConfig(command="roundtrip", input_paths=("f",), output_path="r")
+    checks, _, _ = cli._cmd_roundtrip(cfg, f)
+    (check,) = [c for c in checks if c["name"] == "bounds_preserved"]
+    return check
+
+
+def weighted_blocks(rng, dim, cond):
+    """Weights and blocks of heights 1..dim over 2 dim atoms whose frame operator
+    has singular values graded from 1 down so that cond(S) = cond."""
+    heights = [1 + t % dim for t in range(2 * dim)]
+    w = rng.uniform(0.5, 2.0, len(heights))
+    rows = rotated_rows(rng, sum(heights), np.logspace(0.0, -0.5 * np.log10(cond), dim))
+    rows /= np.sqrt(np.repeat(w, heights))[:, None]
+    return w, np.split(rows, np.cumsum(heights)[:-1])
+
+
+def test_the_certificate_keeps_every_bounds_preserved_verdict(monkeypatch):
+    """Over cond(S) = 1e2..1e9, at n = 3, 5, 8 and 12, bounds_preserved gives the
+    verdict that the measured drift alone gives on the same frame, and both
+    verdicts occur.  The certificate decides every frame up to cond(S) = 1e6;
+    where it declines, the value is the measured drift."""
+    levels = [10.0 ** k for k in range(2, 10)]
+    decided, verdicts = {}, set()
+    for cond in levels:
+        for dim in (3, 5, 8, 12):
+            for seed in range(2):
+                w, blocks = weighted_blocks(rng_for(90 + 100 * dim + seed), dim, cond)
+                space = frames.AtomicMeasureSpace([str(t) for t in range(len(w))], w)
+                check = roundtrip_drift(frames.OperatorValuedFrame(space, dim, blocks))
+                decided.setdefault(cond, []).append(check["by"] == "certificate")
+                with monkeypatch.context() as m:  # the same frame, built afresh
+                    m.setattr(cli, "_drift_certificate", lambda ovf, gap: float("inf"))
+                    measured = roundtrip_drift(frames.OperatorValuedFrame(space, dim, blocks))
+                assert measured["by"] == "eigenvalues"
+                assert check["passed"] == measured["passed"], (cond, dim, check, measured)
+                if check["by"] == "eigenvalues":
+                    assert check["value"] == measured["value"]
+                verdicts.add(check["passed"])
+    assert all(all(decided[cond]) for cond in levels[:5]), decided
+    assert not any(decided[1e9]), decided
+    assert verdicts == {True, False}

@@ -202,13 +202,37 @@ def _atomic_write(path: str, *texts: str) -> None:
         raise
 
 
+# A top-level string field that JSON writes as it is, between quotes (the base64
+# stack of every data file), goes to the file straight, not copied into the text
+# of json.dumps; _PAYLOAD_MARK stands in its place there.
+_PAYLOAD_MARK = "\x00"
+_PAYLOAD_MARK_TEXT = json.dumps(_PAYLOAD_MARK)[1:-1]
+
+
+def _is_payload(value) -> bool:
+    return (isinstance(value, str) and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value)
+
+
 def _write_json(path: str, obj) -> None:
-    """Write standard JSON only: a NaN or an infinity is an error (LimitExceeded), not a token."""
+    """Write standard JSON only: a NaN or an infinity is an error (LimitExceeded), not a token.
+
+    json.dumps writes the object with its payload fields (see _PAYLOAD_MARK)
+    marked out, and each payload goes to the file between the pieces of that
+    text, so the file has the bytes of json.dumps(obj, sort_keys=True) without
+    a copy of a payload.  An object that holds the mark elsewhere takes
+    json.dumps whole."""
+    payloads = {key: value for key, value in obj.items() if _is_payload(value)}
     try:
-        text = json.dumps(obj, sort_keys=True, allow_nan=False)
+        text = json.dumps({**obj, **dict.fromkeys(payloads, _PAYLOAD_MARK)} if payloads else obj,
+                          sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise LimitExceeded(f"{path}: {exc}") from exc
-    _atomic_write(path, text, "\n")
+    pieces = text.split(_PAYLOAD_MARK_TEXT)
+    if len(pieces) != len(payloads) + 1:
+        pieces, payloads = [json.dumps(obj, sort_keys=True)], {}
+    texts = [part for key, piece in zip(sorted(payloads), pieces) for part in (piece, payloads[key])]
+    _atomic_write(path, *texts, pieces[-1], "\n")
 
 
 def _derived(output_path: str, suffix: str) -> str:

@@ -25,10 +25,16 @@ factorization of the shifted matrices instead
 (``_shifted_positive_definite``), a fraction of the cost of the sweeps;
 eigenpairs are computed only where a spectrum is read, and the minimal
 factors T* T = Q of PSD densities come from a stacked pivoted Cholesky
-(``_pivoted_cholesky_rows``), with no eigen work.  There is no general
-inverse: a frame inverts its triangular R (``_triangular_inverse``), which
-both certifies the frame without eigenvalues and solves S x = b as the
-least-squares problem on G (see ``reconstruction.reconstruct_direct``).
+(``_pivoted_cholesky_rows``), with no eigen work.  The Householder QR of
+``_scaled_r`` takes one of two paths, chosen by the size of its work array
+alone: flat and blocked in panels (``_reflect_panels``, LAPACK's zgeqrf)
+where the array fits in _FLAT_QR_BYTES, so a small frame pays for few
+Python-level steps, and recursive (``_reflect_columns``) above, where large
+matrix products carry the work.  There is no general inverse: a frame
+inverts its triangular R (``_triangular_inverse``, column by column within
+blocks of _INVERT_LEAF columns), which both certifies the frame without
+eigenvalues and solves S x = b as the least-squares problem on G (see
+``reconstruction.reconstruct_direct``).
 All functions are pure; the one state kept is ``_pair_gathers``'s read-only
 schedule per size n.  The tolerance table (TOL_HERM to PIVOT_FLOOR_N) holds
 every tolerance the package tests against.
@@ -96,6 +102,13 @@ JACOBI_ORTHOGONALITY_TOL = 1e-15
 # (64 matrices at n = 16, one at n = 128), so its working copies stay a small
 # part of a large stack; stacks of small matrices still go through in one slice.
 _EIGEN_CHUNK_BYTES = 1 << 18
+# _scaled_r factors a QR work array (max(m, n) x n complex128) of at most this
+# many bytes flat, in panels of _QR_PANEL columns, and a larger one recursively.
+_FLAT_QR_BYTES = 1 << 18
+_QR_PANEL = 16
+# ``_invert_upper`` halves a block of R^-1 above this many columns and fills one
+# at or below it column by column.
+_INVERT_LEAF = 64
 
 
 def _as_finite(a, ndims: tuple[int, ...], expected: str, what: str,
@@ -307,6 +320,7 @@ def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: 
     n x n ``r`` and overwrites column j of ``a`` with v: zero above row j, v_0
     on it and the rest below.  So each V of a node is a view of ``a``, the one
     tall array of the QR; ``ts`` (n, n) receives the upper-triangular T.
+    ``_scaled_r`` takes this path for a work array larger than _FLAT_QR_BYTES.
     """
     if hi - lo == 1:
         r[:lo, lo] = a[:lo, lo]
@@ -334,6 +348,56 @@ def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: 
     ts[lo:mid, mid:hi] = -(t1 @ ((v1h[:, mid - lo:] @ a[mid:, mid:hi]) @ ts[mid:hi, mid:hi]))
 
 
+def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
+    """Householder QR of the whole work array a, in place, flat and blocked
+    (LAPACK's zgeqrf): panels of _QR_PANEL columns, left to right.
+
+    Each column of a panel takes the reflector of ``_reflect_columns``'s leaf, and
+    applies it at once to the panel's columns right of it, as one vector-matrix
+    product and one rank-1 update (zgeqr2).  R's rows above the panel, final
+    since the last trailing update, move into ``r`` once per panel; a column's
+    rows inside the panel move, and are cleared in ``a``, when its turn comes.
+    So the panel's reflectors are V = a[lo:, lo:hi], which give the T of
+    Q = I - V T V* from V* V, one small matrix-vector product per column
+    (zlarft), and the columns right of the panel take Q* = I - V T* V* as one
+    compact-WY product, C -= V (T* (V* C)) (zlarfb; Schreiber & Van Loan, SIAM
+    J. Sci. Stat. Comput. 10(1), 1989).  The last panel needs no T.
+    """
+    n = a.shape[1]
+    for lo in range(0, n, _QR_PANEL):
+        hi = min(lo + _QR_PANEL, n)
+        r[:lo, lo:hi] = a[:lo, lo:hi]
+        taus = np.zeros(hi - lo)
+        for j in range(lo, hi):
+            r[lo:j, j] = a[lo:j, j]
+            a[lo:j, j] = 0.0
+            x = a[j:, j]
+            norm = math.sqrt(np.vdot(x, x).real)
+            if norm == 0.0:
+                r[j, j] = x[0]
+                x[:] = 0.0
+                continue
+            x0 = complex(x[0])
+            head = abs(x0)
+            phase = x0 / head if head > 0.0 else 1.0
+            r[j, j] = -phase * norm
+            x /= phase * (head + norm)
+            x[0] = 1.0
+            taus[j - lo] = tau = (head + norm) / norm
+            if j + 1 < hi:
+                c = a[j:, j + 1:hi]
+                c -= np.multiply.outer(x, tau * (np.conj(x) @ c))
+        if hi == n:
+            return
+        v = a[lo:, lo:hi]
+        w = adjoint(v) @ a[lo:, lo:]  # [V* V | V* C]
+        t = np.diag(taus).astype(np.complex128)
+        for i in range(1, hi - lo):
+            t[:i, i] = -taus[i] * (t[:i, :i] @ w[:i, i])
+        c = a[lo:, hi:]
+        c -= v @ (adjoint(t) @ w[:, hi - lo:])
+
+
 def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     """(R / 2^e, e) for the n x n upper-triangular R of a Householder QR of the
     (m, n) matrix G = diag(row_scale) g, so R* R = G* G; fewer rows than columns
@@ -343,7 +407,14 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     and ratio of the sweeps stays in range, and each step of the QR and of the
     sweeps commutes with the scaling.  G is written once, into the F-ordered work
     array of the QR, and scaled there in place; the reflectors then overwrite
-    it, so nothing else as tall is held but one node's V* and product.
+    it, so nothing else as tall is held but one node's (or panel's) V* and
+    product.  A work array of at most _FLAT_QR_BYTES is factored flat in panels
+    (``_reflect_panels``), where a recursion would pay about 2n Python-level
+    nodes for products too small to gain from them; a larger one recursively
+    (``_reflect_columns``), whose large products a flat panel's column steps
+    cannot match.  The path depends only on the input's size, and both give
+    every column the same reflector formula, so both have the same rounding
+    bound (Higham, Theorem 19.4; see ``frames._swept_condition``).
     """
     m, n = g.shape
     a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
@@ -352,15 +423,23 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     e = int(_scale_exponent(f))
     np.ldexp(f, -e, out=f)
     r = np.zeros((n, n), dtype=np.complex128)
-    _reflect_columns(a, r, np.zeros((n, n), dtype=np.complex128), 0, n)
+    if a.nbytes <= _FLAT_QR_BYTES:
+        _reflect_panels(a, r)
+    else:
+        _reflect_columns(a, r, np.zeros((n, n), dtype=np.complex128), 0, n)
     r.flags.writeable = False
     return r, e
 
 
 def _invert_upper(r: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
     """Fill the block inv[lo:hi, lo:hi] above its diagonal, which already holds
-    the reciprocals of R's, by R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]]."""
-    if hi - lo == 1:
+    the reciprocals of R's: above _INVERT_LEAF columns by the block rule
+    R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]], at or below it column by
+    column, X[:j, j] = -X[:j, :j] R[:j, j] X[j, j] (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 14.2, method 1)."""
+    if hi - lo <= _INVERT_LEAF:
+        for j in range(lo + 1, hi):
+            inv[lo:j, j] = (inv[lo:j, lo:j] @ r[lo:j, j]) * -inv[j, j]
         return
     mid = (lo + hi) // 2
     _invert_upper(r, inv, lo, mid)
@@ -369,12 +448,13 @@ def _invert_upper(r: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
 
 
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular n x n R, read-only, by the block rule
-    R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]] applied recursively
-    (``_invert_upper``), so all but the 1 x 1 leaves, whose reciprocals are
-    taken together, are matrix products.  A singular or nearly singular R gives
-    inf or NaN entries, with no RuntimeWarning; callers test the result for
-    finiteness."""
+    """Inverse of an upper-triangular n x n R, read-only (``_invert_upper``): the
+    reciprocals of the diagonal taken together, then blocks of at most
+    _INVERT_LEAF columns filled column by column, each a matrix-vector product,
+    and joined by the block rule R^-1 = [[R11^-1, -R11^-1 R12 R22^-1],
+    [0, R22^-1]], whose halves above that size are matrix products.  A singular
+    or nearly singular R gives inf or NaN entries, with no RuntimeWarning;
+    callers test the result for finiteness."""
     n = r.shape[0]
     inv = np.zeros_like(r)
     diag = np.arange(n)

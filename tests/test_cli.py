@@ -1113,11 +1113,13 @@ def test_written_files_take_the_mode_the_umask_leaves(onb_path, tmp_path):
 
 
 def test_json_writes_refuse_nan_and_inf(tmp_path):
+    payload = base64.b64encode(bytes(range(256)) * 2).decode("ascii")
     for value in (float("nan"), float("inf"), -float("inf")):
         out = tmp_path / "o.json"
-        with pytest.raises(LimitExceeded):
-            cli._write_json(str(out), {"x": value})
-        assert not out.exists()
+        for obj in ({"x": value}, {"blocks": payload, "weights": [1.0, value]}):
+            with pytest.raises(LimitExceeded):
+                cli._write_json(str(out), obj)
+            assert not out.exists()
     # an array is written as base64, which json.dumps does not read: the codec refuses it
     f = from_vector_frame(VectorFrame(dim_h=2, vectors=[[1, 1], [1, 0], [0, 1]]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1125,3 +1127,31 @@ def test_json_writes_refuse_nan_and_inf(tmp_path):
     assert not np.isfinite(c.segments[0]).all()
     with pytest.raises(LimitExceeded):
         frames.coefficients_to_json(c)
+
+
+def test_json_writes_pass_payloads_through_with_the_bytes_of_json_dumps(tmp_path, monkeypatch):
+    """A top-level string field that JSON writes as it is goes to the file as its
+    own text, not copied into json.dumps' output, and every file has the bytes
+    of json.dumps(obj, sort_keys=True); nested strings, strings that need
+    escaping and an object holding the mark take json.dumps."""
+    payload = base64.b64encode(bytes(range(256)) * 3).decode("ascii")
+    other = base64.b64encode(bytes(range(200, 0, -1)) * 4).decode("ascii")
+    quote = 'say "x"'
+    cases = [
+        {"weights": [0.5, 2.0], "blocks": payload, "heights": [1, 2], "atoms": ["b", "a"]},
+        {"z": [{"entries": other, "dim": 3}, payload], "a": {"q": payload, "p": "short"}},
+        {"z": other, "dim": 3, "a": payload, "b": "short"},
+        {"atoms": ["\x00", "t1"], "elements": payload},  # the mark as a label
+        {"atoms": ["a\x00b"], "elements": payload},  # the mark within a label
+        {"text": quote, "back": "a\\b", "ctl": "a\nb", "uni": "\u00e9", "del": "\x7f", "data": payload},
+    ]
+    written = []
+    write = cli._atomic_write
+    monkeypatch.setattr(cli, "_atomic_write", lambda path, *texts: (written.append(texts), write(path, *texts)))
+    for obj in cases:
+        out = tmp_path / "o.json"
+        cli._write_json(str(out), obj)
+        assert out.read_bytes() == (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+    streamed = [sum(t is p for t in texts for p in (payload, other)) for texts in written]
+    assert streamed == [1, 0, 2, 0, 0, 1]
+

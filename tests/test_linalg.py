@@ -921,7 +921,33 @@ def test_gram_eigen_raises_no_convergence(monkeypatch):
         gram_eigen(gram_case(6, 4, seed=8))
 
 
-@pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64)])
+def flat_rows(dim):
+    """The most rows whose QR work array the flat path takes at this dim."""
+    return linalg._FLAT_QR_BYTES // (16 * dim)
+
+
+def scaled_down(g, e):
+    """g / 2^e, exactly."""
+    return np.ldexp(np.ascontiguousarray(g).view(np.float64), -e).view(np.complex128)
+
+
+def assert_matches_lapack_r(r, g):
+    """R equals numpy's (LAPACK's) R of g up to a unit diagonal, row by row: the
+    triangular factor of a full-rank G is unique up to one."""
+    r_np = np.linalg.qr(g, mode="r")
+    unit = np.diag(r)[: len(r_np)] / np.diag(r_np)
+    assert np.allclose(np.abs(unit), 1.0, rtol=0.0, atol=1e-12)
+    eps = np.finfo(float).eps
+    tol = 4 * len(g) * eps * np.linalg.norm(g)
+    assert np.linalg.norm(r[: len(r_np)] - unit[:, None] * r_np) <= tol
+    assert not np.any(r[len(r_np):])
+
+
+# shapes on both sides of the panel width (15 | 16 | 17, 32 | 33) and of the
+# flat path's byte limit (flat_rows(16) = 1024 | 1025, flat_rows(33) = 496 | 497)
+@pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64),
+                                      (40, 15), (40, 16), (40, 17), (72, 32), (72, 33),
+                                      (1024, 16), (1025, 16), (496, 33), (497, 33)])
 def test_scaled_r_is_the_triangular_factor_of_the_scaled_rows(rows, dim):
     rng = rng_for(rows * dim)
     g = gram_case(rows, dim, seed=rows + dim) * 1e-3
@@ -934,11 +960,67 @@ def test_scaled_r_is_the_triangular_factor_of_the_scaled_rows(rows, dim):
     gram = linalg.adjoint(f.view(np.complex128)) @ f.view(np.complex128)
     eps = np.finfo(float).eps
     assert np.linalg.norm(linalg.adjoint(r) @ r - gram) <= 4 * rows * eps * np.linalg.norm(gram)
+    assert_matches_lapack_r(r, f.view(np.complex128))
     again, e_again = linalg._scaled_r(weighted, np.ones(rows))  # the same G, weighted beforehand
     assert np.array_equal(r, again) and e == e_again
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 64])
+def edge_case(kind, rows, dim):
+    """A 20-column G whose QR meets one edge of the reflector, in the first panel
+    and in the second: a zero column, a column zero below its head (G upper
+    triangular in its first 18 columns, so R = -G in those rows), or a head
+    x_0 = 0 over a nonzero tail (column 5 or 16 after 5 or 16 such columns)."""
+    g = gram_case(rows, dim, seed=rows + dim)
+    if kind == "zero column":
+        g[:, [3, 17]] = 0.0
+    elif kind == "zero tail":
+        g[:, :18] = np.triu(g[:, :18])
+    else:
+        head = int(kind[-2:])
+        g[:, :head] = np.triu(g[:, :head])
+        g[head, head] = 0.0
+    return g
+
+
+@pytest.mark.parametrize("rows", [40, flat_rows(20) + 1])  # the flat path, then the recursion
+@pytest.mark.parametrize("kind", ["zero column", "zero tail", "zero head 05", "zero head 16"])
+def test_scaled_r_takes_every_edge_of_the_reflector(kind, rows):
+    g = edge_case(kind, rows, 20)
+    r, e = linalg._scaled_r(g, np.ones(rows))  # pytest turns RuntimeWarnings into errors
+    f = scaled_down(g, e)
+    assert np.array_equal(r, np.triu(r))
+    gram = linalg.adjoint(f) @ f
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(linalg.adjoint(r) @ r - gram) <= 4 * rows * eps * np.linalg.norm(gram)
+    if kind == "zero column":  # H = I there: R's column is zero, above its diagonal too
+        assert not np.any(r[:, [3, 17]])
+        return
+    assert_matches_lapack_r(r, f)
+    if kind == "zero tail":  # each reflector is I - 2 e_j e_j*, to rounding: R = -G in those rows
+        assert np.all(np.abs(r[:18] + f[:18]) <= 4 * eps * np.abs(f[:18]))
+    else:  # the head's phase is taken as 1: beta = -||x||
+        head = int(kind[-2:])
+        assert r[head, head].imag == 0.0 and r[head, head].real < 0.0
+
+
+@pytest.mark.parametrize("rows,dim", [(10, 20), (100, 129)])  # the flat path, then the recursion
+def test_scaled_r_of_fewer_rows_than_columns_has_zero_rows_below(rows, dim):
+    g = gram_case(rows, dim, seed=rows)
+    r, e = linalg._scaled_r(g, np.ones(rows))
+    assert np.array_equal(r, np.triu(r))
+    assert_matches_lapack_r(r, scaled_down(g, e))
+
+
+def test_only_a_work_array_past_the_byte_limit_takes_the_recursion(monkeypatch):
+    calls = count_calls(monkeypatch, linalg, "_reflect_columns")
+    linalg._scaled_r(gram_case(27, 12, seed=1), np.ones(27))
+    linalg._scaled_r(gram_case(flat_rows(16), 16, seed=2), np.ones(flat_rows(16)))
+    assert calls["_reflect_columns"] == 0
+    linalg._scaled_r(gram_case(flat_rows(16) + 1, 16, seed=3), np.ones(flat_rows(16) + 1))
+    assert calls["_reflect_columns"] == 2 * 16 - 1  # every node of the recursion
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 63, 64, 65, 129])
 def test_triangular_inverse_inverts_the_factor(dim):
     r, _ = linalg._scaled_r(gram_case(3 * dim, dim, seed=dim), np.ones(3 * dim))
     inv = linalg._triangular_inverse(r)
@@ -950,7 +1032,12 @@ def test_triangular_inverse_inverts_the_factor(dim):
 
 
 def test_triangular_inverse_of_a_singular_factor_is_not_finite_without_warnings():
-    for diagonal in ([1.0, 0.0, 2.0], [1.0, 1e-310, 1.0], [0.0, 0.0]):
+    # the last two reach past one column-by-column block, into the block rule
+    wide = np.ones(70)
+    wide[[3, 66]] = 0.0
+    tiny = np.ones(130)
+    tiny[100] = 1e-310
+    for diagonal in ([1.0, 0.0, 2.0], [1.0, 1e-310, 1.0], [0.0, 0.0], wide, tiny):
         r = np.triu(np.ones((len(diagonal),) * 2, dtype=np.complex128), 1) + np.diag(diagonal)
         inv = linalg._triangular_inverse(r)  # pytest turns RuntimeWarnings into errors
         assert not np.all(np.isfinite(inv))

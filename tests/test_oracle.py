@@ -9,10 +9,10 @@ test, so it is no oracle here.
 import numpy as np
 import pytest
 
-from framekit import cli, discretize_continuous, frames, linalg
+from framekit import NotAFrame, cli, discretize_continuous, frames, linalg
 from framekit import correspondence as cr
 
-from conftest import random_ovf, rng_for, rotated_rows
+from conftest import complex_box, random_ovf, rng_for, rotated_rows
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -199,3 +199,89 @@ def test_the_certificate_keeps_every_bounds_preserved_verdict(monkeypatch):
     assert all(all(decided[cond]) for cond in levels[:5]), decided
     assert not any(decided[1e9]), decided
     assert verdicts == {True, False}
+
+
+# --- NotAFrame and the bounds that `bounds` reports ---------------------------
+
+DELTA = 0.05
+
+
+def true_extremes(rows, weights):
+    """(lambda_min, lambda_max) of S = B* diag(w) B for double rows B and weights w,
+    at 50 digits."""
+    with mpmath.workdps(50):
+        b = [[mpmath.mpc(complex(z)) for z in row] for row in rows.tolist()]
+        w = [mpmath.mpf(float(x)) for x in weights]
+        n = rows.shape[1]
+        s = mpmath.matrix(n, n)
+        for p in range(n):
+            for q in range(p, n):
+                s[p, q] = mpmath.fsum(wi * mpmath.conj(bi[p]) * bi[q] for wi, bi in zip(w, b))
+                s[q, p] = mpmath.conj(s[p, q])
+        lam = mpmath.eigh(s, eigvals_only=True)
+        return min(lam), max(lam)
+
+
+def bounds_table():
+    """(case, samples, copies): vector frames of 2 dim samples with singular
+    values (1, ..., 1, d), so lambda_min / lambda_max = d^2, at n = 2, 4 and 8,
+    with d^2 at (1 +- DELTA) times the frame threshold TOL_FRAME_REL, and with
+    1 - d^2 at (1 +- DELTA) times the tightness threshold TOL_TIGHT_REL; and
+    random frames.  Each set of samples is taken ``copies`` times over: once,
+    so the QR work array is flat, and enough times to pass its byte limit, so
+    the recursion factors it.  Copies scale S and leave both ratios as they are."""
+    rng = rng_for(60)
+    for dim in (2, 4, 8):
+        tall = linalg._FLAT_QR_BYTES // (16 * dim * 2 * dim) + 1
+        for copies in (1, tall):
+            yield "random", complex_box(rng, (2 * dim, dim)), copies
+            for name, threshold in (("frame", linalg.TOL_FRAME_REL), ("tight", linalg.TOL_TIGHT_REL)):
+                for side in (-1, 1):
+                    gap = (1 + side * DELTA) * threshold
+                    d = np.ones(dim)
+                    d[-1] = np.sqrt(gap if name == "frame" else 1.0 - gap)
+                    yield (name, side), rotated_rows(rng, 2 * dim, d), copies
+
+
+def test_not_a_frame_and_the_reported_bounds_match_the_true_spectrum():
+    """Near the frame threshold, the constructor raises NotAFrame exactly when
+    the true lambda_min / lambda_max is below TOL_FRAME_REL; near the
+    tightness threshold, `bounds` reports tight exactly when the true
+    (lambda_max - lambda_min) / lambda_max is at most TOL_TIGHT_REL.  Every frame
+    built has its reported A and B within the sweeps' derived allowance
+    (frames._swept_condition over upper / lower) of the true extremes, on both
+    QR paths."""
+    paths, verdicts = set(), set()
+    for case, samples, copies in bounds_table():
+        samples = np.tile(samples, (copies, 1))
+        rows, weights = np.conj(samples), np.ones(len(samples))
+        dim = rows.shape[1]
+        paths.add(16 * rows.size <= linalg._FLAT_QR_BYTES)
+        lo, hi = true_extremes(rows[: len(rows) // copies], weights[: len(rows) // copies])
+        lo, hi = lo * copies, hi * copies
+        truly_framed = lo > linalg.TOL_FRAME_REL * hi
+        if case[0] == "frame":  # the truth sits on the side the case was built for
+            assert (lo / hi > linalg.TOL_FRAME_REL) == (case[1] > 0), (case, dim, copies)
+        try:
+            f = discretize_continuous(samples, weights)
+        except NotAFrame:
+            assert not truly_framed, (case, dim, copies)
+            verdicts.add(("frame", False))
+            continue
+        assert truly_framed, (case, dim, copies)
+        verdicts.add(("frame", True))
+        assert np.array_equal(f._rows, rows)
+        cfg = cli.ExperimentConfig(command="bounds", input_paths=("f",), output_path="r")
+        (check,), summary, _ = cli._cmd_bounds(cfg, f)
+        assert check["passed"]
+        b = frames.frame_bounds(f)
+        allowance = frames._swept_condition(b, len(rows), dim) / (b.upper / b.lower)
+        for reported, truth in ((summary["lower"], lo), (summary["upper"], hi)):
+            assert truth / allowance <= reported <= truth * allowance, (case, dim, copies)
+        if case[0] == "tight":
+            truly_tight = hi - lo <= linalg.TOL_TIGHT_REL * hi
+            assert truly_tight == (case[1] < 0), (case, dim, copies)
+            assert summary["tight"] == truly_tight, (case, dim, copies)
+            verdicts.add(("tight", truly_tight))
+    assert paths == {True, False}
+    assert verdicts == {(name, v) for name in ("frame", "tight") for v in (True, False)}

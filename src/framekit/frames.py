@@ -310,11 +310,11 @@ def _swept_condition(b: FrameBounds, m: int, n: int) -> float:
       * the Householder QR: gamma_{16 m n} ||G||_F (Higham, Accuracy and
         Stability of Numerical Algorithms, 2nd ed., Theorem 19.4, whose constant
         is taken as 16 for complex arithmetic and the compact-WY products).
-        It covers both paths of ``linalg._scaled_r``: each forms every
-        reflector by the same formula, and applies it either one column at a
-        time, as in the theorem's own algorithm (inside a flat panel), or
-        within a compact-WY product (the flat path's trailing updates, every
-        join of the recursion), which that constant was taken for;
+        It covers both paths of ``linalg._scaled_r``: each takes every
+        reflector from ``linalg._reflector``, and applies it either one
+        column at a time, as in the theorem's own algorithm (inside a flat
+        panel), or within a compact-WY product (the flat path's trailing
+        updates, every join of the recursion), which that constant was taken for;
       * the sweeps: each rotation moves its two rows by a few roundings of their
         norm, and a row meets n - 1 rotations a sweep for at most
         JACOBI_MAX_SWEEPS + 1 sweeps, gamma_{8 (JACOBI_MAX_SWEEPS + 1) n} ||G||_F

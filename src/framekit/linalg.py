@@ -26,11 +26,12 @@ factorization of the shifted matrices instead
 eigenpairs are computed only where a spectrum is read, and the minimal
 factors T* T = Q of PSD densities come from a stacked pivoted Cholesky
 (``_pivoted_cholesky_rows``), with no eigen work.  The Householder QR of
-``_scaled_r`` takes one of two paths, chosen by the size of its work array
-alone: flat and blocked in panels (``_reflect_panels``, LAPACK's zgeqrf)
-where the array fits in _FLAT_QR_BYTES, so a small frame pays for few
+``_scaled_r`` takes one of two paths, chosen by the row count of its work
+array alone: flat and blocked in panels (``_reflect_panels``, LAPACK's
+zgeqrf) up to _FLAT_QR_ROWS rows, so a small frame pays for few
 Python-level steps, and recursive (``_reflect_columns``) above, where large
-matrix products carry the work.  There is no general inverse: a frame
+matrix products carry the work; both take every reflector from
+``_reflector``.  There is no general inverse: a frame
 inverts its triangular R (``_triangular_inverse``, column by column within
 blocks of _INVERT_LEAF columns), which both certifies the frame without
 eigenvalues and solves S x = b as the least-squares problem on G (see
@@ -102,9 +103,11 @@ JACOBI_ORTHOGONALITY_TOL = 1e-15
 # (64 matrices at n = 16, one at n = 128), so its working copies stay a small
 # part of a large stack; stacks of small matrices still go through in one slice.
 _EIGEN_CHUNK_BYTES = 1 << 18
-# _scaled_r factors a QR work array (max(m, n) x n complex128) of at most this
-# many bytes flat, in panels of _QR_PANEL columns, and a larger one recursively.
-_FLAT_QR_BYTES = 1 << 18
+# _scaled_r factors a QR work array (max(m, n) x n) of at most this many rows
+# flat, in panels of _QR_PANEL columns, and a taller one recursively.  At 1 BLAS
+# thread the flat path is the faster up to about 256 rows for n >= 32, and a
+# little further for narrower arrays; past that the recursion's larger products win.
+_FLAT_QR_ROWS = 256
 _QR_PANEL = 16
 # ``_invert_upper`` halves a block of R^-1 above this many columns and fills one
 # at or below it column by column.
@@ -304,39 +307,51 @@ def hermitian_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
+def _reflector(a: np.ndarray, r: np.ndarray, j: int, top: int) -> float:
+    """Reflect column j of the QR work array a: move R's rows top..j-1 of that
+    column, final by then, into the n x n ``r`` and clear them in ``a``, then take
+    the reflector H = I - tau v v* of x = a[j:, j] and return tau.
+
+    The reflector is LAPACK's zlarfg, with the phase of x_0 in place of the
+    sign of its real part: H x = beta e_0 for beta = -phase(x_0) ||x||,
+    v = (x - beta e_0) / (x_0 - beta) (so v_0 = 1) and
+    tau = (||x|| + |x_0|) / ||x||, with no cancellation.  beta goes to r[j, j]
+    and v overwrites x.  A zero column takes H = I: v = 0 and tau = 0.  Both
+    QR paths take every reflector from here, so they share its rounding.
+    """
+    r[top:j, j] = a[top:j, j]
+    a[top:j, j] = 0.0
+    x = a[j:, j]
+    norm = np.sqrt(np.vdot(x, x).real)
+    if norm == 0.0:
+        r[j, j] = x[0]
+        x[:] = 0.0
+        return 0.0
+    head = abs(x[0])
+    phase = x[0] / head if head > 0.0 else 1.0
+    r[j, j] = -phase * norm
+    x /= phase * (head + norm)
+    x[0] = 1.0
+    return (head + norm) / norm
+
+
 def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: int) -> None:
     """Householder QR of the block a[lo:, lo:hi], in place, recursively.
 
-    A leaf (one column x) takes the reflector H = I - tau v v* of LAPACK's
-    zlarfg, with the phase of x_0 in place of the sign of its real part:
-    H x = beta e_0 for beta = -phase(x_0) ||x||, v = (x - beta e_0) / (x_0 - beta)
-    (so v_0 = 1) and tau = (||x|| + |x_0|) / ||x||, with no cancellation; a zero
-    column takes H = I and v = 0.  A node factors its left half, applies that
-    half's Q* = I - V T* V* to its right half, factors the right half and joins
-    the two compact-WY factors with T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson,
-    IBM J. Res. Dev. 44(4), 2000), so all but the leaves are matrix products.
+    A leaf (one column) takes its reflector from ``_reflector``.  A node
+    factors its left half, applies that half's Q* = I - V T* V* to its right
+    half, factors the right half and joins the two compact-WY factors with
+    T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000),
+    so all but the leaves are matrix products.
 
     The leaf of column j moves R's column j (rows 0..j, final by then) into the
     n x n ``r`` and overwrites column j of ``a`` with v: zero above row j, v_0
     on it and the rest below.  So each V of a node is a view of ``a``, the one
     tall array of the QR; ``ts`` (n, n) receives the upper-triangular T.
-    ``_scaled_r`` takes this path for a work array larger than _FLAT_QR_BYTES.
+    ``_scaled_r`` takes this path for a work array of more than _FLAT_QR_ROWS rows.
     """
     if hi - lo == 1:
-        r[:lo, lo] = a[:lo, lo]
-        a[:lo, lo] = 0.0
-        x = a[lo:, lo]
-        norm = np.sqrt(np.vdot(x, x).real)
-        if norm == 0.0:
-            r[lo, lo] = x[0]
-            x[:] = 0.0
-            return
-        head = abs(x[0])
-        phase = x[0] / head if head > 0.0 else 1.0
-        r[lo, lo] = -phase * norm
-        x /= phase * (head + norm)
-        x[0] = 1.0
-        ts[lo, lo] = (head + norm) / norm
+        ts[lo, lo] = _reflector(a, r, lo, 0)
         return
     mid = (lo + hi) // 2
     _reflect_columns(a, r, ts, lo, mid)
@@ -352,7 +367,7 @@ def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
     """Householder QR of the whole work array a, in place, flat and blocked
     (LAPACK's zgeqrf): panels of _QR_PANEL columns, left to right.
 
-    Each column of a panel takes the reflector of ``_reflect_columns``'s leaf, and
+    Each column of a panel takes its reflector from ``_reflector``, and
     applies it at once to the panel's columns right of it, as one vector-matrix
     product and one rank-1 update (zgeqr2).  R's rows above the panel, final
     since the last trailing update, move into ``r`` once per panel; a column's
@@ -369,23 +384,9 @@ def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
         r[:lo, lo:hi] = a[:lo, lo:hi]
         taus = np.zeros(hi - lo)
         for j in range(lo, hi):
-            r[lo:j, j] = a[lo:j, j]
-            a[lo:j, j] = 0.0
-            x = a[j:, j]
-            norm = math.sqrt(np.vdot(x, x).real)
-            if norm == 0.0:
-                r[j, j] = x[0]
-                x[:] = 0.0
-                continue
-            x0 = complex(x[0])
-            head = abs(x0)
-            phase = x0 / head if head > 0.0 else 1.0
-            r[j, j] = -phase * norm
-            x /= phase * (head + norm)
-            x[0] = 1.0
-            taus[j - lo] = tau = (head + norm) / norm
-            if j + 1 < hi:
-                c = a[j:, j + 1:hi]
+            taus[j - lo] = tau = _reflector(a, r, j, lo)
+            if tau != 0.0 and j + 1 < hi:
+                x, c = a[j:, j], a[j:, j + 1:hi]
                 c -= np.multiply.outer(x, tau * (np.conj(x) @ c))
         if hi == n:
             return
@@ -408,13 +409,14 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     sweeps commutes with the scaling.  G is written once, into the F-ordered work
     array of the QR, and scaled there in place; the reflectors then overwrite
     it, so nothing else as tall is held but one node's (or panel's) V* and
-    product.  A work array of at most _FLAT_QR_BYTES is factored flat in panels
-    (``_reflect_panels``), where a recursion would pay about 2n Python-level
-    nodes for products too small to gain from them; a larger one recursively
-    (``_reflect_columns``), whose large products a flat panel's column steps
-    cannot match.  The path depends only on the input's size, and both give
-    every column the same reflector formula, so both have the same rounding
-    bound (Higham, Theorem 19.4; see ``frames._swept_condition``).
+    product.  A work array of at most _FLAT_QR_ROWS rows is factored flat in
+    panels (``_reflect_panels``), where a recursion would pay about 2n
+    Python-level nodes for products too small to gain from them; a taller one
+    recursively (``_reflect_columns``), whose large products a flat panel's
+    column steps cannot match.  The path depends only on the input's shape,
+    and both take every column's reflector from ``_reflector``, so both have
+    the same rounding bound (Higham, Theorem 19.4; see
+    ``frames._swept_condition``).
     """
     m, n = g.shape
     a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
@@ -423,7 +425,7 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     e = int(_scale_exponent(f))
     np.ldexp(f, -e, out=f)
     r = np.zeros((n, n), dtype=np.complex128)
-    if a.nbytes <= _FLAT_QR_BYTES:
+    if len(a) <= _FLAT_QR_ROWS:
         _reflect_panels(a, r)
     else:
         _reflect_columns(a, r, np.zeros((n, n), dtype=np.complex128), 0, n)

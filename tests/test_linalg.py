@@ -921,11 +921,6 @@ def test_gram_eigen_raises_no_convergence(monkeypatch):
         gram_eigen(gram_case(6, 4, seed=8))
 
 
-def flat_rows(dim):
-    """The most rows whose QR work array the flat path takes at this dim."""
-    return linalg._FLAT_QR_BYTES // (16 * dim)
-
-
 def scaled_down(g, e):
     """g / 2^e, exactly."""
     return np.ldexp(np.ascontiguousarray(g).view(np.float64), -e).view(np.complex128)
@@ -944,10 +939,10 @@ def assert_matches_lapack_r(r, g):
 
 
 # shapes on both sides of the panel width (15 | 16 | 17, 32 | 33) and of the
-# flat path's byte limit (flat_rows(16) = 1024 | 1025, flat_rows(33) = 496 | 497)
+# flat path's row limit (_FLAT_QR_ROWS = 256 | 257)
 @pytest.mark.parametrize("rows,dim", [(1, 1), (3, 2), (10, 3), (36, 16), (17, 17), (144, 64),
                                       (40, 15), (40, 16), (40, 17), (72, 32), (72, 33),
-                                      (1024, 16), (1025, 16), (496, 33), (497, 33)])
+                                      (256, 16), (257, 16), (256, 65), (257, 65)])
 def test_scaled_r_is_the_triangular_factor_of_the_scaled_rows(rows, dim):
     rng = rng_for(rows * dim)
     g = gram_case(rows, dim, seed=rows + dim) * 1e-3
@@ -982,7 +977,7 @@ def edge_case(kind, rows, dim):
     return g
 
 
-@pytest.mark.parametrize("rows", [40, flat_rows(20) + 1])  # the flat path, then the recursion
+@pytest.mark.parametrize("rows", [40, linalg._FLAT_QR_ROWS + 1])  # the flat path, then the recursion
 @pytest.mark.parametrize("kind", ["zero column", "zero tail", "zero head 05", "zero head 16"])
 def test_scaled_r_takes_every_edge_of_the_reflector(kind, rows):
     g = edge_case(kind, rows, 20)
@@ -1003,7 +998,7 @@ def test_scaled_r_takes_every_edge_of_the_reflector(kind, rows):
         assert r[head, head].imag == 0.0 and r[head, head].real < 0.0
 
 
-@pytest.mark.parametrize("rows,dim", [(10, 20), (100, 129)])  # the flat path, then the recursion
+@pytest.mark.parametrize("rows,dim", [(10, 20), (100, 257)])  # the flat path, then the recursion
 def test_scaled_r_of_fewer_rows_than_columns_has_zero_rows_below(rows, dim):
     g = gram_case(rows, dim, seed=rows)
     r, e = linalg._scaled_r(g, np.ones(rows))
@@ -1011,13 +1006,17 @@ def test_scaled_r_of_fewer_rows_than_columns_has_zero_rows_below(rows, dim):
     assert_matches_lapack_r(r, scaled_down(g, e))
 
 
-def test_only_a_work_array_past_the_byte_limit_takes_the_recursion(monkeypatch):
+def test_only_a_work_array_past_the_row_limit_takes_the_recursion(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "_reflect_columns")
-    linalg._scaled_r(gram_case(27, 12, seed=1), np.ones(27))
-    linalg._scaled_r(gram_case(flat_rows(16), 16, seed=2), np.ones(flat_rows(16)))
+    limit = linalg._FLAT_QR_ROWS
+    assert limit == 256  # the measured crossover at n >= 32, 1 BLAS thread
+    for rows, dim in ((27, 12), (limit, 8), (limit, 64), (10, limit)):
+        linalg._scaled_r(gram_case(rows, dim, seed=rows + dim), np.ones(rows))
     assert calls["_reflect_columns"] == 0
-    linalg._scaled_r(gram_case(flat_rows(16) + 1, 16, seed=3), np.ones(flat_rows(16) + 1))
+    linalg._scaled_r(gram_case(limit + 1, 16, seed=3), np.ones(limit + 1))
     assert calls["_reflect_columns"] == 2 * 16 - 1  # every node of the recursion
+    linalg._scaled_r(gram_case(10, limit + 1, seed=4), np.ones(10))  # padded past the limit
+    assert calls["_reflect_columns"] == 2 * 16 - 1 + 2 * (limit + 1) - 1
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 16, 17, 63, 64, 65, 129])

@@ -228,11 +228,11 @@ def bounds_table():
     with d^2 at (1 +- DELTA) times the frame threshold TOL_FRAME_REL, and with
     1 - d^2 at (1 +- DELTA) times the tightness threshold TOL_TIGHT_REL; and
     random frames.  Each set of samples is taken ``copies`` times over: once,
-    so the QR work array is flat, and enough times to pass its byte limit, so
+    so the QR work array is flat, and enough times to pass its row limit, so
     the recursion factors it.  Copies scale S and leave both ratios as they are."""
     rng = rng_for(60)
     for dim in (2, 4, 8):
-        tall = linalg._FLAT_QR_BYTES // (16 * dim * 2 * dim) + 1
+        tall = linalg._FLAT_QR_ROWS // (2 * dim) + 1
         for copies in (1, tall):
             yield "random", complex_box(rng, (2 * dim, dim)), copies
             for name, threshold in (("frame", linalg.TOL_FRAME_REL), ("tight", linalg.TOL_TIGHT_REL)):
@@ -256,7 +256,7 @@ def test_not_a_frame_and_the_reported_bounds_match_the_true_spectrum():
         samples = np.tile(samples, (copies, 1))
         rows, weights = np.conj(samples), np.ones(len(samples))
         dim = rows.shape[1]
-        paths.add(16 * rows.size <= linalg._FLAT_QR_BYTES)
+        paths.add(len(rows) <= linalg._FLAT_QR_ROWS)
         lo, hi = true_extremes(rows[: len(rows) // copies], weights[: len(rows) // copies])
         lo, hi = lo * copies, hi * copies
         truly_framed = lo > linalg.TOL_FRAME_REL * hi

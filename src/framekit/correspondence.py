@@ -51,6 +51,7 @@ from .frames import (
     OperatorValuedFrame,
     _event_mask,
     _position,
+    _space_from_json,
     frame_operator,
 )
 from .povm import Povm, validate
@@ -426,8 +427,7 @@ def reintegration_residuals(
 # --- JSON encoding -----------------------------------------------------------
 #
 # Decomposition: {"atoms": [...], "weights": [...], "dim_h": n, "densities": stack}
-# The stack is linalg's array of all N n x n densities, one base64 string of
-# little-endian complex128; older files hold a list of linalg matrices instead.
+# The stack is all N n x n densities; linalg's JSON section describes its layouts.
 
 
 def decomposition_to_json(d: Decomposition) -> dict:
@@ -440,22 +440,14 @@ def decomposition_to_json(d: Decomposition) -> dict:
 
 
 def decomposition_from_json(obj) -> Decomposition:
-    atoms = linalg._require(obj, "atoms", "decomposition")
-    weights = linalg._require(obj, "weights", "decomposition")
+    measure = _space_from_json(obj, "decomposition")
     dim_h = linalg._require(obj, "dim_h", "decomposition")
     densities = linalg._require(obj, "densities", "decomposition")
-    if not isinstance(densities, (str, list)):
-        raise ParseError("decomposition densities must be a base64 string or a list of "
-                         "matrix objects")
-    if not (atoms if isinstance(densities, str) else densities):
+    n = len(measure)
+    if not n:
         raise ParseError("decomposition has no atoms, so no density to check dim_h against")
-    if isinstance(densities, str):
-        mats = linalg._decode_stack(densities, (len(atoms), dim_h, dim_h),
-                                    "decomposition densities")
-    else:
-        mats = [linalg.matrix_from_json(q) for q in densities]
+    rows, _ = linalg._decode_family(densities, "decomposition densities", dim_h, n, [dim_h] * n)
     try:
-        measure = AtomicMeasureSpace(atoms=atoms, weights=weights)
-        return Decomposition(measure=measure, densities=mats, dim_h=dim_h)
+        return Decomposition(measure=measure, densities=rows.reshape(n, dim_h, dim_h), dim_h=dim_h)
     except (ValueError, TypeError, OverflowError, DimensionMismatch, NotHermitian, NotPsd) as exc:
         raise ParseError(f"bad decomposition: {exc}") from exc

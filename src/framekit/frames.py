@@ -453,11 +453,23 @@ def frame_bounds(ovf: OperatorValuedFrame) -> FrameBounds:
 #               "heights": [k_t, ...]}
 # VectorFrame: {"dim_h": n, "vectors": stack}
 # Coefficients:{"atoms": [...], "weights": [...], "segments": stack, "heights": [k_t, ...]}
-# A stack is linalg's array of a whole family, one base64 string of
-# little-endian complex128: the rows of all blocks ((sum k_t) x n, atom t's
-# k_t rows in atom order), the count x n vectors, or all segments end to end.
-# Older files hold a list instead: of linalg matrices for blocks, of arrays
-# for vectors and segments (and no heights).
+# A stack is the rows of all blocks ((sum k_t) x n), the count x n vectors, or
+# all segments end to end; linalg's JSON section describes its layouts, and
+# linalg._decode_family reads them all.
+
+
+def _space_from_json(obj, kind: str) -> AtomicMeasureSpace:
+    """The measure space of a file's atoms and weights; ParseError unless they make one."""
+    atoms, weights = linalg._require(obj, "atoms", kind), linalg._require(obj, "weights", kind)
+    try:
+        return AtomicMeasureSpace(atoms=atoms, weights=weights)
+    except (ValueError, DimensionMismatch, TypeError, OverflowError) as exc:
+        raise ParseError(f"bad {kind} measure space: {exc}") from exc
+
+
+def _given_heights(obj, kind: str):
+    """The heights a file gives; None where it gives none, as a per-atom list need not."""
+    return linalg._require(obj, "heights", kind) if "heights" in obj else None
 
 
 def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
@@ -471,38 +483,13 @@ def ovf_to_json(ovf: OperatorValuedFrame) -> dict:
 
 
 def ovf_from_json(obj) -> OperatorValuedFrame:
-    atoms = linalg._require(obj, "atoms", "OVF")
-    weights = linalg._require(obj, "weights", "OVF")
+    space = _space_from_json(obj, "OVF")
     dim_h = linalg._require(obj, "dim_h", "OVF")
-    blocks = linalg._require(obj, "blocks", "OVF")
-    if not isinstance(blocks, (str, list)):
-        raise ParseError("OVF blocks must be a base64 string or a list of matrix objects")
-    try:
-        space = AtomicMeasureSpace(atoms=atoms, weights=weights)
-    except (ValueError, DimensionMismatch, TypeError, OverflowError) as exc:
-        raise ParseError(f"bad OVF measure space: {exc}") from exc
-    if isinstance(blocks, str):
-        heights = _heights(obj, "OVF", len(atoms))
-        rows = linalg._decode_stack(blocks, (sum(heights), dim_h), "OVF blocks")
-    else:
-        blocks = [linalg.matrix_from_json(b) for b in blocks]
-    try:
-        if isinstance(blocks, list):
-            return OperatorValuedFrame(space=space, dim_h=dim_h, blocks=blocks)
-        ovf = object.__new__(OperatorValuedFrame)
-        ovf._fill(space, dim_h, rows, heights)
-        return ovf
-    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
-        raise ParseError(f"bad OVF dim_h or blocks: {exc}") from exc
-
-
-def _heights(obj, kind: str, atoms: int) -> list:
-    """The heights of a stacked OVF or coefficient file: k_t rows or entries of
-    the stack for each of its atoms."""
-    heights = linalg._require(obj, "heights", kind)
-    if len(heights) != atoms:
-        raise ParseError(f"{kind} has {atoms} atoms but {len(heights)} heights")
-    return heights
+    rows, heights = linalg._decode_family(linalg._require(obj, "blocks", "OVF"), "OVF blocks",
+                                          dim_h, len(space), _given_heights(obj, "OVF"))
+    ovf = object.__new__(OperatorValuedFrame)
+    ovf._fill(space, dim_h, rows, heights)  # they fit, so it raises NotAFrame or LimitExceeded only
+    return ovf
 
 
 def vector_frame_to_json(f: VectorFrame) -> dict:
@@ -514,22 +501,9 @@ def vector_frame_to_json(f: VectorFrame) -> dict:
 
 def vector_frame_from_json(obj) -> VectorFrame:
     dim_h = linalg._require(obj, "dim_h", "vector frame")
-    vectors = linalg._require(obj, "vectors", "vector frame")
-    if isinstance(vectors, str):
-        vecs = linalg._decode_array(vectors, "vector frame vectors")
-        if dim_h <= 0 or len(vecs) % dim_h:
-            raise ParseError(f"vector frame vectors hold {len(vecs)} entries, not a "
-                             f"whole number of vectors of dim_h {dim_h}")
-    elif isinstance(vectors, list):
-        vecs = [linalg._decode_array(v, "vector frame vector") for v in vectors]
-    else:
-        raise ParseError("vector frame vectors must be a base64 string or a list")
-    try:
-        if isinstance(vectors, str):
-            vecs = vecs.reshape(-1, dim_h)
-        return VectorFrame(dim_h=dim_h, vectors=vecs)
-    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
-        raise ParseError(f"bad vector frame: {exc}") from exc
+    vectors, _ = linalg._decode_family(linalg._require(obj, "vectors", "vector frame"),
+                                       "vector frame vectors", dim_h)
+    return VectorFrame(dim_h=dim_h, vectors=vectors)
 
 
 def coefficients_to_json(c: CoefficientField) -> dict:
@@ -542,22 +516,10 @@ def coefficients_to_json(c: CoefficientField) -> dict:
 
 
 def coefficients_from_json(obj) -> CoefficientField:
-    atoms = linalg._require(obj, "atoms", "coefficient field")
-    weights = linalg._require(obj, "weights", "coefficient field")
-    segments = linalg._require(obj, "segments", "coefficient field")
-    if isinstance(segments, str):
-        heights = _heights(obj, "coefficient field", len(atoms))
-        values = linalg._decode_stack(segments, (sum(heights),), "coefficient segments")
-    elif isinstance(segments, list):
-        segs = [linalg._decode_array(s, "coefficient segment") for s in segments]
-    else:
-        raise ParseError("coefficient segments must be a base64 string or a list")
-    try:
-        space = AtomicMeasureSpace(atoms=atoms, weights=weights)
-        if isinstance(segments, list):
-            return CoefficientField(space=space, segments=segs)
-        c = object.__new__(CoefficientField)
-        c._fill(space, values, np.cumsum([0] + heights))
-        return c
-    except (TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
-        raise ParseError(f"bad coefficient field: {exc}") from exc
+    space = _space_from_json(obj, "coefficient field")
+    values, heights = linalg._decode_family(
+        linalg._require(obj, "segments", "coefficient field"), "coefficient segments", 1,
+        len(space), _given_heights(obj, "coefficient field"))
+    c = object.__new__(CoefficientField)
+    c._fill(space, values.reshape(-1), np.cumsum([0] + heights))
+    return c

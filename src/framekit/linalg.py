@@ -801,16 +801,20 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 # no line breaks) of its row-major entries as little-endian IEEE-754 float64,
 # real part then imaginary part, i.e. the bytes of np.ascontiguousarray(a,
 # dtype="<c16").  The byte order is fixed, so a seed gives the same file on any
-# platform.  A per-atom family (POVM elements, densities, frame blocks,
-# coefficient segments, the vectors of a vector frame) is written as one such
-# string of its whole stack; ``_decode_stack`` reads it back, checking the
-# entry count against the shape the file's other fields give before any
-# reshape.  Readers also take the older layouts, a list of one matrix or array
-# per atom and arrays as lists of [re, im] pairs; the JSON type of the value
-# (string or list) picks the path, never its length.
+# platform.  Readers also take an array as a list of [re, im] pairs of JSON
+# numbers, the layout of hand-written inputs.
 # Matrix: {"rows": n, "cols": m, "data": array} with data row-major;
 # n may be 0 (a frame block of a zero density has no rows), m may not.
 # Vector: {"dim": n, "entries": array}.
+#
+# A per-atom family (POVM elements, densities, frame blocks, coefficient
+# segments, the vectors of a vector frame) is a stack of rows of one width,
+# atom t's heights[t] of them (n rows of n per element or density, k_t rows of
+# n per block, k_t rows of 1 per segment, one row of n per vector), written as
+# one array of the whole stack.  Readers also take the per-atom list of older
+# files, one matrix or array of whole rows per atom.  ``_decode_family`` reads
+# both to the same rows and heights and is the one reader of a family's JSON
+# type, so each loader has one construction path.
 
 
 def _encode_array(a: np.ndarray) -> str:
@@ -848,20 +852,72 @@ def _decode_array(value, what: str) -> np.ndarray:
     return v
 
 
-def _decode_stack(value: str, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The array of ``shape`` that one base64 string holds, from one _decode_array
-    call; its entry count is checked against the shape before the reshape, so
-    nothing is allocated at a size the file merely claims."""
-    if min(shape) < 0:
-        raise ParseError(f"{what} cannot have the shape {shape}")
-    flat = _decode_array(value, what)
+def _shaped(flat: np.ndarray, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``flat`` as an array of a non-negative ``shape``; its entry count is checked
+    against the shape before the reshape, so nothing is allocated at a size the
+    file merely claims."""
     if flat.shape[0] != math.prod(shape):
         raise ParseError(f"{what} hold {flat.shape[0]} entries, not the "
                          f"{' x '.join(map(str, shape))} their fields give")
     try:
         return flat.reshape(shape)
-    except ValueError as exc:  # an empty stack with an extent numpy cannot index
+    except ValueError as exc:  # an empty array with an extent numpy cannot index
         raise ParseError(f"{what} cannot have the shape {shape}: {exc}") from exc
+
+
+def _whole_rows(flat: np.ndarray, cols: int, what: str) -> int:
+    """How many rows of ``cols`` entries ``flat`` holds; ParseError unless whole."""
+    if flat.shape[0] % cols:
+        raise ParseError(f"{what} hold {flat.shape[0]} entries, not whole rows of {cols}")
+    return flat.shape[0] // cols
+
+
+def _item_rows(item, cols: int, what: str) -> np.ndarray:
+    """The rows of one atom of a per-atom list: a matrix of ``cols`` columns, or an
+    array of whole rows of ``cols`` entries."""
+    if isinstance(item, dict):
+        m = matrix_from_json(item)
+        if m.shape[1] != cols:
+            raise ParseError(f"{what} hold a matrix of {m.shape[1]} columns, not {cols}")
+        return m
+    flat = _decode_array(item, what)
+    return flat.reshape(_whole_rows(flat, cols, what), cols)
+
+
+def _decode_family(value, what: str, cols: int, atoms: int | None = None,
+                   heights: list | None = None) -> tuple[np.ndarray, list]:
+    """(rows, heights) of a per-atom family in either layout (see above): its rows
+    as one (sum heights) x cols array, and each atom's count of them.
+
+    ``heights`` are those the file gives or its other fields imply (dim_h for
+    each element of a POVM), if any; with ``atoms`` None, each atom is one row,
+    as many as the data holds (the vectors of a vector frame).  A string is
+    decoded in one _decode_array call with no per-atom work, and needs heights
+    unless each atom is a row.  A list's items give their own heights, which
+    must be any given.
+    """
+    if cols <= 0:
+        raise ParseError(f"{what} cannot have rows of {cols} entries")
+    if isinstance(value, str):
+        flat = _decode_array(value, what)
+        if atoms is None:
+            heights = [1] * _whole_rows(flat, cols, what)
+    elif isinstance(value, list):
+        items = [_item_rows(item, cols, what) for item in value]
+        found = [len(m) for m in items]
+        if heights is None:
+            heights = found if atoms is not None else [1] * len(found)
+        if found != heights:
+            raise ParseError(f"{what} hold {found} rows per atom, not the heights {heights}")
+        flat = (np.concatenate([m.reshape(-1) for m in items]) if items
+                else np.zeros(0, np.complex128))
+    else:
+        raise ParseError(f"{what} must be a base64 string or a list")
+    if heights is None:
+        raise ParseError(f"{what} in one string need the file's heights")
+    if atoms is not None and len(heights) != atoms:
+        raise ParseError(f"{what}: {atoms} atoms but {len(heights)} heights")
+    return _shaped(flat, (sum(heights), cols), what), heights
 
 
 # Fields whose JSON value must be an integer; bool is a subclass of int, so not isinstance.
@@ -889,22 +945,11 @@ def _require(obj: dict, key: str, kind: str):
     return value
 
 
-def matrix_to_json(a: np.ndarray) -> dict:
-    m = as_matrix(a)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": _encode_array(m)}
-
-
 def matrix_from_json(obj) -> np.ndarray:
     rows, cols, data = (_require(obj, key, "matrix") for key in ("rows", "cols", "data"))
     if rows < 0 or cols <= 0:
         raise ParseError(f"matrix needs rows >= 0 and cols > 0, got {rows}x{cols}")
-    flat = _decode_array(data, "matrix data")
-    if flat.shape[0] != rows * cols:
-        raise ParseError(f"matrix data length {flat.shape[0]} does not match {rows}x{cols}")
-    try:
-        return flat.reshape(rows, cols)
-    except ValueError as exc:  # an empty matrix with an extent numpy cannot index
-        raise ParseError(f"matrix cannot have the shape {rows}x{cols}: {exc}") from exc
+    return _shaped(_decode_array(data, "matrix data"), (rows, cols), "matrix data")
 
 
 def vector_to_json(x: np.ndarray) -> dict:
@@ -914,7 +959,4 @@ def vector_to_json(x: np.ndarray) -> dict:
 
 def vector_from_json(obj) -> np.ndarray:
     dim, entries = _require(obj, "dim", "vector"), _require(obj, "entries", "vector")
-    v = _decode_array(entries, "vector entries")
-    if v.shape[0] != dim:
-        raise ParseError("vector entries length does not match dim")
-    return v
+    return _shaped(_decode_array(entries, "vector entries"), (dim,), "vector entries")

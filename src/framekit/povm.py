@@ -233,8 +233,7 @@ def measure_probabilities(m: Povm, x) -> list[float]:
 # --- JSON encoding -----------------------------------------------------------
 #
 # POVM: {"atoms": [...], "dim_h": n, "elements": stack}
-# The stack is linalg's array of all N n x n elements, one base64 string of
-# little-endian complex128; older files hold a list of linalg matrices instead.
+# The stack is all N n x n elements; linalg's JSON section describes its layouts.
 
 
 def povm_to_json(m: Povm) -> dict:
@@ -249,15 +248,11 @@ def povm_from_json(obj) -> Povm:
     atoms = linalg._require(obj, "atoms", "POVM")
     dim_h = linalg._require(obj, "dim_h", "POVM")
     elements = linalg._require(obj, "elements", "POVM")
-    if not isinstance(elements, (str, list)):
-        raise ParseError("POVM elements must be a base64 string or a list of matrix objects")
-    if not (atoms if isinstance(elements, str) else elements):
+    if not atoms:
         raise ParseError("POVM has no atoms, so no element to check dim_h against")
-    if isinstance(elements, str):
-        mats = linalg._decode_stack(elements, (len(atoms), dim_h, dim_h), "POVM elements")
-    else:
-        mats = [linalg.matrix_from_json(e) for e in elements]
+    rows, _ = linalg._decode_family(elements, "POVM elements", dim_h, len(atoms),
+                                    [dim_h] * len(atoms))
     try:
-        return Povm(atoms=atoms, dim_h=dim_h, elements=mats)
+        return Povm(atoms=atoms, dim_h=dim_h, elements=rows.reshape(len(atoms), dim_h, dim_h))
     except (ValueError, TypeError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad POVM: {exc}") from exc

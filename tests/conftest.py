@@ -1,8 +1,10 @@
-"""Shared seeded builders for the test suite.
+"""Shared seeded builders and data-file writers for the test suite.
 
 Everything random goes through PCG64 with an explicit seed so failures
 reproduce exactly.
 """
+
+import base64
 
 import numpy as np
 import pytest
@@ -95,6 +97,17 @@ def random_povm(dim, atoms, seed):
                  elements=[e / top for e in elements])
         if is_framed(m).framed:
             return m
+
+
+def b64_of(a):
+    """Base64 of an array's entries as little-endian complex128, a data file's array."""
+    return base64.b64encode(np.ascontiguousarray(a, "<c16").tobytes()).decode("ascii")
+
+
+def matrix_json(a):
+    """A matrix object of the per-matrix layout of older data files, with base64 data."""
+    a = np.asarray(a)
+    return {"rows": a.shape[0], "cols": a.shape[1], "data": b64_of(a)}
 
 
 def count_calls(monkeypatch, module, *names):

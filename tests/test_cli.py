@@ -19,7 +19,7 @@ from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
 from framekit.povm import povm_from_json, povm_to_json
 
-from conftest import count_calls, random_unit, rng_for, rotated_rows
+from conftest import b64_of, count_calls, matrix_json, random_unit, rng_for, rotated_rows
 
 
 def write_json(path, obj):
@@ -53,11 +53,6 @@ def with_first_entry(text, value):
     parts = np.frombuffer(base64.b64decode(text), "<f8").copy()
     parts[0] = value
     return base64.b64encode(parts.tobytes()).decode("ascii")
-
-
-def b64_of(a):
-    """Base64 of an array's entries as little-endian complex128."""
-    return base64.b64encode(np.ascontiguousarray(a, "<c16").tobytes()).decode("ascii")
 
 
 def entries_of(text):
@@ -104,8 +99,8 @@ def to_per_matrix(blob):
         else:
             cuts = np.cumsum(blob["heights"])[:-1]
             parts = np.split(flat.reshape(-1, n) if key == "blocks" else flat, cuts)
-        out[key] = [{"rows": len(m), "cols": n, "data": b64_of(m)}
-                    if key in ("elements", "densities", "blocks") else b64_of(m) for m in parts]
+        out[key] = [matrix_json(m) if key in ("elements", "densities", "blocks") else b64_of(m)
+                    for m in parts]
     return out
 
 
@@ -657,7 +652,7 @@ def test_no_check_passes_on_an_operand_whose_norm_squares_to_inf(tmp_path, capsy
     a finite double; a frame's row 1e308 likewise makes S overflow."""
     m = write_json(tmp_path / "m.json", {
         "atoms": ["a", "b"], "dim_h": 1,
-        "elements": [linalg.matrix_to_json([[1e200]]), linalg.matrix_to_json([[1.0]])]})
+        "elements": [matrix_json([[1e200]]), matrix_json([[1.0]])]})
     for command in ("decompose", "validate-povm"):
         out = tmp_path / f"{command}.json"
         assert main([command, "--in", m, "--out", str(out)]) == 2, command
@@ -752,7 +747,7 @@ def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_pa
     are not, so the file is refused when it is read, before any report is formed."""
     d = write_json(tmp_path / "d.json", {
         "atoms": ["a", "b"], "weights": [1e300, 1e300], "dim_h": 1,
-        "densities": [linalg.matrix_to_json([[1e10]])] * 2})
+        "densities": [matrix_json([[1e10]])] * 2})
     out = tmp_path / "u.json"
     assert main(["verify-uniqueness", "--in", d, "--in", d, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -961,25 +956,70 @@ def test_the_stacked_layout_refuses_malformed_files(kind_paths, tmp_path, capsys
     assert len(cases) == 10 + 2 * 9 + 4 * 2 + 2 * 2
 
 
+WRITERS = {"ovf": frames.ovf_to_json, "vector frame": frames.vector_frame_to_json,
+           "coefficients": frames.coefficients_to_json, "povm": povm.povm_to_json,
+           "decomposition": correspondence.decomposition_to_json}
+READERS = {"ovf": frames.ovf_from_json, "vector frame": frames.vector_frame_from_json,
+           "coefficients": frames.coefficients_from_json, "povm": povm.povm_from_json,
+           "decomposition": correspondence.decomposition_from_json}
+
+
 def test_each_stack_is_decoded_and_encoded_in_one_call(kind_paths, monkeypatch):
     """Loading any of the five stacked kinds decodes its stack in one _decode_array
     call, with no per-matrix parse, and writing it back encodes it in one
     _encode_array call, to the same JSON."""
-    writers = {"ovf": frames.ovf_to_json, "vector frame": frames.vector_frame_to_json,
-               "coefficients": frames.coefficients_to_json, "povm": povm.povm_to_json,
-               "decomposition": correspondence.decomposition_to_json}
-    readers = {"ovf": frames.ovf_from_json, "vector frame": frames.vector_frame_from_json,
-               "coefficients": frames.coefficients_from_json, "povm": povm.povm_from_json,
-               "decomposition": correspondence.decomposition_from_json}
     for name, (_, blob) in stacked_files(kind_paths).items():
         assert len(entries_of(blob[STACK_FIELDS[name]])) > (blob.get("dim_h") or 1), name
         calls = count_calls(monkeypatch, linalg, "_decode_array", "_encode_array",
                             "matrix_from_json")
-        obj = readers[name](blob)
+        obj = READERS[name](blob)
         assert calls == {"_decode_array": 1, "_encode_array": 0, "matrix_from_json": 0}, name
-        assert writers[name](obj) == blob, name
+        assert WRITERS[name](obj) == blob, name
         assert calls == {"_decode_array": 1, "_encode_array": 1, "matrix_from_json": 0}, name
         monkeypatch.undo()
+
+
+def test_every_layout_is_built_from_the_one_stack(kind_paths, monkeypatch):
+    """Each of the five kinds, in each layout, goes through one
+    linalg._decode_family call and loads to arrays bit-identical to the stacked
+    load's, and no loader calls the per-block constructors of a frame or a
+    coefficient field."""
+    for name, (_, blob) in stacked_files(kind_paths).items():
+        stacked = arrays_of(READERS[name](blob))
+        for layout, convert in LAYOUTS:
+            copy = convert(blob)
+            family = count_calls(monkeypatch, linalg, "_decode_family")
+            frame = count_calls(monkeypatch, frames.OperatorValuedFrame, "__init__")
+            field = count_calls(monkeypatch, frames.CoefficientField, "__init__")
+            arrays = arrays_of(READERS[name](copy))
+            assert family == {"_decode_family": 1}, (name, layout)
+            assert frame == field == {"__init__": 0}, (name, layout)
+            assert len(arrays) == len(stacked), (name, layout)
+            assert all(same_bits(a, b) for a, b in zip(arrays, stacked)), (name, layout)
+            monkeypatch.undo()
+
+
+def test_a_per_atom_list_that_contradicts_its_heights_exits_two(kind_paths, tmp_path, capsys):
+    """An OVF or coefficient file in the per-atom layout may give heights, which
+    its list must then have: heights that agree load as the stack does, and
+    any that differ are a ParseError, exit 2, with no report or data file."""
+    files = stacked_files(kind_paths)
+    for name, command in (("ovf", "bounds"), ("coefficients", "reconstruct")):
+        kind, blob = files[name]
+        heights = blob["heights"]
+        for i, given in enumerate((heights, [heights[0] + 1] + heights[1:], heights + [0])):
+            path = write_json(tmp_path / f"{name}-{i}.json", {**to_per_matrix(blob),
+                                                              "heights": given})
+            paths = [kind_paths[k] if k != kind else path for k in cli._COMMANDS[command].inputs]
+            stem = f"run-{name}-{i}"
+            code = main([command, *(a for p in paths for a in ("--in", p)),
+                         "--out", str(tmp_path / f"{stem}.json")])
+            err = capsys.readouterr().err
+            if given == heights:
+                assert code in (0, 1), (name, err)
+                continue
+            assert code == 2 and "ParseError" in err and "heights" in err, (name, given, err)
+            assert list(tmp_path.glob(f"{stem}.*")) == [], (name, given)
 
 
 def arrays_of(obj):
@@ -992,6 +1032,8 @@ def arrays_of(obj):
         return list(obj.blocks)
     if isinstance(obj, frames.CoefficientField):
         return list(obj.segments)
+    if isinstance(obj, VectorFrame):
+        return [obj.vectors]
     return [obj]
 
 

@@ -66,6 +66,7 @@ from framekit.linalg import psd_sqrt
 from conftest import (
     complex_box,
     count_calls,
+    matrix_json,
     random_ovf,
     random_povm,
     random_psd,
@@ -479,7 +480,7 @@ def test_cut_bound_holds_for_densities_admitted_at_the_tolerances():
     skewed[0, 1] += 0.5 * linalg.TOL_HERM * (1 + linalg.frobenius(skewed)) / np.sqrt(2.0)
     assert 0.4 * linalg.TOL_HERM < linalg.hermitian_residual(skewed) <= linalg.TOL_HERM
     blob = {"atoms": ["neg", "skew"], "weights": [2.0, 3.0], "dim_h": n,
-            "densities": [linalg.matrix_to_json(q) for q in (negative, skewed)]}
+            "densities": [matrix_json(q) for q in (negative, skewed)]}
     d = decomposition_from_json(json.loads(json.dumps(blob)))
     ovf = decomposition_to_ovf(d)
     misses = [np.linalg.norm(q - linalg.adjoint(b) @ b) for q, b in zip(d.densities, ovf.blocks)]

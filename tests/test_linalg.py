@@ -37,7 +37,7 @@ from framekit.frames import (
 )
 from framekit.povm import povm_from_json
 
-from conftest import complex_box, count_calls, random_hermitian, random_psd, rng_for
+from conftest import complex_box, count_calls, matrix_json, random_hermitian, random_psd, rng_for
 
 
 def test_adjoint_conjugate_transposes():
@@ -486,7 +486,7 @@ def test_as_vector_rejects_matrix_input():
 
 def test_matrix_json_round_trip_is_exact():
     a = complex_box(rng_for(60), (3, 5))
-    blob = json.dumps(linalg.matrix_to_json(a))
+    blob = json.dumps(matrix_json(a))
     back = linalg.matrix_from_json(json.loads(blob))
     assert np.array_equal(back, a)
 
@@ -547,6 +547,11 @@ EYE2 = {"rows": 2, "cols": 2, "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}
         (vector_frame_from_json, {"dim_h": "1", "vectors": [[[1, 0]]]}),
         (coefficients_from_json, {"atoms": "a", "weights": [1], "segments": [[[1, 0]]]}),
         (coefficients_from_json, {"atoms": [1], "weights": [1], "segments": [[[1, 0]]]}),
+        # a per-atom list whose rows differ from the heights its file gives
+        (coefficients_from_json, {"atoms": ["a"], "weights": [1], "segments": [[[1, 0]]],
+                                  "heights": [5]}),
+        (ovf_from_json, {"atoms": ["a", "b"], "weights": [1, 1], "dim_h": 1,
+                         "blocks": [ONE, ONE], "heights": [7, 0]}),
         # no atoms: dim_h has no matrix to be checked against
         (povm_from_json, {"atoms": [], "dim_h": 1e300, "elements": []}),
         (decomposition_from_json, {"atoms": [], "weights": [], "dim_h": 1e300,
@@ -662,11 +667,11 @@ def test_a_decoded_array_is_a_read_only_view_of_the_decoded_bytes():
 
 
 def test_arrays_are_written_as_base64_of_little_endian_complex128():
-    assert linalg.matrix_to_json([[1 + 2j]])["data"] == "AAAAAAAA8D8AAAAAAAAAQA=="
+    assert linalg._encode_array([[1 + 2j]]) == "AAAAAAAA8D8AAAAAAAAAQA=="
     big_endian = np.array([[1 + 2j]], dtype=">c16")
-    assert linalg.matrix_to_json(big_endian)["data"] == "AAAAAAAA8D8AAAAAAAAAQA=="
+    assert linalg._encode_array(big_endian) == "AAAAAAAA8D8AAAAAAAAAQA=="
     assert linalg.vector_to_json(big_endian[0])["entries"] == "AAAAAAAA8D8AAAAAAAAAQA=="
-    assert linalg.matrix_to_json(np.zeros((0, 3)))["data"] == ""
+    assert linalg._encode_array(np.zeros((0, 3))) == ""
 
 
 def test_every_array_round_trips_bit_for_bit():
@@ -684,7 +689,7 @@ def test_every_array_round_trips_bit_for_bit():
         return json.loads(json.dumps(blob))
 
     m = entries.reshape(5, 6)
-    back = linalg.matrix_from_json(through_text(linalg.matrix_to_json(m)))
+    back = linalg.matrix_from_json(through_text(matrix_json(m)))
     assert np.array_equal(bits(back), bits(m))
     back = linalg.vector_from_json(through_text(linalg.vector_to_json(entries)))
     assert np.array_equal(bits(back), bits(entries))

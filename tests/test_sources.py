@@ -11,6 +11,9 @@ small float literal.
 Eigenpairs are computed only where a spectrum is read: ``hermitian_eigen``
 has exactly four call sites, ``_one_sided_jacobi`` serves frames alone, and
 only the CLI commands that report or iterate with a frame's bounds diagonalize it.
+
+Every data-file loader builds its object one way, whatever the layout: only
+``linalg._decode_family`` reads the JSON type of a per-atom family.
 """
 
 import ast
@@ -178,3 +181,44 @@ def test_only_the_commands_that_read_frame_bounds_diagonalize_a_frame():
     assert reference_sites(tree, "cli", "frame_algorithm") == ["cli._cmd_reconstruct"]
     assert "reconstruction.frame_algorithm" in package_sites("frame_bounds")
     assert reference_sites(tree, "cli", "_condition") == ["cli._cmd_to_povm", "cli._cmd_to_ovf"]
+
+
+# The modules whose loaders read a per-atom family through linalg._decode_family.
+LOADER_MODULES = ("frames", "povm", "correspondence")
+
+
+def layout_branches(tree):
+    """(loader, line) for every isinstance test against str or list, alone or in a
+    tuple, inside a function whose name ends in _from_json."""
+    found = []
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id in ("str", "list") for k in kinds):
+                    found.append((fn.name, node.lineno))
+    return found
+
+
+def test_the_layout_checker_sees_every_branch_on_a_family_type():
+    tree = ast.parse("def a_from_json(obj):\n    if isinstance(obj['x'], str):\n        pass\n"
+                     "    ok = not isinstance(v, (int, list))\n"
+                     "def b(obj):\n    return isinstance(obj, str)\n"
+                     "def c_from_json(obj):\n    return isinstance(obj, dict), isinstance(obj)\n")
+    assert layout_branches(tree) == [("a_from_json", 2), ("a_from_json", 4)]
+
+
+def test_no_loader_branches_on_the_layout_of_a_family():
+    loaders = set()
+    for name in LOADER_MODULES:
+        path = Path(framekit.__file__).parent / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        loaders |= {fn.name for fn in ast.walk(tree)
+                    if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_from_json")}
+        assert layout_branches(tree) == [], name
+    assert loaders >= {"ovf_from_json", "vector_frame_from_json", "coefficients_from_json",
+                       "povm_from_json", "decomposition_from_json"}  # the walk reads them

@@ -78,9 +78,15 @@ class Decomposition:
     def __init__(self, measure: AtomicMeasureSpace, densities, dim_h: Optional[int] = None):
         if dim_h is None:  # an empty decomposition needs an explicit one
             dim_h = len(densities[0]) if len(densities) else 0
+        self._fill(measure, densities, dim_h, copy=True)
+
+    def _fill(self, measure: AtomicMeasureSpace, densities, dim_h: int, copy: bool) -> None:
+        """Check and set the fields, keeping a copy of ``densities`` unless ``copy`` is
+        false: ``decomposition_from_json`` builds through this with the decoded
+        read-only stack, which nothing else holds, and keeps it as it is."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities")
+        densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities", copy)
         linalg._check_magnitude(densities, "densities", measure.weights)
         herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
         psd_ok = linalg._shifted_positive_definite(densities, linalg._psd_tolerance(densities))
@@ -447,7 +453,9 @@ def decomposition_from_json(obj) -> Decomposition:
     if not n:
         raise ParseError("decomposition has no atoms, so no density to check dim_h against")
     rows, _ = linalg._decode_family(densities, "decomposition densities", dim_h, n, [dim_h] * n)
+    d = object.__new__(Decomposition)
     try:
-        return Decomposition(measure=measure, densities=rows.reshape(n, dim_h, dim_h), dim_h=dim_h)
+        d._fill(measure, rows.reshape(n, dim_h, dim_h), dim_h, copy=False)
     except (ValueError, TypeError, OverflowError, DimensionMismatch, NotHermitian, NotPsd) as exc:
         raise ParseError(f"bad decomposition: {exc}") from exc
+    return d

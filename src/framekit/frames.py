@@ -105,8 +105,7 @@ def _event_mask(index: dict, event) -> np.ndarray:
 
 
 def _views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Make ``flat`` read-only and cut it into the views flat[offsets[t]:offsets[t + 1]]."""
-    flat.flags.writeable = False
+    """The views flat[offsets[t]:offsets[t + 1]] of a read-only ``flat``, one per atom."""
     return tuple(flat[lo:hi] for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
 
@@ -136,7 +135,8 @@ class OperatorValuedFrame:
     """Measure space plus one block T(t): C^n -> C^{k_t} per atom.
 
     The rows of all blocks form one read-only array B (``_rows``, atom t's from
-    ``_offsets[t]``, row weights ``_row_weights``); ``blocks`` are views into B.
+    ``_offsets[t]``, row weights ``_row_weights``); ``blocks``, the per-atom views
+    into B, are cut on first read and cached; construction cuts none.
     Construction keeps the n x n upper-triangular R of a Householder QR of the
     weighted rows G = diag(sqrt(w)) B, so R* R = S = sum_t mu({t}) T(t)* T(t),
     scaled by 2^-e (``_factor``, with ``_factor_exponent`` e; see
@@ -163,7 +163,6 @@ class OperatorValuedFrame:
 
     space: AtomicMeasureSpace
     dim_h: int
-    blocks: tuple[np.ndarray, ...]
     _rows: np.ndarray = field(repr=False, compare=False)
     _row_weights: np.ndarray = field(repr=False, compare=False)
     _offsets: np.ndarray = field(repr=False, compare=False)
@@ -193,10 +192,10 @@ class OperatorValuedFrame:
         offsets = np.cumsum([0] + heights)
         row_weights = np.repeat(space.weights, heights)
         linalg._check_magnitude(rows, "frame blocks", row_weights)
+        rows.flags.writeable = False
         row_weights.flags.writeable = False
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "dim_h", int(dim_h))
-        object.__setattr__(self, "blocks", _views(rows, offsets))
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_weights", row_weights)
         object.__setattr__(self, "_offsets", offsets)
@@ -213,6 +212,11 @@ class OperatorValuedFrame:
             b = frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
             condition = _swept_condition(b, len(rows), dim_h)
         object.__setattr__(self, "_condition", condition)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks T(t) in atom order, read-only views into B cut on first read."""
+        return _views(self._rows, self._offsets)
 
     @cached_property
     def _operator(self) -> np.ndarray:
@@ -252,11 +256,12 @@ class VectorFrame:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientField:
-    """Per-atom coefficient segments, one vector of length k_t per atom, as views
-    into one flat read-only vector (``_values``, atom t's from ``_offsets[t]``)."""
+    """Per-atom coefficient segments, one vector of length k_t per atom, held as
+    one flat read-only vector (``_values``, atom t's from ``_offsets[t]``).
+    ``segments``, its per-atom views, are cut on first read and cached: ``analysis``
+    and ``coefficients_from_json`` cut none."""
 
     space: AtomicMeasureSpace
-    segments: tuple[np.ndarray, ...]
     _values: np.ndarray = field(repr=False, compare=False)
     _offsets: np.ndarray = field(repr=False, compare=False)
 
@@ -268,13 +273,19 @@ class CoefficientField:
         self._fill(space, values, np.cumsum([0] + lengths))
 
     def _fill(self, space: AtomicMeasureSpace, values: np.ndarray, offsets: np.ndarray) -> None:
-        """Set the fields from a checked flat complex128 vector, cut at ``offsets``
-        without a copy; ``analysis`` and ``coefficients_from_json`` build a field
-        through this directly."""
+        """Set the fields from a checked flat complex128 vector, atom t's from
+        ``offsets[t]``, made read-only without a copy; ``analysis`` and
+        ``coefficients_from_json`` build a field through this directly."""
+        values.flags.writeable = False
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "segments", _views(values, offsets))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_offsets", offsets)
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, ...]:
+        """The segments c_t in atom order, read-only views into the flat vector cut
+        on first read."""
+        return _views(self._values, self._offsets)
 
     def weighted_norm_sq(self) -> float:
         """sum_t mu({t}) ||c_t||^2."""

@@ -772,11 +772,12 @@ def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:
                             f"does not square to a finite double")
 
 
-def _as_stack(items, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _as_stack(items, shape: tuple[int, ...], what: str, copy: bool = True) -> np.ndarray:
     """Read-only complex128 array of exactly ``shape`` from a sequence of equal-shaped
-    entries.  DimensionMismatch for any other shape (numpy's ValueError for
-    ragged entries), ValueError for NaN or Inf."""
-    a = np.array(items, dtype=np.complex128, order="C")
+    entries; a copy unless ``copy`` is false and ``items`` already is a C-contiguous
+    complex128 array, which is then made read-only in place.  DimensionMismatch for
+    any other shape (numpy's ValueError for ragged entries), ValueError for NaN or Inf."""
+    a = np.array(items, dtype=np.complex128, order="C", copy=copy or None)
     if a.size == 0 and shape[0] == 0:
         a = a.reshape(shape)
     if a.shape != shape:

@@ -43,11 +43,17 @@ class Povm:
     _index: dict = field(repr=False, compare=False)  # label -> position
 
     def __init__(self, atoms: Sequence[str], dim_h: int, elements):
+        self._fill(atoms, dim_h, elements, copy=True)
+
+    def _fill(self, atoms: Sequence[str], dim_h: int, elements, copy: bool) -> None:
+        """Check and set the fields, keeping a copy of ``elements`` unless ``copy`` is
+        false: ``povm_from_json`` builds through this with the decoded read-only
+        stack, which nothing else holds, and keeps it as it is."""
         atoms = tuple(str(a) for a in atoms)
         index = _label_index(atoms)
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
-        elements = linalg._as_stack(elements, (len(atoms), dim_h, dim_h), "elements")
+        elements = linalg._as_stack(elements, (len(atoms), dim_h, dim_h), "elements", copy)
         linalg._check_magnitude(elements, "elements")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "dim_h", int(dim_h))
@@ -252,7 +258,9 @@ def povm_from_json(obj) -> Povm:
         raise ParseError("POVM has no atoms, so no element to check dim_h against")
     rows, _ = linalg._decode_family(elements, "POVM elements", dim_h, len(atoms),
                                     [dim_h] * len(atoms))
+    m = object.__new__(Povm)
     try:
-        return Povm(atoms=atoms, dim_h=dim_h, elements=rows.reshape(len(atoms), dim_h, dim_h))
+        m._fill(atoms, dim_h, rows.reshape(len(atoms), dim_h, dim_h), copy=False)
     except (ValueError, TypeError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"bad POVM: {exc}") from exc
+    return m

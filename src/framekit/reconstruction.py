@@ -18,10 +18,12 @@ upper bound on ||x - x(n)||.  The bounds depend on neither the iterates nor
 the vector, so the stopping index is known before the first iterate.  The
 iterates are then evaluated in blocks of K steps: the step is the affine map
 x(n) = M x(n-1) + r with M = I - relax S, r = relax T*c, so
-x(n0 + i) = M^i x(n0) + (I + M + ... + M^{i-1}) r, and one block is one
-matrix product with the K stacked powers.  When the caller supplies the true
-vector for verification, the a posteriori errors are recorded alongside,
-labeled ``actual_errors``.
+x(jK + i) = M^i y_j + (I + M + ... + M^{i-1}) r from the block's start
+y_j = x(jK).  A short chain of one small step per block gives the starts,
+y_{j+1} = M^K y_j + (I + ... + M^{K-1}) r, and one matrix product of all the
+starts with the K stacked powers then gives every iterate.  When the caller
+supplies the true vector for verification, the a posteriori errors are
+recorded alongside, labeled ``actual_errors``.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class IterationTrace:
     the unknown ||x|| from above (a priori certificate).  actual_errors is
     present only when the true vector was supplied for verification
     (a posteriori record).  elapsed_ns[k] is the time from the start of the
-    iteration until x(k) was available; the iterates come in blocks, so all
-    rows of one block share one time.  ``certified`` is False when a bounds
+    iteration until x(k) was available: 0 for x(0), and for every other row
+    the time the one product that gives all iterates finished (the chain's
+    time too at K = 1, where the chain is the run).  ``certified`` is False when a bounds
     override narrower than the actual spectrum was accepted, which voids the
     certificate.
     """
@@ -155,24 +158,32 @@ def frame_algorithm(
     flagged uncertified.
 
     The certified bounds, and with them the stopping index n, come first.
-    The iterates follow in blocks of K = min(n, max(1, _BLOCK_BYTES //
-    (16 dim_h^2))) steps: with M = I - relax S, r = relax T*c and the K
-    powers P_i = M^i, R_i = (I + ... + M^{i-1}) r made once (``_powers``),
-    the block after x(n0) is x(n0 + i) = P_i x(n0) + R_i, one product of
-    the (K dim_h, dim_h) stack with x(n0).  At K = 1 that is the plain step
-    x = M x + r.
+    The iterates follow in ceil(n / K) blocks of K = min(n, max(1,
+    _BLOCK_BYTES // (16 dim_h^2))) steps: with M = I - relax S, r = relax T*c
+    and the K powers P_i = M^i, R_i = (I + ... + M^{i-1}) r made once
+    (``_powers``), block j is x(jK + i) = P_i y_j + R_i from its start
+    y_j = x(jK).  The starts come first, from y_0 = 0 by the chain
+    y_{j+1} = P_K y_j + R_K, one (dim_h, dim_h) matrix-vector product a
+    block.  Then one product of the (ceil(n / K), dim_h) starts with the
+    stacked P_i gives every P_i y_j, written in place into the iterates'
+    array, and one in-place addition of the R_i completes them; the last
+    block is run whole, and its rows past x(n) are cut off.  At K = 1 every
+    iterate starts a block, so the chain is the plain step x = M x + r over
+    the whole run and there is no product.
 
     Rounding.  With certified bounds ||M||_2 <= rate < 1, so ||P_i|| <= 1 and
     ||R_i|| <= ||r|| / (1 - rate), which is about ||x||.  Each P_i and R_i
     comes out of at most ceil(log2 K) products, each adding about dim_h eps
-    times its operands, so a block gives x(n0 + i) an error of about
+    times its operands, so a block gives x(jK + i) an error of about
     dim_h eps log2(K) ||x||, where a plain step adds about dim_h eps ||x||
     per step.  An earlier block's error reaches later iterates only through
     the P_i, which contract it, so the errors of all blocks sum to at most
     (per-block error) / (1 - rate^K), against (per-step error) / (1 - rate)
     for the plain step: the same order, within a factor log2 K.  Against the
     plain recurrence the iterates agree to about 1e-14 relative (8.3e-15 at
-    worst on the benchmark's cond(S) = 300 frames).
+    worst on the benchmark's cond(S) = 300 frames).  The chain's y_{j+1} and
+    the product's x((j+1)K) are one formula taken by two kernels, so they may
+    differ in their last bits, each within that order.
     """
     if cfg is None:
         cfg = ReconstructionConfig()
@@ -215,14 +226,23 @@ def frame_algorithm(
     d = ovf.dim_h
     k = min(iterations, max(1, _BLOCK_BYTES // (16 * d * d)))
     p, r = _powers(np.eye(d) - relax * s, relax * b, k)
-    x = np.zeros((iterations + 1, d), dtype=np.complex128)
-    elapsed = [0]
-    for lo in range(0, iterations, k):
-        w = min(k, iterations - lo)
-        x[lo + 1:lo + 1 + w] = (p[:w * d] @ x[lo]).reshape(w, d) + r[:w]
-        elapsed += [time.perf_counter_ns() - start] * w
+    nb = -(-iterations // k)
+    x = np.empty((nb * k + 1, d), dtype=np.complex128)
+    x[0] = 0.0
+    # the block starts y_j = x(jK) by the chain y_{j+1} = P_K y_j + R_K; at K = 1
+    # every iterate starts a block, so the chain is the whole run, written in place
+    y = x if k == 1 else np.zeros((nb, d), dtype=np.complex128)
+    pk, rk = p[-d:], r[-1]
+    for j in range(1, len(y)):
+        y[j] = pk @ y[j - 1] + rk
+    if k > 1:
+        blocks = x[1:].reshape(nb, k, d)
+        np.matmul(y, p.T, out=blocks.reshape(nb, k * d))
+        blocks += r
+    elapsed = (0,) + (time.perf_counter_ns() - start,) * iterations
 
     x.flags.writeable = False
+    x = x[:iterations + 1]
     errors = None
     if true_x is not None:
         errors = tuple(np.linalg.norm(x - true_x, axis=1).tolist())
@@ -230,7 +250,7 @@ def frame_algorithm(
         iterates=x,
         certified_bounds=tuple(bounds_seq),
         actual_errors=errors,
-        elapsed_ns=tuple(elapsed),
+        elapsed_ns=elapsed,
         bounds=used,
         rate=rate,
         certified=certified,

@@ -627,6 +627,11 @@ def test_decomposition_json_round_trip_is_exact():
     assert back.measure == d.measure
     assert back.dim_h == d.dim_h
     assert all(np.array_equal(a, b) for a, b in zip(back.densities, d.densities))
+    # the loader keeps the decoded read-only stack; the constructor copies its input
+    assert not back.densities.flags.writeable and not back.densities.flags.owndata
+    densities = np.array(d.densities)
+    built = Decomposition(d.measure, densities)
+    assert not np.shares_memory(built.densities, densities) and densities.flags.writeable
 
 
 def test_decomposition_from_json_rejects_malformed():

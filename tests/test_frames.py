@@ -374,6 +374,27 @@ def test_analysis_cuts_the_one_product_without_a_copy(monkeypatch):
     assert np.array_equal(synthesis(f, built), synthesis(f, c))
 
 
+def test_per_atom_views_are_cut_on_first_read():
+    """No constructor, loader or analysis cuts per-atom views; the first read of
+    ``segments`` or ``blocks`` cuts read-only views flat[offsets[t]:offsets[t + 1]]
+    into the one flat array, and every later read returns that same tuple."""
+    f = random_ovf(dim=5, atoms=7, seed=13)
+    c = analysis(f, complex_box(rng_for(14), 5))
+    built = CoefficientField(f.space, [np.ones(k) for k in np.diff(f._offsets)])
+    fields = [(obj, "segments", obj._values) for obj in
+              (c, coefficients_from_json(coefficients_to_json(c)), built)]
+    fields += [(obj, "blocks", obj._rows) for obj in (f, ovf_from_json(ovf_to_json(f)))]
+    for obj, name, flat in fields:
+        assert name not in vars(obj) and name not in repr(obj)
+        views = getattr(obj, name)
+        offsets = obj._offsets.tolist()
+        assert len(views) == len(offsets) - 1
+        for view, lo, hi in zip(views, offsets, offsets[1:]):
+            assert view.shape == flat[lo:hi].shape and np.array_equal(view, flat[lo:hi])
+            assert np.shares_memory(view, flat) and not view.flags.writeable
+        assert getattr(obj, name) is views
+
+
 def test_analysis_synthesis_adjointness():
     """<analysis(x), c>_mu == <x, synthesis(c)> for random frames."""
     for seed in range(5):

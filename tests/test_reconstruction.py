@@ -1,13 +1,19 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from framekit import (
+    AtomicMeasureSpace,
     FrameBounds,
     InvalidBounds,
+    OperatorValuedFrame,
     ReconstructionConfig,
     VectorFrame,
     analysis,
@@ -22,7 +28,7 @@ from framekit import (
     trace_to_csv,
 )
 
-from conftest import complex_box, count_calls, random_ovf, rng_for
+from conftest import complex_box, count_calls, random_ovf, rng_for, rotated_rows
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -252,15 +258,19 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
 
 
 def iteration_counts(dim):
+    """Runs around the block edges, and from dim 3 on one of 5K + 3 steps (at dim 1
+    the slow bound would underflow to 0 before 5K steps)."""
     k = block_length(dim)
-    return sorted({n for n in (1, k - 1, k, k + 1, 2 * k + 1) if n >= 1})
+    many = (5 * k + 3,) if dim > 1 else ()
+    return sorted({n for n in (1, k - 1, k, k + 1, 2 * k + 1, *many) if n >= 1})
 
 
 @pytest.mark.parametrize("dim,iters", [(d, n) for d in (1, 3, 16, 128)
                                        for n in iteration_counts(d)])
 def test_blocks_reproduce_the_plain_recurrence(dim, iters):
-    """Whole blocks, a partial last block and one step past a block edge, from
-    dim 1 (K = 16384) to 128, where a block is one plain step (K = 1)."""
+    """Whole blocks, a partial last block, one step past a block edge and a run over
+    six blocks, from dim 1 (K = 16384) to 128, where a block is one plain step
+    (K = 1) and the chain of block starts is the whole run."""
     ovf = frame_of_dim(dim)
     x = complex_box(rng_for(700 + dim), dim)
     cfg = ReconstructionConfig(max_iters=iters, target_error=1e-300,
@@ -281,6 +291,30 @@ def test_blocks_stop_where_the_recurrence_meets_the_target(dim):
         assert trace.stopped_by == "target_error"
         capped = ReconstructionConfig(max_iters=trace.iterations - 1, bounds_override=bounds)
         assert assert_matches_reference(ovf, c, capped).stopped_by == "max_iters"
+
+
+def conditioned_frame(n, atoms, cond, seed):
+    """A frame shaped like the benchmark's: atom t has 1 + t % n rows, weights in
+    [0.5, 2], and cond(S) = cond."""
+    rng = rng_for(seed)
+    heights = [1 + t % n for t in range(atoms)]
+    weights = rng.uniform(0.5, 2.0, atoms)
+    rows = rotated_rows(rng, sum(heights), cond ** (np.arange(n) / (2.0 * (n - 1))))
+    rows /= np.sqrt(np.repeat(weights, heights))[:, None]
+    blocks = np.split(rows, np.cumsum(heights)[:-1])
+    space = AtomicMeasureSpace(atoms=[str(t) for t in range(atoms)], weights=weights)
+    return OperatorValuedFrame(space=space, dim_h=n, blocks=blocks)
+
+
+def test_a_benchmark_shaped_run_reproduces_the_plain_recurrence():
+    """dim 12, 128 atoms (816 rows), cond(S) = 300, target 1e-9: 3899 iterations,
+    35 blocks of K = 113."""
+    ovf = conditioned_frame(12, 128, 300.0, seed=950)
+    x = complex_box(rng_for(951), 12)
+    trace = assert_matches_reference(ovf, analysis(ovf, x), ReconstructionConfig(), true_x=x)
+    assert trace.stopped_by == "target_error" and trace.certified
+    assert trace.iterations > 30 * block_length(12)
+    assert np.linalg.norm(x - trace.final) <= trace.certified_bounds[-1]
 
 
 def test_blocks_follow_a_narrow_override_uncertified():
@@ -311,3 +345,46 @@ def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
     frame_algorithm(ovf, c)
     assert calls == {"hermitian_eigen": 0}
+
+
+# Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
+# LAPACK call), solves one vector on each by both routes, and prints a digest of
+# the iterates' and the direct solution's bytes.
+_DIGESTS = """
+import hashlib
+import numpy as np
+from framekit import (AtomicMeasureSpace, OperatorValuedFrame, analysis,
+                      frame_algorithm, reconstruct_direct)
+for n in (8, 16):
+    rng = np.random.Generator(np.random.PCG64(n))
+    heights = [1 + t % n for t in range(64)]
+    shape = (sum(heights), n)
+    rows = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    rows *= 300.0 ** (np.arange(n) / (2.0 * (n - 1)))
+    space = AtomicMeasureSpace([str(t) for t in range(64)], rng.uniform(0.5, 2.0, 64))
+    ovf = OperatorValuedFrame(space, n, np.split(rows, np.cumsum(heights)[:-1]))
+    c = analysis(ovf, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
+    trace = frame_algorithm(ovf, c)
+    for name, a in (("iterates", trace.iterates), ("direct", reconstruct_direct(ovf, c))):
+        print(n, shape[0], trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
+"""
+
+
+def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
+    """frame_algorithm and reconstruct_direct give the same bytes with OpenBLAS at 1
+    and at 2 threads, on a 288 x 8 and a 544 x 16 frame (several thousand
+    iterates each), each thread count in its own process."""
+    src = str(Path(reconstruction.__file__).resolve().parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", _DIGESTS], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": src,
+                                  "OPENBLAS_NUM_THREADS": str(threads)})
+            for threads in (1, 2)]
+    outs = []
+    for run in runs:
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        outs.append(out.splitlines())
+    assert len(outs[0]) == 4 and [int(line.split()[1]) for line in outs[0]] == [288] * 2 + [544] * 2
+    assert min(int(line.split()[2]) for line in outs[0]) > 1000
+    assert outs[0] == outs[1]

@@ -325,15 +325,15 @@ def _cmd_reconstruct(cfg: ExperimentConfig, ovf: frames.OperatorValuedFrame,
     data_path = _write_data(cfg, linalg.vector_to_json(trace.final))
     trace_path = cfg.trace_path or _derived(cfg.output_path, ".trace.csv")
     _atomic_write(trace_path, reconstruction.trace_to_csv(trace))
+    final_bound = float(trace.certified_bounds[-1])  # a Python float in the report
     checks = [
         # passes iff stopped_by == "target_error": the bounds stop at the first <= it
-        _check("converged", trace.certified_bounds[-1], cfg.target_error,
-               stopped_by=trace.stopped_by),
+        _check("converged", final_bound, cfg.target_error, stopped_by=trace.stopped_by),
         {"name": "certified", "passed": trace.certified},
     ]
     summary = {
         "iterations": trace.iterations,
-        "final_certified_bound": trace.certified_bounds[-1],
+        "final_certified_bound": final_bound,
         "rate": trace.rate,
         "lower": trace.bounds.lower,
         "upper": trace.bounds.upper,

@@ -99,9 +99,10 @@ PIVOT_FLOOR_N = 8
 JACOBI_MAX_SWEEPS = 100
 # a pair of rows counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
 JACOBI_ORTHOGONALITY_TOL = 1e-15
-# hermitian_eigen works through a stack in slices of at most this many bytes
-# (64 matrices at n = 16, one at n = 128), so its working copies stay a small
-# part of a large stack; stacks of small matrices still go through in one slice.
+# hermitian_eigen and _shifted_positive_definite work through a stack in slices
+# of at most this many bytes (64 matrices at n = 16, one at n = 128), so their
+# working copies stay a small part of a large stack; stacks of small matrices
+# still go through in one slice.
 _EIGEN_CHUNK_BYTES = 1 << 18
 # _scaled_r factors a QR work array (max(m, n) x n) of at most this many rows
 # flat, in panels of _QR_PANEL columns, and a taller one recursively.  At 1 BLAS
@@ -679,21 +680,27 @@ def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
     sqrt(n) u.  So a PASS means lambda_min(H) >= -shift up to that margin, the
     reading of a Jacobi eigenvalue test; a FAIL likewise means
     lambda_min(H) <= -shift up to it.
+
+    The stack is factored a slice at a time (``_chunks``), so the Hermitian
+    copy and the rank-1 update are slice-sized, not stack-sized.  Each verdict
+    is taken on its own matrix alone, so the slicing changes none.
     """
-    h = hermitize(a)
-    count, n = h.shape[0], h.shape[-1]
+    count, n = a.shape[0], a.shape[-1]
     diag = np.arange(n)
-    h[:, diag, diag] += shift[:, None]
     ok = np.ones(count, dtype=bool)
-    for j in range(n):
-        pivot = h[:, j, j].real
-        ok &= pivot > 0.0
-        root = np.sqrt(np.where(ok, pivot, 1.0))
-        col = h[:, j + 1:, j]
-        rest = h[:, diag[j + 1:], diag[j + 1:]].real
-        ok &= (np.abs(col) <= root[:, None] * np.sqrt(np.maximum(rest, 0.0))).all(axis=1)
-        col = np.where(ok[:, None], col, 0.0) / root[:, None]
-        h[:, j + 1:, j + 1:] -= col[:, :, None] * np.conj(col[:, None, :])
+    for part in _chunks(count, n):
+        h = hermitize(a[part])
+        h[:, diag, diag] += shift[part, None]
+        good = ok[part]  # a view: this slice's verdicts
+        for j in range(n):
+            pivot = h[:, j, j].real
+            good &= pivot > 0.0
+            root = np.sqrt(np.where(good, pivot, 1.0))
+            col = h[:, j + 1:, j]
+            rest = h[:, diag[j + 1:], diag[j + 1:]].real
+            good &= (np.abs(col) <= root[:, None] * np.sqrt(np.maximum(rest, 0.0))).all(axis=1)
+            col = np.where(good[:, None], col, 0.0) / root[:, None]
+            h[:, j + 1:, j + 1:] -= col[:, :, None] * np.conj(col[:, None, :])
     return ok
 
 

@@ -176,9 +176,13 @@ def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
     recovered = linalg.vector_from_json(
         json.loads(Path(report["artifacts"]["vector"]).read_text()))
     assert np.linalg.norm(recovered - x) <= 1e-10
-    trace_lines = Path(report["artifacts"]["trace"]).read_text().splitlines()
+    trace_text = Path(report["artifacts"]["trace"]).read_text()
+    trace_lines = trace_text.splitlines()
     assert trace_lines[0] == "iter,certified_bound,actual_error,elapsed_ns"
     assert len(trace_lines) == report["summary"]["iterations"] + 2
+    # the trace and the report hold plain float text, never a numpy scalar's repr
+    assert "np.float64(" not in trace_text
+    assert "np.float64(" not in (tmp_path / "r.json").read_text()
 
 
 def test_full_correspondence_pipeline_via_files(pair_path, tmp_path):

@@ -761,6 +761,30 @@ def test_cholesky_verdict_reads_the_hermitian_part():
     assert linalg._shifted_positive_definite(skew[None], np.zeros(1)).tolist() == [True]
 
 
+def test_cholesky_verdicts_in_slices_match_one_slice(monkeypatch):
+    """A 256-matrix, dim-32 stack (4 MiB) with lambda_min on either side of the PSD
+    tolerance: slices of three matrices give the one slice's verdicts, and at the
+    default slice size the kernel's traced peak stays under half the stack."""
+    stack = np.array([boundary_hermitian(32, 1.0, -(1.0 + (-1) ** k * 1e-2), seed=k)
+                      for k in range(256)])
+    tol = linalg._psd_tolerance(stack)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sliced = linalg._shifted_positive_definite(stack, tol)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(linalg._chunks(256, 32)) > 1 and peak <= 0.5 * stack.nbytes
+    monkeypatch.setattr(linalg, "_EIGEN_CHUNK_BYTES", 256 * stack[0].nbytes)  # one slice
+    whole = linalg._shifted_positive_definite(stack, tol)
+    monkeypatch.setattr(linalg, "_EIGEN_CHUNK_BYTES", 3 * stack[0].nbytes)
+    assert len(linalg._chunks(256, 32)) == 86
+    assert np.array_equal(linalg._shifted_positive_definite(stack, tol), whole)
+    assert np.array_equal(sliced, whole)
+    assert whole.tolist() == [k % 2 == 1 for k in range(256)]
+
+
 def low_rank_psd(n, rank, seed):
     """G* G for a rank x n complex G, scaled to unit trace; zero for rank 0."""
     g = complex_box(rng_for(seed), (rank, n))

@@ -1,11 +1,13 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
+import math
 import os
 import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,10 +66,10 @@ def test_certified_bound_dominates_actual_error():
 
 def test_certified_bounds_follow_geometric_law():
     ovf = overcomplete_pair_frame()
-    trace = run_full(ovf, E2, iters=10)
+    trace = run_full(ovf, E2, iters=200)
     proxy = trace.certified_bounds[0]
-    for n, bound in enumerate(trace.certified_bounds):
-        assert bound == trace.rate**n * proxy  # exact, by construction
+    expected = proxy * np.power(trace.rate, np.arange(201))
+    assert np.array_equal(trace.certified_bounds, expected)  # exact, by definition
 
 
 def test_tight_frame_recovers_in_one_step():
@@ -174,13 +176,15 @@ def test_is_deterministic_across_runs():
     t1 = frame_algorithm(ovf, c, cfg)
     t2 = frame_algorithm(ovf, c, cfg)
     assert np.array_equal(t1.final, t2.final)
-    assert t1.certified_bounds == t2.certified_bounds
+    assert np.array_equal(t1.certified_bounds, t2.certified_bounds)
 
 
 def test_trace_csv_has_header_and_one_row_per_iterate():
     ovf = overcomplete_pair_frame()
     trace = run_full(ovf, E2, iters=3)
-    lines = trace_to_csv(trace).splitlines()
+    text = trace_to_csv(trace)
+    assert "np.float64(" not in text  # plain float text from both array columns
+    lines = text.splitlines()
     assert lines[0] == "iter,certified_bound,actual_error,elapsed_ns"
     assert len(lines) == 1 + 4  # x^(0) through x^(3)
     first = lines[1].split(",")
@@ -197,12 +201,90 @@ def test_trace_csv_leaves_unknown_error_blank():
     assert all(r.split(",")[2] == "" for r in rows)
 
 
+# --- the certified bounds and the stopping index ------------------------------
+
+
+def frame_at_rate(rate):
+    """The tight frame (E1, E2) at rate 0, else the pair frame (A = 1, B = 2) with
+    bounds (lower, 2) widened below to give the rate, which keep the iteration
+    bounded."""
+    if rate == 0.0:
+        return from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E2])), None
+    return overcomplete_pair_frame(), FrameBounds(lower=2.0 * (1.0 - rate) / (1.0 + rate), upper=2.0)
+
+
+@lru_cache(maxsize=None)
+def exact_powers(rate, count):
+    """rate^n for n = 0..count-1 to 50 digits, rate taken as the double it is."""
+    with mpmath.workdps(50):
+        powers, p, r = [], mpmath.mpf(1), mpmath.mpf(rate)
+        for _ in range(count):
+            powers.append(p)
+            p = p * r
+        return powers
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, 10_000])
+@pytest.mark.parametrize("target", ["proxy", 1e-9, 1e-300])
+@pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 0.99336, 1.0 - 1e-12])
+def test_the_stopping_index_is_the_first_bound_at_the_target(rate, target, max_iters):
+    ovf, override = frame_at_rate(rate)
+    c = analysis(ovf, np.array([0.5, 1.0 - 0.25j]))
+    proxy = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=1, bounds_override=override)
+                            ).certified_bounds[0]
+    target = proxy if target == "proxy" else target
+    cfg = ReconstructionConfig(max_iters=max_iters, target_error=target, bounds_override=override)
+    trace = frame_algorithm(ovf, c, cfg)
+    bounds = trace.certified_bounds
+    assert bounds.dtype == np.float64 and not bounds.flags.writeable
+    assert len(bounds) == trace.iterations + 1 and bounds[0] == proxy
+    first = next((n for n in range(1, len(bounds)) if bounds[n] <= target), None)
+    if first is None:
+        assert (trace.iterations, trace.stopped_by) == (max_iters, "max_iters")
+    else:
+        assert (trace.iterations, trace.stopped_by) == (first, "target_error")
+    exact = exact_powers(trace.rate, len(bounds))
+    with mpmath.workdps(50):
+        for bound, power in zip(bounds.tolist(), exact):
+            if power >= np.finfo(np.float64).tiny:  # rate^n normal
+                want = power * mpmath.mpf(proxy)
+                assert abs(mpmath.mpf(bound) - want) <= 2 * math.ulp(float(want))
+            elif trace.rate == 0.0:
+                assert bound == 0.0
+
+
+def test_the_search_matches_a_plain_loop_and_falls_back_once():
+    """Random rates, proxies, targets and caps give the first bound at the target of
+    the whole array, as do a rate that rounds to 1, a zero proxy and a zero rate;
+    at a rate near 1 and a target just under the proxy, the logarithms' rounding
+    puts the estimate short, and the full array is searched."""
+    rng = rng_for(31)
+    cases = [(float(rng.uniform(0.0, 1.0)) ** float(rng.uniform(0.01, 4.0)),
+              10.0 ** rng.uniform(-200.0, 200.0), 10.0 ** rng.uniform(-300.0, 10.0),
+              int(rng.integers(1, 3000))) for _ in range(300)]
+    cases += [(1.0, 2.0, 1.0, 7), (0.5, 0.0, 1e-9, 5), (0.0, 3.0, 1e-300, 4)]
+    rate, proxy, target = 0.9999999999999998, 5.365349312655659e+117, 5.365349312655253e+117
+    estimate = math.ceil((math.log(target) - math.log(proxy)) / math.log(rate)) + 1
+    full = proxy * np.power(rate, np.arange(estimate + 1))
+    assert not (full[1:] <= target).any()  # the estimate falls short
+    cases.append((rate, proxy, target, 2000))
+    for rate, proxy, target, max_iters in cases:
+        full = proxy * np.power(rate, np.arange(max_iters + 1))
+        first = next((n for n in range(1, max_iters + 1) if full[n] <= target), None)
+        bounds, stopped_by = reconstruction._certified_bounds(rate, proxy, target, max_iters)
+        assert stopped_by == ("max_iters" if first is None else "target_error")
+        assert np.array_equal(bounds, full[:(first or max_iters) + 1])
+    assert stopped_by == "target_error" and len(bounds) > estimate + 1
+
+
 # --- block evaluation against the plain recurrence ----------------------------
 
 
 def reference_frame_algorithm(ovf, c, cfg):
     """The frame algorithm one step at a time, x = x + relax (T*c - S x): its
-    iterates (n+1, d), certified bounds, rate, certificate and stop."""
+    iterates (n+1, d), certified bounds, rate, certificate and stop.  The bounds
+    are the one expression over all max_iters + 1 indices, and a plain loop
+    stops at the first one at the target."""
     actual = frame_bounds(ovf)
     used = cfg.bounds_override or actual
     certified = (used.lower <= actual.lower * (1.0 + 1e-12)
@@ -211,17 +293,17 @@ def reference_frame_algorithm(ovf, c, cfg):
     relax = 2.0 / (used.lower + used.upper)
     rate = (used.upper - used.lower) / (used.upper + used.lower)
     proxy = float(np.linalg.norm(b)) / used.lower
+    bounds = proxy * np.power(rate, np.arange(cfg.max_iters + 1))
     x = np.zeros(ovf.dim_h, dtype=complex)
-    iterates, bounds, stopped_by, n = [x], [proxy], "max_iters", 0
+    iterates, stopped_by, n = [x], "max_iters", 0
     while n < cfg.max_iters:
         n += 1
         x = x + relax * (b - s @ x)
         iterates.append(x)
-        bounds.append((rate**n) * proxy)
-        if bounds[-1] <= cfg.target_error:
+        if bounds[n] <= cfg.target_error:
             stopped_by = "target_error"
             break
-    return np.array(iterates), tuple(bounds), rate, certified, stopped_by
+    return np.array(iterates), bounds[:n + 1], rate, certified, stopped_by
 
 
 def block_length(dim):
@@ -249,7 +331,7 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
     assert trace.stopped_by == stopped_by
     assert trace.rate == rate
     assert trace.certified is certified
-    assert trace.certified_bounds == bounds  # bit for bit
+    assert np.array_equal(trace.certified_bounds, bounds)  # bit for bit
     assert trace.iterates.shape == ref.shape
     assert np.abs(trace.iterates - ref).max() <= 1e-13 * np.abs(ref).max()
     assert len(trace.elapsed_ns) == len(ref) and trace.elapsed_ns[0] == 0
@@ -278,7 +360,8 @@ def test_blocks_reproduce_the_plain_recurrence(dim, iters):
     trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
     assert trace.stopped_by == "max_iters" and trace.certified
     expected = np.linalg.norm(x - trace.iterates, axis=1)
-    assert np.array_equal(np.array(trace.actual_errors), expected)
+    assert np.array_equal(trace.actual_errors, expected)
+    assert trace.actual_errors.dtype == np.float64 and not trace.actual_errors.flags.writeable
 
 
 @pytest.mark.parametrize("dim", [3, 16])
@@ -336,7 +419,7 @@ def test_iterates_are_one_read_only_array_and_runs_are_bit_identical():
     with pytest.raises(ValueError):
         t1.iterates[0, 0] = 1.0
     assert np.array_equal(t1.iterates, t2.iterates)
-    assert t1.certified_bounds == t2.certified_bounds
+    assert np.array_equal(t1.certified_bounds, t2.certified_bounds)
 
 
 def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
@@ -349,7 +432,7 @@ def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
 
 # Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
 # LAPACK call), solves one vector on each by both routes, and prints a digest of
-# the iterates' and the direct solution's bytes.
+# the iterates', the certified bounds' and the direct solution's bytes.
 _DIGESTS = """
 import hashlib
 import numpy as np
@@ -365,26 +448,26 @@ for n in (8, 16):
     ovf = OperatorValuedFrame(space, n, np.split(rows, np.cumsum(heights)[:-1]))
     c = analysis(ovf, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     trace = frame_algorithm(ovf, c)
-    for name, a in (("iterates", trace.iterates), ("direct", reconstruct_direct(ovf, c))):
+    for name, a in (("iterates", trace.iterates), ("bounds", trace.certified_bounds),
+                    ("direct", reconstruct_direct(ovf, c))):
         print(n, shape[0], trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
 """
 
 
 def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
-    """frame_algorithm and reconstruct_direct give the same bytes with OpenBLAS at 1
-    and at 2 threads, on a 288 x 8 and a 544 x 16 frame (several thousand
-    iterates each), each thread count in its own process."""
+    """frame_algorithm (iterates and certified bounds) and reconstruct_direct give
+    the same bytes with OpenBLAS at 1 and at 2 threads, on a 288 x 8 and a 544 x 16
+    frame (several thousand iterates each), each thread count in its own process."""
     src = str(Path(reconstruction.__file__).resolve().parents[1])
     runs = [subprocess.Popen([sys.executable, "-c", _DIGESTS], stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE, text=True,
                              env={**os.environ, "PYTHONPATH": src,
                                   "OPENBLAS_NUM_THREADS": str(threads)})
             for threads in (1, 2)]
-    outs = []
-    for run in runs:
-        out, err = run.communicate(timeout=120)
+    results = [run.communicate(timeout=120) for run in runs]  # both reaped before any assert
+    for run, (_, err) in zip(runs, results):
         assert run.returncode == 0, err
-        outs.append(out.splitlines())
-    assert len(outs[0]) == 4 and [int(line.split()[1]) for line in outs[0]] == [288] * 2 + [544] * 2
+    outs = [out.splitlines() for out, _ in results]
+    assert len(outs[0]) == 6 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 3
     assert min(int(line.split()[2]) for line in outs[0]) > 1000
     assert outs[0] == outs[1]

@@ -438,7 +438,7 @@ def _drift_certificate(ovf: frames.OperatorValuedFrame, gap: float):
     k = 4 * n * n + 8
     grow = 1.0 + linalg._gamma(k)
     with np.errstate(over="ignore", invalid="ignore"):
-        r_norm, x_norm = float(linalg._norms(r)), float(linalg._norms(x))
+        r_norm, x_norm = float(linalg._norms(r, 2)), float(linalg._norms(x, 2))
         product_rounding = linalg._gamma(n + 2) * r_norm  # per unit norm of the other factor
         delta = (linalg.frobenius(x @ r - np.eye(n)) + product_rounding * x_norm) * grow
         s0 = np.ldexp(frames.frame_operator(ovf).view(np.float64), -2 * e).view(np.complex128)

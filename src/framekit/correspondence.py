@@ -133,7 +133,7 @@ class ReferenceMeasureRule:
             if sequence is None or len(sequence) == 0:
                 raise ValueError("dyadic-sequence rule needs a vector sequence")
             sequence = linalg.as_matrix(sequence)
-            too_long = np.linalg.norm(sequence, axis=1) > 1.0 + linalg.TOL_UNIT_BALL
+            too_long = linalg._norms(sequence, 1) > 1.0 + linalg.TOL_UNIT_BALL
             if too_long.any():
                 raise ValueError(f"sequence vector {int(np.argmax(too_long))} has norm > 1")
             sequence.flags.writeable = False
@@ -230,7 +230,8 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
         raise InvalidPovm(f"POVM failed validation: {report.failures[0]}{where}")
     weights = reference_measure(m, rule)
     keep = weights > 0.0
-    nonzero = np.linalg.norm(m.elements, axis=(1, 2)) > linalg._psd_tolerance(m.elements)
+    norms = linalg._norms(m.elements, 2)
+    nonzero = norms > linalg._scaled_tolerance(linalg.TOL_PSD_REL, norms)
     if (nonzero & ~keep).any():
         label = m.atoms[int(np.argmax(nonzero & ~keep))]
         raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
@@ -276,9 +277,9 @@ def cut_bound(d: Decomposition) -> float:
     """
     _, dropped = d._minimal_rows
     n = d.dim_h
-    skew = linalg._norms(d.densities - linalg.hermitize(d.densities))
-    rounding = n * linalg._gamma(n + 1) * (linalg._norms(d.densities) + dropped)
-    return float(d.measure.weights @ (skew + dropped + rounding))
+    skew = linalg._norms(d.densities - linalg.hermitize(d.densities), 2)
+    rounding = n * linalg._gamma(n + 1) * (linalg._norms(d.densities, 2) + dropped)
+    return float(np.add.reduce(d.measure.weights * (skew + dropped + rounding)))
 
 
 def _uniqueness_over(
@@ -300,7 +301,7 @@ def _uniqueness_over(
         w[s, at] = space.weights
         q[s, at] = densities
     r = w / (w[0] + w[1])
-    residuals = np.linalg.norm(r[0, :, None, None] * q[0] - r[1, :, None, None] * q[1], axis=(1, 2))
+    residuals = linalg._norms(r[0, :, None, None] * q[0] - r[1, :, None, None] * q[1], 2)
     return UniquenessReport(
         atoms=tuple(index),
         per_atom_residuals=tuple(residuals.tolist()),
@@ -397,8 +398,8 @@ def reintegration_bound(m: Povm, d: Decomposition) -> float:
     UnknownAtom if the decomposition has an atom the POVM lacks.
     """
     products = _aligned_products(m, d)
-    magnitudes = linalg._norms(m.elements).sum() + linalg._norms(products).sum()
-    return float(linalg._norms(m.elements - products).sum()
+    magnitudes = linalg._norms(m.elements, 2).sum() + linalg._norms(products, 2).sum()
+    return float(linalg._norms(m.elements - products, 2).sum()
                  + linalg._gamma(len(m.atoms) + 2) * magnitudes)
 
 

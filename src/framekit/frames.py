@@ -206,7 +206,7 @@ class OperatorValuedFrame:
         object.__setattr__(self, "_factor_exponent", e)
         object.__setattr__(self, "_factor_inverse", r_inv)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound fails the test
-            bound = float(linalg._norms(r)) ** 2 * float(linalg._norms(r_inv)) ** 2
+            bound = float(linalg._squares(r, 2)) * float(linalg._squares(r_inv, 2))
             condition = bound * linalg._CERTIFICATE_MARGIN
         if not condition < 1.0 / linalg.TOL_FRAME_REL:
             b = frame_bounds(self)  # the eigenvalues decide: NotAFrame unless S > 0
@@ -290,7 +290,7 @@ class CoefficientField:
     def weighted_norm_sq(self) -> float:
         """sum_t mu({t}) ||c_t||^2."""
         row_weights = np.repeat(self.space.weights, np.diff(self._offsets))
-        return float(row_weights @ (np.abs(self._values) ** 2))
+        return float(np.add.reduce(row_weights * linalg._squares(self._values[:, None], 1)))
 
 
 def _diagonalize(*ovfs: OperatorValuedFrame) -> tuple[linalg.EigenDecomposition, ...]:
@@ -440,9 +440,8 @@ def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientFiel
     r, e = ovf._factor, ovf._factor_exponent
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         energy = float(np.ldexp(c.weighted_norm_sq(), -2 * e))
-        rx = r @ x
-        diff = abs(energy - float(np.vdot(rx, rx).real))
-        scale = float(linalg._norms(r)) ** 2 * float(np.vdot(x, x).real)
+        diff = abs(energy - float(linalg._squares(r @ x, 1)))
+        scale = float(linalg._squares(r, 2)) * float(linalg._squares(x, 1))
     if not (np.isfinite(diff) and np.isfinite(scale)):
         raise LimitExceeded("the energy identity's sides do not square to finite doubles")
     return diff / scale if diff else 0.0

@@ -32,16 +32,20 @@ zgeqrf) up to _FLAT_QR_ROWS rows, so a small frame pays for few
 Python-level steps, and recursive (``_reflect_columns``) above, where large
 matrix products carry the work; both take every reflector from
 ``_reflector``.  There is no general inverse: a frame
-inverts its triangular R (``_triangular_inverse``, column by column within
-blocks of _INVERT_LEAF columns), which both certifies the frame without
-eigenvalues and solves S x = b as the least-squares problem on G (see
-``reconstruction.reconstruct_direct``).
+inverts its triangular R (``_triangular_inverse``, column by column), which
+both certifies the frame without eigenvalues and solves S x = b as the
+least-squares problem on G (see ``reconstruction.reconstruct_direct``).
 All functions are pure; the one state kept is ``_pair_gathers``'s read-only
 schedule per size n.  The tolerance table (TOL_HERM to PIVOT_FLOOR_N) holds
 every tolerance the package tests against.
 
-Inner products follow the convention of being conjugate-linear in the
-second argument: ``inner(x, y) == sum(x * conj(y))``.
+Every norm and sum of squares of the package is one reduction, ``_squares``
+(``_norms`` and ``frobenius`` take its square root): ``np.add.reduce`` on the
+float64 view, in an order fixed by the shape and never through BLAS, so its
+bits do not depend on the BLAS thread count.  Only the factorization kernels
+keep their own column products (``_reflector``, the Jacobi sweeps).  Inner
+products are conjugate-linear in the second argument and summed the same
+way: ``inner(x, y) == np.add.reduce(x * conj(y))``.
 """
 
 from __future__ import annotations
@@ -99,10 +103,10 @@ PIVOT_FLOOR_N = 8
 JACOBI_MAX_SWEEPS = 100
 # a pair of rows counts as orthogonal once |y_p* y_q| <= this * ||y_p|| ||y_q||
 JACOBI_ORTHOGONALITY_TOL = 1e-15
-# hermitian_eigen and _shifted_positive_definite work through a stack in slices
-# of at most this many bytes (64 matrices at n = 16, one at n = 128), so their
-# working copies stay a small part of a large stack; stacks of small matrices
-# still go through in one slice.
+# hermitian_eigen, _shifted_positive_definite, hermitian_residual and _squares
+# work through a stack in slices of at most this many bytes (64 matrices at
+# n = 16, one at n = 128), so their working copies stay a small part of a large
+# stack; stacks of small matrices still go through in one slice.
 _EIGEN_CHUNK_BYTES = 1 << 18
 # _scaled_r factors a QR work array (max(m, n) x n) of at most this many rows
 # flat, in panels of _QR_PANEL columns, and a taller one recursively.  At 1 BLAS
@@ -110,9 +114,6 @@ _EIGEN_CHUNK_BYTES = 1 << 18
 # little further for narrower arrays; past that the recursion's larger products win.
 _FLAT_QR_ROWS = 256
 _QR_PANEL = 16
-# ``_invert_upper`` halves a block of R^-1 above this many columns and fills one
-# at or below it column by column.
-_INVERT_LEAF = 64
 
 
 def _as_finite(a, ndims: tuple[int, ...], expected: str, what: str,
@@ -145,13 +146,13 @@ def adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Inner product, conjugate-linear in the second argument."""
-    return complex(np.vdot(np.asarray(y), np.asarray(x)))
+    """Inner product, conjugate-linear in the second argument, summed in a fixed order."""
+    return complex(np.add.reduce(np.asarray(x) * np.conj(y)))
 
 
 def frobenius(a: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm of a whole array (``_norms``)."""
+    return float(_norms(a, np.ndim(a)))
 
 
 def _chunks(count: int, n: int):
@@ -161,29 +162,43 @@ def _chunks(count: int, n: int):
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
-def _norms(a: np.ndarray):
-    """Frobenius norm of a matrix, or of every matrix in a stack (last two axes).
+def _squares(a: np.ndarray, axes: int):
+    """Sum of |entry|^2 over the last ``axes`` axes of a complex array: 2 for a
+    matrix or a stack of them, 1 for a vector or for each row.
 
-    Taken on the float64 view, one matrix's norm has the same bits alone and
-    anywhere in a stack, which keeps the Jacobi stopping tests alike.  A
-    stack larger than one slice (see ``_chunks``) is squared a slice at a time.
+    The one reduction behind every norm of the package, ``np.add.reduce`` on
+    the float64 view, in an order fixed by the shape: the same bits at any
+    BLAS thread count, and for one item alone and anywhere in a stack, which
+    keeps the Jacobi stopping tests alike.  A stack of matrices larger than
+    one slice (see ``_chunks``) is squared a slice at a time.
     """
     f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
 
-    def norms(x):
-        return np.sqrt(np.add.reduce(x * x, axis=(-2, -1)))
+    def squares(x):
+        return np.add.reduce(x * x, axis=tuple(range(-axes, 0)))
 
-    if f.ndim == 2 or f.nbytes <= _EIGEN_CHUNK_BYTES:
-        return norms(f)
-    return np.concatenate([norms(f[part]) for part in _chunks(f.shape[0], f.shape[1])])
+    if (f.ndim, axes) != (3, 2) or f.nbytes <= _EIGEN_CHUNK_BYTES:
+        return squares(f)
+    return np.concatenate([squares(f[part]) for part in _chunks(f.shape[0], f.shape[1])])
+
+
+def _norms(a: np.ndarray, axes: int):
+    """The square root of ``_squares``: the Frobenius norm of a matrix or of
+    each in a stack (axes 2), the norm of a vector or of each row (axes 1)."""
+    return np.sqrt(_squares(a, axes))
 
 
 def hermitian_residual(a: np.ndarray):
-    """Frobenius distance to the adjoint, scaled by 1 + ||A||_F (of each matrix in a stack)."""
+    """Frobenius distance to the adjoint, scaled by 1 + ||A||_F (of each matrix in
+    a stack, a slice at a time, see ``_chunks``)."""
     a = np.asarray(a)
-    d = adjoint(a)
-    d -= a  # A* - A in place: the same norm as A - A*, with one temporary
-    return _norms(d) / (1.0 + _norms(a))
+    stack = a if a.ndim == 3 else a[None]
+    out = np.empty(len(stack))
+    for part in _chunks(len(stack), stack.shape[-1]):
+        d = adjoint(stack[part])
+        d -= stack[part]  # A* - A in place: the same norm as A - A*, with one temporary
+        out[part] = _norms(d, 2) / (1.0 + _norms(stack[part], 2))
+    return out if a.ndim == 3 else out[0]
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -272,7 +287,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
     chunks = _chunks(count, n)
     for part in chunks:
         with np.errstate(over="ignore"):  # an overflow here is what the check looks for
-            big = ~np.isfinite(_norms(m[part]))
+            big = ~np.isfinite(_norms(m[part], 2))
         if big.any():
             where = "" if lone else f" of matrix {part.start + int(np.argmax(big))} in the stack"
             raise LimitExceeded(f"the Frobenius norm{where} does not square to a finite double")
@@ -290,7 +305,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
         f = h.view(np.float64)
         e = _scale_exponent(f)
         np.ldexp(f, -e[:, None, None], out=f)
-        norm = _norms(h)
+        norm = _norms(h, 2)
         b = np.conj(h)
         b[:, diag, diag] += np.where(norm > 0.0, 2.0 * norm, 1.0)[:, None]
         u = _orthogonalize_rows(b, part.start, count)
@@ -434,36 +449,20 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     return r, e
 
 
-def _invert_upper(r: np.ndarray, inv: np.ndarray, lo: int, hi: int) -> None:
-    """Fill the block inv[lo:hi, lo:hi] above its diagonal, which already holds
-    the reciprocals of R's: above _INVERT_LEAF columns by the block rule
-    R^-1 = [[R11^-1, -R11^-1 R12 R22^-1], [0, R22^-1]], at or below it column by
-    column, X[:j, j] = -X[:j, :j] R[:j, j] X[j, j] (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., section 14.2, method 1)."""
-    if hi - lo <= _INVERT_LEAF:
-        for j in range(lo + 1, hi):
-            inv[lo:j, j] = (inv[lo:j, lo:j] @ r[lo:j, j]) * -inv[j, j]
-        return
-    mid = (lo + hi) // 2
-    _invert_upper(r, inv, lo, mid)
-    _invert_upper(r, inv, mid, hi)
-    inv[lo:mid, mid:hi] = -(inv[lo:mid, lo:mid] @ (r[lo:mid, mid:hi] @ inv[mid:hi, mid:hi]))
-
-
 def _triangular_inverse(r: np.ndarray) -> np.ndarray:
-    """Inverse of an upper-triangular n x n R, read-only (``_invert_upper``): the
-    reciprocals of the diagonal taken together, then blocks of at most
-    _INVERT_LEAF columns filled column by column, each a matrix-vector product,
-    and joined by the block rule R^-1 = [[R11^-1, -R11^-1 R12 R22^-1],
-    [0, R22^-1]], whose halves above that size are matrix products.  A singular
-    or nearly singular R gives inf or NaN entries, with no RuntimeWarning;
-    callers test the result for finiteness."""
+    """Inverse of an upper-triangular n x n R, read-only: the reciprocals of the
+    diagonal taken together, then the columns left to right, each one
+    matrix-vector product, X[:j, j] = -X[:j, :j] R[:j, j] X[j, j] (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 14.2,
+    method 1).  A singular or nearly singular R gives inf or NaN entries, with
+    no RuntimeWarning; callers test the result for finiteness."""
     n = r.shape[0]
     inv = np.zeros_like(r)
     diag = np.arange(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inv[diag, diag] = 1.0 / r[diag, diag]
-        _invert_upper(r, inv, 0, n)
+        for j in range(1, n):
+            inv[:j, j] = (inv[:j, :j] @ r[:j, j]) * -inv[j, j]
     inv.flags.writeable = False
     return inv
 
@@ -561,7 +560,7 @@ def _orthogonalize_rows(z: np.ndarray, first: int, total: int) -> np.ndarray:
     NoConvergence, raised if it still rotates after JACOBI_MAX_SWEEPS sweeps.
     """
     gathers = _pair_gathers(z.shape[-1])
-    floor = JACOBI_ORTHOGONALITY_TOL * _norms(z)
+    floor = JACOBI_ORTHOGONALITY_TOL * _norms(z, 2)
     active = np.arange(z.shape[0])
     for _ in range(JACOBI_MAX_SWEEPS + 1):
         z[active], rotated = _one_sided_sweep(z[active], gathers, floor[active])
@@ -649,7 +648,7 @@ def _gamma(k: int) -> float:
 
 def _psd_tolerance(a: np.ndarray):
     """How far below zero an eigenvalue or probability of a PSD A (of each in a stack) may round."""
-    return _scaled_tolerance(TOL_PSD_REL, _norms(a))
+    return _scaled_tolerance(TOL_PSD_REL, _norms(a, 2))
 
 
 def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -739,7 +738,7 @@ def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         going = top > stop[live]
         if not going.all():
             done = live[~going]
-            ranks[done], dropped[done] = j, _norms(h[~going])
+            ranks[done], dropped[done] = j, _norms(h[~going], 2)
             live, h, p, top = live[going], h[going], p[going], top[going]
             if live.size == 0:
                 break
@@ -767,13 +766,12 @@ def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:
     """
     with np.errstate(over="ignore"):  # an overflow here is what the check looks for
         if a.ndim == 3:
-            norms = _norms(a)
+            norms = _norms(a, 2)
             bound = float(norms.sum())
             if weights is not None:
-                bound = max(bound, float(weights @ norms))
+                bound = max(bound, float(np.add.reduce(weights * norms)))
         else:
-            f = a.view(np.float64)
-            bound = float(weights @ np.add.reduce(f * f, axis=-1))
+            bound = float(np.add.reduce(weights * _squares(a, 1)))
     if not np.isfinite(bound * bound):
         raise LimitExceeded(f"{what} are too large: their Frobenius norm bound {bound:.3e} "
                             f"does not square to a finite double")

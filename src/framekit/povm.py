@@ -143,7 +143,7 @@ def _additivity_bound(m: Povm) -> float:
     6 N (n^2 + N) u^2 S, which stays below it for N (n^2 + N) < 6e15, past any
     stack that fits in memory.
     """
-    return 2.0 * linalg._gamma(len(m.atoms) + 2) * float(linalg._norms(m.elements).sum())
+    return 2.0 * linalg._gamma(len(m.atoms) + 2) * float(linalg._norms(m.elements, 2).sum())
 
 
 def _sampled_residuals(m: Povm) -> list[float]:
@@ -225,7 +225,7 @@ def measure_probabilities(m: Povm, x) -> list[float]:
     v = linalg.as_vector(x)
     if v.shape[0] != m.dim_h:
         raise DimensionMismatch(f"state has dim {v.shape[0]}, POVM expects {m.dim_h}")
-    norm = float(np.linalg.norm(v))
+    norm = float(linalg._norms(v, 1))
     if abs(norm - 1.0) > linalg.TOL_UNIT_NORM:
         raise NotUnitVector(f"state norm {norm!r} is not 1 within {linalg.TOL_UNIT_NORM}")
     probs = ((m.elements @ v) @ np.conj(v)).real

@@ -255,7 +255,7 @@ def frame_algorithm(
     rate = (used.upper - used.lower) / (used.upper + used.lower)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c or proxy is refused below
         b = synthesis(ovf, c)
-        proxy = float(np.linalg.norm(b)) / used.lower
+        proxy = float(linalg._norms(b, 1)) / used.lower
     if not np.isfinite(proxy):
         raise LimitExceeded("the proxy ||T*c|| / A is not finite: the coefficients are too large")
 
@@ -285,7 +285,7 @@ def frame_algorithm(
     x = x[:iterations + 1]
     errors = None
     if true_x is not None:
-        errors = np.linalg.norm(x - true_x, axis=1)
+        errors = linalg._norms(x - true_x, 1)
         errors.flags.writeable = False
     return IterationTrace(
         iterates=x,

@@ -5,10 +5,15 @@ reproduce exactly.
 """
 
 import base64
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import framekit
 from framekit import (
     AtomicMeasureSpace,
     NotAFrame,
@@ -122,6 +127,22 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def outputs_at_blas_threads(script):
+    """The stdout lines of ``python -c script`` at 1 and at 2 OpenBLAS threads, each
+    run in its own process on the package sources; both are started, then both
+    reaped before any assert, and each must exit 0."""
+    src = str(Path(framekit.__file__).resolve().parents[1])
+    runs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": src,
+                                  "OPENBLAS_NUM_THREADS": str(threads)})
+            for threads in (1, 2)]
+    results = [run.communicate(timeout=120) for run in runs]
+    for run, (_, err) in zip(runs, results):
+        assert run.returncode == 0, err
+    return [out.splitlines() for out, _ in results]
 
 
 @pytest.fixture

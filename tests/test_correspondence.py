@@ -503,12 +503,13 @@ def test_gamma_gives_the_bounds_of_the_inline_formulas_bit_for_bit():
         gamma_reint = k * u / (1.0 - k * u)
         assert linalg._gamma(n + 1) == gamma_cut and linalg._gamma(k) == gamma_reint
         dropped = d._minimal_rows[1]
-        skew = linalg._norms(d.densities - linalg.hermitize(d.densities))
-        rounding = n * gamma_cut * (linalg._norms(d.densities) + dropped)
-        assert cut_bound(d) == float(d.measure.weights @ (skew + dropped + rounding))
+        skew = linalg._norms(d.densities - linalg.hermitize(d.densities), 2)
+        rounding = n * gamma_cut * (linalg._norms(d.densities, 2) + dropped)
+        weighted = np.add.reduce(d.measure.weights * (skew + dropped + rounding))
+        assert cut_bound(d) == float(weighted)
         products = _aligned_products(m, d)
-        magnitudes = linalg._norms(m.elements).sum() + linalg._norms(products).sum()
-        inline = float(linalg._norms(m.elements - products).sum() + gamma_reint * magnitudes)
+        magnitudes = linalg._norms(m.elements, 2).sum() + linalg._norms(products, 2).sum()
+        inline = float(linalg._norms(m.elements - products, 2).sum() + gamma_reint * magnitudes)
         assert reintegration_bound(m, d) == inline
 
 

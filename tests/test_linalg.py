@@ -37,7 +37,15 @@ from framekit.frames import (
 )
 from framekit.povm import povm_from_json
 
-from conftest import complex_box, count_calls, matrix_json, random_hermitian, random_psd, rng_for
+from conftest import (
+    complex_box,
+    count_calls,
+    matrix_json,
+    outputs_at_blas_threads,
+    random_hermitian,
+    random_psd,
+    rng_for,
+)
 
 
 def test_adjoint_conjugate_transposes():
@@ -66,9 +74,62 @@ def test_inner_of_vector_with_itself_is_norm_squared():
     assert linalg.inner(x, x) == pytest.approx(26.0)
 
 
+def test_norms_reduce_the_trailing_axes_the_same_alone_and_in_slices():
+    """Axes 2 gives each matrix's Frobenius norm, axes 1 each row's, with the bits
+    of the item alone, also for a stack past one slice; frobenius takes the whole
+    array, and every value agrees with numpy's to rounding."""
+    stack = complex_box(rng_for(43), (300, 16, 16))  # 1.2 MiB, five slices
+    assert len(linalg._chunks(300, 16)) > 1
+    norms = linalg._norms(stack, 2)
+    assert np.array_equal(norms, [linalg._norms(a, 2) for a in stack])
+    assert np.array_equal(np.sqrt(linalg._squares(stack, 2)), norms)
+    assert np.allclose(norms, np.linalg.norm(stack, axis=(1, 2)), rtol=1e-15, atol=0)
+    rows = linalg._norms(stack[0], 1)
+    assert np.array_equal(rows, [linalg._norms(v, 1) for v in stack[0]])
+    assert np.allclose(rows, np.linalg.norm(stack[0], axis=1), rtol=1e-15, atol=0)
+    whole = linalg.frobenius(stack)
+    assert type(whole) is float and whole == pytest.approx(np.linalg.norm(stack), rel=1e-15)
+    assert linalg.frobenius([[3.0, 4.0j]]) == 5.0
+
+
 def test_hermitian_residual_zero_for_hermitian():
     a = np.array([[2.0, 1j], [-1j, 2.0]])
     assert linalg.hermitian_residual(a) == 0.0
+
+
+# Prints the bits of a norm, an inner product and three quantities built on
+# them, each past the size at which a BLAS reduction splits its sum over two
+# threads; the inputs come from the generator and elementwise operations alone.
+_NORM_BITS = """
+import numpy as np
+from framekit import AtomicMeasureSpace, CoefficientField, Povm, linalg
+from framekit.correspondence import _reintegration_tolerance
+rng = np.random.Generator(np.random.PCG64(31))
+def box(shape):
+    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+x, y = box(32768), box(32768)
+space = AtomicMeasureSpace([str(t) for t in range(4096)], rng.uniform(0.5, 2.0, 4096))
+field = CoefficientField(space, np.split(box(16384), 4096))
+povm = Povm(["a", "b"], 128, [linalg.hermitize(box((128, 128))) for _ in range(2)])
+inner = linalg.inner(x, y)
+for name, value in (("frobenius", linalg.frobenius(box((128, 128)))),
+                    ("norm", float(linalg._norms(x, 1))),
+                    ("inner", inner.real), ("inner.imag", inner.imag),
+                    ("weighted_norm_sq", field.weighted_norm_sq()),
+                    ("reintegration_tolerance", _reintegration_tolerance(povm.total()))):
+    print(name, value.hex())
+"""
+
+
+def test_norms_are_bit_identical_at_one_and_two_blas_threads():
+    """frobenius at 128 x 128, the norm of a 32768-entry vector, the inner product of
+    two, the weighted norm of a 16384-row coefficient field and the reintegration
+    tolerance of a dim-128 POVM total have the same bits with OpenBLAS at 1 and
+    at 2 threads, each thread count in its own process."""
+    outs = outputs_at_blas_threads(_NORM_BITS)
+    assert [line.split()[0] for line in outs[0]] == [
+        "frobenius", "norm", "inner", "inner.imag", "weighted_norm_sq", "reintegration_tolerance"]
+    assert outs[0] == outs[1]
 
 
 def test_hermitize_is_idempotent_and_projects():
@@ -785,6 +846,24 @@ def test_cholesky_verdicts_in_slices_match_one_slice(monkeypatch):
     assert whole.tolist() == [k % 2 == 1 for k in range(256)]
 
 
+def test_hermitian_residual_works_in_slices():
+    """On a 256-matrix, dim-32 stack (4 MiB) the residuals are each matrix's own,
+    and the traced peak inside the call stays under a quarter of the stack."""
+    stack = complex_box(rng_for(41), (256, 32, 32))
+    stack[::2] = linalg.hermitize(stack[::2])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        residuals = linalg.hermitian_residual(stack)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(linalg._chunks(256, 32)) > 1 and peak <= 0.25 * stack.nbytes
+    alone = [linalg.hermitian_residual(a) for a in stack]
+    assert np.array_equal(residuals, alone)
+    assert (residuals[::2] == 0.0).all() and (residuals[1::2] > linalg.TOL_HERM).all()
+
+
 def low_rank_psd(n, rank, seed):
     """G* G for a rank x n complex G, scaled to unit trace; zero for rank 0."""
     g = complex_box(rng_for(seed), (rank, n))
@@ -1060,7 +1139,7 @@ def test_triangular_inverse_inverts_the_factor(dim):
 
 
 def test_triangular_inverse_of_a_singular_factor_is_not_finite_without_warnings():
-    # the last two reach past one column-by-column block, into the block rule
+    # the last two are wider than any frame the benchmark builds (64 columns)
     wide = np.ones(70)
     wide[[3, 66]] = 0.0
     tiny = np.ones(130)

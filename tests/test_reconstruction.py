@@ -1,11 +1,7 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
 import math
-import os
-import subprocess
-import sys
 from functools import lru_cache
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,7 +26,14 @@ from framekit import (
     trace_to_csv,
 )
 
-from conftest import complex_box, count_calls, random_ovf, rng_for, rotated_rows
+from conftest import (
+    complex_box,
+    count_calls,
+    outputs_at_blas_threads,
+    random_ovf,
+    rng_for,
+    rotated_rows,
+)
 
 E1 = np.array([1.0, 0.0], dtype=complex)
 E2 = np.array([0.0, 1.0], dtype=complex)
@@ -283,8 +286,9 @@ def test_the_search_matches_a_plain_loop_and_falls_back_once():
 def reference_frame_algorithm(ovf, c, cfg):
     """The frame algorithm one step at a time, x = x + relax (T*c - S x): its
     iterates (n+1, d), certified bounds, rate, certificate and stop.  The bounds
-    are the one expression over all max_iters + 1 indices, and a plain loop
-    stops at the first one at the target."""
+    are the one expression over all max_iters + 1 indices from the package's
+    proxy ||T*c|| / A (its norm is linalg._norms), and a plain loop stops at
+    the first one at the target."""
     actual = frame_bounds(ovf)
     used = cfg.bounds_override or actual
     certified = (used.lower <= actual.lower * (1.0 + 1e-12)
@@ -292,7 +296,7 @@ def reference_frame_algorithm(ovf, c, cfg):
     s, b = frame_operator(ovf), synthesis(ovf, c)
     relax = 2.0 / (used.lower + used.upper)
     rate = (used.upper - used.lower) / (used.upper + used.lower)
-    proxy = float(np.linalg.norm(b)) / used.lower
+    proxy = float(linalg._norms(b, 1)) / used.lower
     bounds = proxy * np.power(rate, np.arange(cfg.max_iters + 1))
     x = np.zeros(ovf.dim_h, dtype=complex)
     iterates, stopped_by, n = [x], "max_iters", 0
@@ -359,7 +363,7 @@ def test_blocks_reproduce_the_plain_recurrence(dim, iters):
                                bounds_override=slow_bounds(ovf))
     trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
     assert trace.stopped_by == "max_iters" and trace.certified
-    expected = np.linalg.norm(x - trace.iterates, axis=1)
+    expected = linalg._norms(x - trace.iterates, 1)
     assert np.array_equal(trace.actual_errors, expected)
     assert trace.actual_errors.dtype == np.float64 and not trace.actual_errors.flags.writeable
 
@@ -458,16 +462,7 @@ def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
     """frame_algorithm (iterates and certified bounds) and reconstruct_direct give
     the same bytes with OpenBLAS at 1 and at 2 threads, on a 288 x 8 and a 544 x 16
     frame (several thousand iterates each), each thread count in its own process."""
-    src = str(Path(reconstruction.__file__).resolve().parents[1])
-    runs = [subprocess.Popen([sys.executable, "-c", _DIGESTS], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, text=True,
-                             env={**os.environ, "PYTHONPATH": src,
-                                  "OPENBLAS_NUM_THREADS": str(threads)})
-            for threads in (1, 2)]
-    results = [run.communicate(timeout=120) for run in runs]  # both reaped before any assert
-    for run, (_, err) in zip(runs, results):
-        assert run.returncode == 0, err
-    outs = [out.splitlines() for out, _ in results]
+    outs = outputs_at_blas_threads(_DIGESTS)
     assert len(outs[0]) == 6 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 3
     assert min(int(line.split()[2]) for line in outs[0]) > 1000
     assert outs[0] == outs[1]

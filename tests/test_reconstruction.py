@@ -1,6 +1,7 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
 import math
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -11,6 +12,7 @@ from framekit import (
     AtomicMeasureSpace,
     FrameBounds,
     InvalidBounds,
+    LimitExceeded,
     OperatorValuedFrame,
     ReconstructionConfig,
     VectorFrame,
@@ -280,7 +282,7 @@ def test_the_search_matches_a_plain_loop_and_falls_back_once():
     assert stopped_by == "target_error" and len(bounds) > estimate + 1
 
 
-# --- block evaluation against the plain recurrence ----------------------------
+# --- the doubling scan against the plain recurrence ---------------------------
 
 
 def reference_frame_algorithm(ovf, c, cfg):
@@ -310,8 +312,14 @@ def reference_frame_algorithm(ovf, c, cfg):
     return np.array(iterates), bounds[:n + 1], rate, certified, stopped_by
 
 
-def block_length(dim):
-    return max(1, reconstruction._BLOCK_BYTES // (16 * dim * dim))
+def levels(n):
+    """The rows each level of the scan writes for n iterations: x(1) = r alone,
+    then rows h+1 .. min(2h, n) at h = 1, 2, 4, ..."""
+    rows, h = [range(1, 2)], 1
+    while h < n:
+        rows.append(range(h + 1, min(2 * h, n) + 1))
+        h *= 2
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +331,7 @@ def frame_of_dim(dim):
 
 def slow_bounds(ovf):
     """Certified bounds 100x wider below than the spectrum: rate near 0.98, so no
-    bound reaches 1e-300 within 2K+1 steps, even at dim 1 (K = 16384)."""
+    bound reaches 1e-300 within 10000 steps, even at dim 1."""
     b = frame_bounds(ovf)
     return FrameBounds(lower=b.lower / 100.0, upper=b.upper)
 
@@ -340,23 +348,22 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
     assert np.abs(trace.iterates - ref).max() <= 1e-13 * np.abs(ref).max()
     assert len(trace.elapsed_ns) == len(ref) and trace.elapsed_ns[0] == 0
     assert all(a <= b for a, b in zip(trace.elapsed_ns, trace.elapsed_ns[1:]))
+    for rows in levels(trace.iterations):  # one time stamp a level
+        assert len({trace.elapsed_ns[k] for k in rows}) == 1
     return trace
 
 
-def iteration_counts(dim):
-    """Runs around the block edges, and from dim 3 on one of 5K + 3 steps (at dim 1
-    the slow bound would underflow to 0 before 5K steps)."""
-    k = block_length(dim)
-    many = (5 * k + 3,) if dim > 1 else ()
-    return sorted({n for n in (1, k - 1, k, k + 1, 2 * k + 1, *many) if n >= 1})
+def iteration_counts():
+    """Runs at the level edges: the first levels, one step short of, at and past
+    a power of two, and one run of 10000 steps (14 levels)."""
+    return (1, 2, 3, 4, 5, 63, 64, 65, 1023, 1024, 1025, 10_000)
 
 
 @pytest.mark.parametrize("dim,iters", [(d, n) for d in (1, 3, 16, 128)
-                                       for n in iteration_counts(d)])
-def test_blocks_reproduce_the_plain_recurrence(dim, iters):
-    """Whole blocks, a partial last block, one step past a block edge and a run over
-    six blocks, from dim 1 (K = 16384) to 128, where a block is one plain step
-    (K = 1) and the chain of block starts is the whole run."""
+                                       for n in iteration_counts()])
+def test_the_scan_reproduces_the_plain_recurrence(dim, iters):
+    """Each level's edges, from the one-step run to one of 10000 steps, at dim 1
+    to 128."""
     ovf = frame_of_dim(dim)
     x = complex_box(rng_for(700 + dim), dim)
     cfg = ReconstructionConfig(max_iters=iters, target_error=1e-300,
@@ -369,15 +376,34 @@ def test_blocks_reproduce_the_plain_recurrence(dim, iters):
 
 
 @pytest.mark.parametrize("dim", [3, 16])
-def test_blocks_stop_where_the_recurrence_meets_the_target(dim):
+def test_the_scan_stops_where_the_recurrence_meets_the_target(dim):
     ovf = frame_of_dim(dim)
     c = analysis(ovf, complex_box(rng_for(800 + dim), dim))
-    for bounds in (None, slow_bounds(ovf)):  # at dim 16 the slow run spans many blocks
+    for bounds in (None, slow_bounds(ovf)):  # at dim 16 the slow run spans many levels
         cfg = ReconstructionConfig(bounds_override=bounds)
         trace = assert_matches_reference(ovf, c, cfg)
         assert trace.stopped_by == "target_error"
         capped = ReconstructionConfig(max_iters=trace.iterations - 1, bounds_override=bounds)
         assert assert_matches_reference(ovf, c, capped).stopped_by == "max_iters"
+
+
+def test_a_diverging_bounds_override_is_refused():
+    """A lower bound 100x too low and an upper bound half the true one put
+    1 - relax B near -3, so the iterates overflow long before 10000 steps:
+    LimitExceeded, not NaN iterates, and no overflow warning on the way.  A
+    20-step run stays finite and is returned, uncertified."""
+    ovf = frame_of_dim(3)
+    b = frame_bounds(ovf)
+    cfg = ReconstructionConfig(max_iters=10_000, target_error=1e-300,
+                               bounds_override=FrameBounds(0.01 * b.lower, 0.5 * b.upper))
+    c = analysis(ovf, complex_box(rng_for(801), 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LimitExceeded):
+            frame_algorithm(ovf, c, cfg)
+        short = ReconstructionConfig(max_iters=20, target_error=1e-300,
+                                     bounds_override=cfg.bounds_override)
+        assert not frame_algorithm(ovf, c, short).certified
 
 
 def conditioned_frame(n, atoms, cond, seed):
@@ -395,19 +421,38 @@ def conditioned_frame(n, atoms, cond, seed):
 
 def test_a_benchmark_shaped_run_reproduces_the_plain_recurrence():
     """dim 12, 128 atoms (816 rows), cond(S) = 300, target 1e-9: 3899 iterations,
-    35 blocks of K = 113."""
+    12 levels of the scan."""
     ovf = conditioned_frame(12, 128, 300.0, seed=950)
     x = complex_box(rng_for(951), 12)
     trace = assert_matches_reference(ovf, analysis(ovf, x), ReconstructionConfig(), true_x=x)
     assert trace.stopped_by == "target_error" and trace.certified
-    assert trace.iterations > 30 * block_length(12)
+    assert trace.iterations > 2 ** 11
     assert np.linalg.norm(x - trace.final) <= trace.certified_bounds[-1]
 
 
-def test_blocks_follow_a_narrow_override_uncertified():
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than double here")
+def test_the_scan_is_within_1e_13_of_an_extended_precision_recurrence():
+    """The benchmark-shaped run against x = M x + r carried in clongdouble from the
+    same S, T*c and relax: the scan's rounding, not the plain step's, is measured."""
+    ovf = conditioned_frame(12, 128, 300.0, seed=950)
+    c = analysis(ovf, complex_box(rng_for(951), 12))
+    trace = frame_algorithm(ovf, c)
+    relax = np.longdouble(2.0 / (trace.bounds.lower + trace.bounds.upper))
+    m = np.eye(12, dtype=np.clongdouble) - relax * frame_operator(ovf).astype(np.clongdouble)
+    r = relax * synthesis(ovf, c).astype(np.clongdouble)
+    truth = np.empty(trace.iterates.shape, dtype=np.clongdouble)
+    truth[0] = 0.0
+    for k in range(1, len(truth)):
+        truth[k] = m @ truth[k - 1] + r
+    err = np.abs(trace.iterates - truth).max()
+    assert err <= 1e-13 * np.abs(truth).max()
+
+
+def test_the_scan_follows_a_narrow_override_uncertified():
     ovf = frame_of_dim(16)
     b = frame_bounds(ovf)
-    cfg = ReconstructionConfig(max_iters=2 * block_length(16) + 1, target_error=1e-300,
+    cfg = ReconstructionConfig(max_iters=129, target_error=1e-300,
                                bounds_override=FrameBounds(lower=1.05 * b.lower, upper=b.upper))
     c = analysis(ovf, complex_box(rng_for(900), 16))
     assert not assert_matches_reference(ovf, c, cfg).certified
@@ -416,7 +461,7 @@ def test_blocks_follow_a_narrow_override_uncertified():
 def test_iterates_are_one_read_only_array_and_runs_are_bit_identical():
     ovf = frame_of_dim(16)
     c = analysis(ovf, complex_box(rng_for(902), 16))
-    cfg = ReconstructionConfig(max_iters=2 * block_length(16) + 1, target_error=1e-300)
+    cfg = ReconstructionConfig(max_iters=129, target_error=1e-300)
     t1, t2 = frame_algorithm(ovf, c, cfg), frame_algorithm(ovf, c, cfg)
     assert t1.iterates.shape == (t1.iterations + 1, 16)
     assert not t1.iterates.flags.writeable
@@ -436,12 +481,13 @@ def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
 
 # Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
 # LAPACK call), solves one vector on each by both routes, and prints a digest of
-# the iterates', the certified bounds' and the direct solution's bytes.
+# the iterates', the certified bounds' and the direct solution's bytes; on the
+# dim-16 frame also of the iterates of a 4097-step run (13 levels).
 _DIGESTS = """
 import hashlib
 import numpy as np
-from framekit import (AtomicMeasureSpace, OperatorValuedFrame, analysis,
-                      frame_algorithm, reconstruct_direct)
+from framekit import (AtomicMeasureSpace, OperatorValuedFrame, ReconstructionConfig,
+                      analysis, frame_algorithm, reconstruct_direct)
 for n in (8, 16):
     rng = np.random.Generator(np.random.PCG64(n))
     heights = [1 + t % n for t in range(64)]
@@ -455,14 +501,18 @@ for n in (8, 16):
     for name, a in (("iterates", trace.iterates), ("bounds", trace.certified_bounds),
                     ("direct", reconstruct_direct(ovf, c))):
         print(n, shape[0], trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
+long = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=4097, target_error=1e-300))
+print(n, shape[0], long.iterations, "iterates", hashlib.sha256(long.iterates.tobytes()).hexdigest())
 """
 
 
 def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
     """frame_algorithm (iterates and certified bounds) and reconstruct_direct give
     the same bytes with OpenBLAS at 1 and at 2 threads, on a 288 x 8 and a 544 x 16
-    frame (several thousand iterates each), each thread count in its own process."""
+    frame (several thousand iterates each, and 4097 on the second), each thread
+    count in its own process."""
     outs = outputs_at_blas_threads(_DIGESTS)
-    assert len(outs[0]) == 6 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 3
+    assert len(outs[0]) == 7 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 4
     assert min(int(line.split()[2]) for line in outs[0]) > 1000
+    assert int(outs[0][-1].split()[2]) == 4097
     assert outs[0] == outs[1]

@@ -14,6 +14,8 @@ only the CLI commands that report or iterate with a frame's bounds diagonalize i
 
 Every data-file loader builds its object one way, whatever the layout: only
 ``linalg._decode_family`` reads the JSON type of a per-atom family.
+
+The frame algorithm has one loop, over the levels of its doubling scan.
 """
 
 import ast
@@ -219,3 +221,29 @@ def test_no_loader_branches_on_the_layout_of_a_family():
         assert layout_branches(tree) == [], name
     assert loaders >= {"ovf_from_json", "vector_frame_from_json", "coefficients_from_json",
                        "povm_from_json", "decomposition_from_json"}  # the walk reads them
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def loops_in(tree, name):
+    """The loop nodes (statements and comprehensions) in the body of every
+    function called ``name``."""
+    return [node for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name == name
+            for node in ast.walk(fn) if isinstance(node, LOOPS)]
+
+
+def test_the_loop_finder_sees_every_kind_of_loop():
+    tree = ast.parse("def f(a):\n    for x in a:\n        while x:\n            x -= 1\n"
+                     "    return [y for y in a], {y for y in a}, {y: 1 for y in a}, sum(y for y in a)\n"
+                     "def g(a):\n    for x in a:\n        pass\n")
+    assert [type(node).__name__ for node in loops_in(tree, "f")] == [
+        "For", "While", "ListComp", "SetComp", "DictComp", "GeneratorExp"]
+
+
+def test_the_frame_algorithm_has_one_loop_over_the_levels():
+    path = Path(framekit.__file__).parent / "reconstruction.py"
+    loops = loops_in(ast.parse(path.read_text(), str(path)), "frame_algorithm")
+    assert len(loops) == 1 and isinstance(loops[0], ast.While)

@@ -155,10 +155,11 @@ class OperatorValuedFrame:
     upper / lower times the sweeps' derived allowance (``_swept_condition``).  So
     TOL_FRAME_REL * _condition < 1 unless the eigenvalues accepted the family
     within that allowance of the threshold.
-    The eigenpairs (``_eigen``) and the bounds A and B (``_bounds``) are cached:
-    one-sided Jacobi on the kept R (``linalg._one_sided_jacobi``) runs on their
-    first read and never again, for several frames at once in ``_diagonalize``.
-    They never form G* G, so A keeps its relative accuracy when cond(S) is large.
+    The bounds A and B (``_bounds``) are the extreme eigenvalues of S, the only
+    part of its spectrum the package reads, cached: one-sided Jacobi on the
+    kept R (``linalg._one_sided_jacobi``) runs on their first read and never
+    again.  It never forms G* G, so A keeps its relative accuracy when cond(S)
+    is large.
     """
 
     space: AtomicMeasureSpace
@@ -225,15 +226,11 @@ class OperatorValuedFrame:
         s.flags.writeable = False
         return s
 
-    @property
-    def _eigen(self) -> linalg.EigenDecomposition:
-        """Eigenpairs of S, from one-sided Jacobi on the kept R on first read (``_diagonalize``)."""
-        return _diagonalize(self)[0]
-
     @cached_property
     def _bounds(self) -> FrameBounds:
-        """Frame bounds from the eigenvalues of S; NotAFrame unless S > 0."""
-        return _bounds_of(self._eigen.eigenvalues)
+        """Frame bounds from the eigenvalues of S, one-sided Jacobi on the kept R
+        on first read; NotAFrame unless S > 0."""
+        return _bounds_of(linalg._one_sided_jacobi(self._factor, self._factor_exponent))
 
     def block(self, label: str) -> np.ndarray:
         return self.blocks[self.space.index(label)]
@@ -291,20 +288,6 @@ class CoefficientField:
         """sum_t mu({t}) ||c_t||^2."""
         row_weights = np.repeat(self.space.weights, np.diff(self._offsets))
         return float(np.add.reduce(row_weights * linalg._squares(self._values[:, None], 1)))
-
-
-def _diagonalize(*ovfs: OperatorValuedFrame) -> tuple[linalg.EigenDecomposition, ...]:
-    """The eigenpairs of each frame's S, cached on the frame (``_eigen``): the
-    frames of one dim_h with none cached yet take them from one
-    ``linalg._one_sided_jacobi`` call on the stack of their kept factors, which
-    gives each frame the bits of a lone call."""
-    todo = [f for f in ovfs if "_eigen" not in vars(f)]
-    if todo:
-        eig = linalg._one_sided_jacobi(np.array([f._factor for f in todo]),
-                                       np.array([f._factor_exponent for f in todo]))
-        for f, vals, vecs in zip(todo, eig.eigenvalues, eig.eigenvectors):
-            vars(f)["_eigen"] = linalg.EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
-    return tuple(vars(f)["_eigen"] for f in ovfs)
 
 
 def _swept_condition(b: FrameBounds, m: int, n: int) -> float:

@@ -14,11 +14,11 @@ by construction.  It serves two entry points.
   accuracy (about eps ||A||_F).  It serves code that reads a spectrum of a
   matrix that comes with no factor: the POVM elements' reports, M(Omega) in
   the framedness test, the dyadic rule's Gram matrix and ``psd_sqrt``.
-* ``_one_sided_jacobi`` diagonalizes G* G from the triangular factor R of
-  G alone (``_scaled_r``, a Householder QR), on R*.  It never forms G* G,
-  so the small eigenvalues keep their relative accuracy; a frame's operator
-  S = B* diag(w) B takes its eigenpairs from it, with G = diag(sqrt(w)) B,
-  on the first read of its bounds.
+* ``_one_sided_jacobi`` gives the eigenvalues of G* G, and no eigenvectors,
+  from the triangular factor R of G alone (``_scaled_r``, a Householder QR),
+  on R*.  It never forms G* G, so the small eigenvalues keep their relative
+  accuracy; a frame's operator S = B* diag(w) B takes its bounds from it,
+  with G = diag(sqrt(w)) B, on their first read.
 
 A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
 factorization of the shifted matrices instead
@@ -88,7 +88,6 @@ TOL_UNIT_NORM = 1e-10       # absolute: how far a state's norm may be from 1
 TOL_DECOMP_REL = 1e-10      # reintegration and uniqueness, scaled by 1 + ||M(Omega)||_F
 TOL_UNIT_BALL = 1e-12       # absolute: how far past norm 1 a dyadic-rule vector may round
 TOL_SPAN_REL = 1e-12        # dyadic Gram eigenvalues above this * max(lambda_max, 1) span
-TOL_OVERRIDE_SLACK = 1e-12  # a bounds override certifies if within this of lambda_min, lambda_max
 TOL_BOUNDS_REL = 1e-9       # roundtrip: drift of the frame operator and of the bounds
 # Pivoted Cholesky (_pivoted_cholesky_rows) stops a matrix once its largest
 # remaining diagonal is at most TOL_PIVOT_REL max(n, PIVOT_FLOOR_N) max_i Q_ii.
@@ -261,7 +260,7 @@ def hermitian_eigen(a) -> EigenDecomposition:
     u_j = y_j / ||y_j|| and lambda_j = Re(u_j* H u_j) 2^e; a diagonal input
     comes back exactly.  The accuracy is absolute: eigenvalues to about
     eps ||A||_F, so the small eigenvalues of a PSD matrix carry no relative
-    accuracy (a frame takes its eigenpairs from its factor, ``_one_sided_jacobi``).
+    accuracy (a frame takes its bounds from its factor, ``_one_sided_jacobi``).
 
     Eigenvalues come back sorted ascending, eigenvector columns permuted in
     lockstep; ties keep the Jacobi output order, so identical inputs give
@@ -571,8 +570,8 @@ def _orthogonalize_rows(z: np.ndarray, first: int, total: int) -> np.ndarray:
                         f" on matrix {first + int(active[0])} of {total}")
 
 
-def _one_sided_jacobi(r: np.ndarray, e) -> EigenDecomposition:
-    """Eigendecomposition of G* G from the scaled factor (R / 2^e, e) of
+def _one_sided_jacobi(r: np.ndarray, e) -> np.ndarray:
+    """Ascending eigenvalues of G* G from the scaled factor (R / 2^e, e) of
     ``_scaled_r``, without forming G* G; or of each G_k* G_k from a stack of
     such factors (N, n, n) with their exponents (N,).
 
@@ -584,36 +583,28 @@ def _one_sided_jacobi(r: np.ndarray, e) -> EigenDecomposition:
     precision (the QR's own rounding is larger) and is never rotated: pairing
     it with a parallel y_q would only shrink it by eps a sweep, never below
     the relative test.  Since Y = U Sigma W*,
-    G* G = Y Y* = U Sigma^2 U*, so lambda_j = ||y_j||^2 and u_j = y_j / ||y_j||
-    with no rotation accumulated.  The test is relative to each pair, so small
+    G* G = Y Y* = U Sigma^2 U*, so lambda_j = ||y_j||^2 with no rotation
+    accumulated.  The test is relative to each pair, so small
     eigenvalues come out to relative accuracy set by G, not by cond(G* G)
     (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992); the QR first
     makes the sweeps act on n x n, and R* converges in fewer sweeps than G
     (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).
 
-    Eigenvalues come back ascending, eigenvector columns in lockstep (ties in
-    Jacobi order), both read-only; a stack gives eigenvalues (N, n) and
-    eigenvectors (N, n, n), each factor's bit-identical to a lone call on it.
-    G of rank below n leaves y_j that are zero or at most tol ||G||_F, so
-    lambda_j at most tol^2 ||G||_F^2; a zero y_j gives a zero column of U, left
-    unnormalized.  NoConvergence if a sweep still rotates after
-    JACOBI_MAX_SWEEPS sweeps.
+    The eigenvalues come back ascending and read-only, float64 of shape (n,)
+    for a lone factor and (N, n) for a stack, each factor's bit-identical to a
+    lone call on it.  G of rank below n leaves y_j that are zero or at most
+    tol ||G||_F, so lambda_j at most tol^2 ||G||_F^2.  NoConvergence if a sweep
+    still rotates after JACOBI_MAX_SWEEPS sweeps.
     """
     lone = r.ndim == 2
     z = np.conj(r[None] if lone else r)
     z = _orthogonalize_rows(z, 0, len(z))
-    lam = np.vecdot(z, z).real
-    order = np.argsort(lam, axis=-1, kind="stable")
-    lam = np.take_along_axis(lam, order, axis=-1)
-    sigma = np.sqrt(lam)
+    lam = np.sort(np.vecdot(z, z).real, axis=-1)
     vals = np.ldexp(lam, 2 * np.asarray(e)[..., None])
-    u = np.take_along_axis(z, order[..., None], axis=1) / np.where(sigma > 0.0, sigma, 1.0)[..., None]
-    vecs = np.ascontiguousarray(np.swapaxes(u, 1, 2))
     if lone:
-        vals, vecs = vals[0], vecs[0]
-    for arr in (vals, vecs):
-        arr.flags.writeable = False
-    return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
+        vals = vals[0]
+    vals.flags.writeable = False
+    return vals
 
 
 def psd_sqrt(a) -> np.ndarray:

@@ -236,12 +236,12 @@ def test_to_povm_diagonalizes_only_the_frame_operator(pair_path, tmp_path, monke
     assert framed["value"] == pytest.approx(9.0 * linalg.TOL_FRAME_REL, rel=1e-15)
 
 
-def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, monkeypatch):
+def test_roundtrip_diagonalizes_each_frame_once_alone(pair_path, tmp_path, monkeypatch):
     """No density is diagonalized (the minimal blocks are pivoted Cholesky rows),
     and no frame where the loaded frame's factor certifies bounds_preserved.  A
     frame with cond(S) = 1e8 is past the certificate, and both frames' S, loaded
-    and recovered, take their bounds from their kept R in one call on a stack of
-    two.  Either way the summary carries no bounds (``bounds`` prints them)."""
+    and recovered, take their bounds from their kept R, one lone call each.
+    Either way the summary carries no bounds (``bounds`` prints them)."""
     stacks = []
     original = linalg._one_sided_jacobi
 
@@ -253,7 +253,7 @@ def test_roundtrip_diagonalizes_each_operator_stack_once(pair_path, tmp_path, mo
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
     rows = rotated_rows(rng_for(27), 10, np.logspace(0.0, -4.0, 5))  # cond(S) = 1e8
     ill = write_json(tmp_path / "ill.json", vector_frame_to_json(VectorFrame(5, np.conj(rows))))
-    for path, by, jacobi in ((pair_path, "certificate", []), (ill, "eigenvalues", [(2, 5, 5)])):
+    for path, by, jacobi in ((pair_path, "certificate", []), (ill, "eigenvalues", [(5, 5), (5, 5)])):
         stacks.clear()
         assert main(["roundtrip", "--in", path, "--out", str(tmp_path / "r.json")]) == 0
         report = read_report(tmp_path / "r.json")
@@ -794,7 +794,7 @@ def test_bounds_and_to_ovf_compute_their_frame_checks(kind_paths, tmp_path, monk
             (f,) = built
             assert "lower" not in check and "upper" not in check
             assert check["margin"] == linalg.TOL_FRAME_REL * f._condition < 1.0
-            assert "_eigen" not in vars(f)
+            assert "_bounds" not in vars(f)
 
 
 def test_frame_check_fails_below_the_frame_tolerance():

@@ -141,7 +141,7 @@ def test_rank_deficient_families_are_not_frames_without_warnings(blocks, dim, fa
     assert calls == {"_one_sided_jacobi": factored, "_scaled_r": factored}
 
 
-def test_each_frame_takes_its_eigenpairs_from_one_gram_eigen_call(monkeypatch):
+def test_each_frame_takes_its_bounds_from_one_gram_eigen_call(monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen", "_scaled_r", "_one_sided_jacobi")
     for seed in range(3):
         random_ovf(dim=4, atoms=5, seed=seed)  # one QR each, certified without sweeps
@@ -149,8 +149,7 @@ def test_each_frame_takes_its_eigenpairs_from_one_gram_eigen_call(monkeypatch):
     f = random_ovf(dim=4, atoms=5, seed=0)
     w = np.sqrt(f._row_weights)[:, None] * f._rows
     again = linalg._one_sided_jacobi(*linalg._scaled_r(w, np.ones(len(w))))  # on G itself
-    assert np.array_equal(f._eigen.eigenvalues, again.eigenvalues)
-    assert np.array_equal(f._eigen.eigenvectors, again.eigenvectors)
+    assert (frame_bounds(f).lower, frame_bounds(f).upper) == (again[0], again[-1])
     assert calls == {"hermitian_eigen": 0, "_scaled_r": 5, "_one_sided_jacobi": 2}
 
 
@@ -161,33 +160,9 @@ def test_a_certified_frame_diagonalizes_once_on_the_first_read_of_its_bounds(mon
     assert calls == {"_one_sided_jacobi": 0, "hermitian_eigen": 0}
     first = frame_bounds(f)
     assert calls == {"_one_sided_jacobi": 1, "hermitian_eigen": 0}
-    assert frame_bounds(f) is first and f._eigen is f._eigen
+    assert frame_bounds(f) is first
     frame_algorithm(f, analysis(f, complex_box(rng_for(6), 6)))
     assert calls == {"_one_sided_jacobi": 1, "hermitian_eigen": 0}
-
-
-def test_frames_diagonalized_together_get_the_bits_of_lone_calls(monkeypatch):
-    """_diagonalize takes every frame with no eigenpairs yet through one stacked
-    Jacobi call, each with its own exponent, and skips the frames that have them."""
-    def build():  # S of very different scales, so the exponents differ
-        return [random_ovf(dim=5, atoms=4 + k, seed=30 + k, weights=np.full(4 + k, 10.0 ** (6 * k)))
-                for k in range(3)]
-
-    lone = [f._eigen for f in build()]
-    together = build()
-    assert len({f._factor_exponent for f in together}) == 3
-    cached = together[1]._eigen
-    calls = count_calls(monkeypatch, linalg, "_one_sided_jacobi")
-    eigs = frames._diagonalize(*together)
-    assert calls == {"_one_sided_jacobi": 1}
-    assert eigs[1] is cached and frames._diagonalize(*together) == eigs
-    assert calls == {"_one_sided_jacobi": 1}
-    for f, eig, alone in zip(together, eigs, lone):
-        assert f._eigen is eig
-        assert eig.eigenvalues.tobytes() == alone.eigenvalues.tobytes()
-        assert eig.eigenvectors.tobytes() == alone.eigenvectors.tobytes()
-        assert not eig.eigenvalues.flags.writeable and not eig.eigenvectors.flags.writeable
-    assert frames._diagonalize() == ()
 
 
 def _graded(dim, cond_s):
@@ -206,7 +181,7 @@ def test_the_verdict_near_the_threshold_is_the_eager_one(monkeypatch):
         delta = 10.0 ** -(2 + k % 5) * (1 if k % 2 else -1)  # +-1e-2 ... +-1e-6
         dim = 3 + k % 4
         rows = rotated_rows(rng, 2 * dim, _graded(dim, (1.0 + delta) / TOL_FRAME_REL))
-        lam = linalg._one_sided_jacobi(*linalg._scaled_r(rows, np.ones(len(rows)))).eigenvalues
+        lam = linalg._one_sided_jacobi(*linalg._scaled_r(rows, np.ones(len(rows))))
         eager = frames._positive_definite(float(lam[0]), float(lam[-1]))
         before = calls["_one_sided_jacobi"]
         try:
@@ -501,7 +476,7 @@ def test_fortran_and_transposed_inputs_give_the_same_bits():
     f = OperatorValuedFrame(space=space, dim_h=3, blocks=blocks)
     g = OperatorValuedFrame(space=space, dim_h=3, blocks=[np.ascontiguousarray(b) for b in blocks])
     assert np.array_equal(frame_operator(f), frame_operator(g))
-    assert np.array_equal(f._eigen.eigenvectors, g._eigen.eigenvectors)
+    assert np.array_equal(f._factor, g._factor)
     assert (frame_bounds(f).lower, frame_bounds(f).upper) == (
         frame_bounds(g).lower, frame_bounds(g).upper)
     lone = OperatorValuedFrame(space=AtomicMeasureSpace(atoms=["a"], weights=[1.0]), dim_h=2,

@@ -1,7 +1,6 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
 import math
-import warnings
 from functools import lru_cache
 
 import mpmath
@@ -10,9 +9,7 @@ import pytest
 
 from framekit import (
     AtomicMeasureSpace,
-    FrameBounds,
     InvalidBounds,
-    LimitExceeded,
     OperatorValuedFrame,
     ReconstructionConfig,
     VectorFrame,
@@ -134,39 +131,6 @@ def test_direct_matches_numpy_solve_on_ill_conditioned_frame():
     assert np.allclose(reconstruct_direct(ovf, c), expected, rtol=1e-10, atol=1e-10)
 
 
-def test_widened_bounds_override_keeps_certificate():
-    ovf = overcomplete_pair_frame()  # true bounds (1, 2)
-    cfg = ReconstructionConfig(
-        max_iters=50, target_error=1e-300,
-        bounds_override=FrameBounds(lower=0.5, upper=3.0),
-    )
-    trace = frame_algorithm(ovf, analysis(ovf, E2), cfg, true_x=E2)
-    assert trace.certified
-    assert trace.rate == pytest.approx(2.5 / 3.5)
-    for bound, err in zip(trace.certified_bounds, trace.actual_errors):
-        assert err <= bound + 1e-12
-
-
-def test_narrowed_bounds_override_voids_certificate():
-    ovf = overcomplete_pair_frame()
-    cfg = ReconstructionConfig(
-        max_iters=5, target_error=1e-300,
-        bounds_override=FrameBounds(lower=1.4, upper=1.6),
-    )
-    trace = frame_algorithm(ovf, analysis(ovf, E2), cfg)
-    assert not trace.certified
-
-
-def test_exact_bounds_override_is_still_certified():
-    ovf = overcomplete_pair_frame()
-    b = frame_bounds(ovf)
-    cfg = ReconstructionConfig(
-        max_iters=5, target_error=1e-300,
-        bounds_override=FrameBounds(lower=b.lower, upper=b.upper),
-    )
-    assert frame_algorithm(ovf, analysis(ovf, E2), cfg).certified
-
-
 def test_config_rejects_bad_parameters():
     with pytest.raises(InvalidBounds):
         ReconstructionConfig(max_iters=0)
@@ -209,13 +173,14 @@ def test_trace_csv_leaves_unknown_error_blank():
 # --- the certified bounds and the stopping index ------------------------------
 
 
-def frame_at_rate(rate):
-    """The tight frame (E1, E2) at rate 0, else the pair frame (A = 1, B = 2) with
-    bounds (lower, 2) widened below to give the rate, which keep the iteration
-    bounded."""
-    if rate == 0.0:
-        return from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E2])), None
-    return overcomplete_pair_frame(), FrameBounds(lower=2.0 * (1.0 - rate) / (1.0 + rate), upper=2.0)
+def frame_at_rate(kind):
+    """A dim-2 frame at each rate: the tight frame (E1, E2) at rate 0, the pair
+    frame (A = 1, B = 2) at rate 1/3, and a cond(S) = 300 frame at rate 299/301."""
+    if kind == "tight":
+        return from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E2]))
+    if kind == "pair":
+        return overcomplete_pair_frame()
+    return conditioned_frame(2, 8, 300.0, seed=940)
 
 
 @lru_cache(maxsize=None)
@@ -229,33 +194,54 @@ def exact_powers(rate, count):
         return powers
 
 
-@pytest.mark.parametrize("max_iters", [1, 5, 10_000])
-@pytest.mark.parametrize("target", ["proxy", 1e-9, 1e-300])
-@pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 0.99336, 1.0 - 1e-12])
-def test_the_stopping_index_is_the_first_bound_at_the_target(rate, target, max_iters):
-    ovf, override = frame_at_rate(rate)
-    c = analysis(ovf, np.array([0.5, 1.0 - 0.25j]))
-    proxy = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=1, bounds_override=override)
-                            ).certified_bounds[0]
-    target = proxy if target == "proxy" else target
-    cfg = ReconstructionConfig(max_iters=max_iters, target_error=target, bounds_override=override)
-    trace = frame_algorithm(ovf, c, cfg)
-    bounds = trace.certified_bounds
+def assert_first_bound_at_the_target(bounds, stopped_by, rate, proxy, target, max_iters):
+    """bounds stop at the first one at the target, else at max_iters, and each is
+    within 2 ULP of rate^n proxy to 50 digits where rate^n is normal."""
     assert bounds.dtype == np.float64 and not bounds.flags.writeable
-    assert len(bounds) == trace.iterations + 1 and bounds[0] == proxy
+    assert bounds[0] == proxy
     first = next((n for n in range(1, len(bounds)) if bounds[n] <= target), None)
     if first is None:
-        assert (trace.iterations, trace.stopped_by) == (max_iters, "max_iters")
+        assert (len(bounds) - 1, stopped_by) == (max_iters, "max_iters")
     else:
-        assert (trace.iterations, trace.stopped_by) == (first, "target_error")
-    exact = exact_powers(trace.rate, len(bounds))
+        assert (len(bounds) - 1, stopped_by) == (first, "target_error")
+    exact = exact_powers(rate, len(bounds))
     with mpmath.workdps(50):
         for bound, power in zip(bounds.tolist(), exact):
             if power >= np.finfo(np.float64).tiny:  # rate^n normal
                 want = power * mpmath.mpf(proxy)
                 assert abs(mpmath.mpf(bound) - want) <= 2 * math.ulp(float(want))
-            elif trace.rate == 0.0:
+            elif rate == 0.0:
                 assert bound == 0.0
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, 10_000])
+@pytest.mark.parametrize("target", ["proxy", 1e-9, 1e-300])
+@pytest.mark.parametrize("kind", ["tight", "pair", "cond300"])
+def test_the_stopping_index_is_the_first_bound_at_the_target(kind, target, max_iters):
+    ovf = frame_at_rate(kind)
+    c = analysis(ovf, np.array([0.5, 1.0 - 0.25j]))
+    proxy = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=1)).certified_bounds[0]
+    target = proxy if target == "proxy" else target
+    cfg = ReconstructionConfig(max_iters=max_iters, target_error=target)
+    trace = frame_algorithm(ovf, c, cfg)
+    assert len(trace.certified_bounds) == trace.iterations + 1
+    assert_first_bound_at_the_target(trace.certified_bounds, trace.stopped_by, trace.rate,
+                                     proxy, target, max_iters)
+
+
+@pytest.mark.parametrize("max_iters", [1, 5, 10_000])
+@pytest.mark.parametrize("target", ["proxy", 1e-9, 1e-300])
+def test_the_stopping_index_at_a_rate_just_below_one(target, max_iters):
+    """Rate 1 - 1e-12 needs cond(S) = 2e12, past any frame, so the bounds are taken
+    from _certified_bounds directly, with the proxy ||T*c|| / A of the pair frame's
+    coefficients over the A that rate gives with B = 2."""
+    rate = 1.0 - 1e-12
+    ovf = overcomplete_pair_frame()
+    c = analysis(ovf, np.array([0.5, 1.0 - 0.25j]))
+    proxy = float(linalg._norms(synthesis(ovf, c), 1)) / (2.0 * (1.0 - rate) / (1.0 + rate))
+    target = proxy if target == "proxy" else target
+    bounds, stopped_by = reconstruction._certified_bounds(rate, proxy, target, max_iters)
+    assert_first_bound_at_the_target(bounds, stopped_by, rate, proxy, target, max_iters)
 
 
 def test_the_search_matches_a_plain_loop_and_falls_back_once():
@@ -287,18 +273,15 @@ def test_the_search_matches_a_plain_loop_and_falls_back_once():
 
 def reference_frame_algorithm(ovf, c, cfg):
     """The frame algorithm one step at a time, x = x + relax (T*c - S x): its
-    iterates (n+1, d), certified bounds, rate, certificate and stop.  The bounds
-    are the one expression over all max_iters + 1 indices from the package's
-    proxy ||T*c|| / A (its norm is linalg._norms), and a plain loop stops at
-    the first one at the target."""
-    actual = frame_bounds(ovf)
-    used = cfg.bounds_override or actual
-    certified = (used.lower <= actual.lower * (1.0 + 1e-12)
-                 and used.upper >= actual.upper * (1.0 - 1e-12))
+    iterates (n+1, d), certified bounds, rate and stop.  The bounds are the one
+    expression over all max_iters + 1 indices from the package's proxy
+    ||T*c|| / A (its norm is linalg._norms), and a plain loop stops at the
+    first one at the target."""
+    fb = frame_bounds(ovf)
     s, b = frame_operator(ovf), synthesis(ovf, c)
-    relax = 2.0 / (used.lower + used.upper)
-    rate = (used.upper - used.lower) / (used.upper + used.lower)
-    proxy = float(linalg._norms(b, 1)) / used.lower
+    relax = 2.0 / (fb.lower + fb.upper)
+    rate = (fb.upper - fb.lower) / (fb.upper + fb.lower)
+    proxy = float(linalg._norms(b, 1)) / fb.lower
     bounds = proxy * np.power(rate, np.arange(cfg.max_iters + 1))
     x = np.zeros(ovf.dim_h, dtype=complex)
     iterates, stopped_by, n = [x], "max_iters", 0
@@ -309,7 +292,7 @@ def reference_frame_algorithm(ovf, c, cfg):
         if bounds[n] <= cfg.target_error:
             stopped_by = "target_error"
             break
-    return np.array(iterates), bounds[:n + 1], rate, certified, stopped_by
+    return np.array(iterates), bounds[:n + 1], rate, stopped_by
 
 
 def levels(n):
@@ -324,28 +307,27 @@ def levels(n):
 
 @lru_cache(maxsize=None)
 def frame_of_dim(dim):
-    if dim == 1:
-        return from_vector_frame(VectorFrame(dim_h=1, vectors=[[1.0], [2.0 - 1.0j]]))
     return random_ovf(dim=dim, atoms=8, seed=dim)  # blocks of 1..dim rows each
 
 
-def slow_bounds(ovf):
-    """Certified bounds 100x wider below than the spectrum: rate near 0.98, so no
-    bound reaches 1e-300 within 10000 steps, even at dim 1."""
-    b = frame_bounds(ovf)
-    return FrameBounds(lower=b.lower / 100.0, upper=b.upper)
+@lru_cache(maxsize=None)
+def slow_frame(dim):
+    """A cond(S) = 100 frame: rate 99/101, near 0.9802, so no bound reaches 1e-300
+    within 10000 steps."""
+    return conditioned_frame(dim, 16, 100.0, seed=960 + dim)
 
 
 def assert_matches_reference(ovf, c, cfg, true_x=None):
     trace = frame_algorithm(ovf, c, cfg, true_x=true_x)
-    ref, bounds, rate, certified, stopped_by = reference_frame_algorithm(ovf, c, cfg)
+    ref, bounds, rate, stopped_by = reference_frame_algorithm(ovf, c, cfg)
     assert trace.iterations == len(ref) - 1
     assert trace.stopped_by == stopped_by
     assert trace.rate == rate
-    assert trace.certified is certified
+    assert trace.certified is True
     assert np.array_equal(trace.certified_bounds, bounds)  # bit for bit
     assert trace.iterates.shape == ref.shape
     assert np.abs(trace.iterates - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert trace.elapsed_ns.dtype == np.int64 and not trace.elapsed_ns.flags.writeable
     assert len(trace.elapsed_ns) == len(ref) and trace.elapsed_ns[0] == 0
     assert all(a <= b for a, b in zip(trace.elapsed_ns, trace.elapsed_ns[1:]))
     for rows in levels(trace.iterations):  # one time stamp a level
@@ -359,15 +341,14 @@ def iteration_counts():
     return (1, 2, 3, 4, 5, 63, 64, 65, 1023, 1024, 1025, 10_000)
 
 
-@pytest.mark.parametrize("dim,iters", [(d, n) for d in (1, 3, 16, 128)
+@pytest.mark.parametrize("dim,iters", [(d, n) for d in (2, 3, 16, 128)
                                        for n in iteration_counts()])
 def test_the_scan_reproduces_the_plain_recurrence(dim, iters):
-    """Each level's edges, from the one-step run to one of 10000 steps, at dim 1
+    """Each level's edges, from the one-step run to one of 10000 steps, at dim 2
     to 128."""
-    ovf = frame_of_dim(dim)
+    ovf = slow_frame(dim)
     x = complex_box(rng_for(700 + dim), dim)
-    cfg = ReconstructionConfig(max_iters=iters, target_error=1e-300,
-                               bounds_override=slow_bounds(ovf))
+    cfg = ReconstructionConfig(max_iters=iters, target_error=1e-300)
     trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
     assert trace.stopped_by == "max_iters" and trace.certified
     expected = linalg._norms(x - trace.iterates, 1)
@@ -377,33 +358,13 @@ def test_the_scan_reproduces_the_plain_recurrence(dim, iters):
 
 @pytest.mark.parametrize("dim", [3, 16])
 def test_the_scan_stops_where_the_recurrence_meets_the_target(dim):
-    ovf = frame_of_dim(dim)
-    c = analysis(ovf, complex_box(rng_for(800 + dim), dim))
-    for bounds in (None, slow_bounds(ovf)):  # at dim 16 the slow run spans many levels
-        cfg = ReconstructionConfig(bounds_override=bounds)
-        trace = assert_matches_reference(ovf, c, cfg)
+    x = complex_box(rng_for(800 + dim), dim)
+    for ovf in (frame_of_dim(dim), slow_frame(dim)):  # at dim 16 the slow run spans many levels
+        c = analysis(ovf, x)
+        trace = assert_matches_reference(ovf, c, ReconstructionConfig())
         assert trace.stopped_by == "target_error"
-        capped = ReconstructionConfig(max_iters=trace.iterations - 1, bounds_override=bounds)
+        capped = ReconstructionConfig(max_iters=trace.iterations - 1)
         assert assert_matches_reference(ovf, c, capped).stopped_by == "max_iters"
-
-
-def test_a_diverging_bounds_override_is_refused():
-    """A lower bound 100x too low and an upper bound half the true one put
-    1 - relax B near -3, so the iterates overflow long before 10000 steps:
-    LimitExceeded, not NaN iterates, and no overflow warning on the way.  A
-    20-step run stays finite and is returned, uncertified."""
-    ovf = frame_of_dim(3)
-    b = frame_bounds(ovf)
-    cfg = ReconstructionConfig(max_iters=10_000, target_error=1e-300,
-                               bounds_override=FrameBounds(0.01 * b.lower, 0.5 * b.upper))
-    c = analysis(ovf, complex_box(rng_for(801), 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(LimitExceeded):
-            frame_algorithm(ovf, c, cfg)
-        short = ReconstructionConfig(max_iters=20, target_error=1e-300,
-                                     bounds_override=cfg.bounds_override)
-        assert not frame_algorithm(ovf, c, short).certified
 
 
 def conditioned_frame(n, atoms, cond, seed):
@@ -430,32 +391,50 @@ def test_a_benchmark_shaped_run_reproduces_the_plain_recurrence():
     assert np.linalg.norm(x - trace.final) <= trace.certified_bounds[-1]
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="long double is no wider than double here")
-def test_the_scan_is_within_1e_13_of_an_extended_precision_recurrence():
-    """The benchmark-shaped run against x = M x + r carried in clongdouble from the
-    same S, T*c and relax: the scan's rounding, not the plain step's, is measured."""
-    ovf = conditioned_frame(12, 128, 300.0, seed=950)
-    c = analysis(ovf, complex_box(rng_for(951), 12))
-    trace = frame_algorithm(ovf, c)
+def extended_recurrence(ovf, c, trace):
+    """x = M x + r carried in clongdouble from the same S, T*c and relax as the
+    trace, for as many steps: the scan's rounding, not the plain step's, is
+    measured against it."""
     relax = np.longdouble(2.0 / (trace.bounds.lower + trace.bounds.upper))
-    m = np.eye(12, dtype=np.clongdouble) - relax * frame_operator(ovf).astype(np.clongdouble)
+    m = np.eye(ovf.dim_h, dtype=np.clongdouble) - relax * frame_operator(ovf).astype(np.clongdouble)
     r = relax * synthesis(ovf, c).astype(np.clongdouble)
     truth = np.empty(trace.iterates.shape, dtype=np.clongdouble)
     truth[0] = 0.0
     for k in range(1, len(truth)):
         truth[k] = m @ truth[k - 1] + r
+    return truth
+
+
+needs_long_double = pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                                       reason="long double is no wider than double here")
+
+
+@needs_long_double
+def test_the_scan_is_within_1e_13_of_an_extended_precision_recurrence():
+    """The benchmark-shaped run against the clongdouble recurrence."""
+    ovf = conditioned_frame(12, 128, 300.0, seed=950)
+    c = analysis(ovf, complex_box(rng_for(951), 12))
+    trace = frame_algorithm(ovf, c)
+    truth = extended_recurrence(ovf, c, trace)
     err = np.abs(trace.iterates - truth).max()
     assert err <= 1e-13 * np.abs(truth).max()
 
 
-def test_the_scan_follows_a_narrow_override_uncertified():
-    ovf = frame_of_dim(16)
-    b = frame_bounds(ovf)
-    cfg = ReconstructionConfig(max_iters=129, target_error=1e-300,
-                               bounds_override=FrameBounds(lower=1.05 * b.lower, upper=b.upper))
-    c = analysis(ovf, complex_box(rng_for(900), 16))
-    assert not assert_matches_reference(ovf, c, cfg).certified
+@needs_long_double
+@pytest.mark.parametrize("dim", [8, 16])
+def test_a_long_scan_at_cond_1e4_stays_within_its_rounding_order(dim):
+    """10000 steps on a cond(S) = 1e4 frame (rate 9999/10001) against the
+    clongdouble recurrence, held to dim eps / (1 - rate) max|x|, the order that
+    frame_algorithm's rounding paragraph derives: about 8.9e-12 at dim 8, where
+    the scan is about 1.7e-13 off (7.6e-14 against 1.8e-11 at dim 16)."""
+    ovf = conditioned_frame(dim, 128, 1e4, seed=951)
+    c = analysis(ovf, complex_box(rng_for(952), dim))
+    trace = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=10_000, target_error=1e-300))
+    assert (trace.iterations, trace.stopped_by) == (10_000, "max_iters")
+    truth = extended_recurrence(ovf, c, trace)
+    eps = np.finfo(np.float64).eps
+    err = np.abs(trace.iterates - truth).max()
+    assert err <= dim * eps / (1.0 - trace.rate) * np.abs(truth).max()
 
 
 def test_iterates_are_one_read_only_array_and_runs_are_bit_identical():

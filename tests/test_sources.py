@@ -9,7 +9,7 @@ Every tolerance the package tests against lives in one table in
 small float literal.
 
 Eigenpairs are computed only where a spectrum is read: ``hermitian_eigen``
-has exactly four call sites, ``_one_sided_jacobi`` serves frames alone, and
+has exactly four call sites, ``_one_sided_jacobi`` serves a frame's bounds alone, and
 only the CLI commands that report or iterate with a frame's bounds diagonalize it.
 
 Every data-file loader builds its object one way, whatever the layout: only
@@ -164,17 +164,16 @@ def test_hermitian_eigen_serves_only_the_code_that_reads_a_spectrum():
 
 
 def test_one_sided_jacobi_serves_only_frames():
-    sites = package_sites("_one_sided_jacobi")
-    assert sites and {site.split(".")[0] for site in sites} == {"frames"}, sites
+    assert package_sites("_one_sided_jacobi") == ["frames.OperatorValuedFrame._bounds"]
 
 
 def test_only_the_commands_that_read_frame_bounds_diagonalize_a_frame():
-    """In cli, frame_bounds and _diagonalize (and the cached _bounds and _eigen
-    behind them) are reached from bounds and roundtrip, and from reconstruct
-    through frame_algorithm; to-povm and to-ovf read the frame's stored bound."""
+    """In cli, frame_bounds (and the cached _bounds behind it) is reached from
+    bounds and roundtrip, and from reconstruct through frame_algorithm; to-povm
+    and to-ovf read the frame's stored bound."""
     path = Path(framekit.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(), str(path))
-    direct = sorted({site for name in ("frame_bounds", "_diagonalize", "_bounds", "_eigen")
+    direct = sorted({site for name in ("frame_bounds", "_bounds")
                      for site in reference_sites(tree, "cli", name)})
     assert direct == ["cli._cmd_bounds", "cli._cmd_roundtrip"]
     assert reference_sites(tree, "cli", "frame_algorithm") == ["cli._cmd_reconstruct"]

@@ -367,6 +367,33 @@ def test_the_scan_stops_where_the_recurrence_meets_the_target(dim):
         assert assert_matches_reference(ovf, c, capped).stopped_by == "max_iters"
 
 
+def test_a_dim_1_frame_is_tight_and_stops_after_one_step():
+    """S is one positive number, so A = B and the rate is 0: the first step is
+    S^-1 T*c with a certified bound of 0, even when 10000 steps are allowed.
+    This is why the long scans start at dim 2."""
+    ovf = from_vector_frame(VectorFrame(dim_h=1, vectors=[[1.0], [2.0 - 1.0j]]))
+    x = np.array([0.5 - 2.0j])
+    cfg = ReconstructionConfig(max_iters=10_000, target_error=1e-300)
+    trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
+    assert trace.rate == 0.0
+    assert (trace.iterations, trace.stopped_by) == (1, "target_error")
+    assert trace.certified_bounds[1] == 0.0
+    assert abs(trace.final[0] - x[0]) <= 1e-15 * abs(x[0])
+
+
+@pytest.mark.parametrize("kind", ["tight", "pair", "cond300", "cond1e4"])
+def test_every_error_is_within_the_frames_own_certified_bound(kind):
+    """With the frame's own bounds every trace is certified, and the error of
+    each iterate is at most proxy rate^n, up to rounding of 1e-12 ||x||, from
+    rate 0 to rate 9999/10001."""
+    ovf = conditioned_frame(8, 128, 1e4, seed=951) if kind == "cond1e4" else frame_at_rate(kind)
+    x = complex_box(rng_for(970), ovf.dim_h)
+    trace = run_full(ovf, x, iters=2000)
+    assert trace.certified is True
+    slack = 1e-12 * float(np.linalg.norm(x))
+    assert np.all(trace.actual_errors <= trace.certified_bounds + slack)
+
+
 def conditioned_frame(n, atoms, cond, seed):
     """A frame shaped like the benchmark's: atom t has 1 + t % n rows, weights in
     [0.5, 2], and cond(S) = cond."""

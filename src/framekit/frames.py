@@ -160,6 +160,12 @@ class OperatorValuedFrame:
     kept R (``linalg._one_sided_jacobi``) runs on their first read and never
     again.  It never forms G* G, so A keeps its relative accuracy when cond(S)
     is large.
+    The frame algorithm's plan (``_plan``, an ``_IterationPlan``) is made on its
+    first read from A, B and S: the relaxation and rate, the level matrices
+    (M^(2^k))^T, M = I - relax S, of its doubling scan, and the powers of the
+    rate.  Those two grow as longer runs need them, so after runs of at most n
+    iterations it holds ceil(log2 n) dim_h x dim_h matrices and at most
+    max_iters + 1 powers, less than one such run's iterates.
     """
 
     space: AtomicMeasureSpace
@@ -232,8 +238,60 @@ class OperatorValuedFrame:
         on first read; NotAFrame unless S > 0."""
         return _bounds_of(linalg._one_sided_jacobi(self._factor, self._factor_exponent))
 
+    @cached_property
+    def _plan(self) -> _IterationPlan:
+        """The frame algorithm's plan from the bounds and S, made on first read."""
+        b = self._bounds
+        return _IterationPlan(relax=2.0 / (b.lower + b.upper),
+                              rate=(b.upper - b.lower) / (b.upper + b.lower),
+                              operator=self._operator)
+
     def block(self, label: str) -> np.ndarray:
         return self.blocks[self.space.index(label)]
+
+
+class _IterationPlan:
+    """What the frame algorithm reads of a frame besides A and B, kept with it.
+
+    ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Two
+    read-only tables grow on demand: ``levels(count)`` gives the level matrices
+    (M^(2^k))^T for k < count, M = I - relax S, each the square of the one
+    before, and ``powers(count)`` gives np.power(rate, np.arange(count)).  A
+    table that grows is replaced whole and never written in place, so runs on
+    one frame in several threads can at worst compute an entry twice.  An entry
+    has the same bits whenever it is computed: the level chain is the same
+    products in the same order, and np.power works entry by entry, so a
+    longer table's prefix is the shorter one.
+    """
+
+    def __init__(self, relax: float, rate: float, operator: np.ndarray):
+        self.relax = relax
+        self.rate = rate
+        self._operator = operator
+        self._levels: tuple[np.ndarray, ...] = ()
+        self._powers = np.empty(0)
+
+    def levels(self, count: int) -> tuple[np.ndarray, ...]:
+        """(M^(2^k))^T for k = 0 .. count - 1, each read-only."""
+        levels = self._levels
+        if len(levels) < count:
+            grown = list(levels)
+            while len(grown) < count:
+                mt = (grown[-1] @ grown[-1] if grown
+                      else np.eye(len(self._operator)) - self.relax * self._operator.T)
+                mt.flags.writeable = False
+                grown.append(mt)
+            levels = self._levels = tuple(grown)
+        return levels[:count]
+
+    def powers(self, count: int) -> np.ndarray:
+        """rate^k for k = 0 .. count - 1, read-only, as np.power(rate, np.arange(count))."""
+        powers = self._powers
+        if len(powers) < count:
+            powers = np.power(self.rate, np.arange(count))
+            powers.flags.writeable = False
+            self._powers = powers
+        return powers[:count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,9 +446,9 @@ def analysis(ovf: OperatorValuedFrame, x) -> CoefficientField:
 
 def synthesis(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:
     """Weighted adjoint sum: sum_t mu({t}) T(t)* c_t = B* (w c)."""
-    if c.space != ovf.space:
+    if c.space is not ovf.space and c.space != ovf.space:
         raise SpaceMismatch("coefficient field lives over a different measure space")
-    if not np.array_equal(c._offsets, ovf._offsets):
+    if c._offsets is not ovf._offsets and not np.array_equal(c._offsets, ovf._offsets):
         raise DimensionMismatch("segment lengths do not match the block rows")
     return _weighted_adjoint(ovf, c._values)
 

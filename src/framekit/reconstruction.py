@@ -22,9 +22,15 @@ step x(k) = M x(k-1) + r, M = I - relax S, r = relax T*c (a prefix scan, Kogge
 & Stone, IEEE Trans. Computers C-22(8), 1973): from x(0) = 0 and x(1) = r,
 x(h + i) = M^h x(i) + x(h) fills rows h+1 .. 2h from rows 1 .. h with one
 matrix product, for h = 1, 2, 4, ..., so n iterates take ceil(log2 n) products
-and one squaring of M^h between each two.  When the caller supplies the true vector for
-verification, the a posteriori errors are recorded alongside, labeled
-``actual_errors``.
+with the matrices M^h, each the square of the one before.
+
+Those matrices and the powers of the rate depend on the frame alone, so they are
+computed once per frame, on the run that first needs them, and kept in the
+frame's plan (``OperatorValuedFrame._plan``); a later run reads them, and only a
+longer one extends them.  The plan holds at most ceil(log2 n) dim_h x dim_h
+matrices and max_iters + 1 powers, less than the iterates of that run.  When the
+caller supplies the true vector for verification, the a posteriori errors are
+recorded alongside, labeled ``actual_errors``.
 """
 
 from __future__ import annotations
@@ -42,10 +48,10 @@ from .frames import (
     CoefficientField,
     FrameBounds,
     OperatorValuedFrame,
+    _IterationPlan,
     _normal_solve,
     _weighted_adjoint,
     frame_bounds,
-    frame_operator,
     synthesis,
 )
 
@@ -57,14 +63,16 @@ DEFAULT_TARGET_ERROR = 1e-9
 class ReconstructionConfig:
     """When ``frame_algorithm`` stops: after at most ``max_iters`` iterations, at
     the first whose certified bound is at most ``target_error``.  The iteration
-    always takes the frame's own bounds (``frame_bounds``)."""
+    always takes the frame's own bounds (``frame_bounds``).  ``max_iters`` is an
+    integer (a numpy integer too, a bool not)."""
 
     max_iters: int = DEFAULT_MAX_ITERS
     target_error: float = DEFAULT_TARGET_ERROR
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidBounds(f"max_iters must be >= 1, got {self.max_iters}")
+        n = self.max_iters
+        if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
+            raise InvalidBounds(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (0.0 < self.target_error < np.inf):
             raise InvalidBounds(f"target_error must be positive and finite, got {self.target_error}")
 
@@ -130,19 +138,20 @@ def reconstruct_direct(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndar
     return x
 
 
-def _certified_bounds(rate: float, proxy: float, target: float,
+def _certified_bounds(plan: _IterationPlan, proxy: float, target: float,
                       max_iters: int) -> tuple[np.ndarray, str]:
     """The certified bounds proxy * np.power(rate, np.arange(n + 1)) up to the
     stopping index n, read-only, and what stopped them: n is the first index in
     1..max_iters whose bound is <= target ("target_error"), else max_iters
-    ("max_iters").
+    ("max_iters").  The rate and its powers are the plan's (``plan.powers``).
 
     One search finds n, over bounds up to ceil(log(target / proxy) / log(rate))
     + 1 (at least 1), clamped to max_iters: the index where rate^n proxy
     reaches the target, plus one for rounding.  Should the estimate fall short, the search
     runs once more over all max_iters + 1 bounds.  A tight frame (rate 0), or a
     proxy already at the target, stops at n = 1 and takes no logarithm.  Each
-    bound has the same bits in either array, as np.power works entry by entry.
+    bound has the same bits in either array, and from a plan's powers however
+    long they have grown, as np.power works entry by entry.
 
     Rounding.  This expression is the definition of the bound.  numpy's
     vectorized pow (SIMD where the CPU has it) may differ in the last bit from
@@ -153,6 +162,7 @@ def _certified_bounds(rate: float, proxy: float, target: float,
     rate^n proxy.  Where rate^n is subnormal, the power loses relative
     accuracy in either form.
     """
+    rate = plan.rate
     if rate == 0.0 or proxy <= target:
         estimate = 1
     elif rate < 1.0:
@@ -160,7 +170,7 @@ def _certified_bounds(rate: float, proxy: float, target: float,
     else:  # a rate that rounds to 1 never meets the target
         estimate = max_iters
     for size in sorted({min(estimate, max_iters), max_iters}):
-        bounds = proxy * np.power(rate, np.arange(size + 1))
+        bounds = proxy * plan.powers(size + 1)
         bounds.flags.writeable = False
         below = bounds[1:] <= target
         n = int(np.argmax(below)) + 1
@@ -191,9 +201,16 @@ def frame_algorithm(
     doubling: with M = I - relax S and r = relax T*c, x(0) = 0 and x(1) = r,
     and the level at h = 1, 2, 4, ... writes rows h+1 .. h+w, w = min(h, n - h),
     as x(h + i) = M^h x(i) + x(h): one product of rows 1 .. w with (M^h)^T
-    into the iterates' array, and one in-place addition of row h.  M^h is
-    squared once between levels.  So the loop runs ceil(log2 n) times, and
-    the only storage is the iterates and one dim_h x dim_h matrix.
+    into the iterates' array, and one in-place addition of row h.  So the loop
+    runs ceil(log2 n) times.
+
+    The frame's plan (``OperatorValuedFrame._plan``) supplies relax, the rate,
+    the ceil(log2 n) level matrices (M^h)^T, each the square of the one before,
+    and the powers of the rate.  The first run on a frame computes them, a run
+    longer than any before it adds what it lacks, and every other run reads
+    them, so a run gives the same bits on a fresh frame and on a reused one.
+    A run stores its iterates; the plan keeps ceil(log2 n) dim_h x dim_h
+    matrices and at most max_iters + 1 powers for the frame's longest run.
 
     Rounding.  Let e(k) be the error of the computed x(k).  A level gives
     e(h + i) = M^h e(i) + e(h) + delta, where delta holds the rounding of the
@@ -220,9 +237,7 @@ def frame_algorithm(
                 f"true vector has dim {true_x.shape[0]}, frame expects {ovf.dim_h}"
             )
 
-    s = frame_operator(ovf)
-    relax = 2.0 / (bounds.lower + bounds.upper)
-    rate = (bounds.upper - bounds.lower) / (bounds.upper + bounds.lower)
+    plan = ovf._plan
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c or proxy is refused below
         b = synthesis(ovf, c)
         proxy = float(linalg._norms(b, 1)) / bounds.lower
@@ -230,24 +245,22 @@ def frame_algorithm(
         raise LimitExceeded("the proxy ||T*c|| / A is not finite: the coefficients are too large")
 
     start = time.perf_counter_ns()
-    certified_bounds, stopped_by = _certified_bounds(rate, proxy, cfg.target_error, cfg.max_iters)
+    certified_bounds, stopped_by = _certified_bounds(plan, proxy, cfg.target_error, cfg.max_iters)
     iterations = len(certified_bounds) - 1
 
     x = np.empty((iterations + 1, ovf.dim_h), dtype=np.complex128)
-    x[0], x[1] = 0.0, relax * b
-    mt = np.eye(ovf.dim_h) - relax * s.T  # (M^h)^T at h = 1, squared once a level
+    x[0], x[1] = 0.0, plan.relax * b
+    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
     elapsed = np.empty(iterations + 1, dtype=np.int64)
     elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
     h = 1
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are refused below
         while h < iterations:
             w = min(h, iterations - h)
-            np.matmul(x[1:w + 1], mt, out=x[h + 1:h + 1 + w])
+            np.matmul(x[1:w + 1], levels[h.bit_length() - 1], out=x[h + 1:h + 1 + w])
             x[h + 1:h + 1 + w] += x[h]
             elapsed[h + 1:h + 1 + w] = time.perf_counter_ns() - start
             h += w
-            if h < iterations:
-                mt = mt @ mt
     if not np.isfinite(x.view(np.float64)).all():
         raise LimitExceeded("the iterates are not finite: the coefficients are too large")
 
@@ -263,7 +276,7 @@ def frame_algorithm(
         actual_errors=errors,
         elapsed_ns=elapsed,
         bounds=bounds,
-        rate=rate,
+        rate=plan.rate,
         certified=True,
         stopped_by=stopped_by,
     )

@@ -415,6 +415,23 @@ def test_synthesis_rejects_foreign_coefficients():
         synthesis(f1, c)
 
 
+def test_synthesis_takes_an_equal_field_built_apart_and_refuses_other_offsets():
+    """A field built on its own over an equal space, with equal segment lengths,
+    synthesizes to the bits of the frame's own analysis field; one over the frame's
+    own space whose segment lengths differ (the same row count) is refused."""
+    blocks = [complex_box(rng_for(80 + t), (k, 2)) for t, k in enumerate((2, 1, 3))]
+    f = OperatorValuedFrame(AtomicMeasureSpace(["a", "b", "c"], [0.5, 1.0, 2.0]), 2, blocks)
+    c = analysis(f, np.array([1.0 - 0.5j, 0.25]))
+    apart = CoefficientField(AtomicMeasureSpace(["a", "b", "c"], [0.5, 1.0, 2.0]),
+                             [seg.copy() for seg in c.segments])
+    assert apart.space is not f.space and apart._offsets is not f._offsets
+    assert np.array_equal(synthesis(f, apart), synthesis(f, c))
+    values = c._values
+    shifted = CoefficientField(f.space, [values[:1], values[1:3], values[3:]])
+    with pytest.raises(DimensionMismatch):
+        synthesis(f, shifted)
+
+
 def test_analysis_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatch):
         analysis(overcomplete_pair_frame(), np.array([1.0, 0.0, 0.0]))

@@ -17,6 +17,7 @@ from framekit import (
     frame_algorithm,
     frame_bounds,
     frame_operator,
+    frames,
     from_vector_frame,
     linalg,
     reconstruct_direct,
@@ -138,6 +139,21 @@ def test_config_rejects_bad_parameters():
         ReconstructionConfig(target_error=0.0)
 
 
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, False, np.float64(4.0), "5", None])
+def test_config_takes_only_an_integer_max_iters(max_iters):
+    """A float cap ran past itself (2.5 ran 3 steps and reported "max_iters") and
+    True ran as 1; only integers >= 1, numpy's included, are taken."""
+    with pytest.raises(InvalidBounds):
+        ReconstructionConfig(max_iters=max_iters)
+
+
+def test_config_takes_a_numpy_integer_max_iters():
+    ovf = overcomplete_pair_frame()
+    cfg = ReconstructionConfig(max_iters=np.int64(3), target_error=1e-300)
+    trace = frame_algorithm(ovf, analysis(ovf, E2), cfg)
+    assert (trace.iterations, trace.stopped_by) == (3, "max_iters")
+
+
 def test_is_deterministic_across_runs():
     ovf = random_ovf(dim=4, atoms=6, seed=9)
     c = analysis(ovf, complex_box(rng_for(7), 4))
@@ -229,6 +245,12 @@ def test_the_stopping_index_is_the_first_bound_at_the_target(kind, target, max_i
                                      proxy, target, max_iters)
 
 
+def rate_plan(rate):
+    """A plan at ``rate`` with no frame behind it: _certified_bounds reads only its
+    rate and powers."""
+    return frames._IterationPlan(relax=None, rate=rate, operator=None)
+
+
 @pytest.mark.parametrize("max_iters", [1, 5, 10_000])
 @pytest.mark.parametrize("target", ["proxy", 1e-9, 1e-300])
 def test_the_stopping_index_at_a_rate_just_below_one(target, max_iters):
@@ -240,7 +262,7 @@ def test_the_stopping_index_at_a_rate_just_below_one(target, max_iters):
     c = analysis(ovf, np.array([0.5, 1.0 - 0.25j]))
     proxy = float(linalg._norms(synthesis(ovf, c), 1)) / (2.0 * (1.0 - rate) / (1.0 + rate))
     target = proxy if target == "proxy" else target
-    bounds, stopped_by = reconstruction._certified_bounds(rate, proxy, target, max_iters)
+    bounds, stopped_by = reconstruction._certified_bounds(rate_plan(rate), proxy, target, max_iters)
     assert_first_bound_at_the_target(bounds, stopped_by, rate, proxy, target, max_iters)
 
 
@@ -262,7 +284,7 @@ def test_the_search_matches_a_plain_loop_and_falls_back_once():
     for rate, proxy, target, max_iters in cases:
         full = proxy * np.power(rate, np.arange(max_iters + 1))
         first = next((n for n in range(1, max_iters + 1) if full[n] <= target), None)
-        bounds, stopped_by = reconstruction._certified_bounds(rate, proxy, target, max_iters)
+        bounds, stopped_by = reconstruction._certified_bounds(rate_plan(rate), proxy, target, max_iters)
         assert stopped_by == ("max_iters" if first is None else "target_error")
         assert np.array_equal(bounds, full[:(first or max_iters) + 1])
     assert stopped_by == "target_error" and len(bounds) > estimate + 1
@@ -485,10 +507,75 @@ def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
     assert calls == {"hermitian_eigen": 0}
 
 
+# --- the frame's plan: level matrices and powers kept between runs ------------
+
+
+def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
+    """Four runs in a row on one frame (default, 4097 steps, target 1e-3, default
+    again) each equal the same run on a newly built frame bit for bit, and the
+    plain recurrence as assert_matches_reference holds it.  The plan then holds
+    ceil(log2 4097) = 13 read-only level matrices, each the square of the one
+    before, and read-only powers no longer than 4097 + 1."""
+    def build():
+        return conditioned_frame(12, 128, 300.0, seed=950)
+
+    ovf = build()
+    x = complex_box(rng_for(953), 12)
+    configs = (ReconstructionConfig(), ReconstructionConfig(max_iters=4097, target_error=1e-300),
+               ReconstructionConfig(target_error=1e-3), ReconstructionConfig())
+    for cfg in configs:
+        trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
+        fresh_frame = build()
+        fresh = frame_algorithm(fresh_frame, analysis(fresh_frame, x), cfg, true_x=x)
+        for name in ("iterates", "certified_bounds", "actual_errors"):
+            assert getattr(trace, name).tobytes() == getattr(fresh, name).tobytes(), name
+        assert (trace.stopped_by, trace.rate) == (fresh.stopped_by, fresh.rate)
+        assert (trace.bounds.lower, trace.bounds.upper) == (fresh.bounds.lower, fresh.bounds.upper)
+    plan = ovf._plan
+    assert ovf._plan is plan and plan.rate == trace.rate
+    levels = plan.levels(13)
+    assert len(plan._levels) == 13 == math.ceil(math.log2(4097))
+    m = np.eye(12) - plan.relax * frame_operator(ovf)
+    assert np.array_equal(levels[0], m.T)
+    for before, after in zip(levels, levels[1:]):
+        assert np.array_equal(after, before @ before)
+    assert not any(mt.flags.writeable for mt in levels)
+    assert len(plan._powers) <= 4097 + 1 and not plan._powers.flags.writeable
+    assert np.array_equal(plan._powers, np.power(plan.rate, np.arange(len(plan._powers))))
+
+
+def test_a_plan_is_made_on_the_first_run_and_grows_only_for_a_longer_one():
+    """Nothing is computed for a frame no run has read; a run of n steps leaves
+    ceil(log2 n) levels, and a shorter run replaces neither table."""
+    ovf = conditioned_frame(3, 16, 100.0, seed=963)  # rate 99/101: no bound reaches 1e-300
+    assert "_plan" not in vars(ovf)
+    c = analysis(ovf, complex_box(rng_for(954), 3))
+    frame_algorithm(ovf, c, ReconstructionConfig(max_iters=100, target_error=1e-300))
+    plan = ovf._plan
+    levels, powers = plan._levels, plan._powers
+    assert (len(levels), len(powers)) == (7, 101)
+    frame_algorithm(ovf, c, ReconstructionConfig(max_iters=64, target_error=1e-300))
+    assert plan._levels is levels and plan._powers is powers
+    frame_algorithm(ovf, c, ReconstructionConfig(max_iters=129, target_error=1e-300))
+    assert (len(plan._levels), len(plan._powers)) == (8, 130)
+    assert all(a is b for a, b in zip(plan._levels, levels))  # kept, not recomputed
+
+
+@pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 299.0 / 301.0, 9999.0 / 10001.0])
+def test_a_longer_power_table_begins_with_the_shorter_one(rate):
+    """The plan cuts its powers from one table however long it has grown, which
+    gives a bound's bits only if np.power works entry by entry: every prefix of
+    the 10001-entry table, around the SIMD tails too, is the table of that length."""
+    table = np.power(rate, np.arange(10_001))
+    for k in (*range(1, 71), *range(4090, 4101)):
+        assert table[:k].tobytes() == np.power(rate, np.arange(k)).tobytes(), k
+
+
 # Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
 # LAPACK call), solves one vector on each by both routes, and prints a digest of
 # the iterates', the certified bounds' and the direct solution's bytes; on the
-# dim-16 frame also of the iterates of a 4097-step run (13 levels).
+# dim-16 frame also of the iterates of a 4097-step run (13 levels), and then of
+# the default run once more, read from the frame's plan.
 _DIGESTS = """
 import hashlib
 import numpy as np
@@ -509,6 +596,8 @@ for n in (8, 16):
         print(n, shape[0], trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
 long = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=4097, target_error=1e-300))
 print(n, shape[0], long.iterations, "iterates", hashlib.sha256(long.iterates.tobytes()).hexdigest())
+again = frame_algorithm(ovf, c)
+print(n, shape[0], again.iterations, "iterates", hashlib.sha256(again.iterates.tobytes()).hexdigest())
 """
 
 
@@ -516,9 +605,11 @@ def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
     """frame_algorithm (iterates and certified bounds) and reconstruct_direct give
     the same bytes with OpenBLAS at 1 and at 2 threads, on a 288 x 8 and a 544 x 16
     frame (several thousand iterates each, and 4097 on the second), each thread
-    count in its own process."""
+    count in its own process.  After the 4097-step run, the second frame's default
+    run, from its grown plan, gives the bytes of its first."""
     outs = outputs_at_blas_threads(_DIGESTS)
-    assert len(outs[0]) == 7 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 4
+    assert len(outs[0]) == 8 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 5
     assert min(int(line.split()[2]) for line in outs[0]) > 1000
-    assert int(outs[0][-1].split()[2]) == 4097
+    assert int(outs[0][-2].split()[2]) == 4097
     assert outs[0] == outs[1]
+    assert all(out[-1] == out[3] for out in outs)

@@ -20,22 +20,26 @@ np.arange(n + 1)), and the stopping index is one search of it, known before
 the first iterate.  The iterates then come from a doubling scan of the affine
 step x(k) = M x(k-1) + r, M = I - relax S, r = relax T*c (a prefix scan, Kogge
 & Stone, IEEE Trans. Computers C-22(8), 1973): from x(0) = 0 and x(1) = r,
-x(h + i) = M^h x(i) + x(h) fills rows h+1 .. 2h from rows 1 .. h with one
-matrix product, for h = 1, 2, 4, ..., so n iterates take ceil(log2 n) products
-with the matrices M^h, each the square of the one before.
+x(h + i) = M^h x(i) + x(h) fills rows h+1 .. 2h from rows 1 .. h, for
+h = 1, 2, 4, ..., so n iterates take ceil(log2 n) levels, with the matrices
+M^h, each the square of the one before.  A level is one real matrix product:
+each iterate carries a last coordinate 1, the homogeneous form of the affine
+step, and the complex rows, read as interleaved real and imaginary parts, meet
+the real embedding of (M^h)^T stacked over x(h), so the product adds x(h) too.
 
 Those matrices and the powers of the rate depend on the frame alone, so they are
 computed once per frame, on the run that first needs them, and kept in the
 frame's plan (``OperatorValuedFrame._plan``); a later run reads them, and only a
-longer one extends them.  The plan holds at most ceil(log2 n) dim_h x dim_h
-matrices and max_iters + 1 powers, less than the iterates of that run.  When the
-caller supplies the true vector for verification, the a posteriori errors are
-recorded alongside, labeled ``actual_errors``.
+longer one extends them.  The plan holds at most ceil(log2 n) real
+2 dim_h x 2 dim_h matrices and max_iters + 1 powers, less than the iterates of
+that run.  When the caller supplies the true vector for verification, the a
+posteriori errors are recorded alongside, labeled ``actual_errors``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -64,7 +68,8 @@ class ReconstructionConfig:
     """When ``frame_algorithm`` stops: after at most ``max_iters`` iterations, at
     the first whose certified bound is at most ``target_error``.  The iteration
     always takes the frame's own bounds (``frame_bounds``).  ``max_iters`` is an
-    integer (a numpy integer too, a bool not)."""
+    integer (a numpy integer too, a bool not), and ``target_error`` a real number
+    (a numpy float too, a bool or a string not)."""
 
     max_iters: int = DEFAULT_MAX_ITERS
     target_error: float = DEFAULT_TARGET_ERROR
@@ -73,15 +78,20 @@ class ReconstructionConfig:
         n = self.max_iters
         if not (isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1):
             raise InvalidBounds(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not (0.0 < self.target_error < np.inf):
-            raise InvalidBounds(f"target_error must be positive and finite, got {self.target_error}")
+        t = self.target_error
+        if not (isinstance(t, numbers.Real) and not isinstance(t, bool) and 0.0 < t < np.inf):
+            raise InvalidBounds(f"target_error must be a positive finite real number, got {t!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Iterates with their certified error bounds.
 
-    ``iterates`` is one read-only (n+1, dim_h) array whose row k is x(k).
+    ``iterates`` is a read-only (n+1, dim_h) view whose row k is x(k): the
+    first dim_h columns of the scan's own (n+1, dim_h + 1) array, whose last
+    column holds the homogeneous coordinate 1, read-only too, so no copy is made
+    and no writable array is reachable through the view.  ``final`` is its last
+    row.
     ``certified_bounds`` is one read-only float64 array of length n+1,
     proxy * np.power(rate, np.arange(n + 1)), where proxy = ||T*c|| / A bounds
     the unknown ||x|| from above (a priori certificate); see
@@ -99,7 +109,7 @@ class IterationTrace:
     all the same.
     """
 
-    iterates: np.ndarray  # complex128, shape (iterations + 1, dim_h), read-only
+    iterates: np.ndarray  # complex128, shape (iterations + 1, dim_h), a read-only view
     certified_bounds: np.ndarray  # float64, shape (iterations + 1,), read-only
     actual_errors: Optional[np.ndarray]  # float64, shape (iterations + 1,), read-only
     elapsed_ns: np.ndarray  # int64, shape (iterations + 1,), read-only
@@ -200,31 +210,41 @@ def frame_algorithm(
     0.67 ULP of rate^n where that is a normal number).  The iterates follow by
     doubling: with M = I - relax S and r = relax T*c, x(0) = 0 and x(1) = r,
     and the level at h = 1, 2, 4, ... writes rows h+1 .. h+w, w = min(h, n - h),
-    as x(h + i) = M^h x(i) + x(h): one product of rows 1 .. w with (M^h)^T
-    into the iterates' array, and one in-place addition of row h.  So the loop
-    runs ceil(log2 n) times.
+    as x(h + i) = M^h x(i) + x(h).  So the loop runs ceil(log2 n) times.
+
+    A level is one real matrix product and no addition.  The iterates live in
+    one (n+1, dim_h + 1) complex array whose last column is 1, the homogeneous
+    coordinate of the affine step.  Rows 1 .. w of it, read as float64 (real and
+    imaginary parts interleaved, 2 dim_h + 2 columns), times the
+    (2 dim_h + 2) x 2 dim_h matrix [E; x(h); 0], E the real embedding of
+    (M^h)^T and x(h) read as float64, give x(h + i) as float64, written straight
+    into the first 2 dim_h float64 columns of rows h+1 .. h+w.  ``iterates`` is
+    the read-only view of the first dim_h columns.
 
     The frame's plan (``OperatorValuedFrame._plan``) supplies relax, the rate,
-    the ceil(log2 n) level matrices (M^h)^T, each the square of the one before,
-    and the powers of the rate.  The first run on a frame computes them, a run
+    the ceil(log2 n) level matrices E, each the square of the one before, and
+    the powers of the rate.  The first run on a frame computes them, a run
     longer than any before it adds what it lacks, and every other run reads
     them, so a run gives the same bits on a fresh frame and on a reused one.
-    A run stores its iterates; the plan keeps ceil(log2 n) dim_h x dim_h
-    matrices and at most max_iters + 1 powers for the frame's longest run.
+    A run stores its iterates; the plan keeps ceil(log2 n) real
+    2 dim_h x 2 dim_h matrices and at most max_iters + 1 powers for the frame's
+    longest run.
 
     Rounding.  Let e(k) be the error of the computed x(k).  A level gives
     e(h + i) = M^h e(i) + e(h) + delta, where delta holds the rounding of the
-    product and the sum, about dim_h eps ||x||, and the error of the computed
-    M^h times x(i).  Squaring doubles the relative error of M^h plus
-    dim_h eps, so that error is about h rate^h dim_h eps, below
-    dim_h eps / (1 - rate) at every h.  With ||M^h|| <= rate^h < 1 the
-    errors sum to the order of delta / (1 - rate), the same order as the plain
-    step's dim_h eps ||x|| / (1 - rate).  Measured on 180 default runs of the
-    benchmark's frames (seeds 1, 11, 101, 202, 303), so at cond(S) <= 300, the
-    iterates are within 1.0e-14 relative of the plain recurrence
-    x = x + relax (T*c - S x).  At cond(S) = 1e4 (rate 0.9998), 10000 steps at
-    dim_h = 8 are within 1.7e-13 relative of that recurrence carried in
-    extended precision, under the order dim_h eps / (1 - rate) = 8.9e-12.
+    one product, about dim_h eps ||x||, and the error of the computed M^h
+    times x(i).  x(h) enters that product as one more term of each sum, so the
+    addition's rounding is the product's, in whatever order the BLAS sums.
+    Squaring doubles the relative error of M^h plus dim_h eps, so that error
+    is about h rate^h dim_h eps, below dim_h eps / (1 - rate) at every h.  With
+    ||M^h|| <= rate^h < 1 the errors sum to the order of delta / (1 - rate),
+    the same order as the plain step's dim_h eps ||x|| / (1 - rate).  Measured
+    on 180 default runs of the benchmark's frames (seeds 1, 11, 101, 202,
+    303), so at cond(S) <= 300, the iterates are within 1.5e-14 relative of
+    the plain recurrence x = x + relax (T*c - S x).  At cond(S) = 1e4 (rate
+    0.9998), 10000 steps at dim_h = 8 are within 2.3e-13 relative of that
+    recurrence carried in extended precision, under the order
+    dim_h eps / (1 - rate) = 8.9e-12.
     """
     if cfg is None:
         cfg = ReconstructionConfig()
@@ -248,30 +268,35 @@ def frame_algorithm(
     certified_bounds, stopped_by = _certified_bounds(plan, proxy, cfg.target_error, cfg.max_iters)
     iterations = len(certified_bounds) - 1
 
-    x = np.empty((iterations + 1, ovf.dim_h), dtype=np.complex128)
-    x[0], x[1] = 0.0, plan.relax * b
-    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
+    d = ovf.dim_h
+    x = np.empty((iterations + 1, d + 1), dtype=np.complex128)
+    x[:, d] = 1.0  # the homogeneous coordinate of the affine step
+    x[0, :d], x[1, :d] = 0.0, plan.relax * b
+    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T embedded at h = 1, 2, 4, ...
+    real = x.view(np.float64)
+    step = np.zeros((2 * d + 2, 2 * d))  # [level; x(h); 0], the affine step in homogeneous form
     elapsed = np.empty(iterations + 1, dtype=np.int64)
     elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
     h = 1
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are refused below
         while h < iterations:
             w = min(h, iterations - h)
-            np.matmul(x[1:w + 1], levels[h.bit_length() - 1], out=x[h + 1:h + 1 + w])
-            x[h + 1:h + 1 + w] += x[h]
+            step[:2 * d], step[2 * d] = levels[h.bit_length() - 1], real[h, :2 * d]
+            np.matmul(real[1:w + 1], step, out=real[h + 1:h + 1 + w, :2 * d])
             elapsed[h + 1:h + 1 + w] = time.perf_counter_ns() - start
             h += w
-    if not np.isfinite(x.view(np.float64)).all():
+    if not np.isfinite(real).all():
         raise LimitExceeded("the iterates are not finite: the coefficients are too large")
 
     x.flags.writeable = False
+    iterates = x[:, :d]
     elapsed.flags.writeable = False
     errors = None
     if true_x is not None:
-        errors = linalg._norms(x - true_x, 1)
+        errors = linalg._norms(iterates - true_x, 1)
         errors.flags.writeable = False
     return IterationTrace(
-        iterates=x,
+        iterates=iterates,
         certified_bounds=certified_bounds,
         actual_errors=errors,
         elapsed_ns=elapsed,

@@ -147,6 +147,23 @@ def test_config_takes_only_an_integer_max_iters(max_iters):
         ReconstructionConfig(max_iters=max_iters)
 
 
+@pytest.mark.parametrize("target_error", [True, False, "1e-9", None, 1e-9 + 0j, np.bool_(True),
+                                          np.nan, np.inf, -1e-9, 0])
+def test_config_takes_only_a_positive_finite_real_target_error(target_error):
+    """True was taken as a target of 1.0 and "1e-9" raised TypeError; only real
+    numbers in (0, inf) are taken, each refused one with InvalidBounds."""
+    with pytest.raises(InvalidBounds):
+        ReconstructionConfig(target_error=target_error)
+
+
+@pytest.mark.parametrize("target_error", [1e-3, np.float64(1e-3), np.float32(1e-3), 1])
+def test_config_takes_a_numpy_float_target_error(target_error):
+    ovf = overcomplete_pair_frame()
+    cfg = ReconstructionConfig(target_error=target_error)
+    trace = frame_algorithm(ovf, analysis(ovf, E2), cfg)
+    assert trace.stopped_by == "target_error" and trace.certified_bounds[-1] <= target_error
+
+
 def test_config_takes_a_numpy_integer_max_iters():
     ovf = overcomplete_pair_frame()
     cfg = ReconstructionConfig(max_iters=np.int64(3), target_error=1e-300)
@@ -475,7 +492,7 @@ def test_a_long_scan_at_cond_1e4_stays_within_its_rounding_order(dim):
     """10000 steps on a cond(S) = 1e4 frame (rate 9999/10001) against the
     clongdouble recurrence, held to dim eps / (1 - rate) max|x|, the order that
     frame_algorithm's rounding paragraph derives: about 8.9e-12 at dim 8, where
-    the scan is about 1.7e-13 off (7.6e-14 against 1.8e-11 at dim 16)."""
+    the scan is about 2.3e-13 off (2.2e-13 against 1.8e-11 at dim 16)."""
     ovf = conditioned_frame(dim, 128, 1e4, seed=951)
     c = analysis(ovf, complex_box(rng_for(952), dim))
     trace = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=10_000, target_error=1e-300))
@@ -499,6 +516,29 @@ def test_iterates_are_one_read_only_array_and_runs_are_bit_identical():
     assert np.array_equal(t1.certified_bounds, t2.certified_bounds)
 
 
+@pytest.mark.parametrize("kind", ["tight", "4097"])
+def test_iterates_are_a_read_only_view_with_no_writable_base(kind):
+    """The scan writes the iterates into one array with a column of ones beside
+    them; ``iterates`` is its read-only (n+1, dim_h) view, made without a copy,
+    and every array behind it is read-only too.  ``final`` is its last row."""
+    if kind == "tight":
+        ovf, cfg, n = frame_at_rate("tight"), ReconstructionConfig(max_iters=10_000), 1
+    else:
+        ovf, cfg, n = slow_frame(16), ReconstructionConfig(max_iters=4097, target_error=1e-300), 4097
+    trace = frame_algorithm(ovf, analysis(ovf, complex_box(rng_for(904), ovf.dim_h)), cfg)
+    iterates = trace.iterates
+    assert iterates.shape == (n + 1, ovf.dim_h) and iterates.dtype == np.complex128
+    assert iterates.base is not None  # a view
+    array = iterates
+    while array is not None:
+        assert not array.flags.writeable
+        array = array.base
+    with pytest.raises(ValueError):
+        iterates[-1, 0] = 0.0
+    assert trace.final.tobytes() == iterates[-1].tobytes()
+    assert np.shares_memory(trace.final, iterates) and not trace.final.flags.writeable
+
+
 def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
     ovf = frame_of_dim(16)
     c = analysis(ovf, complex_box(rng_for(903), 16))
@@ -514,8 +554,9 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
     """Four runs in a row on one frame (default, 4097 steps, target 1e-3, default
     again) each equal the same run on a newly built frame bit for bit, and the
     plain recurrence as assert_matches_reference holds it.  The plan then holds
-    ceil(log2 4097) = 13 read-only level matrices, each the square of the one
-    before, and read-only powers no longer than 4097 + 1."""
+    ceil(log2 4097) = 13 read-only level matrices, the real embedding of
+    (I - relax S)^T and then each the square of the one before, and read-only
+    powers no longer than 4097 + 1."""
     def build():
         return conditioned_frame(12, 128, 300.0, seed=950)
 
@@ -536,10 +577,10 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
     levels = plan.levels(13)
     assert len(plan._levels) == 13 == math.ceil(math.log2(4097))
     m = np.eye(12) - plan.relax * frame_operator(ovf)
-    assert np.array_equal(levels[0], m.T)
+    assert np.array_equal(levels[0], frames._real_embedding(m.T))
     for before, after in zip(levels, levels[1:]):
         assert np.array_equal(after, before @ before)
-    assert not any(mt.flags.writeable for mt in levels)
+    assert not any(level.flags.writeable for level in levels)
     assert len(plan._powers) <= 4097 + 1 and not plan._powers.flags.writeable
     assert np.array_equal(plan._powers, np.power(plan.rate, np.arange(len(plan._powers))))
 
@@ -559,6 +600,29 @@ def test_a_plan_is_made_on_the_first_run_and_grows_only_for_a_longer_one():
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=129, target_error=1e-300))
     assert (len(plan._levels), len(plan._powers)) == (8, 130)
     assert all(a is b for a, b in zip(plan._levels, levels))  # kept, not recomputed
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 5), (8, 8), (16, 16), (128, 128)])
+def test_the_real_embedding_acts_as_the_complex_matrix(shape):
+    """A level is the real embedding of a complex matrix L: entry by entry
+    [2j, 2k] = Re L_jk, [2j+1, 2k] = -Im L_jk, [2j, 2k+1] = Im L_jk and
+    [2j+1, 2k+1] = Re L_jk, and on interleaved real and imaginary parts it gives
+    z @ L to within 2 d eps of |z| @ |L|, d the inner dimension."""
+    rng = rng_for(905 + sum(shape))
+    m, k = shape
+    a = complex_box(rng, shape)
+    e = frames._real_embedding(a)
+    assert e.shape == (2 * m, 2 * k) and e.dtype == np.float64 and e.flags.c_contiguous
+    for j in range(m):
+        for l in range(k):
+            assert e[2 * j, 2 * l] == e[2 * j + 1, 2 * l + 1] == a[j, l].real
+            assert e[2 * j + 1, 2 * l] == -a[j, l].imag
+            assert e[2 * j, 2 * l + 1] == a[j, l].imag
+    z = complex_box(rng, (7, m))
+    product = (z.view(np.float64) @ e).view(np.complex128)
+    scale = np.abs(z) @ np.abs(a)
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(product - z @ a) <= 2 * m * eps * scale)
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 299.0 / 301.0, 9999.0 / 10001.0])

@@ -162,7 +162,7 @@ class OperatorValuedFrame:
     is large.
     The frame algorithm's plan (``_plan``, an ``_IterationPlan``) is made on its
     first read from A, B and S: the relaxation and rate, the level matrices of
-    its doubling scan, the real embeddings of (M^(2^k))^T, M = I - relax S, and
+    its doubling chain and scan, the real embeddings of (M^(2^k))^T, M = I - relax S, and
     the powers of the rate.  Those two grow as longer runs need them, so after
     runs of at most n iterations it holds ceil(log2 n) real 2 dim_h x 2 dim_h
     matrices and at most max_iters + 1 powers, less than one such run's iterates.
@@ -268,7 +268,7 @@ class _IterationPlan:
 
     ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Two
     read-only tables grow on demand: ``levels(count)`` gives the level matrices
-    of the doubling scan for k < count, each the real embedding
+    of the doubling chain and scan for k < count, each the real embedding
     (``_real_embedding``) of (M^(2^k))^T, M = I - relax S: the first is the
     embedding of the complex I - relax S^T, and each next one the square of the
     one before, taken in real form.  ``powers(count)`` gives

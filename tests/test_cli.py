@@ -1120,6 +1120,36 @@ def test_converged_passes_from_the_crossing_index_on(pair_path, tmp_path):
         assert converged["tolerance"] == reconstruction.DEFAULT_TARGET_ERROR
 
 
+def test_reconstruct_writes_x_n_without_forming_the_iterate_table(tmp_path, monkeypatch):
+    """A reconstruct of about 4100 steps (dim 12, 128 atoms, cond(S) = 300) writes
+    the chain's x(n), the CSV and the report, and no scan forms its table of
+    iterates."""
+    heights = [1 + t % 12 for t in range(128)]
+    rows = rotated_rows(rng_for(31), sum(heights), 300.0 ** (np.arange(12) / 22.0))
+    space = frames.AtomicMeasureSpace([str(t) for t in range(128)], [1.0] * 128)
+    ovf = frames.OperatorValuedFrame(space, 12, np.split(rows, np.cumsum(heights)[:-1]))
+    frame_path = write_json(tmp_path / "f.json", frames.ovf_to_json(ovf))
+    c = frames.analysis(ovf, 10.0 * random_unit(12, seed=5))
+    coeff_path = write_json(tmp_path / "c.json", frames.coefficients_to_json(c))
+    traces, run_frame_algorithm = [], reconstruction.frame_algorithm
+
+    def recorded(*args):
+        traces.append(run_frame_algorithm(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(reconstruction, "frame_algorithm", recorded)
+    calls = count_calls(monkeypatch, reconstruction, "_iterate_table")
+    assert main(["reconstruct", "--in", frame_path, "--in", coeff_path,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    (trace,) = traces
+    report = read_report(tmp_path / "r.json")
+    assert report["summary"]["iterations"] == trace.iterations >= 3900
+    written = linalg.vector_from_json(json.loads(Path(report["artifacts"]["vector"]).read_text()))
+    assert written.tobytes() == trace.final.tobytes()
+    assert len(Path(report["artifacts"]["trace"]).read_text().splitlines()) == trace.iterations + 2
+    assert calls == {"_iterate_table": 0} and "iterates" not in vars(trace)
+
+
 def test_hermitian_check_reads_the_largest_residual_against_tol_herm(tmp_path):
     half = np.eye(2) / 2
     scale = 1.0 + np.linalg.norm(half)  # the skew part moves ||A||_F by about 1e-20

@@ -357,6 +357,8 @@ def slow_frame(dim):
 
 
 def assert_matches_reference(ovf, c, cfg, true_x=None):
+    """The trace against the plain recurrence: x(n) from the chain, read before
+    the table, then the table, whose last row is that x(n) byte for byte."""
     trace = frame_algorithm(ovf, c, cfg, true_x=true_x)
     ref, bounds, rate, stopped_by = reference_frame_algorithm(ovf, c, cfg)
     assert trace.iterations == len(ref) - 1
@@ -364,7 +366,12 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
     assert trace.rate == rate
     assert trace.certified is True
     assert np.array_equal(trace.certified_bounds, bounds)  # bit for bit
+    final = trace.final
+    assert "iterates" not in vars(trace)  # x(n) came from the chain, not the table
+    assert final.shape == ref[-1].shape and not final.flags.writeable
+    assert np.abs(final - ref[-1]).max() <= 1e-13 * np.abs(ref).max()
     assert trace.iterates.shape == ref.shape
+    assert final.tobytes() == trace.iterates[-1].tobytes()
     assert np.abs(trace.iterates - ref).max() <= 1e-13 * np.abs(ref).max()
     assert trace.elapsed_ns.dtype == np.int64 and not trace.elapsed_ns.flags.writeable
     assert len(trace.elapsed_ns) == len(ref) and trace.elapsed_ns[0] == 0
@@ -376,7 +383,9 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
 
 def iteration_counts():
     """Runs at the level edges: the first levels, one step short of, at and past
-    a power of two, and one run of 10000 steps (14 levels)."""
+    a power of two, and one run of 10000 steps (14 levels).  For the chain they
+    are powers of two (one set bit), their neighbours and popcount-heavy counts
+    such as 1023 (ten set bits)."""
     return (1, 2, 3, 4, 5, 63, 64, 65, 1023, 1024, 1025, 10_000)
 
 
@@ -520,7 +529,9 @@ def test_iterates_are_one_read_only_array_and_runs_are_bit_identical():
 def test_iterates_are_a_read_only_view_with_no_writable_base(kind):
     """The scan writes the iterates into one array with a column of ones beside
     them; ``iterates`` is its read-only (n+1, dim_h) view, made without a copy,
-    and every array behind it is read-only too.  ``final`` is its last row."""
+    and every array behind it is read-only too.  It is formed once: a second
+    read gives the same array.  ``final`` is read-only and is its last row,
+    byte for byte."""
     if kind == "tight":
         ovf, cfg, n = frame_at_rate("tight"), ReconstructionConfig(max_iters=10_000), 1
     else:
@@ -536,7 +547,26 @@ def test_iterates_are_a_read_only_view_with_no_writable_base(kind):
     with pytest.raises(ValueError):
         iterates[-1, 0] = 0.0
     assert trace.final.tobytes() == iterates[-1].tobytes()
-    assert np.shares_memory(trace.final, iterates) and not trace.final.flags.writeable
+    assert not trace.final.flags.writeable and trace.iterates is iterates
+
+
+def test_a_run_read_as_the_cli_reads_it_forms_no_table(monkeypatch):
+    """A run of over 3900 steps without the true vector, read for what the CLI's
+    reconstruct writes (final, the certified bounds, elapsed_ns, the iteration
+    count and the CSV), runs no scan and keeps no (n+1)-row iterate array; the
+    first read of ``iterates`` forms it, once."""
+    ovf = conditioned_frame(12, 128, 300.0, seed=950)
+    c = analysis(ovf, 4.0 * complex_box(rng_for(951), 12))
+    calls = count_calls(monkeypatch, reconstruction, "_iterate_table")
+    trace = frame_algorithm(ovf, c)
+    n = trace.iterations
+    assert n >= 3900 and trace.final.shape == (12,)
+    assert len(trace.certified_bounds) == len(trace.elapsed_ns) == n + 1
+    assert len(trace_to_csv(trace).splitlines()) == n + 2
+    assert trace.actual_errors is None
+    assert calls == {"_iterate_table": 0} and "iterates" not in vars(trace)
+    assert trace.iterates.shape == (n + 1, 12) and trace.iterates is trace.iterates
+    assert calls == {"_iterate_table": 1}
 
 
 def test_frame_algorithm_makes_no_eigen_call(monkeypatch):
@@ -568,7 +598,7 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
         trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
         fresh_frame = build()
         fresh = frame_algorithm(fresh_frame, analysis(fresh_frame, x), cfg, true_x=x)
-        for name in ("iterates", "certified_bounds", "actual_errors"):
+        for name in ("final", "iterates", "certified_bounds", "actual_errors"):
             assert getattr(trace, name).tobytes() == getattr(fresh, name).tobytes(), name
         assert (trace.stopped_by, trace.rate) == (fresh.stopped_by, fresh.rate)
         assert (trace.bounds.lower, trace.bounds.upper) == (fresh.bounds.lower, fresh.bounds.upper)
@@ -637,14 +667,17 @@ def test_a_longer_power_table_begins_with_the_shorter_one(rate):
 
 # Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
 # LAPACK call), solves one vector on each by both routes, and prints a digest of
-# the iterates', the certified bounds' and the direct solution's bytes; on the
-# dim-16 frame also of the iterates of a 4097-step run (13 levels), and then of
-# the default run once more, read from the frame's plan.
+# the chain's x(n) (read before the table), the iterates', the certified bounds'
+# and the direct solution's bytes; on the dim-16 frame also of x(n) and the
+# iterates of a 4097-step run (13 levels), and then of the default run once
+# more, read from the frame's plan.
 _DIGESTS = """
 import hashlib
 import numpy as np
 from framekit import (AtomicMeasureSpace, OperatorValuedFrame, ReconstructionConfig,
                       analysis, frame_algorithm, reconstruct_direct)
+def digest(n, rows, trace, name, a):
+    print(n, rows, trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
 for n in (8, 16):
     rng = np.random.Generator(np.random.PCG64(n))
     heights = [1 + t % n for t in range(64)]
@@ -655,25 +688,29 @@ for n in (8, 16):
     ovf = OperatorValuedFrame(space, n, np.split(rows, np.cumsum(heights)[:-1]))
     c = analysis(ovf, rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n))
     trace = frame_algorithm(ovf, c)
+    digest(n, shape[0], trace, "final", trace.final)
     for name, a in (("iterates", trace.iterates), ("bounds", trace.certified_bounds),
                     ("direct", reconstruct_direct(ovf, c))):
-        print(n, shape[0], trace.iterations, name, hashlib.sha256(a.tobytes()).hexdigest())
-long = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=4097, target_error=1e-300))
-print(n, shape[0], long.iterations, "iterates", hashlib.sha256(long.iterates.tobytes()).hexdigest())
-again = frame_algorithm(ovf, c)
-print(n, shape[0], again.iterations, "iterates", hashlib.sha256(again.iterates.tobytes()).hexdigest())
+        digest(n, shape[0], trace, name, a)
+for trace in (frame_algorithm(ovf, c, ReconstructionConfig(max_iters=4097, target_error=1e-300)),
+              frame_algorithm(ovf, c)):
+    digest(n, shape[0], trace, "final", trace.final)
+    digest(n, shape[0], trace, "iterates", trace.iterates)
 """
 
 
 def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
-    """frame_algorithm (iterates and certified bounds) and reconstruct_direct give
-    the same bytes with OpenBLAS at 1 and at 2 threads, on a 288 x 8 and a 544 x 16
-    frame (several thousand iterates each, and 4097 on the second), each thread
-    count in its own process.  After the 4097-step run, the second frame's default
-    run, from its grown plan, gives the bytes of its first."""
+    """frame_algorithm (x(n) from the chain, the iterates and the certified bounds)
+    and reconstruct_direct give the same bytes with OpenBLAS at 1 and at 2 threads,
+    on a 288 x 8 and a 544 x 16 frame (several thousand iterates each, and 4097 on
+    the second), each thread count in its own process.  After the 4097-step run,
+    the second frame's default run, from its grown plan, gives the bytes of its
+    first."""
     outs = outputs_at_blas_threads(_DIGESTS)
-    assert len(outs[0]) == 8 and [int(line.split()[1]) for line in outs[0]] == [288] * 3 + [544] * 5
+    assert len(outs[0]) == 12 and [int(line.split()[1]) for line in outs[0]] == [288] * 4 + [544] * 8
+    assert [line.split()[3] for line in outs[0]] == (
+        ["final", "iterates", "bounds", "direct"] * 2 + ["final", "iterates"] * 2)
     assert min(int(line.split()[2]) for line in outs[0]) > 1000
-    assert int(outs[0][-2].split()[2]) == 4097
+    assert int(outs[0][-4].split()[2]) == 4097
     assert outs[0] == outs[1]
-    assert all(out[-1] == out[3] for out in outs)
+    assert all(out[-2:] == out[4:6] for out in outs)

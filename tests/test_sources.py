@@ -15,7 +15,8 @@ only the CLI commands that report or iterate with a frame's bounds diagonalize i
 Every data-file loader builds its object one way, whatever the layout: only
 ``linalg._decode_family`` reads the JSON type of a per-atom family.
 
-The frame algorithm has one loop, over the levels of its doubling scan.
+The frame algorithm has one loop, over the levels of its doubling chain to
+x(n), and the table of iterates one, over the levels of its doubling scan.
 """
 
 import ast
@@ -245,4 +246,10 @@ def test_the_loop_finder_sees_every_kind_of_loop():
 def test_the_frame_algorithm_has_one_loop_over_the_levels():
     path = Path(framekit.__file__).parent / "reconstruction.py"
     loops = loops_in(ast.parse(path.read_text(), str(path)), "frame_algorithm")
+    assert len(loops) == 1 and isinstance(loops[0], ast.While)
+
+
+def test_the_iterate_table_has_one_loop_over_the_levels():
+    path = Path(framekit.__file__).parent / "reconstruction.py"
+    loops = loops_in(ast.parse(path.read_text(), str(path)), "_iterate_table")
     assert len(loops) == 1 and isinstance(loops[0], ast.While)

@@ -34,7 +34,11 @@ doubles.  Inputs may also hold a family as a list of one matrix or array
 per atom, and arrays as lists of [re, im] pairs, as older files do; the
 JSON type of the field picks the reader.  Generated inputs come from numpy's
 PCG64 stream, which is stable across platforms for a fixed seed.
-All writes are atomic (temp file then rename).
+Every file is written to a new temporary file that open() creates, so with
+0666 less the umask, and renamed into place.  A JSON file has the bytes of
+json.dumps(obj, sort_keys=True): _write_json writes a base64 array, known by
+its type (linalg._Base64), as it is, and every other value through one
+json.JSONEncoder.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -117,16 +120,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "tolerance_overrides": self.tolerance_overrides,
-            "checks": self.checks,
-            "passed": self.passed,
-            "summary": self.summary,
-            "artifacts": self.artifacts,
-            "elapsed_ns": self.elapsed_ns,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 _SNIFF = (  # (identifying key, table kind, parser); looked up at call time
@@ -183,56 +177,46 @@ _WRITE_CHUNK = 1 << 20
 
 
 def _atomic_write(path: str, *texts: str) -> None:
-    """Write the texts, one after another, to a temporary file renamed to ``path``."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".framekit-", suffix=".tmp")
+    """Write the texts, one after another, to a new temporary file renamed to
+    ``path``.  open() creates it, so it has 0666 less the umask, as ``path``
+    would; on failure only that file is removed."""
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".framekit-{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")  # a name already taken is not ours to remove
     try:
-        if hasattr(os, "fchmod"):  # mkstemp makes the file 0600; give it the mode open() would
-            umask = os.umask(0o077)  # reading the umask sets it, so it is set straight back
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with fh:
             for text in texts:
                 for lo in range(0, len(text), _WRITE_CHUNK):
                     fh.write(text[lo:lo + _WRITE_CHUNK])
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-# A top-level string field that JSON writes as it is, between quotes (the base64
-# stack of every data file), goes to the file straight, not copied into the text
-# of json.dumps; _PAYLOAD_MARK stands in its place there.
-_PAYLOAD_MARK = "\x00"
-_PAYLOAD_MARK_TEXT = json.dumps(_PAYLOAD_MARK)[1:-1]
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
-def _is_payload(value) -> bool:
-    return (isinstance(value, str) and value.isascii() and value.isprintable()
-            and '"' not in value and "\\" not in value)
-
-
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj: dict) -> None:
     """Write standard JSON only: a NaN or an infinity is an error (LimitExceeded), not a token.
 
-    json.dumps writes the object with its payload fields (see _PAYLOAD_MARK)
-    marked out, and each payload goes to the file between the pieces of that
-    text, so the file has the bytes of json.dumps(obj, sort_keys=True) without
-    a copy of a payload.  An object that holds the mark elsewhere takes
-    json.dumps whole."""
-    payloads = {key: value for key, value in obj.items() if _is_payload(value)}
+    The file has the bytes of json.dumps(obj, sort_keys=True).  Its top-level
+    fields are written one at a time, in key order: a base64 array
+    (linalg._Base64, the stack of every data file) goes to the file as it is,
+    not copied into an encoded text, and every other value through the encoder."""
+    texts, sep = ["{"], ""
     try:
-        text = json.dumps({**obj, **dict.fromkeys(payloads, _PAYLOAD_MARK)} if payloads else obj,
-                          sort_keys=True, allow_nan=False)
+        for key in sorted(obj):
+            value = obj[key]
+            texts.append(f"{sep}{_ENCODER.encode(key)}: ")
+            if isinstance(value, linalg._Base64):
+                texts += ['"', value, '"']
+            else:
+                texts.append(_ENCODER.encode(value))
+            sep = ", "
     except ValueError as exc:
         raise LimitExceeded(f"{path}: {exc}") from exc
-    pieces = text.split(_PAYLOAD_MARK_TEXT)
-    if len(pieces) != len(payloads) + 1:
-        pieces, payloads = [json.dumps(obj, sort_keys=True)], {}
-    texts = [part for key, piece in zip(sorted(payloads), pieces) for part in (piece, payloads[key])]
-    _atomic_write(path, *texts, pieces[-1], "\n")
+    _atomic_write(path, *texts, "}\n")
 
 
 def _derived(output_path: str, suffix: str) -> str:

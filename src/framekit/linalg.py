@@ -814,13 +814,20 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 # type, so each loader has one construction path.
 
 
-def _encode_array(a: np.ndarray) -> str:
+class _Base64(str):
+    """The base64 text of an array, from ``_encode_array``: JSON writes it as it
+    is, between quotes, as no character of it needs escaping."""
+
+    __slots__ = ()
+
+
+def _encode_array(a: np.ndarray) -> _Base64:
     """Base64 of a complex array's row-major entries as little-endian complex128;
     LimitExceeded for a NaN or an infinity, which no JSON data file holds."""
     le = np.ascontiguousarray(a, dtype="<c16")
     if not np.isfinite(le).all():
         raise LimitExceeded("a NaN or Inf entry cannot be written to a data file")
-    return base64.b64encode(le).decode("ascii")
+    return _Base64(base64.b64encode(le), "ascii")
 
 
 def _decode_array(value, what: str) -> np.ndarray:

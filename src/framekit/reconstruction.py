@@ -90,6 +90,9 @@ class ReconstructionConfig:
             raise InvalidBounds(f"target_error must be a positive finite real number, got {t!r}")
 
 
+_DEFAULT_CONFIG = ReconstructionConfig()  # frozen, so one serves every call that passes none
+
+
 @dataclass(frozen=True, eq=False)
 class IterationTrace:
     """The last iterate with its certified error bounds; the other iterates on
@@ -276,7 +279,7 @@ def frame_algorithm(
     order dim_h eps / (1 - rate) = 8.9e-12.
     """
     if cfg is None:
-        cfg = ReconstructionConfig()
+        cfg = _DEFAULT_CONFIG
     bounds = frame_bounds(ovf)
 
     if true_x is not None:
@@ -287,28 +290,30 @@ def frame_algorithm(
             )
 
     plan = ovf._plan
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c or proxy is refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c, proxy or x(n) is refused
         b = synthesis(ovf, c)
         proxy = float(linalg._norms(b, 1)) / bounds.lower
-    if not np.isfinite(proxy):
-        raise LimitExceeded("the proxy ||T*c|| / A is not finite: the coefficients are too large")
+        if not np.isfinite(proxy):
+            raise LimitExceeded("the proxy ||T*c|| / A is not finite: "
+                                "the coefficients are too large")
 
-    start = time.perf_counter_ns()
-    certified_bounds, stopped_by = _certified_bounds(plan, proxy, cfg.target_error, cfg.max_iters)
-    iterations = len(certified_bounds) - 1
+        start = time.perf_counter_ns()
+        certified_bounds, stopped_by = _certified_bounds(plan, proxy, cfg.target_error,
+                                                         cfg.max_iters)
+        iterations = len(certified_bounds) - 1
 
-    d = 2 * ovf.dim_h  # the float64 columns of an iterate
-    first = plan.relax * b
-    first.flags.writeable = False
-    power = np.zeros(d + 2)  # x(h), homogeneous
-    power[:d], power[d] = first.view(np.float64), 1.0
-    total = None  # x(b), b the set bits of n below h, homogeneous, from the lowest one on
-    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T embedded at h = 1, 2, 4, ...
-    step = np.zeros((d + 2, d))  # [level; x(h); 0], the affine step in homogeneous form
-    elapsed = np.empty(iterations + 1, dtype=np.int64)
-    elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
-    h = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite x(n) is refused below
+        d = 2 * ovf.dim_h  # the float64 columns of an iterate
+        first = plan.relax * b
+        first.flags.writeable = False
+        power = np.zeros(d + 2)  # x(h), homogeneous
+        power[:d], power[d] = first.view(np.float64), 1.0
+        total = None  # x(b), b the set bits of n below h, homogeneous, from the lowest one on
+        # (M^h)^T embedded at h = 1, 2, 4, ...
+        levels = plan.levels((iterations - 1).bit_length())
+        step = np.zeros((d + 2, d))  # [level; x(h); 0], the affine step in homogeneous form
+        elapsed = np.empty(iterations + 1, dtype=np.int64)
+        elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
+        h = 1
         while h <= iterations:
             if h < iterations:  # a product follows, by level h
                 step[:d], step[d] = levels[h.bit_length() - 1], power[:d]

@@ -1170,7 +1170,7 @@ def test_hermitian_check_reads_the_largest_residual_against_tol_herm(tmp_path):
         assert hermitian["passed"] is ("NotHermitian" not in report["summary"]["failures"])
         assert psd["passed"] is True and additive["passed"] is True
 
-@pytest.mark.skipif(not hasattr(os, "fchmod"), reason="os.fchmod is missing here")
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
 def test_written_files_take_the_mode_the_umask_leaves(onb_path, tmp_path):
     """Reports and generated files get 0666 less the umask, as open() would give
     them, and an overwritten file takes the umask of the run that overwrites it."""
@@ -1206,20 +1206,27 @@ def test_json_writes_refuse_nan_and_inf(tmp_path):
 
 
 def test_json_writes_pass_payloads_through_with_the_bytes_of_json_dumps(tmp_path, monkeypatch):
-    """A top-level string field that JSON writes as it is goes to the file as its
-    own text, not copied into json.dumps' output, and every file has the bytes
-    of json.dumps(obj, sort_keys=True); nested strings, strings that need
-    escaping and an object holding the mark take json.dumps."""
-    payload = base64.b64encode(bytes(range(256)) * 3).decode("ascii")
-    other = base64.b64encode(bytes(range(200, 0, -1)) * 4).decode("ascii")
+    """The base64 text of an array, from linalg._encode_array, goes to the file
+    as the same object wherever it is a top-level field, labels that hold "\\x00"
+    included; a plain str never does, one with the same text included; and every
+    file has the bytes of json.dumps(obj, sort_keys=True).  Nested payloads and
+    strings that need escaping take the encoder."""
+    payload = linalg._encode_array(np.arange(48) * (1 + 2j))
+    other = linalg._encode_array(np.arange(20, 0, -1) * (0.5 - 1j))
+    plain = base64.b64encode(bytes(range(256)) * 3).decode("ascii")
+    twin = str(payload)  # the payload's text as a plain str
+    assert isinstance(payload, str) and type(twin) is str and twin == payload
+    assert json.dumps(payload) == json.dumps(twin)
     quote = 'say "x"'
     cases = [
         {"weights": [0.5, 2.0], "blocks": payload, "heights": [1, 2], "atoms": ["b", "a"]},
-        {"z": [{"entries": other, "dim": 3}, payload], "a": {"q": payload, "p": "short"}},
-        {"z": other, "dim": 3, "a": payload, "b": "short"},
-        {"atoms": ["\x00", "t1"], "elements": payload},  # the mark as a label
-        {"atoms": ["a\x00b"], "elements": payload},  # the mark within a label
-        {"text": quote, "back": "a\\b", "ctl": "a\nb", "uni": "\u00e9", "del": "\x7f", "data": payload},
+        {"z": [{"entries": other, "dim": 3}, payload], "a": {"q": payload, "p": "short"},
+         "segments": other},
+        {"z": other, "dim": 3, "a": payload, "b": plain},
+        {"atoms": ["\x00", "t1"], "elements": payload},
+        {"atoms": ["a\x00b"], "elements": payload, "twin": twin},
+        {"text": quote, "back": "a\\b", "ctl": "a\nb", "uni": "\u00e9", "del": "\x7f",
+         "data": payload, "plain": plain},
     ]
     written = []
     write = cli._atomic_write
@@ -1228,6 +1235,73 @@ def test_json_writes_pass_payloads_through_with_the_bytes_of_json_dumps(tmp_path
         out = tmp_path / "o.json"
         cli._write_json(str(out), obj)
         assert out.read_bytes() == (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
-    streamed = [sum(t is p for t in texts for p in (payload, other)) for texts in written]
-    assert streamed == [1, 0, 2, 0, 0, 1]
+    handed = [sum(t is p for t in texts for p in (payload, other)) for texts in written]
+    assert handed == [1, 1, 2, 1, 1, 1]
+    assert not any(t is p for texts in written for t in texts for p in (plain, twin))
 
+
+def test_a_write_never_sets_the_umask(onb_path, tmp_path, monkeypatch):
+    """Reports, data files and generated files are written without os.umask,
+    which would set the umask of the whole process to read it."""
+    def refuse(mask):
+        raise AssertionError(f"os.umask({mask:#o}) called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    assert main(["to-povm", "--in", onb_path, "--out", str(tmp_path / "p.json")]) == 0
+    assert main(["generate", "--kind", "povm", "--dim", "2", "--atoms", "3",
+                 "--out", str(tmp_path / "g.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g.json", "onb.json", "p.data.json", "p.json"]
+
+
+def test_a_failed_write_leaves_no_file_and_removes_only_its_own(tmp_path, monkeypatch):
+    """A refused write (NaN) and one that fails part way leave neither the
+    target nor a temporary file; a file that already has the temporary file's
+    name is not the writer's, so it stays as it was."""
+    out = tmp_path / "o.json"
+    with pytest.raises(LimitExceeded):
+        cli._write_json(str(out), {"blocks": linalg._encode_array(np.ones(3)),
+                                   "weights": [1.0, float("nan")]})
+    with pytest.raises(UnicodeEncodeError):  # the second text has no UTF-8 form
+        cli._atomic_write(str(out), "{\"x\": ", "\ud800", "}\n")
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(os, "urandom", bytes)  # the temporary name from eight zero bytes
+    taken = tmp_path / f".framekit-{bytes(8).hex()}.tmp"
+    taken.write_text("not the writer's")
+    with pytest.raises(FileExistsError):
+        cli._write_json(str(out), {"x": 1})
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "not the writer's"
+
+
+def test_every_written_json_file_is_canonical(kind_paths, tmp_path):
+    """Each *_to_json type through the writer, and every JSON file that each
+    command and generate write, holds json.dumps(json.load(f), sort_keys=True)
+    and a newline: compact, keys sorted, as the json module writes what it reads."""
+    loaded = {kind: cli._load(path, kind)[1] for kind, path in kind_paths.items()}
+    objects = {
+        "frame": frames.ovf_to_json(loaded["frame"]),
+        "vector-frame": vector_frame_to_json(VectorFrame(dim_h=2, vectors=[[1, 2j], [3, 0]])),
+        "coefficients": frames.coefficients_to_json(loaded["coefficients"]),
+        "povm": povm_to_json(loaded["povm"]),
+        "decomposition": correspondence.decomposition_to_json(loaded["decomposition"]),
+        "vector": linalg.vector_to_json(loaded["vector"]),
+    }
+    paths = []
+    for name, obj in objects.items():
+        paths.append(tmp_path / f"{name}.written.json")
+        cli._write_json(str(paths[-1]), obj)
+    for name, command in cli._COMMANDS.items():
+        out = tmp_path / f"{name}.run.json"
+        argv = [a for kind in command.inputs for a in ("--in", kind_paths[kind])]
+        assert main([name, *argv, "--out", str(out)]) == 0, name
+        paths += [out, *(p for p in read_report(out)["artifacts"].values() if p.endswith(".json"))]
+    for kind in ("frame", "povm"):
+        paths.append(tmp_path / f"generated-{kind}.json")
+        assert main(["generate", "--kind", kind, "--dim", "3", "--atoms", "4",
+                     "--out", str(paths[-1])]) == 0
+    # the objects, the reports, the data files of to-povm, analyze, reconstruct,
+    # decompose and to-ovf, and the generated files
+    assert len(paths) == 6 + 9 + 5 + 2
+    for path in paths:
+        text = Path(path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path

@@ -17,6 +17,9 @@ Every data-file loader builds its object one way, whatever the layout: only
 
 The frame algorithm has one loop, over the levels of its doubling chain to
 x(n), and the table of iterates one, over the levels of its doubling scan.
+
+The CLI's writer knows a payload by its type and leaves a new file's mode to
+open(): it scans no string and neither reads nor sets the umask.
 """
 
 import ast
@@ -253,3 +256,22 @@ def test_the_iterate_table_has_one_loop_over_the_levels():
     path = Path(framekit.__file__).parent / "reconstruction.py"
     loops = loops_in(ast.parse(path.read_text(), str(path)), "_iterate_table")
     assert len(loops) == 1 and isinstance(loops[0], ast.While)
+
+
+def test_the_cli_writer_reads_no_payload_and_sets_no_mode():
+    """The writer knows a payload by its type and lets open() apply the umask, so
+    cli.py scans no string with isprintable, and neither sets the umask, sets a
+    file's mode nor takes a temporary file from tempfile."""
+    path = Path(framekit.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    assert not names & {"isprintable", "umask", "fchmod", "tempfile"}

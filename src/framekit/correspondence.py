@@ -66,7 +66,9 @@ class Decomposition:
 
     Construction checks every density's Hermiticity residual and takes all
     the PSD verdicts from one stacked Cholesky factorization of
-    Q(t) + tol_psd(Q(t)) I.  A decomposition does no eigen work: its one cache,
+    Q(t) + tol_psd(Q(t)) I; only ``decompose`` builds one with a certified
+    slack per density (``_fill``'s ``slack``), and factors only the densities
+    it does not settle.  A decomposition does no eigen work: its one cache,
     ``_minimal_rows``, holds the pivoted Cholesky rows that decomposition_to_ovf
     and cut_bound read, from one stacked call on first read.
     """
@@ -80,16 +82,22 @@ class Decomposition:
             dim_h = len(densities[0]) if len(densities) else 0
         self._fill(measure, densities, dim_h, copy=True)
 
-    def _fill(self, measure: AtomicMeasureSpace, densities, dim_h: int, copy: bool) -> None:
+    def _fill(self, measure: AtomicMeasureSpace, densities, dim_h: int, copy: bool,
+              slack: Optional[np.ndarray] = None) -> None:
         """Check and set the fields, keeping a copy of ``densities`` unless ``copy`` is
-        false: ``decomposition_from_json`` builds through this with the decoded
-        read-only stack, which nothing else holds, and keeps it as it is."""
+        false: ``decomposition_from_json`` and ``decompose`` build through this
+        with a stack that nothing else holds, and keep it as it is.  ``slack``,
+        which only ``decompose`` passes, is a certified sigma_t >=
+        max(0, -lambda_min) per density: a density with sigma_t <= tol_psd
+        passes with no factorization, and the rest are factored as without it."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities", copy)
         linalg._check_magnitude(densities, "densities", measure.weights)
         herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
-        psd_ok = linalg._shifted_positive_definite(densities, linalg._psd_tolerance(densities))
+        tol = linalg._psd_tolerance(densities)
+        certified = np.zeros(len(tol), dtype=bool) if slack is None else slack <= tol
+        psd_ok = certified | linalg._positive_definite_where(densities, tol, ~certified)
         bad = ~(herm_ok & psd_ok)
         if bad.any():  # the first failing atom; its Hermiticity is checked first
             t = int(np.argmax(bad))
@@ -176,14 +184,57 @@ def _grams(ovf: OperatorValuedFrame) -> np.ndarray:
     return np.array([linalg.adjoint(b) @ b for b in ovf.blocks])
 
 
+def _gram_slack(ovf: OperatorValuedFrame) -> np.ndarray:
+    """A certified slack sigma_t >= max(0, -lambda_min(E_t)) for each element
+    E_t = hermitize(w_t fl(B_t* B_t)) that ovf_to_povm forms, B_t the k_t rows
+    of atom t and w_t its weight, read-only:
+
+        sigma_t = gamma_{3 k_t + 4} w_t ||B_t||_F^2 + n (k_t w_t + 1) tiny,
+
+    tiny the smallest normal double, and inf for a block with k_t^2 n > 1e14.
+    ||B_t||_F^2 is the sum of ``linalg._squares`` of its rows.
+
+    The exact B* B is PSD.  The real and the imaginary part of an entry of
+    fl(B* B) each sum 2 k_t real products, in whatever order the BLAS takes,
+    so each errs by at most gamma_{2k} times the sum of the products'
+    magnitudes, itself at most sum_r |b_ri| |b_rj| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., ch. 3).  So
+    |fl(B* B) - B* B| <= sqrt(2) gamma_{2k} |B|* |B| <= gamma_{3k} |B|* |B|
+    entrywise, and || |B|* |B| ||_2 <= ||B||_F^2.  The weight and hermitize's
+    sum each round an entry by at most u of its modulus, the halving is exact,
+    and hermitize is a projection, so E_t lies within
+    ((1 + gamma_{3k}) (1 + u)^2 - 1) w_t ||B_t||_F^2 <= gamma_{3k+2} w_t ||B_t||_F^2
+    of w_t B* B in 2-norm (Higham, Lemma 3.3).  Below the normal range each
+    product, the weight and the halving may lose up to 2^-1075 more per real
+    part, which the absolute term covers many times over.  gamma_{3k+4} in
+    place of gamma_{3k+2} covers the rounding of the computed ||B_t||_F^2
+    (relative gamma_{2kn}) and of sigma_t itself while
+    (3k + 2)(2kn + 5) u <= 2, which k^2 n <= 1e14 ensures; a larger block is
+    left to the factorization.
+    """
+    heights = np.diff(ovf._offsets)
+    weights = ovf.space.weights
+    n = ovf.dim_h
+    squares = np.add.reduceat(np.append(linalg._squares(ovf._rows, 1), 0.0), ovf._offsets[:-1])
+    squares[heights == 0] = 0.0  # reduceat gives an empty block the next row's entry
+    tiny = np.finfo(np.float64).tiny
+    slack = linalg._gamma(3 * heights + 4) * weights * squares + n * (heights * weights + 1.0) * tiny
+    slack[heights * heights * n > 1e14] = np.inf
+    slack.flags.writeable = False
+    return slack
+
+
 def ovf_to_povm(ovf: OperatorValuedFrame) -> Povm:
     """POVM the frame gives rise to: element t = mu({t}) T(t)* T(t).
 
     Its total M(Omega) equals the frame operator, so the result is always
-    framed.
+    framed.  The POVM carries the certified slack of each element
+    (``_gram_slack``), so ``validate`` factors none that it settles.
     """
     elements = linalg.hermitize(ovf.space.weights[:, None, None] * _grams(ovf))
-    return Povm(atoms=ovf.space.atoms, dim_h=ovf.dim_h, elements=elements)
+    m = Povm(atoms=ovf.space.atoms, dim_h=ovf.dim_h, elements=elements)
+    object.__setattr__(m, "_psd_slack", _gram_slack(ovf))
+    return m
 
 
 def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.ndarray:
@@ -215,13 +266,39 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     return linalg._running_sum(scales[:, None] * probs).real
 
 
+def _density_slack(slack: np.ndarray, norms: np.ndarray, weights: np.ndarray,
+                   n: int) -> np.ndarray:
+    """A certified slack for each density hermitize(M_t / mu_t) from the slack
+    sigma_t of its element M_t (``ValidationReport._psd_slack``):
+
+        (sigma_t + gamma_3 ||M_t||_F) / mu_t (1 + gamma_5) + n tiny,
+
+    tiny the smallest normal double.  hermitize(M_t / mu_t) is H_t / mu_t, H_t
+    the Hermitian part of M_t, so lambda_min >= -sigma_t / mu_t before
+    rounding.  The division and hermitize's sum each round an entry by at most
+    u of its modulus, together at most (2u + u^2) ||M_t||_F / mu_t in 2-norm,
+    which gamma_3 ||M_t||_F covers with the rounding of the computed norm;
+    1 + gamma_5 rounds the quotient up past the four roundings of evaluating
+    it, and the absolute term covers what the division and the halving may
+    lose below the normal range.  An infinite sigma_t, or an overflow, gives inf.
+    """
+    with np.errstate(over="ignore"):
+        quotient = (slack + linalg._gamma(3) * norms) / weights
+    return quotient * (1.0 + linalg._gamma(5)) + n * np.finfo(np.float64).tiny
+
+
 def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition:
     """Split a valid POVM into (mu, Q) with Q(t) = M({t}) / mu({t}).
 
     The POVM must pass ``validate`` (Hermiticity, positivity and additivity),
     then atoms of reference weight zero must carry a zero element (domination;
     they are dropped), then the densities must pass Decomposition's checks; any
-    failure raises InvalidPovm, naming the first failing atom.
+    failure raises InvalidPovm, naming the first failing atom.  The densities'
+    PSD verdicts come with no factorization where the certified slack of the
+    element's verdict, carried over the division (``_density_slack``), is at
+    most the density's tol_psd; only the other densities are factored.  So a
+    POVM that ``validate`` settles at the strict shift costs one factorization,
+    and one from ``ovf_to_povm`` usually none.
     """
     report = validate(m)
     if not report.passed:
@@ -236,11 +313,15 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
         label = m.atoms[int(np.argmax(nonzero & ~keep))]
         raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
     measure = AtomicMeasureSpace(atoms=list(compress(m.atoms, keep)), weights=weights[keep])
-    densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
+    mu = weights[keep]
+    densities = linalg.hermitize(m.elements[keep] / mu[:, None, None])
+    slack = _density_slack(report._psd_slack[keep], norms[keep], mu, m.dim_h)
+    d = object.__new__(Decomposition)
     try:
-        return Decomposition(measure=measure, densities=densities, dim_h=m.dim_h)
+        d._fill(measure, densities, m.dim_h, copy=False, slack=slack)
     except NotPsd as exc:
         raise InvalidPovm(f"POVM failed validation: {exc}") from exc
+    return d
 
 
 def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:

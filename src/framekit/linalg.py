@@ -629,12 +629,14 @@ def _scaled_tolerance(rel, norm):
     return rel * (1.0 + norm)
 
 
-def _gamma(k: int) -> float:
+def _gamma(k):
     """Higham's gamma_k = k u / (1 - k u), u = eps / 2 the unit roundoff: the
     relative error bound of k roundings (Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1)."""
+    Algorithms, 2nd ed., section 3.1); a float for an integer k, an array of
+    them for an integer array."""
     u = np.finfo(np.float64).eps / 2.0
-    return float(k * u / (1.0 - k * u))
+    gamma = k * u / (1.0 - k * u)
+    return float(gamma) if np.ndim(gamma) == 0 else gamma
 
 
 def _psd_tolerance(a: np.ndarray):
@@ -692,6 +694,20 @@ def _shifted_positive_definite(a: np.ndarray, shift: np.ndarray) -> np.ndarray:
             col = np.where(good[:, None], col, 0.0) / root[:, None]
             h[:, j + 1:, j + 1:] -= col[:, :, None] * np.conj(col[:, None, :])
     return ok
+
+
+def _positive_definite_where(a: np.ndarray, shift: np.ndarray, todo: np.ndarray) -> np.ndarray:
+    """``_shifted_positive_definite``'s verdicts on the matrices of the stack ``a``
+    where ``todo`` is true, False elsewhere: one call on those matrices, none if
+    there are none, and the whole stack with no copy if all are.  Each verdict
+    is taken on its own matrix alone, so it is the one a call on all would give."""
+    if not todo.any():
+        return np.zeros(len(todo), dtype=bool)
+    if todo.all():
+        return _shifted_positive_definite(a, shift)
+    verdicts = np.zeros(len(todo), dtype=bool)
+    verdicts[todo] = _shifted_positive_definite(a[todo], shift[todo])
+    return verdicts
 
 
 def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

@@ -297,6 +297,45 @@ def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
                       "to-ovf": 0, "verify-uniqueness": 0, "roundtrip": 0}
 
 
+def test_each_command_factors_each_operator_at_most_once(tmp_path, monkeypatch):
+    """Shifted-Cholesky calls per command on a frame like the benchmark's (seed 1,
+    dim 6, 24 atoms, heights cycling 1..6, weights in [0.5, 2]): to-povm and
+    roundtrip factor nothing, as the elements' verdicts follow from the Gram
+    products that formed them and the densities' from the elements'; each
+    decompose factors its loaded POVM once, at the strict shift, and carries the
+    verdicts over to the densities; verify-uniqueness and to-ovf check the
+    decompositions they load, one call each; analyze and reconstruct check no
+    PSD verdict."""
+    rng = rng_for(1)
+    dim, atoms = 6, 24
+    space = frames.AtomicMeasureSpace([f"t{i}" for i in range(atoms)], rng.uniform(0.5, 2.0, atoms))
+    blocks = [rng.standard_normal((1 + t % dim, dim)) + 1j * rng.standard_normal((1 + t % dim, dim))
+              for t in range(atoms)]
+    ovf = write_json(tmp_path / "f.json",
+                     frames.ovf_to_json(frames.OperatorValuedFrame(space, dim, blocks)))
+    x = write_json(tmp_path / "x.json", linalg.vector_to_json(rng.standard_normal(dim) + 0j))
+    data = {name: str(tmp_path / f"{name}.data.json")
+            for name in ("to-povm", "trace", "dyadic", "analyze")}
+    runs = {
+        "to-povm": ["to-povm", "--in", ovf],
+        "trace": ["decompose", "--rule", "trace", "--in", data["to-povm"]],
+        "dyadic": ["decompose", "--rule", "dyadic", "--in", data["to-povm"]],
+        "verify-uniqueness": ["verify-uniqueness", "--in", data["trace"], "--in", data["dyadic"]],
+        "to-ovf": ["to-ovf", "--in", data["trace"]],
+        "roundtrip": ["roundtrip", "--in", ovf],
+        "analyze": ["analyze", "--in", ovf, "--in", x],
+        "reconstruct": ["reconstruct", "--in", ovf, "--in", data["analyze"]],
+    }
+    factored = {}
+    for name, argv in runs.items():
+        calls = count_calls(monkeypatch, linalg, "_shifted_positive_definite")
+        assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == 0, name
+        factored[name] = calls["_shifted_positive_definite"]
+        monkeypatch.undo()
+    assert factored == {"to-povm": 0, "trace": 1, "dyadic": 1, "verify-uniqueness": 2,
+                        "to-ovf": 1, "roundtrip": 0, "analyze": 0, "reconstruct": 0}
+
+
 def _analysis_check(pair_path, tmp_path, x):
     xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))
     code = main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")])

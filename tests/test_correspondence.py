@@ -109,6 +109,35 @@ def test_povm_total_equals_frame_operator():
         assert np.allclose(m.total(), frame_operator(f), atol=1e-13)
 
 
+def test_validate_factors_only_the_elements_their_slack_does_not_settle(monkeypatch):
+    """ovf_to_povm's elements carry a read-only slack that settles every one, so
+    validate factors none; with the slack of two atoms taken away it factors
+    those two alone, at the strict shift, and gives the same verdicts and the
+    same report as a POVM with no slack."""
+    f = random_ovf(dim=4, atoms=6, seed=3)
+    m = ovf_to_povm(f)
+    assert not m._psd_slack.flags.writeable
+    stacks = []
+    original = linalg._shifted_positive_definite
+
+    def recording(a, shift):
+        stacks.append(len(a))
+        return original(a, shift)
+
+    monkeypatch.setattr(linalg, "_shifted_positive_definite", recording)
+    report = validate(m)
+    assert stacks == [] and report.passed
+    assert np.array_equal(report._psd_slack, m._psd_slack)
+    partial = np.array(m._psd_slack)
+    partial[[1, 4]] = np.inf
+    object.__setattr__(m, "_psd_slack", partial)
+    assert validate(m).psd == report.psd and stacks == [2]
+    plain = validate(Povm(m.atoms, m.dim_h, m.elements))
+    assert stacks == [2, 6] and plain.psd == report.psd
+    assert plain.to_json() == report.to_json() and "_psd_slack" not in report.to_json()
+    assert np.isfinite(plain._psd_slack).all()
+
+
 def test_event_pairing_matches_weighted_sum():
     """<M(E)x, y> against the atomwise sum of mu(t) <T(t)x, T(t)y>."""
     f = random_ovf(dim=3, atoms=5, seed=7)

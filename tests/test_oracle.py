@@ -3,13 +3,15 @@
 Each table builds inputs at small n whose true value lies near a verdict's
 threshold and computes the true spectrum of the rounded input, the doubles
 the package holds, in mpmath at 50 digits.  numpy shares the rounding under
-test, so it is no oracle here.
+test, so it is no oracle for a bound; the PSD verdict table reads eigvalsh
+only outside the kernel's documented margin of the threshold.
 """
 
 import numpy as np
 import pytest
 
-from framekit import NotAFrame, cli, discretize_continuous, frames, linalg
+from framekit import (InvalidPovm, NotAFrame, NotPsd, Povm, cli, decompose, discretize_continuous,
+                      frames, linalg, validate)
 from framekit import correspondence as cr
 
 from conftest import complex_box, random_ovf, rng_for, rotated_rows
@@ -286,3 +288,197 @@ def test_not_a_frame_and_the_reported_bounds_match_the_true_spectrum():
             verdicts.add(("tight", truly_tight))
     assert paths == {True, False}
     assert verdicts == {(name, v) for name in ("frame", "tight") for v in (True, False)}
+
+
+# --- PSD verdicts: validate's strict shift, the slack it carries, decompose ----
+
+PSD_NORMS = (1e-3, 1.0, 50.0, 1e4)
+PSD_DELTAS = (1e-2, 1e-3, 1e-4)
+
+
+def true_lambda_min(a):
+    """lambda_min of a double Hermitian matrix, at 50 digits."""
+    with mpmath.workdps(50):
+        m = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in a.tolist()])
+        return min(mpmath.eigh(m, eigvals_only=True))
+
+
+def strict_shift(a):
+    """The shift validate factors at first: tol_psd without its absolute term."""
+    return linalg.TOL_PSD_REL * linalg.frobenius(a)
+
+
+def element_near(n, norm, threshold, ratio, seed):
+    """Hermitian H with ||H||_F about ``norm`` and lambda_min = -ratio * threshold(H),
+    the rest in [0.1, 1] times a common scale."""
+    rng = rng_for(seed)
+    q, _ = np.linalg.qr(complex_box(rng, (n, n)))
+    rest = rng.uniform(0.1, 1.0, n - 1)
+    rest *= norm / np.sqrt(np.sum(rest * rest))
+    lam = 0.0
+    for _ in range(4):  # lam moves the threshold only through ||H||_F, by far below 1e-4
+        h = linalg.hermitize((q * np.concatenate(([lam], rest))) @ linalg.adjoint(q))
+        lam = -ratio * float(threshold(h))
+    return linalg.hermitize((q * np.concatenate(([lam], rest))) @ linalg.adjoint(q))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_validate_gives_the_verdicts_of_one_factorization_at_tol_psd(n, monkeypatch):
+    """Elements with lambda_min at -tol_psd (1 +- delta) and at -s (1 +- delta), s
+    the strict shift, for ||M||_F from 1e-3 to 1e4.  validate's verdicts equal
+    one _shifted_positive_definite call at tol_psd on every element, and those
+    of eigvalsh wherever its lambda_min lies outside the kernel's documented
+    margin n gamma_{n+1} (||M||_F + tol_psd) of the threshold.  validate makes
+    two calls, the second only on the elements that fail at s, and the slack it
+    carries for a PASS bounds the true -lambda_min (50 digits, n <= 8)."""
+    cases = [(norm, threshold, delta, sign) for norm in PSD_NORMS
+             for threshold in (linalg._psd_tolerance, strict_shift)
+             for delta in PSD_DELTAS for sign in (1, -1)]
+    elements = np.array([element_near(n, norm, threshold, 1 + sign * delta, seed=380 + k)
+                         for k, (norm, threshold, delta, sign) in enumerate(cases)])
+    m = Povm([str(k) for k in range(len(cases))], n, elements)
+    shifts = []
+    original = linalg._shifted_positive_definite
+
+    def recording(a, shift):
+        shifts.append(len(a))
+        return original(a, shift)
+
+    monkeypatch.setattr(linalg, "_shifted_positive_definite", recording)
+    report = validate(m)
+    monkeypatch.undo()
+    tol = linalg._psd_tolerance(m.elements)
+    kernel = linalg._shifted_positive_definite(m.elements, tol)
+    assert report.psd == tuple(kernel.tolist())
+    slack = report._psd_slack
+    assert shifts == [len(cases), int(np.sum(np.isinf(slack)))]
+    lam = np.linalg.eigvalsh(m.elements)[:, 0]
+    margin = n * linalg._gamma(n + 1) * (linalg._norms(m.elements, 2) + tol)
+    clear = np.abs(lam + tol) > margin
+    assert np.array_equal(kernel[clear], lam[clear] >= -tol[clear])
+    # the margin is at most 3e-4 tol_psd at n <= 16, so only delta = 1e-4 may fall inside it
+    assert clear[[delta > 1e-4 for _, _, delta, _ in cases]].all()
+    assert set(kernel.tolist()) == {True, False}
+    assert np.isfinite(slack).sum() >= len(cases) // 4
+    assert not np.isfinite(slack[~kernel]).any()
+    if n <= 8:
+        for a, sigma in zip(m.elements, slack):
+            if np.isfinite(sigma):
+                assert -true_lambda_min(a) <= sigma, (n, sigma)
+
+
+def weight_one_density(n, rule, threshold, ratio, seed):
+    """Hermitian Q of weight 1 under ``rule`` (trace, or the dyadic rule on the
+    standard basis) with lambda_min = -ratio * threshold(Q)."""
+    rng = rng_for(seed)
+    q, _ = np.linalg.qr(complex_box(rng, (n, n)))
+    rest = rng.uniform(0.1, 1.0, n - 1)
+    # the weight of each eigenprojection q_i q_i*: its trace, or sum_j 2^-(j+1) |q_ji|^2
+    scales = 1.0 if rule.kind == "trace" else 2.0 ** -np.arange(1, n + 1)[:, None]
+    unit = np.sum(scales * np.abs(q) ** 2, axis=0)
+    lam = 0.0
+    for _ in range(4):
+        spectrum = np.concatenate(([lam], rest * (1.0 - lam * unit[0]) / (rest @ unit[1:])))
+        h = linalg.hermitize((q * spectrum) @ linalg.adjoint(q))
+        lam = -ratio * float(threshold(h))
+    spectrum = np.concatenate(([lam], rest * (1.0 - lam * unit[0]) / (rest @ unit[1:])))
+    return linalg.hermitize((q * spectrum) @ linalg.adjoint(q))
+
+
+def decompose_with_full_checks(m, rule):
+    """decompose with every PSD verdict from its own factorization at tol_psd: the
+    elements', then Decomposition(...)'s of the same densities; None where
+    either fails."""
+    herm = linalg.hermitian_residual(m.elements) <= linalg.TOL_HERM
+    psd = linalg._shifted_positive_definite(m.elements, linalg._psd_tolerance(m.elements))
+    if not (herm & psd).all():
+        return None
+    weights = cr.reference_measure(m, rule)
+    keep = weights > 0.0
+    densities = linalg.hermitize(m.elements[keep] / weights[keep][:, None, None])
+    space = frames.AtomicMeasureSpace([a for a, k in zip(m.atoms, keep) if k], weights[keep])
+    try:
+        return cr.Decomposition(space, densities, m.dim_h)
+    except NotPsd:
+        return None
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
+def test_decompose_succeeds_exactly_where_the_full_checks_pass(n):
+    """Under the trace and the dyadic rule, a POVM of one density placed at
+    -tol_psd(Q) (1 +- delta), one whose element lies inside the strict shift,
+    at -s (1 - delta), and two PSD ones, all times a scale from 1e-3 to 1e4:
+    decompose succeeds, with the same measure and densities, exactly
+    where validate's and Decomposition's checks, each its own factorization at
+    tol_psd, pass, and raises InvalidPovm where they do not.  Each density's
+    slack carried from its element's verdict bounds its true -lambda_min
+    (50 digits, n <= 5)."""
+    basis = cr.ReferenceMeasureRule("dyadic-sequence", np.eye(n))
+    outcomes, certified = set(), 0
+    for rule in (cr.TRACE_RULE, basis):
+        for k, (scale, delta, sign) in enumerate(
+                (s, d, g) for s in PSD_NORMS for d in PSD_DELTAS for g in (1, -1)):
+            q = weight_one_density(n, rule, linalg._psd_tolerance, 1 + sign * delta, seed=390 + k)
+            inside = weight_one_density(n, rule, strict_shift, 1 - delta, seed=420 + k)
+            fine = [linalg.hermitize(g @ linalg.adjoint(g)) for g in
+                    (complex_box(rng_for(400 + 3 * k + i), (n, n)) for i in range(2))]
+            m = Povm(["edge", "inside", "a", "b"], n, [scale * a for a in [q, inside] + fine])
+            assert validate(m).max_additivity_residual <= validate(m).additivity_tolerance
+            expected = decompose_with_full_checks(m, rule)
+            try:
+                d = decompose(m, rule)
+            except InvalidPovm:
+                d = None
+            assert (d is None) == (expected is None), (rule.kind, scale, delta, sign)
+            outcomes.add((rule.kind, d is None))
+            if d is not None:
+                assert d.measure == expected.measure
+                assert np.array_equal(d.densities, expected.densities)
+                if n <= 5:
+                    slack = cr._density_slack(validate(m)._psd_slack, linalg._norms(m.elements, 2),
+                                              d.measure.weights, n)
+                    for q, sigma in zip(d.densities, slack):
+                        if np.isfinite(sigma):
+                            certified += 1
+                            assert -true_lambda_min(q) <= sigma, (rule.kind, scale, sigma)
+    assert outcomes == {(kind, failed) for kind in ("trace", "dyadic-sequence")
+                        for failed in (True, False)}
+    assert certified > 0 or n > 5
+
+
+def gram_frames():
+    """Frames of dims 3 and 5 whose blocks have heights 1..n and 4n, two
+    near-rank-deficient blocks (rank 1 and rank n - 1, each plus 1e-9 noise),
+    and an all-zero block, weighted from 1e-8 to 1e8 in ascending and in
+    descending order, beside a 4n-row block of weight 1e8 that keeps S
+    well conditioned."""
+    for n in (3, 5):
+        rng = rng_for(410 + n)
+        anchor = complex_box(rng, (4 * n, n))
+        blocks = [complex_box(rng, (k, n)) for k in (*range(1, n + 1), 4 * n)]
+        for rank, rows in ((1, n), (n - 1, n + 1)):
+            low = complex_box(rng, (rows, rank)) @ complex_box(rng, (rank, n))
+            blocks.append(low + 1e-9 * complex_box(rng, (rows, n)))
+        blocks.append(np.zeros((2, n), dtype=complex))
+        weights = np.logspace(-8.0, 8.0, len(blocks))
+        for order in (weights, weights[::-1]):
+            space = frames.AtomicMeasureSpace([str(t) for t in range(len(blocks) + 1)],
+                                              np.concatenate(([1e8], order)))
+            yield frames.OperatorValuedFrame(space, n, [anchor] + blocks)
+
+
+def test_the_gram_slack_bounds_the_true_lambda_min_of_every_element():
+    """ovf_to_povm's certified slack: for each computed element, the true
+    -lambda_min at 50 digits is at most sigma_t, and sigma_t is at most tol_psd,
+    so validate factors none of them.  Some elements are truly indefinite."""
+    indefinite = 0
+    for f in gram_frames():
+        m = cr.ovf_to_povm(f)
+        sigma = m._psd_slack
+        assert not sigma.flags.writeable
+        assert np.all(sigma <= linalg._psd_tolerance(m.elements))
+        for a, s in zip(m.elements, sigma):
+            lam = true_lambda_min(a)
+            indefinite += lam < 0
+            assert -lam <= s, (f.dim_h, float(lam), s)
+    assert indefinite > 0

@@ -232,8 +232,8 @@ def ovf_to_povm(ovf: OperatorValuedFrame) -> Povm:
     (``_gram_slack``), so ``validate`` factors none that it settles.
     """
     elements = linalg.hermitize(ovf.space.weights[:, None, None] * _grams(ovf))
-    m = Povm(atoms=ovf.space.atoms, dim_h=ovf.dim_h, elements=elements)
-    object.__setattr__(m, "_psd_slack", _gram_slack(ovf))
+    m = object.__new__(Povm)
+    m._fill(ovf.space.atoms, ovf.dim_h, elements, copy=False, slack=_gram_slack(ovf))
     return m
 
 

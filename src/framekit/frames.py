@@ -162,10 +162,10 @@ class OperatorValuedFrame:
     is large.
     The frame algorithm's plan (``_plan``, an ``_IterationPlan``) is made on its
     first read from A, B and S: the relaxation and rate, the level matrices of
-    its doubling chain and scan, the real embeddings of (M^(2^k))^T, M = I - relax S, and
-    the powers of the rate.  Those two grow as longer runs need them, so after
-    runs of at most n iterations it holds ceil(log2 n) real 2 dim_h x 2 dim_h
-    matrices and at most max_iters + 1 powers, less than one such run's iterates.
+    its doubling chain and scan, (M^(2^k))^T with M = I - relax S, and the powers
+    of the rate.  Those two grow as longer runs need them, so after runs of at
+    most n iterations it holds ceil(log2 n) complex dim_h x dim_h matrices and at
+    most max_iters + 1 powers, less than one such run's iterates.
     """
 
     space: AtomicMeasureSpace
@@ -250,33 +250,19 @@ class OperatorValuedFrame:
         return self.blocks[self.space.index(label)]
 
 
-def _real_embedding(a: np.ndarray) -> np.ndarray:
-    """The real 2m x 2k matrix E of a complex m x k matrix a that acts on
-    interleaved real and imaginary parts: z.view(float64) @ E is (z @ a).view(float64)
-    up to rounding.  Its entries are E[2j, 2l] = E[2j+1, 2l+1] = Re a[j, l],
-    E[2j+1, 2l] = -Im a[j, l] and E[2j, 2l+1] = Im a[j, l], so the embedding of a
-    product is the product of the embeddings."""
-    e = np.empty((2 * a.shape[0], 2 * a.shape[1]))
-    e[0::2, 0::2] = e[1::2, 1::2] = a.real
-    e[1::2, 0::2] = -a.imag
-    e[0::2, 1::2] = a.imag
-    return e
-
-
 class _IterationPlan:
     """What the frame algorithm reads of a frame besides A and B, kept with it.
 
     ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Two
     read-only tables grow on demand: ``levels(count)`` gives the level matrices
-    of the doubling chain and scan for k < count, each the real embedding
-    (``_real_embedding``) of (M^(2^k))^T, M = I - relax S: the first is the
-    embedding of the complex I - relax S^T, and each next one the square of the
-    one before, taken in real form.  ``powers(count)`` gives
-    np.power(rate, np.arange(count)).  A table that grows is replaced whole and
-    never written in place, so runs on one frame in several threads can at worst
-    compute an entry twice.  An entry has the same bits whenever it is
-    computed: the level chain is the same products in the same order, and
-    np.power works entry by entry, so a longer table's prefix is the shorter one.
+    of the doubling chain and scan for k < count, each (M^(2^k))^T with
+    M = I - relax S: the first is I - relax S^T, and each next one the square of
+    the one before.  ``powers(count)`` gives np.power(rate, np.arange(count)).
+    A table that grows is replaced whole and never written in place, so runs on
+    one frame in several threads can at worst compute an entry twice.  An entry
+    has the same bits whenever it is computed: the level chain is the same
+    products in the same order, and np.power works entry by entry, so a longer
+    table's prefix is the shorter one.
     """
 
     def __init__(self, relax: float, rate: float, operator: np.ndarray):
@@ -287,14 +273,14 @@ class _IterationPlan:
         self._powers = np.empty(0)
 
     def levels(self, count: int) -> tuple[np.ndarray, ...]:
-        """The real embeddings of (M^(2^k))^T for k = 0 .. count - 1, each a
-        read-only float64 2 dim_h x 2 dim_h matrix."""
+        """(M^(2^k))^T for k = 0 .. count - 1, each a read-only complex128
+        dim_h x dim_h matrix."""
         levels = self._levels
         if len(levels) < count:
             grown = list(levels)
             while len(grown) < count:
-                level = (grown[-1] @ grown[-1] if grown else _real_embedding(
-                    np.eye(len(self._operator)) - self.relax * self._operator.T))
+                level = (grown[-1] @ grown[-1] if grown
+                         else np.eye(len(self._operator)) - self.relax * self._operator.T)
                 level.flags.writeable = False
                 grown.append(level)
             levels = self._levels = tuple(grown)

@@ -62,10 +62,13 @@ class Povm:
     def __init__(self, atoms: Sequence[str], dim_h: int, elements):
         self._fill(atoms, dim_h, elements, copy=True)
 
-    def _fill(self, atoms: Sequence[str], dim_h: int, elements, copy: bool) -> None:
+    def _fill(self, atoms: Sequence[str], dim_h: int, elements, copy: bool,
+              slack: Optional[np.ndarray] = None) -> None:
         """Check and set the fields, keeping a copy of ``elements`` unless ``copy`` is
-        false: ``povm_from_json`` builds through this with the decoded read-only
-        stack, which nothing else holds, and keeps it as it is."""
+        false: ``povm_from_json`` and ``correspondence.ovf_to_povm`` build through
+        this with a stack that nothing else holds, and keep it as it is.
+        ``slack``, which only ``ovf_to_povm`` passes, is the certified per-atom
+        ``_psd_slack``."""
         atoms = tuple(str(a) for a in atoms)
         index = _label_index(atoms)
         if dim_h <= 0:
@@ -76,6 +79,7 @@ class Povm:
         object.__setattr__(self, "dim_h", int(dim_h))
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_psd_slack", slack)
 
     def element(self, label: str) -> np.ndarray:
         return self.elements[_position(self._index, label)]

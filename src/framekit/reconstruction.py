@@ -27,16 +27,14 @@ bit h of n is folded in as x(h + b) = M^h x(b) + x(h), so n steps take
 ceil(log2 n) doublings and at most as many folds.  The table of all n + 1
 iterates is formed only when it is read, by the doubling scan that writes
 rows h+1 .. 2h from rows 1 .. h at each level (``_iterate_table``).  Either
-way a product meets one level matrix: each iterate carries a last coordinate
-1, the homogeneous form of the affine step, and the complex rows, read as
-interleaved real and imaginary parts, meet the real embedding of (M^h)^T
-stacked over x(h), so the product adds x(h) too.
+way a step is one complex product and one add: the iterates are rows, so
+M^h x(i) + x(h) is x(i) @ (M^h)^T + x(h), with (M^h)^T the level matrix.
 
 Those matrices and the powers of the rate depend on the frame alone, so they are
 computed once per frame, on the run that first needs them, and kept in the
 frame's plan (``OperatorValuedFrame._plan``); a later run reads them, and only a
-longer one extends them.  The plan holds at most ceil(log2 n) real
-2 dim_h x 2 dim_h matrices and max_iters + 1 powers, less than the iterates of
+longer one extends them.  The plan holds at most ceil(log2 n) complex
+dim_h x dim_h matrices and max_iters + 1 powers, less than the iterates of
 that run.  When the caller supplies the true vector for verification, the a
 posteriori errors are formed from the table on their first read, labeled
 ``actual_errors``.
@@ -99,12 +97,10 @@ class IterationTrace:
     first read.
 
     ``final`` is x(n), read-only, from the doubling chain (``frame_algorithm``).
-    ``iterates`` is a read-only (n+1, dim_h) view whose row k is x(k), formed on
-    its first read by the doubling scan (``_iterate_table``) and kept: the first
-    dim_h columns of the scan's own (n+1, dim_h + 1) array, whose last column
-    holds the homogeneous coordinate 1, read-only too, so no writable array is
-    reachable through the view.  Its last row is set to ``final``, so the two
-    agree bit for bit; rows 0 .. n-1 are the scan's.
+    ``iterates`` is the scan's own read-only (n+1, dim_h) array, row k x(k),
+    formed on its first read by the doubling scan (``_iterate_table``) and kept;
+    no writable array is reachable through it.  Its last row is set to
+    ``final``, so the two agree bit for bit; rows 0 .. n-1 are the scan's.
     ``certified_bounds`` is one read-only float64 array of length n+1,
     proxy * np.power(rate, np.arange(n + 1)), where proxy = ||T*c|| / A bounds
     the unknown ||x|| from above (a priori certificate); see
@@ -140,8 +136,8 @@ class IterationTrace:
 
     @cached_property
     def iterates(self) -> np.ndarray:
-        """complex128, shape (iterations + 1, dim_h), a read-only view, formed
-        on first read."""
+        """complex128, shape (iterations + 1, dim_h), read-only, formed on first
+        read."""
         return _iterate_table(self._plan, self._first, self.final, self.iterations)
 
     @cached_property
@@ -245,38 +241,39 @@ def frame_algorithm(
     products each, and forms no row of the table of iterates; that is left to
     its first read (``IterationTrace.iterates``, ``_iterate_table``).
 
-    A product is one (1 x (2 dim_h + 2)) @ ((2 dim_h + 2) x 2 dim_h) real matrix
-    product and no addition.  x(b) is carried as float64, real and imaginary
-    parts interleaved, followed by the homogeneous coordinate 1 of the affine
-    step and its imaginary part 0; times the matrix [E; x(h); 0], E the real
-    embedding of (M^h)^T and x(h) read as float64, it gives x(h + b) as float64.
+    A step is one complex (1 x dim_h) @ (dim_h x dim_h) product and one add:
+    x(h + b) = x(b) @ L + x(h), the iterates as rows and L = (M^h)^T the plan's
+    level matrix.
 
     The frame's plan (``OperatorValuedFrame._plan``) supplies relax, the rate,
-    the ceil(log2 n) level matrices E, each the square of the one before, and
+    the ceil(log2 n) level matrices L, each the square of the one before, and
     the powers of the rate.  The first run on a frame computes them, a run
     longer than any before it adds what it lacks, and every other run reads
     them, so a run gives the same bits on a fresh frame and on a reused one.
-    The chain keeps two iterates besides x(1); the plan keeps ceil(log2 n) real
-    2 dim_h x 2 dim_h matrices and at most max_iters + 1 powers for the frame's
-    longest run.
+    The chain keeps two iterates besides x(1); the plan keeps ceil(log2 n)
+    complex dim_h x dim_h matrices and at most max_iters + 1 powers for the
+    frame's longest run.
 
-    Rounding.  Let e(k) be the error of the computed x(k).  A product gives
+    Rounding.  Let e(k) be the error of the computed x(k).  A step gives
     e(h + b) = M^h e(b) + e(h) + delta, where delta holds the rounding of the
-    one product, about dim_h eps ||x||, and the error of the computed M^h
-    times x(b).  x(h) enters that product as one more term of each sum, so the
-    addition's rounding is the product's, in whatever order the BLAS sums.
-    Squaring doubles the relative error of M^h plus dim_h eps, so that error
-    is about h rate^h dim_h eps, below dim_h eps / (1 - rate) at every h.  With
-    ||M^h|| <= rate^h < 1 the errors sum to the order of delta / (1 - rate),
-    the same order as the plain step's dim_h eps ||x|| / (1 - rate); the chain
-    and the scan follow the same recursion, one path of it or all of it, so the
-    bound is the same for both.  Measured on 180 default runs of the
-    benchmark's frames (seeds 1, 11, 101, 202, 303), so at cond(S) <= 300,
-    x(n) is within 1.4e-14 relative of the plain recurrence
-    x = x + relax (T*c - S x), and the table within 1.5e-14.  At cond(S) = 1e4
-    (rate 0.9998), 10000 steps at dim_h = 8 are within 2.3e-13 relative of that
-    recurrence carried in extended precision (x(n) within 2.1e-13), under the
-    order dim_h eps / (1 - rate) = 8.9e-12.
+    product, about dim_h eps ||x||, the error of the computed M^h times x(b),
+    and the rounding of the add, at most eps ||x(h + b)||: the add is a
+    rounding of its own, one more eps a step, so delta keeps the product's
+    order.  Squaring doubles the relative error of M^h plus dim_h eps, so that
+    error is about h rate^h dim_h eps, below dim_h eps / (1 - rate) at every h.
+    With ||M^h|| <= rate^h < 1 the errors sum to the order of
+    delta / (1 - rate), the same order as the plain step's
+    dim_h eps ||x|| / (1 - rate); the chain and the scan follow the same
+    recursion, one path of it or all of it, so the bound is the same for both.
+    Measured at 1 OpenBLAS thread on an AVX-512 Xeon, as the largest entry
+    error over the largest entry of the reference's iterates: on 180 default
+    runs of the benchmark's frames (seeds 1, 11, 101, 202, 303), so at
+    cond(S) <= 300, x(n) is within 9.1e-15 of the plain recurrence
+    x = x + relax (T*c - S x), and the table within 1.0e-14.  At cond(S) = 1e4
+    (rate 0.9998), 10000 steps at dim_h = 8 are within 1.7e-13 of that
+    recurrence carried in extended precision (x(n) within 1.1e-13), and at
+    dim_h = 16 within 8.0e-14 (x(n) within 5.9e-14), under the order
+    dim_h eps / (1 - rate) = 8.9e-12 and 1.8e-11.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -302,27 +299,19 @@ def frame_algorithm(
                                                          cfg.max_iters)
         iterations = len(certified_bounds) - 1
 
-        d = 2 * ovf.dim_h  # the float64 columns of an iterate
         first = plan.relax * b
         first.flags.writeable = False
-        power = np.zeros(d + 2)  # x(h), homogeneous
-        power[:d], power[d] = first.view(np.float64), 1.0
-        total = None  # x(b), b the set bits of n below h, homogeneous, from the lowest one on
-        # (M^h)^T embedded at h = 1, 2, 4, ...
-        levels = plan.levels((iterations - 1).bit_length())
-        step = np.zeros((d + 2, d))  # [level; x(h); 0], the affine step in homogeneous form
+        power = first  # x(h)
+        total = None  # x(b), b the set bits of n below h, from the lowest one on
+        levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
         elapsed = np.empty(iterations + 1, dtype=np.int64)
         elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
         h = 1
         while h <= iterations:
-            if h < iterations:  # a product follows, by level h
-                step[:d], step[d] = levels[h.bit_length() - 1], power[:d]
-            if iterations & h and total is None:
-                total = power.copy()
-            elif iterations & h:
-                total[:d] = total @ step  # x(h + b)
+            if iterations & h:  # x(h + b); a lower set bit b means h < n, so level h exists
+                total = power if total is None else total @ levels[h.bit_length() - 1] + power
             if 2 * h <= iterations:
-                power[:d] = power @ step  # x(2h)
+                power = power @ levels[h.bit_length() - 1] + power  # x(2h)
                 elapsed[h + 1:2 * h + 1] = time.perf_counter_ns() - start
             h *= 2
     elapsed[h // 2 + 1:] = time.perf_counter_ns() - start  # the rows past the last power of two
@@ -332,7 +321,7 @@ def frame_algorithm(
     total.flags.writeable = False
     elapsed.flags.writeable = False
     return IterationTrace(
-        final=total[:d].view(np.complex128),
+        final=total,
         certified_bounds=certified_bounds,
         elapsed_ns=elapsed,
         bounds=bounds,
@@ -347,40 +336,33 @@ def frame_algorithm(
 
 def _iterate_table(plan: _IterationPlan, first: np.ndarray, final: np.ndarray,
                    iterations: int) -> np.ndarray:
-    """The iterates x(0) .. x(n), n = ``iterations``, by the doubling scan, as a
-    read-only (n+1, dim_h) view, with x(n) set to ``final``.
+    """The iterates x(0) .. x(n), n = ``iterations``, by the doubling scan, as
+    one read-only (n+1, dim_h) array, with x(n) set to ``final``.
 
     From x(0) = 0 and x(1) = ``first``, the level at h = 1, 2, 4, ... writes rows
     h+1 .. h+w, w = min(h, n - h), as x(h + i) = M^h x(i) + x(h), so the loop
-    runs ceil(log2 n) times.  The iterates live in one (n+1, dim_h + 1) complex
-    array whose last column is 1, the homogeneous coordinate of the affine step.
-    Rows 1 .. w of it, read as float64 (2 dim_h + 2 columns), times the
-    (2 dim_h + 2) x 2 dim_h matrix [E; x(h); 0] of the plan's level E, give
-    x(h + i) as float64, written straight into the first 2 dim_h float64
-    columns of rows h+1 .. h+w: one real matrix product a level and no
-    addition.  The scan's own last row is replaced by the chain's ``final``, so
-    the table ends in the x(n) the trace reports.  LimitExceeded if an iterate
-    is not finite.
+    runs ceil(log2 n) times.  The iterates are the rows of one (n+1, dim_h)
+    complex array: rows 1 .. w times the plan's level (M^h)^T are written
+    straight into rows h+1 .. h+w, and x(h) is added to them, one complex
+    matrix product and one add a level.  The scan's own last row is replaced by
+    the chain's ``final``, so the table ends in the x(n) the trace reports.
+    LimitExceeded if an iterate is not finite.
     """
-    d = len(first)
-    x = np.empty((iterations + 1, d + 1), dtype=np.complex128)
-    x[:, d] = 1.0  # the homogeneous coordinate of the affine step
-    x[0, :d], x[1, :d] = 0.0, first
-    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T embedded at h = 1, 2, 4, ...
-    real = x.view(np.float64)
-    step = np.zeros((2 * d + 2, 2 * d))  # [level; x(h); 0], the affine step in homogeneous form
+    x = np.empty((iterations + 1, len(first)), dtype=np.complex128)
+    x[0], x[1] = 0.0, first
+    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
     h = 1
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are refused below
         while h < iterations:
             w = min(h, iterations - h)
-            step[:2 * d], step[2 * d] = levels[h.bit_length() - 1], real[h, :2 * d]
-            np.matmul(real[1:w + 1], step, out=real[h + 1:h + 1 + w, :2 * d])
+            rows = np.matmul(x[1:w + 1], levels[h.bit_length() - 1], out=x[h + 1:h + 1 + w])
+            rows += x[h]
             h += w
-    if not np.isfinite(real).all():
+    if not np.isfinite(x).all():
         raise LimitExceeded("the iterates are not finite: the coefficients are too large")
-    x[iterations, :d] = final
+    x[iterations] = final
     x.flags.writeable = False
-    return x[:, :d]
+    return x
 
 
 def trace_to_csv(trace: IterationTrace) -> str:

@@ -19,7 +19,8 @@ from framekit.errors import CommandError, LimitExceeded
 from framekit.frames import FrameBounds, from_vector_frame, vector_frame_from_json, vector_frame_to_json
 from framekit.povm import povm_from_json, povm_to_json
 
-from conftest import b64_of, count_calls, matrix_json, random_unit, rng_for, rotated_rows
+from conftest import (b64_of, complex_box, count_calls, matrix_json, random_unit, rng_for,
+                      rotated_rows)
 
 
 def write_json(path, obj):
@@ -183,6 +184,41 @@ def test_analyze_then_reconstruct_recovers_vector(pair_path, tmp_path):
     # the trace and the report hold plain float text, never a numpy scalar's repr
     assert "np.float64(" not in trace_text
     assert "np.float64(" not in (tmp_path / "r.json").read_text()
+
+
+@pytest.mark.parametrize("dim,atoms", [(3, 10), (4, 14), (6, 24), (8, 48), (12, 32)])
+def test_analyze_then_reconstruct_at_the_pipeline_shapes(dim, atoms, tmp_path):
+    """analyze then reconstruct through main on frames of the cli-pipeline
+    benchmark's shapes, atom t with 1 + t % dim rows: the x(n) written is within
+    1e-13 ||x|| of the plain recurrence x = x + relax (T*c - S x) run as many
+    steps on the files read, and its actual error is at most the final
+    certified bound."""
+    rng = rng_for(40 + dim)
+    heights = [1 + t % dim for t in range(atoms)]
+    space = frames.AtomicMeasureSpace([str(t) for t in range(atoms)], rng.uniform(0.5, 2.0, atoms))
+    rows = complex_box(rng, (sum(heights), dim))
+    ovf = frames.OperatorValuedFrame(space, dim, np.split(rows, np.cumsum(heights)[:-1]))
+    frame_path = write_json(tmp_path / "f.json", frames.ovf_to_json(ovf))
+    x = complex_box(rng, dim)
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(x))
+    assert main(["analyze", "--in", frame_path, "--in", xpath,
+                 "--out", str(tmp_path / "a.json")]) == 0
+    coeff_path = read_report(tmp_path / "a.json")["artifacts"]["coefficients"]
+    assert main(["reconstruct", "--in", frame_path, "--in", coeff_path,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    report = read_report(tmp_path / "r.json")
+    written = linalg.vector_from_json(json.loads(Path(report["artifacts"]["vector"]).read_text()))
+
+    loaded = frames.ovf_from_json(json.loads(Path(frame_path).read_text()))
+    c = frames.coefficients_from_json(json.loads(Path(coeff_path).read_text()))
+    bounds = frames.frame_bounds(loaded)
+    relax = 2.0 / (bounds.lower + bounds.upper)
+    s, b = frames.frame_operator(loaded), frames.synthesis(loaded, c)
+    plain = np.zeros(dim, dtype=complex)
+    for _ in range(report["summary"]["iterations"]):
+        plain = plain + relax * (b - s @ plain)
+    assert np.linalg.norm(written - plain) <= 1e-13 * np.linalg.norm(x)
+    assert np.linalg.norm(x - written) <= report["summary"]["final_certified_bound"]
 
 
 def test_full_correspondence_pipeline_via_files(pair_path, tmp_path):

@@ -138,6 +138,24 @@ def test_validate_factors_only_the_elements_their_slack_does_not_settle(monkeypa
     assert np.isfinite(plain._psd_slack).all()
 
 
+def test_ovf_to_povm_keeps_the_stack_it_forms_without_a_copy(monkeypatch):
+    """The element stack ovf_to_povm forms is held by nothing else, so its Povm
+    keeps it as it is, read-only, with the slack set by the same fill."""
+    f = random_ovf(dim=4, atoms=6, seed=3)
+    copies = []
+    original = linalg._as_stack
+
+    def recording(items, shape, what, copy=True):
+        copies.append(copy)
+        return original(items, shape, what, copy)
+
+    monkeypatch.setattr(linalg, "_as_stack", recording)
+    m = ovf_to_povm(f)
+    assert copies == [False]
+    assert not m.elements.flags.writeable and not m._psd_slack.flags.writeable
+    assert np.allclose(m.total(), frame_operator(f), atol=1e-13)
+
+
 def test_event_pairing_matches_weighted_sum():
     """<M(E)x, y> against the atomwise sum of mu(t) <T(t)x, T(t)y>."""
     f = random_ovf(dim=3, atoms=5, seed=7)

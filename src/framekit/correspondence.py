@@ -64,13 +64,13 @@ EXHAUSTIVE_EVENT_ATOMS = 16
 class Decomposition:
     """Reference measure mu plus one Hermitian PSD density Q(t) per atom.
 
-    Construction checks every density's Hermiticity residual and takes all
-    the PSD verdicts from one stacked Cholesky factorization of
-    Q(t) + tol_psd(Q(t)) I; only ``decompose`` builds one with a certified
-    slack per density (``_fill``'s ``slack``), and factors only the densities
-    it does not settle.  A decomposition does no eigen work: its one cache,
-    ``_minimal_rows``, holds the pivoted Cholesky rows that decomposition_to_ovf
-    and cut_bound read, from one stacked call on first read.
+    Construction takes each density's Hermiticity and PSD verdict from the one
+    admission rule, ``linalg._admission``, as ``povm.validate`` does: with no
+    slack (built here or loaded from a file) the densities are factored at the
+    strict shift, and at tol_psd only where they fail there.  Only
+    ``decompose`` passes a certified slack (``_fill``'s ``slack``).  There is
+    no eigen work: the one cache, ``_minimal_rows``, holds the pivoted Cholesky
+    rows that decomposition_to_ovf and cut_bound read, from one stacked call.
     """
 
     measure: AtomicMeasureSpace
@@ -86,18 +86,16 @@ class Decomposition:
               slack: Optional[np.ndarray] = None) -> None:
         """Check and set the fields, keeping a copy of ``densities`` unless ``copy`` is
         false: ``decomposition_from_json`` and ``decompose`` build through this
-        with a stack that nothing else holds, and keep it as it is.  ``slack``,
-        which only ``decompose`` passes, is a certified sigma_t >=
-        max(0, -lambda_min) per density: a density with sigma_t <= tol_psd
-        passes with no factorization, and the rest are factored as without it."""
+        with a stack that nothing else holds, and keep it as it is.  The
+        verdicts come from ``linalg._admission``; ``slack``, which only
+        ``decompose`` passes, is a certified sigma_t >= max(0, -lambda_min) per
+        density, which the rule takes as a PASS wherever it is at most tol_psd."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities", copy)
         linalg._check_magnitude(densities, "densities", measure.weights)
-        herm_ok = linalg.hermitian_residual(densities) <= linalg.TOL_HERM
-        tol = linalg._psd_tolerance(densities)
-        certified = np.zeros(len(tol), dtype=bool) if slack is None else slack <= tol
-        psd_ok = certified | linalg._positive_definite_where(densities, tol, ~certified)
+        residuals, psd_ok, _ = linalg._admission(densities, slack)
+        herm_ok = residuals <= linalg.TOL_HERM
         bad = ~(herm_ok & psd_ok)
         if bad.any():  # the first failing atom; its Hermiticity is checked first
             t = int(np.argmax(bad))
@@ -298,7 +296,8 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     element's verdict, carried over the division (``_density_slack``), is at
     most the density's tol_psd; only the other densities are factored.  So a
     POVM that ``validate`` settles at the strict shift costs one factorization,
-    and one from ``ovf_to_povm`` usually none.
+    and one from ``ovf_to_povm`` usually none.  A POVM with no atom of positive
+    reference weight (every element zero) has no density, and raises InvalidPovm.
     """
     report = validate(m)
     if not report.passed:
@@ -312,6 +311,8 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     if (nonzero & ~keep).any():
         label = m.atoms[int(np.argmax(nonzero & ~keep))]
         raise InvalidPovm(f"atom {label!r} has zero reference weight but a nonzero element")
+    if not keep.any():
+        raise InvalidPovm("no atom has a positive reference weight, so there is no density")
     measure = AtomicMeasureSpace(atoms=list(compress(m.atoms, keep)), weights=weights[keep])
     mu = weights[keep]
     densities = linalg.hermitize(m.elements[keep] / mu[:, None, None])

@@ -20,10 +20,11 @@ by construction.  It serves two entry points.
   accuracy; a frame's operator S = B* diag(w) B takes its bounds from it,
   with G = diag(sqrt(w)) B, on their first read.
 
-A PSD verdict that needs no eigenpairs comes from a stacked Cholesky
-factorization of the shifted matrices instead
-(``_shifted_positive_definite``), a fraction of the cost of the sweeps;
-eigenpairs are computed only where a spectrum is read, and the minimal
+Every Hermiticity and PSD verdict on a stack of operators (POVM elements,
+densities) comes from one admission rule, ``_admission``: a certified slack
+where the stack comes with one, else a stacked Cholesky factorization of the
+shifted matrices (``_shifted_positive_definite``), a fraction of the cost of
+the sweeps; eigenpairs are computed only where a spectrum is read, and the minimal
 factors T* T = Q of PSD densities come from a stacked pivoted Cholesky
 (``_pivoted_cholesky_rows``), with no eigen work.  The Householder QR of
 ``_scaled_r`` takes one of two paths, chosen by the row count of its work
@@ -570,13 +571,12 @@ def _orthogonalize_rows(z: np.ndarray, first: int, total: int) -> np.ndarray:
                         f" on matrix {first + int(active[0])} of {total}")
 
 
-def _one_sided_jacobi(r: np.ndarray, e) -> np.ndarray:
+def _one_sided_jacobi(r: np.ndarray, e: int) -> np.ndarray:
     """Ascending eigenvalues of G* G from the scaled factor (R / 2^e, e) of
-    ``_scaled_r``, without forming G* G; or of each G_k* G_k from a stack of
-    such factors (N, n, n) with their exponents (N,).
+    ``_scaled_r``, without forming G* G.
 
-    One-sided (Hestenes) Jacobi (``_orthogonalize_rows``, a lone factor as a
-    stack of one) orthogonalizes the columns y_j of Y = R*, held as the rows of
+    One-sided (Hestenes) Jacobi (``_orthogonalize_rows``, on a stack of one)
+    orthogonalizes the columns y_j of Y = R*, held as the rows of
     conj(R), until a whole sweep rotates no pair: every pair then has
     |y_p* y_q| <= tol ||y_p|| ||y_q||, tol = JACOBI_ORTHOGONALITY_TOL, unless
     one of the two has norm at most tol ||R||_F.  Such a y_j is zero to working
@@ -590,19 +590,13 @@ def _one_sided_jacobi(r: np.ndarray, e) -> np.ndarray:
     makes the sweeps act on n x n, and R* converges in fewer sweeps than G
     (Drmac & Veselic, SIAM J. Matrix Anal. Appl. 29(4), 2008).
 
-    The eigenvalues come back ascending and read-only, float64 of shape (n,)
-    for a lone factor and (N, n) for a stack, each factor's bit-identical to a
-    lone call on it.  G of rank below n leaves y_j that are zero or at most
-    tol ||G||_F, so lambda_j at most tol^2 ||G||_F^2.  NoConvergence if a sweep
-    still rotates after JACOBI_MAX_SWEEPS sweeps.
+    The eigenvalues come back ascending and read-only, float64 of shape (n,).
+    G of rank below n leaves y_j that are zero or at most tol ||G||_F, so
+    lambda_j at most tol^2 ||G||_F^2.  NoConvergence if a sweep still rotates
+    after JACOBI_MAX_SWEEPS sweeps.
     """
-    lone = r.ndim == 2
-    z = np.conj(r[None] if lone else r)
-    z = _orthogonalize_rows(z, 0, len(z))
-    lam = np.sort(np.vecdot(z, z).real, axis=-1)
-    vals = np.ldexp(lam, 2 * np.asarray(e)[..., None])
-    if lone:
-        vals = vals[0]
+    z = _orthogonalize_rows(np.conj(r)[None], 0, 1)[0]
+    vals = np.ldexp(np.sort(np.vecdot(z, z).real), 2 * e)
     vals.flags.writeable = False
     return vals
 
@@ -701,13 +695,62 @@ def _positive_definite_where(a: np.ndarray, shift: np.ndarray, todo: np.ndarray)
     where ``todo`` is true, False elsewhere: one call on those matrices, none if
     there are none, and the whole stack with no copy if all are.  Each verdict
     is taken on its own matrix alone, so it is the one a call on all would give."""
-    if not todo.any():
-        return np.zeros(len(todo), dtype=bool)
-    if todo.all():
-        return _shifted_positive_definite(a, shift)
     verdicts = np.zeros(len(todo), dtype=bool)
-    verdicts[todo] = _shifted_positive_definite(a[todo], shift[todo])
+    if todo.any():
+        some = slice(None) if todo.all() else todo
+        verdicts[some] = _shifted_positive_definite(a[some], shift[some])
     return verdicts
+
+
+def _admission(a: np.ndarray, slack: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one admission rule of a stack (N, n, n) of operators that must be
+    Hermitian PSD (POVM elements, densities): their Hermiticity residuals
+    (``hermitian_residual``), their PSD verdicts and the certified slack of
+    each PASS, a read-only array that is inf elsewhere.
+
+    The verdict is "lambda_min(H_t) >= -tol_psd,t", H_t the Hermitian part of
+    a[t] and tol_psd,t = TOL_PSD_REL (1 + ||a_t||_F), read as
+    ``_shifted_positive_definite`` reads it: up to its margin.  A matrix whose
+    ``slack`` sigma_t >= max(0, -lambda_min(H_t)), proven from how the stack
+    was formed, is at most tol_psd,t passes with no factorization and keeps
+    that slack.  The rest go to one stacked call at the strict shift
+    s_t = TOL_PSD_REL ||a_t||_F, tol_psd,t without its absolute term.
+    s_t < tol_psd,t, so a PASS there is a PASS at tol_psd,t, and it certifies
+
+        sigma_t = s_t + n gamma_{2n+12} (||a_t||_F + s_t),
+
+    the kernel's margin with its complex arithmetic spelled out.  Cholesky on
+    the computed K = hermitize(a_t) + s_t I runs at most n complex
+    multiply-subtracts, a division by a real and a root per entry; a complex
+    product errs by at most sqrt(2) gamma_2 <= gamma_3 relative, a complex sum
+    or a division by a real by u.  So positive pivots give R with
+    R* R = K + dK, R* R positive definite and |dK| <= gamma_{n+4} |R*| |R|
+    entrywise (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., Thm 10.3, whose proof these factors carry over to).  Then
+    ||dK||_2 <= gamma_{n+4} ||R||_F^2 and ||R||_F^2 = tr(R* R) <=
+    tr(K) / (1 - gamma_{n+4}) <= n (||H_t||_F + s_t) (1 + u) / (1 - gamma_{n+4}).
+    Forming K costs one rounding per entry, at most u (||a_t||_F + sqrt(n) s_t)
+    in 2-norm, and ||H_t||_F <= ||a_t||_F.  Those terms sum to less than
+    n gamma_{2n+11} (||a_t||_F + s_t), and gamma_{2n+12} covers the rounding
+    of the computed ||a_t||_F and of sigma_t itself.
+    A matrix that fails at s_t is factored again at tol_psd,t, so its
+    verdict is the one a single call at tol_psd,t gives.  A stack with no
+    slack thus costs one factorization unless some matrix fails at s_t.
+    """
+    norms = _norms(a, 2)
+    tol = _scaled_tolerance(TOL_PSD_REL, norms)
+    own = np.full(len(norms), np.inf) if slack is None else slack
+    certified = own <= tol
+    strict = TOL_PSD_REL * norms
+    strict_pass = _positive_definite_where(a, strict, ~certified)
+    n = a.shape[-1]
+    margin = strict + n * _gamma(2 * n + 12) * (norms + strict)
+    kept = np.where(certified, own, np.where(strict_pass, margin, np.inf))
+    kept.flags.writeable = False
+    passed = certified | strict_pass
+    psd = passed | _positive_definite_where(a, tol, ~passed)
+    return hermitian_residual(a), psd, kept
 
 
 def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:

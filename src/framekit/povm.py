@@ -9,13 +9,15 @@ finite entries and norms): Hermiticity and positivity are the validator's
 job, so that deliberately corrupted measures can be built and classified.
 ``decompose`` calls the same validator.
 
-A PSD verdict needs no factorization where a bound known from how the stack
-was formed already settles it.  A Povm may carry a certified slack per
+``validate`` takes its Hermiticity and PSD verdicts from the package's one
+admission rule, ``linalg._admission``, as ``correspondence.Decomposition``
+does.  A PSD verdict needs no factorization where a bound known from how the
+stack was formed already settles it.  A Povm may carry a certified slack per
 element, sigma_t >= max(0, -lambda_min(H_t)) with H_t the element's Hermitian
 part (``Povm._psd_slack``); only ``correspondence.ovf_to_povm`` sets one, from
-the rounding of the Gram products it forms.  ``validate`` passes every element
+the rounding of the Gram products it forms.  The rule passes every element
 whose sigma_t is at most its tol_psd with no factorization, factors the rest
-in one stacked Cholesky call at a strict shift, and reports a certified slack
+in one stacked Cholesky call at a strict shift, and gives a certified slack
 for each PASS (``ValidationReport._psd_slack``), which ``decompose`` carries
 over to the densities.
 """
@@ -132,8 +134,7 @@ class ValidationReport:
     @cached_property
     def element_reports(self) -> tuple[ElementReport, ...]:
         """Per-atom reports, from one stacked hermitian_eigen call on first read."""
-        a = self.povm.elements
-        eigen = linalg.hermitian_eigen(a if all(self.hermitian) else linalg.hermitize(a))
+        eigen = linalg.hermitian_eigen(linalg.hermitize(self.povm.elements))
         return tuple(map(ElementReport, self.povm.atoms, self.hermiticity_residuals,
                          eigen.eigenvalues[:, 0].tolist(), self.hermitian, self.psd))
 
@@ -189,59 +190,13 @@ def _sampled_residuals(m: Povm) -> list[float]:
     return residuals
 
 
-def _psd_verdicts(m: Povm) -> tuple[np.ndarray, np.ndarray]:
-    """validate's PSD verdicts and the certified slack of each PASS (inf elsewhere).
-
-    The verdict is "lambda_min(H_t) >= -tol_psd,t", H_t the Hermitian part of
-    element t and tol_psd,t = TOL_PSD_REL (1 + ||M_t||_F), read as
-    ``linalg._shifted_positive_definite`` reads it: up to its margin.
-    An element whose own slack (``Povm._psd_slack``) is at most tol_psd,t passes
-    with no factorization and keeps that slack.  The rest go to one stacked
-    call at the strict shift s_t = TOL_PSD_REL ||M_t||_F, tol_psd,t without
-    its absolute term.  s_t < tol_psd,t, so a PASS there is a PASS at tol_psd,t,
-    and it certifies
-
-        sigma_t = s_t + n gamma_{2n+12} (||M_t||_F + s_t),
-
-    the kernel's margin with its complex arithmetic spelled out.  Cholesky on
-    the computed K = hermitize(M_t) + s_t I runs at most n complex
-    multiply-subtracts, a division by a real and a root per entry; a complex
-    product errs by at most sqrt(2) gamma_2 <= gamma_3 relative, a complex sum
-    or a division by a real by u.  So positive pivots give R with
-    R* R = K + dK, R* R positive definite and |dK| <= gamma_{n+4} |R*| |R|
-    entrywise (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-    ed., Thm 10.3, whose proof these factors carry over to).  Then
-    ||dK||_2 <= gamma_{n+4} ||R||_F^2 and ||R||_F^2 = tr(R* R) <=
-    tr(K) / (1 - gamma_{n+4}) <= n (||H_t||_F + s_t) (1 + u) / (1 - gamma_{n+4}).
-    Forming K costs one rounding per entry, at most u (||M_t||_F + sqrt(n) s_t)
-    in 2-norm, and ||H_t||_F <= ||M_t||_F.  Those terms sum to less than
-    n gamma_{2n+11} (||M_t||_F + s_t), and gamma_{2n+12} covers the rounding
-    of the computed ||M_t||_F and of sigma_t itself.
-    An element that fails at s_t is factored again at tol_psd,t, so its
-    verdict is the one a single call at tol_psd,t gives.  A stack formed with
-    no slack thus costs one factorization unless some element fails.
-    """
-    norms = linalg._norms(m.elements, 2)
-    tol = linalg._scaled_tolerance(linalg.TOL_PSD_REL, norms)
-    own = np.full(len(norms), np.inf) if m._psd_slack is None else m._psd_slack
-    certified = own <= tol
-    strict = linalg.TOL_PSD_REL * norms
-    strict_pass = linalg._positive_definite_where(m.elements, strict, ~certified)
-    n = m.dim_h
-    margin = strict + n * linalg._gamma(2 * n + 12) * (norms + strict)
-    slack = np.where(certified, own, np.where(strict_pass, margin, np.inf))
-    slack.flags.writeable = False
-    passed = certified | strict_pass
-    return passed | linalg._positive_definite_where(m.elements, tol, ~passed), slack
-
-
 def validate(m: Povm) -> ValidationReport:
     """Check the POVM axioms numerically; the report carries any failures.
 
     Per element: Hermiticity residual against linalg.TOL_HERM, and a PSD verdict
     "lambda_min(H) >= -tol_psd" (H the Hermitian part, tol_psd =
-    linalg._psd_tolerance(H)) from a stacked Cholesky factorization of H plus a
-    shift, or from a slack the Povm carries (``_psd_verdicts``): each element is
+    linalg._psd_tolerance(H)), both from the package's one admission rule,
+    ``linalg._admission``, given the slack the Povm carries: each element is
     factored at most once unless it fails at the strict shift.
     Additivity: ||M(E) + M(F) - M(E u F)||_F for disjoint events against
     linalg.TOL_ADDITIVITY_REL scaled by 1 + ||M(Omega)||_F, every pair at once
@@ -249,9 +204,8 @@ def validate(m: Povm) -> ValidationReport:
     norms far above ||M(Omega)||_F), or a subclass evaluates events its own way,
     the largest of the _sampled_residuals is compared instead.
     """
-    herm_res = linalg.hermitian_residual(m.elements)
+    herm_res, psd, slack = linalg._admission(m.elements, m._psd_slack)
     hermitian = herm_res <= linalg.TOL_HERM
-    psd, slack = _psd_verdicts(m)
     failing = {FAIL_NOT_HERMITIAN: ~hermitian, FAIL_NOT_PSD: ~psd}
     first = {f: int(np.argmax(bad)) for f, bad in failing.items() if bad.any()}
     failures = sorted(first, key=first.get)  # Hermiticity first when one atom fails both

@@ -821,6 +821,21 @@ def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_
     assert list(tmp_path.glob("r.*")) == []
 
 
+def test_decompose_refuses_a_povm_with_no_weighted_atom(tmp_path, capsys):
+    """Every element zero: the POVM is valid, but no atom keeps a positive
+    reference weight, so there is no density to write.  decompose exits 2 under
+    either rule and writes neither its report nor a data file that the
+    decomposition loader would refuse."""
+    m = write_json(tmp_path / "m.json", {"atoms": ["a", "b"], "dim_h": 2,
+                                         "elements": [matrix_json(np.zeros((2, 2)))] * 2})
+    for rule in ("trace", "dyadic"):
+        out = tmp_path / f"d-{rule}.json"
+        assert main(["decompose", "--rule", rule, "--in", m, "--out", str(out)]) == 2, rule
+        err = capsys.readouterr().err
+        assert "InvalidPovm" in err and "positive reference weight" in err
+        assert list(tmp_path.glob(f"d-{rule}*")) == []
+
+
 def test_verify_uniqueness_refuses_an_overflowing_reintegration_at_intake(tmp_path, capsys):
     """Weights 1e300 on densities [[1e10]]: each number is finite, their products
     are not, so the file is refused when it is read, before any report is formed."""

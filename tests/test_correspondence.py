@@ -236,6 +236,10 @@ def test_decompose_drops_zero_weight_atoms():
     assert d.measure.atoms == ("a", "b")
     max_res, _ = reintegration_residuals(m, d)
     assert max_res == 0.0
+    empty = Povm(atoms=["a", "b"], dim_h=2, elements=np.zeros((2, 2, 2), dtype=complex))
+    for rule in (TRACE_RULE, ReferenceMeasureRule("dyadic-sequence", np.eye(2))):
+        with pytest.raises(InvalidPovm, match="no atom has a positive reference weight"):
+            decompose(empty, rule)
 
 
 def test_decompose_rejects_invalid_povm():

@@ -278,25 +278,21 @@ def householder(n, seed):
 
 
 def pinned_factor_cases():
-    """(group, stack of factors (N, n, n), exponents (N,)) for _one_sided_jacobi."""
+    """(group, factor (n, n), exponent) for _one_sided_jacobi."""
     for n in range(1, 17):
-        yield "lone", np.triu(complex_box(rng_for(900 + n), (n, n)))[None], np.array([n - 8])
-    for n in (1, 2, 3, 5, 8, 12, 16):
-        for size in (1, 2, 7):
-            r = np.triu(complex_box(rng_for(1000 + 10 * n + size), (size, n, n)))
-            yield "stacks", r, np.arange(size) - 3
+        yield "lone", np.triu(complex_box(rng_for(900 + n), (n, n))), n - 8
     for n in (1, 5, 9):
         for k in sorted({0, n // 2, n - 1}):
             r = np.triu(complex_box(rng_for(1200 + n + k), (n, n)))
             r[k] = 0.0
-            yield "zero row", r[None], np.array([1])
-    yield "zero row", np.zeros((1, 4, 4), dtype=complex), np.array([0])
+            yield "zero row", r, 1
+    yield "zero row", np.zeros((4, 4), dtype=complex), 0
     for n in (1, 6, 11):
         d = np.arange(n, 0.0, -1.0) * np.exp(1j * np.arange(n))
-        yield "diagonal", np.diag(d)[None], np.array([2])
+        yield "diagonal", np.diag(d), 2
     for n, levels in ((4, [1.0, 1.0, 2.0, 2.0]), (6, [1.0, 1.0, 1.0, 2.0, 2.0, 3.0]), (9, [0.5] * 9)):
-        yield "repeated", (np.array(levels)[:, None] * householder(n, 1300 + n))[None], np.array([0])
-    yield "repeated", (0.75 * np.eye(5, dtype=complex))[None], np.array([-1])
+        yield "repeated", np.array(levels)[:, None] * householder(n, 1300 + n), 0
+    yield "repeated", 0.75 * np.eye(5, dtype=complex), -1
 
 
 def pinned_hermitian_cases():
@@ -336,7 +332,6 @@ def pinned_hermitian_cases():
 # differently.
 PINNED_DIGESTS = {
     ("_one_sided_jacobi", "lone"): "829edbcb8205bdf44f20b149527378c8356e6b8af1b1ad135eb68066e2729799",
-    ("_one_sided_jacobi", "stacks"): "7b0c171e35e19a3f312e993ccf1c968bada6d87781f8e595ebafc1737d6fcd01",
     ("_one_sided_jacobi", "zero row"): "7bf2705412d0895c7ade15ccd5818ee2c7bc54ec46c3e8ffdd4e824d154bec70",
     ("_one_sided_jacobi", "diagonal"): "cba422cd3bbcbb37cf5df3263c1a61d77b7773618e001920d51e8239570d4fda",
     ("_one_sided_jacobi", "repeated"): "7db6defde7df65ae38263972d2e8bba9d895d4c16879ab28fb56cca0e0854759",
@@ -349,14 +344,13 @@ PINNED_DIGESTS = {
 
 
 def test_jacobi_kernels_keep_their_pinned_bits():
-    """Every stack goes through the kernel in one call and each matrix's result
-    is hashed on its own, so a stacked result must also have each matrix's
-    lone bits."""
+    """Every stack goes through hermitian_eigen in one call and each matrix's
+    result is hashed on its own, so a stacked result must also have each
+    matrix's lone bits; _one_sided_jacobi takes one factor a call."""
     digests = {}
     for group, r, e in pinned_factor_cases():
         h = digests.setdefault(("_one_sided_jacobi", group), hashlib.sha256())
-        for vals in linalg._one_sided_jacobi(r, e):
-            h.update(vals.tobytes())
+        h.update(linalg._one_sided_jacobi(r, e).tobytes())
     for group, a in pinned_hermitian_cases():
         h = digests.setdefault(("hermitian_eigen", group), hashlib.sha256())
         dec = linalg.hermitian_eigen(a)

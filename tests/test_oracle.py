@@ -322,6 +322,25 @@ def element_near(n, norm, threshold, ratio, seed):
     return linalg.hermitize((q * np.concatenate(([lam], rest))) @ linalg.adjoint(q))
 
 
+def kernel_calls(monkeypatch, build):
+    """(what ``build()`` returns, or NotPsd if it raises that, and the stack size
+    of each _shifted_positive_definite call it makes)."""
+    sizes = []
+    original = linalg._shifted_positive_definite
+
+    def recording(a, shift):
+        sizes.append(len(a))
+        return original(a, shift)
+
+    monkeypatch.setattr(linalg, "_shifted_positive_definite", recording)
+    try:
+        return build(), sizes
+    except NotPsd:
+        return NotPsd, sizes
+    finally:
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16])
 def test_validate_gives_the_verdicts_of_one_factorization_at_tol_psd(n, monkeypatch):
     """Elements with lambda_min at -tol_psd (1 +- delta) and at -s (1 +- delta), s
@@ -330,28 +349,31 @@ def test_validate_gives_the_verdicts_of_one_factorization_at_tol_psd(n, monkeypa
     of eigvalsh wherever its lambda_min lies outside the kernel's documented
     margin n gamma_{n+1} (||M||_F + tol_psd) of the threshold.  validate makes
     two calls, the second only on the elements that fail at s, and the slack it
-    carries for a PASS bounds the true -lambda_min (50 digits, n <= 8)."""
+    carries for a PASS bounds the true -lambda_min (50 digits, n <= 8).  The
+    same matrices as densities of weight 1 get the same verdicts from
+    Decomposition(...), in at most two calls per construction: the ones the
+    kernel passes build together, and each one it fails is refused alone."""
     cases = [(norm, threshold, delta, sign) for norm in PSD_NORMS
              for threshold in (linalg._psd_tolerance, strict_shift)
              for delta in PSD_DELTAS for sign in (1, -1)]
     elements = np.array([element_near(n, norm, threshold, 1 + sign * delta, seed=380 + k)
                          for k, (norm, threshold, delta, sign) in enumerate(cases)])
     m = Povm([str(k) for k in range(len(cases))], n, elements)
-    shifts = []
-    original = linalg._shifted_positive_definite
-
-    def recording(a, shift):
-        shifts.append(len(a))
-        return original(a, shift)
-
-    monkeypatch.setattr(linalg, "_shifted_positive_definite", recording)
-    report = validate(m)
-    monkeypatch.undo()
+    report, shifts = kernel_calls(monkeypatch, lambda: validate(m))
     tol = linalg._psd_tolerance(m.elements)
     kernel = linalg._shifted_positive_definite(m.elements, tol)
     assert report.psd == tuple(kernel.tolist())
     slack = report._psd_slack
     assert shifts == [len(cases), int(np.sum(np.isinf(slack)))]
+
+    def densities(at):
+        space = frames.AtomicMeasureSpace([m.atoms[k] for k in at], np.ones(len(at)))
+        return lambda: cr.Decomposition(space, m.elements[at], n)
+
+    d, shifts = kernel_calls(monkeypatch, densities(np.flatnonzero(kernel)))
+    assert d is not NotPsd and 1 <= len(shifts) <= 2 and shifts[0] == int(kernel.sum())
+    for k in np.flatnonzero(~kernel):
+        assert kernel_calls(monkeypatch, densities([k])) == (NotPsd, [1, 1])
     lam = np.linalg.eigvalsh(m.elements)[:, 0]
     margin = n * linalg._gamma(n + 1) * (linalg._norms(m.elements, 2) + tol)
     clear = np.abs(lam + tol) > margin

@@ -12,6 +12,9 @@ Eigenpairs are computed only where a spectrum is read: ``hermitian_eigen``
 has exactly four call sites, ``_one_sided_jacobi`` serves a frame's bounds alone, and
 only the CLI commands that report or iterate with a frame's bounds diagonalize it.
 
+Every Hermiticity and PSD verdict on an operator stack comes from one rule,
+``linalg._admission``, and only that rule reaches the shifted Cholesky kernel.
+
 Every data-file loader builds its object one way, whatever the layout: only
 ``linalg._decode_family`` reads the JSON type of a per-atom family.
 
@@ -169,6 +172,14 @@ def test_hermitian_eigen_serves_only_the_code_that_reads_a_spectrum():
 
 def test_one_sided_jacobi_serves_only_frames():
     assert package_sites("_one_sided_jacobi") == ["frames.OperatorValuedFrame._bounds"]
+
+
+def test_one_admission_rule_gives_every_psd_verdict():
+    """validate and Decomposition take their verdicts from linalg._admission, the
+    one caller of _positive_definite_where, which alone calls the kernel."""
+    assert package_sites("_admission") == ["correspondence.Decomposition._fill", "povm.validate"]
+    assert package_sites("_positive_definite_where") == ["linalg._admission"] * 2  # two tiers
+    assert package_sites("_shifted_positive_definite") == ["linalg._positive_definite_where"]
 
 
 def test_only_the_commands_that_read_frame_bounds_diagonalize_a_frame():

@@ -5,7 +5,8 @@ files, runs one named pipeline over them, and writes a RunReport (plus
 any data artifacts) back to disk.  Exit status 0 means every check in
 the report passed, 1 means at least one failed, 2 means the run errored
 before producing a verdict (bad or wrong-kind file, wrong arity, negative
-generate --seed, unknown --tol name or non-finite value, module error).
+generate --seed, unknown --tol name or non-finite value, --max-iters above
+MAX_RECONSTRUCT_ITERS, module error).
 
 One table, _COMMANDS, lists the pipeline commands: each entry's handler,
 the kind of each --in file (so its arity) and its help text.  Dispatch,
@@ -61,6 +62,9 @@ from .errors import CommandError, FramekitError, LimitExceeded, ParseError
 
 MAX_GENERATE_DIM = 128
 MAX_GENERATE_ATOMS = 256
+# reconstruct keeps max_iters + 1 powers of the rate, and its trace one bound, one time
+# stamp and one CSV line an iteration, so --max-iters is capped before anything is formed
+MAX_RECONSTRUCT_ITERS = 10 ** 6
 _GENERATE_ATTEMPTS = 100
 
 _RULES = ("trace", "dyadic")
@@ -97,6 +101,8 @@ class ExperimentConfig:
             )
         if self.rule not in _RULES:
             raise CommandError(f"unknown rule {self.rule!r}")
+        if self.max_iters > MAX_RECONSTRUCT_ITERS:
+            raise LimitExceeded(f"--max-iters {self.max_iters} exceeds {MAX_RECONSTRUCT_ITERS}")
         unknown = sorted(set(self.tolerance_overrides) - set(DEFAULT_CHECK_TOLERANCES))
         if unknown:
             raise CommandError(f"unknown --tol name {', '.join(unknown)}; "

@@ -162,10 +162,11 @@ class OperatorValuedFrame:
     is large.
     The frame algorithm's plan (``_plan``, an ``_IterationPlan``) is made on its
     first read from A, B and S: the relaxation and rate, the level matrices of
-    its doubling chain and scan, (M^(2^k))^T with M = I - relax S, and the powers
-    of the rate.  Those two grow as longer runs need them, so after runs of at
-    most n iterations it holds ceil(log2 n) complex dim_h x dim_h matrices and at
-    most max_iters + 1 powers, less than one such run's iterates.
+    its folds and scan, (M^(2^k))^T with M = I - relax S, their prefix sums
+    sum_{i < 2^k} (M^i)^T, and the powers of the rate.  Those three grow as
+    longer runs need them, so after runs of at most n iterations it holds about
+    2 ceil(log2 n) complex dim_h x dim_h matrices and at most max_iters + 1
+    powers, less than one such run's iterates.
     """
 
     space: AtomicMeasureSpace
@@ -253,16 +254,19 @@ class OperatorValuedFrame:
 class _IterationPlan:
     """What the frame algorithm reads of a frame besides A and B, kept with it.
 
-    ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Two
+    ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Three
     read-only tables grow on demand: ``levels(count)`` gives the level matrices
-    of the doubling chain and scan for k < count, each (M^(2^k))^T with
+    of the fold and the scan for k < count, each (M^(2^k))^T with
     M = I - relax S: the first is I - relax S^T, and each next one the square of
-    the one before.  ``powers(count)`` gives np.power(rate, np.arange(count)).
-    A table that grows is replaced whole and never written in place, so runs on
-    one frame in several threads can at worst compute an entry twice.  An entry
-    has the same bits whenever it is computed: the level chain is the same
-    products in the same order, and np.power works entry by entry, so a longer
-    table's prefix is the shorter one.
+    the one before.  ``sums(count)`` gives the prefix sums
+    Sigma_k = sum_{i < 2^k} (M^i)^T for k < count, so that x(2^k) = r Sigma_k:
+    Sigma_0 = I, and Sigma_{k+1} = Sigma_k L_k + Sigma_k with L_k the level k.
+    ``powers(count)`` gives np.power(rate, np.arange(count)).  A table that
+    grows is replaced whole and never written in place, so runs on one frame in
+    several threads can at worst compute an entry twice.  An entry has the same
+    bits whenever it is computed: the levels and the sums are the same products
+    in the same order, and np.power works entry by entry, so a longer table's
+    prefix is the shorter one.
     """
 
     def __init__(self, relax: float, rate: float, operator: np.ndarray):
@@ -270,6 +274,7 @@ class _IterationPlan:
         self.rate = rate
         self._operator = operator
         self._levels: tuple[np.ndarray, ...] = ()
+        self._sums = np.empty((0, 0, 0), dtype=np.complex128)
         self._powers = np.empty(0)
 
     def levels(self, count: int) -> tuple[np.ndarray, ...]:
@@ -285,6 +290,24 @@ class _IterationPlan:
                 grown.append(level)
             levels = self._levels = tuple(grown)
         return levels[:count]
+
+    def sums(self, count: int) -> np.ndarray:
+        """Sigma_k = sum_{i < 2^k} (M^i)^T for k = 0 .. count - 1, one read-only
+        complex128 (count, dim_h, dim_h) stack."""
+        sums = self._sums
+        if len(sums) < count:
+            levels = self.levels(count - 1)
+            grown = np.empty((count,) + self._operator.shape, dtype=np.complex128)
+            if len(sums):
+                grown[:len(sums)] = sums
+            else:
+                grown[0] = np.eye(len(self._operator))
+            for k in range(max(len(sums), 1), count):
+                np.matmul(grown[k - 1], levels[k - 1], out=grown[k])
+                grown[k] += grown[k - 1]
+            grown.flags.writeable = False
+            sums = self._sums = grown
+        return sums[:count]
 
     def powers(self, count: int) -> np.ndarray:
         """rate^k for k = 0 .. count - 1, read-only, as np.power(rate, np.arange(count))."""

@@ -21,23 +21,26 @@ the first iterate.  The step is affine, x(k) = M x(k-1) + r with
 M = I - relax S and r = relax T*c, so x(0) = 0, x(1) = r and
 x(h + i) = M^h x(i) + x(h): the recursion of a prefix scan (Kogge & Stone,
 IEEE Trans. Computers C-22(8), 1973), with the matrices M^h at h = 1, 2,
-4, ..., each the square of the one before.  ``frame_algorithm`` walks it
-down one path to x(n) alone: x(2h) = M^h x(h) + x(h) doubles, and each set
-bit h of n is folded in as x(h + b) = M^h x(b) + x(h), so n steps take
-ceil(log2 n) doublings and at most as many folds.  The table of all n + 1
-iterates is formed only when it is read, by the doubling scan that writes
-rows h+1 .. 2h from rows 1 .. h at each level (``_iterate_table``).  Either
-way a step is one complex product and one add: the iterates are rows, so
-M^h x(i) + x(h) is x(i) @ (M^h)^T + x(h), with (M^h)^T the level matrix.
+4, ..., each the square of the one before.  Its sums are linear in r:
+x(2^k) = Sigma_k r with Sigma_k = sum_{i < 2^k} M^i, and
+Sigma_{k+1} = M^(2^k) Sigma_k + Sigma_k.  ``frame_algorithm`` forms x(n)
+alone from them: every x(2^k) at once, as one batched product of r with the
+prefix sums, and then each set bit h of n above the lowest folded in as
+x(h + b) = M^h x(b) + x(h), so n steps take popcount(n) - 1 folds.  The
+table of all n + 1 iterates is formed only when it is read, by the doubling
+scan that writes rows h+1 .. 2h from rows 1 .. h at each level
+(``_iterate_table``).  A fold or a level is one complex product and one add:
+the iterates are rows, so M^h x(i) + x(h) is x(i) @ (M^h)^T + x(h), with
+(M^h)^T the level matrix, and x(2^k) is r @ Sigma_k^T.
 
-Those matrices and the powers of the rate depend on the frame alone, so they are
-computed once per frame, on the run that first needs them, and kept in the
-frame's plan (``OperatorValuedFrame._plan``); a later run reads them, and only a
-longer one extends them.  The plan holds at most ceil(log2 n) complex
-dim_h x dim_h matrices and max_iters + 1 powers, less than the iterates of
-that run.  When the caller supplies the true vector for verification, the a
-posteriori errors are formed from the table on their first read, labeled
-``actual_errors``.
+Those matrices, the prefix sums and the powers of the rate depend on the frame
+alone, so they are computed once per frame, on the run that first needs them,
+and kept in the frame's plan (``OperatorValuedFrame._plan``); a later run reads
+them, and only a longer one extends them.  The plan holds about
+2 ceil(log2 n) complex dim_h x dim_h matrices and max_iters + 1 powers, less
+than the iterates of that run.  When the caller supplies the true vector for
+verification, the a posteriori errors are formed from the table on their first
+read, labeled ``actual_errors``.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ class IterationTrace:
     """The last iterate with its certified error bounds; the other iterates on
     first read.
 
-    ``final`` is x(n), read-only, from the doubling chain (``frame_algorithm``).
+    ``final`` is x(n), read-only, from the prefix sums and the folds
+    (``frame_algorithm``).
     ``iterates`` is the scan's own read-only (n+1, dim_h) array, row k x(k),
     formed on its first read by the doubling scan (``_iterate_table``) and kept;
     no writable array is reachable through it.  Its last row is set to
@@ -108,15 +112,15 @@ class IterationTrace:
     float64 array of ||x - x(k)||, is formed from ``iterates`` on its first
     read, and only when the true vector was supplied for verification (a
     posteriori record); it is None otherwise.  ``elapsed_ns``, one read-only
-    int64 array of length n+1, comes from the chain, so reading it forms no
-    table: 0 for x(0), the time x(1) = r was written for x(1), the time the
-    chain formed x(2^j) for rows 2^(j-1)+1 .. 2^j, and the time it formed x(n)
-    for the rows past the last power of two, so it is constant over the rows
-    each level of the scan writes and never decreases.  ``bounds`` are the
-    frame's own A and B (``frame_bounds``), and ``certified`` is True.  The
-    certified bounds carry no rounding term, so where rate^n proxy falls below
-    the rounding of the iterates, about dim_h eps ||x|| / (1 - rate), it may
-    understate the error all the same.
+    int64 array of length n+1, comes from the path to x(n), so reading it forms
+    no table: 0 for x(0), the time x(1) = r was written for x(1), the time of
+    the batched product that formed every x(2^k) for rows 2 .. 2^(K-1),
+    K = n.bit_length(), and the time x(n) was formed for the rows past 2^(K-1),
+    so it is constant over the rows each level of the scan writes and never
+    decreases.  ``bounds`` are the frame's own A and B (``frame_bounds``), and
+    ``certified`` is True.  The certified bounds carry no rounding term, so
+    where rate^n proxy falls below the rounding of the iterates, about
+    dim_h eps ||x|| / (1 - rate), it may understate the error all the same.
     """
 
     final: np.ndarray  # complex128, shape (dim_h,), read-only
@@ -232,48 +236,57 @@ def frame_algorithm(
     The certified bounds come first, as one expression with no loop over the
     iterations, proxy * np.power(rate, np.arange(n + 1)), and one search of it
     gives the stopping index n (``_certified_bounds``; np.power is within
-    0.67 ULP of rate^n where that is a normal number).  x(n) alone follows by a
-    doubling chain: with M = I - relax S and r = relax T*c, x(1) = r, and at
-    h = 1, 2, 4, ... up to n, a set bit h of n is folded in as
-    x(h + b) = M^h x(b) + x(h), b the sum of the set bits of n below h (the
-    lowest set bit gives x(h) itself), and x(2h) = M^h x(h) + x(h) follows while
-    2h <= n.  So the loop runs floor(log2 n) + 1 times with at most two
-    products each, and forms no row of the table of iterates; that is left to
-    its first read (``IterationTrace.iterates``, ``_iterate_table``).
+    0.67 ULP of rate^n where that is a normal number).  x(n) alone follows
+    from the plan's prefix sums: with M = I - relax S and r = relax T*c,
+    x(2^k) = r @ Sigma_k, Sigma_k = sum_{i < 2^k} (M^i)^T, so one batched
+    product r @ Sigma_k over k = 1 .. K - 1, K = n.bit_length(), gives every
+    x(2^k) at once; x(1) is r itself.  Each set bit h = 2^k of n above the
+    lowest is then folded in as x(h + b) = M^h x(b) + x(h), b the sum of the
+    set bits below h, starting from x(b) at the lowest set bit b.  So the loop
+    runs popcount(n) - 1 times, one product each, and forms no row of the
+    table of iterates; that is left to its first read
+    (``IterationTrace.iterates``, ``_iterate_table``).
 
-    A step is one complex (1 x dim_h) @ (dim_h x dim_h) product and one add:
+    A fold is one complex (1 x dim_h) @ (dim_h x dim_h) product and one add:
     x(h + b) = x(b) @ L + x(h), the iterates as rows and L = (M^h)^T the plan's
     level matrix.
 
     The frame's plan (``OperatorValuedFrame._plan``) supplies relax, the rate,
-    the ceil(log2 n) level matrices L, each the square of the one before, and
+    the ceil(log2 n) level matrices L, each the square of the one before, the
+    K prefix sums, Sigma_0 = I and Sigma_{k+1} = Sigma_k @ L_k + Sigma_k, and
     the powers of the rate.  The first run on a frame computes them, a run
     longer than any before it adds what it lacks, and every other run reads
     them, so a run gives the same bits on a fresh frame and on a reused one.
-    The chain keeps two iterates besides x(1); the plan keeps ceil(log2 n)
-    complex dim_h x dim_h matrices and at most max_iters + 1 powers for the
-    frame's longest run.
+    The run keeps the K - 1 rows x(2^k) and one running sum; the plan keeps
+    about 2 ceil(log2 n) complex dim_h x dim_h matrices and at most
+    max_iters + 1 powers for the frame's longest run.
 
-    Rounding.  Let e(k) be the error of the computed x(k).  A step gives
-    e(h + b) = M^h e(b) + e(h) + delta, where delta holds the rounding of the
-    product, about dim_h eps ||x||, the error of the computed M^h times x(b),
-    and the rounding of the add, at most eps ||x(h + b)||: the add is a
-    rounding of its own, one more eps a step, so delta keeps the product's
-    order.  Squaring doubles the relative error of M^h plus dim_h eps, so that
-    error is about h rate^h dim_h eps, below dim_h eps / (1 - rate) at every h.
-    With ||M^h|| <= rate^h < 1 the errors sum to the order of
-    delta / (1 - rate), the same order as the plain step's
-    dim_h eps ||x|| / (1 - rate); the chain and the scan follow the same
-    recursion, one path of it or all of it, so the bound is the same for both.
-    Measured at 1 OpenBLAS thread on an AVX-512 Xeon, as the largest entry
-    error over the largest entry of the reference's iterates: on 180 default
-    runs of the benchmark's frames (seeds 1, 11, 101, 202, 303), so at
-    cond(S) <= 300, x(n) is within 9.1e-15 of the plain recurrence
-    x = x + relax (T*c - S x), and the table within 1.0e-14.  At cond(S) = 1e4
-    (rate 0.9998), 10000 steps at dim_h = 8 are within 1.7e-13 of that
-    recurrence carried in extended precision (x(n) within 1.1e-13), and at
-    dim_h = 16 within 8.0e-14 (x(n) within 5.9e-14), under the order
-    dim_h eps / (1 - rate) = 8.9e-12 and 1.8e-11.
+    Rounding.  Let E_k be the error of the computed Sigma_k and F_k that of
+    the computed level L_k.  Squaring doubles the relative error of a level
+    plus dim_h eps, so ||F_k|| is about h rate^h dim_h eps at h = 2^k, below
+    dim_h eps / (1 - rate) at every h.  A sum step gives
+    E_{k+1} = E_k L_k + Sigma_k F_k + Delta_k, Delta_k the rounding of the
+    product and the add.  What x(2^k) reads of E_k is r @ E_k, and
+    r @ Sigma_k = x(2^k), of norm at most about 2 ||x||, so
+    r @ E_{k+1} = (r @ E_k) L_k + x(2^k) F_k + r @ Delta_k: each step adds at
+    most about dim_h eps ||x|| / (1 - rate), and ||L_k|| <= rate^h < 1 carries
+    the earlier ones unamplified, so r @ Sigma_k errs by about
+    k dim_h eps ||x|| / (1 - rate), the order of the doubling chain it
+    replaces.  The batched product rounds by dim_h eps ||r|| ||Sigma_k||,
+    below 2 dim_h eps ||x|| / (1 - rate).  A fold gives
+    e(h + b) = M^h e(b) + e(h) + delta, delta the rounding of the product and
+    the add, about dim_h eps ||x||, plus the error of L times x(b), so the
+    popcount(n) - 1 folds keep that order too.  The scan follows the recursion
+    of the levels alone, with the same order.  Measured at 1 OpenBLAS thread
+    on an AVX-512 Xeon, as the largest entry error over the largest entry of
+    the reference's iterates: on 180 default runs of the benchmark's frames
+    (seeds 1, 11, 101, 202, 303), so at cond(S) <= 300, x(n) is within
+    2.0e-14 of the plain recurrence x = x + relax (T*c - S x), and the scan's
+    rows before it within 1.0e-14.  At cond(S) = 1e4 (rate 0.9998), 10000
+    steps at dim_h = 8 are within 1.7e-13 of that recurrence carried in
+    extended precision, and x(n) within 2.5e-13; at dim_h = 16 within 8.0e-14,
+    and x(n) within 2.4e-13; under the order dim_h eps / (1 - rate) = 8.9e-12
+    and 1.8e-11.
     """
     if cfg is None:
         cfg = _DEFAULT_CONFIG
@@ -301,20 +314,22 @@ def frame_algorithm(
 
         first = plan.relax * b
         first.flags.writeable = False
-        power = first  # x(h)
-        total = None  # x(b), b the set bits of n below h, from the lowest one on
+        count = iterations.bit_length()
         levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
         elapsed = np.empty(iterations + 1, dtype=np.int64)
         elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
-        h = 1
-        while h <= iterations:
-            if iterations & h:  # x(h + b); a lower set bit b means h < n, so level h exists
-                total = power if total is None else total @ levels[h.bit_length() - 1] + power
-            if 2 * h <= iterations:
-                power = power @ levels[h.bit_length() - 1] + power  # x(2h)
-                elapsed[h + 1:2 * h + 1] = time.perf_counter_ns() - start
-            h *= 2
-    elapsed[h // 2 + 1:] = time.perf_counter_ns() - start  # the rows past the last power of two
+        doubled = first @ plan.sums(count)[1:]  # row k - 1 is x(2^k), k = 1 .. count - 1
+        doubled.flags.writeable = False  # x(n) may be one of its rows
+        top = 1 << (count - 1)
+        elapsed[2:top + 1] = time.perf_counter_ns() - start
+        rest = iterations & (iterations - 1)  # n less its lowest set bit
+        k = (iterations ^ rest).bit_length() - 1
+        total = doubled[k - 1] if k else first  # x(b), b the lowest set bit of n
+        while rest:  # fold in the next set bit h = 2^k: x(h + b) = M^h x(b) + x(h)
+            k = (rest & -rest).bit_length() - 1
+            total = total @ levels[k] + doubled[k - 1]
+            rest &= rest - 1
+    elapsed[top + 1:] = time.perf_counter_ns() - start  # the rows past the last power of two
     if not np.isfinite(total).all():
         raise LimitExceeded("x(n) is not finite: the coefficients are too large")
 
@@ -345,7 +360,7 @@ def _iterate_table(plan: _IterationPlan, first: np.ndarray, final: np.ndarray,
     complex array: rows 1 .. w times the plan's level (M^h)^T are written
     straight into rows h+1 .. h+w, and x(h) is added to them, one complex
     matrix product and one add a level.  The scan's own last row is replaced by
-    the chain's ``final``, so the table ends in the x(n) the trace reports.
+    ``final``, so the table ends in the x(n) the trace reports.
     LimitExceeded if an iterate is not finite.
     """
     x = np.empty((iterations + 1, len(first)), dtype=np.complex128)

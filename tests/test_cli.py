@@ -797,6 +797,25 @@ def test_the_largest_finite_double_in_any_input_fails_cleanly(kind_paths, tmp_pa
     assert runs == 45
 
 
+def test_max_iters_above_the_limit_exits_two_before_any_artifact(pair_path, tmp_path, capsys):
+    """--max-iters is capped at MAX_RECONSTRUCT_ITERS: one more, or 10^15, exits 2
+    with LimitExceeded and writes no report, data or trace file, before any
+    power or bound is formed.  The limit itself is accepted: the run stops at
+    the target long before it."""
+    xpath = write_json(tmp_path / "x.json", linalg.vector_to_json(random_unit(2, seed=4)))
+    main(["analyze", "--in", pair_path, "--in", xpath, "--out", str(tmp_path / "a.json")])
+    coeff = json.loads((tmp_path / "a.json").read_text())["artifacts"]["coefficients"]
+    argv = ["reconstruct", "--in", pair_path, "--in", coeff]
+    for iters in (cli.MAX_RECONSTRUCT_ITERS + 1, 10 ** 15):
+        out = tmp_path / f"r-{iters}.json"
+        assert main(argv + ["--out", str(out), "--max-iters", str(iters)]) == 2
+        assert "LimitExceeded" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.glob("r-*")) == []  # no report, data or trace
+    out = tmp_path / "r-limit.json"
+    assert main(argv + ["--out", str(out), "--max-iters", str(cli.MAX_RECONSTRUCT_ITERS)]) == 0
+    assert read_report(out)["summary"]["iterations"] < 100
+
+
 def test_reconstruct_refuses_coefficients_whose_image_overflows(kind_paths, tmp_path, capsys):
     """A coefficient entry of 1e308, which intake accepts, makes ||T*c|| overflow:
     the frame algorithm raises LimitExceeded before any iterate, and reconstruct
@@ -1212,8 +1231,7 @@ def test_converged_passes_from_the_crossing_index_on(pair_path, tmp_path):
 
 def test_reconstruct_writes_x_n_without_forming_the_iterate_table(tmp_path, monkeypatch):
     """A reconstruct of about 4100 steps (dim 12, 128 atoms, cond(S) = 300) writes
-    the chain's x(n), the CSV and the report, and no scan forms its table of
-    iterates."""
+    x(n), the CSV and the report, and no scan forms its table of iterates."""
     heights = [1 + t % 12 for t in range(128)]
     rows = rotated_rows(rng_for(31), sum(heights), 300.0 ** (np.arange(12) / 22.0))
     space = frames.AtomicMeasureSpace([str(t) for t in range(128)], [1.0] * 128)

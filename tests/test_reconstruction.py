@@ -76,11 +76,13 @@ def test_certified_bounds_follow_geometric_law():
 
 
 def test_tight_frame_recovers_in_one_step():
+    """x(1) is r = relax T*c itself, with no product by the identity."""
     f = from_vector_frame(VectorFrame(dim_h=2, vectors=[E1, E2]))
     x = np.array([0.3 - 1j, 2.5])
     trace = run_full(f, x, iters=1)
     assert trace.rate == 0.0
     assert float(np.linalg.norm(trace.final - x)) <= 1e-11 * float(np.linalg.norm(x))
+    assert trace.final.tobytes() == (f._plan.relax * synthesis(f, analysis(f, x))).tobytes()
 
 
 def test_stops_when_certificate_meets_target():
@@ -357,8 +359,9 @@ def slow_frame(dim):
 
 
 def assert_matches_reference(ovf, c, cfg, true_x=None):
-    """The trace against the plain recurrence: x(n) from the chain, read before
-    the table, then the table, whose last row is that x(n) byte for byte."""
+    """The trace against the plain recurrence: x(n) from the prefix sums and the
+    folds, read before the table, then the table, whose last row is that x(n)
+    byte for byte."""
     trace = frame_algorithm(ovf, c, cfg, true_x=true_x)
     ref, bounds, rate, stopped_by = reference_frame_algorithm(ovf, c, cfg)
     assert trace.iterations == len(ref) - 1
@@ -367,7 +370,7 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
     assert trace.certified is True
     assert np.array_equal(trace.certified_bounds, bounds)  # bit for bit
     final = trace.final
-    assert "iterates" not in vars(trace)  # x(n) came from the chain, not the table
+    assert "iterates" not in vars(trace)  # x(n) came from the folds, not the table
     assert final.shape == ref[-1].shape and not final.flags.writeable
     assert np.abs(final - ref[-1]).max() <= 1e-13 * np.abs(ref).max()
     assert trace.iterates.shape == ref.shape
@@ -383,9 +386,9 @@ def assert_matches_reference(ovf, c, cfg, true_x=None):
 
 def iteration_counts():
     """Runs at the level edges: the first levels, one step short of, at and past
-    a power of two, and one run of 10000 steps (14 levels).  For the chain they
-    are powers of two (one set bit), their neighbours and popcount-heavy counts
-    such as 1023 (ten set bits)."""
+    a power of two, and one run of 10000 steps (14 levels).  For the folds they
+    are powers of two (one set bit, no fold), their neighbours and
+    popcount-heavy counts such as 1023 (ten set bits, nine folds)."""
     return (1, 2, 3, 4, 5, 63, 64, 65, 1023, 1024, 1025, 10_000)
 
 
@@ -418,15 +421,29 @@ def test_the_scan_stops_where_the_recurrence_meets_the_target(dim):
 def test_a_dim_1_frame_is_tight_and_stops_after_one_step():
     """S is one positive number, so A = B and the rate is 0: the first step is
     S^-1 T*c with a certified bound of 0, even when 10000 steps are allowed.
-    This is why the long scans start at dim 2."""
+    This is why the long scans start at dim 2.  x(1) is r = relax T*c itself."""
     ovf = from_vector_frame(VectorFrame(dim_h=1, vectors=[[1.0], [2.0 - 1.0j]]))
     x = np.array([0.5 - 2.0j])
+    c = analysis(ovf, x)
     cfg = ReconstructionConfig(max_iters=10_000, target_error=1e-300)
-    trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
+    trace = assert_matches_reference(ovf, c, cfg, true_x=x)
     assert trace.rate == 0.0
     assert (trace.iterations, trace.stopped_by) == (1, "target_error")
     assert trace.certified_bounds[1] == 0.0
     assert abs(trace.final[0] - x[0]) <= 1e-15 * abs(x[0])
+    assert trace.final.tobytes() == (ovf._plan.relax * synthesis(ovf, c)).tobytes()
+
+
+@pytest.mark.parametrize("iters", [4095, 4096, 4097])
+def test_the_folds_around_4096_reproduce_the_plain_recurrence(iters):
+    """4095 has every bit below 2^12 set (eleven folds), 4096 one bit (x(n) from
+    the prefix sums alone, no fold) and 4097 the top and the lowest bit (one
+    fold)."""
+    ovf = slow_frame(16)
+    x = complex_box(rng_for(972), 16)
+    cfg = ReconstructionConfig(max_iters=iters, target_error=1e-300)
+    trace = assert_matches_reference(ovf, analysis(ovf, x), cfg, true_x=x)
+    assert (trace.iterations, trace.stopped_by) == (iters, "max_iters")
 
 
 @pytest.mark.parametrize("kind", ["tight", "pair", "cond300", "cond1e4"])
@@ -501,7 +518,8 @@ def test_a_long_scan_at_cond_1e4_stays_within_its_rounding_order(dim):
     """10000 steps on a cond(S) = 1e4 frame (rate 9999/10001) against the
     clongdouble recurrence, held to dim eps / (1 - rate) max|x|, the order that
     frame_algorithm's rounding paragraph derives: about 8.9e-12 at dim 8, where
-    the scan is about 1.7e-13 off (8.0e-14 against 1.8e-11 at dim 16)."""
+    the table is about 2.5e-13 off, most of it in x(n) (2.4e-13 against
+    1.8e-11 at dim 16)."""
     ovf = conditioned_frame(dim, 128, 1e4, seed=951)
     c = analysis(ovf, complex_box(rng_for(952), dim))
     trace = frame_algorithm(ovf, c, ReconstructionConfig(max_iters=10_000, target_error=1e-300))
@@ -580,8 +598,10 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
     again) each equal the same run on a newly built frame bit for bit, and the
     plain recurrence as assert_matches_reference holds it.  The plan then holds
     ceil(log2 4097) = 13 read-only complex128 dim_h x dim_h level matrices,
-    (I - relax S)^T and then each the square of the one before, and read-only
-    powers no longer than 4097 + 1."""
+    (I - relax S)^T and then each the square of the one before, the
+    4097.bit_length() = 13 prefix sums as one read-only complex128 stack,
+    Sigma_0 = I and then each Sigma_k @ L_k + Sigma_k, and read-only powers no
+    longer than 4097 + 1."""
     def build():
         return conditioned_frame(12, 128, 300.0, seed=950)
 
@@ -607,25 +627,35 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
     for before, after in zip(levels, levels[1:]):
         assert np.array_equal(after, before @ before)
     assert not any(level.flags.writeable for level in levels)
+    sums = plan._sums
+    assert sums.dtype == np.complex128 and sums.shape == (13, 12, 12)
+    assert not sums.flags.writeable and plan.sums(13).tobytes() == sums.tobytes()
+    assert np.array_equal(sums[0], np.eye(12))
+    for k in range(12):
+        assert (sums[k] @ levels[k] + sums[k]).tobytes() == sums[k + 1].tobytes(), k
     assert len(plan._powers) <= 4097 + 1 and not plan._powers.flags.writeable
     assert np.array_equal(plan._powers, np.power(plan.rate, np.arange(len(plan._powers))))
 
 
 def test_a_plan_is_made_on_the_first_run_and_grows_only_for_a_longer_one():
     """Nothing is computed for a frame no run has read; a run of n steps leaves
-    ceil(log2 n) levels, and a shorter run replaces neither table."""
+    ceil(log2 n) levels and n.bit_length() prefix sums, and a shorter run
+    replaces no table.  A longer one replaces the sums whole, beginning with the
+    entries it had."""
     ovf = conditioned_frame(3, 16, 100.0, seed=963)  # rate 99/101: no bound reaches 1e-300
     assert "_plan" not in vars(ovf)
     c = analysis(ovf, complex_box(rng_for(954), 3))
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=100, target_error=1e-300))
     plan = ovf._plan
-    levels, powers = plan._levels, plan._powers
-    assert (len(levels), len(powers)) == (7, 101)
+    levels, sums, powers = plan._levels, plan._sums, plan._powers
+    assert (len(levels), len(sums), len(powers)) == (7, 7, 101)
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=64, target_error=1e-300))
-    assert plan._levels is levels and plan._powers is powers
+    assert plan._levels is levels and plan._sums is sums and plan._powers is powers
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=129, target_error=1e-300))
-    assert (len(plan._levels), len(plan._powers)) == (8, 130)
+    assert (len(plan._levels), len(plan._sums), len(plan._powers)) == (8, 8, 130)
     assert all(a is b for a, b in zip(plan._levels, levels))  # kept, not recomputed
+    assert plan._sums is not sums and plan._sums[:7].tobytes() == sums.tobytes()
+    assert not plan._sums.flags.writeable and not sums.flags.writeable
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 299.0 / 301.0, 9999.0 / 10001.0])
@@ -640,8 +670,8 @@ def test_a_longer_power_table_begins_with_the_shorter_one(rate):
 
 # Builds a dim-8 and a dim-16 frame past 256 rows from the generator alone (no
 # LAPACK call), solves one vector on each by both routes, and prints a digest of
-# the chain's x(n) (read before the table), the iterates', the certified bounds'
-# and the direct solution's bytes; on the dim-16 frame also of x(n) and the
+# the bytes of x(n) (read before the table), of the iterates, the certified
+# bounds and the direct solution; on the dim-16 frame also of x(n) and the
 # iterates of a 4097-step run (13 levels), and then of the default run once
 # more, read from the frame's plan.
 _DIGESTS = """

@@ -18,7 +18,7 @@ Every Hermiticity and PSD verdict on an operator stack comes from one rule,
 Every data-file loader builds its object one way, whatever the layout: only
 ``linalg._decode_family`` reads the JSON type of a per-atom family.
 
-The frame algorithm has one loop, over the levels of its doubling chain to
+The frame algorithm has one loop, over the set bits of n that it folds into
 x(n), and the table of iterates one, over the levels of its doubling scan.
 
 The CLI's writer knows a payload by its type and leaves a new file's mode to

@@ -650,10 +650,7 @@ def main(argv=None) -> int:
                if k in ("rule", "target_error", "max_iters", "trace_path")},
         )
         report = run(cfg)
-    except FramekitError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FramekitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     for c in report.checks:

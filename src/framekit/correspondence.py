@@ -70,7 +70,8 @@ class Decomposition:
     strict shift, and at tol_psd only where they fail there.  Only
     ``decompose`` passes a certified slack (``_fill``'s ``slack``).  There is
     no eigen work: the one cache, ``_minimal_rows``, holds the pivoted Cholesky
-    rows that decomposition_to_ovf and cut_bound read, from one stacked call.
+    rows, heights and dropped norms that decomposition_to_ovf and cut_bound
+    read, from one stacked call.
     """
 
     measure: AtomicMeasureSpace
@@ -107,9 +108,10 @@ class Decomposition:
         object.__setattr__(self, "dim_h", int(dim_h))
 
     @cached_property
-    def _minimal_rows(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """(rows T(t) with T(t)* T(t) = Q(t), Frobenius norms of the Schur complements
-        they drop), from one stacked pivoted Cholesky on first read; no eigen work."""
+    def _minimal_rows(self) -> tuple[np.ndarray, list, np.ndarray]:
+        """(the rows of every T(t), T(t)* T(t) = Q(t), as one read-only array; their
+        heights; the Frobenius norms of the Schur complements they drop), from one
+        stacked pivoted Cholesky on first read; no eigen work."""
         return linalg._pivoted_cholesky_rows(self.densities)
 
     def density(self, label: str) -> np.ndarray:
@@ -246,12 +248,12 @@ def reference_measure(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> np.nd
     if rule.kind == "trace":
         return np.trace(m.elements, axis1=1, axis2=2).real
     seq = rule.sequence  # J x n
+    if seq.shape[1] != m.dim_h:
+        raise DimensionMismatch(f"sequence vectors have dim {seq.shape[1]}, POVM expects {m.dim_h}")
     if len(seq) < m.dim_h:
         raise SequenceDoesNotSpan(
             f"dyadic sequence has {len(seq)} vectors, need at least {m.dim_h}"
         )
-    if seq.shape[1] != m.dim_h:
-        raise DimensionMismatch(f"sequence vectors have dim {seq.shape[1]}, POVM expects {m.dim_h}")
     gram = linalg.hermitize(np.conj(seq) @ seq.T)
     gvals = linalg.hermitian_eigen(gram).eigenvalues
     # rank(X) == n iff the Gram spectrum has n strictly positive values
@@ -334,10 +336,13 @@ def decomposition_to_ovf(d: Decomposition) -> OperatorValuedFrame:
     roots Q(t)^{1/2} are psd_sqrt(Q(t)).  The frame operator is the reintegrated
     M(Omega); the frame's construction tests it, and NotAFrame is raised as NotFramed.
     """
+    rows, heights, _ = d._minimal_rows
+    ovf = object.__new__(OperatorValuedFrame)
     try:
-        return OperatorValuedFrame(space=d.measure, dim_h=d.dim_h, blocks=d._minimal_rows[0])
+        ovf._fill(d.measure, d.dim_h, rows, heights)
     except NotAFrame as exc:
         raise NotFramed(f"decomposition does not reintegrate to a framed POVM: {exc}") from exc
+    return ovf
 
 
 def cut_bound(d: Decomposition) -> float:
@@ -357,7 +362,7 @@ def cut_bound(d: Decomposition) -> float:
     arithmetic.  So the bound is
     sum_t mu({t}) (||Q - H||_F + ||S||_F + n gamma_{n+1} (||Q||_F + ||S||_F)).
     """
-    _, dropped = d._minimal_rows
+    dropped = d._minimal_rows[2]
     n = d.dim_h
     skew = linalg._norms(d.densities - linalg.hermitize(d.densities), 2)
     rounding = n * linalg._gamma(n + 1) * (linalg._norms(d.densities, 2) + dropped)
@@ -421,18 +426,6 @@ def all_events(atoms: Sequence[str]) -> list[tuple[str, ...]]:
     for k in range(len(atoms) + 1):
         out.extend(combinations(atoms, k))
     return out
-
-
-def sample_events(
-    atoms: Sequence[str], count: int, seed: int = 0
-) -> list[tuple[str, ...]]:
-    """Seeded random events (repeats possible)."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    events = []
-    for _ in range(count):
-        mask = rng.integers(0, 2, size=len(atoms)).astype(bool)
-        events.append(tuple(a for a, keep in zip(atoms, mask) if keep))
-    return events
 
 
 def _reintegration_tolerance(total: np.ndarray) -> float:

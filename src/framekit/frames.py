@@ -161,12 +161,17 @@ class OperatorValuedFrame:
     again.  It never forms G* G, so A keeps its relative accuracy when cond(S)
     is large.
     The frame algorithm's plan (``_plan``, an ``_IterationPlan``) is made on its
-    first read from A, B and S: the relaxation and rate, the level matrices of
-    its folds and scan, (M^(2^k))^T with M = I - relax S, their prefix sums
-    sum_{i < 2^k} (M^i)^T, and the powers of the rate.  Those three grow as
-    longer runs need them, so after runs of at most n iterations it holds about
-    2 ceil(log2 n) complex dim_h x dim_h matrices and at most max_iters + 1
-    powers, less than one such run's iterates.
+    first read from A, B and S: the relaxation and rate, one pair of tables (the
+    level matrices of its folds and scan, (M^(2^k))^T with M = I - relax S, and
+    their prefix sums sum_{i < 2^k} (M^i)^T, two stacks), and the powers of the
+    rate.  The pair and the powers grow as longer runs need them, so after runs
+    of at most n iterations it holds 2 n.bit_length() complex dim_h x dim_h
+    matrices and at most max_iters + 1 powers, less than one such run's iterates.
+
+    The package builds every frame through ``_fill`` from one stacked array of
+    rows and the heights: ``ovf_from_json``, ``decomposition_to_ovf`` and
+    ``discretize_continuous`` (so ``from_vector_frame``).  The constructor, which
+    concatenates a per-atom list of blocks, is for callers outside the package.
     """
 
     space: AtomicMeasureSpace
@@ -186,8 +191,8 @@ class OperatorValuedFrame:
 
     def _fill(self, space: AtomicMeasureSpace, dim_h: int, rows, heights: list) -> None:
         """Set the fields from the stacked rows of all blocks, atom t's ``heights[t]``
-        of them, then factor and certify; ``ovf_from_json`` builds a frame through
-        this directly, from the one array a file holds."""
+        of them (a list), then factor and certify; the package's own builders call
+        this directly with the one array they hold."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         if len(heights) != len(space):
@@ -254,60 +259,47 @@ class OperatorValuedFrame:
 class _IterationPlan:
     """What the frame algorithm reads of a frame besides A and B, kept with it.
 
-    ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.  Three
-    read-only tables grow on demand: ``levels(count)`` gives the level matrices
-    of the fold and the scan for k < count, each (M^(2^k))^T with
-    M = I - relax S: the first is I - relax S^T, and each next one the square of
-    the one before.  ``sums(count)`` gives the prefix sums
-    Sigma_k = sum_{i < 2^k} (M^i)^T for k < count, so that x(2^k) = r Sigma_k:
-    Sigma_0 = I, and Sigma_{k+1} = Sigma_k L_k + Sigma_k with L_k the level k.
-    ``powers(count)`` gives np.power(rate, np.arange(count)).  A table that
-    grows is replaced whole and never written in place, so runs on one frame in
-    several threads can at worst compute an entry twice.  An entry has the same
-    bits whenever it is computed: the levels and the sums are the same products
-    in the same order, and np.power works entry by entry, so a longer table's
-    prefix is the shorter one.
+    ``relax`` = 2 / (A + B) and ``rate`` = (B - A) / (B + A) are fixed.
+    ``tables(count)`` gives two read-only complex128 (count, dim_h, dim_h) stacks
+    for k < count: the level matrices of the folds and the scan,
+    L_k = (M^(2^k))^T with M = I - relax S, so L_0 = I - relax S^T and each next
+    one the square of the one before; and their prefix sums
+    Sigma_k = sum_{i < 2^k} (M^i)^T, so that x(2^k) = r Sigma_k: Sigma_0 = I,
+    and Sigma_{k+1} = Sigma_k L_k + Sigma_k.  ``powers(count)`` gives
+    np.power(rate, np.arange(count)).  When a run needs more entries, both
+    stacks are built again whole, from k = 0, and replace the old pair as one
+    attribute, so no run reads new levels with old sums; the powers are
+    replaced whole too.  Nothing is written in place, so runs on one frame in
+    several threads can at worst compute a table twice.
+    An entry has the same bits whenever it is computed: the levels and the sums
+    are the same products in the same order, and np.power works entry by entry,
+    so a longer table's prefix is the shorter one.
     """
 
     def __init__(self, relax: float, rate: float, operator: np.ndarray):
         self.relax = relax
         self.rate = rate
         self._operator = operator
-        self._levels: tuple[np.ndarray, ...] = ()
-        self._sums = np.empty((0, 0, 0), dtype=np.complex128)
+        self._tables = (np.empty((0, 0, 0), dtype=np.complex128),) * 2
         self._powers = np.empty(0)
 
-    def levels(self, count: int) -> tuple[np.ndarray, ...]:
-        """(M^(2^k))^T for k = 0 .. count - 1, each a read-only complex128
-        dim_h x dim_h matrix."""
-        levels = self._levels
-        if len(levels) < count:
-            grown = list(levels)
-            while len(grown) < count:
-                level = (grown[-1] @ grown[-1] if grown
-                         else np.eye(len(self._operator)) - self.relax * self._operator.T)
-                level.flags.writeable = False
-                grown.append(level)
-            levels = self._levels = tuple(grown)
-        return levels[:count]
-
-    def sums(self, count: int) -> np.ndarray:
-        """Sigma_k = sum_{i < 2^k} (M^i)^T for k = 0 .. count - 1, one read-only
-        complex128 (count, dim_h, dim_h) stack."""
-        sums = self._sums
-        if len(sums) < count:
-            levels = self.levels(count - 1)
-            grown = np.empty((count,) + self._operator.shape, dtype=np.complex128)
-            if len(sums):
-                grown[:len(sums)] = sums
-            else:
-                grown[0] = np.eye(len(self._operator))
-            for k in range(max(len(sums), 1), count):
-                np.matmul(grown[k - 1], levels[k - 1], out=grown[k])
-                grown[k] += grown[k - 1]
-            grown.flags.writeable = False
-            sums = self._sums = grown
-        return sums[:count]
+    def tables(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(L_k, Sigma_k) for k = 0 .. count - 1, each a read-only complex128
+        (count, dim_h, dim_h) stack, filled in one loop."""
+        tables = self._tables
+        if len(tables[0]) < count:
+            n = len(self._operator)
+            levels = np.empty((count, n, n), dtype=np.complex128)
+            sums = np.empty_like(levels)
+            levels[0] = np.eye(n) - self.relax * self._operator.T
+            sums[0] = np.eye(n)
+            for k in range(1, count):
+                np.matmul(levels[k - 1], levels[k - 1], out=levels[k])
+                np.matmul(sums[k - 1], levels[k - 1], out=sums[k])
+                sums[k] += sums[k - 1]
+            levels.flags.writeable = sums.flags.writeable = False
+            tables = self._tables = (levels, sums)
+        return tables[0][:count], tables[1][:count]
 
     def powers(self, count: int) -> np.ndarray:
         """rate^k for k = 0 .. count - 1, read-only, as np.power(rate, np.arange(count))."""
@@ -456,7 +448,9 @@ def discretize_continuous(samples, weights) -> OperatorValuedFrame:
         raise DimensionMismatch(f"{len(samples)} samples but {len(weights)} weights")
     count, dim = samples.shape
     space = AtomicMeasureSpace(atoms=[str(i) for i in range(count)], weights=weights)
-    return OperatorValuedFrame(space=space, dim_h=dim, blocks=np.conj(samples)[:, None, :])
+    ovf = object.__new__(OperatorValuedFrame)
+    ovf._fill(space, dim, np.conj(samples), [1] * count)
+    return ovf
 
 
 def analysis(ovf: OperatorValuedFrame, x) -> CoefficientField:

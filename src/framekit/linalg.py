@@ -753,10 +753,12 @@ def _admission(a: np.ndarray, slack: np.ndarray | None = None
     return hermitian_residual(a), psd, kept
 
 
-def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Minimal factors of a stack (N, n, n) of Hermitian PSD matrices Q: for each,
-    rows T (k, n), read-only, with T* T = Q up to the dropped Schur complement,
-    and that complement's Frobenius norm.  No eigen work.
+def _pivoted_cholesky_rows(a) -> tuple[np.ndarray, list, np.ndarray]:
+    """Minimal factors of a stack (N, n, n) of Hermitian PSD matrices Q: the rows
+    T (k_t, n) of every matrix, T* T = Q up to the dropped Schur complement, as
+    one read-only (sum k_t, n) array, matrix t's k_t rows after those of the
+    matrices before it; the heights k_t, a list; and each dropped complement's
+    Frobenius norm, read-only.  No eigen work.
 
     Outer-product Cholesky with diagonal pivoting (LAPACK xPSTRF; Higham,
     "Analysis of the Cholesky decomposition of a semi-definite matrix", 1990),
@@ -799,8 +801,9 @@ def _pivoted_cholesky_rows(a) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         h[at, p, :] = 0.0
         h[at, :, p] = 0.0
         d = h[:, diag, diag].real
-    rows.flags.writeable = False
-    return tuple(r[:k] for r, k in zip(rows, ranks.tolist())), dropped
+    kept = rows[diag < ranks[:, None]]
+    kept.flags.writeable = dropped.flags.writeable = False
+    return kept, ranks.tolist(), dropped
 
 
 def _check_magnitude(a: np.ndarray, what: str, weights=None) -> None:

@@ -33,12 +33,13 @@ scan that writes rows h+1 .. 2h from rows 1 .. h at each level
 the iterates are rows, so M^h x(i) + x(h) is x(i) @ (M^h)^T + x(h), with
 (M^h)^T the level matrix, and x(2^k) is r @ Sigma_k^T.
 
-Those matrices, the prefix sums and the powers of the rate depend on the frame
-alone, so they are computed once per frame, on the run that first needs them,
-and kept in the frame's plan (``OperatorValuedFrame._plan``); a later run reads
-them, and only a longer one extends them.  The plan holds about
-2 ceil(log2 n) complex dim_h x dim_h matrices and max_iters + 1 powers, less
-than the iterates of that run.  When the caller supplies the true vector for
+The level matrices and the prefix sums, one pair of stacks filled in one
+loop, and the powers of the rate depend on the frame alone, so they are
+computed once per frame, on the run that first needs them, and kept in the
+frame's plan (``OperatorValuedFrame._plan``); a later run reads them, and only
+a longer one builds them again, longer.  The plan holds 2 n.bit_length()
+complex dim_h x dim_h matrices and max_iters + 1 powers, less than the
+iterates of that run.  When the caller supplies the true vector for
 verification, the a posteriori errors are formed from the table on their first
 read, labeled ``actual_errors``.
 """
@@ -252,14 +253,15 @@ def frame_algorithm(
     level matrix.
 
     The frame's plan (``OperatorValuedFrame._plan``) supplies relax, the rate,
-    the ceil(log2 n) level matrices L, each the square of the one before, the
-    K prefix sums, Sigma_0 = I and Sigma_{k+1} = Sigma_k @ L_k + Sigma_k, and
-    the powers of the rate.  The first run on a frame computes them, a run
-    longer than any before it adds what it lacks, and every other run reads
-    them, so a run gives the same bits on a fresh frame and on a reused one.
-    The run keeps the K - 1 rows x(2^k) and one running sum; the plan keeps
-    about 2 ceil(log2 n) complex dim_h x dim_h matrices and at most
-    max_iters + 1 powers for the frame's longest run.
+    one pair of tables, ``plan.tables(K)``: the K level matrices L, each the
+    square of the one before, and the K prefix sums, Sigma_0 = I and
+    Sigma_{k+1} = Sigma_k @ L_k + Sigma_k, both filled in one loop; and the
+    powers of the rate.  The first run on a frame computes them, a run longer
+    than any before it builds the pair again from k = 0, and every other run
+    reads them, so a run gives the same bits on a fresh frame and on a reused
+    one.  The run keeps the K - 1 rows x(2^k) and one running sum; the plan
+    keeps 2 K complex dim_h x dim_h matrices and at most max_iters + 1 powers
+    for the frame's longest run.
 
     Rounding.  Let E_k be the error of the computed Sigma_k and F_k that of
     the computed level L_k.  Squaring doubles the relative error of a level
@@ -315,10 +317,10 @@ def frame_algorithm(
         first = plan.relax * b
         first.flags.writeable = False
         count = iterations.bit_length()
-        levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
+        levels, sums = plan.tables(count)  # (M^h)^T and Sigma at h = 1, 2, 4, ...
         elapsed = np.empty(iterations + 1, dtype=np.int64)
         elapsed[0], elapsed[1] = 0, time.perf_counter_ns() - start
-        doubled = first @ plan.sums(count)[1:]  # row k - 1 is x(2^k), k = 1 .. count - 1
+        doubled = first @ sums[1:]  # row k - 1 is x(2^k), k = 1 .. count - 1
         doubled.flags.writeable = False  # x(n) may be one of its rows
         top = 1 << (count - 1)
         elapsed[2:top + 1] = time.perf_counter_ns() - start
@@ -365,7 +367,7 @@ def _iterate_table(plan: _IterationPlan, first: np.ndarray, final: np.ndarray,
     """
     x = np.empty((iterations + 1, len(first)), dtype=np.complex128)
     x[0], x[1] = 0.0, first
-    levels = plan.levels((iterations - 1).bit_length())  # (M^h)^T at h = 1, 2, 4, ...
+    levels, _ = plan.tables(iterations.bit_length())  # (M^h)^T at h = 1, 2, 4, ...
     h = 1
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite iterates are refused below
         while h < iterations:

@@ -52,6 +52,17 @@ def random_psd(dim, seed):
     return hermitize(adjoint(g) @ g)
 
 
+def seeded_events(atoms, count, seed):
+    """``count`` events over ``atoms`` (repeats possible): each atom drawn in or
+    out with one PCG64 integer draw per event."""
+    rng = rng_for(seed)
+    events = []
+    for _ in range(count):
+        mask = rng.integers(0, 2, size=len(atoms)).astype(bool)
+        events.append(tuple(a for a, keep in zip(atoms, mask) if keep))
+    return events
+
+
 def rotated_rows(rng, rows, d):
     """rows x len(d) rows Q diag(d) U* between random unitaries: singular values d,
     so cond(S) = (max d / min d)^2."""

@@ -142,13 +142,13 @@ def test_decompose_and_roundtrip_certify_without_events(dim, atoms, tmp_path, mo
     povm_path, frame_path = str(tmp_path / "povm.json"), str(tmp_path / "frame.json")
     generate_random("povm", dim, atoms, seed=atoms, output_path=povm_path)
     generate_random("frame", dim, atoms, seed=atoms, output_path=frame_path)
-    calls = count_calls(monkeypatch, correspondence, "all_events", "sample_events")
+    calls = count_calls(monkeypatch, correspondence, "all_events")
     for rule in ("trace", "dyadic"):
         assert main(["decompose", "--in", povm_path, "--rule", rule,
                      "--out", str(tmp_path / f"d-{rule}.json")]) == 0
         assert main(["roundtrip", "--in", frame_path, "--rule", rule,
                      "--out", str(tmp_path / f"r-{rule}.json")]) == 0
-    assert calls == {"all_events": 0, "sample_events": 0}
+    assert calls == {"all_events": 0}
     for name in ("d-trace", "d-dyadic", "r-trace", "r-dyadic"):
         check = read_report(tmp_path / f"{name}.json")["checks"][0]
         assert check["name"] == "reintegration"
@@ -1110,6 +1110,32 @@ def test_every_layout_is_built_from_the_one_stack(kind_paths, monkeypatch):
             assert len(arrays) == len(stacked), (name, layout)
             assert all(same_bits(a, b) for a, b in zip(arrays, stacked)), (name, layout)
             monkeypatch.undo()
+
+
+def test_built_frames_take_their_rows_as_one_stack(pair_path, tmp_path, monkeypatch):
+    """decomposition_to_ovf and from_vector_frame fill a frame from one array: its
+    rows are, byte for byte, each atom's own rows end to end (each density
+    factored alone, each vector conjugated), and to-ovf, roundtrip and a
+    vector-frame load never call the per-block constructor of a frame."""
+    f = VectorFrame(dim_h=3, vectors=complex_box(rng_for(31), (7, 3)))
+    assert from_vector_frame(f)._rows.tobytes() == np.concatenate(
+        [np.conj(v)[None] for v in f.vectors]).tobytes()
+    blocks = [complex_box(rng_for(32), (1 + t % 4, 4)) for t in range(9)]  # ranks 1 .. 4
+    space = frames.AtomicMeasureSpace([str(t) for t in range(9)], np.linspace(0.5, 2.0, 9))
+    d = correspondence.decompose(correspondence.ovf_to_povm(
+        frames.OperatorValuedFrame(space, 4, blocks)))
+    minimal = correspondence.decomposition_to_ovf(d)
+    per_atom = [linalg._pivoted_cholesky_rows(q[None])[0] for q in d.densities]
+    assert [len(t) for t in per_atom] == [1 + t % 4 for t in range(9)]
+    assert np.diff(minimal._offsets).tolist() == [len(t) for t in per_atom]
+    assert minimal._rows.tobytes() == np.concatenate(per_atom).tobytes()
+
+    data = write_json(tmp_path / "d.json", correspondence.decomposition_to_json(d))
+    calls = count_calls(monkeypatch, frames.OperatorValuedFrame, "__init__")
+    for argv in (["to-ovf", "--in", data], ["roundtrip", "--in", pair_path]):
+        assert main(argv + ["--out", str(tmp_path / f"{argv[0]}.json")]) == 0, argv
+    assert isinstance(cli._load(pair_path, "frame")[1], frames.OperatorValuedFrame)
+    assert calls == {"__init__": 0}
 
 
 def test_a_per_atom_list_that_contradicts_its_heights_exits_two(kind_paths, tmp_path, capsys):

@@ -59,7 +59,6 @@ from framekit.correspondence import (
     cut_bound,
     decomposition_from_json,
     decomposition_to_json,
-    sample_events,
 )
 from framekit.linalg import psd_sqrt
 
@@ -196,6 +195,16 @@ def test_dyadic_rule_rejects_non_spanning_sequence():
             projective_qubit(),
             ReferenceMeasureRule(kind="dyadic-sequence", sequence=[E1]),
         )
+
+
+def test_dyadic_rule_checks_the_vector_dimension_before_the_length():
+    """3 unit vectors of dim 5 against a dim-4 POVM are the wrong dimension, not
+    too few: DimensionMismatch, as for enough of them."""
+    m = random_povm(dim=4, atoms=5, seed=3)
+    for count in (3, 6):
+        rule = ReferenceMeasureRule("dyadic-sequence", np.eye(5, dtype=complex)[:count])
+        with pytest.raises(DimensionMismatch, match="dim 5, POVM expects 4"):
+            reference_measure(m, rule)
 
 
 def test_rule_construction_rejects_bad_input():
@@ -338,10 +347,10 @@ def test_decomposition_diagonalizes_every_density_in_one_call(monkeypatch):
     assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
     assert again._minimal_rows is first
     assert calls == {"hermitian_eigen": 0, "_pivoted_cholesky_rows": 1}
-    rows, dropped = first
-    expected_rows, expected_dropped = d._minimal_rows
-    assert len(rows) == len(expected_rows)
-    assert all(np.array_equal(a, b) for a, b in zip(rows, expected_rows))
+    rows, heights, dropped = first
+    expected_rows, expected_heights, expected_dropped = d._minimal_rows
+    assert heights == expected_heights
+    assert rows.tobytes() == expected_rows.tobytes()
     assert np.array_equal(dropped, expected_dropped)
 
 
@@ -553,7 +562,7 @@ def test_gamma_gives_the_bounds_of_the_inline_formulas_bit_for_bit():
         gamma_cut = (n + 1) * u / (1.0 - (n + 1) * u)
         gamma_reint = k * u / (1.0 - k * u)
         assert linalg._gamma(n + 1) == gamma_cut and linalg._gamma(k) == gamma_reint
-        dropped = d._minimal_rows[1]
+        dropped = d._minimal_rows[2]
         skew = linalg._norms(d.densities - linalg.hermitize(d.densities), 2)
         rounding = n * gamma_cut * (linalg._norms(d.densities, 2) + dropped)
         weighted = np.add.reduce(d.measure.weights * (skew + dropped + rounding))
@@ -665,12 +674,6 @@ def test_all_events_enumerates_the_power_set():
     assert len(events) == 8
     assert events[0] == ()
     assert ("a", "c") in events
-
-
-def test_sample_events_is_seeded():
-    atoms = tuple(str(i) for i in range(20))
-    assert sample_events(atoms, 50, seed=5) == sample_events(atoms, 50, seed=5)
-    assert sample_events(atoms, 50, seed=5) != sample_events(atoms, 50, seed=6)
 
 
 def test_decomposition_json_round_trip_is_exact():

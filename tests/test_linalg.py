@@ -868,6 +868,11 @@ def low_rank_psd(n, rank, seed):
     return q / max(np.trace(q).real, 1.0)
 
 
+def per_matrix(rows, heights):
+    """The stacked rows cut into each matrix's own, heights[t] of them for matrix t."""
+    return np.split(rows, np.cumsum(heights)[:-1])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8, 12, 17])
 def test_pivoted_cholesky_rows_factor_each_density_at_its_rank(n, monkeypatch):
     """T* T = Q to rounding with rank(Q) rows, with no eigen work, and each matrix
@@ -875,19 +880,23 @@ def test_pivoted_cholesky_rows_factor_each_density_at_its_rank(n, monkeypatch):
     calls = count_calls(monkeypatch, linalg, "hermitian_eigen")
     ranks = list(range(n + 1)) * 2
     stack = np.array([low_rank_psd(n, k, seed=10 * n + i) for i, k in enumerate(ranks)])
-    rows, dropped = linalg._pivoted_cholesky_rows(stack)
+    rows, heights, dropped = linalg._pivoted_cholesky_rows(stack)
     assert calls == {"hermitian_eigen": 0}
-    assert [len(t) for t in rows] == ranks
+    assert heights == ranks
+    assert rows.shape == (sum(ranks), n) and rows.dtype == np.complex128
+    assert not rows.flags.writeable and not dropped.flags.writeable
     assert dropped.shape == (len(ranks),)
     assert np.all(np.abs(dropped) <= 1e-15)
-    for t, q in zip(rows, stack):
-        assert t.shape[1] == n and not t.flags.writeable
+    blocks = per_matrix(rows, heights)
+    for t, q in zip(blocks, stack):
         assert np.linalg.norm(linalg.adjoint(t) @ t - q) <= 1e-15 * max(np.linalg.norm(q), 1.0)
     for order in (np.arange(len(stack))[::-1], np.arange(len(stack))):
-        again, again_dropped = linalg._pivoted_cholesky_rows(stack[order])
+        again, again_heights, again_dropped = linalg._pivoted_cholesky_rows(stack[order])
+        again = per_matrix(again, again_heights)
         for pos, k in enumerate(order):
-            lone, lone_dropped = linalg._pivoted_cholesky_rows(stack[k][None])
-            assert np.array_equal(again[pos], lone[0]) and np.array_equal(again[pos], rows[k])
+            lone, lone_heights, lone_dropped = linalg._pivoted_cholesky_rows(stack[k][None])
+            assert lone_heights == [heights[k]]
+            assert np.array_equal(again[pos], lone) and np.array_equal(again[pos], blocks[k])
             assert again_dropped[pos] == lone_dropped[0] == dropped[k]
 
 
@@ -903,8 +912,9 @@ def test_pivoted_cholesky_rank_at_the_stopping_boundary(n):
         q = np.zeros((n, n), dtype=complex)
         q[0, 0] = ratio * stop
         q[1:, 1:] = block
-        (t,), dropped = linalg._pivoted_cholesky_rows(q[None])
-        table.append((ratio, len(t), float(dropped[0])))
+        t, (height,), dropped = linalg._pivoted_cholesky_rows(q[None])
+        assert t.shape == (height, n)
+        table.append((ratio, height, float(dropped[0])))
     assert table == [(0.95, n - 1, 0.95 * stop), (1.05, n, 0.0)]
 
 
@@ -914,10 +924,10 @@ def test_size_zero_inputs_give_empty_results():
         dec = linalg.hermitian_eigen(a)
         assert dec.eigenvalues.shape == shape and dec.eigenvectors.shape == a.shape
     assert linalg.psd_sqrt(np.zeros((0, 0))).shape == (0, 0)
-    rows, dropped = linalg._pivoted_cholesky_rows(np.zeros((0, 4, 4)))
-    assert rows == () and dropped.shape == (0,)
-    rows, dropped = linalg._pivoted_cholesky_rows(np.zeros((3, 0, 0)))
-    assert [t.shape for t in rows] == [(0, 0)] * 3 and dropped.tolist() == [0.0] * 3
+    rows, heights, dropped = linalg._pivoted_cholesky_rows(np.zeros((0, 4, 4)))
+    assert rows.shape == (0, 4) and heights == [] and dropped.shape == (0,)
+    rows, heights, dropped = linalg._pivoted_cholesky_rows(np.zeros((3, 0, 0)))
+    assert rows.shape == (0, 0) and heights == [0] * 3 and dropped.tolist() == [0.0] * 3
 
 
 def test_transposed_and_fortran_inputs_give_the_same_bits():

@@ -597,11 +597,10 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
     """Four runs in a row on one frame (default, 4097 steps, target 1e-3, default
     again) each equal the same run on a newly built frame bit for bit, and the
     plain recurrence as assert_matches_reference holds it.  The plan then holds
-    ceil(log2 4097) = 13 read-only complex128 dim_h x dim_h level matrices,
-    (I - relax S)^T and then each the square of the one before, the
-    4097.bit_length() = 13 prefix sums as one read-only complex128 stack,
-    Sigma_0 = I and then each Sigma_k @ L_k + Sigma_k, and read-only powers no
-    longer than 4097 + 1."""
+    4097.bit_length() = 13 entries in each of its two read-only complex128
+    (13, dim_h, dim_h) stacks: the level matrices, (I - relax S)^T and then each
+    the square of the one before, and the prefix sums, Sigma_0 = I and then each
+    Sigma_k @ L_k + Sigma_k; and read-only powers no longer than 4097 + 1."""
     def build():
         return conditioned_frame(12, 128, 300.0, seed=950)
 
@@ -619,17 +618,16 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
         assert (trace.bounds.lower, trace.bounds.upper) == (fresh.bounds.lower, fresh.bounds.upper)
     plan = ovf._plan
     assert ovf._plan is plan and plan.rate == trace.rate
-    levels = plan.levels(13)
-    assert len(plan._levels) == 13 == math.ceil(math.log2(4097))
+    levels, sums = plan._tables
+    assert len(levels) == 13 == math.ceil(math.log2(4097))
     m = np.eye(12) - plan.relax * frame_operator(ovf)
-    assert levels[0].dtype == np.complex128 and levels[0].shape == (12, 12)
+    assert levels.dtype == np.complex128 and levels.shape == (13, 12, 12)
     assert np.array_equal(levels[0], m.T)
     for before, after in zip(levels, levels[1:]):
-        assert np.array_equal(after, before @ before)
-    assert not any(level.flags.writeable for level in levels)
-    sums = plan._sums
+        assert (before @ before).tobytes() == after.tobytes()
     assert sums.dtype == np.complex128 and sums.shape == (13, 12, 12)
-    assert not sums.flags.writeable and plan.sums(13).tobytes() == sums.tobytes()
+    assert not levels.flags.writeable and not sums.flags.writeable
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(plan.tables(13), (levels, sums)))
     assert np.array_equal(sums[0], np.eye(12))
     for k in range(12):
         assert (sums[k] @ levels[k] + sums[k]).tobytes() == sums[k + 1].tobytes(), k
@@ -639,23 +637,28 @@ def test_a_reused_frame_gives_the_bits_of_a_fresh_one():
 
 def test_a_plan_is_made_on_the_first_run_and_grows_only_for_a_longer_one():
     """Nothing is computed for a frame no run has read; a run of n steps leaves
-    ceil(log2 n) levels and n.bit_length() prefix sums, and a shorter run
-    replaces no table.  A longer one replaces the sums whole, beginning with the
-    entries it had."""
+    n.bit_length() levels and prefix sums, and a shorter run replaces no table.
+    A longer one replaces both stacks whole, beginning with the bytes of the
+    entries they had."""
     ovf = conditioned_frame(3, 16, 100.0, seed=963)  # rate 99/101: no bound reaches 1e-300
     assert "_plan" not in vars(ovf)
     c = analysis(ovf, complex_box(rng_for(954), 3))
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=100, target_error=1e-300))
     plan = ovf._plan
-    levels, sums, powers = plan._levels, plan._sums, plan._powers
+    tables, powers = plan._tables, plan._powers
+    levels, sums = tables
     assert (len(levels), len(sums), len(powers)) == (7, 7, 101)
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=64, target_error=1e-300))
-    assert plan._levels is levels and plan._sums is sums and plan._powers is powers
+    assert plan._tables is tables and plan._powers is powers
     frame_algorithm(ovf, c, ReconstructionConfig(max_iters=129, target_error=1e-300))
-    assert (len(plan._levels), len(plan._sums), len(plan._powers)) == (8, 8, 130)
-    assert all(a is b for a, b in zip(plan._levels, levels))  # kept, not recomputed
-    assert plan._sums is not sums and plan._sums[:7].tobytes() == sums.tobytes()
-    assert not plan._sums.flags.writeable and not sums.flags.writeable
+    grown_levels, grown_sums = plan._tables
+    assert (len(grown_levels), len(grown_sums), len(plan._powers)) == (8, 8, 130)
+    assert grown_levels[:7].tobytes() == levels.tobytes()
+    assert grown_sums[:7].tobytes() == sums.tobytes()
+    assert grown_levels[7].tobytes() == (grown_levels[6] @ grown_levels[6]).tobytes()
+    assert (grown_sums[7].tobytes()
+            == (grown_sums[6] @ grown_levels[6] + grown_sums[6]).tobytes())
+    assert not any(a.flags.writeable for a in (levels, sums, grown_levels, grown_sums))
 
 
 @pytest.mark.parametrize("rate", [0.0, 1.0 / 3.0, 299.0 / 301.0, 9999.0 / 10001.0])

@@ -49,7 +49,7 @@ class AtomicMeasureSpace:
             raise DimensionMismatch(
                 f"{len(self.atoms)} atoms but {w.shape} weights"
             )
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "_index", _label_index(self.atoms))
         w.flags.writeable = False
@@ -454,8 +454,12 @@ def discretize_continuous(samples, weights) -> OperatorValuedFrame:
 
 
 def analysis(ovf: OperatorValuedFrame, x) -> CoefficientField:
-    """Apply every block: segment t = T(t) x, all of them as the one product B x."""
-    v = linalg.as_vector(x)
+    """Apply every block: segment t = T(t) x, all of them as the one product B x.
+
+    x is checked as ``linalg.as_vector`` checks it, but not copied when it already
+    is a C-contiguous complex128 vector: B x is a new array, so the field keeps
+    nothing of x, and changing x afterwards changes no coefficient."""
+    v = linalg._as_finite(x, (1,), "a 1-D vector", "vector", copy=False)
     if v.shape[0] != ovf.dim_h:
         raise DimensionMismatch(f"vector has dim {v.shape[0]}, frame expects {ovf.dim_h}")
     c = object.__new__(CoefficientField)
@@ -473,9 +477,16 @@ def synthesis(ovf: OperatorValuedFrame, c: CoefficientField) -> np.ndarray:
 
 
 def _weighted_adjoint(ovf: OperatorValuedFrame, values: np.ndarray) -> np.ndarray:
-    """B* (w y) for a flat coefficient vector y lined up with the rows."""
-    # B* y as conj(B^T conj(y)): no conjugated copy of B
-    return np.conj(ovf._rows.T @ np.conj(ovf._row_weights * values))
+    """B* (w y) for a flat coefficient vector y lined up with the rows.
+
+    B* y is taken as conj(B^T conj(y)), so no conjugated copy of B is made; both
+    conjugates are taken in place, into the product w y and into B^T conj(w y),
+    the two temporaries the call makes anyway."""
+    y = ovf._row_weights * values
+    np.conjugate(y, out=y)
+    b = ovf._rows.T @ y
+    np.conjugate(b, out=b)
+    return b
 
 
 def _normal_solve(ovf: OperatorValuedFrame, b: np.ndarray) -> np.ndarray:

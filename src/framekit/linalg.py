@@ -125,7 +125,7 @@ def _as_finite(a, ndims: tuple[int, ...], expected: str, what: str,
     m = np.array(a, dtype=np.complex128, copy=copy or None, order="C")
     if m.ndim not in ndims:
         raise DimensionMismatch(f"expected {expected}, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{what} contains NaN or Inf entries")
     return m
 
@@ -155,6 +155,11 @@ def frobenius(a: np.ndarray) -> float:
     return float(_norms(a, np.ndim(a)))
 
 
+# _LAST_AXES[k] is the tuple of the last k axes, (-k, ..., -1), for every k up
+# to numpy's largest ndim: the axes _squares reduces over.
+_LAST_AXES = tuple(tuple(range(-k, 0)) for k in range(65))
+
+
 def _chunks(count: int, n: int):
     """Slices of a stack of ``count`` n x n matrices, each at most _EIGEN_CHUNK_BYTES
     of complex128 (at least one matrix)."""
@@ -170,16 +175,16 @@ def _squares(a: np.ndarray, axes: int):
     the float64 view, in an order fixed by the shape: the same bits at any
     BLAS thread count, and for one item alone and anywhere in a stack, which
     keeps the Jacobi stopping tests alike.  A stack of matrices larger than
-    one slice (see ``_chunks``) is squared a slice at a time.
+    one slice (see ``_chunks``) is squared a slice at a time.  The axes tuple
+    comes from ``_LAST_AXES``, so a call builds no tuple and defines no
+    function.
     """
     f = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-
-    def squares(x):
-        return np.add.reduce(x * x, axis=tuple(range(-axes, 0)))
-
+    axis = _LAST_AXES[axes]
     if (f.ndim, axes) != (3, 2) or f.nbytes <= _EIGEN_CHUNK_BYTES:
-        return squares(f)
-    return np.concatenate([squares(f[part]) for part in _chunks(f.shape[0], f.shape[1])])
+        return np.add.reduce(f * f, axis=axis)
+    return np.concatenate([np.add.reduce(f[part] * f[part], axis=axis)
+                           for part in _chunks(f.shape[0], f.shape[1])])
 
 
 def _norms(a: np.ndarray, axes: int):
@@ -403,7 +408,7 @@ def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
             taus[j - lo] = tau = _reflector(a, r, j, lo)
             if tau != 0.0 and j + 1 < hi:
                 x, c = a[j:, j], a[j:, j + 1:hi]
-                c -= np.multiply.outer(x, tau * (np.conj(x) @ c))
+                c -= np.multiply(x[:, None], tau * (np.conj(x) @ c), order="F")
         if hi == n:
             return
         v = a[lo:, lo:hi]
@@ -840,7 +845,7 @@ def _as_stack(items, shape: tuple[int, ...], what: str, copy: bool = True) -> np
         a = a.reshape(shape)
     if a.shape != shape:
         raise DimensionMismatch(f"{what} have shape {a.shape}, expected {shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} contain NaN or Inf entries")
     a.flags.writeable = False
     return a

@@ -122,6 +122,12 @@ class IterationTrace:
     ``certified`` is True.  The certified bounds carry no rounding term, so
     where rate^n proxy falls below the rounding of the iterates, about
     dim_h eps ||x|| / (1 - rate), it may understate the error all the same.
+
+    The package builds a trace as it builds ``CoefficientField`` and
+    ``OperatorValuedFrame``: ``frame_algorithm`` takes ``object.__new__`` and
+    sets the fields through ``_fill``, which skips the generated constructor's
+    keyword handling.  The constructor stays public, and a trace from either
+    has the same fields; both are frozen alike.
     """
 
     final: np.ndarray  # complex128, shape (dim_h,), read-only
@@ -134,6 +140,14 @@ class IterationTrace:
     _plan: _IterationPlan = field(repr=False)  # the frame's plan, for the table's levels
     _first: np.ndarray = field(repr=False)  # x(1) = relax T*c, read-only
     _true_x: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def _fill(self, final, certified_bounds, elapsed_ns, bounds, rate, stopped_by,
+              plan, first, true_x) -> None:
+        """Set every field, ``certified`` True, straight into the instance's
+        ``__dict__``, where the frozen constructor's object.__setattr__ puts them."""
+        vars(self).update(final=final, certified_bounds=certified_bounds,
+                          elapsed_ns=elapsed_ns, bounds=bounds, rate=rate, certified=True,
+                          stopped_by=stopped_by, _plan=plan, _first=first, _true_x=true_x)
 
     @property
     def iterations(self) -> int:
@@ -186,8 +200,9 @@ def _certified_bounds(plan: _IterationPlan, proxy: float, target: float,
 
     One search finds n, over bounds up to ceil(log(target / proxy) / log(rate))
     + 1 (at least 1), clamped to max_iters: the index where rate^n proxy
-    reaches the target, plus one for rounding.  Should the estimate fall short, the search
-    runs once more over all max_iters + 1 bounds.  A tight frame (rate 0), or a
+    reaches the target, plus one for rounding.  Only should the estimate fall
+    short of max_iters and no bound up to it reach the target does the search
+    run once more, over all max_iters + 1 bounds.  A tight frame (rate 0), or a
     proxy already at the target, stops at n = 1 and takes no logarithm.  Each
     bound has the same bits in either array, and from a plan's powers however
     long they have grown, as np.power works entry by entry.
@@ -208,13 +223,17 @@ def _certified_bounds(plan: _IterationPlan, proxy: float, target: float,
         estimate = math.ceil((math.log(target) - math.log(proxy)) / math.log(rate)) + 1
     else:  # a rate that rounds to 1 never meets the target
         estimate = max_iters
-    for size in sorted({min(estimate, max_iters), max_iters}):
-        bounds = proxy * plan.powers(size + 1)
-        bounds.flags.writeable = False
+    size = min(estimate, max_iters)
+    bounds = proxy * plan.powers(size + 1)
+    below = bounds[1:] <= target
+    n = int(below.argmax()) + 1  # the first bound at the target, if there is one
+    if not below[n - 1] and size < max_iters:  # the estimate fell short
+        bounds = proxy * plan.powers(max_iters + 1)
         below = bounds[1:] <= target
-        n = int(np.argmax(below)) + 1
-        if below[n - 1]:
-            return bounds[:n + 1], "target_error"
+        n = int(below.argmax()) + 1
+    bounds.flags.writeable = False
+    if below[n - 1]:
+        return bounds[:n + 1], "target_error"
     return bounds, "max_iters"
 
 
@@ -305,7 +324,7 @@ def frame_algorithm(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite T*c, proxy or x(n) is refused
         b = synthesis(ovf, c)
         proxy = float(linalg._norms(b, 1)) / bounds.lower
-        if not np.isfinite(proxy):
+        if not math.isfinite(proxy):
             raise LimitExceeded("the proxy ||T*c|| / A is not finite: "
                                 "the coefficients are too large")
 
@@ -337,18 +356,10 @@ def frame_algorithm(
 
     total.flags.writeable = False
     elapsed.flags.writeable = False
-    return IterationTrace(
-        final=total,
-        certified_bounds=certified_bounds,
-        elapsed_ns=elapsed,
-        bounds=bounds,
-        rate=plan.rate,
-        certified=True,
-        stopped_by=stopped_by,
-        _plan=plan,
-        _first=first,
-        _true_x=true_x,
-    )
+    trace = object.__new__(IterationTrace)
+    trace._fill(total, certified_bounds, elapsed, bounds, plan.rate, stopped_by, plan, first,
+                true_x)
+    return trace
 
 
 def _iterate_table(plan: _IterationPlan, first: np.ndarray, final: np.ndarray,

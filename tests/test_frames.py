@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -435,6 +436,34 @@ def test_synthesis_takes_an_equal_field_built_apart_and_refuses_other_offsets():
 def test_analysis_rejects_wrong_dimension():
     with pytest.raises(DimensionMismatch):
         analysis(overcomplete_pair_frame(), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([np.nan, 0.0], dtype=complex),
+    np.array([1.0, complex(0.0, np.inf)]),
+    np.array([[1.0, 0.0]], dtype=complex),
+    [[1.0], [0.0]],
+])
+def test_analysis_refuses_what_as_vector_refuses(bad):
+    """x is checked in place, not copied, yet NaN, Inf and a 2-D x are refused with
+    the error and message of linalg.as_vector."""
+    with pytest.raises((ValueError, DimensionMismatch)) as expected:
+        linalg.as_vector(bad)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        analysis(overcomplete_pair_frame(), bad)
+
+
+def test_analysis_keeps_nothing_of_x():
+    """A C-contiguous complex128 x is read without a copy, but the coefficients
+    are B x, a new array: writing into x afterwards changes none of them."""
+    f = random_ovf(dim=5, atoms=7, seed=15)
+    x = complex_box(rng_for(16), 5)
+    assert x.dtype == np.complex128 and x.flags.c_contiguous
+    c = analysis(f, x)
+    values = c._values.copy()
+    assert not np.shares_memory(c._values, x)
+    x[:] = np.nan
+    assert c._values.tobytes() == values.tobytes()
 
 
 def test_bounds_sandwich_every_vector():

@@ -1,6 +1,9 @@
 """Iterative reconstruction: convergence, certificates, trace output."""
 
+import dataclasses
+import hashlib
 import math
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -9,9 +12,13 @@ import pytest
 
 from framekit import (
     AtomicMeasureSpace,
+    CoefficientField,
+    DimensionMismatch,
     InvalidBounds,
+    LimitExceeded,
     OperatorValuedFrame,
     ReconstructionConfig,
+    SpaceMismatch,
     VectorFrame,
     analysis,
     frame_algorithm,
@@ -720,3 +727,122 @@ def test_iterates_are_bit_identical_at_one_and_two_blas_threads():
     assert int(outs[0][-4].split()[2]) == 4097
     assert outs[0] == outs[1]
     assert all(out[-2:] == out[4:6] for out in outs)
+
+
+# --- a bit record of the op path ----------------------------------------------
+
+
+def pinned_frame(n, atoms, seed):
+    """A frame shaped like the benchmark's from the generator alone (no LAPACK
+    call): atom t has 1 + t % n rows, weights in [0.5, 2], entries in the unit
+    box with columns scaled log-spaced over [1, sqrt(300)]; and a vector."""
+    rng = rng_for(seed)
+    heights = [1 + t % n for t in range(atoms)]
+    rows = complex_box(rng, (sum(heights), n)) * 300.0 ** (np.arange(n) / (2.0 * (n - 1)))
+    space = AtomicMeasureSpace([str(t) for t in range(atoms)], rng.uniform(0.5, 2.0, atoms))
+    ovf = OperatorValuedFrame(space, n, np.split(rows, np.cumsum(heights)[:-1]))
+    return ovf, complex_box(rng, n)
+
+
+# (m, n) of the matrices whose _scaled_r is pinned: the flat path (at most
+# linalg._FLAT_QR_ROWS rows, one panel and several), then the recursive one.
+PINNED_QR_SHAPES = {
+    "flat": ((19, 3), (84, 6), (100, 17), (192, 12), (256, 40)),
+    "recursive": ((257, 8), (544, 16), (1000, 20)),
+}
+
+# sha256, in case order, of every run's final, certified_bounds and iterates
+# bytes, stopped_by and repr(rate), on the three frames of pinned_frame at dims
+# 8, 12 and 16 (288, 400 and 272 rows), each under the default config and at
+# 4097 steps to 1e-300; and of _scaled_r's R bytes and str(e) on five matrices
+# of each shape of PINNED_QR_SHAPES, rows scaled by factors in [1e-8, 1].
+# Computed with numpy 2.4.6 and its bundled OpenBLAS on an x86-64 AVX-512
+# Xeon: the products go through BLAS, so another BLAS or CPU may round
+# differently.
+PINNED_OP_DIGESTS = {
+    "frame_algorithm": "23d5bbf3053f3e1c8237ea38ff037d5be98bd44d88e0bcd0ac5b5bc82f2a1fb7",
+    "_scaled_r flat": "26be05cc885d099e644a70849b8bac387e53ba839b68a778463c3baa8cce14c0",
+    "_scaled_r recursive": "ba23f790d220c9b3fa371675609336d136cfb6183bb7b344bae050c91877797b",
+}
+
+
+def op_path_digests():
+    digests = {key: hashlib.sha256() for key in PINNED_OP_DIGESTS}
+    h = digests["frame_algorithm"]
+    for n, atoms in ((8, 64), (12, 64), (16, 32)):
+        ovf, x = pinned_frame(n, atoms, seed=1200 + n)
+        for cfg in (None, ReconstructionConfig(max_iters=4097, target_error=1e-300)):
+            trace = frame_algorithm(ovf, analysis(ovf, x), cfg)
+            for a in (trace.final, trace.certified_bounds, trace.iterates):
+                h.update(a.tobytes())
+            h.update(f"{trace.stopped_by} {trace.rate!r}".encode())
+    rng = rng_for(1300)
+    for path, shapes in PINNED_QR_SHAPES.items():
+        h = digests[f"_scaled_r {path}"]
+        for m, n in shapes:
+            for _ in range(5):
+                g = complex_box(rng, (m, n))
+                r, e = linalg._scaled_r(g, 10.0 ** rng.uniform(-8.0, 0.0, m))
+                h.update(r.tobytes())
+                h.update(str(e).encode())
+    return {key: h.hexdigest() for key, h in digests.items()}
+
+
+def test_frame_algorithm_keeps_its_pinned_bits():
+    """x(n), the certified bounds, the iterates, the stop and the rate of default
+    and 4097-step runs on frames above 256 rows, and the factors _scaled_r gives
+    on both of its paths, have the bytes they had before the op path lost its
+    fixed costs."""
+    assert all(m <= linalg._FLAT_QR_ROWS for m, _ in PINNED_QR_SHAPES["flat"])
+    assert all(m > linalg._FLAT_QR_ROWS for m, _ in PINNED_QR_SHAPES["recursive"])
+    assert op_path_digests() == PINNED_OP_DIGESTS
+
+
+def test_the_op_path_still_refuses_foreign_fields_and_other_offsets():
+    """frame_algorithm takes T*c from synthesis, which refuses a field over another
+    measure space and one over the frame's space cut at other offsets."""
+    ovf = overcomplete_pair_frame()
+    foreign = analysis(frames.discretize_continuous([E1, E1, E2], [1.0, 1.0, 0.5]), E1)
+    with pytest.raises(SpaceMismatch):
+        frame_algorithm(ovf, foreign)
+    f = OperatorValuedFrame(AtomicMeasureSpace(["a", "b"], [1.0, 1.0]), 2,
+                            [np.eye(2)[:1], np.array([[0.0, 1.0], [1.0, 1.0]])])
+    shifted = CoefficientField(f.space, [np.ones(2), np.ones(1)])
+    with pytest.raises(DimensionMismatch):
+        frame_algorithm(f, shifted)
+
+
+@pytest.mark.parametrize("value", [1e200, 1e308])
+def test_overflowing_coefficients_raise_limit_exceeded_without_a_warning(value):
+    """Coefficients whose T*c or ||T*c|| overflows are refused before any iterate,
+    by both routes, and the overflow they meet on the way warns of nothing."""
+    ovf = overcomplete_pair_frame()
+    c = CoefficientField(ovf.space, [np.array([value]), np.array([value]), np.array([-value])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(LimitExceeded, match="proxy"):
+            frame_algorithm(ovf, c)
+        if value > 1e300:  # T*c itself overflows; at 1e200 only its norm does
+            with pytest.raises(LimitExceeded):
+                reconstruct_direct(ovf, c)
+
+
+def test_a_trace_is_the_one_the_public_constructor_builds():
+    """frame_algorithm builds its trace without the generated constructor; every
+    field is the one IterationTrace(...) given the same values holds, both have
+    the same attributes, and both refuse a field assignment; both form the same
+    table on first read."""
+    ovf = random_ovf(4, 9, seed=41)
+    x = complex_box(rng_for(42), 4)
+    for true_x in (None, x):
+        trace = frame_algorithm(ovf, analysis(ovf, x), true_x=true_x)
+        fields = dataclasses.fields(trace)
+        public = reconstruction.IterationTrace(**{f.name: getattr(trace, f.name) for f in fields})
+        assert vars(trace) == vars(public)
+        assert trace.certified is True and (trace._true_x is None) == (true_x is None)
+        for f in fields:
+            assert getattr(trace, f.name) is getattr(public, f.name), f.name
+            for t in (trace, public):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(t, f.name, None)
+        assert trace.iterates.tobytes() == public.iterates.tobytes()

@@ -84,18 +84,20 @@ class Decomposition:
         self._fill(measure, densities, dim_h, copy=True)
 
     def _fill(self, measure: AtomicMeasureSpace, densities, dim_h: int, copy: bool,
-              slack: Optional[np.ndarray] = None) -> None:
+              slack: Optional[np.ndarray] = None, hermitized: bool = False) -> None:
         """Check and set the fields, keeping a copy of ``densities`` unless ``copy`` is
         false: ``decomposition_from_json`` and ``decompose`` build through this
         with a stack that nothing else holds, and keep it as it is.  The
         verdicts come from ``linalg._admission``; ``slack``, which only
         ``decompose`` passes, is a certified sigma_t >= max(0, -lambda_min) per
-        density, which the rule takes as a PASS wherever it is at most tol_psd."""
+        density, which the rule takes as a PASS wherever it is at most tol_psd,
+        and ``hermitized``, which it passes too, says the densities are
+        ``linalg.hermitize``'s output, whose residuals the rule takes as 0.0."""
         if dim_h <= 0:
             raise DimensionMismatch(f"dim_h must be positive, got {dim_h}")
         densities = linalg._as_stack(densities, (len(measure), dim_h, dim_h), "densities", copy)
         linalg._check_magnitude(densities, "densities", measure.weights)
-        residuals, psd_ok, _ = linalg._admission(densities, slack)
+        residuals, psd_ok, _ = linalg._admission(densities, slack, hermitized)
         herm_ok = residuals <= linalg.TOL_HERM
         bad = ~(herm_ok & psd_ok)
         if bad.any():  # the first failing atom; its Hermiticity is checked first
@@ -229,11 +231,13 @@ def ovf_to_povm(ovf: OperatorValuedFrame) -> Povm:
 
     Its total M(Omega) equals the frame operator, so the result is always
     framed.  The POVM carries the certified slack of each element
-    (``_gram_slack``), so ``validate`` factors none that it settles.
+    (``_gram_slack``), so ``validate`` factors none that it settles, and the
+    mark of ``hermitize``'s output, so it takes no Hermiticity pass either.
     """
     elements = linalg.hermitize(ovf.space.weights[:, None, None] * _grams(ovf))
     m = object.__new__(Povm)
-    m._fill(ovf.space.atoms, ovf.dim_h, elements, copy=False, slack=_gram_slack(ovf))
+    m._fill(ovf.space.atoms, ovf.dim_h, elements, copy=False, slack=_gram_slack(ovf),
+            hermitized=True)
     return m
 
 
@@ -298,8 +302,10 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     element's verdict, carried over the division (``_density_slack``), is at
     most the density's tol_psd; only the other densities are factored.  So a
     POVM that ``validate`` settles at the strict shift costs one factorization,
-    and one from ``ovf_to_povm`` usually none.  A POVM with no atom of positive
-    reference weight (every element zero) has no density, and raises InvalidPovm.
+    and one from ``ovf_to_povm`` usually none.  The densities are
+    ``hermitize``'s output, so their Hermiticity takes no pass.  A POVM with no
+    atom of positive reference weight (every element zero) has no density, and
+    raises InvalidPovm.
     """
     report = validate(m)
     if not report.passed:
@@ -321,7 +327,7 @@ def decompose(m: Povm, rule: ReferenceMeasureRule = TRACE_RULE) -> Decomposition
     slack = _density_slack(report._psd_slack[keep], norms[keep], mu, m.dim_h)
     d = object.__new__(Decomposition)
     try:
-        d._fill(measure, densities, m.dim_h, copy=False, slack=slack)
+        d._fill(measure, densities, m.dim_h, copy=False, slack=slack, hermitized=True)
     except NotPsd as exc:
         raise InvalidPovm(f"POVM failed validation: {exc}") from exc
     return d

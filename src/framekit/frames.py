@@ -489,16 +489,22 @@ def _weighted_adjoint(ovf: OperatorValuedFrame, values: np.ndarray) -> np.ndarra
     return b
 
 
+def _scale_down(v: np.ndarray, e: int) -> np.ndarray:
+    """v / 2^e, in place, for a complex vector v that nothing else holds."""
+    f = v.view(np.float64)
+    np.ldexp(f, -e, out=f)
+    return v
+
+
 def _normal_solve(ovf: OperatorValuedFrame, b: np.ndarray) -> np.ndarray:
     """S^-1 b = R^-1 R^-* b through the kept inverse factor; the two powers 2^-e
     of the scaling are applied one after each product, so the intermediate keeps
-    the scale of R^-* b."""
+    the scale of R^-* b.  Each product is a new array, so the conjugate and the
+    scalings are taken in place, into it."""
     inv, e = ovf._factor_inverse, ovf._factor_exponent
-
-    def scaled(v):
-        return np.ldexp(v.view(np.float64), -e).view(np.complex128)
-
-    return scaled(inv @ scaled(np.conj(inv.T @ np.conj(b))))
+    y = inv.T @ np.conj(b)
+    np.conjugate(y, out=y)
+    return _scale_down(inv @ _scale_down(y, e), e)
 
 
 def _energy_residual(ovf: OperatorValuedFrame, x: np.ndarray, c: CoefficientField) -> float:

@@ -142,7 +142,7 @@ def as_vector(x) -> np.ndarray:
 
 def adjoint(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose (of every matrix in a stack: last two axes), C-ordered."""
-    return np.conjugate(np.swapaxes(np.asarray(a), -1, -2), order="C")
+    return np.conjugate(np.asarray(a).swapaxes(-1, -2), order="C")
 
 
 def inner(x: np.ndarray, y: np.ndarray) -> complex:
@@ -248,7 +248,7 @@ def _round_robin_schedule(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def _scale_exponent(f: np.ndarray):
     """The e that puts the largest |entry| of a float64 matrix (of each in a stack:
     last two axes) in [1/2, 1) once scaled by 2^-e, exactly; 0 for a zero matrix."""
-    peak = np.maximum(np.max(f, axis=(-2, -1), initial=0.0), -np.min(f, axis=(-2, -1), initial=0.0))
+    peak = np.maximum(f.max(axis=(-2, -1), initial=0.0), -f.min(axis=(-2, -1), initial=0.0))
     return np.frexp(peak)[1]
 
 
@@ -328,32 +328,28 @@ def hermitian_eigen(a) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
-def _reflector(a: np.ndarray, r: np.ndarray, j: int, top: int) -> float:
-    """Reflect column j of the QR work array a: move R's rows top..j-1 of that
-    column, final by then, into the n x n ``r`` and clear them in ``a``, then take
-    the reflector H = I - tau v v* of x = a[j:, j] and return tau.
+def _reflector(x: np.ndarray) -> tuple[complex, float]:
+    """The Householder reflector H = I - tau v v* of the column x, in place:
+    (beta, tau) with H x = beta e_0, v written over x.  The caller moves R's
+    rows above x out of its work array, and puts beta on R's diagonal.
 
     The reflector is LAPACK's zlarfg, with the phase of x_0 in place of the
-    sign of its real part: H x = beta e_0 for beta = -phase(x_0) ||x||,
+    sign of its real part: beta = -phase(x_0) ||x||,
     v = (x - beta e_0) / (x_0 - beta) (so v_0 = 1) and
-    tau = (||x|| + |x_0|) / ||x||, with no cancellation.  beta goes to r[j, j]
-    and v overwrites x.  A zero column takes H = I: v = 0 and tau = 0.  Both
-    QR paths take every reflector from here, so they share its rounding.
+    tau = (||x|| + |x_0|) / ||x||, with no cancellation.  A zero column takes
+    H = I: (x_0, 0.0), and v = 0.  Both QR paths take every reflector from
+    here, so they share its rounding.
     """
-    r[top:j, j] = a[top:j, j]
-    a[top:j, j] = 0.0
-    x = a[j:, j]
-    norm = np.sqrt(np.vdot(x, x).real)
+    norm = math.sqrt(np.vdot(x, x).real)
     if norm == 0.0:
-        r[j, j] = x[0]
+        beta = x[0]
         x[:] = 0.0
-        return 0.0
+        return beta, 0.0
     head = abs(x[0])
     phase = x[0] / head if head > 0.0 else 1.0
-    r[j, j] = -phase * norm
     x /= phase * (head + norm)
     x[0] = 1.0
-    return (head + norm) / norm
+    return -phase * norm, (head + norm) / norm
 
 
 def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: int) -> None:
@@ -365,14 +361,18 @@ def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: 
     T12 = -T1 (V1* V2) T2 (Elmroth & Gustavson, IBM J. Res. Dev. 44(4), 2000),
     so all but the leaves are matrix products.
 
-    The leaf of column j moves R's column j (rows 0..j, final by then) into the
-    n x n ``r`` and overwrites column j of ``a`` with v: zero above row j, v_0
-    on it and the rest below.  So each V of a node is a view of ``a``, the one
-    tall array of the QR; ``ts`` (n, n) receives the upper-triangular T.
-    ``_scaled_r`` takes this path for a work array of more than _FLAT_QR_ROWS rows.
+    The leaf of column j moves R's rows 0..j-1 of that column, final by then,
+    into the n x n ``r`` and clears them in ``a``, then reflects a[j:, j]: beta
+    goes to r[j, j] and v over the column, so column j of ``a`` holds zero
+    above row j, v_0 on it and the rest below.  So each V of a node is a view
+    of ``a``, the one tall array of the QR; ``ts`` (n, n) receives the
+    upper-triangular T.  ``_scaled_r`` takes this path for a work array of more
+    than _FLAT_QR_ROWS rows.
     """
     if hi - lo == 1:
-        ts[lo, lo] = _reflector(a, r, lo, 0)
+        r[:lo, lo] = a[:lo, lo]
+        a[:lo, lo] = 0.0
+        r[lo, lo], ts[lo, lo] = _reflector(a[lo:, lo])
         return
     mid = (lo + hi) // 2
     _reflect_columns(a, r, ts, lo, mid)
@@ -384,15 +384,23 @@ def _reflect_columns(a: np.ndarray, r: np.ndarray, ts: np.ndarray, lo: int, hi: 
     ts[lo:mid, mid:hi] = -(t1 @ ((v1h[:, mid - lo:] @ a[mid:, mid:hi]) @ ts[mid:hi, mid:hi]))
 
 
+# The strict upper triangle of a panel's diagonal block: R's rows that
+# _reflect_panels moves out of the work array once the panel is reflected.
+_PANEL_UPPER = np.triu(np.ones((_QR_PANEL, _QR_PANEL), dtype=bool), 1)
+_PANEL_UPPER.flags.writeable = False
+
+
 def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
     """Householder QR of the whole work array a, in place, flat and blocked
     (LAPACK's zgeqrf): panels of _QR_PANEL columns, left to right.
 
     Each column of a panel takes its reflector from ``_reflector``, and
     applies it at once to the panel's columns right of it, as one vector-matrix
-    product and one rank-1 update (zgeqr2).  R's rows above the panel, final
-    since the last trailing update, move into ``r`` once per panel; a column's
-    rows inside the panel move, and are cleared in ``a``, when its turn comes.
+    product, y = tau x* C, and one rank-1 update, C -= x y (zgeqr2).  R's rows
+    above the panel, final since the last trailing update, move into ``r``
+    before it, and those inside it, the strict upper triangle of its diagonal
+    block, after it, each in one step, and are cleared in ``a``: a reflector
+    touches only rows at or below its own, so they are final by then.
     So the panel's reflectors are V = a[lo:, lo:hi], which give the T of
     Q = I - V T V* from V* V, one small matrix-vector product per column
     (zlarft), and the columns right of the panel take Q* = I - V T* V* as one
@@ -403,19 +411,28 @@ def _reflect_panels(a: np.ndarray, r: np.ndarray) -> None:
     for lo in range(0, n, _QR_PANEL):
         hi = min(lo + _QR_PANEL, n)
         r[:lo, lo:hi] = a[:lo, lo:hi]
-        taus = np.zeros(hi - lo)
+        taus = []
         for j in range(lo, hi):
-            taus[j - lo] = tau = _reflector(a, r, j, lo)
+            x = a[j:, j]
+            r[j, j], tau = _reflector(x)
+            taus.append(tau)
             if tau != 0.0 and j + 1 < hi:
-                x, c = a[j:, j], a[j:, j + 1:hi]
-                c -= np.multiply(x[:, None], tau * (np.conj(x) @ c), order="F")
+                c = a[j:, j + 1:hi]
+                y = np.conj(x) @ c
+                y *= tau
+                c -= np.multiply(x[:, None], y, order="F")
+        upper, block = _PANEL_UPPER[:hi - lo, :hi - lo], a[lo:hi, lo:hi]
+        np.copyto(r[lo:hi, lo:hi], block, where=upper)
+        np.copyto(block, 0.0, where=upper)
         if hi == n:
             return
         v = a[lo:, lo:hi]
         w = adjoint(v) @ a[lo:, lo:]  # [V* V | V* C]
-        t = np.diag(taus).astype(np.complex128)
+        t = np.zeros((hi - lo, hi - lo), dtype=np.complex128)
+        for i, tau in enumerate(taus):
+            t[i, i] = tau
         for i in range(1, hi - lo):
-            t[:i, i] = -taus[i] * (t[:i, :i] @ w[:i, i])
+            np.multiply(t[:i, :i] @ w[:i, i], -taus[i], out=t[:i, i])
         c = a[lo:, hi:]
         c -= v @ (adjoint(t) @ w[:, hi - lo:])
 
@@ -437,7 +454,9 @@ def _scaled_r(g, row_scale: np.ndarray) -> tuple[np.ndarray, int]:
     column steps cannot match.  The path depends only on the input's shape,
     and both take every column's reflector from ``_reflector``, so both have
     the same rounding bound (Higham, Theorem 19.4; see
-    ``frames._swept_condition``).
+    ``frames._swept_condition``).  ``_reflector`` acts on the column below the
+    diagonal alone; each path moves R's rows above it into ``r`` once they
+    are final, and puts the reflector's beta on R's diagonal.
     """
     m, n = g.shape
     a = np.zeros((max(m, n), n), dtype=np.complex128, order="F")
@@ -463,11 +482,12 @@ def _triangular_inverse(r: np.ndarray) -> np.ndarray:
     no RuntimeWarning; callers test the result for finiteness."""
     n = r.shape[0]
     inv = np.zeros_like(r)
-    diag = np.arange(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv[diag, diag] = 1.0 / r[diag, diag]
+        recip = 1.0 / r.diagonal()
+        np.fill_diagonal(inv, recip)
+        neg = (-recip).tolist()
         for j in range(1, n):
-            inv[:j, j] = (inv[:j, :j] @ r[:j, j]) * -inv[j, j]
+            np.multiply(inv[:j, :j] @ r[:j, j], neg[j], out=inv[:j, j])
     inv.flags.writeable = False
     return inv
 
@@ -707,12 +727,18 @@ def _positive_definite_where(a: np.ndarray, shift: np.ndarray, todo: np.ndarray)
     return verdicts
 
 
-def _admission(a: np.ndarray, slack: np.ndarray | None = None
+def _admission(a: np.ndarray, slack: np.ndarray | None = None, hermitized: bool = False
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The one admission rule of a stack (N, n, n) of operators that must be
     Hermitian PSD (POVM elements, densities): their Hermiticity residuals
     (``hermitian_residual``), their PSD verdicts and the certified slack of
     each PASS, a read-only array that is inf elsewhere.
+
+    A stack ``hermitized`` by its maker (``hermitize``'s output, kept as it
+    is) has residuals 0.0 with no pass over it: entry (j, i) of (A + A*) / 2
+    is (a_ji + conj(a_ij)) / 2 and entry (i, j) is (a_ij + conj(a_ji)) / 2, so
+    one is the conjugate of the other bit for bit (conjugation commutes exactly
+    with a sum and with halving), and the pass would compute 0.0.
 
     The verdict is "lambda_min(H_t) >= -tol_psd,t", H_t the Hermitian part of
     a[t] and tol_psd,t = TOL_PSD_REL (1 + ||a_t||_F), read as
@@ -755,7 +781,8 @@ def _admission(a: np.ndarray, slack: np.ndarray | None = None
     kept.flags.writeable = False
     passed = certified | strict_pass
     psd = passed | _positive_definite_where(a, tol, ~passed)
-    return hermitian_residual(a), psd, kept
+    residuals = np.zeros(len(a)) if hermitized else hermitian_residual(a)
+    return residuals, psd, kept
 
 
 def _pivoted_cholesky_rows(a) -> tuple[np.ndarray, list, np.ndarray]:

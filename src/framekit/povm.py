@@ -53,6 +53,9 @@ class Povm:
     read-only per-atom array sigma_t >= max(0, -lambda_min) of each element's
     Hermitian part, proven from how the elements were formed; ``validate``
     takes it as a PASS with no factorization wherever it is at most tol_psd.
+    ``_hermitized``, False unless ``ovf_to_povm`` set it, says the elements
+    are ``linalg.hermitize``'s output, so ``validate`` takes their Hermiticity
+    residuals as 0.0 with no pass (see ``linalg._admission``).
     """
 
     atoms: tuple[str, ...]
@@ -60,17 +63,18 @@ class Povm:
     elements: np.ndarray  # complex128, shape (len(atoms), dim_h, dim_h)
     _index: dict = field(repr=False, compare=False)  # label -> position
     _psd_slack: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _hermitized: bool = field(default=False, repr=False, compare=False)
 
     def __init__(self, atoms: Sequence[str], dim_h: int, elements):
         self._fill(atoms, dim_h, elements, copy=True)
 
     def _fill(self, atoms: Sequence[str], dim_h: int, elements, copy: bool,
-              slack: Optional[np.ndarray] = None) -> None:
+              slack: Optional[np.ndarray] = None, hermitized: bool = False) -> None:
         """Check and set the fields, keeping a copy of ``elements`` unless ``copy`` is
         false: ``povm_from_json`` and ``correspondence.ovf_to_povm`` build through
         this with a stack that nothing else holds, and keep it as it is.
-        ``slack``, which only ``ovf_to_povm`` passes, is the certified per-atom
-        ``_psd_slack``."""
+        ``slack`` and ``hermitized``, which only ``ovf_to_povm`` passes, are the
+        certified per-atom ``_psd_slack`` and ``_hermitized``."""
         atoms = tuple(str(a) for a in atoms)
         index = _label_index(atoms)
         if dim_h <= 0:
@@ -82,6 +86,7 @@ class Povm:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_psd_slack", slack)
+        object.__setattr__(self, "_hermitized", hermitized)
 
     def element(self, label: str) -> np.ndarray:
         return self.elements[_position(self._index, label)]
@@ -204,7 +209,7 @@ def validate(m: Povm) -> ValidationReport:
     norms far above ||M(Omega)||_F), or a subclass evaluates events its own way,
     the largest of the _sampled_residuals is compared instead.
     """
-    herm_res, psd, slack = linalg._admission(m.elements, m._psd_slack)
+    herm_res, psd, slack = linalg._admission(m.elements, m._psd_slack, m._hermitized)
     hermitian = herm_res <= linalg.TOL_HERM
     failing = {FAIL_NOT_HERMITIAN: ~hermitian, FAIL_NOT_PSD: ~psd}
     first = {f: int(np.argmax(bad)) for f, bad in failing.items() if bad.any()}

@@ -333,15 +333,10 @@ def test_each_frame_command_diagonalizes_only_the_frames_whose_bounds_it_reads(
                       "to-ovf": 0, "verify-uniqueness": 0, "roundtrip": 0}
 
 
-def test_each_command_factors_each_operator_at_most_once(tmp_path, monkeypatch):
-    """Shifted-Cholesky calls per command on a frame like the benchmark's (seed 1,
-    dim 6, 24 atoms, heights cycling 1..6, weights in [0.5, 2]): to-povm and
-    roundtrip factor nothing, as the elements' verdicts follow from the Gram
-    products that formed them and the densities' from the elements'; each
-    decompose factors its loaded POVM once, at the strict shift, and carries the
-    verdicts over to the densities; verify-uniqueness and to-ovf check the
-    decompositions they load, one call each; analyze and reconstruct check no
-    PSD verdict."""
+def pipeline_runs(tmp_path):
+    """The benchmark's 8-command set, as argv lists by name, on a frame like its
+    own (seed 1, dim 6, 24 atoms, heights cycling 1..6, weights in [0.5, 2]);
+    each command reads the files the ones before it write."""
     rng = rng_for(1)
     dim, atoms = 6, 24
     space = frames.AtomicMeasureSpace([f"t{i}" for i in range(atoms)], rng.uniform(0.5, 2.0, atoms))
@@ -352,7 +347,7 @@ def test_each_command_factors_each_operator_at_most_once(tmp_path, monkeypatch):
     x = write_json(tmp_path / "x.json", linalg.vector_to_json(rng.standard_normal(dim) + 0j))
     data = {name: str(tmp_path / f"{name}.data.json")
             for name in ("to-povm", "trace", "dyadic", "analyze")}
-    runs = {
+    return {
         "to-povm": ["to-povm", "--in", ovf],
         "trace": ["decompose", "--rule", "trace", "--in", data["to-povm"]],
         "dyadic": ["decompose", "--rule", "dyadic", "--in", data["to-povm"]],
@@ -362,14 +357,62 @@ def test_each_command_factors_each_operator_at_most_once(tmp_path, monkeypatch):
         "analyze": ["analyze", "--in", ovf, "--in", x],
         "reconstruct": ["reconstruct", "--in", ovf, "--in", data["analyze"]],
     }
+
+
+def test_each_command_factors_each_operator_at_most_once(tmp_path, monkeypatch):
+    """Shifted-Cholesky calls per command on pipeline_runs' frame: to-povm and
+    roundtrip factor nothing, as the elements' verdicts follow from the Gram
+    products that formed them and the densities' from the elements'; each
+    decompose factors its loaded POVM once, at the strict shift, and carries the
+    verdicts over to the densities; verify-uniqueness and to-ovf check the
+    decompositions they load, one call each; analyze and reconstruct check no
+    PSD verdict."""
     factored = {}
-    for name, argv in runs.items():
+    for name, argv in pipeline_runs(tmp_path).items():
         calls = count_calls(monkeypatch, linalg, "_shifted_positive_definite")
         assert main(argv + ["--out", str(tmp_path / f"{name}.json")]) == 0, name
         factored[name] = calls["_shifted_positive_definite"]
         monkeypatch.undo()
     assert factored == {"to-povm": 0, "trace": 1, "dyadic": 1, "verify-uniqueness": 2,
                         "to-ovf": 1, "roundtrip": 0, "analyze": 0, "reconstruct": 0}
+
+
+def test_stacks_hermitize_just_made_take_no_hermiticity_pass(tmp_path, monkeypatch):
+    """Hermiticity passes (``hermitian_residual`` calls) per command on
+    pipeline_runs' frame: ovf_to_povm's elements (to-povm, roundtrip) and
+    decompose's densities (decompose, roundtrip) are hermitize's output, so
+    their residuals are 0.0 with no pass; a stack loaded from a file still takes
+    one (each decompose's POVM, the decompositions verify-uniqueness and to-ovf
+    load), and the dyadic rule's Gram matrix one inside hermitian_eigen.  Every
+    report is the one a pass over every stack gives, apart from its time."""
+    runs = pipeline_runs(tmp_path)
+    residual, admission = linalg.hermitian_residual, linalg._admission
+    passes = []
+
+    def counting(a):
+        passes.append(len(a))
+        return residual(a)
+
+    def run_all():
+        counts, reports = {}, {}
+        for name, argv in runs.items():
+            before, out = len(passes), tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(out)]) == 0, name
+            counts[name] = len(passes) - before
+            reports[name] = read_report(out)
+            del reports[name]["elapsed_ns"]
+        return counts, reports
+
+    monkeypatch.setattr(linalg, "hermitian_residual", counting)
+    counts, reports = run_all()
+    assert counts == {"to-povm": 0, "trace": 1, "dyadic": 2, "verify-uniqueness": 2,
+                      "to-ovf": 1, "roundtrip": 0, "analyze": 0, "reconstruct": 0}
+
+    def every_stack(a, slack=None, hermitized=False):
+        return admission(a, slack)
+
+    monkeypatch.setattr(linalg, "_admission", every_stack)
+    assert run_all()[1] == reports
 
 
 def _analysis_check(pair_path, tmp_path, x):

@@ -1107,6 +1107,38 @@ def test_scaled_r_takes_every_edge_of_the_reflector(kind, rows):
         assert r[head, head].imag == 0.0 and r[head, head].real < 0.0
 
 
+@pytest.mark.parametrize("size,head", [(size, head) for size in (1, 2, 9, 40)
+                                       for head in ("random", "zero", "imaginary")
+                                       if (size, head) != (1, "zero")])  # that x is zero
+def test_reflector_maps_its_column_onto_the_first_axis(size, head):
+    """_reflector(x) writes v over x with v_0 = 1 and returns (beta, tau), |beta| =
+    ||x||, with H x = beta e_0 for H = I - tau v v* within rounding; a zero head
+    takes the phase 1, so beta = -||x||."""
+    x = complex_box(rng_for(size), size)
+    if head == "zero":
+        x[0] = 0.0
+    elif head == "imaginary":
+        x[0] = 1j * x[0].imag
+    v = x.copy()
+    beta, tau = linalg._reflector(v)
+    eps, norm = np.finfo(float).eps, np.linalg.norm(x)
+    assert v[0] == 1.0 and abs(abs(beta) - norm) <= 4 * eps * norm
+    hx = x - tau * v * np.vdot(v, x)
+    assert np.linalg.norm(hx - beta * np.eye(size)[0]) <= 8 * size * eps * norm
+    if head == "zero":
+        assert beta == -norm
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_reflector_of_a_zero_column_is_the_identity(size):
+    """A zero x gives (x_0, 0.0), x_0's sign bits kept, and v = 0."""
+    x = np.zeros(size, dtype=complex)
+    x[0] = complex(-0.0, -0.0)
+    beta, tau = linalg._reflector(x)
+    assert tau == 0.0 and not x.any()
+    assert np.array(beta).tobytes() == np.array(complex(-0.0, -0.0)).tobytes()
+
+
 @pytest.mark.parametrize("rows,dim", [(10, 20), (100, 257)])  # the flat path, then the recursion
 def test_scaled_r_of_fewer_rows_than_columns_has_zero_rows_below(rows, dim):
     g = gram_case(rows, dim, seed=rows)

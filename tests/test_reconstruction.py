@@ -755,15 +755,30 @@ PINNED_QR_SHAPES = {
 # bytes, stopped_by and repr(rate), on the three frames of pinned_frame at dims
 # 8, 12 and 16 (288, 400 and 272 rows), each under the default config and at
 # 4097 steps to 1e-300; and of _scaled_r's R bytes and str(e) on five matrices
-# of each shape of PINNED_QR_SHAPES, rows scaled by factors in [1e-8, 1].
-# Computed with numpy 2.4.6 and its bundled OpenBLAS on an x86-64 AVX-512
-# Xeon: the products go through BLAS, so another BLAS or CPU may round
-# differently.
+# of each shape of PINNED_QR_SHAPES, rows scaled by factors in [1e-8, 1]; of
+# the same on five matrices of each PINNED_SPECTRAL_SHAPES, and on 100 x 40
+# and 600 x 40 matrices with PINNED_ZERO_COLUMNS zeroed one at a time and all
+# together, rows scaled by factors in [1e-8, 1e8]; and of _triangular_inverse's
+# bytes on random upper triangles of 1 to 64 columns, columns scaled by factors
+# in [1e-4, 1e4].  Computed with numpy 2.4.6 and its bundled OpenBLAS, at its
+# default thread count, on a 2-core x86-64 AVX-512 Xeon: the products go
+# through BLAS, so another BLAS, thread count or CPU may round differently.
+# (The frame_algorithm key differs at 1 thread; the keys after it agree.)
 PINNED_OP_DIGESTS = {
     "frame_algorithm": "23d5bbf3053f3e1c8237ea38ff037d5be98bd44d88e0bcd0ac5b5bc82f2a1fb7",
     "_scaled_r flat": "26be05cc885d099e644a70849b8bac387e53ba839b68a778463c3baa8cce14c0",
     "_scaled_r recursive": "ba23f790d220c9b3fa371675609336d136cfb6183bb7b344bae050c91877797b",
+    "_scaled_r spectral": "799203b6688e801433f05c0c530de86ddef189f321b95936571f7e324665914d",
+    "_scaled_r zero columns": "e9f86f7f170fe145deb3625f45076fc1c6fc19d7db5e8b732e41d419665af489",
+    "_triangular_inverse": "c6eb2d8ab5a0f91d189b99f2534f4d870f7552ac6877cc537bec42595322fd1a",
 }
+
+# The spectral workload's work arrays: 2.25 n rows (block heights n/2, 3n/4
+# and n) at n = 32, 48 and 64, that is 2 to 4 panels of the flat path.
+PINNED_SPECTRAL_SHAPES = ((72, 32), (108, 48), (144, 64))
+# A 40-column matrix on each path has panels 0-15, 16-31 and 32-39; these
+# columns are zeroed in the first, a middle and the last of them.
+PINNED_ZERO_COLUMNS = (5, 20, 38)
 
 
 def op_path_digests():
@@ -785,14 +800,36 @@ def op_path_digests():
                 r, e = linalg._scaled_r(g, 10.0 ** rng.uniform(-8.0, 0.0, m))
                 h.update(r.tobytes())
                 h.update(str(e).encode())
+    rng = rng_for(1400)
+    h = digests["_scaled_r spectral"]
+    for m, n in PINNED_SPECTRAL_SHAPES:
+        for _ in range(5):
+            r, e = linalg._scaled_r(complex_box(rng, (m, n)), 10.0 ** rng.uniform(-8.0, 8.0, m))
+            h.update(r.tobytes())
+            h.update(str(e).encode())
+    rng = rng_for(1401)
+    h = digests["_scaled_r zero columns"]
+    for m in (100, 600):  # the flat path, then the recursion
+        for zeroed in [[j] for j in PINNED_ZERO_COLUMNS] + [list(PINNED_ZERO_COLUMNS)]:
+            g = complex_box(rng, (m, 40))
+            g[:, zeroed] = 0.0
+            r, e = linalg._scaled_r(g, 10.0 ** rng.uniform(-8.0, 8.0, m))
+            h.update(r.tobytes())
+            h.update(str(e).encode())
+    rng = rng_for(1402)
+    h = digests["_triangular_inverse"]
+    for n in (1, 2, 12, 16, 17, 32, 48, 64):
+        r = np.triu(complex_box(rng, (n, n))) * 10.0 ** rng.uniform(-4.0, 4.0, n)
+        h.update(linalg._triangular_inverse(r).tobytes())
     return {key: h.hexdigest() for key, h in digests.items()}
 
 
 def test_frame_algorithm_keeps_its_pinned_bits():
     """x(n), the certified bounds, the iterates, the stop and the rate of default
-    and 4097-step runs on frames above 256 rows, and the factors _scaled_r gives
-    on both of its paths, have the bytes they had before the op path lost its
-    fixed costs."""
+    and 4097-step runs on frames above 256 rows, the factors _scaled_r gives on
+    both of its paths (the spectral widths and zero columns included) and the
+    inverses _triangular_inverse gives have the bytes they had before the op
+    path lost its fixed costs and the factor its per-column dispatch."""
     assert all(m <= linalg._FLAT_QR_ROWS for m, _ in PINNED_QR_SHAPES["flat"])
     assert all(m > linalg._FLAT_QR_ROWS for m, _ in PINNED_QR_SHAPES["recursive"])
     assert op_path_digests() == PINNED_OP_DIGESTS
